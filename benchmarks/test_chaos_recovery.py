@@ -122,11 +122,11 @@ def run_bench() -> dict:
     return report
 
 
-def test_chaos_recovery(benchmark):
+def test_chaos_recovery(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_bench)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     print(f"\nchaos recovery ({report['unit']}; fault-free "
           f"{report['fault_free']['goodput_rps']} rps):")
     for cs, row in report["schedules"].items():

@@ -75,11 +75,11 @@ def run_sweep() -> dict:
     return report
 
 
-def test_cluster_throughput_scaling(benchmark):
+def test_cluster_throughput_scaling(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_sweep)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     print(f"\ncluster serving throughput ({report['unit']}):")
     for n, row in report["sweep"].items():
         print(f"  nodes={n}: tput={row['throughput_rps']:8.1f} rps "

@@ -171,11 +171,11 @@ def run_throughput() -> dict:
     return report
 
 
-def test_interpreter_throughput_vs_legacy(benchmark):
+def test_interpreter_throughput_vs_legacy(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_throughput)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     print(f"\ninterpreter throughput ({report['unit']}):")
     for name, row in report["workloads"].items():
         w = row["wall"]

@@ -172,11 +172,11 @@ def run_sweep() -> dict:
     }
 
 
-def test_migration_fastpath(benchmark):
+def test_migration_fastpath(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_sweep)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     ro = report["repeat_offload"]
     sv = report["serving"]
     print(f"\nmigration fast path ({report['unit']}):")

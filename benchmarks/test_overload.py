@@ -173,11 +173,11 @@ def run_bench() -> dict:
     return report
 
 
-def test_overload(benchmark):
+def test_overload(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_bench)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     print(f"\noverload ({report['unit']}; saturation "
           f"{report['saturation_rps']} rps, SLO {report['slo_s']}s):")
     for factor, row in report["sweep"].items():

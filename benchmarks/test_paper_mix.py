@@ -86,11 +86,11 @@ def run_sweep() -> dict:
     }
 
 
-def test_paper_mix_serving(benchmark):
+def test_paper_mix_serving(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_sweep)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     solo, multi = report["single_node"], report["multi_node"]
     iso = report["isolation_overhead"]
     print(f"\npaper mix ({report['unit']}):")

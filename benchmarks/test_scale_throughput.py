@@ -91,11 +91,11 @@ def run_sweep() -> dict:
     return report
 
 
-def test_scale_throughput_and_decision_cost(benchmark):
+def test_scale_throughput_and_decision_cost(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_sweep)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     print(f"\nscale-out serving ({report['unit']}, "
           f"{report['n_requests']} requests):")
     for n, row in report["sweep"].items():

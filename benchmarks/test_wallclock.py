@@ -104,11 +104,11 @@ def run_sweep() -> dict:
     }
 
 
-def test_wallclock_backend(benchmark):
+def test_wallclock_backend(benchmark, write_bench_json):
     from conftest import once
 
     report = once(benchmark, run_sweep)
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(BENCH_JSON.name, report)
     w = report["wall"]
     n = report["n_requests"]
     print(f"\nwall-clock backend ({report['unit']}, "

@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.runtime import BACKENDS
+
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import ALL, generate
@@ -372,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("serve", help="run the elastic cluster scheduler")
     p.add_argument("--mix", default="parallel")
     p.add_argument("--backend", default="virtual",
-                   choices=["virtual", "real"],
+                   choices=BACKENDS,
                    help="execution backend: virtual = the deterministic "
                         "discrete-event kernel (the correctness oracle "
                         "and CI merge gate); real = wall-clock mode, "

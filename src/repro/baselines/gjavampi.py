@@ -18,14 +18,13 @@ frames (open sockets) cannot migrate at all (section IV.D).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.baselines.base import BaselineEngine, BaselineRecord, heap_nominal_bytes
 from repro.errors import MigrationError
-from repro.migration.state import GraphDecoder, GraphEncoder
-from repro.vm.frames import Frame, ThreadState
+from repro.migration.state import decode_eager_image, encode_eager_image
+from repro.vm.frames import ThreadState
 from repro.vm.machine import Machine
-from repro.vm.values import RemoteRef
 
 
 class GJavaMPIEngine(BaselineEngine):
@@ -73,41 +72,16 @@ class GJavaMPIEngine(BaselineEngine):
         dst_machine.charge(self.sys.gj_restore_fixed)
         dst_machine.charge(self.sys.gj_restore_per_frame * thread.depth())
         dst_machine.charge(dst_machine.cost.deserialize_cost(heap_bytes))
-        new_thread = self._clone_process(src_machine, thread, dst_machine)
+        # Mechanically: deep-copy the heap graph reachable from the
+        # stack + statics, then rebuild the frames against the copies.
+        new_thread = decode_eager_image(
+            encode_eager_image(thread, src_machine.loader),
+            dst_machine.heap, dst_machine.loader)
         rec.restore_time = dst_machine.clock - t0
 
         self.timeline += rec.latency
         self.records.append(rec)
         return dst_machine, new_thread, rec
-
-    def _clone_process(self, src: Machine, thread: ThreadState,
-                       dst: Machine) -> ThreadState:
-        """Deep-copy the heap graph reachable from the stack + statics,
-        then rebuild the frames against the copies."""
-        enc = GraphEncoder(this_node="", eager=True)
-        frame_locals = [[enc.encode(v) for v in f.locals]
-                        for f in thread.frames]
-        frame_stacks = [[enc.encode(v) for v in f.stack]
-                        for f in thread.frames]
-        statics_enc: Dict[Tuple[str, str], Any] = {}
-        for cls in src.loader.loaded_classes().values():
-            for fname, v in cls.statics.items():
-                statics_enc[(cls.name, fname)] = enc.encode(v)
-
-        dec = GraphDecoder(dst.heap, dst.loader, this_node="",
-                           graph=enc.graph)
-        for (cname, fname), e in statics_enc.items():
-            home = dst.loader.load(cname).find_static_home(fname)
-            home.statics[fname] = dec.decode(e)
-        new_thread = ThreadState(thread.name)
-        for f, locs, stk in zip(thread.frames, frame_locals, frame_stacks):
-            code = dst.loader.load(f.code.class_name).cf.methods[f.code.name]
-            nf = Frame(code)
-            nf.locals = [dec.decode(e) for e in locs]
-            nf.stack = [dec.decode(e) for e in stk]
-            nf.pc = f.pc
-            new_thread.frames.append(nf)
-        return new_thread
 
     def finish(self, machine: Machine, thread: ThreadState) -> Any:
         """Run to completion at the current location."""

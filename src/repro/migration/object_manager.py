@@ -233,6 +233,23 @@ class WorkerObjectManager:
         if self.machine.on_write is self._barrier:
             self.machine.on_write = None
 
+    def disarm_if_idle(self) -> None:
+        """Drop the write barrier once no segment epoch is left on this
+        worker (``thread_home`` tracks every restored-and-unreleased
+        segment, including ones that have not faulted anything yet) and
+        nothing is dirty, so locally served requests regain fast
+        dispatch."""
+        if (not self.thread_home and not self.dirty
+                and not self.dirty_statics):
+            self.disarm()
+
+    def drop_local_roots(self) -> None:
+        """Forget dirty objects this worker created itself: they are
+        never shipped by a write-back and would only keep the barrier
+        armed."""
+        self.dirty = {k: o for k, o in self.dirty.items()
+                      if self.home_identity.get(id(o)) is not None}
+
     # -- fetching ---------------------------------------------------------------
 
     def fetch(self, ref: RemoteRef) -> Any:

@@ -597,33 +597,6 @@ class SODEngine:
             return CLASS_TOKEN_BYTES, True
         return full, False
 
-    def _ship_class(self, rec: MigrationRecord, dst_node: str, name: str,
-                    cf: ClassFile) -> None:
-        """Price one class shipment into ``rec`` — full bytes or digest
-        token — and account the elided bytes."""
-        rec.class_bytes, rec.cached_class = self._class_ship_bytes(
-            dst_node, name, cf)
-        if rec.cached_class:
-            rec.saved_bytes += max(0, class_size(cf) - rec.class_bytes)
-
-    def _baseline(self, home_node: str, dst_node: str,
-                  ns: Optional[str] = None) -> Optional[CaptureBaseline]:
-        """Staged delta-capture view of the (home, worker) ledger for
-        one namespace, or None with the transfer cache disabled."""
-        if not self.transfer_cache:
-            return None
-        return CaptureBaseline(self.ledger(home_node, dst_node), ns)
-
-    def _commit_shipment(self, base: Optional[CaptureBaseline], src: str,
-                         dst_node: str, saved_bytes: int) -> None:
-        """A migration's restore succeeded: fold the staged delta into
-        the durable ledger and credit the elided bytes to the link's
-        savings meter."""
-        if base is not None:
-            base.commit()
-        if saved_bytes:
-            self.cluster.network.record_saved(src, dst_node, saved_bytes)
-
     @staticmethod
     def _static_classes(state: CapturedState) -> frozenset:
         """Classes whose statics travel with this captured segment."""
@@ -664,6 +637,156 @@ class SODEngine:
                     f"from {home} using these statics in the same "
                     f"namespace; cannot also serve {src_node}")
 
+    def _ship(self, src: Host,
+              segments: List[Tuple[ThreadState, Optional[int]]],
+              dst_node: str, home: Host, top_is_caller: bool = False,
+              before_capture: Optional[Callable[[], None]] = None
+              ) -> Tuple[Host, List[Tuple[ThreadState, MigrationRecord]]]:
+        """The one shipment path (paper III.B, priced as Table IV):
+        capture every ``(thread, nframes)`` segment on ``src``, ship
+        them to ``dst_node`` in one bulk message, restore them there
+        anchored to ``home``, and only then commit what was shipped.
+
+        ``home`` is where the segments' values and write-back return,
+        whose (home, worker) ledger the captures are deltas against,
+        and which serves the worker's class and object faults; ``src``
+        is where the frames currently live — the home itself, or the
+        previous hop of a Fig. 1c chain (fetched copies in its frames
+        are then re-encoded as references to their *true* home via the
+        hop's identity map, so no proxy chains build up).
+
+        * **freeze + capture** — each thread runs to its own MSP
+          (unless ``top_is_caller``: a residual segment is suspended at
+          a call and restores to its re-invoke line), then
+          ``before_capture`` runs, then the top ``nframes`` frames
+          (``None`` = the whole stack as frozen) are captured as a
+          delta against the staged ledger view of the thread's *own
+          namespace*: the first capture of a batch ships a static
+          fresh, same-namespace batchmates ride as ``@cached`` markers.
+        * **price** — serialized sizes go on the wire: one fixed
+          per-message setup and each distinct top-frame class once
+          (digest-tokenized against the destination's classpath); the
+          bulk times are attributed evenly across the batch so
+          per-record latencies sum to the true wire time, and each
+          class's bytes are charged to the first record that ships it.
+        * **restore** — on-demand class fetching from ``home``, the
+          cross-home statics refusal, then one restore per segment.
+        * **commit** — a shipment can still be refused after capture;
+          the staged ledger entries, the link's savings meter, the
+          timeline and :attr:`migrations` advance only once every
+          restore has succeeded.
+
+        Returns ``(worker_host, [(worker_thread, record), ...])`` in
+        input order."""
+        if not segments:
+            raise MigrationError("empty shipment")
+        if src.vmti is None:
+            raise MigrationError(
+                f"source {src.node_name} lacks VMTI; cannot capture")
+        # Destination cannot restore via VMTI: the captured data is
+        # re-encoded with Java serialization into a portable format
+        # (section IV.D) — modeled for the paper's case only.
+        portable = not self.cluster.node(dst_node).spec.has_vmti
+        if portable and (len(segments) > 1 or src is not home
+                         or top_is_caller):
+            raise MigrationError(
+                "only a single home segment at an MSP can target a "
+                "VMTI-less node")
+        machine = src.machine
+        identity = (src.objman.home_identity
+                    if src is not home and src.objman is not None else None)
+
+        bases: Dict[Optional[str], Optional[CaptureBaseline]] = {}
+        recs: List[MigrationRecord] = []
+        states: List[CapturedState] = []
+        for thread, nframes in segments:
+            if not top_is_caller:
+                t0 = machine.clock
+                run_to_msp(machine, thread)
+                self.timeline += machine.clock - t0
+            if before_capture is not None:
+                before_capture()
+            if nframes is None:
+                nframes = len(thread.frames)
+            ns = thread.namespace
+            if ns not in bases:
+                bases[ns] = (CaptureBaseline(
+                    self.ledger(home.node_name, dst_node), ns)
+                    if self.transfer_cache else None)
+            t0 = machine.clock
+            state = capture_segment(src.vmti, thread, nframes,
+                                    home_node=src.node_name,
+                                    return_to=home.node_name,
+                                    top_is_caller=top_is_caller,
+                                    baseline=bases[ns], identity=identity)
+            machine.charge(self.sys.sod_capture_fixed)
+            if portable:
+                machine.charge(self.sys.portable_capture_fixed)
+            recs.append(MigrationRecord(
+                src=src.node_name, dst=dst_node, nframes=nframes,
+                capture_time=machine.clock - t0,
+                state_bytes=state.state_bytes(),
+                cached_statics=state.cached_statics,
+                cached_frames=state.cached_frames,
+                saved_bytes=state.saved_bytes))
+            if bases[ns] is not None:
+                bases[ns].stage(state)
+            states.append(state)
+
+        class_files: Dict[str, ClassFile] = {}
+        class_wire = 0
+        for rec, state in zip(recs, states):
+            top_class = state.frames[-1].class_name
+            if top_class in class_files:
+                continue
+            cf = class_files[top_class] = machine.loader.classfile(top_class)
+            rec.class_bytes, rec.cached_class = self._class_ship_bytes(
+                dst_node, top_class, cf)
+            if rec.cached_class:
+                rec.saved_bytes += max(0, class_size(cf) - rec.class_bytes)
+            class_wire += machine.cost.wire_bytes(rec.class_bytes)
+        state_wire = sum(machine.cost.wire_bytes(r.state_bytes)
+                         for r in recs)
+        if portable:
+            # class descriptors and string tables ride along with both
+            # payloads
+            state_wire += self.sys.portable_state_overhead_bytes
+            class_wire += self.sys.portable_state_overhead_bytes // 2
+        bulk_state = (self.sys.sod_transfer_fixed
+                      + self.transfer_time(src.node_name, dst_node,
+                                           state_wire))
+        bulk_class = self.transfer_time(src.node_name, dst_node, class_wire)
+        for rec in recs:
+            rec.state_transfer_time = bulk_state / len(recs)
+            rec.class_transfer_time = bulk_class / len(recs)
+            rec.transfer_time = (rec.state_transfer_time
+                                 + rec.class_transfer_time)
+
+        worker, spawn = self._worker_host(dst_node, home)
+        # The top frames' classes arrive with the state.
+        for name, cf in class_files.items():
+            worker.machine.loader._classpath.setdefault(name, cf)
+        worker.attach_object_manager()
+        for state in states:
+            self._check_cross_home_statics(worker, state, home.node_name)
+        recs[0].worker_spawn_time = spawn  # charged once per shipment
+        out: List[Tuple[ThreadState, MigrationRecord]] = []
+        for rec, state in zip(recs, states):
+            out.append((self._restore_segment(worker, state, rec.nframes,
+                                              home, rec,
+                                              bases[state.namespace]), rec))
+
+        for base in bases.values():
+            if base is not None:
+                base.commit()
+        saved = sum(r.saved_bytes for r in recs)
+        if saved:
+            self.cluster.network.record_saved(src.node_name, dst_node, saved)
+        for rec in recs:
+            self.timeline += rec.latency
+            self.migrations.append(rec)
+        return worker, out
+
     def migrate(self, src_host: Host, thread: ThreadState, dst_node: str,
                 nframes: int = 1,
                 run_after_restore: bool = False
@@ -674,98 +797,8 @@ class SODEngine:
         completes and :meth:`complete_segment` pops it.
 
         Returns (worker_host, worker_thread, record)."""
-        if src_host.vmti is None:
-            raise MigrationError(
-                f"source {src_host.node_name} lacks VMTI; cannot capture")
-        rec = MigrationRecord(src=src_host.node_name, dst=dst_node,
-                              nframes=nframes)
-        machine = src_host.machine
-
-        # Freeze at a migration-safe point.
-        t0 = machine.clock
-        run_to_msp(machine, thread)
-        self.timeline += machine.clock - t0
-
-        # -- capture (C2 part 1): a delta snapshot against the ledger of
-        # what this destination already holds from this home, in the
-        # thread's namespace --
-        base = self._baseline(src_host.node_name, dst_node,
-                              thread.namespace)
-        t0 = machine.clock
-        state = capture_segment(src_host.vmti, thread, nframes,
-                                home_node=src_host.node_name,
-                                baseline=base)
-        machine.charge(self.sys.sod_capture_fixed)
-        dst_spec = self.cluster.node(dst_node).spec
-        if not dst_spec.has_vmti:
-            # Destination cannot restore via VMTI: re-encode the captured
-            # data with Java serialization into a portable format.
-            machine.charge(self.sys.portable_capture_fixed)
-        rec.capture_time = machine.clock - t0
-
-        # -- transfer (serialized sizes go on the wire) --
-        rec.state_bytes = state.state_bytes()
-        rec.cached_statics = state.cached_statics
-        rec.cached_frames = state.cached_frames
-        rec.saved_bytes = state.saved_bytes
-        if base is not None:
-            base.stage(state)
-        top_class = state.frames[-1].class_name
-        cf = machine.loader.classfile(top_class)
-        self._ship_class(rec, dst_node, top_class, cf)
-        state_wire = machine.cost.wire_bytes(rec.state_bytes)
-        class_wire = machine.cost.wire_bytes(rec.class_bytes)
-        if not dst_spec.has_vmti:
-            # Portable (Java-serialized) format: class descriptors and
-            # string tables ride along with both payloads (section IV.D).
-            state_wire += self.sys.portable_state_overhead_bytes
-            class_wire += self.sys.portable_state_overhead_bytes // 2
-        rec.state_transfer_time = (
-            self.sys.sod_transfer_fixed
-            + self.transfer_time(src_host.node_name, dst_node, state_wire))
-        rec.class_transfer_time = self.transfer_time(
-            src_host.node_name, dst_node, class_wire)
-        rec.transfer_time = rec.state_transfer_time + rec.class_transfer_time
-
-        # -- restore (destination) --
-        worker, spawn = self._worker_host(dst_node, src_host)
-        rec.worker_spawn_time = spawn
-        # The top frame's class arrives with the state.
-        worker.machine.loader._classpath.setdefault(top_class, cf)
-        worker.attach_object_manager()
-        self._check_cross_home_statics(worker, state, src_host.node_name)
-        if worker.vmti is not None:
-            worker_thread = self._restore_segment(worker, state, nframes,
-                                                  src_host, rec, base)
-        else:
-            # Reflection-based rebuild on the (slow) device CPU; no
-            # VMTI/JNI machinery involved (paper section IV.D).
-            if state.namespace is not None:
-                self._ns_home[state.namespace] = src_host.node_name
-                self.note_namespace_site(state.namespace, worker.node_name)
-                self.note_namespace_site(state.namespace,
-                                         src_host.node_name)
-            t0 = worker.machine.clock
-            worker.machine.charge(
-                self.sys.java_restore_fixed
-                + self.sys.java_restore_per_frame * nframes)
-            worker.machine.charge(worker.machine.cost.deserialize_cost(
-                rec.state_bytes))
-            self._rehydrate_frames(state, base)
-            worker_thread = java_level_restore(
-                worker.machine, state,
-                static_fallback=self._static_fallback(worker, src_host,
-                                                      base))
-            if worker.objman is not None:
-                worker.objman.register_thread_home(
-                    worker_thread, src_host.node_name,
-                    self._static_classes(state))
-            rec.restore_time = worker.machine.clock - t0
-        self._commit_shipment(base, src_host.node_name, dst_node,
-                              rec.saved_bytes)
-
-        self.timeline += rec.latency
-        self.migrations.append(rec)
+        worker, [(worker_thread, rec)] = self._ship(
+            src_host, [(thread, nframes)], dst_node, src_host)
         if run_after_restore:
             self.run(worker, worker_thread)
         return worker, worker_thread, rec
@@ -788,118 +821,8 @@ class SODEngine:
         Returns ``(worker_host, [(worker_thread, record), ...])`` in
         input order.  Requires ``threads`` to be non-empty.
         """
-        if not threads:
-            raise MigrationError("migrate_many: empty thread batch")
-        if src_host.vmti is None:
-            raise MigrationError(
-                f"source {src_host.node_name} lacks VMTI; cannot capture")
-        machine = src_host.machine
-        dst_spec = self.cluster.node(dst_node).spec
-        if not dst_spec.has_vmti:
-            raise MigrationError(
-                "migrate_many targets VMTI-capable nodes only")
-
-        # -- capture every thread (each at its own MSP), each a delta
-        # against the staged ledger view of its *own namespace* (the
-        # first capture in the batch ships a static fresh; same-
-        # namespace batchmates ride as @cached markers; other
-        # namespaces have their own cells and their own baselines) --
-        bases: Dict[Optional[str], Optional[CaptureBaseline]] = {}
-        recs: List[MigrationRecord] = []
-        states: List[CapturedState] = []
-        for thread in threads:
-            if thread.namespace not in bases:
-                bases[thread.namespace] = self._baseline(
-                    src_host.node_name, dst_node, thread.namespace)
-            base = bases[thread.namespace]
-            t0 = machine.clock
-            run_to_msp(machine, thread)
-            self.timeline += machine.clock - t0
-            t0 = machine.clock
-            state = capture_segment(src_host.vmti, thread, nframes,
-                                    home_node=src_host.node_name,
-                                    baseline=base)
-            machine.charge(self.sys.sod_capture_fixed)
-            rec = MigrationRecord(src=src_host.node_name, dst=dst_node,
-                                  nframes=nframes)
-            rec.capture_time = machine.clock - t0
-            rec.state_bytes = state.state_bytes()
-            rec.cached_statics = state.cached_statics
-            rec.cached_frames = state.cached_frames
-            rec.saved_bytes = state.saved_bytes
-            if base is not None:
-                base.stage(state)
-            states.append(state)
-            recs.append(rec)
-
-        # -- one bulk transfer: single fixed setup, classes deduplicated
-        # within the batch and digest-tokenized against the worker --
-        class_files = {}
-        for state in states:
-            top_class = state.frames[-1].class_name
-            if top_class not in class_files:
-                class_files[top_class] = machine.loader.classfile(top_class)
-        state_wire = sum(machine.cost.wire_bytes(r.state_bytes)
-                         for r in recs)
-        class_bytes = {}
-        class_cached = {}
-        for name, cf in class_files.items():
-            class_bytes[name], class_cached[name] = self._class_ship_bytes(
-                dst_node, name, cf)
-        class_wire = sum(machine.cost.wire_bytes(b)
-                         for b in class_bytes.values())
-        bulk_state = (self.sys.sod_transfer_fixed
-                      + self.transfer_time(src_host.node_name, dst_node,
-                                           state_wire))
-        bulk_class = self.transfer_time(src_host.node_name, dst_node,
-                                        class_wire)
-        # Attribute the shared bulk times evenly across the batch so
-        # per-record latencies still sum to the true wire time; each
-        # distinct class's bytes are charged to the first record that
-        # ships it (summing class_bytes across records must equal what
-        # actually crossed the wire).
-        n = len(recs)
-        charged: set = set()
-        for rec, state in zip(recs, states):
-            top_class = state.frames[-1].class_name
-            if top_class not in charged:
-                charged.add(top_class)
-                rec.class_bytes = class_bytes[top_class]
-                rec.cached_class = class_cached[top_class]
-                if rec.cached_class:
-                    rec.saved_bytes += max(
-                        0, class_size(class_files[top_class])
-                        - rec.class_bytes)
-            rec.state_transfer_time = bulk_state / n
-            rec.class_transfer_time = bulk_class / n
-            rec.transfer_time = rec.state_transfer_time \
-                + rec.class_transfer_time
-
-        # -- restore each segment on the worker --
-        worker, spawn = self._worker_host(dst_node, src_host)
-        for name, cf in class_files.items():
-            worker.machine.loader._classpath.setdefault(name, cf)
-        worker.attach_object_manager()
-        for state in states:
-            self._check_cross_home_statics(worker, state,
-                                           src_host.node_name)
-        out: List[Tuple[ThreadState, MigrationRecord]] = []
-        for rec, state in zip(recs, states):
-            rec.worker_spawn_time = spawn
-            spawn = 0.0  # charged once per batch
-            worker_thread = self._restore_segment(worker, state, nframes,
-                                                  src_host, rec,
-                                                  bases[state.namespace])
-            self.timeline += rec.latency
-            self.migrations.append(rec)
-            out.append((worker_thread, rec))
-        saved = sum(r.saved_bytes for r in recs)
-        for base in bases.values():
-            self._commit_shipment(base, src_host.node_name, dst_node, 0)
-        if saved:
-            self.cluster.network.record_saved(src_host.node_name, dst_node,
-                                              saved)
-        return worker, out
+        return self._ship(src_host, [(t, nframes) for t in threads],
+                          dst_node, src_host)
 
     # -- multi-hop re-offload (Fig. 1c chains) -----------------------------------------
 
@@ -915,102 +838,45 @@ class SODEngine:
 
         Before the segment leaves, its effects flush home (the home
         heap is authoritative again, and the (home, dst) transfer
-        ledger prices the statics as a delta); fetched copies in its
-        frames are re-encoded as references to their *true* home via
-        the hop's identity map, so no proxy chains build up.  Objects
-        the hop itself created stay on its heap and serve on-demand
-        fetches from the next hop.
+        ledger prices the statics as a delta).  Objects the hop itself
+        created stay on its heap and serve on-demand fetches from the
+        next hop.
 
         Returns (worker_host, worker_thread, record)."""
-        if src_worker.vmti is None:
-            raise MigrationError(
-                f"hop {src_worker.node_name} lacks VMTI; cannot capture")
         if dst_node == src_worker.node_name:
             raise MigrationError("re-offload to the same node")
-        machine = src_worker.machine
         objman = src_worker.objman
 
-        # Freeze at a migration-safe point (may finish the thread, in
-        # which case the caller completes it normally).
-        t0 = machine.clock
-        run_to_msp(machine, seg_thread)
-        self.timeline += machine.clock - t0
-        nframes = len(seg_thread.frames)
-        rec = MigrationRecord(src=src_worker.node_name, dst=dst_node,
-                              nframes=nframes)
+        def flush_home() -> None:
+            # Home heap becomes authoritative before the segment moves
+            # on — and so does every *earlier hop* whose objects this
+            # segment dirtied (the next hop re-faults them from their
+            # owners, so unflushed writes would silently vanish).
+            # Object updates are scoped to THIS thread's working set: a
+            # same-home sibling segment's in-flight writes stay tracked
+            # for its own completion (statics keep the documented
+            # last-writer-wins release consistency, as at completion).
+            if objman is not None:
+                own = set(objman.fetched_by.get(seg_thread, []))
+                self.flush_segment_effects(src_worker, home,
+                                           scope_home=home.node_name,
+                                           only_keys=own)
+                self._flush_foreign_effects(src_worker, home.node_name,
+                                            seg_thread)
 
-        # Home heap becomes authoritative before the segment moves on —
-        # and so does every *earlier hop* whose objects this segment
-        # dirtied (the next hop re-faults them from their owners, so
-        # unflushed writes would silently vanish).  Object updates are
-        # scoped to THIS thread's working set: a same-home sibling
-        # segment's in-flight writes stay tracked for its own
-        # completion (statics keep the documented last-writer-wins
-        # release consistency, as at completion).
-        if objman is not None:
-            own = set(objman.fetched_by.get(seg_thread, []))
-            self.flush_segment_effects(src_worker, home,
-                                       scope_home=home.node_name,
-                                       only_keys=own)
-            self._flush_foreign_effects(src_worker, home.node_name,
-                                        seg_thread)
-
-        base = self._baseline(home.node_name, dst_node,
-                              seg_thread.namespace)
-        identity = objman.home_identity if objman is not None else None
-        t0 = machine.clock
-        state = capture_segment(src_worker.vmti, seg_thread, nframes,
-                                home_node=src_worker.node_name,
-                                return_to=home.node_name,
-                                baseline=base, identity=identity)
-        machine.charge(self.sys.sod_capture_fixed)
-        rec.capture_time = machine.clock - t0
-
-        rec.state_bytes = state.state_bytes()
-        rec.cached_statics = state.cached_statics
-        rec.cached_frames = state.cached_frames
-        rec.saved_bytes = state.saved_bytes
-        if base is not None:
-            base.stage(state)
-        top_class = state.frames[-1].class_name
-        cf = machine.loader.classfile(top_class)
-        self._ship_class(rec, dst_node, top_class, cf)
-        rec.state_transfer_time = (
-            self.sys.sod_transfer_fixed
-            + self.transfer_time(src_worker.node_name, dst_node,
-                                 machine.cost.wire_bytes(rec.state_bytes)))
-        rec.class_transfer_time = self.transfer_time(
-            src_worker.node_name, dst_node,
-            machine.cost.wire_bytes(rec.class_bytes))
-        rec.transfer_time = rec.state_transfer_time + rec.class_transfer_time
-
-        # Restore at the next hop, class-fetching from the *home*.
-        worker, spawn = self._worker_host(dst_node, home)
-        rec.worker_spawn_time = spawn
-        if worker.vmti is None:
-            raise MigrationError("multi-hop targets VMTI-capable nodes only")
-        worker.machine.loader._classpath.setdefault(top_class, cf)
-        worker.attach_object_manager()
-        self._check_cross_home_statics(worker, state, home.node_name)
-        worker_thread = self._restore_segment(worker, state, nframes,
-                                              home, rec, base)
-        self._commit_shipment(base, src_worker.node_name, dst_node,
-                              rec.saved_bytes)
+        # Freezing may finish the thread, in which case the caller
+        # completes it normally.
+        worker, [(worker_thread, rec)] = self._ship(
+            src_worker, [(seg_thread, None)], dst_node, home,
+            before_capture=flush_home)
 
         # The source hop's role is over: end its epoch and drop dead
         # dirty-tracking so locally served requests regain fast dispatch
         # (objects it created stay on its heap for on-demand fetches).
         if objman is not None:
             objman.release_thread(seg_thread)
-            objman.dirty = {
-                k: o for k, o in objman.dirty.items()
-                if objman.home_identity.get(id(o)) is not None}
-            if (not objman.thread_home and not objman.dirty
-                    and not objman.dirty_statics):
-                objman.disarm()
-
-        self.timeline += rec.latency
-        self.migrations.append(rec)
+            objman.drop_local_roots()
+            objman.disarm_if_idle()
         return worker, worker_thread, rec
 
     # -- segment completion ------------------------------------------------------------
@@ -1034,24 +900,61 @@ class SODEngine:
         objman = worker.objman
         if objman is None:
             raise MigrationError("worker has no object manager")
-        t0 = worker.machine.clock
+
+        def resume(value: Any) -> None:
+            # pop the outdated frames and deliver the value; part of
+            # the apply phase on the home's clock
+            if home.vmti is not None:
+                for _ in range(nframes - 1):
+                    home.vmti.pop_frame(home_thread)
+                home.vmti.force_early_return(home_thread, value)
+            else:  # pragma: no cover - home always has VMTI in our experiments
+                for _ in range(nframes - 1):
+                    home_thread.frames.pop()
+                home_thread.frames.pop()
+                if home_thread.frames:
+                    home_thread.frames[-1].stack.append(value)
+                else:
+                    home_thread.finished = True
+                    home_thread.result = value
+
         # Scope the message to this segment's home: a worker serving
         # several concurrent segments must not ship another home's
         # dirty objects (their oids are meaningless to this server).
-        message, nbytes = objman.build_writeback(worker_thread.result,
-                                                 home_node=home.node_name)
-        worker.machine.charge(worker.machine.cost.serialize_cost(nbytes))
-        wb_serialize = worker.machine.clock - t0
-        wire = self.transfer_time(worker.node_name, home.node_name,
-                                  worker.machine.cost.wire_bytes(nbytes))
-
+        dt = self._write_back(worker, home, worker_thread.result,
+                              home.node_name, None, resume)
         # Multi-hop chains: dirty copies owned by an *intermediate* hop
         # (the segment faulted objects created on the node it re-offloaded
         # from) must flush to that owner — their oids mean nothing to the
         # completion home's server.
         extra = self._flush_foreign_effects(worker, home.node_name,
                                             worker_thread)
+        objman.release_thread(worker_thread)
+        # (the next restore re-arms the barrier via attach_object_manager)
+        objman.disarm_if_idle()
+        self.timeline += dt
+        return dt + extra
 
+    def _write_back(self, worker: Host, home: Host, return_value: Any,
+                    scope_home: Optional[str], only_keys: Optional[set],
+                    on_applied: Optional[Callable[[Any], None]] = None
+                    ) -> float:
+        """The one write-back path: assemble the worker's dirty state
+        (scoped as :meth:`WorkerObjectManager.build_writeback` documents)
+        around ``return_value``, charge serialization on the worker, the
+        wire, and deserialization + application on ``home``; re-stamp
+        the ledger with what both sides now agree on and forget what
+        was shipped.  ``on_applied(value)`` runs on the home's clock
+        with the decoded return value.  Returns the elapsed seconds
+        (the caller accounts them on the timeline)."""
+        objman = worker.objman
+        t0 = worker.machine.clock
+        message, nbytes = objman.build_writeback(
+            return_value, home_node=scope_home, only_keys=only_keys)
+        worker.machine.charge(worker.machine.cost.serialize_cost(nbytes))
+        dt = worker.machine.clock - t0
+        dt += self.transfer_time(worker.node_name, home.node_name,
+                                 worker.machine.cost.wire_bytes(nbytes))
         t0 = home.machine.clock
         home.machine.charge(home.machine.cost.deserialize_cost(nbytes))
         value = home.server.apply_writeback(
@@ -1059,34 +962,11 @@ class SODEngine:
             message["static_updates"], message["graph"], message["return"])
         self._refresh_static_ledger(home, worker.node_name,
                                     message["static_updates"])
-        if home.vmti is not None:
-            for _ in range(nframes - 1):
-                home.vmti.pop_frame(home_thread)
-            home.vmti.force_early_return(home_thread, value)
-        else:  # pragma: no cover - home always has VMTI in our experiments
-            for _ in range(nframes - 1):
-                home_thread.frames.pop()
-            home_thread.frames.pop()
-            if home_thread.frames:
-                home_thread.frames[-1].stack.append(value)
-            else:
-                home_thread.finished = True
-                home_thread.result = value
-        apply_time = home.machine.clock - t0
-        objman.clear_dirty(home.node_name)
-        objman.release_thread(worker_thread)
-        if (not objman.thread_home and not objman.dirty
-                and not objman.dirty_statics):
-            # No segment epoch left on this worker (thread_home tracks
-            # every restored-and-unreleased segment, including ones
-            # that have not faulted anything yet): drop the write
-            # barrier so locally served requests regain fast dispatch
-            # (the next restore re-arms it via attach_object_manager).
-            objman.disarm()
-
-        dt = wb_serialize + wire + apply_time
-        self.timeline += dt
-        return dt + extra
+        if on_applied is not None:
+            on_applied(value)
+        dt += home.machine.clock - t0
+        objman.clear_dirty(scope_home, only_keys=only_keys)
+        return dt
 
     def _static_fallback(self, worker: Host, home: Host,
                          base: Optional[CaptureBaseline]):
@@ -1144,21 +1024,33 @@ class SODEngine:
                          nframes: int, home: Host,
                          rec: MigrationRecord,
                          base: Optional[CaptureBaseline]) -> ThreadState:
-        """Shared VMTI restore tail: cost charges, the breakpoint-dance
-        restore (with delta-marker fallback wired to ``home``), epoch
-        registration, and ``rec.restore_time``."""
+        """The one restore step: rehydrate delta markers, bind the
+        namespace to ``home``, rebuild the frames — the breakpoint
+        dance through VMTI, or the reflection-based rebuild on a
+        (slow) device CPU without it (paper section IV.D) — with
+        delta-marker fallback wired to ``home``, register the epoch,
+        and fill in ``rec.restore_time``."""
         self._rehydrate_frames(state, base)
         if state.namespace is not None:
             self._ns_home[state.namespace] = home.node_name
             self.note_namespace_site(state.namespace, worker.node_name)
             self.note_namespace_site(state.namespace, home.node_name)
+        fallback = self._static_fallback(worker, home, base)
         t0 = worker.machine.clock
-        worker.machine.charge(self.sys.sod_restore_fixed
-                              + self.sys.sod_restore_per_frame * nframes)
-        driver = RestoreDriver(
-            worker.machine, worker.vmti, state,
-            static_fallback=self._static_fallback(worker, home, base))
-        worker_thread = driver.restore(run_after=False)
+        if worker.vmti is not None:
+            worker.machine.charge(self.sys.sod_restore_fixed
+                                  + self.sys.sod_restore_per_frame * nframes)
+            worker_thread = RestoreDriver(
+                worker.machine, worker.vmti, state,
+                static_fallback=fallback).restore(run_after=False)
+        else:
+            worker.machine.charge(
+                self.sys.java_restore_fixed
+                + self.sys.java_restore_per_frame * nframes)
+            worker.machine.charge(worker.machine.cost.deserialize_cost(
+                rec.state_bytes))
+            worker_thread = java_level_restore(worker.machine, state,
+                                               static_fallback=fallback)
         if worker.objman is not None:
             worker.objman.register_thread_home(
                 worker_thread, home.node_name, self._static_classes(state))
@@ -1241,14 +1133,8 @@ class SODEngine:
             objman.dirty_statics = {
                 k: (c, h) for k, (c, h) in objman.dirty_statics.items()
                 if h != home}
-        # drop untracked local roots too: they are never shipped and
-        # would only keep the barrier armed
-        objman.dirty = {
-            k: o for k, o in objman.dirty.items()
-            if objman.home_identity.get(id(o)) is not None}
-        if (not objman.thread_home and not objman.dirty
-                and not objman.dirty_statics):
-            objman.disarm()
+        objman.drop_local_roots()
+        objman.disarm_if_idle()
 
     def resync_statics(self, worker: Host, home: Host) -> float:
         """Refresh the worker's static fields from the home's current
@@ -1303,22 +1189,7 @@ class SODEngine:
         objman = worker.objman
         if objman is None or (not objman.dirty and not objman.dirty_statics):
             return 0.0
-        t0 = worker.machine.clock
-        message, nbytes = objman.build_writeback(None, home_node=scope_home,
-                                                 only_keys=only_keys)
-        worker.machine.charge(worker.machine.cost.serialize_cost(nbytes))
-        dt = worker.machine.clock - t0
-        dt += self.transfer_time(worker.node_name, home.node_name,
-                                 worker.machine.cost.wire_bytes(nbytes))
-        t0 = home.machine.clock
-        home.machine.charge(home.machine.cost.deserialize_cost(nbytes))
-        home.server.apply_writeback(
-            message["updates"], message["elem_updates"],
-            message["static_updates"], message["graph"], message["return"])
-        self._refresh_static_ledger(home, worker.node_name,
-                                    message["static_updates"])
-        dt += home.machine.clock - t0
-        objman.clear_dirty(scope_home, only_keys=only_keys)
+        dt = self._write_back(worker, home, None, scope_home, only_keys)
         self.timeline += dt
         return dt
 

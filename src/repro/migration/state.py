@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MigrationError
+from repro.vm.frames import Frame, ThreadState
 from repro.vm.heap import Heap
 from repro.vm.objects import VMArray, VMInstance, OBJECT_HEADER_BYTES
 from repro.vm.values import (LOC_ELEM, LOC_FIELD, LOC_LOCAL, LOC_STATIC,
@@ -355,3 +356,46 @@ class GraphDecoder:
         else:
             arr.data[:] = elems
         return arr
+
+
+# -- eager whole-stack images (G-JavaMPI-style process copy) ---------------------
+
+def encode_eager_image(thread: ThreadState, loader: Any) -> Dict[str, Any]:
+    """Self-contained image of a whole thread: every frame (locals,
+    operand stack, exact pc), the object graph reachable from them,
+    and the statics of every class linked in ``loader`` (the thread's
+    class-loader namespace) — everything inlined, nothing left behind
+    to fault.  The inverse is :func:`decode_eager_image`."""
+    enc = GraphEncoder(this_node="", eager=True)
+    frames = [(f.code.class_name, f.code.name, f.pc,
+               [enc.encode(v) for v in f.locals],
+               [enc.encode(v) for v in f.stack])
+              for f in thread.frames]
+    statics = {(cls.name, fname): enc.encode(v)
+               for cls in loader.loaded_classes().values()
+               for fname, v in cls.statics.items()}
+    return {"thread": thread.name, "frames": frames, "graph": enc.graph,
+            "statics": statics}
+
+
+def decode_eager_image(image: Dict[str, Any], heap: Heap, loader: Any,
+                       namespace: Optional[str] = None) -> ThreadState:
+    """Rebuild an :func:`encode_eager_image` image: decode the graph
+    into ``heap``, apply the statics to ``loader``'s cells, then
+    rebuild the frames with their locals, stacks and pcs.  The thread
+    is tagged with ``namespace`` (the tag ``loader`` resolves)."""
+    dec = GraphDecoder(heap, loader, this_node="", graph=image["graph"])
+    for (cname, fname), e in image["statics"].items():
+        home = loader.load(cname).find_static_home(fname)
+        home.statics[fname] = dec.decode(e)
+    thread = ThreadState(image["thread"], namespace=namespace)
+    for cname, mname, pc, locs, stk in image["frames"]:
+        code = loader.load(cname).find_method(mname)
+        if code is None:
+            raise MigrationError(f"no method {cname}.{mname}")
+        frame = Frame(code)
+        frame.locals = [dec.decode(e) for e in locs]
+        frame.stack = [dec.decode(e) for e in stk]
+        frame.pc = pc
+        thread.frames.append(frame)
+    return thread

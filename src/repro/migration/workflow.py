@@ -30,10 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import MigrationError
-from repro.migration.capture import capture_segment, run_to_msp
-from repro.migration.restore import RestoreDriver
 from repro.migration.sodee import Host, MigrationRecord, SODEngine
-from repro.preprocess.sizes import class_size
 from repro.vm.frames import ThreadState
 
 
@@ -74,53 +71,17 @@ def _restore_residual(engine: SODEngine, home: Host, thread: ThreadState,
     skip_top+nframes-1`` of the *home* stack (stale top frames still
     present, as the paper's home keeps them).
     """
-    if home.vmti is None:
-        raise MigrationError("home lacks VMTI")
-    rec = MigrationRecord(src=home.node_name, dst=dst_node, nframes=nframes)
-    machine = home.machine
-
-    # Temporarily drop the stale top frames from view for capture: the
-    # residual segment's top frame must look like the thread's top.
+    # Temporarily drop the stale top frames from view: the residual
+    # segment's top frame must look like the thread's top.  It is
+    # suspended at a call (not an MSP), so it is captured as a caller
+    # and restores to its re-invoke line.
     saved = thread.frames[len(thread.frames) - skip_top:]
     del thread.frames[len(thread.frames) - skip_top:]
     try:
-        t0 = machine.clock
-        # The residual's top frame is suspended at a call (not an MSP):
-        # capture it as a caller so it restores to its re-invoke line.
-        state = capture_segment(home.vmti, thread, nframes,
-                                home_node=home.node_name,
-                                top_is_caller=True)
-        machine.charge(engine.sys.sod_capture_fixed)
-        rec.capture_time = machine.clock - t0
+        worker, [(residual_thread, rec)] = engine._ship(
+            home, [(thread, nframes)], dst_node, home, top_is_caller=True)
     finally:
         thread.frames.extend(saved)
-
-    rec.state_bytes = state.state_bytes()
-    cf = machine.loader.classfile(state.frames[-1].class_name)
-    rec.class_bytes = class_size(cf)
-    rec.state_transfer_time = (engine.sys.sod_transfer_fixed
-                               + engine.transfer_time(home.node_name, dst_node,
-                                                      rec.state_bytes))
-    rec.class_transfer_time = engine.transfer_time(home.node_name, dst_node,
-                                                   rec.class_bytes)
-    rec.transfer_time = rec.state_transfer_time + rec.class_transfer_time
-
-    worker, spawn = engine._worker_host(dst_node, home)
-    rec.worker_spawn_time = spawn
-    worker.machine.loader._classpath.setdefault(
-        state.frames[-1].class_name, cf)
-    worker.attach_object_manager()
-    t0 = worker.machine.clock
-    worker.machine.charge(engine.sys.sod_restore_fixed
-                          + engine.sys.sod_restore_per_frame * nframes)
-    if worker.vmti is None:
-        raise MigrationError("residual restore requires VMTI at destination")
-    driver = RestoreDriver(worker.machine, worker.vmti, state)
-    residual_thread = driver.restore(run_after=False)
-    if worker.objman is not None:
-        worker.objman.register_thread_home(residual_thread, home.node_name)
-    rec.restore_time = worker.machine.clock - t0
-    engine.migrations.append(rec)
     return worker, residual_thread, rec
 
 
@@ -177,9 +138,11 @@ def total_migration(engine: SODEngine, home: Host, thread: ThreadState,
     exec_time = worker.machine.clock - t0
     rep.phase("top segment execution", exec_time)
 
+    # The shipment accounted the push in full; the part overlapped with
+    # the top segment's execution was never exposed.
     hidden = min(exec_time, rec2.latency)
     rep.hidden_latency = hidden
-    engine.timeline += rec2.latency - hidden
+    engine.timeline -= hidden
     rep.phase("residual push (exposed part)", rec2.latency - hidden)
 
     if top_thread.uncaught is not None:
@@ -238,10 +201,11 @@ def multi_hop(engine: SODEngine, home: Host, thread: ThreadState,
         raise MigrationError(
             f"segment 1 died: {top_thread.uncaught.class_name}")
 
-    # Second-hop migration latency is hidden behind segment-1 execution.
+    # Second-hop migration latency (accounted in full by the shipment)
+    # is hidden behind segment-1 execution.
     hidden = min(exec1, rec2.latency)
     rep.hidden_latency = hidden
-    engine.timeline += rec2.latency - hidden
+    engine.timeline -= hidden
 
     # Flush segment-1 effects home and refresh the second hop's statics
     # (it restored before segment 1 ran), then forward the value

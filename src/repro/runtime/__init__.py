@@ -1,12 +1,15 @@
-"""Execution backends behind one seam (see :mod:`repro.runtime.base`).
+"""The real-parallel execution backend and what it shares with the oracle.
 
-``virtual`` — the discrete-event kernel, deterministic, the
-correctness oracle and CI merge gate.  ``real`` — multiprocess
-wall-clock mode, every cluster node an OS process, every migration
-actual serialized bytes over pipes, cross-checked request-by-request
-against the oracle (:mod:`repro.runtime.crosscheck`).
+``virtual`` — the discrete-event kernel under ``serve_mix``:
+deterministic, the correctness oracle and CI merge gate; it needs
+nothing from this package.  ``real`` — :func:`repro.runtime.real.serve_real`:
+multiprocess wall-clock mode, every cluster node an OS process, every
+migration actual serialized bytes (:mod:`repro.runtime.wire`) over
+pipes, cross-checked request-by-request against the oracle
+(:mod:`repro.runtime.crosscheck`).
 """
 
-from repro.runtime.base import BACKENDS, Runtime, get_runtime
+#: the valid ``serve --backend`` values
+BACKENDS = ("virtual", "real")
 
-__all__ = ["BACKENDS", "Runtime", "get_runtime"]
+__all__ = ["BACKENDS"]

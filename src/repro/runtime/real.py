@@ -47,13 +47,11 @@ import signal
 import time
 from collections import deque
 from multiprocessing import connection, get_context
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime import wire
-from repro.runtime.base import Runtime
 
-__all__ = ["RealRuntime", "serve_real", "available_cores",
-           "REAL_QUANTUM"]
+__all__ = ["serve_real", "available_cores", "REAL_QUANTUM"]
 
 #: preemption budget per quantum in the real backend, in guest
 #: instructions.  Bigger than the virtual default (2500): between
@@ -160,54 +158,44 @@ class _Worker:
     # -- eager image capture/restore ------------------------------------
 
     def capture_image(self, rid: int, thread) -> bytes:
-        """Whole-segment eager capture at a quantum boundary: frames +
-        operand stacks + reachable graph + namespace statics, with
-        unmodified statics elided as ``@cached`` fingerprint markers."""
-        from repro.migration.state import GraphEncoder, fingerprint
+        """Whole-segment eager capture at a quantum boundary: the shared
+        eager image (frames + operand stacks + reachable graph +
+        namespace statics) with unmodified statics elided as
+        ``@cached`` fingerprint markers and the class manifest as
+        digest tokens."""
+        from repro.migration.state import encode_eager_image, fingerprint
 
-        enc = GraphEncoder(this_node="", eager=True)
-        frames = [(f.code.class_name, f.code.name, f.pc,
-                   [enc.encode(v) for v in f.locals],
-                   [enc.encode(v) for v in f.stack])
-                  for f in thread.frames]
-        statics: Dict[Tuple[str, str], Any] = {}
+        image = encode_eager_image(
+            thread, self.machine.namespace(thread.namespace))
+        statics = image["statics"]
         elided = 0
         elided_bytes = 0
-        ns_loader = self.machine.namespace(thread.namespace)
-        for cls in ns_loader.loaded_classes().values():
-            for fname, v in cls.statics.items():
-                if isinstance(v, (int, float, str, bool, type(None))):
-                    fp = fingerprint(v)
-                    if fp == self._default_fp(cls.name, fname):
-                        full = len(wire.encode(v))
-                        statics[(cls.name, fname)] = ("@cached", fp)
-                        elided += 1
-                        elided_bytes += max(
-                            0, full - len(wire.encode(("@cached", fp))))
-                        continue
-                statics[(cls.name, fname)] = enc.encode(v)
-        class_names = sorted({f[0] for f in frames}
+        for (cname, fname), v in statics.items():
+            # primitives encode as themselves; anything else is a graph
+            # or descriptor tuple and always ships
+            if isinstance(v, (int, float, str, bool, type(None))):
+                fp = fingerprint(v)
+                if fp == self._default_fp(cname, fname):
+                    marker = ("@cached", fp)
+                    statics[(cname, fname)] = marker
+                    elided += 1
+                    elided_bytes += max(
+                        0, len(wire.encode(v)) - len(wire.encode(marker)))
+        class_names = sorted({f[0] for f in image["frames"]}
                              | {c for (c, _f) in statics})
-        image = {
-            "rid": rid,
-            "thread": thread.name,
-            "frames": frames,
-            "graph": enc.graph,
-            "statics": statics,
-            "classes": [(c, self.tokens[c]) for c in class_names],
-            "elided": elided,
-            "elided_bytes": elided_bytes,
-        }
+        image.update(rid=rid, elided=elided, elided_bytes=elided_bytes,
+                     classes=[(c, self.tokens[c]) for c in class_names])
         return wire.encode(image)
 
     def restore_image(self, data: bytes):
         """Rebuild a shipped thread on this VM, in a fresh namespace:
-        verify every class token against the local classpath, decode
-        the graph, apply statics (markers verified against pristine
-        cells), then rebuild frames with locals/stacks/pc."""
+        verify every class token against the local classpath and every
+        static marker against the pristine freshly-linked cell (which
+        then keeps its identical default), and hand the rest to the
+        shared eager-image decoder."""
         from repro.errors import MigrationError
-        from repro.migration.state import GraphDecoder, fingerprint
-        from repro.vm.frames import Frame, ThreadState
+        from repro.migration.state import (decode_eager_image, fingerprint,
+                                           is_cached_marker)
 
         image = wire.decode(data)
         rid = image["rid"]
@@ -219,29 +207,16 @@ class _Worker:
                     f"classpaths diverged")
         ns = f"mig{rid}@{self.name}"
         loader = self.machine.namespace(ns)
-        dec = GraphDecoder(self.machine.heap, loader, this_node="",
-                           graph=image["graph"])
-        for (cname, fname), e in image["statics"].items():
-            home = loader.load(cname).find_static_home(fname)
-            if isinstance(e, tuple) and len(e) == 2 and e[0] == "@cached":
-                current = home.statics.get(fname)
-                if fingerprint(current) != e[1]:
+        statics = image["statics"]
+        for (cname, fname), e in list(statics.items()):
+            if is_cached_marker(e):
+                home = loader.load(cname).find_static_home(fname)
+                if fingerprint(home.statics.get(fname)) != e[1]:
                     raise MigrationError(
                         f"static marker mismatch for {cname}.{fname} on "
                         f"{self.name}: default cell diverged")
-                continue  # keep the identical freshly-linked default
-            home.statics[fname] = dec.decode(e)
-        thread = ThreadState(image["thread"], namespace=ns)
-        for cname, mname, pc, locs, stk in image["frames"]:
-            code = loader.load(cname).find_method(mname)
-            if code is None:
-                raise MigrationError(f"no method {cname}.{mname}")
-            nf = Frame(code)
-            nf.locals = [dec.decode(e) for e in locs]
-            nf.stack = [dec.decode(e) for e in stk]
-            nf.pc = pc
-            thread.frames.append(nf)
-        return rid, thread
+                del statics[(cname, fname)]
+        return rid, decode_eager_image(image, self.machine.heap, loader, ns)
 
     # -- main loop -------------------------------------------------------
 
@@ -265,6 +240,14 @@ class _Worker:
         else:
             _send(self.conn, ("done", rid, _encode_result(thread.result),
                               instrs))
+        self._retire(thread)
+
+    def _retire(self, thread) -> None:
+        """The running request left this worker (finished, failed or
+        captured away): drop its per-request namespace so linked
+        classes, decoded streams and tier-2 closures do not accumulate
+        for the life of the process."""
+        self.machine.drop_namespace(thread.namespace)
         self.running = None
 
     def _handle(self, msg: Any) -> bool:
@@ -284,7 +267,7 @@ class _Worker:
             if self.running is not None and self.running[0] == rid:
                 _rid, thread = self.running
                 image = self.capture_image(rid, thread)
-                self.running = None
+                self._retire(thread)
                 _send(self.conn, ("image", rid, image))
             else:
                 _send(self.conn, ("nocapture", rid))
@@ -356,8 +339,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                arrival_rate: Optional[float] = None,
                steal: bool = True,
                fault_plan: Optional[Dict[str, int]] = None,
-               deadline_s: float = 600.0,
-               runtime: Optional["RealRuntime"] = None) -> Dict[str, Any]:
+               deadline_s: float = 600.0) -> Dict[str, Any]:
     """Serve ``n_requests`` of ``mix`` across ``procs`` worker
     processes and return a report dict.
 
@@ -380,7 +362,6 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
 
     if procs < 1:
         raise ValueError(f"need at least one worker process, got {procs}")
-    rt = runtime or RealRuntime(procs=procs)
     load = LoadGenerator(MIXES[mix], n_requests, seed=seed,
                          interarrival=interarrival, tenants=tenants,
                          arrival_rate=arrival_rate)
@@ -409,9 +390,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     t0 = time.perf_counter()
 
     def send(w: _WorkerHandle, msg: Any) -> None:
-        n = _send(w.conn, msg)
-        stats["control_bytes"] += n
-        rt.transfer("control", w.name, n)
+        stats["control_bytes"] += _send(w.conn, msg)
 
     def dispatch(w: _WorkerHandle,
                  batch: List[Tuple[int, Optional[str], Any]]) -> None:
@@ -647,63 +626,3 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     if per_tenant:
         report["tenants"] = per_tenant
     return report
-
-
-class RealRuntime(Runtime):
-    """Wall-clock runtime over OS processes (see module docstring)."""
-
-    name = "real"
-
-    def __init__(self, procs: Optional[int] = None):
-        self.procs = procs or min(4, available_cores())
-        #: (src, dst) -> bytes actually shipped over pipes
-        self.bytes_moved: Dict[Tuple[str, str], int] = {}
-        self._timers: List[Any] = []
-
-    # -- kernel primitives -------------------------------------------------
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def spawn(self, fn: Callable, *args: Any) -> Any:
-        import threading
-        t = threading.Thread(target=fn, args=args, daemon=True)
-        t.start()
-        return t
-
-    def timer(self, delay: float, fn: Callable[[Any], None],
-              arg: Any = None) -> None:
-        import threading
-        t = threading.Timer(delay, fn, args=(arg,))
-        t.daemon = True
-        t.start()
-        self._timers.append(t)
-
-    def store(self) -> Any:
-        import queue
-        return queue.SimpleQueue()
-
-    def transfer(self, src: str, dst: str, nbytes: int) -> float:
-        key = (src, dst)
-        self.bytes_moved[key] = self.bytes_moved.get(key, 0) + nbytes
-        return 0.0
-
-    # -- the serving entry -------------------------------------------------
-
-    def serve(self, **kw: Any) -> Dict[str, Any]:
-        """Accepts the ``serve_mix`` surface; virtual-only knobs that
-        cannot apply to wall-clock execution (placement/offload policy
-        objects, cost models, chaos traces) are rejected loudly rather
-        than silently ignored."""
-        unsupported = {k: v for k, v in kw.items()
-                       if k in ("fault_plan", "tracer", "cost", "admission")
-                       and v is not None}
-        if unsupported:
-            raise ValueError(
-                f"real backend does not support {sorted(unsupported)}; "
-                f"chaos/admission scenarios run on the virtual oracle")
-        allowed = ("mix", "n_requests", "seed", "interarrival",
-                   "tenants", "arrival_rate")
-        call = {k: v for k, v in kw.items() if k in allowed}
-        call.setdefault("quantum", REAL_QUANTUM)
-        return serve_real(procs=self.procs, runtime=self, **call)

@@ -971,16 +971,8 @@ class ClusterScheduler:
             min(r.depth - 1 for r in batch)))
         t0 = machine.clock
         try:
-            if len(batch) == 1:
-                worker, wt, rec = self.engine.migrate(
-                    home, req.thread, target, nframes)
-                pairs = [(req, wt, rec)]
-            else:
-                worker, results = self.engine.migrate_many(
-                    home, [r.thread for r in batch], target, nframes)
-                pairs = [(r, wt, rec)
-                         for r, (wt, rec) in zip(batch, results)]
-                self.stats["batched_threads"] += len(batch)
+            _worker, results = self.engine.migrate_many(
+                home, [r.thread for r in batch], target, nframes)
         except MigrationError:
             # Not capturable right now (finished during the MSP run,
             # pinned frame, ...): put everything back.  Completion
@@ -999,15 +991,17 @@ class ClusterScheduler:
             store.put_many(requeue)
             return machine.clock - t0 + done_dt
         capture_dt = machine.clock - t0
+        if candidates:
+            self.stats["batched_threads"] += len(batch)
         # Delivery timing: the whole bulk message must land before any
         # restore starts (per-record transfer_time is the bulk evenly
         # attributed, so summing recovers it), and restores run
         # sequentially on the worker — segment k is runnable only after
         # restores 1..k.
-        bulk_wire = sum(rec.transfer_time for _r, _wt, rec in pairs)
+        bulk_wire = sum(rec.transfer_time for _wt, rec in results)
         restored = 0.0
         segs: List[Tuple[Request, float]] = []
-        for r, wt, rec in pairs:
+        for r, (wt, rec) in zip(batch, results):
             r.state = "remote"
             r.sod_offloads += 1
             self.stats["sod_offloads"] += 1

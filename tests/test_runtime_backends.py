@@ -1,13 +1,12 @@
-"""The runtime seam: virtual and real backends behind one interface.
+"""The real-parallel backend, held to the virtual-time oracle.
 
-Primitive-level contract tests for both runtimes, plus the suite the
-tentpole stands on: a same-seed **differential** between the
-multiprocess wall-clock backend and the virtual-time oracle on the
-paper mix — results, correctness flags, and tenant attribution must be
-equal request by request (timings and placement excluded — those are
-the quantities the backends are supposed to disagree on), and a
-worker-process crash must surface as chaos-style recovery on the
-survivors, never as a hang or a wrong answer.
+A same-seed **differential** between the multiprocess wall-clock
+backend and the virtual-time oracle on the paper mix — results,
+correctness flags, and tenant attribution must be equal request by
+request (timings and placement excluded — those are the quantities the
+backends are supposed to disagree on); a worker-process crash must
+surface as chaos-style recovery on the survivors, never as a hang or a
+wrong answer; and a worker must not accumulate per-request state.
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ import os
 
 import pytest
 
-from repro.runtime import BACKENDS, get_runtime
-from repro.runtime.base import Runtime
 from repro.runtime.crosscheck import (CrosscheckError,
                                       crosscheck_real_vs_virtual,
                                       virtual_request_rows)
-from repro.runtime.real import RealRuntime, available_cores, serve_real
-from repro.runtime.virtual import VirtualRuntime
+from repro.runtime.real import (REAL_QUANTUM, _Worker, available_cores,
+                                serve_real)
 
 #: small enough to stay civil on a 1-core CI box, large enough to mix
 #: programs and (with 2 procs) exercise the control plane
@@ -33,72 +30,7 @@ N_SMALL = 6
 DEADLINE = float(os.environ.get("REPRO_REAL_DEADLINE_S", "180"))
 
 
-# -- factory and primitives ----------------------------------------------------
-
-
-def test_factory_resolves_both_backends():
-    assert set(BACKENDS) == {"virtual", "real"}
-    assert isinstance(get_runtime("virtual"), VirtualRuntime)
-    rt = get_runtime("real", procs=3)
-    assert isinstance(rt, RealRuntime) and rt.procs == 3
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_runtime("imaginary")
-
-
-def test_runtime_interface_is_abstract():
-    with pytest.raises(TypeError):
-        Runtime()  # all four primitives + serve are abstract
-
-
-def test_virtual_primitives_run_on_the_kernel():
-    rt = VirtualRuntime()
-    fired = []
-    rt.timer(2.5, fired.append)
-    store = rt.store()
-
-    def consumer(out):
-        got = yield store.get()
-        out.append((rt.now(), got))
-
-    consumed = []
-    rt.spawn(consumer, consumed)
-    rt.spawn(lambda: store.put("item"))  # plain callable: runs inline
-    rt.run(until=10.0)
-    assert fired == [None] and consumed == [(0.0, "item")]
-    assert rt.now() == 2.5  # the kernel stops at the last event
-    # transfers price through the modeled link spec: deterministic, > 0
-    t = rt.transfer("node0", "node1", 10_000)
-    assert t == rt.transfer("node0", "node1", 10_000) > 0.0
-
-
-def test_virtual_serve_is_the_unchanged_scheduler_path():
-    rt = VirtualRuntime()
-    rep = rt.serve(mix="paper", n_requests=N_SMALL, seed=7)
-    assert rep["backend"] == "virtual"
-    assert rep["served"] == rep["correct"] == N_SMALL
-
-
-def test_real_runtime_primitives_are_wall_clock():
-    rt = RealRuntime(procs=2)
-    assert rt.procs == 2
-    before = rt.now()
-    done = []
-    t = rt.spawn(lambda: done.append(True))
-    t.join(5.0)
-    assert done == [True] and rt.now() >= before
-    q = rt.store()
-    q.put(1)
-    assert q.get(timeout=5.0) == 1
-    rt.transfer("a", "b", 100)
-    rt.transfer("a", "b", 28)
-    assert rt.bytes_moved[("a", "b")] == 128
-
-
-def test_real_runtime_rejects_virtual_only_knobs():
-    rt = RealRuntime(procs=1)
-    with pytest.raises(ValueError, match="virtual oracle"):
-        rt.serve(mix="paper", n_requests=2, seed=7,
-                 fault_plan=[("crash", 0.1)])
+# -- front door ----------------------------------------------------------------
 
 
 def test_real_backend_needs_at_least_one_proc():
@@ -177,6 +109,63 @@ def test_migration_ships_real_bytes_and_stays_correct():
     crosscheck_real_vs_virtual(rep)
     if s["migrations"]:  # timing-dependent on a loaded box
         assert s["image_bytes"] > 0 and s["token_bytes"] > 0
+
+
+def test_worker_namespaces_stay_bounded_across_requests():
+    """Every request runs in a namespace minted for it (``rq<rid>@`` at
+    start, ``mig<rid>@`` after a restore); the worker must drop it when
+    the request finishes or is captured away, or linked classes,
+    decoded streams and tier-2 closures pile up for the life of the
+    process.  One in-process worker serves 60 requests — every fifth
+    one captured mid-run and restored from its own image — and its
+    loader count never grows, while every result matches the oracle."""
+    from multiprocessing import Pipe
+
+    from repro.runtime import wire
+    from repro.serve.loadgen import LoadGenerator
+    from repro.workloads.mixes import MIXES, expected_request_result
+
+    specs = [spec for _when, _tenant, spec in
+             LoadGenerator(MIXES["paper"], 60, seed=7).schedule()]
+    parent, child = Pipe()
+    w = _Worker(child, "proc0", "paper", REAL_QUANTUM)
+    w._handle(("run", [(rid, s.program, list(s.args))
+                       for rid, s in enumerate(specs)]))
+
+    def replies():
+        while parent.poll(0):
+            yield wire.decode(parent.recv_bytes())
+
+    def busy_loaders():
+        return len(w.machine.loaders())
+
+    # steady state: the root loader, the static-defaults namespace the
+    # marker codec reads, and the one running request
+    bound = busy_loaders() + 2
+    migrated = 0
+    for rid, spec in enumerate(specs):
+        w._start_next()
+        _rid, thread = w.running
+        if rid % 5 == 0 and w.machine.run(thread, quantum=500) != "finished":
+            w._handle(("capture", rid))
+            assert w.running is None
+            (kind, got, image), = replies()
+            assert (kind, got) == ("image", rid)
+            assert busy_loaders() < bound  # the rq namespace is gone
+            w._handle(("restore", image))
+            _rid, thread = w.running
+            migrated += 1
+        while w.machine.run(thread, quantum=REAL_QUANTUM) != "finished":
+            pass
+        assert busy_loaders() <= bound
+        w._finish(rid, thread)
+        (kind, got, result, _instrs), = replies()
+        assert (kind, got) == ("done", rid)
+        assert result == expected_request_result(spec)
+        assert busy_loaders() < bound
+    assert migrated >= 6
+    parent.close()
+    child.close()
 
 
 # -- crash recovery ------------------------------------------------------------
