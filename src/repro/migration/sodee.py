@@ -922,7 +922,7 @@ class SODEngine:
         # several concurrent segments must not ship another home's
         # dirty objects (their oids are meaningless to this server).
         dt = self._write_back(worker, home, worker_thread.result,
-                              home.node_name, None, resume)
+                              home.node_name, on_applied=resume)
         # Multi-hop chains: dirty copies owned by an *intermediate* hop
         # (the segment faulted objects created on the node it re-offloaded
         # from) must flush to that owner — their oids mean nothing to the
@@ -936,7 +936,8 @@ class SODEngine:
         return dt + extra
 
     def _write_back(self, worker: Host, home: Host, return_value: Any,
-                    scope_home: Optional[str], only_keys: Optional[set],
+                    scope_home: Optional[str],
+                    only_keys: Optional[set] = None,
                     on_applied: Optional[Callable[[Any], None]] = None
                     ) -> float:
         """The one write-back path: assemble the worker's dirty state

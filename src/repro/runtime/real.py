@@ -11,9 +11,10 @@ crosses as canonical :mod:`repro.runtime.wire` bytes over OS pipes:
 * **SOD images** — when the control plane steals a *running* request
   from a loaded worker for an idle one, the victim captures the thread
   at a quantum boundary into an eager self-contained image (frames +
-  operand stacks + reachable object graph + namespace statics, the
-  G-JavaMPI-style whole-segment encoding) and the image bytes are
-  restored on the thief;
+  operand stacks + reachable object graph + namespace statics — the
+  G-JavaMPI-style whole-segment encoding, shared with that baseline:
+  :func:`repro.migration.state.encode_eager_image`) and the image
+  bytes are restored on the thief;
 * **class-digest tokens** — an image never carries class files; it
   carries :func:`repro.runtime.wire.class_token` digests, and the
   receiver verifies them against its own deterministically-built
@@ -163,7 +164,8 @@ class _Worker:
         namespace statics) with unmodified statics elided as
         ``@cached`` fingerprint markers and the class manifest as
         digest tokens."""
-        from repro.migration.state import encode_eager_image, fingerprint
+        from repro.migration.state import (CACHED_TAG, encode_eager_image,
+                                           fingerprint)
 
         image = encode_eager_image(
             thread, self.machine.namespace(thread.namespace))
@@ -176,7 +178,7 @@ class _Worker:
             if isinstance(v, (int, float, str, bool, type(None))):
                 fp = fingerprint(v)
                 if fp == self._default_fp(cname, fname):
-                    marker = ("@cached", fp)
+                    marker = (CACHED_TAG, fp)
                     statics[(cname, fname)] = marker
                     elided += 1
                     elided_bytes += max(

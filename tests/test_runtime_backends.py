@@ -136,12 +136,12 @@ def test_worker_namespaces_stay_bounded_across_requests():
         while parent.poll(0):
             yield wire.decode(parent.recv_bytes())
 
-    def busy_loaders():
+    def n_loaders():
         return len(w.machine.loaders())
 
     # steady state: the root loader, the static-defaults namespace the
     # marker codec reads, and the one running request
-    bound = busy_loaders() + 2
+    bound = n_loaders() + 2
     migrated = 0
     for rid, spec in enumerate(specs):
         w._start_next()
@@ -151,18 +151,18 @@ def test_worker_namespaces_stay_bounded_across_requests():
             assert w.running is None
             (kind, got, image), = replies()
             assert (kind, got) == ("image", rid)
-            assert busy_loaders() < bound  # the rq namespace is gone
+            assert n_loaders() < bound  # the rq namespace is gone
             w._handle(("restore", image))
             _rid, thread = w.running
             migrated += 1
         while w.machine.run(thread, quantum=REAL_QUANTUM) != "finished":
             pass
-        assert busy_loaders() <= bound
+        assert n_loaders() <= bound
         w._finish(rid, thread)
         (kind, got, result, _instrs), = replies()
         assert (kind, got) == ("done", rid)
         assert result == expected_request_result(spec)
-        assert busy_loaders() < bound
+        assert n_loaders() < bound
     assert migrated >= 6
     parent.close()
     child.close()
