@@ -303,7 +303,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"tier-2 jit: {s['tier2_compiles']} compiles "
           f"({s['tier2_precompiles']} profile-driven), "
           f"{s['tier2_deopts']} deopts, "
-          f"{s['tier2_guard_bails']} guard bails")
+          f"{s['tier2_guard_bails']} guard bails, "
+          f"{s['jit_compile_errors']} compile errors")
     if (args.chaos is not None or s["crashes"] or s["link_failures"]
             or s["straggles"]):
         print(f"chaos: {s['crashes']} crashes, {s['link_failures']} link "

@@ -1144,6 +1144,8 @@ class ClusterScheduler:
         stats["tier2_deopts"] = sum(h.machine.jit_deopts for h in hosts)
         stats["tier2_guard_bails"] = sum(
             h.machine.jit_guard_bails for h in hosts)
+        stats["jit_compile_errors"] = sum(
+            h.machine.jit_compile_errors for h in hosts)
         if isinstance(self.admission, AdaptiveShed):
             # Control-loop telemetry (static admission adds no keys, so
             # pre-tenant reports keep their exact shape).

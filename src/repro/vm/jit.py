@@ -65,11 +65,16 @@ the approximation.
 Compilation is per ``(code, namespace)``: the machine compiles while a
 namespace's loader is swapped in, and stores the closure in that
 namespace's own compiled map, so bound static cells never leak across
-class-loader namespaces (mirroring the decoded-stream maps).
+class-loader namespaces (mirroring the decoded-stream maps).  Under
+those maps sits one process-wide level (:func:`_factory`): source
+generation runs for every compile, but CPython compiles each distinct
+generated text once, and a repeat is a *relink* of the cached factory
+against the new namespace's bindings — code is shared, cells never.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
@@ -966,11 +971,29 @@ class _Compiler:
             "  return _cf",
         ])
         src = "\n".join(src_lines) + "\n"
-        ns: Dict[str, Any] = {}
-        exec(compile(src, f"<jit {self.code.qualname}>", "exec"), ns)
-        fn = ns["_mk"](**g)
-        fn.__jit_source__ = src  # debugging aid
+        mk = _factory(f"<jit {self.code.qualname}>", src)
+        fn = mk(**g)  # link: this namespace's bindings, fresh cells
+        fn.__jit_source__ = mk.__jit_source__  # debugging aid (shared)
         return fn, entries
+
+
+@functools.lru_cache(maxsize=128)
+def _factory(filename: str, src: str) -> Any:
+    """The process-wide code cache under the per-(machine, namespace)
+    ``_compiled`` maps: one CPython ``compile()`` per distinct generated
+    source.  The factory ``_mk`` is immutable code — everything
+    namespace-specific (static dicts, linked classes, guard cells,
+    ``JM``/``EN``/``FT``/``NB``) reaches a closure only through the
+    arguments of its own ``_mk(**g)`` call — so every machine and
+    namespace may link against the same one.  The key is the complete
+    source text (cost weights are literals in it): a hit is a verified
+    match, so nothing ever needs invalidating; the bound keeps the
+    fuzzers' thousands of one-off methods from growing it."""
+    ns: Dict[str, Any] = {}
+    exec(compile(src, filename, "exec"), ns)
+    mk = ns["_mk"]
+    mk.__jit_source__ = src
+    return mk
 
 
 def compile_code(machine: Any, code: CodeObject
@@ -989,10 +1012,13 @@ def compile_into(machine: Any, code: CodeObject,
                  jm: Dict[CodeObject, Any]) -> Any:
     """Tier-up entry used by the fast loop's driver: compile ``code``
     into the active compiled-code map.  Failures are cached as
-    ``False`` so the driver never retries a refused method."""
+    ``False`` so the driver never retries a refused method; anything
+    but a refusal is a code-generator bug — the method stays on tier 1,
+    but ``machine.jit_compile_errors`` says so (0 in every suite)."""
     try:
         cf = compile_code(machine, code)
     except Exception:
+        machine.jit_compile_errors += 1
         cf = None
     if cf is None:
         jm[code] = False

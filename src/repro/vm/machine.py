@@ -200,6 +200,9 @@ class Machine:
         self.jit_compiles = 0
         self.jit_deopts = 0
         self.jit_guard_bails = 0
+        #: tier-2 compiles that died of anything but a refusal (a
+        #: code-generator bug: the method silently stays on tier 1)
+        self.jit_compile_errors = 0
         self._speed = node.spec.speed_factor if node is not None else 1.0
         self._bp_guard: Optional[Tuple[int, int]] = None
 

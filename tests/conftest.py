@@ -8,7 +8,7 @@ from repro.cluster import gige_cluster
 from repro.lang import compile_source
 from repro.migration import SODEngine
 from repro.preprocess import preprocess_program
-from repro.vm import Machine
+from repro.vm import Machine, jit
 
 #: a small program exercising objects, statics, arrays, calls, try/catch
 APP_SOURCE = """
@@ -38,6 +38,28 @@ class App {
   }
 }
 """
+
+
+@pytest.fixture(autouse=True)
+def jit_compile_failures(monkeypatch):
+    """No test may leave a tier-2 compile error behind: anything but a
+    refusal is a code-generator bug that ``compile_into`` survives by
+    keeping the method on tier 1 (``Machine.jit_compile_errors``), so
+    no result-based check can see it.  Yields the qualnames that
+    failed; a test that injects a failure on purpose clears the list."""
+    failed = []
+    real = jit.compile_into
+
+    def checked(machine, code, jm):
+        before = machine.jit_compile_errors
+        cf = real(machine, code, jm)
+        if machine.jit_compile_errors != before:
+            failed.append(code.qualname)
+        return cf
+
+    monkeypatch.setattr(jit, "compile_into", checked)
+    yield failed
+    assert not failed, f"tier-2 compile errors: {failed}"
 
 
 @pytest.fixture(scope="session")

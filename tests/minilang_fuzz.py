@@ -491,7 +491,8 @@ def _observe(classes, args, **kw) -> Tuple[Any, ...]:
     except UncaughtGuestException as exc:
         result = None
         err = (exc.exc.class_name, exc.exc.fields.get("msg"))
-    return result, err, tuple(m.stdout), m.instr_count, m.clock
+    return (result, err, tuple(m.stdout), m.instr_count, m.clock,
+            m.jit_compile_errors)
 
 
 #: instruction budget per generated program (rare compositions — e.g. a
@@ -523,11 +524,12 @@ def divergence(source: str, args: Tuple[int, int],
     if thread.uncaught is not None:
         err = (thread.uncaught.class_name, thread.uncaught.fields.get("msg"))
     ref = (thread.result, err, tuple(screen.stdout), screen.instr_count,
-           screen.clock)
+           screen.clock, 0)
     for label, kw in (MODES if modes is None else modes):
         got = _observe(classes, args, **kw)
         for what, a, b in zip(("result", "uncaught", "stdout",
-                               "instr_count", "clock"), ref, got):
+                               "instr_count", "clock",
+                               "jit_compile_errors"), ref, got):
             if what == "clock":
                 ok = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
             else:
@@ -760,8 +762,10 @@ def tier2_migration_divergence(source: str, args: Tuple[int, int],
     stdout = (tuple(home.machine.stdout[:pre])
               + tuple(worker.machine.stdout)
               + tuple(home.machine.stdout[pre:]))
-    got = (t.result, err, stdout)
-    for what, a, b in zip(("result", "uncaught", "stdout"), ref, got):
+    got = (t.result, err, stdout, home.machine.jit_compile_errors
+           + worker.machine.jit_compile_errors)
+    for what, a, b in zip(("result", "uncaught", "stdout",
+                           "jit_compile_errors"), ref + (0,), got):
         if a != b:
             return (f"[t2mig cut={cut} nframes={nframes} "
                     f"compiles={home.machine.jit_compiles}] {what}: "

@@ -4,19 +4,27 @@ The broad semantic net is the tier2-vs-legacy differential fuzzer
 (``minilang_fuzz.py``); these tests pin the tier-up *mechanics*: when
 compilation fires, that OSR catches single-activation loops, that
 guard bails and deopts are counted and harmless, that compiled maps
-are per-namespace and reclaimed with the namespace, and that a full
-serving run leaves no decoded/compiled cache growth behind.
+are per-namespace and reclaimed with the namespace, that a full
+serving run leaves no decoded/compiled cache growth behind, and that
+the process-wide factory cache under those maps shares only code.
+
+Every test here (and in the whole suite) also runs under conftest's
+``jit_compile_failures`` check: no compile may die of anything but a
+refusal.
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
+
 import repro.serve.scheduler as scheduler_mod
 import repro.vm.jit as jit_mod
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.serve import serve_mix
+from repro.vm.costmodel import CostModel
 from repro.vm.machine import Machine
 from repro.workloads.mixes import MIXES
 
@@ -177,6 +185,27 @@ def test_refused_code_is_not_retried(monkeypatch):
     monkeypatch.setattr(jit_mod, "compile_code", orig)
 
 
+def test_compile_error_is_counted_not_swallowed(monkeypatch,
+                                                jit_compile_failures):
+    """A code-generator bug (anything but a refusal) still leaves the
+    method on tier 1 with the right answer — but it is counted, so the
+    suite-wide zero check can see what results cannot."""
+    def boom(self):
+        raise RuntimeError("injected code-generator bug")
+
+    monkeypatch.setattr(jit_mod._Compiler, "compile", boom)
+    classes = _classes()
+    m = Machine(classes, jit=True)
+    ref = Machine(classes, jit=False).call("P", "caller", [64])
+    assert m.call("P", "caller", [64]) == ref
+    assert m.jit_compiles == 0
+    assert m._compiled and all(e is False for e in m._compiled.values())
+    assert m.jit_compile_errors == len(m._compiled)  # once per method
+    assert sorted(jit_compile_failures) == sorted(
+        c.qualname for c in m._compiled)
+    jit_compile_failures.clear()
+
+
 # -- namespaces ----------------------------------------------------------------
 
 
@@ -239,6 +268,7 @@ def test_serve_run_namespace_and_cache_maps_return_to_baseline():
     assert rep.served == rep.correct == n
     assert rep.stats["isolated"] > 0
     assert rep.stats["tier2_compiles"] > 0  # the JIT actually ran
+    assert rep.stats["jit_compile_errors"] == 0
     for h in sched.engine.hosts.values():
         mach = h.machine
         assert not mach._namespaces
@@ -259,3 +289,112 @@ def test_work_profile_drives_precompilation(monkeypatch):
                     interarrival=0.05)
     assert rep.served == rep.correct == 10
     assert rep.stats["tier2_precompiles"] > 0
+
+
+# -- the process-wide factory cache ----------------------------------------------
+#
+# Level 2 under the per-(machine, namespace) maps: jit._factory memoises
+# (filename, generated source) -> _mk.  Other tests warm it, so these
+# assert on cache_info() *deltas* and object identity, never on absolutes.
+
+
+def _work_code(m, namespace=None):
+    return m.namespace(namespace).load("P").find_method("work")
+
+
+def test_second_namespace_links_against_the_cached_factory():
+    """Same method, two namespaces on one machine: the second compile
+    is a cache hit, and the hit is a *relink* — same code object, but
+    distinct closures over each namespace's own cells."""
+    m = Machine(_classes(), jit=True)
+    assert m.precompile("P", "work", namespace="a")
+    before = jit_mod._factory.cache_info()
+    assert m.precompile("P", "work", namespace="b")
+    after = jit_mod._factory.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert m.jit_compiles == 2  # a link still counts as a compile
+    fa = m._compiled_ns["a"][_work_code(m, "a")][0]
+    fb = m._compiled_ns["b"][_work_code(m, "b")][0]
+    assert fa is not fb
+    assert fa.__code__ is fb.__code__
+    assert fa.__jit_source__ is fb.__jit_source__  # one string per body
+    # ...and each closure runs against its own namespace's statics
+    for ns, n in (("a", 30), ("b", 50)):
+        t = m.spawn("P", "work", [n], namespace=ns)
+        m.run(t)
+        assert m.namespace(ns).load("P").statics["s"] == n
+    assert m.namespace(None).load("P").statics["s"] == 0
+
+
+def test_two_machines_share_the_factory():
+    """Separately built class files, separate machines: the generated
+    source is the same text, so the code is compiled once."""
+    m1 = Machine(_classes(), jit=True)
+    m2 = Machine(_classes(), jit=True)
+    assert m1.precompile("P", "work")
+    before = jit_mod._factory.cache_info()
+    assert m2.precompile("P", "work")
+    after = jit_mod._factory.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    f1 = m1._compiled[_work_code(m1)][0]
+    f2 = m2._compiled[_work_code(m2)][0]
+    assert f1 is not f2 and f1.__code__ is f2.__code__
+    assert m1.call("P", "work", [40]) == m2.call("P", "work", [40])
+    assert m1.loader.load("P").statics["s"] == 40  # not 80: own cells
+
+
+def test_cost_weight_change_is_a_different_cache_entry():
+    """Weights are literals in the generated source, so new weights
+    are a new key: no invalidation hook, and the relinked closure's
+    clock equals legacy dispatch under the new weights."""
+    classes = _classes()
+    m = Machine(classes, jit=True)
+    assert m.precompile("P", "work")
+    old = m._compiled[_work_code(m)][0]
+    cost = CostModel()
+    cost.op_weights = dict(CostModel.op_weights, STORE=7.25, PUTS=3.5)
+    m.cost = cost
+    m.invalidate_caches()
+    assert m.precompile("P", "work")
+    new = m._compiled[_work_code(m)][0]
+    assert new.__code__ is not old.__code__
+    assert new.__jit_source__ != old.__jit_source__
+    legacy = Machine(classes, cost=cost, dispatch="legacy")
+    assert m.call("P", "work", [300]) == legacy.call("P", "work", [300])
+    assert m.instr_count == legacy.instr_count
+    assert math.isclose(m.clock, legacy.clock, rel_tol=1e-9, abs_tol=1e-12)
+    stock = Machine(classes, dispatch="legacy")
+    stock.call("P", "work", [300])
+    assert not math.isclose(m.clock, stock.clock, rel_tol=1e-3)
+
+
+def test_factory_cache_is_bounded():
+    """More distinct methods than the bound: the cache evicts, it does
+    not grow (the fuzzers compile thousands of one-off methods)."""
+    before = jit_mod._factory.cache_info()
+    maxsize = before.maxsize
+    for k in range(maxsize + 8):
+        src = "class B%d { static int f(int n) { return n + %d; } }" % (k, k)
+        m = Machine(_classes(src), jit=True)
+        assert m.precompile(f"B{k}", "f")
+        assert m.call(f"B{k}", "f", [1]) == k + 1
+    after = jit_mod._factory.cache_info()
+    assert after.misses - before.misses == maxsize + 8  # all distinct
+    assert after.currsize == maxsize
+
+
+@pytest.mark.parametrize("namespaces", [(None,), ("a", "b")])
+def test_refusal_is_memoised_per_namespace_not_in_the_factory(
+        monkeypatch, namespaces):
+    """A refused method is ``False`` in each namespace's own map; it
+    never reaches the shared factory cache (nothing was generated) and
+    is not an error."""
+    monkeypatch.setattr(jit_mod, "_MAX_INSTRS", 1)
+    m = Machine(_classes(), jit=True)
+    before = jit_mod._factory.cache_info()
+    for ns in namespaces:
+        assert m.precompile("P", "work", namespace=ns) is False
+        jm = m._compiled if ns is None else m._compiled_ns[ns]
+        assert jm[_work_code(m, ns)] is False
+    assert jit_mod._factory.cache_info() == before
+    assert m.jit_compiles == 0 and m.jit_compile_errors == 0

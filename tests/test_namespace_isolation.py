@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.vm.jit as jit_mod
 from repro.cluster import gige_cluster, serve_cluster
 from repro.errors import MigrationError
 from repro.lang import compile_source
@@ -53,7 +54,10 @@ def test_namespaces_isolate_static_cells_under_interleaving():
     """Two namespaced threads and a root thread time-slice on ONE
     machine; each sees only its own cells, exactly as three solo runs
     would."""
-    m = Machine(_classes("original"))
+    _interleave(Machine(_classes("original")))
+
+
+def _interleave(m):
     ta = m.spawn("P", "work", [5], namespace="a")
     tb = m.spawn("P", "work", [3], namespace="b")
     troot = m.spawn("P", "work", [7])
@@ -66,6 +70,21 @@ def test_namespaces_isolate_static_cells_under_interleaving():
     assert m.loader.load("P").statics["s"] == 7
     assert m.namespace("a").load("P").statics["s"] == 5
     assert m.namespace("b").load("P").statics["tag"] == "n3"
+
+
+def test_namespaces_isolate_static_cells_under_shared_tier2_code(monkeypatch):
+    """The same interleaving with every activation compiled: the three
+    ``P.work`` closures are links of ONE cached factory (shared code
+    object), yet a PUTS in ``a`` stays invisible in ``b`` and in the
+    root — only immutable code crosses the namespace boundary."""
+    monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
+    m = Machine(_classes("original"), jit=True)
+    _interleave(m)
+    maps = [m._compiled, m._compiled_ns["a"], m._compiled_ns["b"]]
+    fns = [cf[0] for jm in maps for code, cf in jm.items()
+           if code.name == "work"]
+    assert len(fns) == 3 and len(set(fns)) == 3
+    assert len({fn.__code__ for fn in fns}) == 1
 
 
 def test_namespace_shares_classpath_but_not_linked_classes():

@@ -293,6 +293,32 @@ def test_minilang_fuzz_tier2_deopt_at_capture_and_migration():
     assert failure is None, failure
 
 
+def test_minilang_fuzz_tier2_warm_code_cache_matches_cold():
+    """A slice of both tier-2 fuzz modes (incl. the faulting build and
+    deopt-at-capture migration) twice in one process: the second pass
+    compiles the same programs on fresh machines, so every closure is
+    *linked* from the process-wide factory cache (no new miss) — and
+    must match the legacy oracle exactly as the cold pass does."""
+    from minilang_fuzz import run_tier2_fuzz, run_tier2_migration_fuzz
+
+    import repro.vm.jit as jit
+
+    def one_pass():
+        failure = run_tier2_fuzz(FUZZ_SEED, 16)
+        assert failure is None, failure
+        failure = run_tier2_migration_fuzz(FUZZ_SEED, 10)
+        assert failure is None, failure
+        return jit._factory.cache_info()
+
+    jit._factory.cache_clear()
+    cold = one_pass()
+    # the slice fits the bound, so nothing the warm pass needs was evicted
+    assert 0 < cold.misses == cold.currsize <= cold.maxsize
+    warm = one_pass()
+    assert warm.misses == cold.misses
+    assert warm.hits - cold.hits == cold.hits + cold.misses  # same calls
+
+
 def test_minilang_fuzz_migration_at_random_capture_points():
     """Differential fuzz of the *migration* path: every generated
     program is frozen at a seeded-random instruction count, its top
