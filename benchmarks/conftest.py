@@ -10,6 +10,10 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: the one smoke switch: ``BENCH_SMOKE=1`` trims every bench's stream /
+#: sweep to CI size (read once, here; the benches import it)
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
+
 
 def once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once per round (harnesses are seconds-scale;

@@ -17,7 +17,7 @@ compares against the fault-free run of the same configuration:
 Also records a replay-equivalence probe: the worst-case schedule is
 recorded and re-executed, and the two traces must be byte-identical.
 
-Emits ``BENCH_chaos.json`` at the repo root.  ``BENCH_CHAOS_SMOKE=1``
+Emits ``BENCH_chaos.json`` at the repo root.  ``BENCH_SMOKE=1``
 runs fewer schedules (CI smoke mode); run directly
 (``python benchmarks/test_chaos_recovery.py``) to print the JSON.
 """
@@ -29,6 +29,8 @@ import os
 import sys
 from pathlib import Path
 
+from conftest import SMOKE
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_chaos.json"
 
@@ -39,7 +41,7 @@ HORIZON = 0.2  # fault window ~ the front-door makespan
 
 
 def _chaos_seeds():
-    if os.environ.get("BENCH_CHAOS_SMOKE") == "1":
+    if SMOKE:
         return (1, 2)
     return (1, 2, 3, 4, 5)
 
@@ -70,7 +72,7 @@ def run_bench() -> dict:
         "unit": "correct responses per virtual second",
         "mix": "parallel", "placement": "front-door",
         "n_nodes": N_NODES, "n_requests": N_REQUESTS, "seed": SEED,
-        "smoke": os.environ.get("BENCH_CHAOS_SMOKE") == "1",
+        "smoke": SMOKE,
         "fault_free": {"goodput_rps": round(base_goodput, 1),
                        "makespan_s": base_rep.makespan,
                        **{k: base_rep.to_dict()[k]

@@ -10,7 +10,7 @@ real scheduler/VM regression can).
 Also measures the pure-elasticity scenario: every request arrives at
 one front node and only request handoff + SOD offload spread the load.
 
-Emits ``BENCH_cluster.json`` at the repo root.  ``BENCH_CLUSTER_SMOKE=1``
+Emits ``BENCH_cluster.json`` at the repo root.  ``BENCH_SMOKE=1``
 serves a smaller stream (CI smoke mode); run directly
 (``python benchmarks/test_cluster_throughput.py``) to print the JSON.
 """
@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+from conftest import SMOKE
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_cluster.json"
 
@@ -30,7 +32,7 @@ SEED = 7
 
 
 def _n_requests() -> int:
-    if os.environ.get("BENCH_CLUSTER_SMOKE") == "1":
+    if SMOKE:
         return 32
     return 64
 
@@ -45,7 +47,7 @@ def run_sweep() -> dict:
         "mix": "parallel",
         "n_requests": n_requests,
         "seed": SEED,
-        "smoke": os.environ.get("BENCH_CLUSTER_SMOKE") == "1",
+        "smoke": SMOKE,
         "sweep": {},
     }
     base = None

@@ -20,7 +20,7 @@ margin):
   fire, and multi-hop never loses to single-hop on throughput.
 
 Emits ``BENCH_migration.json`` at the repo root.
-``BENCH_MIGRATION_SMOKE=1`` trims the serving stream (CI smoke mode);
+``BENCH_SMOKE=1`` trims the serving stream (CI smoke mode);
 run directly (``python benchmarks/test_migration_fastpath.py``) to
 print the JSON.
 """
@@ -28,9 +28,10 @@ print the JSON.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
+
+from conftest import SMOKE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_migration.json"
@@ -64,7 +65,7 @@ ELEM_BYTES = 1024
 
 
 def _n_requests() -> int:
-    if os.environ.get("BENCH_MIGRATION_SMOKE") == "1":
+    if SMOKE:
         return 40
     return 80
 
@@ -142,7 +143,7 @@ def run_sweep() -> dict:
     return {
         "bench": "migration_fastpath",
         "unit": "bytes on wire / virtual seconds",
-        "smoke": os.environ.get("BENCH_MIGRATION_SMOKE") == "1",
+        "smoke": SMOKE,
         "repeat_offload": {
             "program_elem_bytes": ELEM_BYTES,
             "rounds": cached["rounds"],

@@ -27,17 +27,18 @@ by less than 25% against the abuse-free run of the same streams (the
 per-tenant arrival streams are independent by construction, so the
 victims' offered work is byte-identical in both runs).
 
-Emits ``BENCH_overload.json`` at the repo root.  ``BENCH_OVERLOAD_
-SMOKE=1`` sweeps fewer points (CI smoke mode); run directly
+Emits ``BENCH_overload.json`` at the repo root.  ``BENCH_SMOKE=1``
+sweeps fewer points (CI smoke mode); run directly
 (``python benchmarks/test_overload.py``) to print the JSON.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
+
+from conftest import SMOKE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_overload.json"
@@ -55,19 +56,15 @@ STATIC_LOAD = 16.0
 WINDOW = 16
 
 
-def _smoke() -> bool:
-    return os.environ.get("BENCH_OVERLOAD_SMOKE") == "1"
-
-
 def _sweep_points():
     # offered load as multiples of measured saturation throughput
-    if _smoke():
+    if SMOKE:
         return (0.8, 1.5, 2.0)
     return (0.8, 1.0, 1.2, 1.5, 2.0)
 
 
 def _n_requests() -> int:
-    return 96 if _smoke() else 160
+    return 96 if SMOKE else 160
 
 
 def _serve(admission, arrival_rate, n_requests, tenants=None):
@@ -165,7 +162,7 @@ def run_bench() -> dict:
         "mix": MIX, "n_nodes": N_NODES, "seed": SEED,
         "n_requests": _n_requests(), "slo_s": SLO,
         "static_load": STATIC_LOAD,
-        "smoke": _smoke(),
+        "smoke": SMOKE,
         "saturation_rps": round(capacity, 1),
         "sweep": run_sweep(capacity),
         "isolation": run_isolation(capacity),

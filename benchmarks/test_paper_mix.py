@@ -17,7 +17,7 @@ benchmark scale, in deterministic virtual time:
   indirection must not perturb the fast loop or the transfer path
   beyond the tag bytes it ships.
 
-Emits ``BENCH_paper.json`` at the repo root.  ``BENCH_PAPER_SMOKE=1``
+Emits ``BENCH_paper.json`` at the repo root.  ``BENCH_SMOKE=1``
 trims the request streams (CI smoke mode); run directly
 (``python benchmarks/test_paper_mix.py``) to print the JSON.
 """
@@ -25,9 +25,10 @@ trims the request streams (CI smoke mode); run directly
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
+
+from conftest import SMOKE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_paper.json"
@@ -45,7 +46,7 @@ MAX_ISOLATION_DRIFT = 0.05
 
 
 def _n_requests() -> int:
-    if os.environ.get("BENCH_PAPER_SMOKE") == "1":
+    if SMOKE:
         return 24
     return 48
 
@@ -69,7 +70,7 @@ def run_sweep() -> dict:
     return {
         "bench": "paper_mix",
         "unit": "virtual-time requests/second",
-        "smoke": os.environ.get("BENCH_PAPER_SMOKE") == "1",
+        "smoke": SMOKE,
         "mix": MIX, "seed": SEED, "n_requests": n_requests,
         "single_node": solo,
         "multi_node": multi,

@@ -19,7 +19,7 @@ op counts, and the host seconds spent inside the decision path ride in
 ``row["wall"]["decision_s"]`` — a regeneration on any machine may only
 move ``"wall"`` blocks; any other diff is a real behavior change.
 
-Emits ``BENCH_scale.json`` at the repo root.  ``BENCH_SCALE_SMOKE=1``
+Emits ``BENCH_scale.json`` at the repo root.  ``BENCH_SMOKE=1``
 serves a smaller stream (CI smoke mode); run directly
 (``python benchmarks/test_scale_throughput.py``) to print the JSON.
 """
@@ -31,6 +31,8 @@ import os
 import sys
 from pathlib import Path
 
+from conftest import SMOKE
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_scale.json"
 
@@ -40,7 +42,7 @@ MIX = "scale"
 
 
 def _n_requests() -> int:
-    if os.environ.get("BENCH_SCALE_SMOKE") == "1":
+    if SMOKE:
         return 300
     return 2000
 
@@ -55,7 +57,6 @@ def run_point(n_nodes: int, n_requests: int) -> dict:
     sched = ClusterScheduler(cluster, serve_classpath(mixobj.programs()),
                              offload=QueueDepthPolicy())
     rep = sched.serve(LoadGenerator(mixobj, n_requests, seed=SEED))
-    rep.mix, rep.seed = MIX, SEED
     row = rep.to_dict()
     s = row["sched"]
     decisions = max(1, s["decisions"])
@@ -78,7 +79,7 @@ def run_sweep() -> dict:
         "mix": MIX,
         "n_requests": n_requests,
         "seed": SEED,
-        "smoke": os.environ.get("BENCH_SCALE_SMOKE") == "1",
+        "smoke": SMOKE,
         "sweep": {},
     }
     base = None

@@ -15,7 +15,7 @@ overhead stays bounded).
 Emits ``BENCH_wallclock.json`` at the repo root.  Following the bench
 JSON convention, everything under ``"wall"`` keys is host-dependent
 wall-clock noise; everything else is deterministic.
-``BENCH_WALLCLOCK_SMOKE=1`` trims the stream for CI.
+``BENCH_SMOKE=1`` trims the stream for CI.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+from conftest import SMOKE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_wallclock.json"
@@ -45,7 +47,7 @@ ATTEMPTS = 2
 
 
 def _n_requests() -> int:
-    if os.environ.get("BENCH_WALLCLOCK_SMOKE") == "1":
+    if SMOKE:
         return 8
     return 16
 
@@ -82,7 +84,7 @@ def run_sweep() -> dict:
     return {
         "bench": "wallclock",
         "unit": "wall-clock requests/second",
-        "smoke": os.environ.get("BENCH_WALLCLOCK_SMOKE") == "1",
+        "smoke": SMOKE,
         "mix": MIX, "seed": SEED, "n_requests": n_requests,
         "procs": [1, PROCS_HI], "attempts": ATTEMPTS,
         # deterministic fields: results and oracle agreement

@@ -90,46 +90,47 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _serve_real_backend(args: argparse.Namespace) -> int:
+def _serve_flag(key: str) -> str:
+    """The CLI spelling of a :data:`~repro.serve.scheduler.SERVE_KEYS`
+    key."""
+    short = {"n_nodes": "nodes", "n_requests": "requests",
+             "chaos_seed": "chaos"}.get(key, key)
+    return "--" + short.replace("_", "-")
+
+
+def _serve_real_backend(args: argparse.Namespace, cfg: dict) -> int:
     """``serve --backend real``: multiprocess wall-clock mode.
 
-    Virtual-time-only features (chaos schedules, trace record/replay,
-    admission control, offload policies) are refused up front — they
-    are defined in terms of the modeled clock.  The virtual backend
-    remains the correctness oracle: ``--crosscheck`` re-serves the
-    same seed there and compares request by request.
+    Every virtual-only key of the described run that was moved off its
+    default is refused up front — those are defined in terms of the
+    modeled clock or cluster.  The virtual backend remains the
+    correctness oracle: ``--crosscheck`` re-serves the same described
+    stream there and compares request by request.
     """
     import json as _json
 
     from repro.runtime.real import available_cores, serve_real
+    from repro.serve.scheduler import SERVE_KEYS
 
-    refused = [flag for flag, val in [
-        ("--chaos", args.chaos), ("--record", args.record),
-        ("--replay", args.replay), ("--shed-at", args.shed_at),
-        ("--slo", args.slo)] if val is not None]
-    if args.admission != "none":
-        refused.append("--admission")
+    refused = [_serve_flag(k) for k, (default, virtual_only, _m)
+               in SERVE_KEYS.items()
+               if virtual_only and cfg.get(k, default) != default]
+    if args.record:
+        refused.append("--record")  # (no event trace in wall-clock mode)
     if refused:
         print(f"--backend real is wall-clock mode; {', '.join(refused)} "
               f"only make sense in virtual time (run them on the "
               f"virtual oracle)", file=sys.stderr)
         return 2
-    tenants = None
-    if args.tenants:
-        from repro.serve import parse_tenants
-        tenants = parse_tenants(args.tenants)
-    rep = serve_real(mix=args.mix, n_requests=args.requests,
-                     seed=args.seed,
-                     procs=args.procs or min(4, available_cores()),
-                     interarrival=args.interarrival, tenants=tenants,
-                     arrival_rate=args.arrival_rate)
+    rep = serve_real(procs=args.procs or min(4, available_cores()),
+                     **{k: v for k, v in cfg.items()
+                        if not SERVE_KEYS[k][1]})
     check = None
     if args.crosscheck:
         from repro.runtime.crosscheck import (CrosscheckError,
                                               crosscheck_real_vs_virtual)
         try:
-            check = crosscheck_real_vs_virtual(
-                rep, tenants=tenants, arrival_rate=args.arrival_rate)
+            check = crosscheck_real_vs_virtual(rep)
         except CrosscheckError as e:
             print(f"CROSSCHECK FAILED:\n{e}", file=sys.stderr)
             return 1
@@ -167,102 +168,55 @@ def _serve_real_backend(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve import serve_mix
+    from repro.chaos import (FaultPlan, read_trace, replay_trace,
+                             run_recorded, trace_divergence, traces_equal,
+                             write_trace)
+    from repro.serve.scheduler import SERVE_KEYS
     from repro.workloads import MIXES
     if args.replay:
-        from repro.chaos import (read_trace, replay_trace, trace_divergence,
-                                 traces_equal, write_trace)
         recorded = read_trace(args.replay)
         new, rep = replay_trace(recorded)
+        if args.record:
+            write_trace(args.record, new)
         if traces_equal(recorded, new):
             print(f"replay of {args.replay}: byte-identical "
                   f"({len(new['events'])} events, "
                   f"served {rep.served}/{rep.submitted}, "
                   f"correct {rep.correct})")
-            if args.record:
-                write_trace(args.record, new)
             return 0
         print(f"replay of {args.replay}: DIVERGED")
         print(f"  {trace_divergence(recorded, new)}")
-        if args.record:
-            write_trace(args.record, new)
         return 1
     if args.mix not in MIXES:
         print(f"unknown mix {args.mix!r}; known: {sorted(MIXES)}",
               file=sys.stderr)
         return 2
-    if args.backend == "real":
-        return _serve_real_backend(args)
-    from repro.serve import DEFAULT_STALENESS
-    staleness = (DEFAULT_STALENESS if args.staleness is None
-                 else args.staleness)
-    offload = args.offload
-    if args.max_seg_hops and offload != "none":
-        from repro.serve import ClockPressurePolicy, QueueDepthPolicy
-        policy_cls = (ClockPressurePolicy if offload == "clock-pressure"
-                      else QueueDepthPolicy)
-        offload = policy_cls(max_seg_hops=args.max_seg_hops)
-    tenants = None
-    if args.tenants:
+    # The described run: every SERVE_KEYS key the CLI spells, in the
+    # JSON form a trace's config block holds.
+    cfg = {k: getattr(args, k) for k in SERVE_KEYS if hasattr(args, k)}
+    if cfg["tenants"]:
         from repro.serve import parse_tenants
-        tenants = parse_tenants(args.tenants)
-    admission = None
-    if args.admission == "adaptive":
-        from repro.serve import AdaptiveShed
-        kw = {}
-        if args.slo is not None:
-            kw["slo"] = args.slo
-        if args.shed_at is not None:
-            kw["init_load"] = args.shed_at
-        admission = AdaptiveShed(**kw)
-    elif args.shed_at is not None:
-        from repro.serve import ShedWhenSaturated
-        admission = ShedWhenSaturated(max_node_load=args.shed_at)
-    from repro.chaos.trace import DEFAULT_HORIZON
-    horizon = (DEFAULT_HORIZON if args.chaos_horizon is None
-               else args.chaos_horizon)
-    plan = None
-    if args.chaos is not None:
-        from repro.chaos import random_plan
-        plan = random_plan([f"node{i}" for i in range(args.nodes)],
-                           args.chaos, horizon=horizon)
-        for ev in plan:
+        cfg["tenants"] = parse_tenants(cfg["tenants"]).to_dict()
+    if cfg["admission"] == "none":
+        cfg["admission"] = None
+    if args.backend == "real":
+        return _serve_real_backend(args, cfg)
+    try:
+        trace, rep = run_recorded(cfg)
+    except ValueError as e:
+        print(f"serve: {e}", file=sys.stderr)
+        return 2
+    if args.chaos_seed is not None:
+        for ev in FaultPlan.from_dict(trace["config"]["fault_plan"]):
             print(f"fault @ {ev.at:.6f}s: {ev.label()}")
     if args.record:
-        from repro.chaos import run_recorded, write_trace
-        trace, rep = run_recorded({
-            "mix": args.mix, "n_nodes": args.nodes,
-            "n_requests": args.requests, "seed": args.seed,
-            "quantum": args.quantum, "interarrival": args.interarrival,
-            "placement": args.placement, "offload": args.offload,
-            "max_seg_hops": args.max_seg_hops,
-            "rack_size": args.rack_size, "staleness": args.staleness,
-            "isolation": args.isolation, "shed_at": args.shed_at,
-            "chaos_seed": args.chaos,
-            "chaos_horizon": horizon,
-            "tenants": tenants.to_dict() if tenants else None,
-            "arrival_rate": args.arrival_rate,
-            "admission": (args.admission
-                          if args.admission != "none" else None),
-            "slo": args.slo,
-        })
         write_trace(args.record, trace)
         print(f"recorded {len(trace['events'])} events -> {args.record}")
-    else:
-        rep = serve_mix(args.mix, n_nodes=args.nodes,
-                        n_requests=args.requests,
-                        seed=args.seed, quantum=args.quantum,
-                        interarrival=args.interarrival,
-                        placement=args.placement, offload=offload,
-                        rack_size=args.rack_size, staleness=staleness,
-                        isolation=args.isolation, admission=admission,
-                        fault_plan=plan, tenants=tenants,
-                        arrival_rate=args.arrival_rate)
     # Under injected faults a request may legitimately fail (bounded
     # retries exhausted); what must never happen is a wrong answer or
     # a vanished request.
     ok = (rep.correct == rep.served and rep.unserved == 0
-          and (args.chaos is not None or rep.failed == 0))
+          and (args.chaos_seed is not None or rep.failed == 0))
     if args.json:
         print(_json.dumps(rep.to_dict(), indent=2))
         return 0 if ok else 1
@@ -305,7 +259,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{s['tier2_deopts']} deopts, "
           f"{s['tier2_guard_bails']} guard bails, "
           f"{s['jit_compile_errors']} compile errors")
-    if (args.chaos is not None or s["crashes"] or s["link_failures"]
+    if (args.chaos_seed is not None or s["crashes"] or s["link_failures"]
             or s["straggles"]):
         print(f"chaos: {s['crashes']} crashes, {s['link_failures']} link "
               f"faults, {s['straggles']} stragglers; {s['retries']} "
@@ -320,7 +274,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"(index ops/decision={per_dec:.1f}) "
           f"gossip_rounds={s['gossip_rounds']} "
           f"victim_vetoes={s['victim_vetoes']}")
-    if args.nodes <= 16:
+    if rep.n_nodes <= 16:
         for node, row in rep.per_node.items():
             print(f"  {node}: served={row['served']:<3d} "
                   f"busy={row['busy_s']:.4f}s w={row['cpu_weight']:g}")
@@ -373,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_migrate)
 
     p = sub.add_parser("serve", help="run the elastic cluster scheduler")
-    p.add_argument("--mix", default="parallel")
     p.add_argument("--backend", default="virtual",
                    choices=BACKENDS,
                    help="execution backend: virtual = the deterministic "
@@ -392,67 +345,35 @@ def main(argv: list[str] | None = None) -> int:
                         "seed on the virtual oracle and compare "
                         "request-by-request (results, correctness, "
                         "tenant attribution; timings excluded)")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--requests", type=int, default=32)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--quantum", type=int, default=2500)
-    p.add_argument("--interarrival", type=float, default=0.0,
-                   help="virtual seconds between admissions (0 = burst)")
-    p.add_argument("--rack-size", type=int, default=4,
-                   help="nodes per rack in the serve topology")
-    p.add_argument("--staleness", type=float, default=None,
-                   help="gossip digest staleness bound, virtual seconds "
-                        "(0 = always fresh)")
-    p.add_argument("--placement", default="round-robin",
-                   choices=["round-robin", "front-door"])
-    p.add_argument("--offload", default="queue-depth",
-                   choices=["queue-depth", "clock-pressure", "none"])
-    p.add_argument("--max-seg-hops", type=int, default=0,
-                   help="chain hops a migrated segment may take beyond "
-                        "its first offload (Fig. 1c; 0 = single-hop)")
-    p.add_argument("--isolation", default="auto",
-                   choices=["auto", "all", "off"],
-                   help="per-request static isolation: auto = fresh "
-                        "class-loader namespace for non-reentrant "
-                        "programs (FFT/TSP), all = every request, "
-                        "off = shared cells (reentrant-only mixes)")
-    p.add_argument("--shed-at", type=float, default=None,
-                   help="front-door admission: shed requests when the "
-                        "gossip digest shows every rack's lightest "
-                        "node at/above this weighted load (with "
-                        "--admission adaptive this seeds the initial "
-                        "threshold instead)")
-    p.add_argument("--tenants", default=None, metavar="SPEC",
-                   help="multi-tenant QoS: comma-separated "
-                        "name[:key=val]* entries with keys w/weight "
-                        "(fair-queueing share), p/priority (0 = shed "
-                        "last), slo, pool (warm namespace pool bound), "
-                        "r/rate (arrival-rate factor) — e.g. "
-                        "'gold:w=3,free:w=1:p=2:r=10'; requires "
-                        "--arrival-rate")
-    p.add_argument("--arrival-rate", type=float, default=None,
-                   help="open-loop Poisson arrivals at this rate "
-                        "(requests per virtual second; per tenant it "
-                        "is scaled by the tenant's rate factor) — "
-                        "offered load keeps coming past saturation, "
-                        "unlike --interarrival's fixed gaps")
-    p.add_argument("--admission", default="none",
-                   choices=["none", "static", "adaptive"],
-                   help="admission control: static = shed at the fixed "
-                        "--shed-at threshold; adaptive = learn the "
-                        "latency/goodput knee online (AIMD on the "
-                        "observed P95 vs --slo), shedding per tenant "
-                        "by priority with hysteresis")
-    p.add_argument("--slo", type=float, default=None,
-                   help="adaptive admission's end-to-end P95 latency "
-                        "target, virtual seconds (default 0.1)")
-    p.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                   help="inject a seeded random fault schedule (node "
-                        "crashes, link failures, stragglers); same "
-                        "seed = same disaster")
-    p.add_argument("--chaos-horizon", type=float, default=None,
-                   help="virtual seconds within which chaos faults "
-                        "land (default 0.01)")
+    # One flag per SERVE_KEYS key the CLI spells (fault_plan and
+    # max_retries have no flag): dest, default and help come from the
+    # table, the type from the default unless given.
+    from repro.serve.scheduler import OFFLOADS, PLACEMENTS, SERVE_KEYS
+
+    def knob(key: str, **kw) -> None:
+        default, _virtual_only, meaning = SERVE_KEYS[key]
+        if "choices" not in kw:
+            kw.setdefault("type", type(default))
+        kw.setdefault("help", meaning)
+        p.add_argument(_serve_flag(key), dest=key, default=default, **kw)
+
+    for key in ("mix", "n_nodes", "n_requests", "seed", "quantum",
+                "interarrival", "rack_size", "max_seg_hops"):
+        knob(key)
+    knob("placement", choices=list(PLACEMENTS))
+    knob("offload", choices=[*OFFLOADS, "none"])
+    knob("isolation", choices=["auto", "all", "off"])
+    knob("admission", choices=["none", "static", "adaptive"])
+    for key in ("staleness", "shed_at", "arrival_rate", "slo",
+                "chaos_horizon"):
+        knob(key, type=float)
+    knob("chaos_seed", type=int, metavar="SEED")
+    knob("tenants", type=str, metavar="SPEC",
+         help="multi-tenant QoS: comma-separated name[:key=val]* "
+              "entries with keys w/weight (fair-queueing share), "
+              "p/priority (0 = shed last), slo, pool (warm namespace "
+              "pool bound), r/rate (arrival-rate factor) — e.g. "
+              "'gold:w=3,free:w=1:p=2:r=10'; requires --arrival-rate")
     p.add_argument("--record", metavar="PATH", default=None,
                    help="record the run's event trace (config, faults, "
                         "scheduling decisions, completions) to PATH")

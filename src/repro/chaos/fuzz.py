@@ -33,14 +33,15 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.chaos.faults import random_plan
-from repro.chaos.trace import DEFAULT_HORIZON
+from repro.serve.scheduler import SERVE_KEYS, build_serving
 
 #: failure reasons the recovery paths are allowed to surface
 FAULT_REASONS = {"node-crash", "dependency-crash", "delivery-failed"}
 
 
 def fuzz_one(seed: int, mix: str = "parallel", n_nodes: int = 4,
-             n_requests: int = 24, horizon: float = DEFAULT_HORIZON,
+             n_requests: int = 24,
+             horizon: float = SERVE_KEYS["chaos_horizon"][0],
              max_retries: int = 3, shed_at: Optional[float] = None,
              admission: Optional[str] = None,
              tenants: Optional[Any] = None,
@@ -56,25 +57,13 @@ def fuzz_one(seed: int, mix: str = "parallel", n_nodes: int = 4,
     ``arrival_rate`` drive per-tenant open-loop Poisson arrivals — the
     combined chaos+overload case where capacity collapses under an
     offered load that never lets up."""
-    from repro.serve.policies import AdaptiveShed, ShedWhenSaturated
-    from repro.serve.scheduler import build_serving
-
-    adm: Any = None
-    if admission == "adaptive":
-        kw: Dict[str, Any] = {}
-        if slo is not None:
-            kw["slo"] = slo
-        if shed_at is not None:
-            kw["init_load"] = shed_at
-        adm = AdaptiveShed(**kw)
-    elif shed_at is not None:
-        adm = ShedWhenSaturated(max_node_load=shed_at)
     names = [f"node{i}" for i in range(n_nodes)]
     plan = random_plan(names, seed, horizon=horizon, **plan_kw)
     sched, load = build_serving(mix=mix, n_nodes=n_nodes,
                                 n_requests=n_requests,
                                 fault_plan=plan, max_retries=max_retries,
-                                admission=adm, tenants=tenants,
+                                admission=admission, shed_at=shed_at,
+                                slo=slo, tenants=tenants,
                                 arrival_rate=arrival_rate)
     rep = sched.serve(load)
     violations: List[str] = []

@@ -23,32 +23,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.faults import FaultPlan, random_plan
+from repro.serve.scheduler import build_serving, resolve_config
 
 #: trace document schema version (bump on incompatible change)
 TRACE_VERSION = 1
-
-#: default fault-plan horizon (virtual seconds) when ``--chaos SEED``
-#: derives a plan: chosen inside the makespan of the default serving
-#: config so faults land while the cluster is busy
-DEFAULT_HORIZON = 0.01
-
-#: the knobs a trace records; anything omitted replays at its default
-#: (None = the serve stack's own default)
-CONFIG_DEFAULTS: Dict[str, Any] = {
-    "mix": "parallel", "n_nodes": 4, "n_requests": 32, "seed": 7,
-    "quantum": 2500, "interarrival": 0.0, "placement": "round-robin",
-    "offload": "queue-depth", "max_seg_hops": 0, "rack_size": 4,
-    "staleness": None, "isolation": "auto", "shed_at": None,
-    "max_retries": 3, "chaos_seed": None, "chaos_horizon": DEFAULT_HORIZON,
-    "fault_plan": None,
-    # Multi-tenant QoS / overload control: the tenant set (as
-    # Tenant.to_dict rows), the open-loop Poisson base arrival rate,
-    # the admission controller ("static" reads shed_at; "adaptive"
-    # learns the threshold, seeded from shed_at, steering to slo), and
-    # the adaptive controller's P95 latency target.
-    "tenants": None, "arrival_rate": None, "admission": None, "slo": None,
-}
 
 
 class TraceRecorder:
@@ -61,70 +39,18 @@ class TraceRecorder:
         self.events.append({"t": now, "kind": kind, **fields})
 
 
-def resolve_config(config: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Canonicalize a partial config: fill defaults, reject unknown
-    keys, and materialize ``chaos_seed`` into an explicit fault plan so
-    the trace is self-contained (replay never re-derives anything)."""
-    cfg = dict(CONFIG_DEFAULTS)
-    for k, v in (config or {}).items():
-        if k not in CONFIG_DEFAULTS:
-            raise ValueError(f"unknown trace config key {k!r}")
-        cfg[k] = v
-    if cfg["fault_plan"] is None and cfg["chaos_seed"] is not None:
-        names = [f"node{i}" for i in range(cfg["n_nodes"])]
-        plan = random_plan(names, cfg["chaos_seed"],
-                           horizon=cfg["chaos_horizon"])
-        cfg["fault_plan"] = plan.to_dict()
-    return cfg
-
-
 def run_recorded(config: Optional[Dict[str, Any]] = None
                  ) -> Tuple[Dict[str, Any], Any]:
-    """Execute one serving run under ``config``, recording its trace.
+    """Execute one serving run under ``config`` (a partial
+    :data:`~repro.serve.scheduler.SERVE_KEYS` description), recording
+    its trace.
 
     Returns ``(trace, report)``: the JSON-ready trace document and the
     live :class:`~repro.serve.scheduler.ServeReport`."""
-    from repro.serve.loadindex import DEFAULT_STALENESS
-    from repro.serve.policies import (AdaptiveShed, ClockPressurePolicy,
-                                      QueueDepthPolicy, ShedWhenSaturated)
-    from repro.serve.scheduler import build_serving
-    from repro.serve.tenants import TenantSet
-
     cfg = resolve_config(config)
-    plan = (FaultPlan.from_dict(cfg["fault_plan"])
-            if cfg["fault_plan"] is not None else None)
-    offload: Any = cfg["offload"]
-    if cfg["max_seg_hops"] and offload != "none":
-        policy_cls = (ClockPressurePolicy if offload == "clock-pressure"
-                      else QueueDepthPolicy)
-        offload = policy_cls(max_seg_hops=cfg["max_seg_hops"])
-    if cfg["admission"] == "adaptive":
-        kw: Dict[str, Any] = {}
-        if cfg["slo"] is not None:
-            kw["slo"] = cfg["slo"]
-        if cfg["shed_at"] is not None:
-            kw["init_load"] = cfg["shed_at"]
-        admission: Any = AdaptiveShed(**kw)
-    elif cfg["shed_at"] is not None:
-        admission = ShedWhenSaturated(max_node_load=cfg["shed_at"])
-    else:
-        admission = None
-    tenants = TenantSet.from_dict(cfg["tenants"])
     tracer = TraceRecorder()
-    sched, load = build_serving(
-        mix=cfg["mix"], n_nodes=cfg["n_nodes"],
-        n_requests=cfg["n_requests"], seed=cfg["seed"],
-        quantum=cfg["quantum"], interarrival=cfg["interarrival"],
-        placement=cfg["placement"], offload=offload,
-        rack_size=cfg["rack_size"],
-        staleness=(DEFAULT_STALENESS if cfg["staleness"] is None
-                   else cfg["staleness"]),
-        isolation=cfg["isolation"], admission=admission,
-        max_retries=cfg["max_retries"], fault_plan=plan, tracer=tracer,
-        tenants=tenants, arrival_rate=cfg["arrival_rate"])
+    sched, load = build_serving(tracer=tracer, **cfg)
     rep = sched.serve(load)
-    rep.mix = cfg["mix"]
-    rep.seed = cfg["seed"]
     summary = [{
         "rid": r.rid,
         "program": r.spec.program if r.spec is not None else None,

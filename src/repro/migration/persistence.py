@@ -23,7 +23,8 @@ import math
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import MigrationError
-from repro.migration.state import CapturedFrame, CapturedState
+from repro.migration.state import (CapturedFrame, CapturedState,
+                                   FrameMarker)
 
 FORMAT_VERSION = 1
 
@@ -67,8 +68,11 @@ def state_to_json(state: CapturedState, indent: int | None = None) -> str:
             {"class": c, "field": f, "value": _enc(v)}
             for (c, f), v in sorted(state.statics.items())
         ],
+        # A delta capture's elided frames are written as marker rows,
+        # as on the wire: resuming such a checkpoint needs the ledger
+        # that retains them.
         "frames": [
-            {
+            {"marker": fr.fp} if isinstance(fr, FrameMarker) else {
                 "class": fr.class_name,
                 "method": fr.method_name,
                 "pc": fr.pc,
@@ -91,7 +95,7 @@ def state_from_json(text: str) -> CapturedState:
         raise MigrationError(
             f"unsupported checkpoint format {doc.get('format')!r}")
     frames = [
-        CapturedFrame(
+        FrameMarker(fp=f["marker"]) if "marker" in f else CapturedFrame(
             class_name=f["class"], method_name=f["method"],
             pc=int(f["pc"]), raw_pc=int(f["raw_pc"]),
             locals=[_dec(v) for v in f["locals"]],

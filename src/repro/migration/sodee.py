@@ -251,7 +251,7 @@ class Host:
                 rtt_service=self.engine.rtt)
             self.objman.service_fixed = self.engine.sys.fault_service_fixed
             if self.engine.transfer_cache:
-                self.objman.reval_service = self.engine.fetch_remote_if_changed
+                self.objman.reval_service = self.engine.fetch_remote
             # Serving fetches from this node must forward nested fetched
             # copies to their true home (multi-hop chains fault through
             # intermediate hops).
@@ -300,6 +300,19 @@ class SODEngine:
         #: experiment timeline, seconds
         self.timeline = 0.0
         self.migrations: List[MigrationRecord] = []
+        #: event tracer (duck-typed ``emit(now, kind, fields)``, the
+        #: scheduler's protocol; None = tracing off) — see
+        #: :mod:`repro.migration.tracing`
+        self.tracer: Optional[Any] = None
+
+    def _trace(self, kind: str, src: str, dst: str, **detail: Any) -> None:
+        """Emit one runtime event at the engine timeline.  Hooked where
+        every caller converges — :meth:`_ship`'s commit,
+        :meth:`_write_back`, the two fetch services — so no shipment,
+        write-back or fault can bypass it."""
+        if self.tracer is not None:
+            self.tracer.emit(self.timeline, kind,
+                             {"src": src, "dst": dst, **detail})
 
     # -- hosts -------------------------------------------------------------
 
@@ -426,31 +439,36 @@ class SODEngine:
     def rtt(self, src: str, dst: str, req: int, reply: int) -> float:
         return self.cluster.network.rtt(src, dst, req, reply)
 
-    def fetch_remote(self, requester: str, ref: RemoteRef
-                     ) -> Tuple[Any, int, str]:
+    def fetch_remote(self, requester: str, ref: RemoteRef,
+                     fp: Optional[int] = None
+                     ) -> Tuple[Optional[Any], int, str]:
         """Object-fetch service: locate the owner host and serialize.
         Each service includes the home agent's fixed JVMTI-lookup +
         serialization-setup cost (it elapses while the requester waits,
-        so it is charged on the requester's clock too)."""
-        owner = self.hosts.get(ref.home_node)
-        if owner is None:
-            raise MigrationError(f"no host on {ref.home_node} to serve fetch")
-        payload, nbytes = owner.server.fetch(ref.home_oid)
-        return payload, nbytes, ref.home_node
+        so it is charged on the requester's clock too).
 
-    def fetch_remote_if_changed(self, requester: str, ref: RemoteRef,
-                                fp: int) -> Tuple[Optional[Any], int, str]:
-        """Conditional object-fetch service: ``None`` payload means the
-        requester's retained copy (fingerprint ``fp``) is still current
-        and only a validation reply crossed the wire — the saved payload
-        bytes are credited to the link's savings meter."""
+        With ``fp`` the fetch is conditional: a ``None`` payload means
+        the requester's retained copy (fingerprint ``fp``) is still
+        current and only a validation reply crossed the wire — the
+        saved payload bytes are credited to the link's savings meter."""
         owner = self.hosts.get(ref.home_node)
         if owner is None:
             raise MigrationError(f"no host on {ref.home_node} to serve fetch")
-        payload, nbytes = owner.server.fetch_if_changed(ref.home_oid, fp)
-        if payload is None:
-            self.cluster.network.record_saved(ref.home_node, requester,
-                                              max(0, nbytes - 16))
+        if fp is None:
+            payload, nbytes = owner.server.fetch(ref.home_oid)
+        else:
+            payload, nbytes = owner.server.fetch_if_changed(ref.home_oid, fp)
+            if payload is None:
+                self.cluster.network.record_saved(ref.home_node, requester,
+                                                  max(0, nbytes - 16))
+        if self.tracer is not None:
+            # Faults happen mid-run; the engine timeline syncs at run
+            # boundaries, so carry the requester's own clock too.
+            self._trace("fault", ref.home_node, requester,
+                        oid=ref.home_oid, bytes=nbytes,
+                        revalidated=fp is not None and payload is None,
+                        vm_clock_ms=(self.hosts[requester].machine.clock
+                                     * 1e3))
         return payload, nbytes, ref.home_node
 
     def ledger(self, home_node: str, worker_node: str) -> TransferLedger:
@@ -785,6 +803,9 @@ class SODEngine:
         for rec in recs:
             self.timeline += rec.latency
             self.migrations.append(rec)
+            self._trace("migrate", rec.src, rec.dst, frames=rec.nframes,
+                        state_bytes=rec.state_bytes,
+                        latency_ms=rec.latency * 1e3)
         return worker, out
 
     def migrate(self, src_host: Host, thread: ThreadState, dst_node: str,
@@ -967,6 +988,8 @@ class SODEngine:
             on_applied(value)
         dt += home.machine.clock - t0
         objman.clear_dirty(scope_home, only_keys=only_keys)
+        self._trace("writeback", worker.node_name, home.node_name,
+                    bytes=nbytes, seconds=dt)
         return dt
 
     def _static_fallback(self, worker: Host, home: Host,

@@ -1,7 +1,7 @@
 """Structured event tracing for the SOD runtime.
 
 Attach a :class:`Tracer` to a :class:`~repro.migration.sodee.SODEngine`
-to record every migration, object fault, write-back and class fetch with
+to record every migration, object fault and write-back with
 simulated timestamps — the observability layer a production middleware
 would ship with, and what the examples use to print timelines.
 
@@ -15,11 +15,10 @@ aligned textual trace::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
-from repro.migration.sodee import Host, MigrationRecord, SODEngine
-from repro.vm.values import RemoteRef
+from repro.migration.sodee import SODEngine
 
 
 @dataclass(frozen=True)
@@ -27,82 +26,44 @@ class TraceEvent:
     """One runtime event on the engine timeline."""
 
     at: float          # engine timeline, seconds
-    kind: str          # migrate / fault / prefetch / writeback / class
+    kind: str          # migrate / fault / writeback
     src: str
     dst: str
     detail: Dict[str, Any]
 
 
 class Tracer:
-    """Engine instrumentation: wraps the hot entry points and records
-    events.  Attach with :meth:`attach`; detach restores the originals.
+    """Records the events an engine emits.  The engine reports from the
+    points every caller converges on (the one shipment commit, the one
+    write-back, the fetch service), so ``migrate``, ``migrate_many``,
+    chain re-hops, residual pushes, faults and revalidations are all
+    seen — by whatever route they were reached.  Attach with
+    :meth:`attach`; :meth:`detach` turns tracing back off.
     """
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
         self._engine: Optional[SODEngine] = None
-        self._orig: Dict[str, Callable] = {}
-
-    # -- attachment --------------------------------------------------------
 
     def attach(self, engine: SODEngine) -> "Tracer":
-        """Instrument ``engine`` (idempotent per tracer)."""
+        """Start receiving ``engine``'s events."""
         if self._engine is not None:
             raise ValueError("tracer already attached")
         self._engine = engine
-        self._orig["migrate"] = engine.migrate
-        self._orig["fetch_remote"] = engine.fetch_remote
-        self._orig["complete_segment"] = engine.complete_segment
-
-        def migrate(src_host, thread, dst_node, nframes=1,
-                    run_after_restore=False):
-            out = self._orig["migrate"](src_host, thread, dst_node, nframes,
-                                        run_after_restore)
-            rec: MigrationRecord = out[2]
-            self._push("migrate", rec.src, rec.dst, frames=rec.nframes,
-                       state_bytes=rec.state_bytes,
-                       latency_ms=rec.latency * 1e3)
-            return out
-
-        def fetch_remote(requester: str, ref: RemoteRef):
-            payload, nbytes, owner = self._orig["fetch_remote"](requester,
-                                                                ref)
-            # Faults happen mid-run; the engine timeline syncs at run
-            # boundaries, so carry the requester's own clock too.
-            req = engine.hosts.get(requester)
-            vm_clock = req.machine.clock if req is not None else 0.0
-            self._push("fault", owner, requester, oid=ref.home_oid,
-                       bytes=nbytes, vm_clock_ms=vm_clock * 1e3)
-            return payload, nbytes, owner
-
-        def complete_segment(worker, worker_thread, home, home_thread,
-                             nframes):
-            dt = self._orig["complete_segment"](worker, worker_thread,
-                                                home, home_thread, nframes)
-            self._push("writeback", worker.node_name, home.node_name,
-                       seconds=dt)
-            return dt
-
-        engine.migrate = migrate  # type: ignore[method-assign]
-        engine.fetch_remote = fetch_remote  # type: ignore[method-assign]
-        engine.complete_segment = complete_segment  # type: ignore[method-assign]
+        engine.tracer = self
         return self
 
     def detach(self) -> None:
-        """Restore the engine's original entry points."""
-        if self._engine is None:
-            return
-        for name, fn in self._orig.items():
-            setattr(self._engine, name, fn)
-        self._engine = None
-        self._orig.clear()
+        """Stop receiving events (idempotent)."""
+        if self._engine is not None:
+            self._engine.tracer = None
+            self._engine = None
 
-    # -- recording -----------------------------------------------------------
-
-    def _push(self, kind: str, src: str, dst: str, **detail: Any) -> None:
-        assert self._engine is not None
-        self.events.append(TraceEvent(self._engine.timeline, kind, src,
-                                      dst, detail))
+    def emit(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
+        """The engine's (and scheduler's) duck-typed tracer protocol."""
+        detail = dict(fields)
+        self.events.append(TraceEvent(now, kind, detail.pop("src", ""),
+                                      detail.pop("dst", ""), detail))
 
     # -- queries ----------------------------------------------------------------
 

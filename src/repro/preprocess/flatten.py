@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.code import CodeObject, ExcEntry, Instr
+from repro.bytecode.code import (CodeObject, ExcEntry, Instr,
+                                 remap_targets)
 from repro.bytecode.verifier import stack_depths
 from repro.errors import VerifyError
 
@@ -107,19 +108,10 @@ def flatten(code: CodeObject) -> FlattenInfo:
         for i in reversed(range(pushes)):
             new_instrs.append(Instr(op.STORE, base + d - pops + i))
 
-    # -- remap jump targets --------------------------------------------------
-    def m(old_bci: int) -> int:
-        return old_to_new[old_bci] if old_bci < n else len(new_instrs)
-
-    remapped: List[Instr] = []
-    for ins in new_instrs:
-        if ins.op in op.BRANCHES:
-            remapped.append(Instr(ins.op, m(ins.a), ins.b))
-        elif ins.op == op.LSWITCH:
-            remapped.append(Instr(ins.op, {k: m(v) for k, v in ins.a.items()},
-                                  m(ins.b)))
-        else:
-            remapped.append(ins)
+    # -- remap jump targets (the end-of-method bci maps to the new end) ------
+    mapping = {**old_to_new, n: len(new_instrs)}
+    m = mapping.__getitem__
+    remapped = remap_targets(new_instrs, mapping)
 
     # -- rebuild tables ----------------------------------------------------------
     exc_table = [ExcEntry(m(e.start), m(e.end), m(e.handler), e.exc_class)

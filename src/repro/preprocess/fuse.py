@@ -71,21 +71,20 @@ F_LL_ALOAD = op.FUSED_BASE + 8     # a=arr slot, b=index slot
 F_INC = op.FUSED_BASE + 9          # a=src slot, b=(int value, dst slot),
                                    # aux=3-arg ADD fallback
 F_CMP_JZ = op.FUSED_BASE + 10      # a=target, aux=2-arg compare fn
-F_CMP_JNZ = op.FUSED_BASE + 11     # a=target, aux=2-arg compare fn
-F_LL_CMP_JZ = op.FUSED_BASE + 12   # a=(slot1, slot2), b=target, aux=2-arg fn
-F_LL_CMP_JNZ = op.FUSED_BASE + 13  # a=(slot1, slot2), b=target, aux=2-arg fn
-F_LC_CMP_JZ = op.FUSED_BASE + 14   # a=(slot, value), b=target, aux=2-arg fn
-F_LC_CMP_JNZ = op.FUSED_BASE + 15  # a=(slot, value), b=target, aux=2-arg fn
-F_GETS_LOAD_ALOAD = op.FUSED_BASE + 16  # a=index slot, b=(class, field),
+F_LL_CMP_JZ = op.FUSED_BASE + 11   # a=(slot1, slot2), b=target, aux=2-arg fn
+F_LC_CMP_JZ = op.FUSED_BASE + 12   # a=(slot, value), b=target, aux=2-arg fn
+F_GETS_LOAD_ALOAD = op.FUSED_BASE + 13  # a=index slot, b=(class, field),
                                         # aux=static-home cache cell
-F_LOAD_JZ = op.FUSED_BASE + 17     # a=slot, b=target
-F_LOAD_JNZ = op.FUSED_BASE + 18    # a=slot, b=target
-F_LGS_CMP_JZ = op.FUSED_BASE + 19   # a=(slot, (class, field)), b=target,
+F_LOAD_JZ = op.FUSED_BASE + 14     # a=slot, b=target
+F_LOAD_JNZ = op.FUSED_BASE + 15    # a=slot, b=target
+F_LGS_CMP_JZ = op.FUSED_BASE + 16   # a=(slot, (class, field)), b=target,
                                     # aux=(2-arg cmp fn, static cache cell)
-F_LGS_CMP_JNZ = op.FUSED_BASE + 20  # same layout as F_LGS_CMP_JZ
-F_CCMP_JZ = op.FUSED_BASE + 21      # a=value, b=target, aux=2-arg cmp fn
-F_CCMP_JNZ = op.FUSED_BASE + 22     # a=value, b=target, aux=2-arg cmp fn
-F_L_ALOAD = op.FUSED_BASE + 23      # a=index slot (array ref on stack)
+F_CCMP_JZ = op.FUSED_BASE + 17      # a=value, b=target, aux=2-arg cmp fn
+F_L_ALOAD = op.FUSED_BASE + 18      # a=index slot (array ref on stack)
+
+# (No compare+JNZ fusions: the compiler emits JNZ only as ``DUP; JNZ``
+# for ``||``, so the sequence is unreachable from source; hand-assembled
+# compare+JNZ simply executes unfused.)
 
 #: display names for tooling / tests
 FUSED_NAMES = {
@@ -94,13 +93,11 @@ FUSED_NAMES = {
     F_LL_OP2: "LOAD+LOAD+arith", F_LL_ARITH: "LOAD+LOAD+arith(m)",
     F_LC_OP2: "LOAD+CONST+arith", F_LC_ARITH: "LOAD+CONST+arith(m)",
     F_LL_ALOAD: "LOAD+LOAD+ALOAD", F_INC: "LOAD+CONST+ADD+STORE",
-    F_CMP_JZ: "cmp+JZ", F_CMP_JNZ: "cmp+JNZ",
-    F_LL_CMP_JZ: "LOAD+LOAD+cmp+JZ", F_LL_CMP_JNZ: "LOAD+LOAD+cmp+JNZ",
-    F_LC_CMP_JZ: "LOAD+CONST+cmp+JZ", F_LC_CMP_JNZ: "LOAD+CONST+cmp+JNZ",
+    F_CMP_JZ: "cmp+JZ", F_LL_CMP_JZ: "LOAD+LOAD+cmp+JZ",
+    F_LC_CMP_JZ: "LOAD+CONST+cmp+JZ",
     F_GETS_LOAD_ALOAD: "GETS+LOAD+ALOAD",
     F_LOAD_JZ: "LOAD+JZ", F_LOAD_JNZ: "LOAD+JNZ",
-    F_LGS_CMP_JZ: "LOAD+GETS+cmp+JZ", F_LGS_CMP_JNZ: "LOAD+GETS+cmp+JNZ",
-    F_CCMP_JZ: "CONST+cmp+JZ", F_CCMP_JNZ: "CONST+cmp+JNZ",
+    F_LGS_CMP_JZ: "LOAD+GETS+cmp+JZ", F_CCMP_JZ: "CONST+cmp+JZ",
     F_L_ALOAD: "LOAD+ALOAD",
 }
 
@@ -206,24 +203,16 @@ def _fuse_at(base: Sequence[Tuple[int, Any, Any, float]], i: int, n: int,
                 and o3 == ids[op.STORE] and type(a1) is int):
             # the classic induction-variable step: i = i + c
             return (F_INC, a0, (a1, a3), w4, 4, arith[op.ADD], w0 + w1 + w2)
-        if o0 == LOAD and o2 in _CMP_IDS:
+        if o0 == LOAD and o2 in _CMP_IDS and o3 == ids[op.JZ]:
             fn = fast2[_CMP_IDS[o2]]
-            if o1 == LOAD and o3 == ids[op.JZ]:
+            if o1 == LOAD:
                 return (F_LL_CMP_JZ, (a0, a1), a3, w4, 4, fn, w0 + w1 + w2)
-            if o1 == LOAD and o3 == ids[op.JNZ]:
-                return (F_LL_CMP_JNZ, (a0, a1), a3, w4, 4, fn, w0 + w1 + w2)
-            if o1 == CONST and o3 == ids[op.JZ]:
+            if o1 == CONST:
                 return (F_LC_CMP_JZ, (a0, a1), a3, w4, 4, fn, w0 + w1 + w2)
-            if o1 == CONST and o3 == ids[op.JNZ]:
-                return (F_LC_CMP_JNZ, (a0, a1), a3, w4, 4, fn, w0 + w1 + w2)
             if o1 == ids[op.GETS]:
                 # loop bound kept in a static: i < Cls.n
-                if o3 == ids[op.JZ]:
-                    return (F_LGS_CMP_JZ, (a0, a1), a3, w4, 4,
-                            (fn, [None]), w0 + w1 + w2)
-                if o3 == ids[op.JNZ]:
-                    return (F_LGS_CMP_JNZ, (a0, a1), a3, w4, 4,
-                            (fn, [None]), w0 + w1 + w2)
+                return (F_LGS_CMP_JZ, (a0, a1), a3, w4, 4,
+                        (fn, [None]), w0 + w1 + w2)
 
     # ---- 3-instruction patterns ----
     if i + 2 < n and o0 == LOAD:
@@ -247,23 +236,17 @@ def _fuse_at(base: Sequence[Tuple[int, Any, Any, float]], i: int, n: int,
         # compare the stack top against a literal and branch: v == 0 etc.
         o1, _a1, _b1, w1 = base[i + 1]
         o2, a2, _b2, w2 = base[i + 2]
-        if o1 in _CMP_IDS:
-            fn = fast2[_CMP_IDS[o1]]
-            if o2 == ids[op.JZ]:
-                return (F_CCMP_JZ, a0, a2, w0 + w1 + w2, 3, fn, w0 + w1)
-            if o2 == ids[op.JNZ]:
-                return (F_CCMP_JNZ, a0, a2, w0 + w1 + w2, 3, fn, w0 + w1)
+        if o1 in _CMP_IDS and o2 == ids[op.JZ]:
+            return (F_CCMP_JZ, a0, a2, w0 + w1 + w2, 3,
+                    fast2[_CMP_IDS[o1]], w0 + w1)
 
     # ---- 2-instruction patterns ----
     if i + 1 < n:
         o1, a1, _b1, w1 = base[i + 1]
         w2 = w0 + w1
         if o0 in _CMP_IDS:
-            fn = fast2[_CMP_IDS[o0]]
             if o1 == ids[op.JZ]:
-                return (F_CMP_JZ, a1, None, w2, 2, fn, w0)
-            if o1 == ids[op.JNZ]:
-                return (F_CMP_JNZ, a1, None, w2, 2, fn, w0)
+                return (F_CMP_JZ, a1, None, w2, 2, fast2[_CMP_IDS[o0]], w0)
             return None
         if o0 == LOAD:
             if o1 == ids[op.GETF]:

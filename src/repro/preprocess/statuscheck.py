@@ -37,7 +37,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.code import CodeObject, ExcEntry, Instr
+from repro.bytecode.code import (CodeObject, ExcEntry, Instr,
+                                 remap_targets)
 from repro.errors import VerifyError
 from repro.preprocess.flatten import FlattenInfo
 
@@ -123,40 +124,27 @@ def _rebuild(code: CodeObject, inserts: Dict[int, List[Instr]]) -> CodeObject:
     inside blocks map to the original instruction after the block.
     """
     n = len(code.instrs)
-    block_start: List[int] = [0] * (n + 1)
-    instr_pos: List[int] = [0] * n
-    new_instrs: List[Instr] = []
+    block_start: List[int] = []
+    pos = 0
     for old in range(n):
-        block_start[old] = len(new_instrs)
-        block = inserts.get(old, ())
-        skip_target_pending: List[int] = []
-        for b in block:
-            if b.op == op.JZ and b.a == _SKIP:
-                skip_target_pending.append(len(new_instrs))
-                new_instrs.append(Instr(op.JZ, _SKIP))
-            else:
-                new_instrs.append(Instr(b.op, b.a, b.b))
-        instr_pos[old] = len(new_instrs)
-        for p in skip_target_pending:
-            new_instrs[p] = Instr(op.JZ, instr_pos[old])
-        ins = code.instrs[old]
-        new_instrs.append(Instr(ins.op, ins.a, ins.b))
-    block_start[n] = len(new_instrs)
+        block_start.append(pos)
+        pos += len(inserts.get(old, ())) + 1
+    block_start.append(pos)
+    m = block_start.__getitem__
 
-    def m(old_bci: int) -> int:
-        return block_start[old_bci]
-
-    # Remap original branch targets (inserted JZs are already absolute).
-    pos_of_original = set(instr_pos)
+    # Original branch targets remap through the block starts; an
+    # inserted ``_SKIP`` JZ lands on the original instruction its block
+    # precedes.
+    originals = remap_targets(code.instrs, dict(enumerate(block_start)))
     final: List[Instr] = []
-    for idx, ins in enumerate(new_instrs):
-        if idx in pos_of_original and ins.op in op.BRANCHES:
-            final.append(Instr(ins.op, m(ins.a), ins.b))
-        elif idx in pos_of_original and ins.op == op.LSWITCH:
-            final.append(Instr(ins.op, {k: m(v) for k, v in ins.a.items()},
-                               m(ins.b)))
-        else:
-            final.append(ins)
+    for old in range(n):
+        block = inserts.get(old, ())
+        after = block_start[old] + len(block)
+        for b in block:
+            skip = b.op == op.JZ and b.a == _SKIP
+            final.append(Instr(op.JZ, after) if skip
+                         else Instr(b.op, b.a, b.b))
+        final.append(originals[old])
 
     exc_table = [ExcEntry(m(e.start), m(e.end), m(e.handler), e.exc_class)
                  for e in code.exc_table]

@@ -36,17 +36,16 @@ class CrosscheckError(AssertionError):
     """A real-backend run diverged from the virtual-time oracle."""
 
 
-def virtual_request_rows(mix: str = "paper", n_requests: int = 32,
-                         seed: int = 7, **serve_kw: Any
+def virtual_request_rows(mix: str = "paper", **serve_kw: Any
                          ) -> List[Dict[str, Any]]:
-    """Run the virtual oracle and return its per-request rows in
+    """Run the virtual oracle (a :func:`~repro.serve.scheduler.
+    build_serving` description) and return its per-request rows in
     submission order (``sched.requests`` is appended to in ``submit``
     order, which is ``schedule()`` order — the same order the real
     backend numbers its rids in)."""
     from repro.serve.scheduler import build_serving
 
-    sched, load = build_serving(mix=mix, n_requests=n_requests, seed=seed,
-                                **serve_kw)
+    sched, load = build_serving(mix=mix, **serve_kw)
     sched.serve(load)
     rows = []
     # ``sched.requests`` also holds offload *segments* (interleaved
@@ -79,18 +78,16 @@ def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
     the same-seed virtual run, request by request.
 
     Either pass precomputed ``virtual_rows`` or let this run the
-    oracle with ``virtual_kw`` (defaults taken from the real report's
-    mix/seed/count).  Returns a summary dict on success; raises
-    :class:`CrosscheckError` listing every divergent request on
-    failure.
+    oracle on the described run the real report carries (its
+    ``config`` block; ``virtual_kw`` adds oracle-side knobs).  Returns
+    a summary dict on success; raises :class:`CrosscheckError` listing
+    every divergent request on failure.
     """
     from repro.workloads.mixes import expected_request_result, RequestSpec
 
     if virtual_rows is None:
-        virtual_kw.setdefault("mix", real_report["mix"])
-        virtual_kw.setdefault("seed", real_report["seed"])
-        virtual_kw.setdefault("n_requests", real_report["submitted"])
-        virtual_rows = virtual_request_rows(**virtual_kw)
+        virtual_rows = virtual_request_rows(
+            **{**real_report["config"], **virtual_kw})
 
     real_rows = {r["rid"]: r for r in real_report["requests"]}
     problems: List[str] = []

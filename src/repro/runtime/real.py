@@ -195,30 +195,37 @@ class _Worker:
         static marker against the pristine freshly-linked cell (which
         then keeps its identical default), and hand the rest to the
         shared eager-image decoder."""
-        from repro.errors import MigrationError
+        from repro.errors import MigrationError, VMError
         from repro.migration.state import (decode_eager_image, fingerprint,
                                            is_cached_marker)
 
         image = wire.decode(data)
-        rid = image["rid"]
-        for cname, token in image["classes"]:
-            local = self.tokens.get(cname)
-            if local != token:
-                raise MigrationError(
-                    f"class token mismatch for {cname} on {self.name}: "
-                    f"classpaths diverged")
-        ns = f"mig{rid}@{self.name}"
-        loader = self.machine.namespace(ns)
-        statics = image["statics"]
-        for (cname, fname), e in list(statics.items()):
-            if is_cached_marker(e):
-                home = loader.load(cname).find_static_home(fname)
-                if fingerprint(home.statics.get(fname)) != e[1]:
+        try:
+            rid = image["rid"]
+            for cname, token in image["classes"]:
+                local = self.tokens.get(cname)
+                if local != token:
                     raise MigrationError(
-                        f"static marker mismatch for {cname}.{fname} on "
-                        f"{self.name}: default cell diverged")
-                del statics[(cname, fname)]
-        return rid, decode_eager_image(image, self.machine.heap, loader, ns)
+                        f"class token mismatch for {cname} on {self.name}: "
+                        f"classpaths diverged")
+            ns = f"mig{rid}@{self.name}"
+            loader = self.machine.namespace(ns)
+            statics = image["statics"]
+            for (cname, fname), e in list(statics.items()):
+                if is_cached_marker(e):
+                    home = loader.load(cname).find_static_home(fname)
+                    if fingerprint(home.statics.get(fname)) != e[1]:
+                        raise MigrationError(
+                            f"static marker mismatch for {cname}.{fname} "
+                            f"on {self.name}: default cell diverged")
+                    del statics[(cname, fname)]
+            return rid, decode_eager_image(image, self.machine.heap, loader,
+                                           ns)
+        except (LookupError, TypeError, ValueError, AttributeError,
+                VMError) as e:
+            # well-formed wire bytes that are not the shape an image has
+            raise MigrationError(
+                f"malformed eager image on {self.name}: {e!r}") from e
 
     # -- main loop -------------------------------------------------------
 
@@ -309,8 +316,9 @@ class _Worker:
 def _worker_main(conn_, name: str, mix: str, quantum: int) -> None:
     try:
         _Worker(conn_, name, mix, quantum).loop()
-    except (EOFError, OSError):  # parent went away
-        pass
+    except (EOFError, OSError, wire.WireError):
+        pass  # parent went away, or sent a corrupt frame: exit quietly
+        # (the control plane sees a crashed worker and requeues its work)
     finally:
         try:
             conn_.close()
@@ -360,10 +368,13 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     in-flight rids listed, never as a hang.
     """
     from repro.serve.loadgen import LoadGenerator
+    from repro.serve.tenants import TenantSet
     from repro.workloads.mixes import MIXES, expected_request_result
 
     if procs < 1:
         raise ValueError(f"need at least one worker process, got {procs}")
+    if not isinstance(tenants, TenantSet):  # the described (rows) form
+        tenants = TenantSet.from_dict(tenants)
     load = LoadGenerator(MIXES[mix], n_requests, seed=seed,
                          interarrival=interarrival, tenants=tenants,
                          arrival_rate=arrival_rate)
@@ -580,6 +591,8 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                     handle(w, _recv(w.conn))
             except (EOFError, OSError):
                 pass  # the sentinel path owns crash handling
+            except wire.WireError:
+                w.proc.kill()  # a corrupt frame is that worker's crash
         rebalance()
 
     wall = time.perf_counter() - t0
@@ -614,6 +627,12 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     report: Dict[str, Any] = {
         "backend": "real", "mix": mix, "seed": seed, "procs": procs,
         "quantum": quantum, "submitted": n_requests,
+        # the described run (SERVE_KEYS spelling): everything the
+        # cross-checker needs to re-serve this stream on the oracle
+        "config": {"mix": mix, "n_requests": n_requests, "seed": seed,
+                   "interarrival": interarrival,
+                   "tenants": tenants.to_dict() if tenants else None,
+                   "arrival_rate": arrival_rate},
         "served": len(served), "failed": len(failed),
         "unserved": n_requests - len(rows_out),
         "correct": sum(1 for r in served if r["correct"]),

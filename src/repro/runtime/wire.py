@@ -14,7 +14,10 @@ Design constraints:
   layer produces: ``None``/bool/int/float/str/bytes and
   tuple/list/dict compositions thereof (dict keys are arbitrary
   encodable values — the statics table is keyed by ``(class, field)``
-  tuples).
+  tuples).  The decoder is total the other way too: *any* byte string
+  either decodes or raises :class:`WireError` — never another
+  exception, never unbounded recursion (nesting deeper than
+  :data:`MAX_DEPTH` is refused; no producer here nests past ~6).
 * **Canonical**: one value, one byte string.  Ints are
   minimal-length two's-complement; floats are exactly 8 bytes
   (IEEE-754 big-endian, so ``-0.0`` and NaN payloads round-trip);
@@ -66,6 +69,9 @@ CLASS_TOKEN_LEN = 24
 
 _TOKEN_MAGIC = b"RCT1"
 
+#: deepest container nesting :func:`decode` accepts
+MAX_DEPTH = 64
+
 
 def encode(value: Any) -> bytes:
     """Serialize ``value`` to canonical bytes."""
@@ -116,13 +122,13 @@ def decode(data: bytes) -> Any:
     """Parse canonical bytes back into the value.  Rejects trailing
     garbage — a truncated or over-long frame is a protocol bug, not
     something to paper over."""
-    value, pos = _dec(data, 0)
+    value, pos = _dec(data, 0, 0)
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after value")
     return value
 
 
-def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
+def _dec(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     if pos >= len(data):
         raise WireError("truncated wire value")
     tag = data[pos:pos + 1]
@@ -149,23 +155,32 @@ def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
         if tag == b"I":
             return int.from_bytes(body, "big", signed=True), pos
         if tag == b"S":
-            return body.decode("utf-8"), pos
+            try:
+                return body.decode("utf-8"), pos
+            except UnicodeDecodeError as e:
+                raise WireError(f"bad UTF-8 in string: {e}") from e
         return body, pos
     if tag in (b"U", b"L", b"M"):
         if pos + 4 > len(data):
             raise WireError("truncated count")
+        if depth >= MAX_DEPTH:
+            raise WireError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
         n = _U32.unpack_from(data, pos)[0]
         pos += 4
         if tag == b"M":
             d = {}
             for _ in range(n):
-                k, pos = _dec(data, pos)
-                v, pos = _dec(data, pos)
-                d[k] = v
+                k, pos = _dec(data, pos, depth)
+                v, pos = _dec(data, pos, depth)
+                try:
+                    d[k] = v
+                except TypeError as e:  # a list/dict where a key goes
+                    raise WireError(f"unhashable map key: {e}") from e
             return d, pos
         items = []
         for _ in range(n):
-            v, pos = _dec(data, pos)
+            v, pos = _dec(data, pos, depth)
             items.append(v)
         return (tuple(items) if tag == b"U" else items), pos
     raise WireError(f"unknown wire tag {tag!r} at offset {pos - 1}")
@@ -208,28 +223,31 @@ def capture_from_wire(data: bytes) -> Any:
     from repro.migration.state import (CapturedFrame, CapturedState,
                                        FrameMarker)
     v = decode(data)
-    if not (isinstance(v, tuple) and len(v) == 11
-            and v[0] == _CAPTURE_MAGIC):
-        raise WireError("not a wire-encoded CapturedState")
-    (_magic, frames_enc, statics, class_names, home_node, return_to,
-     thread_name, namespace, cached_statics, cached_frames,
-     saved_bytes) = v
-    frames: List[Any] = []
-    for row in frames_enc:
-        if row[0] == "K":
-            frames.append(FrameMarker(fp=row[1]))
-        elif row[0] == "F":
-            frames.append(CapturedFrame(
-                class_name=row[1], method_name=row[2], pc=row[3],
-                raw_pc=row[4], locals=list(row[5])))
-        else:
-            raise WireError(f"unknown frame row tag {row[0]!r}")
-    return CapturedState(
-        frames=frames, statics=statics, class_names=list(class_names),
-        home_node=home_node, return_to=return_to,
-        thread_name=thread_name, namespace=namespace,
-        cached_statics=cached_statics, cached_frames=cached_frames,
-        saved_bytes=saved_bytes)
+    try:
+        (magic, frames_enc, statics, class_names, home_node, return_to,
+         thread_name, namespace, cached_statics, cached_frames,
+         saved_bytes) = v
+        if magic != _CAPTURE_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        frames: List[Any] = []
+        for row in frames_enc:
+            if row[0] == "K":
+                frames.append(FrameMarker(fp=row[1]))
+            elif row[0] == "F":
+                frames.append(CapturedFrame(
+                    class_name=row[1], method_name=row[2], pc=row[3],
+                    raw_pc=row[4], locals=list(row[5])))
+            else:
+                raise ValueError(f"unknown frame row tag {row[0]!r}")
+        return CapturedState(
+            frames=frames, statics=statics, class_names=list(class_names),
+            home_node=home_node, return_to=return_to,
+            thread_name=thread_name, namespace=namespace,
+            cached_statics=cached_statics, cached_frames=cached_frames,
+            saved_bytes=saved_bytes)
+    except (TypeError, ValueError, IndexError) as e:
+        # well-formed wire bytes, but not the shape a capture has
+        raise WireError(f"not a wire-encoded CapturedState: {e}") from e
 
 
 def class_token(name: str, payload: bytes) -> bytes:

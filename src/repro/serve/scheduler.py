@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.topology import Cluster, serve_cluster
 from repro.errors import ClusterError, MigrationError
@@ -225,12 +225,8 @@ class ClusterScheduler:
         #: per-tenant outcome counters + served latencies (report fuel)
         self.tenant_stats: Dict[str, Dict[str, int]] = {}
         self._tenant_lat: Dict[str, List[float]] = {}
-        if self.tenants:
-            for t in self.tenants:
-                self.tenant_stats[t.name] = {
-                    "submitted": 0, "admitted": 0, "shed": 0,
-                    "done": 0, "failed": 0, "quanta": 0}
-                self._tenant_lat[t.name] = []
+        for t in self.tenants or ():
+            self._tstat(t.name)
         #: the request currently holding each node's CPU (or None)
         self.running: Dict[str, Optional[Request]] = {
             n: None for n in self.node_names}
@@ -356,7 +352,9 @@ class ClusterScheduler:
         self._expected = (self._expected or 0) + load.n_requests
         self.env.process(load.admit_proc(self), name="loadgen")
         self.env.run()
-        return self.report()
+        rep = self.report()
+        rep.mix, rep.seed = load.mix.name, load.seed
+        return rep
 
     # -- the load index ----------------------------------------------------
 
@@ -399,7 +397,7 @@ class ClusterScheduler:
             if req.kind == "segment" and req.cancelled:
                 # Its parent was recovered elsewhere while this segment
                 # sat queued: void it, never run it.
-                self._discard_segment(name, req)
+                self._end_segment(name, req)
                 continue
             if (policy is not None and req.kind == "request"
                     and req.thread is None and req.hops < policy.max_hops):
@@ -409,7 +407,9 @@ class ClusterScheduler:
                     self.stats["handoffs"] += 1
                     self._trace("handoff", rid=req.rid, src=name,
                                 dst=target)
-                    self._dispatch_handoff(req, name, target)
+                    self._dispatch(name, target, [(req, 0.0)],
+                                   self.network.transfer_proc,
+                                   DESCRIPTOR_BYTES)
                     continue
             epoch = self.crash_epoch[name]
             self.running[name] = req
@@ -445,7 +445,7 @@ class ClusterScheduler:
                 # void — the response never left the dying node.
                 continue
             if req.kind == "segment" and req.cancelled:
-                self._discard_segment(name, req)
+                self._end_segment(name, req)
                 continue
             if status == "finished":
                 done_dt = self._on_finished(name, req)
@@ -512,107 +512,78 @@ class ClusterScheduler:
 
     # -- deliveries (contention-aware: they ride the link resources) -------
 
-    def _dispatch_handoff(self, req: Request, src: str, target: str) -> None:
-        """Start a descriptor handoff toward ``target``, counted as
-        pending load immediately (before the wire time elapses)."""
-        self.pending[target] += 1
-        self._bump(target, +1, req)
-        self.env.process(self._handoff_proc(req, src, target),
-                         name=f"handoff:{req.rid}")
+    def _dispatch(self, src: str, target: str,
+                  items: List[Tuple[Request, float]],
+                  send: Any, amount: float) -> None:
+        """Start one message toward ``target`` — a handed-off request
+        descriptor, or a bulk of restored segments — with everything in
+        it counted as pending load immediately (before the wire time
+        elapses).  ``send(src, target, amount)`` is the network process
+        that occupies the link for one transmission
+        (``transfer_proc`` of bytes, or ``occupy_proc`` of seconds the
+        engine already priced)."""
+        self.pending[target] += len(items)
+        for r, _ready_at in items:
+            self._bump(target, +1, r)
+        self.env.process(
+            self._delivery_proc(src, target, items, send, amount),
+            name=f"deliver:{src}->{target}")
 
-    def _handoff_proc(self, req: Request, src: str, target: str):
-        """Request descriptor in flight: rides the (src, target) link —
-        queueing FIFO behind any transfer already on the wire — and
-        becomes runnable when delivered (the source keeps serving).
+    def _delivery_proc(self, src: str, target: str,
+                       items: List[Tuple[Request, float]],
+                       send: Any, amount: float):
+        """One message in flight: it rides the (src, target) link —
+        queueing FIFO behind any transfer already on the wire, so an
+        offload storm serializes instead of transferring for free —
+        while the source keeps serving, and each item becomes runnable
+        ``ready_at`` seconds after the message lands (a bulk's segments
+        restore sequentially on the worker; a descriptor is ready at
+        once).
 
         Delivery is leased, not assumed: a drop (link down, endpoint
         crashed) is retransmitted after an exponential backoff up to
-        ``delivery_retries`` times, then the descriptor is requeued at
-        its origin — the request is never lost, only its trip."""
-        env = self.env
+        ``delivery_retries`` times.  After that a descriptor is
+        requeued at its origin — the request is never lost, only its
+        trip — and a segment is *lost in flight*: its restored worker
+        thread is abandoned (live target) or died with the machine
+        (dead target), and its parent re-executes from clean state."""
         attempt = 0
         while True:
-            ok = yield from self.network.transfer_proc(
-                src, target, DESCRIPTOR_BYTES)
-            if ok and target not in self.dead:
-                self.pending[target] -= 1
-                self._bump(target, -1, req)
-                self._enqueue(req, target)
-                return
-            if target in self.dead or attempt >= self.delivery_retries:
-                break  # a dead peer never acks; stop retransmitting
-            attempt += 1
-            self.stats["delivery_retries"] += 1
-            yield env.timeout(DELIVERY_BACKOFF * (2 ** (attempt - 1)))
-        self.pending[target] -= 1
-        self._bump(target, -1, req)
-        self.stats["delivery_drops"] += 1
-        self.stats["requeued_home"] += 1
-        fallback = src if src not in self.dead else self._place_live(req)
-        self._trace("delivery_failed", rid=req.rid, src=src, dst=target,
-                    fallback=fallback)
-        self._enqueue(req, fallback)
-
-    def _dispatch_bulk(self, src: str, target: str,
-                       segs: List[Tuple[Request, float]],
-                       bulk_wire: float) -> None:
-        """Start one bulk segment message toward ``target``; every
-        segment counts as pending load immediately."""
-        self.pending[target] += len(segs)
-        for seg, _restored_at in segs:
-            self._bump(target, +1, seg)
-        self.env.process(self._bulk_proc(src, target, segs, bulk_wire),
-                         name=f"bulk:{src}->{target}")
-
-    def _bulk_proc(self, src: str, target: str,
-                   segs: List[Tuple[Request, float]], bulk_wire: float):
-        """One bulk offload message in flight: occupies the (src,
-        target) link for its wire time — an offload storm serializes on
-        the link instead of transferring for free — then the worker
-        restores segments sequentially (each ``restored_at`` offset is
-        the cumulative restore time after the message lands).
-
-        Like handoffs, the bulk message retries with backoff on a drop;
-        when the retry budget is exhausted (or the target died) every
-        segment in it is *lost in flight* and recovered — the restored
-        worker threads are abandoned (live target) or died with the
-        machine (dead target), and each parent re-executes from clean
-        state."""
-        env = self.env
-        attempt = 0
-        delivered = False
-        while True:
-            ok = yield from self.network.occupy_proc(src, target, bulk_wire)
-            if ok and target not in self.dead:
-                delivered = True
-                break
-            if target in self.dead or attempt >= self.delivery_retries:
+            ok = yield from send(src, target, amount)
+            delivered = ok and target not in self.dead
+            if (delivered or target in self.dead  # a dead peer never acks
+                    or attempt >= self.delivery_retries):
                 break
             attempt += 1
             self.stats["delivery_retries"] += 1
-            yield env.timeout(DELIVERY_BACKOFF * (2 ** (attempt - 1)))
+            yield self.env.timeout(DELIVERY_BACKOFF * (2 ** (attempt - 1)))
         if not delivered:
             self.stats["delivery_drops"] += 1
-            for seg, _restored_at in segs:
-                self.pending[target] -= 1
-                self._bump(target, -1, seg)
-                self._lost_delivery(seg, target)
-            return
         done = 0.0
-        for seg, restored_at in segs:
-            if restored_at > done:
-                yield self.env.timeout(restored_at - done)
-                done = restored_at
+        for r, ready_at in items:
+            if delivered and ready_at > done:
+                yield self.env.timeout(ready_at - done)
+                done = ready_at
             self.pending[target] -= 1
-            self._bump(target, -1, seg)
-            if target in self.dead:
-                # The node died between the message landing and this
-                # segment's restore completing.
-                self._lost_delivery(seg, target)
-            elif seg.cancelled:
-                self._discard_segment(target, seg)
+            self._bump(target, -1, r)
+            if r.kind == "segment":
+                if r.cancelled:
+                    self._end_segment(target, r)
+                elif not delivered or target in self.dead:
+                    # (the node may also die between the message landing
+                    # and this segment's restore completing)
+                    self._end_segment(target, r, "delivery-failed")
+                else:
+                    self._enqueue(r, target)
+            elif delivered:
+                self._enqueue(r, target)
             else:
-                self._enqueue(seg, target)
+                self.stats["requeued_home"] += 1
+                fallback = (src if src not in self.dead
+                            else self._place_live(r))
+                self._trace("delivery_failed", rid=r.rid, src=src,
+                            dst=target, fallback=fallback)
+                self._enqueue(r, fallback)
 
     # -- completion --------------------------------------------------------
 
@@ -779,12 +750,7 @@ class ClusterScheduler:
         # 3. Recover every victim.
         for r in victims:
             if r.kind == "segment":
-                self.active_segments.pop(r.rid, None)
-                if r.cancelled:
-                    r.state = "cancelled"
-                    self.stats["cancelled_segments"] += 1
-                else:
-                    self._recover_parent(r, "node-crash")
+                self._end_segment(name, r, "node-crash")
             elif r.thread is None:
                 # A descriptor: nothing started, nothing lost — just
                 # place it somewhere alive.
@@ -806,31 +772,42 @@ class ClusterScheduler:
         discard the poisoned thread state and recover."""
         self._trace("fault_abort", rid=req.rid, node=name, error=err)
         if req.kind == "segment":
-            self.active_segments.pop(req.rid, None)
-            if req.cancelled:
-                req.state = "cancelled"
-                self.stats["cancelled_segments"] += 1
-                if name not in self.dead and req.thread is not None:
-                    self.engine.abandon_segment(self._host(name), req.thread)
-                return
-            if name not in self.dead and req.thread is not None:
-                self.engine.abandon_segment(self._host(name), req.thread)
-            req.state = "lost"
-            self._recover_parent(req, "dependency-crash")
+            self._end_segment(name, req, "dependency-crash")
         else:
             self._retry(req, "dependency-crash")
 
-    def _recover_parent(self, seg: Request, reason: str) -> None:
-        """A segment is gone (crashed node, failed delivery): resume
-        its parent without it.  A first-hop segment re-executes from
-        home state — the home thread kept its full (stale-above-MSP)
-        stack at migrate time, and the dead worker's dirty writes were
-        never flushed, so requeueing the parent replays exactly the
-        offloaded frames with no double-applied effects.  A chain-hop
-        segment's earlier hops *did* flush partial effects home
-        (rehop's release fence), so only a from-scratch retry under a
-        fresh namespace is safe."""
+    def _end_segment(self, node: str, seg: Request,
+                     reason: Optional[str] = None) -> None:
+        """The one segment death: whoever holds a segment that will
+        never complete — its node crashed, its delivery never (usably)
+        arrived, a dependency died under its quantum (``reason`` says
+        which), or it surfaced *cancelled* on a queue, a CPU or a
+        delivery (``reason=None``) — ends it here, exactly once.
+
+        The engine restored the worker thread eagerly when the message
+        was built, so a *live* ``node`` holds state that must be
+        abandoned (epochs released, ledger staging invalidated on both
+        ends); a dead one lost it with the machine either way.  A
+        cancelled segment's parent was already recovered elsewhere, so
+        nothing more is owed.  Otherwise the parent resumes without it:
+        a first-hop segment re-executes from home state — the home
+        thread kept its full (stale-above-MSP) stack at migrate time,
+        and the lost worker's dirty writes were never flushed, so
+        requeueing the parent replays exactly the offloaded frames with
+        no double-applied effects.  A chain-hop segment's earlier hops
+        *did* flush partial effects home (rehop's release fence), so
+        only a from-scratch retry under a fresh namespace is safe."""
         self.active_segments.pop(seg.rid, None)
+        if node not in self.dead and seg.thread is not None:
+            self.engine.abandon_segment(self._host(node), seg.thread)
+        if seg.cancelled:
+            seg.state = "cancelled"
+            self.stats["cancelled_segments"] += 1
+            if reason is None:
+                # (when a fault takes a cancelled segment, that fault's
+                # own event is the record — recorded traces pin this)
+                self._trace("discard_segment", rid=seg.rid, node=node)
+            return
         seg.state = "lost"
         parent = seg.parent
         if parent.state != "remote":
@@ -847,32 +824,6 @@ class ClusterScheduler:
                         mode="retry", reason=reason)
             self._retry(parent, reason)
 
-    def _lost_delivery(self, seg: Request, target: str) -> None:
-        """A segment delivery never (usably) arrived.  The engine
-        restored the worker thread eagerly when the message was built,
-        so a *live* target holds state that must be abandoned (epochs
-        released, ledger staging invalidated on both ends); a dead
-        target lost it with the machine either way."""
-        if seg.cancelled:
-            self._discard_segment(target, seg)
-            return
-        self.active_segments.pop(seg.rid, None)
-        if target not in self.dead and seg.thread is not None:
-            self.engine.abandon_segment(self._host(target), seg.thread)
-        seg.state = "lost"
-        self._recover_parent(seg, "delivery-failed")
-
-    def _discard_segment(self, node: str, seg: Request) -> None:
-        """A cancelled segment surfaced on a live node: its parent was
-        already recovered elsewhere, so release the worker-side state
-        and ship nothing."""
-        self.active_segments.pop(seg.rid, None)
-        seg.state = "cancelled"
-        self.stats["cancelled_segments"] += 1
-        if seg.thread is not None and node not in self.dead:
-            self.engine.abandon_segment(self._host(node), seg.thread)
-        self._trace("discard_segment", rid=seg.rid, node=node)
-
     def _cancel_segment(self, seg: Request) -> None:
         """Void a live segment of a recovered parent: wherever it is
         (queued, running, riding a delivery), its holder discards it on
@@ -883,7 +834,7 @@ class ClusterScheduler:
             store = self.stores.get(node)
             if store is not None and store.remove(seg):
                 self._bump(node, -1, seg)
-                self._discard_segment(node, seg)
+                self._end_segment(node, seg)
 
     def _retry(self, req: Request, reason: str) -> None:
         """Restart ``req`` from scratch on a live node: cancel its live
@@ -938,7 +889,6 @@ class ClusterScheduler:
         compute than its capture + wire + restore cost."""
         policy = self.offload
         home = self._host(node)
-        machine = home.machine
         store = self.stores[node]
         candidates = []
         examined = 0
@@ -969,53 +919,19 @@ class ClusterScheduler:
             policy.mig_frames,
             min(max_migratable(r.thread) for r in batch),
             min(r.depth - 1 for r in batch)))
-        t0 = machine.clock
-        try:
-            _worker, results = self.engine.migrate_many(
-                home, [r.thread for r in batch], target, nframes)
-        except MigrationError:
-            # Not capturable right now (finished during the MSP run,
-            # pinned frame, ...): put everything back.  Completion
-            # durations (write-back wire + apply) stay on the node's
-            # virtual bill, like the main loop's done_dt.
-            self.stats["offload_aborts"] += 1
-            done_dt = 0.0
-            requeue = []
-            for r in batch:
-                if r.thread.finished:
-                    done_dt += self._on_finished(node, r)
-                else:
-                    r.state = "queued"
-                    requeue.append(r)
-                    self._bump(node, +1, r)
-            store.put_many(requeue)
-            return machine.clock - t0 + done_dt
-        capture_dt = machine.clock - t0
-        if candidates:
-            self.stats["batched_threads"] += len(batch)
-        # Delivery timing: the whole bulk message must land before any
-        # restore starts (per-record transfer_time is the bulk evenly
-        # attributed, so summing recovers it), and restores run
-        # sequentially on the worker — segment k is runnable only after
-        # restores 1..k.
-        bulk_wire = sum(rec.transfer_time for _wt, rec in results)
-        restored = 0.0
-        segs: List[Tuple[Request, float]] = []
-        for r, (wt, rec) in zip(batch, results):
-            r.state = "remote"
-            r.sod_offloads += 1
-            self.stats["sod_offloads"] += 1
-            restored += rec.restore_time + rec.worker_spawn_time
-            seg = Request(rid=self._take_rid(), kind="segment", parent=r,
-                          arrival=self.env.now, thread=wt,
-                          host_node=target, nframes=nframes,
-                          tenant=r.tenant)
-            self.active_segments[seg.rid] = seg
-            segs.append((seg, restored))
-        self._trace("offload", src=node, dst=target,
-                    segs=[(s.rid, s.parent.rid) for s, _ in segs])
-        self._dispatch_bulk(node, target, segs, bulk_wire)
-        return capture_dt
+        dt, shipped = self._ship_off(
+            node, batch, target,
+            lambda: self.engine.migrate_many(
+                home, [r.thread for r in batch], target, nframes)[1])
+        if shipped:
+            if candidates:
+                self.stats["batched_threads"] += len(batch)
+            segs = [(self._new_segment(r, wt, target, nframes), rec)
+                    for r, (wt, rec) in zip(batch, shipped)]
+            self._trace("offload", src=node, dst=target,
+                        segs=[(s.rid, s.parent.rid) for s, _ in segs])
+            self._dispatch_bulk(node, target, segs)
+        return dt
 
     def _seg_rehop(self, node: str, seg: Request, target: str) -> float:
         """Move a preempted segment one hop further along a Fig. 1c
@@ -1031,42 +947,86 @@ class ClusterScheduler:
         while the transfer rides the link)."""
         home_host = self._host(seg.parent.host_node)
         src = self._host(node)
-        machine = src.machine
+        dt, shipped = self._ship_off(
+            node, [seg], target,
+            lambda: [self.engine.rehop_segment(
+                src, seg.thread, target, home_host)[1:]])
+        if shipped:
+            (wt, rec), = shipped
+            self.stats["seg_rehops"] += 1
+            self.active_segments.pop(seg.rid, None)
+            hop = self._new_segment(seg.parent, wt, target, seg.nframes,
+                                    hops=seg.hops + 1, instrs=seg.instrs)
+            self._trace("rehop", src=node, dst=target, seg=hop.rid,
+                        rid=seg.parent.rid, hops=hop.hops)
+            self._dispatch_bulk(node, target, [(hop, rec)])
+        return dt
+
+    def _ship_off(self, node: str, batch: List[Request], target: str,
+                  ship: Any) -> Tuple[float, List[Tuple[Any, Any]]]:
+        """Ship ``batch``'s top frames off ``node`` (``ship()`` is the
+        engine call; it returns one ``(worker thread, record)`` per
+        batch entry) or put everything back.  Returns the node's
+        virtual bill — the capture time; transfer + restore ride a
+        delivery process so the source keeps serving — and what
+        shipped (empty after an abort)."""
+        machine = self._host(node).machine
         t0 = machine.clock
         try:
-            worker, wt, rec = self.engine.rehop_segment(
-                src, seg.thread, target, home_host)
+            shipped = ship()
         except MigrationError:
             # Not capturable right now (finished during the MSP run,
-            # pinned frame, cross-home statics at the target...).
+            # pinned frame, cross-home statics at the target, ...): put
+            # everything back.  Completion durations (write-back wire +
+            # apply) stay on the node's virtual bill, like the main
+            # loop's done_dt.
             self.stats["offload_aborts"] += 1
             done_dt = 0.0
-            if seg.thread.finished:
-                done_dt = self._on_finished(node, seg)
-            else:
-                seg.state = "queued"
-                self._bump(node, +1, seg)
-                self.stores[node].put(seg)
-            return machine.clock - t0 + done_dt
-        capture_dt = machine.clock - t0
-        seg.state = "remote"  # this hop's request object is done
-        seg.parent.sod_offloads += 1
-        self.stats["seg_rehops"] += 1
+            requeue = []
+            for r in batch:
+                if r.thread.finished:
+                    done_dt += self._on_finished(node, r)
+                else:
+                    r.state = "queued"
+                    requeue.append(r)
+                    self._bump(node, +1, r)
+            self.stores[node].put_many(requeue)
+            return machine.clock - t0 + done_dt, []
+        for r in batch:
+            # A parent now waits for its frames to come home; a
+            # re-hopped segment's request object is simply done.
+            r.state = "remote"
+        return machine.clock - t0, shipped
+
+    def _new_segment(self, parent: Request, thread: Any, target: str,
+                     nframes: int, hops: int = 0, instrs: int = 0
+                     ) -> Request:
+        """The one segment birth: ``parent``'s top ``nframes`` frames,
+        restored as ``thread`` on ``target`` (``hops``/``instrs`` carry
+        a chain's history onto its next hop)."""
+        parent.sod_offloads += 1
         self.stats["sod_offloads"] += 1
-        hop = Request(rid=self._take_rid(), kind="segment",
-                      parent=seg.parent, arrival=self.env.now, thread=wt,
-                      host_node=target, nframes=seg.nframes,
-                      hops=seg.hops + 1, instrs=seg.instrs,
-                      tenant=seg.tenant)
-        self.active_segments.pop(seg.rid, None)
-        self.active_segments[hop.rid] = hop
-        self._trace("rehop", src=node, dst=target, seg=hop.rid,
-                    rid=seg.parent.rid, hops=hop.hops)
-        self._dispatch_bulk(
-            node, target,
-            [(hop, rec.restore_time + rec.worker_spawn_time)],
-            rec.transfer_time)
-        return capture_dt
+        seg = Request(rid=self._take_rid(), kind="segment", parent=parent,
+                      arrival=self.env.now, thread=thread,
+                      host_node=target, nframes=nframes, hops=hops,
+                      instrs=instrs, tenant=parent.tenant)
+        self.active_segments[seg.rid] = seg
+        return seg
+
+    def _dispatch_bulk(self, src: str, target: str,
+                       segs: List[Tuple[Request, Any]]) -> None:
+        """One bulk segment message: the whole message must land before
+        any restore starts (per-record ``transfer_time`` is the bulk
+        evenly attributed, so summing recovers it), and restores run
+        sequentially on the worker — segment k is runnable only after
+        restores 1..k."""
+        restored = 0.0
+        items = []
+        for seg, rec in segs:
+            restored += rec.restore_time + rec.worker_spawn_time
+            items.append((seg, restored))
+        self._dispatch(src, target, items, self.network.occupy_proc,
+                       sum(rec.transfer_time for _seg, rec in segs))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -1183,93 +1143,172 @@ class ClusterScheduler:
             quantum=self.quantum, tenants=tenant_blocks)
 
 
-# -- one-call sweep entry ------------------------------------------------------
+# -- describing and resolving a serving run ------------------------------------
 
-_PLACEMENTS = {
+PLACEMENTS = {
     "round-robin": WeightedRoundRobinPlacement,
     "front-door": FrontDoorPlacement,
 }
 
-_OFFLOADS = {
+OFFLOADS = {
     "queue-depth": QueueDepthPolicy,
     "clock-pressure": ClockPressurePolicy,
-    "none": lambda: None,
+}
+
+#: Every knob that *describes* a serving run, spelled the way a trace's
+#: ``config`` block, the ``serve`` CLI and ``build_serving``'s keywords
+#: all spell it: key -> (default, virtual-only?, meaning).  The one
+#: table of serving keys and defaults — :func:`resolve_config` fills
+#: from it, the CLI builds its flags and its ``--backend real``
+#: refusals from it, and the README's flag table is checked against it.
+#: ``None`` = off / the layer's own default; a virtual-only key is
+#: defined in terms of the modeled clock or cluster, so wall-clock mode
+#: refuses it.
+SERVE_KEYS: Dict[str, Tuple[Any, bool, str]] = {
+    "mix": ("parallel", False,
+            "request mix to draw from (`repro.workloads.MIXES`)"),
+    "n_nodes": (4, True, "cluster size (real mode sizes with --procs)"),
+    "n_requests": (32, False, "requests in the stream"),
+    "seed": (7, False, "load-generator seed"),
+    "quantum": (2500, True, "guest instructions per time slice"),
+    "interarrival": (0.0, False,
+                     "fixed virtual seconds between admissions "
+                     "(0 = burst)"),
+    "placement": ("round-robin", True,
+                  "first-queue placement: round-robin or front-door"),
+    "offload": ("queue-depth", True,
+                "SOD offload policy: queue-depth, clock-pressure or none"),
+    "max_seg_hops": (0, True,
+                     "chain hops a migrated segment may take beyond its "
+                     "first offload (Fig. 1c; 0 = single-hop)"),
+    "rack_size": (4, True, "nodes per rack in the serve topology"),
+    "staleness": (None, True,
+                  "gossip digest staleness bound, virtual seconds "
+                  "(0 = always fresh; None = 1 ms)"),
+    "isolation": ("auto", True,
+                  "per-request static isolation: auto = fresh "
+                  "class-loader namespace for non-reentrant programs "
+                  "(FFT/TSP), all = every request, off = shared cells"),
+    "shed_at": (None, True,
+                "admission threshold: shed when every rack's lightest "
+                "node is at/above this weighted load (static: fixed; "
+                "adaptive: the initial guess)"),
+    "max_retries": (3, True,
+                    "from-scratch restarts one request may take after "
+                    "faults before it fails"),
+    "chaos_seed": (None, True,
+                   "derive a seeded random fault plan (crashes, link "
+                   "failures, stragglers); same seed = same disaster"),
+    "chaos_horizon": (0.01, True,
+                      "virtual seconds within which chaos_seed's "
+                      "faults land"),
+    "fault_plan": (None, True,
+                   "explicit fault schedule (`FaultPlan.to_dict()`; what "
+                   "chaos_seed materializes to)"),
+    "tenants": (None, False,
+                "tenant set (`Tenant.to_dict()` rows): weighted fair "
+                "queues, priorities, namespace pools, rate factors; "
+                "needs arrival_rate"),
+    "arrival_rate": (None, False,
+                     "open-loop Poisson arrivals, requests per virtual "
+                     "second (per tenant: times its rate factor)"),
+    "admission": (None, True,
+                  "admission control: static = shed at the fixed "
+                  "shed_at; adaptive = learn the threshold (AIMD on "
+                  "windowed P95 vs slo), shedding per tenant by "
+                  "priority"),
+    "slo": (None, True,
+            "adaptive admission's end-to-end P95 target, virtual "
+            "seconds (None = 0.1)"),
 }
 
 
-def build_serving(mix: str = "parallel", n_nodes: int = 4,
-                  n_requests: int = 32, seed: int = 7,
-                  quantum: int = 2500, interarrival: float = 0.0,
-                  placement: Union[str, Placement] = "round-robin",
-                  offload: Union[str, OffloadPolicy, None] = "queue-depth",
+def resolve_config(config: Optional[Dict[str, Any]] = None
+                   ) -> Dict[str, Any]:
+    """Canonicalize a partial description of a serving run: fill
+    :data:`SERVE_KEYS` defaults, reject unknown keys, and materialize
+    ``chaos_seed`` into an explicit fault plan so the description is
+    self-contained (a replayed trace never re-derives anything)."""
+    cfg = {k: row[0] for k, row in SERVE_KEYS.items()}
+    for k, v in (config or {}).items():
+        if k not in cfg:
+            raise ValueError(f"unknown serving config key {k!r}")
+        cfg[k] = v
+    if cfg["fault_plan"] is None and cfg["chaos_seed"] is not None:
+        # Imported lazily (here and below): repro.chaos imports this
+        # module, so a top-level import would be circular.
+        from repro.chaos.faults import random_plan
+        cfg["fault_plan"] = random_plan(
+            [f"node{i}" for i in range(cfg["n_nodes"])],
+            cfg["chaos_seed"], horizon=cfg["chaos_horizon"]).to_dict()
+    return cfg
+
+
+def build_serving(mix: Optional[str] = None, *,
                   cpu_weights: Optional[List[float]] = None,
                   cost: Optional[CostModel] = None,
-                  rack_size: int = 4,
-                  staleness: float = DEFAULT_STALENESS,
-                  isolation: str = "auto",
-                  admission: Optional[Any] = None,
-                  fault_plan: Optional[Any] = None,
-                  tracer: Optional[Any] = None,
-                  max_retries: int = 3,
-                  tenants: Optional[TenantSet] = None,
-                  arrival_rate: Optional[float] = None
+                  tracer: Optional[Any] = None, **described: Any
                   ) -> Tuple["ClusterScheduler", LoadGenerator]:
-    """Build a ready-to-run (scheduler, load generator) pair for a
-    named mix on a fresh ``serve_cluster(n_nodes)`` — the shared
-    construction path of :func:`serve_mix` and the chaos layer's
-    record/replay runner (which needs the scheduler itself for the
-    per-request summary, not just the report)."""
-    mixobj = MIXES[mix]
-    cluster = serve_cluster(n_nodes, cpu_weights=cpu_weights,
-                            rack_size=rack_size)
+    """Build a ready-to-run (scheduler, load generator) pair on a fresh
+    ``serve_cluster(n_nodes)`` — the only place a *described* run turns
+    into objects.  ``described`` takes the :data:`SERVE_KEYS` keys, each
+    in its JSON form (what a trace's ``config`` block and the CLI hold:
+    names, numbers, ``to_dict`` rows) or, for ``placement`` /
+    ``offload`` / ``admission`` / ``tenants`` / ``fault_plan``, as the
+    already-built object (which then wins over the scalar knobs that
+    would have parameterized it)."""
+    if mix is not None:
+        described["mix"] = mix
+    cfg = resolve_config(described)
+    mixobj = MIXES[cfg["mix"]]
+    cluster = serve_cluster(cfg["n_nodes"], cpu_weights=cpu_weights,
+                            rack_size=cfg["rack_size"])
+    placement, offload = cfg["placement"], cfg["offload"]
     if isinstance(placement, str):
-        placement = _PLACEMENTS[placement]()
+        placement = PLACEMENTS[placement]()
     if isinstance(offload, str):
-        offload = _OFFLOADS[offload]()
-    sched = ClusterScheduler(cluster, serve_classpath(mixobj.programs()),
-                             cost=cost, quantum=quantum,
-                             placement=placement, offload=offload,
-                             staleness=staleness, isolation=isolation,
-                             admission=admission, tracer=tracer,
-                             max_retries=max_retries, tenants=tenants)
-    if fault_plan is not None:
-        # Imported lazily: repro.chaos imports this module for the
-        # trace runner, so a top-level import would be circular.
+        offload = (None if offload == "none" else
+                   OFFLOADS[offload](max_seg_hops=cfg["max_seg_hops"]))
+    admission, shed_at = cfg["admission"], cfg["shed_at"]
+    if admission == "adaptive":
+        knobs = {"slo": cfg["slo"], "init_load": shed_at}
+        admission = AdaptiveShed(
+            **{k: v for k, v in knobs.items() if v is not None})
+    elif admission == "static" or (admission is None
+                                   and shed_at is not None):
+        if shed_at is None:
+            raise ValueError("admission 'static' sheds at a fixed "
+                             "threshold: set shed_at (--shed-at)")
+        admission = ShedWhenSaturated(max_node_load=shed_at)
+    elif isinstance(admission, str):
+        raise ValueError(f"unknown admission {admission!r}")
+    tenants = cfg["tenants"]
+    if not isinstance(tenants, TenantSet):
+        tenants = TenantSet.from_dict(tenants)
+    sched = ClusterScheduler(
+        cluster, serve_classpath(mixobj.programs()), cost=cost,
+        quantum=cfg["quantum"], placement=placement, offload=offload,
+        staleness=(DEFAULT_STALENESS if cfg["staleness"] is None
+                   else cfg["staleness"]),
+        isolation=cfg["isolation"], admission=admission, tracer=tracer,
+        max_retries=cfg["max_retries"], tenants=tenants)
+    plan = cfg["fault_plan"]
+    if plan is not None:
+        from repro.chaos.faults import FaultPlan
         from repro.chaos.injector import ChaosInjector
-        ChaosInjector(sched, fault_plan).start()
-    load = LoadGenerator(mixobj, n_requests, seed=seed,
-                         interarrival=interarrival,
-                         tenants=tenants, arrival_rate=arrival_rate)
+        if isinstance(plan, dict):
+            plan = FaultPlan.from_dict(plan)
+        ChaosInjector(sched, plan).start()
+    load = LoadGenerator(mixobj, cfg["n_requests"], seed=cfg["seed"],
+                         interarrival=cfg["interarrival"],
+                         tenants=tenants,
+                         arrival_rate=cfg["arrival_rate"])
     return sched, load
 
 
-def serve_mix(mix: str = "parallel", n_nodes: int = 4,
-              n_requests: int = 32, seed: int = 7,
-              quantum: int = 2500, interarrival: float = 0.0,
-              placement: Union[str, Placement] = "round-robin",
-              offload: Union[str, OffloadPolicy, None] = "queue-depth",
-              cpu_weights: Optional[List[float]] = None,
-              cost: Optional[CostModel] = None,
-              rack_size: int = 4,
-              staleness: float = DEFAULT_STALENESS,
-              isolation: str = "auto",
-              admission: Optional[Any] = None,
-              fault_plan: Optional[Any] = None,
-              tracer: Optional[Any] = None,
-              max_retries: int = 3,
-              tenants: Optional[TenantSet] = None,
-              arrival_rate: Optional[float] = None) -> ServeReport:
-    """Serve ``n_requests`` drawn from a named mix on a fresh
-    ``serve_cluster(n_nodes)`` and return the report.  Deterministic:
-    same arguments (fault plan and tenant set included), same report."""
-    sched, load = build_serving(
-        mix=mix, n_nodes=n_nodes, n_requests=n_requests, seed=seed,
-        quantum=quantum, interarrival=interarrival, placement=placement,
-        offload=offload, cpu_weights=cpu_weights, cost=cost,
-        rack_size=rack_size, staleness=staleness, isolation=isolation,
-        admission=admission, fault_plan=fault_plan, tracer=tracer,
-        max_retries=max_retries, tenants=tenants, arrival_rate=arrival_rate)
-    rep = sched.serve(load)
-    rep.mix = mix
-    rep.seed = seed
-    return rep
+def serve_mix(*args: Any, **kw: Any) -> ServeReport:
+    """Serve the run :func:`build_serving` builds from the same
+    arguments and return the report.  Deterministic: same arguments
+    (fault plan and tenant set included), same report."""
+    sched, load = build_serving(*args, **kw)
+    return sched.serve(load)

@@ -87,12 +87,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import ClassFile, CodeObject
 from repro.errors import LinkError, NativeError, VMError
-from repro.preprocess.fuse import (F_CCMP_JNZ, F_CCMP_JZ, F_CMP_JNZ,
-                                   F_CMP_JZ, F_CONST_STORE,
+from repro.preprocess.fuse import (F_CCMP_JZ, F_CMP_JZ, F_CONST_STORE,
                                    F_GETS_LOAD_ALOAD, F_INC, F_L_ALOAD,
-                                   F_LC_ARITH, F_LC_CMP_JNZ, F_LC_CMP_JZ,
-                                   F_LC_OP2, F_LGS_CMP_JNZ, F_LGS_CMP_JZ,
-                                   F_LL_ALOAD, F_LL_ARITH, F_LL_CMP_JNZ,
+                                   F_LC_ARITH, F_LC_CMP_JZ, F_LC_OP2,
+                                   F_LGS_CMP_JZ, F_LL_ALOAD, F_LL_ARITH,
                                    F_LL_CMP_JZ, F_LL_OP2, F_LOAD_CONST,
                                    F_LOAD_GETF, F_LOAD_JNZ, F_LOAD_JZ,
                                    F_LOAD_LOAD, decode_and_fuse)
@@ -513,9 +511,8 @@ class Machine:
         I_INVOKESTATIC = _I_INVOKESTATIC; I_INVOKEVIRT = _I_INVOKEVIRT
         I_NATIVE = _I_NATIVE; I_RET = _I_RET; I_RETV = _I_RETV
         BIN_LO = _I_BINOP_LO; BIN_HI = _I_BINOP_HI
-        FI_LL_CMP_JZ = F_LL_CMP_JZ; FI_LL_CMP_JNZ = F_LL_CMP_JNZ
-        FI_LC_CMP_JZ = F_LC_CMP_JZ; FI_LC_CMP_JNZ = F_LC_CMP_JNZ
-        FI_CMP_JZ = F_CMP_JZ; FI_CMP_JNZ = F_CMP_JNZ
+        FI_LL_CMP_JZ = F_LL_CMP_JZ; FI_LC_CMP_JZ = F_LC_CMP_JZ
+        FI_CMP_JZ = F_CMP_JZ
         FI_LL_OP2 = F_LL_OP2; FI_LL_ARITH = F_LL_ARITH
         FI_LC_OP2 = F_LC_OP2; FI_LC_ARITH = F_LC_ARITH
         FI_INC = F_INC; FI_LL_ALOAD = F_LL_ALOAD
@@ -523,8 +520,7 @@ class Machine:
         FI_CONST_STORE = F_CONST_STORE; FI_LOAD_GETF = F_LOAD_GETF
         FI_GLA = F_GETS_LOAD_ALOAD
         FI_LOAD_JZ = F_LOAD_JZ; FI_LOAD_JNZ = F_LOAD_JNZ
-        FI_LGS_CMP_JZ = F_LGS_CMP_JZ; FI_LGS_CMP_JNZ = F_LGS_CMP_JNZ
-        FI_CCMP_JZ = F_CCMP_JZ; FI_CCMP_JNZ = F_CCMP_JNZ
+        FI_LGS_CMP_JZ = F_LGS_CMP_JZ; FI_CCMP_JZ = F_CCMP_JZ
         FI_L_ALOAD = F_L_ALOAD
         try:
             while frames:
@@ -611,8 +607,6 @@ class Machine:
                                 else ins[2]
                         elif oid == FI_CCMP_JZ:
                             pc = pc + 3 if ins[5](pop(), ins[1]) else ins[2]
-                        elif oid == FI_CCMP_JNZ:
-                            pc = ins[2] if ins[5](pop(), ins[1]) else pc + 3
                         elif oid == FI_L_ALOAD:
                             arr = pop()
                             idx = locs[ins[1]]
@@ -705,31 +699,6 @@ class Machine:
                             b = pop()
                             a = pop()
                             pc = pc + 2 if ins[5](a, b) else ins[1]
-                        elif oid == FI_CMP_JNZ:
-                            b = pop()
-                            a = pop()
-                            pc = ins[1] if ins[5](a, b) else pc + 2
-                        elif oid == FI_LL_CMP_JNZ:
-                            s = ins[1]
-                            pc = ins[2] if ins[5](locs[s[0]], locs[s[1]]) \
-                                else pc + 4
-                        elif oid == FI_LC_CMP_JNZ:
-                            s = ins[1]
-                            pc = ins[2] if ins[5](locs[s[0]], s[1]) \
-                                else pc + 4
-                        elif oid == FI_LGS_CMP_JNZ:
-                            s = ins[1]
-                            aux = ins[5]
-                            cell = aux[1]
-                            c = cell[0]
-                            if c is None:
-                                cls_name, fname = s[1]
-                                home = self.loader.load(
-                                    cls_name).find_static_home(fname)
-                                c = (home.statics, fname)
-                                cell[0] = c
-                            pc = ins[2] if aux[0](locs[s[0]], c[0][c[1]]) \
-                                else pc + 4
                         elif oid == FI_LOAD_GETF:
                             obj = locs[ins[1]]
                             fname = ins[2]

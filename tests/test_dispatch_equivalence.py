@@ -204,6 +204,46 @@ def test_fast_and_unfused_share_results():
     _assert_equivalent(classes, ("L", "sum"), (200,))
 
 
+def test_hand_assembled_compare_jnz_runs_unfused():
+    """The compiler never emits compare+JNZ (``||`` lowers to ``DUP;
+    JNZ``), so there are no compare+JNZ superinstructions; assembled
+    code that does use the sequence still executes — through the
+    LOAD+LOAD+cmp / plain-JNZ decodes — identically to the legacy loop."""
+    from repro.bytecode import ClassFile, assemble
+    code = assemble("""
+    method H.count static params=1 locals=2
+      line 1
+      CONST 0
+      STORE 1
+    Ltop:
+      line 2
+      LOAD 1
+      CONST 1
+      ADD
+      STORE 1
+      LOAD 1
+      LOAD 0
+      LT
+      JNZ Ltop
+      LOAD 1
+      CONST 7
+      EQ
+      JNZ Lseven
+      LOAD 1
+      RETV
+    Lseven:
+      CONST -7
+      RETV
+    """)
+    classes = {"H": ClassFile("H", None, [], {"count": code})}
+    m = Machine(classes, dispatch="fast", fuse=True)
+    cov = fused_coverage(m.decoded(m.loader.load("H").find_method("count")))
+    assert not any("JNZ" in k and "cmp" in k for k in cov), cov
+    for n, want in ((5, 5), (7, -7)):
+        ref = _assert_equivalent(classes, ("H", "count"), (n,))
+        assert ref.call("H", "count", [n]) == want
+
+
 # -- suspension and resumption mid-fused-sequence -----------------------------
 
 def _interior_bci(stream):

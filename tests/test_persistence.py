@@ -79,6 +79,19 @@ def test_nonfinite_floats_roundtrip():
     assert back.frames[0].locals == [float("inf"), float("-inf")]
 
 
+def test_delta_capture_markers_roundtrip(captured):
+    """A delta capture elides retained frames as ``FrameMarker`` rows
+    and unchanged statics as ``@cached`` markers; the checkpoint writes
+    both (it used to die on the marker's missing ``class_name``)."""
+    from repro.migration.state import CACHED_TAG, FrameMarker
+    _eng, _home, _t, state = captured
+    state.frames.insert(0, FrameMarker(fp=123456789))
+    state.statics[("Job", "cfg")] = (CACHED_TAG, 42)
+    back = state_from_json(state_to_json(state))
+    assert back.frames == state.frames
+    assert back.statics == state.statics
+
+
 def test_bad_checkpoint_rejected():
     with pytest.raises(MigrationError):
         state_from_json("not json {")

@@ -83,8 +83,10 @@ def test_differential_with_tenants_preserves_attribution():
     tenants = parse_tenants("gold:w=3,free:w=1")
     rep = _real(n=N_SMALL, tenants=tenants, arrival_rate=50.0)
     assert rep.get("tenants"), "per-tenant counters missing"
-    summary = crosscheck_real_vs_virtual(rep, tenants=tenants,
-                                         arrival_rate=50.0)
+    # the report carries the described run (tenants rows, arrival
+    # rate), so the oracle needs nothing handed to it a second time
+    assert rep["config"]["tenants"] == tenants.to_dict()
+    summary = crosscheck_real_vs_virtual(rep)
     assert summary["ok"]
 
 
@@ -186,6 +188,50 @@ def test_worker_crash_recovers_like_chaos_crash_node():
     # the survivor finished the dead worker's share
     survivors = {r["worker"] for r in rep["requests"]}
     assert "proc1" in survivors
+
+
+def test_corrupt_frame_from_a_worker_is_that_workers_crash(monkeypatch):
+    """A frame the wire decoder refuses means the pipe's stream can no
+    longer be trusted: the control plane kills that worker and the
+    ordinary crash path requeues what it owed — no raw traceback, no
+    lost request."""
+    from repro.runtime import real, wire
+    parent_pid = os.getpid()
+    recv = real._recv
+    fired = []
+
+    def flaky_recv(conn_):
+        msg = recv(conn_)
+        # (forked workers inherit this patch; only the parent trips it)
+        if os.getpid() == parent_pid and not fired and msg[0] == "done":
+            fired.append(msg)
+            raise wire.WireError("bad UTF-8 in string")
+        return msg
+
+    monkeypatch.setattr(real, "_recv", flaky_recv)
+    rep = _real(n=8, procs=2)
+    assert fired and rep["sched"]["crashes"] == 1
+    assert rep["served"] == rep["correct"] == 8
+    crosscheck_real_vs_virtual(rep)
+
+
+def test_corrupt_frame_to_a_worker_exits_it_quietly():
+    """Worker side of the same rule: undecodable control bytes end the
+    worker process cleanly (exit code 0, nothing on stderr) — to the
+    control plane that is a crash like any other."""
+    import multiprocessing
+    from repro.runtime.real import _worker_main
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_worker_main,
+                       args=(child, "w", "paper", REAL_QUANTUM))
+    proc.start()
+    child.close()
+    assert parent.recv_bytes()  # the worker came up and reported idle
+    parent.send_bytes(b"S\x00\x00\x00\x01\xff")
+    proc.join(timeout=30.0)
+    assert proc.exitcode == 0
+    parent.close()
 
 
 def test_wedged_run_hits_the_deadline_not_a_hang():
