@@ -180,3 +180,23 @@ def stack_effect(op: str, a=None, b=None) -> Tuple[int, int]:
 def is_call(op: str) -> bool:
     """True for opcodes that create a new frame or leave the VM."""
     return op in (INVOKESTATIC, INVOKEVIRT, NATIVE)
+
+
+# -- the preemption rule ---------------------------------------------------
+#
+# A scheduler quantum (``Machine.run(quantum=N)``) expires only *before
+# executing a safepoint instruction*, once the run has executed at least
+# N instructions.  This is the only statement of which instructions
+# those are; every execution loop (the hooked loop, tier 1, tier-2
+# generated code) and the fuser's never-fuse check read it from here,
+# so where a thread is preempted never depends on which loop ran it.
+
+#: opcodes that are a safepoint wherever they appear
+SAFEPOINT_OPS = frozenset({INVOKESTATIC, INVOKEVIRT, NATIVE, RET, RETV})
+
+
+def is_safepoint(op: str, a, bci: int) -> bool:
+    """True if the instruction ``op a`` at ``bci`` is a preemption
+    safepoint: a call, a native, a return, or a loop back-edge (a
+    ``JMP`` whose target is not ahead of it)."""
+    return op in SAFEPOINT_OPS or (op == JMP and a <= bci)

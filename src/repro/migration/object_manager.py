@@ -203,8 +203,7 @@ class WorkerObjectManager:
 
     def _on_write(self, target: Any) -> None:
         if isinstance(target, VMClass):
-            home = self.thread_home.get(
-                getattr(self.machine, "current_thread", None))
+            home = self.thread_home.get(self.machine.current_thread)
             ns = target.namespace
             for fname in target.statics:
                 self.dirty_statics[(ns, target.name, fname)] = (target, home)
@@ -373,7 +372,7 @@ class WorkerObjectManager:
 
     def _track_fetch(self, key: Tuple[int, str]) -> None:
         """Attribute a fetched cache entry to the thread that faulted."""
-        thread = getattr(self.machine, "current_thread", None)
+        thread = self.machine.current_thread
         if thread is not None:
             self.fetched_by.setdefault(thread, []).append(key)
 

@@ -43,8 +43,10 @@ Safety rules for patterns:
   have charged and reported for a last-component fault;
 * fused groups never include opcodes with frame effects (calls,
   returns, throws) or host-visible hooks (``PUTF``/``PUTS``/``ASTORE``
-  write barriers, ``NATIVE``), so the zero-overhead loop's safepoint
-  discipline is untouched.
+  write barriers, ``NATIVE``) — in particular no preemption safepoint
+  (:func:`repro.bytecode.opcodes.is_safepoint`; asserted below), so a
+  quantum can expire before every safepoint of the fused stream exactly
+  as it does in the unfused one.
 """
 
 from __future__ import annotations
@@ -142,6 +144,11 @@ def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
             else:
                 aux = None
             slot = (opid, a, b, w, 1, aux, 0.0)
+        else:
+            assert not any(
+                op.is_safepoint(ins.op, ins.a, j) for j, ins in
+                enumerate(code.instrs[i:i + slot[4]], i)), \
+                f"{code.qualname}@{i}: safepoint fused into a group"
         out.append(slot)
     return out
 

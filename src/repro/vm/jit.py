@@ -45,11 +45,12 @@ status tuple ``(st, w_acc, n_acc, aux, aux2)``:
 Safepoints and accounting
 -------------------------
 
-``frame.pc`` and ``frame.stack`` are materialized *only* at safepoints:
-calls, returns, natives, loop back-edges, straight-line poll sites
-(every ``_POLL_EVERY`` instructions, closing the preemption-coverage
-gap for long call-free tails), and guest-throw sites.  Between
-safepoints the closure runs pure Python with block-summed
+``frame.pc`` and ``frame.stack`` are materialized *only* at the
+preemption safepoints (:func:`repro.bytecode.opcodes.is_safepoint` —
+calls, returns, natives, loop back-edges; :meth:`_Compiler.poll`
+refuses to emit a quantum check anywhere else, so compiled code is
+preempted exactly where both interpreter loops are) and at guest-throw
+sites.  Between safepoints the closure runs pure Python with block-summed
 ``w_acc``/``n_acc`` accounting constants, so ``instr_count`` is
 integer-exact against tier 1 while the clock agrees to float
 re-association (every clock comparison in the tree uses
@@ -80,17 +81,14 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject
 from repro.bytecode.verifier import stack_depths
-from repro.errors import LinkError, VMError
 from repro.preprocess.fuse import cache_seeds
+from repro.vm import machine as _machine
 
 #: hotness (entries + loop back-edges) at which a code object tiers up
 JIT_THRESHOLD = 16
 
 #: refuse absurdly large methods (compile time is O(instrs))
 _MAX_INSTRS = 3000
-
-#: straight-line instructions between injected safepoint polls
-_POLL_EVERY = 192
 
 #: compiled->compiled direct calls nest at most this many host frames;
 #: past the cap every call round-trips through the (stackless) driver,
@@ -124,100 +122,16 @@ class _Refuse(Exception):
 
 # -- runtime helpers bound into every closure ------------------------------------
 #
-# Cold paths only: each mirrors the corresponding interpreter branch
-# exactly (same exception classes, same message formats), so the
-# differential suite cannot tell the tiers apart.
-
-def _tname(v: Any) -> str:
-    from repro.vm.machine import _tname as t
-    return t(v)
-
-
-def _arr_fail(m: Any, arr: Any, what: str) -> Any:
-    """Array-op guard miss: NPE for nullish, VMError otherwise."""
-    from repro.vm.values import RemoteRef
-    if arr is None or isinstance(arr, RemoteRef):
-        raise m._npe(arr, what)
-    raise VMError(f"{what} on {_tname(arr)}")
-
-
-def _iobe(m: Any, idx: Any, n: int) -> Any:
-    return m.throw("IndexOutOfBoundsException", f"index {idx} length {n}")
-
-
-def _getf_fail(m: Any, obj: Any, fname: str) -> Any:
-    from repro.vm.objects import VMInstance
-    from repro.vm.values import RemoteRef
-    if not isinstance(obj, VMInstance) and (
-            obj is None or isinstance(obj, RemoteRef)):
-        raise m._npe(obj, f"getfield {fname}")
-    raise LinkError(f"no field {fname!r} on {_tname(obj)}")
-
-
-def _putf_fail(m: Any, obj: Any, fname: str) -> Any:
-    from repro.vm.objects import VMInstance
-    from repro.vm.values import RemoteRef
-    if not isinstance(obj, VMInstance) and (
-            obj is None or isinstance(obj, RemoteRef)):
-        raise m._npe(obj, f"putfield {fname}")
-    raise LinkError(f"no field {fname!r} on {_tname(obj)}")
-
-
-def _throw_exc(m: Any, exc: Any) -> Any:
-    """Build the carrier for a guest THROW (validating the operand)."""
-    from repro.vm.machine import GuestThrow
-    from repro.vm.objects import VMInstance
-    from repro.vm.values import RemoteRef
-    if exc is None or isinstance(exc, RemoteRef):
-        return m._npe(exc, "throw")
-    if not isinstance(exc, VMInstance) \
-            or not exc.vmclass.is_subclass_of("Throwable"):
-        return VMError(f"throw of non-Throwable {_tname(exc)}")
-    return GuestThrow(exc)
-
-
-def _newarr(m: Any, n: Any, kind: str, eb: int) -> Any:
-    if not isinstance(n, int) or n < 0:
-        raise m.throw("IndexOutOfBoundsException", f"array length {n}")
-    need = n * eb + 16
-    if m.node is not None and (
-            m.heap.allocated_bytes + need > m.node.spec.ram_bytes):
-        raise m.throw("OutOfMemoryError",
-                      f"array of {need} bytes exceeds node RAM")
-    return m.heap.new_array(kind, n, eb)
-
-
-def _resolve_static(m: Any, cls_name: str, mname: str,
-                    nargs: int) -> Tuple[CodeObject, List[Any]]:
-    from repro.vm.machine import _arity_pad
-    cls = m.loader.load(cls_name)
-    code2 = cls.find_method(mname)
-    if code2 is None:
-        raise LinkError(f"no method {cls_name}.{mname}")
-    if not code2.is_static:
-        raise VMError(f"{cls_name}.{mname} is not static")
-    return (code2, _arity_pad(code2, nargs))
-
+# Failure and first-resolution branches are tier 1's own
+# (``machine._arr_fail`` and friends, bound in :meth:`assemble`), so the
+# differential suite cannot tell the tiers apart; the one tier-2
+# addition is the guard-miss counter.
 
 def _resolve_virtual(m: Any, receiver: Any, name: str, nargs: int,
                      cell: List[Any]) -> Tuple[CodeObject, List[Any]]:
-    """Virtual-call guard miss: re-resolve, rebind the guard cell."""
-    from repro.vm.machine import _arity_pad
-    from repro.vm.values import RemoteRef
+    """Virtual-call guard miss: count the bail, rebind the cell."""
     m.jit_guard_bails += 1
-    if receiver is None or isinstance(receiver, RemoteRef):
-        raise m._npe(receiver, f"invoke {name}")
-    code2 = m._resolve_method(receiver, name)
-    c = (code2, _arity_pad(code2, nargs + 1))
-    cell[0] = receiver.vmclass
-    cell[1] = c
-    return c
-
-
-def _resolve_static_field(m: Any, cls_name: str,
-                          fname: str) -> Tuple[Dict[str, Any], str]:
-    home = m.loader.load(cls_name).find_static_home(fname)
-    return (home.statics, fname)
+    return _machine._bind_virtual(m, receiver, name, nargs, cell)
 
 
 # -- the compiler ----------------------------------------------------------------
@@ -329,6 +243,8 @@ class _Compiler:
     def poll(self, bci: int, extra: int = 0,
              spill_sym: bool = False) -> None:
         """Quantum safepoint: yield with ``frame.pc`` at ``bci``."""
+        ins = self.instrs[bci]
+        assert op.is_safepoint(ins.op, ins.a, bci), (bci, ins.op)
         self.emit(f"if ql and m.instr_count + n_acc >= ql:", extra)
         if spill_sym:
             self.spill(self.sym, extra + 4)
@@ -389,38 +305,20 @@ class _Compiler:
                     leaders.add(i + 1)
                 if ins.a <= i:
                     self.backward.add(i)
-                    if o == op.JMP:
-                        # its own block: the poll reports frame.pc at
-                        # the JMP itself, exactly like tier 1
-                        leaders.add(i)
             elif o == op.LSWITCH:
                 for t in ins.a.values():
                     leaders.add(t)
                 leaders.add(ins.b)
                 if i + 1 < n:
                     leaders.add(i + 1)
-            elif o in (op.INVOKESTATIC, op.INVOKEVIRT, op.NATIVE):
-                leaders.add(i)      # preemption re-entry
+            elif op.is_call(o):
                 leaders.add(i + 1)  # return / after-native re-entry
-            elif o in (op.RET, op.RETV):
-                leaders.add(i)      # preemption re-entry
+            if op.is_safepoint(o, ins.a, i):
+                # preemption re-entry; a back-edge JMP is its own
+                # block so the poll reports frame.pc at the JMP itself
+                leaders.add(i)
         for e in code.exc_table:
             leaders.add(e.handler)
-        # straight-line safepoint injection: long call-free stretches
-        # get a poll site (and therefore a resume entry) every
-        # _POLL_EVERY instructions
-        self.poll_sites: Set[int] = set()
-        run = 0
-        for i, ins in enumerate(code.instrs):
-            if ins.op in (op.INVOKESTATIC, op.INVOKEVIRT, op.NATIVE,
-                          op.RET, op.RETV) or i in self.backward:
-                run = 0
-                continue
-            run += 1
-            if run >= _POLL_EVERY and i in self.depths:
-                leaders.add(i)
-                self.poll_sites.add(i)
-                run = 0
         self.leaders = {b for b in leaders
                         if b < n and b in self.depths}
         # Block order: loop bodies first (shorter dispatch scans on the
@@ -452,10 +350,6 @@ class _Compiler:
         n = len(self.instrs)
         self.seg_w = 0.0
         self.seg_n = 0
-        if start in self.poll_sites:
-            # before the preamble: on resume the operand stack is
-            # still in frame.stack and re-entry repeats the pops
-            self.poll(start)
         d = self.depths[start]
         self.sym = [(f"s{i}", None) for i in range(d)]
         for i in range(d - 1, -1, -1):
@@ -549,7 +443,7 @@ class _Compiler:
             self.emit(f"{u} = {obj}.fields.get({fn}, MS) "
                       f"if isinstance({obj}, Inst) else MS")
             self.emit(f"if {u} is MS:")
-            self.emit(f"    raise GFF(m, {obj}, {fn})")
+            self.emit(f"    FF(m, {obj}, {fn}, 'getfield')")
             if slot is not None:
                 self.materialize_slot(slot)
                 self.emit(f"locs[{slot}] = {u}")
@@ -565,7 +459,7 @@ class _Compiler:
                       f"and {fn} in {obj}.fields:")
             self.emit(f"    {obj}.fields[{fn}] = {v}")
             self.emit("else:")
-            self.emit(f"    raise PFF(m, {obj}, {fn})")
+            self.emit(f"    FF(m, {obj}, {fn}, 'putfield')")
         elif o == op.GETS:
             expr = self.gen_static_cell(bci, o, ins.a)
             return (False, self.push_value(bci, expr))
@@ -636,7 +530,7 @@ class _Compiler:
                 self.seg_w -= self.wt(op.JMP, 1.0)
                 self.seg_n -= 1
                 self.flush_acc()
-                self.poll(bci)
+                self.poll(bci, spill_sym=True)
                 self.emit(f"w_acc += {self.wt(op.JMP, 1.0)!r}")
                 self.emit("n_acc += 1")
             else:
@@ -707,13 +601,9 @@ class _Compiler:
             self.emit(f"if {test}:")
             self.emit(f"    b = {fall}")
             self.emit("else:")
-            if ins.a <= bci:
-                self.poll(ins.a, extra=4)
             self.emit(f"    b = {taken}")
         else:
             self.emit(f"if {test}:")
-            if ins.a <= bci:
-                self.poll(ins.a, extra=4)
             self.emit(f"    b = {taken}")
             self.emit("else:")
             self.emit(f"    b = {fall}")
@@ -745,9 +635,7 @@ class _Compiler:
         self.marker(bci, opname)
         # marker emits at base indent; re-emit inside the if
         self.lines[-1] = self.lines[-1].replace("f =", "    f =", 1)
-        self.emit(f"    {u} = {cell}[0] = RSF(m, "
-                  f"{_literal(cls_name) or self.bind(cls_name)}, "
-                  f"{_literal(fname) or self.bind(fname)})")
+        self.emit(f"    {u} = {cell}[0] = RSF(m, {tuple(key)!r})")
         return f"{u}[0][{u}[1]]"
 
     def gen_invokestatic(self, bci: int, ins: Any) -> int:
@@ -760,14 +648,14 @@ class _Compiler:
         self.poll(bci, spill_sym=True)
         args = [sym.pop()[0] for _ in range(nargs)][::-1]
         live = list(sym)
-        cls_name, mname = ins.a
+        cls_name = ins.a[0]
         seed = self.seeds.get(bci)
         bound = None
         if seed is not None:
             bound = seed[0]
         elif self.m.loader.is_loaded(cls_name):
             try:
-                bound = _resolve_static(self.m, cls_name, mname, nargs)
+                bound = _machine._resolve_static(self.m, ins.a, nargs)
             except Exception:
                 bound = None  # let the runtime raise exactly like tier 1
         self.spill(live)
@@ -785,9 +673,8 @@ class _Compiler:
             self.faults.append((bci, 0.0, 0,
                                 self.wt(op.INVOKESTATIC, 1.0)))
             self.emit(f"    f = {idx}")
-            self.emit(f"    {u} = {cell}[0] = RS(m, "
-                      f"{_literal(cls_name) or self.bind(cls_name)}, "
-                      f"{_literal(mname) or self.bind(mname)}, {nargs})")
+            self.emit(f"    {u} = {cell}[0] = "
+                      f"RS(m, {tuple(ins.a)!r}, {nargs})")
             code_expr, pad_expr = f"{u}[0]", f"{u}[1]"
         self.gen_push_frame(code_expr, pad_expr, args)
         self.gen_call_exit(bci, self.wt(op.INVOKESTATIC, 1.0))
@@ -905,7 +792,6 @@ class _Compiler:
     # -- assembly ---------------------------------------------------------
 
     def assemble(self) -> Tuple[Any, Dict[int, int]]:
-        from repro.vm import machine as _machine
         entries = {b: self.block_id[b] for b in self.block_order}
         g: Dict[str, Any] = {
             "T": __import__("repro.vm.values", fromlist=["truthy"]).truthy,
@@ -922,15 +808,14 @@ class _Compiler:
             "F": __import__("repro.vm.frames",
                             fromlist=["Frame"]).Frame,
             "GT": _machine.GuestThrow,
-            "AF": _arr_fail,
-            "IO": _iobe,
-            "GFF": _getf_fail,
-            "PFF": _putf_fail,
-            "TH": _throw_exc,
-            "NA": _newarr,
-            "RS": _resolve_static,
+            "AF": _machine._arr_fail,
+            "IO": _machine._iobe,
+            "FF": _machine._field_fail,
+            "TH": _machine._throw_carrier,
+            "NA": _machine._newarr,
+            "RS": _machine._resolve_static,
             "RV": _resolve_virtual,
-            "RSF": _resolve_static_field,
+            "RSF": _machine._static_cell,
             "EN": entries,
             "FT": tuple(self.faults),
             "NB": self.m.cost.native_base,

@@ -19,40 +19,49 @@ plain data that can be captured, shipped and rebuilt.
 Dispatch
 --------
 
-The machine has two interpreter loops with identical observable
-semantics:
+:meth:`Machine.run` is the only way to execute a thread, and its
+contract does not depend on which of three loops does the work:
 
-* the **fast loop** (:meth:`Machine._run_fast`) runs whenever no
-  breakpoints, breakpoint callbacks, write hooks, ``stop`` predicates or
-  instruction limits are installed.  It executes a per-machine cached
-  *decoded stream* (:mod:`repro.preprocess.fuse`): dense integer
-  opcodes, pre-resolved cost weights, fused superinstructions, and
-  monomorphic inline caches for ``INVOKESTATIC``/``GETS``/``PUTS``
-  resolution plus a per-receiver-class virtual-call cache.  Clock and
-  instruction accounting is batched into local accumulators and flushed
-  at safepoints (native calls, exception dispatch, loop exit), so the
-  common path does no per-instruction attribute writes.
+* the **hooked loop** (:meth:`Machine._run_loop` + :meth:`_execute`)
+  handles one instruction at a time — breakpoint checks, the
+  ``on_write`` barrier, ``stop``/``max_instrs`` polling.  It runs
+  whenever any of those is installed (or ``dispatch="legacy"`` forces
+  it), and is the hand-written oracle of the differential suites;
+* **tier 1** (:meth:`Machine._run_fast`) runs otherwise: a per-machine
+  cached *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
+  integer opcodes, pre-resolved cost weights, fused superinstructions
+  and monomorphic inline caches, with clock / instruction accounting
+  batched in locals and flushed at natives, exception dispatch and
+  loop exit;
+* **tier 2** (:mod:`repro.vm.jit`; ``jit=``, default on, off under
+  ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
+  specialized Python closures, one frame at a time.
 
-* the **legacy loop** (:meth:`Machine._run_loop` + :meth:`_execute`)
-  preserves the original per-instruction semantics — breakpoint checks,
-  ``on_write`` barriers, ``stop``/``max_instrs`` polling — and is used
-  whenever any of those are active (``dispatch="legacy"`` forces it
-  unconditionally, which the differential test-suite uses as the
-  oracle).
+What selects a loop is host-side state only (hooks, ``dispatch=``,
+``fuse=``, ``jit=``, hotness); if a native installs hooks *mid-run*
+the fast tiers sync ``frame.pc``, flush and retreat, and :meth:`run`
+continues on the hooked loop.  What no selection may change:
 
-Loop selection happens in :meth:`run`; if a native call installs hooks
-*mid-run* (the only way hooks can appear while the fast loop owns the
-thread), the fast loop syncs ``frame.pc``, flushes its accounting and
-retreats, and :meth:`run` re-enters execution through the legacy loop.
-The cluster scheduler's preemption ``quantum`` is the one control that
-does *not* force the legacy loop: the fast loop polls it at call,
-return, native, and loop back-edge safepoints (where ``frame.pc`` can
-be synced cheaply) and returns ``"preempted"``, so time-sliced serving
-keeps fast dispatch.
+* the **result**, ``stdout``, uncaught exception and ``instr_count`` —
+  equal, always;
+* the **preemption points**.  A scheduler ``quantum`` expires only
+  *before executing a safepoint instruction*
+  (:func:`repro.bytecode.opcodes.is_safepoint`: a call, a native, a
+  return, or a backward ``JMP``) once the run has executed at least
+  ``quantum`` instructions.  The set is declared there and nowhere
+  else; each loop tests it at exactly those instructions, the fuser
+  asserts none is ever fused, and the tier-2 compiler refuses to emit
+  a check anywhere else.  So the sequence of ``(frame, pc,
+  instr_count)`` at which a time-sliced thread stops — and everything
+  a cluster model derives from it — is the same in every loop;
+* the **clock**, to float re-association (tiers sum the same
+  instruction weights in different orders; every comparison in the
+  tree is ``math.isclose`` at 1e-9).
+
 ``frame.pc`` always holds an *original* bytecode index (fused
 superinstructions live in a parallel stream — see
 :mod:`repro.preprocess.fuse`), so VMTI, capture/restore, exception
-tables and line tables are oblivious to fusion.
+tables and line tables are oblivious to fusion and to the tier.
 
 Inline caches are valid because classes cannot be redefined once linked
 (:meth:`repro.vm.classloader.ClassLoader.define` refuses) and method
@@ -201,6 +210,9 @@ class Machine:
         #: tier-2 compiles that died of anything but a refusal (a
         #: code-generator bug: the method silently stays on tier 1)
         self.jit_compile_errors = 0
+        #: the thread :meth:`run` is executing right now (natives and
+        #: object managers read it), None between runs
+        self.current_thread: Optional[ThreadState] = None
         self._speed = node.spec.speed_factor if node is not None else 1.0
         self._bp_guard: Optional[Tuple[int, int]] = None
 
@@ -409,19 +421,20 @@ class Machine:
         ``"finished"`` / ``"stopped"`` / ``"limit"`` / ``"preempted"``.
 
         ``quantum`` is the cluster scheduler's preemption budget, in
-        executed instructions.  Unlike ``stop``/``max_instrs`` it does
-        NOT force the legacy loop: the fast loop polls it at its
-        safepoints (call, return, native, and loop back-edge sites), so
-        preemption can overshoot by at most one loop body / a leaf
-        method's straight-line tail, never lands mid-instruction, and
-        is exactly reproducible.  A preempted thread resumes with
-        another ``run`` call; ``frame.pc`` is synced and accounting
-        flushed."""
+        executed instructions.  It expires before the first safepoint
+        instruction (:func:`repro.bytecode.opcodes.is_safepoint`)
+        reached with the budget spent — in whichever loop is running
+        (see "Dispatch" in the module docstring) — so preemption
+        overshoots by at most one loop body / a leaf method's
+        straight-line tail (``max_quantum_overshoot`` records the
+        worst), never lands mid-instruction, and is exactly
+        reproducible.  A preempted thread resumes with another ``run``
+        call; ``frame.pc`` is synced and accounting flushed."""
         if quantum is not None and quantum < 1:
             raise VMError(f"bad scheduler quantum {quantum}")
         op_cost = self.cost.unit_op_cost() * self._speed
         start_count = self.instr_count
-        prev_thread = getattr(self, "current_thread", None)
+        prev_thread = self.current_thread
         self.current_thread = thread
         # Namespace entry: for a namespaced thread, the namespace
         # loader and its decoded-stream map *become* the machine's for
@@ -480,9 +493,7 @@ class Machine:
         # Localize everything the hot path touches.
         frames = thread.frames
         decoded = self._decoded
-        nullish = is_nullish
         tr = truthy
-        RR = RemoteRef
         Inst = VMInstance
         Arr = VMArray
         Frm = Frame
@@ -598,11 +609,7 @@ class Machine:
                             cell = aux[1]
                             c = cell[0]
                             if c is None:
-                                cls_name, fname = s[1]
-                                home = self.loader.load(
-                                    cls_name).find_static_home(fname)
-                                c = (home.statics, fname)
-                                cell[0] = c
+                                c = cell[0] = _static_cell(self, s[1])
                             pc = pc + 4 if aux[0](locs[s[0]], c[0][c[1]]) \
                                 else ins[2]
                         elif oid == FI_CCMP_JZ:
@@ -610,17 +617,13 @@ class Machine:
                         elif oid == FI_L_ALOAD:
                             arr = pop()
                             idx = locs[ins[1]]
-                            if arr is None or arr.__class__ is RR:
-                                raise self._npe(arr, "arrayload")
                             if not isinstance(arr, Arr):
-                                raise VMError(f"arrayload on {_tname(arr)}")
+                                _arr_fail(self, arr, "arrayload")
                             data = arr.data
                             if 0 <= idx < len(data):
                                 push(data[idx])
                             else:
-                                raise self.throw(
-                                    "IndexOutOfBoundsException",
-                                    f"index {idx} length {len(data)}")
+                                raise _iobe(self, idx, len(data))
                             pc += 2
                         elif oid == FI_INC:
                             x = locs[ins[1]]
@@ -634,24 +637,16 @@ class Machine:
                             cell = ins[5]
                             c = cell[0]
                             if c is None:
-                                cls_name, fname = ins[2]
-                                home = self.loader.load(
-                                    cls_name).find_static_home(fname)
-                                c = (home.statics, fname)
-                                cell[0] = c
+                                c = cell[0] = _static_cell(self, ins[2])
                             arr = c[0][c[1]]
                             idx = locs[ins[1]]
-                            if arr is None or arr.__class__ is RR:
-                                raise self._npe(arr, "arrayload")
                             if not isinstance(arr, Arr):
-                                raise VMError(f"arrayload on {_tname(arr)}")
+                                _arr_fail(self, arr, "arrayload")
                             data = arr.data
                             if 0 <= idx < len(data):
                                 push(data[idx])
                             else:
-                                raise self.throw(
-                                    "IndexOutOfBoundsException",
-                                    f"index {idx} length {len(data)}")
+                                raise _iobe(self, idx, len(data))
                             pc += 3
                         elif oid == FI_LOAD_JZ:
                             pc = pc + 2 if tr(locs[ins[1]]) else ins[2]
@@ -672,17 +667,13 @@ class Machine:
                         elif oid == FI_LL_ALOAD:
                             arr = locs[ins[1]]
                             idx = locs[ins[2]]
-                            if arr is None or arr.__class__ is RR:
-                                raise self._npe(arr, "arrayload")
                             if not isinstance(arr, Arr):
-                                raise VMError(f"arrayload on {_tname(arr)}")
+                                _arr_fail(self, arr, "arrayload")
                             data = arr.data
                             if 0 <= idx < len(data):
                                 push(data[idx])
                             else:
-                                raise self.throw(
-                                    "IndexOutOfBoundsException",
-                                    f"index {idx} length {len(data)}")
+                                raise _iobe(self, idx, len(data))
                             pc += 3
                         elif oid == FI_LOAD_LOAD:
                             push(locs[ins[1]])
@@ -702,17 +693,11 @@ class Machine:
                         elif oid == FI_LOAD_GETF:
                             obj = locs[ins[1]]
                             fname = ins[2]
-                            if isinstance(obj, Inst):
-                                v = obj.fields.get(fname, miss)
-                                if v is miss:
-                                    raise LinkError(
-                                        f"no field {fname!r} on {_tname(obj)}")
-                                push(v)
-                            elif obj is None or obj.__class__ is RR:
-                                raise self._npe(obj, f"getfield {fname}")
-                            else:
-                                raise LinkError(
-                                    f"no field {fname!r} on {_tname(obj)}")
+                            v = obj.fields.get(fname, miss) \
+                                if isinstance(obj, Inst) else miss
+                            if v is miss:
+                                _field_fail(self, obj, fname, "getfield")
+                            push(v)
                             pc += 2
                         elif oid == I_CONST:
                             push(ins[1])
@@ -724,27 +709,19 @@ class Machine:
                             cell = ins[5]
                             c = cell[0]
                             if c is None:
-                                cls_name, fname = ins[1]
-                                home = self.loader.load(
-                                    cls_name).find_static_home(fname)
-                                c = (home.statics, fname)
-                                cell[0] = c
+                                c = cell[0] = _static_cell(self, ins[1])
                             push(c[0][c[1]])
                             pc += 1
                         elif oid == I_ALOAD:
                             idx = pop()
                             arr = pop()
-                            if arr is None or arr.__class__ is RR:
-                                raise self._npe(arr, "arrayload")
                             if not isinstance(arr, Arr):
-                                raise VMError(f"arrayload on {_tname(arr)}")
+                                _arr_fail(self, arr, "arrayload")
                             data = arr.data
                             if 0 <= idx < len(data):
                                 push(data[idx])
                             else:
-                                raise self.throw(
-                                    "IndexOutOfBoundsException",
-                                    f"index {idx} length {len(data)}")
+                                raise _iobe(self, idx, len(data))
                             pc += 1
                         elif BIN_LO <= oid <= BIN_HI:
                             b = pop()
@@ -783,17 +760,11 @@ class Machine:
                         elif oid == I_GETF:
                             obj = pop()
                             fname = ins[1]
-                            if isinstance(obj, Inst):
-                                v = obj.fields.get(fname, miss)
-                                if v is miss:
-                                    raise LinkError(
-                                        f"no field {fname!r} on {_tname(obj)}")
-                                push(v)
-                            elif obj is None or obj.__class__ is RR:
-                                raise self._npe(obj, f"getfield {fname}")
-                            else:
-                                raise LinkError(
-                                    f"no field {fname!r} on {_tname(obj)}")
+                            v = obj.fields.get(fname, miss) \
+                                if isinstance(obj, Inst) else miss
+                            if v is miss:
+                                _field_fail(self, obj, fname, "getfield")
+                            push(v)
                             pc += 1
                         elif oid == I_PUTF:
                             value = pop()
@@ -801,27 +772,20 @@ class Machine:
                             fname = ins[1]
                             if isinstance(obj, Inst) and fname in obj.fields:
                                 obj.fields[fname] = value
-                            elif obj is None or obj.__class__ is RR:
-                                raise self._npe(obj, f"putfield {fname}")
                             else:
-                                raise LinkError(
-                                    f"no field {fname!r} on {_tname(obj)}")
+                                _field_fail(self, obj, fname, "putfield")
                             pc += 1
                         elif oid == I_ASTORE:
                             value = pop()
                             idx = pop()
                             arr = pop()
-                            if arr is None or arr.__class__ is RR:
-                                raise self._npe(arr, "arraystore")
                             if not isinstance(arr, Arr):
-                                raise VMError(f"arraystore on {_tname(arr)}")
+                                _arr_fail(self, arr, "arraystore")
                             data = arr.data
                             if 0 <= idx < len(data):
                                 data[idx] = value
                             else:
-                                raise self.throw(
-                                    "IndexOutOfBoundsException",
-                                    f"index {idx} length {len(data)}")
+                                raise _iobe(self, idx, len(data))
                             pc += 1
                         elif oid == I_INVOKESTATIC:
                             if q is not None and \
@@ -834,17 +798,8 @@ class Machine:
                             cell = ins[5]
                             c = cell[0]
                             if c is None:
-                                cls_name, mname = ins[1]
-                                cls = self.loader.load(cls_name)
-                                code2 = cls.find_method(mname)
-                                if code2 is None:
-                                    raise LinkError(
-                                        f"no method {cls_name}.{mname}")
-                                if not code2.is_static:
-                                    raise VMError(
-                                        f"{cls_name}.{mname} is not static")
-                                c = (code2, _arity_pad(code2, ins[2]))
-                                cell[0] = c
+                                c = cell[0] = _resolve_static(
+                                    self, ins[1], ins[2])
                             code2 = c[0]
                             nargs = ins[2]
                             if nargs:
@@ -959,16 +914,8 @@ class Machine:
                                     and receiver.vmclass is cell[0]:
                                 c = cell[1]
                             else:
-                                if nullish(receiver):
-                                    raise self._npe(receiver,
-                                                    f"invoke {ins[1]}")
-                                code2 = self._resolve_method(receiver, ins[1])
-                                # bind the cell only once fully resolved:
-                                # _arity_pad may raise, and a half-written
-                                # cell would mis-dispatch later receivers
-                                c = (code2, _arity_pad(code2, nargs + 1))
-                                cell[0] = receiver.vmclass
-                                cell[1] = c
+                                c = _bind_virtual(self, receiver, ins[1],
+                                                  nargs, cell)
                             code2 = c[0]
                             frame.pc = pc + 1
                             frame = Frm.__new__(Frm)
@@ -1092,10 +1039,12 @@ class Machine:
                 return "stopped"
             if max_instrs is not None and executed >= max_instrs:
                 return "limit"
-            if quantum is not None and executed >= quantum:
-                return "preempted"
             frame = thread.frames[-1]
             pc = frame.pc
+            if quantum is not None and executed >= quantum:
+                ins = frame.code.instrs[pc]
+                if op.is_safepoint(ins.op, ins.a, pc):
+                    return "preempted"
             if self.breakpoints:
                 key = (frame.code.class_name, frame.code.name, pc)
                 if key in self.breakpoints:
@@ -1375,6 +1324,88 @@ def _arity_pad(code: CodeObject, nargs: int) -> List[Any]:
     return [None] * (code.max_locals - nargs)
 
 
+# -- failure and first-resolution branches shared by tier 1 and tier 2 ------------
+#
+# The fast loop and the tier-2 closures keep their hot paths inline and
+# call these for everything else, so a message or exception class is
+# written once for both (``_execute`` stays the independent oracle the
+# differential suites compare them with).
+
+def _arr_fail(m: "Machine", arr: Any, what: str) -> Any:
+    """``what`` ("arrayload", ...) on a non-array: NullPointerException
+    for a nullish reference, a host VMError otherwise."""
+    if is_nullish(arr):
+        raise m._npe(arr, what)
+    raise VMError(f"{what} on {_tname(arr)}")
+
+
+def _iobe(m: "Machine", idx: Any, n: int) -> GuestThrow:
+    return m.throw("IndexOutOfBoundsException", f"index {idx} length {n}")
+
+
+def _field_fail(m: "Machine", obj: Any, fname: str, what: str) -> Any:
+    """``what`` ("getfield"/"putfield") ``fname`` missed on ``obj``."""
+    if is_nullish(obj):
+        raise m._npe(obj, f"{what} {fname}")
+    raise LinkError(f"no field {fname!r} on {_tname(obj)}")
+
+
+def _throw_carrier(m: "Machine", exc: Any) -> Exception:
+    """The host exception to raise for a guest ``THROW`` of ``exc``."""
+    if is_nullish(exc):
+        return m._npe(exc, "throw")
+    if not isinstance(exc, VMInstance) \
+            or not exc.vmclass.is_subclass_of("Throwable"):
+        return VMError(f"throw of non-Throwable {_tname(exc)}")
+    return GuestThrow(exc)
+
+
+def _newarr(m: "Machine", n: Any, kind: str, elem_bytes: int) -> VMArray:
+    if not isinstance(n, int) or n < 0:
+        raise m.throw("IndexOutOfBoundsException", f"array length {n}")
+    need = n * elem_bytes + 16
+    if m.node is not None and (
+            m.heap.allocated_bytes + need > m.node.spec.ram_bytes):
+        raise m.throw("OutOfMemoryError",
+                      f"array of {need} bytes exceeds node RAM")
+    return m.heap.new_array(kind, n, elem_bytes)
+
+
+def _static_cell(m: "Machine", key: Tuple[str, str]
+                 ) -> Tuple[Dict[str, Any], str]:
+    """Inline-cache content for a ``GETS``/``PUTS`` site: the home
+    class's statics dict and the field name."""
+    cls_name, fname = key
+    return (m.loader.load(cls_name).find_static_home(fname).statics, fname)
+
+
+def _resolve_static(m: "Machine", key: Tuple[str, str], nargs: int
+                    ) -> Tuple[CodeObject, List[Any]]:
+    """Inline-cache content for an ``INVOKESTATIC`` site."""
+    cls_name, mname = key
+    code = m.loader.load(cls_name).find_method(mname)
+    if code is None:
+        raise LinkError(f"no method {cls_name}.{mname}")
+    if not code.is_static:
+        raise VMError(f"{cls_name}.{mname} is not static")
+    return (code, _arity_pad(code, nargs))
+
+
+def _bind_virtual(m: "Machine", receiver: Any, name: str, nargs: int,
+                  cell: List[Any]) -> Tuple[CodeObject, List[Any]]:
+    """``INVOKEVIRT`` cache miss: resolve ``name`` on ``receiver`` and
+    rebind the site's cell.  The cell is written only once fully
+    resolved: ``_arity_pad`` may raise, and a half-written cell would
+    mis-dispatch later receivers."""
+    if is_nullish(receiver):
+        raise m._npe(receiver, f"invoke {name}")
+    code = m._resolve_method(receiver, name)
+    c = (code, _arity_pad(code, nargs + 1))
+    cell[0] = receiver.vmclass
+    cell[1] = c
+    return c
+
+
 # -- arithmetic helpers (Java semantics for int division) ------------------------
 
 def _add(m: Machine, a: Any, b: Any) -> Any:
@@ -1482,25 +1513,15 @@ def _cold_new(m: "Machine", frame: Frame, stack: list, ins: tuple,
 
 def _cold_newarr(m: "Machine", frame: Frame, stack: list, ins: tuple,
                  pc: int) -> int:
-    n = stack.pop()
-    if not isinstance(n, int) or n < 0:
-        raise m.throw("IndexOutOfBoundsException", f"array length {n}")
-    need = n * (ins[2] or 8) + 16
-    if m.node is not None and (
-            m.heap.allocated_bytes + need > m.node.spec.ram_bytes):
-        raise m.throw("OutOfMemoryError",
-                      f"array of {need} bytes exceeds node RAM")
-    stack.append(m.heap.new_array(ins[1], n, ins[2] or 8))
+    stack.append(_newarr(m, stack.pop(), ins[1], ins[2] or 8))
     return pc + 1
 
 
 def _cold_len(m: "Machine", frame: Frame, stack: list, ins: tuple,
               pc: int) -> int:
     arr = stack.pop()
-    if is_nullish(arr):
-        raise m._npe(arr, "arraylength")
     if not isinstance(arr, VMArray):
-        raise VMError(f"arraylength on {_tname(arr)}")
+        _arr_fail(m, arr, "arraylength")
     stack.append(len(arr.data))
     return pc + 1
 
@@ -1510,10 +1531,7 @@ def _cold_puts(m: "Machine", frame: Frame, stack: list, ins: tuple,
     cell = ins[5]
     c = cell[0]
     if c is None:
-        cls_name, fname = ins[1]
-        home = m.loader.load(cls_name).find_static_home(fname)
-        c = (home.statics, fname)
-        cell[0] = c
+        c = cell[0] = _static_cell(m, ins[1])
     c[0][c[1]] = stack.pop()
     # the fast loop only runs with on_write uninstalled, so no barrier
     return pc + 1
@@ -1550,13 +1568,7 @@ def _cold_nop(m: "Machine", frame: Frame, stack: list, ins: tuple,
 
 def _cold_throw(m: "Machine", frame: Frame, stack: list, ins: tuple,
                 pc: int) -> int:
-    exc = stack.pop()
-    if is_nullish(exc):
-        raise m._npe(exc, "throw")
-    if not isinstance(exc, VMInstance) \
-            or not exc.vmclass.is_subclass_of("Throwable"):
-        raise VMError(f"throw of non-Throwable {_tname(exc)}")
-    raise GuestThrow(exc)
+    raise _throw_carrier(m, stack.pop())
 
 
 def _cold_lswitch(m: "Machine", frame: Frame, stack: list, ins: tuple,

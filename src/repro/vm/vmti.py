@@ -14,18 +14,18 @@ breakpoints, asynchronous exception injection, `pop_frame` /
 **not** expose operand stacks — which is why migration-safe points exist
 (section III.B.1).
 
-Interaction with the dispatch loops: while no breakpoints, breakpoint
-callbacks or write hooks are installed, the machine runs its
-zero-overhead fast loop (see :mod:`repro.vm.machine`).  Installing any
-of them through this interface flips the machine's loop-selection guard:
-if the thread is suspended (the normal case — VMTI calls happen between
-``run()`` calls or from breakpoint callbacks, which already execute
-under the hook-aware loop), the next ``run()`` picks the hook-aware
-loop at entry; if the install happens *mid-run* from a native, the fast
-loop observes it at the native-call safepoint, syncs ``frame.pc``,
-flushes its batched accounting and retreats to the hook-aware loop.
-Either way ``get_frame_location`` always sees a precise original
-bytecode index — superinstruction fusion is invisible here.
+Interaction with ``Machine.run`` (see "Dispatch" in
+:mod:`repro.vm.machine`): breakpoints, breakpoint callbacks and write
+hooks are what make ``run`` pick the hooked loop.  Installing one
+through this interface between ``run()`` calls (the normal case — a
+breakpoint callback already executes under the hooked loop) takes
+effect at the next ``run()``; installing one *mid-run* from a native is
+seen at that native's safepoint, where tier 1 / tier 2 sync
+``frame.pc``, flush their batched accounting and hand the thread to the
+hooked loop.  Either way ``get_frame_location`` sees a precise original
+bytecode index, and nothing the guest or a scheduler can observe —
+result, ``instr_count``, where a quantum expires — depends on which
+loop ran.
 """
 
 from __future__ import annotations

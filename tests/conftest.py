@@ -40,6 +40,12 @@ class App {
 """
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: regenerates paper tables / runs every example "
+                   "(seconds each); deselect with -m 'not slow'")
+
+
 @pytest.fixture(autouse=True)
 def jit_compile_failures(monkeypatch):
     """No test may leave a tier-2 compile error behind: anything but a

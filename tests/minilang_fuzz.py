@@ -38,7 +38,6 @@ from repro.errors import CompileError, MigrationError
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
-from repro.vm.machine import UncaughtGuestException
 
 #: value clamp applied to loop-carried assignments so generated loops
 #: cannot grow bigints without bound (repeated squaring would otherwise
@@ -464,35 +463,71 @@ MODES = [("fast", dict(dispatch="fast", fuse=True, jit=False)),
 #: tier-2 configurations: the specializing JIT above each fast mode.
 #: Fuzzed under a hotness threshold of 1 (:func:`_jit_threshold`) so
 #: even one-shot generated programs compile and run the closures.
-TIER2_MODES = [("tier2", dict(dispatch="fast", fuse=True, jit=True)),
+TIER2_MODES = [("tier2", dict(dispatch="fast", fuse=True, jit=True,
+                              threshold=1)),
                ("tier2-nofuse", dict(dispatch="fast", fuse=False,
-                                     jit=True))]
+                                     jit=True, threshold=1))]
+
+#: the modes the cross-tier *schedule* property compares with the
+#: legacy loop: tier 1 fused and unfused, tier 2 compiling at once and
+#: at the shipped threshold (so a run crosses tiers mid-way)
+SCHEDULE_MODES = MODES + TIER2_MODES[:1] + [
+    ("tier2-default", dict(dispatch="fast", fuse=True, jit=True))]
+
+#: scheduler budgets the schedule property is checked under: every
+#: safepoint, a prime that lands mid-block, and the two in use
+#: (``REAL_QUANTUM``-ish 500 and the serving default 2500)
+QUANTA = (1, 37, 500, 2500)
 
 
 @contextmanager
-def _jit_threshold(n: int):
+def _jit_threshold(n: Optional[int]):
     """Temporarily lower the tier-up hotness threshold (the machine
     reads the module global at loop entry, so this takes effect for
-    every run inside the block)."""
+    every run inside the block); ``None`` keeps the shipped one."""
     import repro.vm.jit as _jit
     old = _jit.JIT_THRESHOLD
-    _jit.JIT_THRESHOLD = n
+    if n is not None:
+        _jit.JIT_THRESHOLD = n
     try:
         yield
     finally:
         _jit.JIT_THRESHOLD = old
 
 
-def _observe(classes, args, **kw) -> Tuple[Any, ...]:
+#: what :func:`_observe` returns, in order
+OBSERVED = ("result", "uncaught", "stdout", "instr_count", "clock",
+            "jit_compile_errors", "schedule")
+
+
+def _observe(classes, args, quantum: Optional[int] = None,
+             main: Tuple[str, str] = ("G", "main"),
+             threshold: Optional[int] = None,
+             max_instrs: Optional[int] = None, **kw) -> Tuple[Any, ...]:
+    """Run ``main(*args)`` on a fresh ``Machine(classes, **kw)`` to
+    completion — sliced into ``quantum``-instruction runs when given —
+    and return the :data:`OBSERVED` tuple.  ``schedule`` is where every
+    slice ended: ``(stack depth, method, frame.pc, instr_count)`` per
+    ``"preempted"``.  None if a run hit ``max_instrs`` (which, like
+    any run with it set, executes on the hooked loop)."""
     m = Machine(classes, **kw)
-    try:
-        result = m.call("G", "main", list(args))
-        err = None
-    except UncaughtGuestException as exc:
-        result = None
-        err = (exc.exc.class_name, exc.exc.fields.get("msg"))
-    return (result, err, tuple(m.stdout), m.instr_count, m.clock,
-            m.jit_compile_errors)
+    t = m.spawn(main[0], main[1], list(args))
+    schedule = []
+    with _jit_threshold(threshold):
+        while True:
+            status = m.run(t, quantum=quantum, max_instrs=max_instrs)
+            if status != "preempted":
+                break
+            top = t.frames[-1]
+            schedule.append((len(t.frames), top.code.qualname, top.pc,
+                             m.instr_count))
+    if status == "limit":
+        return None
+    err = None
+    if t.uncaught is not None:
+        err = (t.uncaught.class_name, t.uncaught.fields.get("msg"))
+    return (t.result, err, tuple(m.stdout), m.instr_count, m.clock,
+            m.jit_compile_errors, tuple(schedule))
 
 
 #: instruction budget per generated program (rare compositions — e.g. a
@@ -503,50 +538,54 @@ MAX_INSTRS = 1_500_000
 SKIPPED = "skipped"
 
 
-def divergence(source: str, args: Tuple[int, int],
+def divergence(source: str, args: Tuple[int, ...],
                build: str = "original",
-               modes: Optional[List[Tuple[str, Dict[str, Any]]]] = None
-               ) -> Optional[str]:
+               modes: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
+               quanta: Tuple[int, ...] = (),
+               main: Tuple[str, str] = ("G", "main")) -> Optional[str]:
     """None if every mode in ``modes`` (default: the tier-1 fast
-    modes) matches the legacy oracle, ``SKIPPED`` if the program
+    modes) matches the legacy oracle — run unsliced, then sliced by
+    every scheduler budget in ``quanta`` — ``SKIPPED`` if the program
     exceeds the instruction budget, else a human-readable description
-    of the first mismatch."""
+    of the first mismatch.  Everything but the clock must be *equal*,
+    including the whole preemption ``schedule``: where a quantum
+    expires may not depend on which loop executed the slice."""
     try:
         classes = preprocess_program(compile_source(source), build)
     except CompileError as exc:
         return f"generator produced invalid program: {exc}"
-    # One legacy run doubles as budget screen and reference oracle.
-    screen = Machine(classes, dispatch="legacy")
-    thread = screen.spawn("G", "main", list(args))
-    if screen.run(thread, max_instrs=MAX_INSTRS) == "limit":
-        return SKIPPED
-    err = None
-    if thread.uncaught is not None:
-        err = (thread.uncaught.class_name, thread.uncaught.fields.get("msg"))
-    ref = (thread.result, err, tuple(screen.stdout), screen.instr_count,
-           screen.clock, 0)
-    for label, kw in (MODES if modes is None else modes):
-        got = _observe(classes, args, **kw)
-        for what, a, b in zip(("result", "uncaught", "stdout",
-                               "instr_count", "clock",
-                               "jit_compile_errors"), ref, got):
-            if what == "clock":
-                ok = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-            else:
-                ok = a == b
-            if not ok:
-                return f"[{label}/{build}] {what}: legacy={a!r} {label}={b!r}"
+    for q in (None,) + tuple(quanta):
+        # The unsliced legacy run doubles as the budget screen.
+        ref = _observe(classes, args, q, main, dispatch="legacy",
+                       max_instrs=MAX_INSTRS if q is None else None)
+        if ref is None:
+            return SKIPPED
+        for label, kw in (MODES if modes is None else modes):
+            got = _observe(classes, args, q, main, **kw)
+            for what, a, b in zip(OBSERVED, ref, got):
+                if what == "clock":
+                    ok = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+                elif what == "schedule" and a != b:
+                    k = next((i for i, (x, y) in enumerate(zip(a, b))
+                              if x != y), min(len(a), len(b)))
+                    a, b = (len(a), a[k:k + 1]), (len(b), b[k:k + 1])
+                    what, ok = f"schedule[{k}]", False
+                else:
+                    ok = a == b
+                if not ok:
+                    return (f"[{label}/{build}/quantum={q}] {what}: "
+                            f"legacy={a!r} {label}={b!r}")
     return None
 
 
 def tier2_divergence(source: str, args: Tuple[int, int],
-                     build: str = "original") -> Optional[str]:
+                     build: str = "original",
+                     quanta: Tuple[int, ...] = ()) -> Optional[str]:
     """The tier-2 differential: both JIT modes vs the legacy oracle,
     under a hotness threshold of 1 so the generated program's methods
     actually compile.  Same observables as :func:`divergence` —
     including exact ``instr_count`` and clock agreement to 1e-9."""
-    with _jit_threshold(1):
-        return divergence(source, args, build, modes=TIER2_MODES)
+    return divergence(source, args, build, TIER2_MODES, quanta)
 
 
 def _compiles(source: str) -> bool:
@@ -557,16 +596,12 @@ def _compiles(source: str) -> bool:
         return False
 
 
-def shrink(prog: FuzzProgram, build: str = "original",
-           check=None) -> FuzzProgram:
+def shrink(prog: FuzzProgram, check) -> FuzzProgram:
     """Greedy statement deletion while the divergence persists.
 
-    ``check(source, args)`` defaults to the dispatch differential; the
-    migration fuzzer passes its own oracle so failures shrink against
-    the same capture schedule."""
-    if check is None:
-        def check(source, args):
-            return divergence(source, args, build)
+    ``check(source, args)`` is the failing campaign's own oracle, so a
+    failure shrinks against the same build, budgets and capture
+    schedule it was found under."""
     improved = True
     while improved:
         improved = False
@@ -788,8 +823,7 @@ def run_tier2_migration_fuzz(base_seed: int, count: int) -> Optional[str]:
         checked += 1
         if diff is not None:
             small = shrink(
-                prog,
-                check=lambda s, a: tier2_migration_divergence(s, a, seed))
+                prog, lambda s, a: tier2_migration_divergence(s, a, seed))
             return (f"tier-2 migration divergence at seed={seed} "
                     f"args={prog.main_args}:\n{diff}\n"
                     f"--- minimized program ---\n{small.render()}\n")
@@ -916,8 +950,7 @@ def run_multihop_fuzz(base_seed: int, count: int) -> Optional[str]:
         checked += 1
         if diff is not None:
             small = shrink(
-                prog,
-                check=lambda s, a: multihop_divergence(s, a, seed))
+                prog, lambda s, a: multihop_divergence(s, a, seed))
             return (f"multi-hop divergence at seed={seed} "
                     f"args={prog.main_args}:\n{diff}\n"
                     f"--- minimized program ---\n{small.render()}\n")
@@ -942,8 +975,7 @@ def run_migration_fuzz(base_seed: int, count: int) -> Optional[str]:
         checked += 1
         if diff is not None:
             small = shrink(
-                prog,
-                check=lambda s, a: migration_divergence(s, a, seed))
+                prog, lambda s, a: migration_divergence(s, a, seed))
             return (f"migration divergence at seed={seed} "
                     f"args={prog.main_args}:\n{diff}\n"
                     f"--- minimized program ---\n{small.render()}\n")
@@ -957,20 +989,25 @@ def run_fuzz(base_seed: int, count: int,
              faulting_every: int = 5) -> Optional[str]:
     """Fuzz ``count`` programs; every ``faulting_every``-th one is also
     checked on the preprocessed (flattened + handler-injected) build.
+    Each program runs unsliced and sliced by one of :data:`QUANTA`
+    (rotating), where the preemption schedule must match too.
     Returns None, or a failure report with the minimized program."""
     for i in range(count):
         seed = base_seed + i
         prog = generate(seed)
         source = prog.render()
+        quanta = (QUANTA[i % len(QUANTA)],)
         builds = ["original"]
         if i % faulting_every == 0:
             builds.append("faulting")
         for build in builds:
-            diff = divergence(source, prog.main_args, build)
+            diff = divergence(source, prog.main_args, build, quanta=quanta)
             if diff == SKIPPED:
                 break  # over budget: still a generated program, move on
             if diff is not None:
-                small = shrink(prog, build)
+                small = shrink(
+                    prog, lambda s, a: divergence(
+                        s, a, build, quanta=quanta))
                 return (f"fast/legacy divergence at seed={seed} "
                         f"args={prog.main_args} build={build}:\n{diff}\n"
                         f"--- minimized program ---\n{small.render()}\n")
@@ -980,23 +1017,25 @@ def run_fuzz(base_seed: int, count: int,
 def run_tier2_fuzz(base_seed: int, count: int,
                    faulting_every: int = 5) -> Optional[str]:
     """The tier-2 differential over ``count`` generated programs (every
-    ``faulting_every``-th also on the faulting build).  Returns None,
-    or a failure report with the minimized program."""
+    ``faulting_every``-th also on the faulting build), unsliced and
+    under a rotating budget like :func:`run_fuzz`.  Returns None, or a
+    failure report with the minimized program."""
     for i in range(count):
         seed = base_seed + i
         prog = generate(seed)
         source = prog.render()
+        quanta = (QUANTA[i % len(QUANTA)],)
         builds = ["original"]
         if i % faulting_every == 0:
             builds.append("faulting")
         for build in builds:
-            diff = tier2_divergence(source, prog.main_args, build)
+            diff = tier2_divergence(source, prog.main_args, build, quanta)
             if diff == SKIPPED:
                 break
             if diff is not None:
                 small = shrink(
-                    prog,
-                    check=lambda s, a: tier2_divergence(s, a, build))
+                    prog, lambda s, a: tier2_divergence(
+                        s, a, build, quanta))
                 return (f"tier2/legacy divergence at seed={seed} "
                         f"args={prog.main_args} build={build}:\n{diff}\n"
                         f"--- minimized program ---\n{small.render()}\n")

@@ -398,3 +398,192 @@ def test_full_migration_workflow_still_works(sod_engine, app_classes_faulting):
     eng.complete_segment(worker, wt, home, t, 1)
     eng.run(home, t)
     assert t.result == expected
+
+
+# -- the one preemption rule ---------------------------------------------------
+#
+# A quantum expires only before a safepoint instruction
+# (``opcodes.is_safepoint``), once the run's budget is spent — in the
+# hooked loop, tier 1 and tier-2 code alike, so *where* a thread is
+# preempted never depends on which loop ran the slice.
+
+#: registry programs at sizes that keep five modes x five runs quick
+SCHEDULE_ARGS = {"Fib": (17,), "NQ": (6,), "FFT": (8, 1024), "TSP": (6,)}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_ARGS))
+def test_preemption_schedule_is_tier_blind(name):
+    """The whole preemption sequence — (stack depth, method, pc,
+    instr_count) at every "preempted" — is *equal* across the legacy
+    loop, tier 1 fused/unfused, and tier 2 at threshold 1 and the
+    shipped one, for every budget in QUANTA, on the build serving
+    runs; result / stdout / instr_count with it, the clock to 1e-9."""
+    from minilang_fuzz import QUANTA, SCHEDULE_MODES, divergence
+
+    w = registry.WORKLOADS[name]
+    assert divergence(w.source, SCHEDULE_ARGS[name], "faulting",
+                      SCHEDULE_MODES, QUANTA, w.main) is None
+
+
+LEAF_LOOP_SRC = """
+class G {
+  static int main(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) {
+      acc = (acc + i * 7 + 3) % 100003;
+    }
+    return acc;
+  }
+}
+"""
+
+
+#: the three loops behind ``Machine.run``
+LOOPS = ["legacy", "fast", "tier2"]
+
+
+def _machine_on(loop, classes, cls, method):
+    """A machine that executes ``cls.method`` on ``loop`` from its
+    first instruction (tier 2: compiled ahead of the threshold)."""
+    m = Machine(classes, jit=loop == "tier2",
+                dispatch="legacy" if loop == "legacy" else "fast")
+    if loop == "tier2":
+        assert m.precompile(cls, method)
+    return m
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_call_free_loop_preempts_at_its_back_edge(loop):
+    """A loop with no calls still preempts — at its back-edge JMP, in
+    interpreted and compiled code — so one such request cannot hold a
+    node for the loop's duration; the overshoot past the budget is the
+    rest of one loop body, and the machine records it."""
+    classes = preprocess_program(compile_source(LEAF_LOOP_SRC), "original")
+    oracle = Machine(classes, dispatch="legacy")
+    expected = oracle.call("G", "main", [400])
+    m = _machine_on(loop, classes, "G", "main")
+    t = m.spawn("G", "main", [400])
+    assert m.max_quantum_overshoot == 0
+    slices = 0
+    while m.run(t, quantum=50) == "preempted":
+        slices += 1
+        top = t.frames[-1]
+        ins = top.code.instrs[top.pc]
+        assert ins.op == "JMP" and ins.a <= top.pc
+        assert m.instr_count <= (slices + 1) * 50 + 64 * slices
+    assert slices > 20 and t.result == expected
+    assert 0 < m.max_quantum_overshoot < 64
+    assert m.instr_count == oracle.instr_count
+    assert math.isclose(m.clock, oracle.clock, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _opcode_sites():
+    """One executable site per opcode (and per direction, for
+    branches): ``label -> (instrs, site bci, exception rows)`` of a
+    static method ``T.site()`` whose bci 0 is a NOP — so with
+    ``quantum=1`` the budget is spent before everything after it — and
+    in which only the site itself can be a safepoint before the final
+    ``RET``."""
+    from repro.bytecode import opcodes as op
+    from repro.bytecode.code import ExcEntry, Instr as I
+
+    arr = [I(op.CONST, 2), I(op.NEWARR, "int", 8)]
+    # operand set-up per opcode; straight-line sites only
+    setup = {
+        op.CONST: [], op.LOAD: [], op.NOP: [], op.NEW: [], op.GETS: [],
+        op.JMP: [], op.RET: [], op.RETV: [I(op.CONST, 1)],
+        op.STORE: [I(op.CONST, 1)], op.POP: [I(op.CONST, 1)],
+        op.DUP: [I(op.CONST, 1)], op.PUTS: [I(op.CONST, 1)],
+        op.ISREMOTE: [I(op.CONST, 1)], op.NEWARR: [I(op.CONST, 2)],
+        op.NEG: [I(op.CONST, 1)], op.NOT: [I(op.CONST, 1)],
+        op.SWAP: [I(op.CONST, 1), I(op.CONST, 2)],
+        op.GETF: [I(op.NEW, "T")],
+        op.PUTF: [I(op.NEW, "T"), I(op.CONST, 1)],
+        op.ALOAD: arr + [I(op.CONST, 0)],
+        op.ASTORE: arr + [I(op.CONST, 0), I(op.CONST, 5)],
+        op.LEN: arr,
+        op.JZ: [I(op.CONST, 1)], op.JNZ: [I(op.CONST, 0)],
+        op.LSWITCH: [I(op.CONST, 1)],
+        op.INVOKESTATIC: [I(op.CONST, 1)],
+        op.INVOKEVIRT: [I(op.NEW, "T")],
+        op.NATIVE: [I(op.CONST, 4.0)],
+        op.THROW: [I(op.NEW, "ArithmeticException")],
+    }
+    setup.update({o: [I(op.CONST, 6), I(op.CONST, 3)] for o in (
+        op.ADD, op.SUB, op.MUL, op.DIV, op.MOD,
+        op.EQ, op.NE, op.LT, op.LE, op.GT, op.GE)})
+    args = {
+        op.CONST: (7,), op.LOAD: (0,), op.STORE: (0,), op.NEW: ("T",),
+        op.GETF: ("f",), op.PUTF: ("f",), op.GETS: (("T", "s"),),
+        op.PUTS: (("T", "s"),), op.NEWARR: ("int", 8),
+        op.INVOKESTATIC: (("T", "id"), 1), op.INVOKEVIRT: ("get", 0),
+        op.NATIVE: ("Sys.sqrt", 1),
+    }
+
+    def net(ins):
+        pops, pushes = op.stack_effect(ins.op, ins.a, ins.b)
+        return pushes - pops
+
+    sites = {}
+    for o in op.OPCODES:
+        pre = [I(op.NOP)] + setup[o]
+        at = len(pre)
+        if o in op.BRANCHES:
+            a = (at + 1,)            # forward, to the next instruction
+        elif o == op.LSWITCH:
+            a = ({1: at + 1}, at + 1)
+        else:
+            a = args.get(o, ())
+        body = pre + [I(o, *a)]
+        depth = sum(net(ins) for ins in body)
+        rows = []
+        if o == op.THROW:
+            rows = [ExcEntry(0, at + 1, at + 1, "Throwable")]
+            depth = 1                # the handler starts with the exception
+        if o not in (op.RET, op.RETV):
+            body += [I(op.POP)] * depth + [I(op.RET)]
+        sites[o] = (body, at, rows)
+    # taken backward branches: only the unconditional one is a safepoint
+    for o, cond in ((op.JMP, []), (op.JZ, [I(op.CONST, 0)]),
+                    (op.JNZ, [I(op.CONST, 1)])):
+        n = len(cond)
+        sites[o + " backward"] = (
+            [I(op.NOP), I(op.JMP, 4), I(op.NOP), I(op.JMP, 6 + n)]
+            + cond + [I(o, 2), I(op.NOP), I(op.RET)], 4 + n, [])
+    return sites
+
+
+OPCODE_SITES = _opcode_sites()
+
+
+@pytest.mark.parametrize("label", sorted(OPCODE_SITES))
+def test_quantum_expires_only_at_declared_safepoints(label):
+    """Table-driven, per opcode: with the budget already spent, a run
+    stops *before* the instruction iff ``opcodes.is_safepoint`` says
+    so — in all three loops (catches a handler, a tier-2 template and
+    the declared set drifting apart)."""
+    from repro.bytecode import ClassFile, opcodes as op
+    from repro.bytecode.code import CodeObject, FieldDecl, Instr as I
+
+    body, at, rows = OPCODE_SITES[label]
+    site = body[at]
+    declared = op.is_safepoint(site.op, site.a, at)
+    for loop in LOOPS:
+        helpers = {
+            "id": CodeObject("T", "id", 1, 1, [I(op.LOAD, 0), I(op.RETV)]),
+            "get": CodeObject("T", "get", 1, 1,
+                              [I(op.LOAD, 0), I(op.GETF, "f"), I(op.RETV)],
+                              is_static=False),
+            "site": CodeObject("T", "site", 0, 1, body, exc_table=rows),
+        }
+        fields = [FieldDecl("f"), FieldDecl("s", is_static=True)]
+        m = _machine_on(loop, {"T": ClassFile("T", None, fields, helpers)},
+                        "T", "site")
+        t = m.spawn("T", "site", [])
+        assert m.run(t, quantum=1) == "preempted"
+        stopped_before_site = (len(t.frames) == 1
+                               and t.frames[-1].pc == at)
+        assert stopped_before_site == declared, (label, loop)
+        while m.run(t, quantum=1) == "preempted":
+            pass
+        assert t.finished and t.uncaught is None

@@ -115,27 +115,6 @@ def test_megamorphic_call_site_counts_guard_bails():
     assert m2.jit_guard_bails > 0
 
 
-def test_quantum_preemption_inside_compiled_code():
-    """A compiled loop still honors the scheduler quantum: the run
-    preempts at safepoints with bounded overshoot, resumes from the
-    materialized frame, and total accounting matches a solo run."""
-    classes = _classes()
-    ref_m = Machine(classes, jit=False)
-    ref = ref_m.call("P", "work", [3000])
-    m = Machine(classes, jit=True)
-    t = m.spawn("P", "work", [3000])
-    preemptions = 0
-    while not t.finished:
-        if m.run(t, quantum=500) == "preempted":
-            preemptions += 1
-    assert t.result == ref
-    assert preemptions >= 5  # the quantum actually bit mid-loop
-    assert m.jit_compiles > 0
-    assert m.max_quantum_overshoot < 2000
-    assert m.instr_count == ref_m.instr_count
-    assert math.isclose(m.clock, ref_m.clock, rel_tol=1e-9, abs_tol=1e-12)
-
-
 def test_repro_jit_env_toggle(monkeypatch):
     classes = _classes()
     monkeypatch.setenv("REPRO_JIT", "0")

@@ -1,8 +1,6 @@
 """Property-based tests (hypothesis) on core invariants, plus the
 grammar-based MiniLang differential fuzzer (see ``minilang_fuzz.py``)."""
 
-import os
-
 from hypothesis import given, settings, strategies as st
 
 from repro.bytecode.verifier import stack_depths, verify
@@ -13,6 +11,7 @@ from repro.preprocess import flatten, preprocess_program
 from repro.sim import Environment
 from repro.units import mb
 from repro.vm import Machine
+from tests.helpers import FUZZ_COUNT, FUZZ_SEED, fuzz_budget
 
 # -- expression compiler vs python oracle -------------------------------------
 
@@ -220,10 +219,8 @@ def test_migration_equivalence_randomized(n, modulus):
 # legacy loop on stdout/result/uncaught/instr_count/clock, shrinking
 # failures to a minimal program.  Seeds derive from string-seeded
 # Random (SHA-512), so pytest-randomly cannot perturb the stream;
-# override with REPRO_FUZZ_SEED / REPRO_FUZZ_COUNT.
-
-FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260726"))
-FUZZ_COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "200"))
+# override with REPRO_FUZZ_SEED / REPRO_FUZZ_COUNT (tests/helpers.py:
+# the one size knob; each campaign below keeps its share of it).
 
 
 def test_minilang_fuzz_generator_is_deterministic():
@@ -274,8 +271,7 @@ def test_minilang_fuzz_differential_tier2_vs_legacy():
     generated programs' methods actually compile into closures."""
     from minilang_fuzz import run_tier2_fuzz
 
-    count = int(os.environ.get("REPRO_FUZZ_T2_COUNT", "120"))
-    failure = run_tier2_fuzz(FUZZ_SEED, count)
+    failure = run_tier2_fuzz(FUZZ_SEED, fuzz_budget(120))
     assert failure is None, failure
 
 
@@ -288,8 +284,7 @@ def test_minilang_fuzz_tier2_deopt_at_capture_and_migration():
     result/uncaught/stdout compared against the straight-line oracle."""
     from minilang_fuzz import run_tier2_migration_fuzz
 
-    count = int(os.environ.get("REPRO_FUZZ_T2MIG_COUNT", "40"))
-    failure = run_tier2_migration_fuzz(FUZZ_SEED, count)
+    failure = run_tier2_migration_fuzz(FUZZ_SEED, fuzz_budget(40))
     assert failure is None, failure
 
 
@@ -328,8 +323,7 @@ def test_minilang_fuzz_migration_at_random_capture_points():
     linking default statics instead of the home's current values.)"""
     from minilang_fuzz import run_migration_fuzz
 
-    count = int(os.environ.get("REPRO_FUZZ_MIG_COUNT", "60"))
-    failure = run_migration_fuzz(FUZZ_SEED, count)
+    failure = run_migration_fuzz(FUZZ_SEED, fuzz_budget(60))
     assert failure is None, failure
 
 
@@ -342,6 +336,5 @@ def test_minilang_fuzz_multihop_chains_at_random_capture_points():
     oracle."""
     from minilang_fuzz import run_multihop_fuzz
 
-    count = int(os.environ.get("REPRO_FUZZ_MHOP_COUNT", "40"))
-    failure = run_multihop_fuzz(FUZZ_SEED, count)
+    failure = run_multihop_fuzz(FUZZ_SEED, fuzz_budget(40))
     assert failure is None, failure

@@ -13,7 +13,8 @@ from repro.migration.sodee import SODEngine
 from repro.serve import (ClockPressurePolicy, ClusterScheduler,
                          FrontDoorPlacement, LoadGenerator, QueueDepthPolicy,
                          Request, ShedWhenSaturated,
-                         WeightedRoundRobinPlacement, serve_mix)
+                         WeightedRoundRobinPlacement, build_serving,
+                         serve_mix)
 from repro.vm import Machine
 from repro.workloads.mixes import (MIXES, RequestSpec,
                                    expected_request_result, serve_classpath,
@@ -58,34 +59,6 @@ def test_quantum_interleaves_threads_fairly():
                 slices[name] += 1
     assert ta.result == tb.result == expected
     assert slices["a"] > 3 and slices["b"] > 3
-
-
-def test_quantum_preempts_call_free_loop():
-    """A loop with no calls must still preempt (back-edge safepoint):
-    otherwise one such request monopolizes its node for the loop's
-    whole duration and an infinite loop would hang the scheduler."""
-    from repro.lang import compile_source
-    from repro.preprocess import preprocess_program
-    src = """class L { static int main(int n) {
-      int s = 0;
-      for (int i = 0; i < n; i = i + 1) { s = s + i; }
-      return s;
-    } }"""
-    classes = preprocess_program(compile_source(src), "original")
-    oracle = Machine(classes)
-    expected = oracle.call("L", "main", [5000])
-    m = Machine(classes)
-    t = m.spawn("L", "main", [5000])
-    preemptions = 0
-    while not t.finished:
-        if m.run(t, quantum=1000) == "preempted":
-            preemptions += 1
-            # overshoot is bounded: at most ~one loop body past budget
-            assert m.instr_count <= (preemptions + 1) * 1000 + 50
-    assert preemptions > 3
-    assert t.result == expected
-    assert m.instr_count == oracle.instr_count
-    assert m.clock == pytest.approx(oracle.clock, rel=1e-12)
 
 
 def test_quantum_validation():
@@ -192,6 +165,65 @@ def test_serving_replays_bit_identically():
                   placement="front-door")
     assert json.dumps(a.to_dict(), sort_keys=True) \
         == json.dumps(b.to_dict(), sort_keys=True)
+
+
+def _modeled_outcome(**described):
+    """Everything one serving run says about the *modeled* cluster:
+    the report (minus the host-side tier-2 activity counters), the
+    network's byte totals, and each request's fate."""
+    sched, load = build_serving(**described)
+    rep = sched.serve(load).to_dict()
+    assert rep["served"] == rep["correct"] == described["n_requests"]
+    assert rep["sched"]["max_quantum_overshoot"] < 2000
+    rep["sched"] = {k: v for k, v in rep["sched"].items()
+                    if not k.startswith("tier2_")}
+    return {
+        "report": rep,
+        "bytes": (sched.network.total_bytes(), sched.network.total_saved()),
+        "requests": [(r.rid, r.host_node, r.hops, r.retries, r.result,
+                      r.quanta, r.instrs, r.sod_offloads, r.started_at,
+                      r.finished_at) for r in sched.requests],
+    }
+
+
+def _assert_same_outcome(a, b, path="outcome"):
+    """Equal everywhere, floats (virtual timestamps; the tiers sum the
+    same instruction weights in different orders) to 1e-9 relative."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            _assert_same_outcome(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_outcome(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert a == pytest.approx(b, rel=1e-9, abs=0.0), path
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize("described", [
+    dict(mix="paper", n_nodes=4, n_requests=40, max_seg_hops=2),
+    dict(mix="offload", n_nodes=4, n_requests=20, max_seg_hops=2,
+         placement="front-door"),
+], ids=["paper", "offload-front-door"])
+def test_serving_outcome_is_tier_blind(described, monkeypatch):
+    """The modeled cluster does not depend on which VM loop executed
+    it: the same described run served with tier 2 on, with
+    ``REPRO_JIT=0``, and on hosts whose machines use legacy dispatch
+    gives equal counts, byte totals and per-request fates, and
+    timestamps equal to float re-association."""
+    import repro.migration.sodee as sodee
+
+    monkeypatch.setenv("REPRO_JIT", "1")
+    tier2 = _modeled_outcome(**described)
+    monkeypatch.setenv("REPRO_JIT", "0")
+    _assert_same_outcome(tier2, _modeled_outcome(**described))
+    monkeypatch.setattr(
+        sodee, "Machine",
+        lambda *a, **kw: Machine(*a, dispatch="legacy", **kw))
+    _assert_same_outcome(tier2, _modeled_outcome(**described))
 
 
 def test_interarrival_stream_is_open_loop():

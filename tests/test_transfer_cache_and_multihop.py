@@ -24,6 +24,7 @@ from repro.migration.state import is_cached_marker
 from repro.preprocess import preprocess_program
 from repro.vm.machine import Machine
 from repro.vm.values import RemoteRef
+from tests.helpers import fuzz_budget
 
 #: statics-bearing guest program whose segment mutates part of the
 #: static state each run (s1 always, s2 only for odd n) and reads a
@@ -494,42 +495,6 @@ def test_scheduler_single_hop_default_never_rehops():
     assert rep.stats["seg_rehops"] == 0
 
 
-# -- preemption coverage -------------------------------------------------------
-
-
-LEAF_LOOP_SRC = """
-class G {
-  static int main(int n) {
-    int acc = 0;
-    for (int i = 0; i < n; i = i + 1) {
-      acc = (acc + i * 7 + 3) % 100003;
-    }
-    return acc;
-  }
-}
-"""
-
-
-def test_max_quantum_overshoot_is_recorded():
-    """A call-free loop polls only at back-edges: the overshoot is the
-    loop body's tail, bounded and recorded."""
-    classes = preprocess_program(compile_source(LEAF_LOOP_SRC), "original")
-    m = Machine(classes)
-    t = m.spawn("G", "main", [400])
-    assert m.max_quantum_overshoot == 0
-    while m.run(t, quantum=50) == "preempted":
-        pass
-    assert t.finished
-    assert m.max_quantum_overshoot > 0
-    assert m.max_quantum_overshoot < 64  # a handful of fused groups
-
-    rep_overshoot = None
-    from repro.serve import serve_mix
-    rep = serve_mix("parallel", n_nodes=2, n_requests=6, seed=3)
-    rep_overshoot = rep.stats["max_quantum_overshoot"]
-    assert rep_overshoot is not None and rep_overshoot >= 0
-
-
 # -- transfer-cache fuzz: randomized abandon/re-offload/rehop interleavings ----
 #
 # The PR 4 property test drives *sequential* schedules (one segment in
@@ -540,10 +505,7 @@ def test_max_quantum_overshoot_is_recorded():
 # every completed result and on the final home state, while moving no
 # more bytes.  The op stream is seeded, so CI replays exact schedules.
 
-import os
-
-FUZZ_CACHE_SEEDS = [int(s) for s in os.environ.get(
-    "REPRO_CACHE_FUZZ_SEEDS", "0,1,2,3").split(",")]
+FUZZ_CACHE_SEEDS = range(fuzz_budget(4))
 
 
 def _fuzz_spawn(eng, home, d, n):
