@@ -102,6 +102,7 @@ class Jessica2Engine(BaselineEngine):
             fetch_service=self._fetch, rtt_service=self._rtt)
         objman.service_fixed = self.sys.fault_service_fixed
         objman.install_natives()
+        objman.register_thread_home(new_thread, src_node)
         dst_machine.extras["objman"] = objman
         rec.restore_time = dst_machine.clock - t0
         # The migrated thread now runs under the global-object-space

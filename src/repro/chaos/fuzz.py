@@ -20,8 +20,11 @@ under *any* crash/partition/straggle schedule:
 * **tenant accounting balances** — every per-tenant runnable counter
   returns to zero once the run drains, even when crash-retirement
   recovered work across nodes mid-flight;
-* **no zombies** — when the run ends, no segment is still registered
-  as live.
+* **no zombies, no residue** — when the run ends, no segment is still
+  registered as live, and no surviving host's object manager holds a
+  dirty copy, a dirty static or a registered segment thread: a
+  fault-path ``abandon_segment`` must leave the same state as a
+  completion.
 
 A violation dict names the seed, so any disaster the fuzzer finds is
 one ``run_config`` (or ``serve --chaos <seed>``) away from a
@@ -111,6 +114,14 @@ def fuzz_one(seed: int, mix: str = "parallel", n_nodes: int = 4,
         violations.append(
             f"zombie segments at end of run: "
             f"{sorted(sched.active_segments)}")
+    for name, host in sched.engine.hosts.items():
+        om = host.objman
+        if om is not None and (om.dirty or om.dirty_statics
+                               or om.thread_home):
+            violations.append(
+                f"write-back residue on {name} at end of run: "
+                f"{len(om.dirty)} dirty copies, {len(om.dirty_statics)} "
+                f"dirty statics, {len(om.thread_home)} segment threads")
     return {"seed": seed, "plan": plan.to_dict(),
             "report": rep.to_dict(), "violations": violations}
 

@@ -13,6 +13,22 @@ Two halves, as in the paper's architecture (Fig. 2):
   identity), the dirty set for write-back, and charges
   serialize + network + deserialize costs per miss.
 
+How dirtiness is detected: "which data was updated" (III.A) is a fact
+about the *fetched copies*, so they carry it.  Every copy ``_decode``
+adopts gets a :class:`_CopyFields` dict / :class:`_CopyData` list as
+its ``fields`` / ``data``, whose item store records the copy in
+``dirty``.  Every interpreter loop (and any native) stores through
+``obj.fields[name] = v`` / ``arr.data[i] = v``, so none of them knows
+a barrier exists, and worker-created objects pay nothing.  The only
+bypasses are the manager's own installs, both in this module:
+``_decode`` fills a plain container before wrapping it, ``_patch``
+stores through ``dict.__setitem__`` / ``list.__setitem__``.  Statics
+differ — host-side static installs are spread over restore, class-load
+sync, resync, ``_patch`` and re-virginization, and a tracking dict
+would need a bypass in each — so a guest ``PUTS`` calls
+``Machine.on_static_write``, which records only for the segment
+threads registered in ``thread_home``.
+
 ``fetch_service`` decouples the transport: the engine supplies a callable
 ``(requester_node, ref) -> (payload, nbytes, owner_node)``; the worker
 manager charges the round-trip against its own clock (synchronous RPC).
@@ -118,6 +134,27 @@ class HomeObjectServer:
 FetchService = Callable[[str, RemoteRef], Tuple[Any, int, str]]
 
 
+class _CopyFields(dict):
+    """``fields`` of a fetched instance copy: an item store tells the
+    manager the copy was written."""
+
+    __slots__ = ("_man", "_copy")
+
+    def __setitem__(self, name: str, value: Any) -> None:
+        dict.__setitem__(self, name, value)
+        self._man._wrote(self._copy)
+
+
+class _CopyData(list):
+    """``data`` of a fetched array copy (see :class:`_CopyFields`)."""
+
+    __slots__ = ("_man", "_copy")
+
+    def __setitem__(self, index: Any, value: Any) -> None:
+        list.__setitem__(self, index, value)
+        self._man._wrote(self._copy)
+
+
 @dataclass
 class FaultStats:
     """Counters for the object-faulting path (Table III analysis)."""
@@ -146,18 +183,19 @@ class WorkerObjectManager:
         self.cache: Dict[Tuple[int, str], Any] = {}
         #: id(local obj) -> (home_oid, home_node)
         self.home_identity: Dict[int, Tuple[int, str]] = {}
-        #: dirty fetched objects (by id) and locally created dirty roots
+        #: fetched copies written since their last write-back, by id, in
+        #: first-write order (the message's encode order); worker-created
+        #: objects are never here — they travel inline if reachable
         self.dirty: Dict[int, Any] = {}
-        #: (namespace, class, field) -> (worker-side class, attributed
-        #: home node or None).  The namespace tag comes from the written
-        #: VMClass itself (cells live per namespace, so one class name
-        #: can be dirty in several namespaces at once); the home
-        #: attribution lets a multi-tenant write-back ship each home its
-        #: own static updates.  None home means the write came from a
-        #: thread with no registered home (a local request, or a
-        #: single-tenant flow that never registers).
+        #: (namespace, class, field) -> (worker-side class, home node
+        #: of the segment thread that wrote it).  The namespace tag
+        #: comes from the written VMClass itself (cells live per
+        #: namespace, so one class name can be dirty in several
+        #: namespaces at once); the home attribution lets a
+        #: multi-tenant write-back ship each home its own static
+        #: updates.
         self.dirty_statics: Dict[Tuple[Optional[str], str, str],
-                                 Tuple[VMClass, Optional[str]]] = {}
+                                 Tuple[VMClass, str]] = {}
         #: cache keys fetched on behalf of each running segment thread,
         #: so its consistency epoch can be released at completion (the
         #: serve scheduler re-offloads threads whose home state has
@@ -186,9 +224,6 @@ class WorkerObjectManager:
         self.thread_home: Dict[Any, str] = {}
         #: static-bearing classes each segment thread's state touches
         self.thread_statics: Dict[Any, frozenset] = {}
-        #: the one bound barrier (bound methods are created per access;
-        #: pinning it makes arm/disarm identity checks possible)
-        self._barrier = self._on_write
         self.stats = FaultStats()
         #: pluggable prefetching scheme (see repro.migration.prefetch)
         from repro.migration.prefetch import NoPrefetch
@@ -197,18 +232,29 @@ class WorkerObjectManager:
         #: + serializer setup); charged once per demand fetch and once
         #: per prefetch *batch* — batching is what prefetching buys.
         self.service_fixed = 0.0
-        machine.on_write = self._barrier
+        machine.on_static_write = self._on_static_write
 
     # -- dirty tracking ----------------------------------------------------
 
-    def _on_write(self, target: Any) -> None:
-        if isinstance(target, VMClass):
-            home = self.thread_home.get(self.machine.current_thread)
-            ns = target.namespace
-            for fname in target.statics:
-                self.dirty_statics[(ns, target.name, fname)] = (target, home)
-        else:
-            self.dirty[id(target)] = target
+    def _wrote(self, copy: Any) -> None:
+        """An item store hit fetched ``copy``'s tracking container.  A
+        copy whose epoch ended (evicted, or demoted to ``retained``)
+        has no identity and rides no write-back: a late store to it
+        records nothing."""
+        if id(copy) in self.home_identity:
+            self.dirty[id(copy)] = copy
+
+    def _on_static_write(self, home_class: VMClass) -> None:
+        """A guest ``PUTS`` landed in ``home_class``'s cells.  Only a
+        registered segment thread's statics ever ride a write-back; a
+        local request's are nobody's business."""
+        home = self.thread_home.get(self.machine.current_thread)
+        if home is None:
+            return
+        ns = home_class.namespace
+        for fname in home_class.statics:
+            self.dirty_statics[(ns, home_class.name, fname)] = (
+                home_class, home)
 
     def register_thread_home(self, thread: Any, home_node: str,
                              static_classes: frozenset = frozenset()
@@ -220,34 +266,6 @@ class WorkerObjectManager:
         self.thread_home[thread] = home_node
         if static_classes:
             self.thread_statics[thread] = static_classes
-
-    def arm(self) -> None:
-        """(Re)install the write barrier on the machine."""
-        self.machine.on_write = self._barrier
-
-    def disarm(self) -> None:
-        """Remove the write barrier (only safe with no active segment
-        epochs and nothing dirty: tracking writes for nobody just
-        forces every thread on this machine onto the hook-aware loop)."""
-        if self.machine.on_write is self._barrier:
-            self.machine.on_write = None
-
-    def disarm_if_idle(self) -> None:
-        """Drop the write barrier once no segment epoch is left on this
-        worker (``thread_home`` tracks every restored-and-unreleased
-        segment, including ones that have not faulted anything yet) and
-        nothing is dirty, so locally served requests regain fast
-        dispatch."""
-        if (not self.thread_home and not self.dirty
-                and not self.dirty_statics):
-            self.disarm()
-
-    def drop_local_roots(self) -> None:
-        """Forget dirty objects this worker created itself: they are
-        never shipped by a write-back and would only keep the barrier
-        armed."""
-        self.dirty = {k: o for k, o in self.dirty.items()
-                      if self.home_identity.get(id(o)) is not None}
 
     # -- fetching ---------------------------------------------------------------
 
@@ -442,18 +460,25 @@ class WorkerObjectManager:
             obj = self.machine.heap.new_instance(cls)
             for name, enc in fields.items():
                 obj.fields[name] = decode_value(enc, (LOC_FIELD, obj, name))
-            return obj
-        _t, kind, elem_bytes, elems = payload
-        arr = self.machine.heap.new_array(kind, len(elems), elem_bytes)
-        if kind == "ref":
-            for i, enc in enumerate(elems):
-                arr.data[i] = decode_value(enc, (LOC_ELEM, arr, i))
+            box = obj.fields = _CopyFields(obj.fields)
         else:
-            arr.data[:] = elems
-        return arr
+            _t, kind, elem_bytes, elems = payload
+            obj = self.machine.heap.new_array(kind, len(elems), elem_bytes)
+            if kind == "ref":
+                for i, enc in enumerate(elems):
+                    obj.data[i] = decode_value(enc, (LOC_ELEM, obj, i))
+            else:
+                obj.data[:] = elems
+            box = obj.data = _CopyData(obj.data)
+        # tracked only from here on: the fill above recorded nothing
+        box._man = self
+        box._copy = obj
+        return obj
 
     def _patch(self, ref: RemoteRef, obj: Any) -> None:
-        """Write the fetched object into the faulting location."""
+        """Write the fetched object into the faulting location (an
+        install, not a guest store: it goes around the owner's tracking
+        container, if it has one)."""
         loc = ref.loc
         if loc is None:
             return
@@ -463,7 +488,7 @@ class WorkerObjectManager:
             frame.locals[slot] = obj
         elif kind == LOC_FIELD:
             _k, owner, name = loc
-            owner.fields[name] = obj
+            dict.__setitem__(owner.fields, name, obj)
         elif kind == LOC_STATIC:
             # Faults happen mid-run, when machine.loader IS the
             # faulting thread's namespace: the patch lands in the
@@ -473,7 +498,7 @@ class WorkerObjectManager:
             cls.statics[fname] = obj
         elif kind == LOC_ELEM:
             _k, arr, idx = loc
-            arr.data[idx] = obj
+            list.__setitem__(arr.data, idx, obj)
         else:  # pragma: no cover
             raise MigrationError(f"bad location {loc!r}")
 
@@ -529,6 +554,21 @@ class WorkerObjectManager:
 
     # -- write-back ----------------------------------------------------------------
 
+    def dirty_in(self, home_node: Optional[str], only_keys: Optional[set]
+                 ) -> List[Tuple[Any, Tuple[int, str]]]:
+        """The dirty copies a write-back scoped to ``home_node`` /
+        ``only_keys`` carries, as ``(copy, identity)`` in first-write
+        order (see :meth:`build_writeback` for the scopes)."""
+        out = []
+        for obj in self.dirty.values():
+            ident = self.home_identity[id(obj)]
+            if home_node is not None and ident[1] != home_node:
+                continue  # another segment's working set
+            if only_keys is not None and ident not in only_keys:
+                continue  # another thread's working set
+            out.append((obj, ident))
+        return out
+
     def build_writeback(self, return_value: Any,
                         home_node: Optional[str] = None,
                         only_keys: Optional[set] = None
@@ -551,15 +591,7 @@ class WorkerObjectManager:
         enc = GraphEncoder(self.node_name, self.home_identity, eager=False)
         updates: Dict[int, Dict[str, Any]] = {}
         elem_updates: Dict[int, List[Any]] = {}
-        for obj in self.dirty.values():
-            ident = self.home_identity.get(id(obj))
-            if ident is None:
-                continue  # locally created: travels inline if reachable
-            oid, node = ident
-            if home_node is not None and node != home_node:
-                continue  # another segment's working set
-            if only_keys is not None and ident not in only_keys:
-                continue  # another thread's working set
+        for obj, (oid, _node) in self.dirty_in(home_node, only_keys):
             if isinstance(obj, VMInstance):
                 updates[oid] = {n: enc.encode(v) for n, v in obj.fields.items()}
             else:
@@ -568,13 +600,11 @@ class WorkerObjectManager:
                 else:
                     elem_updates[oid] = list(obj.data)
                     enc.nbytes += len(obj.data) * obj.nominal_elem_bytes
-        # Statics: a scoped write-back ships only writes attributed to
-        # that home (every restored segment thread is registered, so an
-        # unattributed home=None write comes from a *local* thread and
-        # must never ride a foreign segment's completion).  Unscoped
-        # write-backs (single-tenant flushes) keep shipping everything.
-        # Keys are (namespace, class, field): the home applies each
-        # update inside the namespace whose cells were written.
+        # Statics: a scoped write-back ships only the writes of that
+        # home's segment threads; an unscoped one (single-tenant
+        # flushes) ships everything.  Keys are (namespace, class,
+        # field): the home applies each update inside the namespace
+        # whose cells were written.
         static_updates = {
             key: enc.encode(cls.statics[key[2]])
             for key, (cls, home) in self.dirty_statics.items()
@@ -592,38 +622,15 @@ class WorkerObjectManager:
 
     def clear_dirty(self, home_node: Optional[str] = None,
                     only_keys: Optional[set] = None) -> None:
-        """Forget the dirty set after a successful write-back, so later
-        flushes (multi-hop roaming) only ship fresh changes.  With
-        ``home_node``, forget only what that write-back shipped: objects
-        homed there plus locally created roots; another segment's dirty
-        objects stay tracked for its own completion.  ``only_keys``
-        mirrors :meth:`build_writeback`'s thread-scoped narrowing."""
-        if home_node is None:
-            for obj in self.dirty.values():
-                ident = self.home_identity.get(id(obj))
-                if ident is not None:
-                    self._flushed_keys.add(ident)
-            self.dirty.clear()
-            self.dirty_statics.clear()
-            return
-
-        def shipped(obj) -> bool:
-            ident = self.home_identity.get(id(obj))
-            if ident is None:
-                return True  # local root: never tracked past a flush
-            if ident[1] != home_node:
-                return False
-            if only_keys is None or ident in only_keys:
-                self._flushed_keys.add(ident)
-                return True
-            return False
-
-        self.dirty = {
-            key: obj for key, obj in self.dirty.items() if not shipped(obj)
-        }
-        # drop exactly what the scoped write-back shipped
+        """Forget what a successful write-back with the same scope
+        shipped, so later flushes (multi-hop roaming) only ship fresh
+        changes; another segment's dirty copies and statics stay
+        tracked for its own completion."""
+        for obj, ident in self.dirty_in(home_node, only_keys):
+            self._flushed_keys.add(ident)
+            del self.dirty[id(obj)]
         self.dirty_statics = {
             key: (cls, home)
             for key, (cls, home) in self.dirty_statics.items()
-            if home != home_node
+            if home_node is not None and home != home_node
         }

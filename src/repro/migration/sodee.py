@@ -241,9 +241,8 @@ class Host:
         self.objman: Optional[WorkerObjectManager] = None
 
     def attach_object_manager(self) -> WorkerObjectManager:
-        """Install the worker-side object manager (ObjMan natives).
-        Re-attaching re-arms the write barrier (it may have been
-        disarmed between segment episodes to keep fast dispatch)."""
+        """Install the worker-side object manager (ObjMan natives);
+        idempotent."""
         if self.objman is None:
             self.objman = WorkerObjectManager(
                 self.machine, self.node_name,
@@ -257,8 +256,6 @@ class Host:
             # intermediate hops).
             self.server.identity = self.objman.home_identity
             self.objman.install_natives()
-        else:
-            self.objman.arm()
         return self.objman
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -333,14 +330,14 @@ class SODEngine:
         self.hosts[node_name] = h
         return h
 
-    def _worker_host(self, node_name: str, home: Host,
-                     attach_objman: bool = True) -> Tuple[Host, float]:
+    def _worker_host(self, node_name: str, home: Host
+                     ) -> Tuple[Host, float]:
         """Get/spawn the worker host on ``node_name`` with on-demand class
-        fetching from ``home``.  Returns (host, spawn_seconds)."""
+        fetching from ``home`` and an object manager.  Returns (host,
+        spawn_seconds)."""
         existing = self.hosts.get(node_name)
         if existing is not None:
-            if attach_objman:
-                existing.attach_object_manager()
+            existing.attach_object_manager()
             return existing, 0.0
         worker = self.host(node_name, with_classes=False)
         spawn = 0.0 if self.prestart_workers else self.sys.worker_spawn
@@ -356,8 +353,7 @@ class SODEngine:
         worker.machine.loader.missing_class_hook = missing
         worker.machine.loader.load_listener = (
             lambda vmclass: self._sync_loaded_statics(worker, home, vmclass))
-        if attach_objman:
-            worker.attach_object_manager()
+        worker.attach_object_manager()
         return worker, spawn
 
     def _sync_loaded_statics(self, worker: Host, home: Host,
@@ -378,11 +374,7 @@ class SODEngine:
         later host a segment whose namespace lives on H0).  The home is
         peeked, never created: an absent namespace there means nobody
         holds values for it and the paper defaults are authoritative.
-
-        Object-valued statics become remote refs, which need the fault
-        natives: on a worker without an object manager (a node serving
-        only handed-off, statics-free requests) they keep their
-        defaults — such programs never touch them."""
+        Object-valued statics become remote refs."""
         from repro.migration.state import decode_value
         from repro.vm.values import LOC_STATIC
         if not vmclass.statics:
@@ -403,10 +395,8 @@ class SODEngine:
         nbytes = 0
         for fname in list(vmclass.statics):
             enc, b = encode_value(home_cls.statics[fname], home.node_name)
-            dec = decode_value(enc, (LOC_STATIC, vmclass.name, fname))
-            if isinstance(dec, RemoteRef) and worker.objman is None:
-                continue
-            vmclass.statics[fname] = dec
+            vmclass.statics[fname] = decode_value(
+                enc, (LOC_STATIC, vmclass.name, fname))
             nbytes += b
             if led is not None:
                 led.record((vmclass.name, fname), enc, ns)
@@ -414,20 +404,12 @@ class SODEngine:
             worker.machine.charge_raw(self.transfer_time(
                 home.node_name, worker.node_name, nbytes))
 
-    def worker_host(self, node_name: str, home: Host,
-                    attach_objman: bool = True) -> Host:
+    def worker_host(self, node_name: str, home: Host) -> Host:
         """Public worker-host accessor for schedulers: the host on
         ``node_name`` with on-demand class fetching from ``home``.  A
         first-time spawn cost (when workers are not pre-started) is
-        charged to the engine timeline.
-
-        ``attach_objman=False`` defers the object manager (and its
-        write barrier, which forces the hook-aware interpreter loop):
-        a node serving only locally spawned requests keeps fast
-        dispatch, and :meth:`migrate`/:meth:`migrate_many` attach the
-        manager the moment a segment actually lands there."""
-        worker, spawn = self._worker_host(node_name, home,
-                                          attach_objman=attach_objman)
+        charged to the engine timeline."""
+        worker, spawn = self._worker_host(node_name, home)
         self.timeline += spawn
         return worker
 
@@ -637,8 +619,6 @@ class SODEngine:
         concurrently: the scheduler gives each such request a fresh
         namespace and the old whole-worker refusal no longer fires."""
         objman = worker.objman
-        if objman is None:
-            return
         new = SODEngine._static_classes(state)
         if not new:
             return
@@ -784,7 +764,6 @@ class SODEngine:
         # The top frames' classes arrive with the state.
         for name, cf in class_files.items():
             worker.machine.loader._classpath.setdefault(name, cf)
-        worker.attach_object_manager()
         for state in states:
             self._check_cross_home_statics(worker, state, home.node_name)
         recs[0].worker_spawn_time = spawn  # charged once per shipment
@@ -891,13 +870,10 @@ class SODEngine:
             src_worker, [(seg_thread, None)], dst_node, home,
             before_capture=flush_home)
 
-        # The source hop's role is over: end its epoch and drop dead
-        # dirty-tracking so locally served requests regain fast dispatch
-        # (objects it created stay on its heap for on-demand fetches).
+        # The source hop's role is over: end its epoch (objects it
+        # created stay on its heap for on-demand fetches).
         if objman is not None:
             objman.release_thread(seg_thread)
-            objman.drop_local_roots()
-            objman.disarm_if_idle()
         return worker, worker_thread, rec
 
     # -- segment completion ------------------------------------------------------------
@@ -951,8 +927,6 @@ class SODEngine:
         extra = self._flush_foreign_effects(worker, home.node_name,
                                             worker_thread)
         objman.release_thread(worker_thread)
-        # (the next restore re-arms the barrier via attach_object_manager)
-        objman.disarm_if_idle()
         self.timeline += dt
         return dt + extra
 
@@ -1075,9 +1049,8 @@ class SODEngine:
                 rec.state_bytes))
             worker_thread = java_level_restore(worker.machine, state,
                                                static_fallback=fallback)
-        if worker.objman is not None:
-            worker.objman.register_thread_home(
-                worker_thread, home.node_name, self._static_classes(state))
+        worker.objman.register_thread_home(
+            worker_thread, home.node_name, self._static_classes(state))
         rec.restore_time = worker.machine.clock - t0
         return worker_thread
 
@@ -1095,14 +1068,10 @@ class SODEngine:
         objman = worker.objman
         if objman is None or not objman.dirty:
             return 0.0
-        thread_keys = set(objman.fetched_by.get(thread, []))
-        if not thread_keys:
-            return 0.0
         by_home: Dict[str, set] = {}
-        for o in objman.dirty.values():
-            ident = objman.home_identity.get(id(o))
-            if (ident is not None and ident[1] != exclude
-                    and ident in thread_keys):
+        for _copy, ident in objman.dirty_in(
+                None, set(objman.fetched_by.get(thread, []))):
+            if ident[1] != exclude:
                 by_home.setdefault(ident[1], set()).add(ident)
         dt = 0.0
         for other in sorted(by_home):
@@ -1132,10 +1101,10 @@ class SODEngine:
                         worker_thread: ThreadState) -> None:
         """Discard a dead segment's worker-side state without any
         write-back (e.g. it died of an uncaught guest exception): the
-        epoch is released, the home's pending static writes are dropped
-        unless a sibling segment from that home is still running, and
-        the write barrier disarms once the worker is idle — mirroring
-        :meth:`complete_segment`'s cleanup, minus the message."""
+        epoch is released (its dirty copies dropped with it) and the
+        home's pending static writes are dropped unless a sibling
+        segment from that home is still running — the state
+        :meth:`complete_segment` leaves, minus the message."""
         objman = worker.objman
         if objman is None:
             return
@@ -1143,22 +1112,18 @@ class SODEngine:
         if home is not None and self.transfer_cache:
             # The dead segment's static writes never shipped home: the
             # worker's cells have forked from the ledgered values, so a
-            # later delta capture must re-ship them in full.  Writes
-            # with no attribution are invalidated too — conservative,
-            # and a forked cell must never survive as a marker.
+            # later delta capture must re-ship them in full.
             led = self._ledgers.get((home, worker.node_name))
             if led is not None:
                 for (ns, cname, fname), (_cls, h) in \
                         objman.dirty_statics.items():
-                    if h == home or h is None:
+                    if h == home:
                         led.invalidate((cname, fname), ns)
         objman.release_thread(worker_thread)
         if home is not None and home not in objman.thread_home.values():
             objman.dirty_statics = {
                 k: (c, h) for k, (c, h) in objman.dirty_statics.items()
                 if h != home}
-        objman.drop_local_roots()
-        objman.disarm_if_idle()
 
     def resync_statics(self, worker: Host, home: Host) -> float:
         """Refresh the worker's static fields from the home's current

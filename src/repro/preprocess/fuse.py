@@ -42,8 +42,8 @@ Safety rules for patterns:
   ``start + count - 1``, which is exactly what unfused execution would
   have charged and reported for a last-component fault;
 * fused groups never include opcodes with frame effects (calls,
-  returns, throws) or host-visible hooks (``PUTF``/``PUTS``/``ASTORE``
-  write barriers, ``NATIVE``) — in particular no preemption safepoint
+  returns, throws) or host-visible hooks (the ``PUTS`` static-write
+  hook, ``NATIVE``) — in particular no preemption safepoint
   (:func:`repro.bytecode.opcodes.is_safepoint`; asserted below), so a
   quantum can expire before every safepoint of the fused stream exactly
   as it does in the unfused one.

@@ -1055,11 +1055,7 @@ class ClusterScheduler:
     def _host(self, node: str) -> Host:
         if node == self.front:
             return self.engine.host(node)
-        # No eager object manager: a node serving only handed-off local
-        # requests keeps fast dispatch; the engine attaches the manager
-        # (and its write barrier) when a segment actually lands there.
-        return self.engine.worker_host(node, self.engine.host(self.front),
-                                       attach_objman=False)
+        return self.engine.worker_host(node, self.engine.host(self.front))
 
     def busy_time(self, node: str) -> float:
         """Virtual CPU seconds this node's machine has consumed."""

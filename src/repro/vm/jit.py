@@ -38,8 +38,8 @@ status tuple ``(st, w_acc, n_acc, aux, aux2)``:
        is found — same rule as both interpreter tiers)
 4      a native set ``thread.pending_exception``; resume state
        materialized at the bci after the native
-5      deopt: a native installed hooks mid-run; state
-       materialized, the driver retreats to the legacy loop
+5      deopt: a native installed a breakpoint mid-run; state
+       materialized, the driver retreats to the hooked loop
 =====  ==========================================================
 
 Safepoints and accounting
@@ -461,13 +461,19 @@ class _Compiler:
             self.emit("else:")
             self.emit(f"    FF(m, {obj}, {fn}, 'putfield')")
         elif o == op.GETS:
-            expr = self.gen_static_cell(bci, o, ins.a)
+            c = self.gen_static_cell(bci, o, ins.a)
+            if isinstance(c, str):
+                expr = f"{c}[0][{c}[1]]"
+            else:
+                expr = (f"{self.bind(c[0], 'sd')}"
+                        f"[{_literal(c[1]) or self.bind(c[1])}]")
             return (False, self.push_value(bci, expr))
         elif o == op.PUTS:
             v = sym.pop()[0]
-            expr = self.gen_static_cell(bci, o, ins.a)
-            # the fast tiers only run with on_write uninstalled
-            self.emit(f"{expr} = {v}")
+            c = self.gen_static_cell(bci, o, ins.a)
+            if not isinstance(c, str):
+                c = self.bind(c, "sc")
+            self.emit(f"PS(m, {c}, {v})")
         elif o == op.NEW:
             self.marker(bci, o)
             cls_name = ins.a
@@ -611,23 +617,20 @@ class _Compiler:
         return 1 if raw else 0
 
     def gen_static_cell(self, bci: int, opname: str,
-                        key: Tuple[str, str]) -> str:
-        """lvalue/rvalue expression for a static field: a bound
-        ``statics`` dict when monomorphy is proven (linked class or a
-        warmed tier-1 cache), else a lazy cell identical to tier 1."""
-        cls_name, fname = key
+                        key: Tuple[str, str]) -> Any:
+        """A static-field site's inline-cache content (tier 1's
+        ``_static_cell``: statics dict, field name, home class): the
+        tuple itself when monomorphy is proven (linked class or a
+        warmed tier-1 cache), else the name of a temp holding a lazy
+        cell identical to tier 1."""
         seed = self.seeds.get(bci)
         if seed is not None:
-            statics, fn = seed[0]
-            return f"{self.bind(statics, 'sd')}[{_literal(fn) or self.bind(fn)}]"
-        if self.m.loader.is_loaded(cls_name):
+            return seed[0]
+        if self.m.loader.is_loaded(key[0]):
             try:
-                home = self.m.loader.load(cls_name).find_static_home(fname)
+                return _machine._static_cell(self.m, key)
             except Exception:
-                home = None  # unresolvable: raise at runtime like tier 1
-            if home is not None:
-                return (f"{self.bind(home.statics, 'sd')}"
-                        f"[{_literal(fname) or self.bind(fname)}]")
+                pass  # unresolvable: raise at runtime like tier 1
         cell = self.bind([None], "gc")
         u = self.fresh()
         self.emit(f"{u} = {cell}[0]")
@@ -636,7 +639,7 @@ class _Compiler:
         # marker emits at base indent; re-emit inside the if
         self.lines[-1] = self.lines[-1].replace("f =", "    f =", 1)
         self.emit(f"    {u} = {cell}[0] = RSF(m, {tuple(key)!r})")
-        return f"{u}[0][{u}[1]]"
+        return u
 
     def gen_invokestatic(self, bci: int, ins: Any) -> int:
         nargs = ins.b or 0
@@ -771,8 +774,7 @@ class _Compiler:
         rv = self.fresh()
         self.emit(f"m.charge(NB)")
         self.emit(f"{rv} = m.natives.lookup({nm})(m, [{', '.join(args)}])")
-        self.emit("if (m.breakpoints or m.on_breakpoint is not None "
-                  "or m.on_write is not None):")
+        self.emit("if m.breakpoints or m.on_breakpoint is not None:")
         self.emit(f"    fstack.append({rv})")
         self.emit(f"    frame.pc = {bci + 1}")
         self.emit(f"    return (5, {wn!r}, 1)")
@@ -816,6 +818,7 @@ class _Compiler:
             "RS": _machine._resolve_static,
             "RV": _resolve_virtual,
             "RSF": _machine._static_cell,
+            "PS": _machine._put_static,
             "EN": entries,
             "FT": tuple(self.faults),
             "NB": self.m.cost.native_base,

@@ -23,10 +23,10 @@ Dispatch
 contract does not depend on which of three loops does the work:
 
 * the **hooked loop** (:meth:`Machine._run_loop` + :meth:`_execute`)
-  handles one instruction at a time — breakpoint checks, the
-  ``on_write`` barrier, ``stop``/``max_instrs`` polling.  It runs
-  whenever any of those is installed (or ``dispatch="legacy"`` forces
-  it), and is the hand-written oracle of the differential suites;
+  handles one instruction at a time — breakpoint checks and
+  ``stop``/``max_instrs`` polling.  It runs whenever any of those is
+  installed (or ``dispatch="legacy"`` forces it), and is the
+  hand-written oracle of the differential suites;
 * **tier 1** (:meth:`Machine._run_fast`) runs otherwise: a per-machine
   cached *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
   integer opcodes, pre-resolved cost weights, fused superinstructions
@@ -37,10 +37,13 @@ contract does not depend on which of three loops does the work:
   ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
   specialized Python closures, one frame at a time.
 
-What selects a loop is host-side state only (hooks, ``dispatch=``,
-``fuse=``, ``jit=``, hotness); if a native installs hooks *mid-run*
-the fast tiers sync ``frame.pc``, flush and retreat, and :meth:`run`
-continues on the hooked loop.  What no selection may change:
+What selects a loop is host-side state only (breakpoints, ``stop``,
+``max_instrs``, ``dispatch=``, ``fuse=``, ``jit=``, hotness); if a
+native installs a breakpoint *mid-run* the fast tiers sync
+``frame.pc``, flush and retreat, and :meth:`run` continues on the
+hooked loop.  (A migration worker's write barrier selects nothing: it
+lives in the fetched copies — :mod:`repro.migration.object_manager`.)
+What no selection may change:
 
 * the **result**, ``stdout``, uncaught exception and ``instr_count`` —
   equal, always;
@@ -137,6 +140,10 @@ DISPATCH_MODES = ("fast", "legacy")
 class Machine:
     """One virtual machine instance placed on a (simulated) node."""
 
+    #: never assigned (the hook is gone); the frozen ``bench/trace.py``
+    #: still reads it to label ``vm.run`` spans
+    on_write = None
+
     def __init__(self, classpath: Optional[Dict[str, ClassFile]] = None,
                  cost: Optional[CostModel] = None,
                  node: Any = None, fs: Any = None,
@@ -169,9 +176,10 @@ class Machine:
         self.breakpoints: set[Tuple[str, str, int]] = set()
         #: callback fired on breakpoint hit: fn(machine, thread)
         self.on_breakpoint: Optional[Callable[["Machine", ThreadState], None]] = None
-        #: callback fired on a field/element write: fn(obj) — object
-        #: managers use it to track the dirty set for write-back
-        self.on_write: Optional[Callable[[Any], None]] = None
+        #: callback fired after a guest ``PUTS``: fn(home_class) — an
+        #: object manager attributes static writes to a segment's home
+        #: with it; never read by loop selection
+        self.on_static_write: Optional[Callable[[VMClass], None]] = None
         #: uncaught-exception hook: fn(machine, thread, exc) -> handled?
         self.on_uncaught: Optional[
             Callable[["Machine", ThreadState, VMInstance], bool]] = None
@@ -454,15 +462,14 @@ class Machine:
             if (stop is None and max_instrs is None
                     and self.dispatch == "fast"
                     and not self.breakpoints
-                    and self.on_breakpoint is None
-                    and self.on_write is None):
+                    and self.on_breakpoint is None):
                 self._bp_guard = None
                 status = self._run_fast(thread, op_cost, quantum)
                 if status is not None:
                     return status
-                # A native installed hooks mid-run: the fast loop synced
-                # frame.pc and flushed accounting — continue under the
-                # hook-aware loop.
+                # A native installed a breakpoint mid-run: the fast loop
+                # synced frame.pc and flushed accounting — continue
+                # under the hooked loop.
             return self._run_loop(thread, stop, max_instrs, op_cost,
                                   self.instr_count - start_count, quantum)
         finally:
@@ -483,8 +490,8 @@ class Machine:
         """Zero-overhead interpretation of ``thread``.
 
         Preconditions (enforced by :meth:`run`): no breakpoints, no
-        breakpoint callback, no write hook, no ``stop`` predicate, no
-        instruction limit.  Returns ``"finished"``, ``"preempted"``
+        breakpoint callback, no ``stop`` predicate, no instruction
+        limit.  Returns ``"finished"``, ``"preempted"``
         (scheduler ``quantum`` expired at a safepoint), or ``None`` if a
         native call armed hooks and the loop retreated (``frame.pc``
         synced, accounting flushed) for :meth:`run` to continue on the
@@ -964,9 +971,8 @@ class Machine:
                             push(fn(self, args))
                             pc += 1
                             if (self.breakpoints
-                                    or self.on_breakpoint is not None
-                                    or self.on_write is not None):
-                                # Loop-selection guard: hooks appeared.
+                                    or self.on_breakpoint is not None):
+                                # Loop-selection guard: breakpoints appeared.
                                 w_acc += ins[3]
                                 n_acc += 1
                                 frame.pc = pc
@@ -1176,8 +1182,6 @@ class Machine:
             if not isinstance(obj, VMInstance) or ins.a not in obj.fields:
                 raise LinkError(f"no field {ins.a!r} on {_tname(obj)}")
             obj.fields[ins.a] = value
-            if self.on_write is not None:
-                self.on_write(obj)
         elif o == op.GETS:
             cls_name, fname = ins.a
             home = self.loader.load(cls_name).find_static_home(fname)
@@ -1186,8 +1190,8 @@ class Machine:
             cls_name, fname = ins.a
             home = self.loader.load(cls_name).find_static_home(fname)
             home.statics[fname] = stack.pop()
-            if self.on_write is not None:
-                self.on_write(home)
+            if self.on_static_write is not None:
+                self.on_static_write(home)
         elif o == op.ISREMOTE:
             stack.append(isinstance(stack.pop(), RemoteRef))
         elif o == op.NEW:
@@ -1228,8 +1232,6 @@ class Machine:
                 raise self.throw("IndexOutOfBoundsException",
                                  f"index {idx} length {len(arr.data)}")
             arr.data[idx] = value
-            if self.on_write is not None:
-                self.on_write(arr)
         elif o == op.LEN:
             arr = stack.pop()
             if is_nullish(arr):
@@ -1372,11 +1374,21 @@ def _newarr(m: "Machine", n: Any, kind: str, elem_bytes: int) -> VMArray:
 
 
 def _static_cell(m: "Machine", key: Tuple[str, str]
-                 ) -> Tuple[Dict[str, Any], str]:
+                 ) -> Tuple[Dict[str, Any], str, VMClass]:
     """Inline-cache content for a ``GETS``/``PUTS`` site: the home
-    class's statics dict and the field name."""
+    class's statics dict, the field name, and the home class."""
     cls_name, fname = key
-    return (m.loader.load(cls_name).find_static_home(fname).statics, fname)
+    home = m.loader.load(cls_name).find_static_home(fname)
+    return (home.statics, fname, home)
+
+
+def _put_static(m: "Machine", c: Tuple[Dict[str, Any], str, VMClass],
+                value: Any) -> None:
+    """The ``PUTS`` body of tier 1 and tier 2 over a bound
+    :func:`_static_cell`: store, then tell the static-write hook."""
+    c[0][c[1]] = value
+    if m.on_static_write is not None:
+        m.on_static_write(c[2])
 
 
 def _resolve_static(m: "Machine", key: Tuple[str, str], nargs: int
@@ -1532,8 +1544,7 @@ def _cold_puts(m: "Machine", frame: Frame, stack: list, ins: tuple,
     c = cell[0]
     if c is None:
         c = cell[0] = _static_cell(m, ins[1])
-    c[0][c[1]] = stack.pop()
-    # the fast loop only runs with on_write uninstalled, so no barrier
+    _put_static(m, c, stack.pop())
     return pc + 1
 
 

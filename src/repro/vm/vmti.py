@@ -15,9 +15,9 @@ breakpoints, asynchronous exception injection, `pop_frame` /
 (section III.B.1).
 
 Interaction with ``Machine.run`` (see "Dispatch" in
-:mod:`repro.vm.machine`): breakpoints, breakpoint callbacks and write
-hooks are what make ``run`` pick the hooked loop.  Installing one
-through this interface between ``run()`` calls (the normal case — a
+:mod:`repro.vm.machine`): breakpoints and breakpoint callbacks are what
+make ``run`` pick the hooked loop.  Installing one through this
+interface between ``run()`` calls (the normal case — a
 breakpoint callback already executes under the hooked loop) takes
 effect at the next ``run()``; installing one *mid-run* from a native is
 seen at that native's safepoint, where tier 1 / tier 2 sync

@@ -338,7 +338,7 @@ def test_abandon_midwriteback_discards_dirty_and_releases_epoch():
     """Abandoning a segment that already ran (its write-back will never
     be applied): the worker's dirty statics are dropped on both ends —
     ledger entries invalidated, home cells untouched — the thread's
-    fetch-cache epoch is released, and the idle barrier disarms."""
+    fetch-cache epoch is released, and nothing dirty is left."""
     eng = _engine()
     home = eng.host("node0")
     d = home.machine.heap.new_instance(home.machine.loader.load("D"))
@@ -355,9 +355,7 @@ def test_abandon_midwriteback_discards_dirty_and_releases_epoch():
     led = eng.ledger("node0", "node1")
     assert ("P", "s1") not in led.statics
     assert wt not in worker.objman.thread_home
-    assert not worker.objman.dirty_statics
-    # barrier disarmed once idle (no active segments left)
-    assert worker.machine.on_write is not worker.objman._barrier
+    assert not worker.objman.dirty_statics and not worker.objman.dirty
     # the home thread is recoverable: it still runs to the same answer
     eng.run(home, t)
     solo = eng.spawn(home, "P", "work", [d, 5])

@@ -287,20 +287,6 @@ def test_breakpoint_fires_mid_fused_sequence():
     assert len(hits) in (10, 11)
 
 
-def test_write_hook_observes_all_writes():
-    classes = preprocess_program(compile_source(POLY_SRC), "original")
-    writes = {"fast": [], "legacy": []}
-    machines = {}
-    for label in ("fast", "legacy"):
-        m = Machine(classes, dispatch=label)
-        m.on_write = lambda obj, lab=label: writes[lab].append(type(obj).__name__)
-        m.call("P", "statics", [8])
-        machines[label] = m
-    assert writes["fast"] == writes["legacy"]
-    assert writes["fast"]  # statics writes observed
-    assert machines["fast"].instr_count == machines["legacy"].instr_count
-
-
 def test_native_installed_hooks_retreat_to_slow_loop():
     """The loop-selection guard: a native arms a breakpoint mid-run; the
     fast loop must notice at the safepoint and hand over to the

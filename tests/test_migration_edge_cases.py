@@ -380,37 +380,10 @@ def test_shared_cache_entry_survives_other_threads_release():
     assert home.machine.loader.load("K").statics["tag"] == 3
 
 
-def test_write_barrier_disarms_when_worker_goes_idle():
-    """After the last segment on a worker completes, the write barrier
-    drops so locally served requests regain fast dispatch; the next
-    restore re-arms it."""
-    classes = _shared_classes()
-    eng = SODEngine(gige_cluster(2), classes)
-    home = eng.host("node0")
-    d = home.machine.heap.new_instance(home.machine.loader.load("Data"))
-    d.fields["v"] = 1
-    t = home.machine.spawn("W", "bump", [d, 3])
-    run_to_msp(home.machine, t)
-    w, wt, _ = eng.migrate(home, t, "node1", 1)
-    assert w.machine.on_write is not None  # armed while segment active
-    eng.run(w, wt)
-    eng.complete_segment(w, wt, home, t, 1)
-    assert w.machine.on_write is None      # idle worker: fast dispatch
-    # a second migration re-arms
-    t2 = home.machine.spawn("W", "bump", [d, 4])
-    run_to_msp(home.machine, t2)
-    w2, wt2, _ = eng.migrate(home, t2, "node1", 1)
-    assert w2 is w and w.machine.on_write is not None
-    eng.run(w2, wt2)
-    eng.complete_segment(w2, wt2, home, t2, 1)
-    assert t2.finished and w.machine.on_write is None
-
-
 def test_abandoned_dead_segment_cleans_worker():
     """A segment that dies of an uncaught guest exception is abandoned:
-    no write-back, its epoch and pending static writes are dropped, and
-    the worker's write barrier disarms (the serve scheduler's failure
-    path must not leave the node stuck on the hook-aware loop)."""
+    no write-back, and its epoch and pending static writes are dropped
+    (the serve scheduler's failure path must leave nothing dirty)."""
     src = """
     class W {
       static int tag;
@@ -434,7 +407,7 @@ def test_abandoned_dead_segment_cleans_worker():
     with pytest.raises(MigrationError):
         eng.complete_segment(w, wt, home, t, 1)  # refuses dead segments
     eng.abandon_segment(w, wt)
-    assert not w.objman.thread_home and not w.objman.dirty_statics
-    assert w.machine.on_write is None  # barrier disarmed, fast dispatch
+    assert not w.objman.thread_home
+    assert not w.objman.dirty and not w.objman.dirty_statics
     # and the home's statics never saw the dead segment's write
     assert home.machine.loader.load("W").statics["tag"] == 0

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import serve_cluster
 from repro.errors import VMError
+from repro.migration.object_manager import WorkerObjectManager
 from repro.migration.sodee import SODEngine
 from repro.serve import (ClockPressurePolicy, ClusterScheduler,
                          FrontDoorPlacement, LoadGenerator, QueueDepthPolicy,
@@ -170,9 +171,22 @@ def test_serving_replays_bit_identically():
 def _modeled_outcome(**described):
     """Everything one serving run says about the *modeled* cluster:
     the report (minus the host-side tier-2 activity counters), the
-    network's byte totals, and each request's fate."""
+    network's byte totals, each request's fate, and every write-back
+    message (which copies and statics it carried, and its bytes)."""
+    messages = []
+    build = WorkerObjectManager.build_writeback
+
+    def recording(objman, *args, **kw):
+        message, nbytes = build(objman, *args, **kw)
+        messages.append((objman.node_name, list(message["updates"]),
+                         list(message["elem_updates"]),
+                         list(message["static_updates"]), nbytes))
+        return message, nbytes
+
     sched, load = build_serving(**described)
-    rep = sched.serve(load).to_dict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WorkerObjectManager, "build_writeback", recording)
+        rep = sched.serve(load).to_dict()
     assert rep["served"] == rep["correct"] == described["n_requests"]
     assert rep["sched"]["max_quantum_overshoot"] < 2000
     rep["sched"] = {k: v for k, v in rep["sched"].items()
@@ -183,6 +197,7 @@ def _modeled_outcome(**described):
         "requests": [(r.rid, r.host_node, r.hops, r.retries, r.result,
                       r.quanta, r.instrs, r.sod_offloads, r.started_at,
                       r.finished_at) for r in sched.requests],
+        "writebacks": messages,
     }
 
 
@@ -212,14 +227,30 @@ def test_serving_outcome_is_tier_blind(described, monkeypatch):
     """The modeled cluster does not depend on which VM loop executed
     it: the same described run served with tier 2 on, with
     ``REPRO_JIT=0``, and on hosts whose machines use legacy dispatch
-    gives equal counts, byte totals and per-request fates, and
-    timestamps equal to float re-association."""
+    gives equal counts, byte totals, per-request fates and write-back
+    messages, and timestamps equal to float re-association.  And with
+    fast dispatch (the solo-run oracle is a legacy machine) nothing but
+    a ``stop`` / ``max_instrs`` / breakpoint run enters the hooked loop
+    — a worker's write barrier selects no loop, for the segment's
+    thread or for bystanders."""
     import repro.migration.sodee as sodee
 
+    run_loop = Machine._run_loop
+    unexplained = []
+
+    def hooked(m, thread, stop, max_instrs, *rest):
+        if (m.dispatch == "fast" and stop is None and max_instrs is None
+                and not m.breakpoints and m.on_breakpoint is None):
+            unexplained.append(thread.name)
+        return run_loop(m, thread, stop, max_instrs, *rest)
+
+    monkeypatch.setattr(Machine, "_run_loop", hooked)
     monkeypatch.setenv("REPRO_JIT", "1")
     tier2 = _modeled_outcome(**described)
+    assert tier2["writebacks"] and tier2["report"]["sched"]["sod_offloads"]
     monkeypatch.setenv("REPRO_JIT", "0")
     _assert_same_outcome(tier2, _modeled_outcome(**described))
+    assert not unexplained
     monkeypatch.setattr(
         sodee, "Machine",
         lambda *a, **kw: Machine(*a, dispatch="legacy", **kw))

@@ -195,10 +195,8 @@ def test_abandoned_segment_invalidates_its_static_ledger_entries():
 
     t = _spawn_at_msp(eng, home, d, 3)
     worker, wt, _ = eng.migrate(home, t, "node1", 1)
-    eng.run(worker, wt, max_instrs=60)  # partway: s1 already written?
-    # force the dirty-static situation deterministically
-    worker.machine.loader.load("P").statics["s1"] = 12345
-    worker.objman._on_write(worker.machine.loader.load("P"))
+    eng.run(worker, wt)  # the segment's own PUTS forks P.s1
+    assert (None, "P", "s1") in worker.objman.dirty_statics
     eng.abandon_segment(worker, wt)
     led = eng.ledger("node0", "node1")
     assert ("P", "s1") not in led.statics
@@ -215,8 +213,8 @@ def test_abandoned_segment_invalidates_its_static_ledger_entries():
 def test_forked_worker_cell_heals_on_delta_restore():
     """A marker is a *claim* the worker still holds the ledgered value;
     restore verifies it.  If something forked the cell behind the
-    ledger's back (e.g. a local guest thread wrote a static between
-    segment episodes, barrier disarmed), the fallback fetches the true
+    ledger's back (e.g. a local guest thread — unregistered, so
+    untracked — wrote a static), the fallback fetches the true
     value from the home instead of trusting the marker."""
     eng = SODEngine(gige_cluster(2), _classes())
     home = eng.host("node0")
@@ -354,8 +352,8 @@ def test_abandoned_dirty_copy_is_never_retained():
     eng.run(worker, wt)  # faults the array in (clean)
     # dirty the fetched copy without any write-back, then abandon
     copy = worker.objman.cache[(xs.oid, "node0")]
-    copy.data[0] = -1
-    worker.objman._on_write(copy)
+    copy.data[0] = -1  # any store to a fetched copy records itself
+    assert id(copy) in worker.objman.dirty
     eng.abandon_segment(worker, wt)
     assert (xs.oid, "node0") not in worker.objman.retained
 
@@ -403,8 +401,8 @@ def _chain_oracle(n, v0, s0):
 def test_rehop_segment_completes_directly_home():
     """home -> node1 -> node2: the chain's last hop completes straight
     to the home (value delivered, statics and object effects applied),
-    and the intermediate hop is left clean (epoch released, write
-    barrier disarmed)."""
+    and the intermediate hop is left clean (epoch released, nothing
+    dirty)."""
     want, want_s0, want_v = _chain_oracle(6, 10, 3)
 
     eng = SODEngine(gige_cluster(3), _chain_classes())
@@ -422,9 +420,9 @@ def test_rehop_segment_completes_directly_home():
     assert not wt.finished
     worker2, wt2, rec = eng.rehop_segment(worker1, wt, "node2", home)
     assert rec.src == "node1" and rec.dst == "node2"
-    # hop 1 is clean: no epochs, no dirt, fast dispatch restored
+    # hop 1 is clean: no epochs, no dirt
     assert not worker1.objman.thread_home
-    assert worker1.machine.on_write is None
+    assert not worker1.objman.dirty and not worker1.objman.dirty_statics
     eng.run(worker2, wt2)
     eng.complete_segment(worker2, wt2, home, t, 2)
     eng.run(home, t)
