@@ -128,6 +128,10 @@ class CodeObject:
         self._predecoded: Dict[
             int, Tuple[Dict[str, float],
                        List[Tuple[int, Any, Any, float]]]] = {}
+        #: tier-2 memo, owned by :func:`repro.vm.jit.compile_code`:
+        #: (len(instrs), link sites, {link shape: template}).  Same
+        #: lifetime and invalidation as ``_predecoded``.
+        self._tier2: Optional[Tuple[int, tuple, Dict[tuple, Any]]] = None
 
     # -- identity / display ------------------------------------------------
 
@@ -191,8 +195,10 @@ class CodeObject:
         return stream
 
     def invalidate_decoded(self) -> None:
-        """Drop cached decoded streams (after in-place instr mutation)."""
+        """Drop cached decoded streams and tier-2 templates (after
+        in-place instr or weight-table mutation)."""
         self._predecoded.clear()
+        self._tier2 = None
 
     # -- transformation support ---------------------------------------------
 
@@ -225,6 +231,8 @@ class ClassFile:
         self.fields: List[FieldDecl] = list(fields or [])
         self.methods: Dict[str, CodeObject] = dict(methods or {})
         self.version = version
+        #: memo of :func:`repro.preprocess.sizes.class_size`
+        self._size: Optional[int] = None
 
     def field(self, name: str) -> Optional[FieldDecl]:
         """Find a field declared directly on this class."""

@@ -582,20 +582,19 @@ class SODEngine:
     # -- SOD migration -----------------------------------------------------------------
 
     def _class_ship_bytes(self, dst_node: str, name: str,
-                          cf: ClassFile) -> Tuple[int, bool]:
+                          cf: ClassFile) -> Tuple[int, bool, int]:
         """Wire bytes for shipping class ``name`` to ``dst_node``: the
         full class file (plus its pre-decoded stream riding along) on
         first contact, or a content-addressed digest token when the
         destination's classpath already holds it — the classpath *is*
         the cache (class files are immutable once defined).  Returns
-        (bytes, cached)."""
+        (bytes, cached, full size)."""
         full = class_size(cf)
-        if not self.transfer_cache:
-            return full, False
-        dst = self.hosts.get(dst_node)
-        if dst is not None and dst.machine.loader.has_classfile(name):
-            return CLASS_TOKEN_BYTES, True
-        return full, False
+        if self.transfer_cache:
+            dst = self.hosts.get(dst_node)
+            if dst is not None and dst.machine.loader.has_classfile(name):
+                return CLASS_TOKEN_BYTES, True, full
+        return full, False, full
 
     @staticmethod
     def _static_classes(state: CapturedState) -> frozenset:
@@ -738,10 +737,10 @@ class SODEngine:
             if top_class in class_files:
                 continue
             cf = class_files[top_class] = machine.loader.classfile(top_class)
-            rec.class_bytes, rec.cached_class = self._class_ship_bytes(
-                dst_node, top_class, cf)
+            rec.class_bytes, rec.cached_class, full = \
+                self._class_ship_bytes(dst_node, top_class, cf)
             if rec.cached_class:
-                rec.saved_bytes += max(0, class_size(cf) - rec.class_bytes)
+                rec.saved_bytes += max(0, full - rec.class_bytes)
             class_wire += machine.cost.wire_bytes(rec.class_bytes)
         state_wire = sum(machine.cost.wire_bytes(r.state_bytes)
                          for r in recs)

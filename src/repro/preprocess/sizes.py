@@ -61,11 +61,17 @@ def method_size(code: CodeObject) -> int:
 
 def class_size(cf: ClassFile) -> int:
     """Modeled byte size of a class file (the unit shipped during
-    on-demand code migration)."""
-    total = _CLASS_HEADER + len(cf.name)
-    if cf.superclass:
-        total += 2
-    total += _FIELD_BYTES * len(cf.fields)
-    for m in cf.methods.values():
-        total += method_size(m)
+    on-demand code migration).  A pure function of a file nobody
+    edits once built, so it is computed once and kept on the object;
+    the preprocessor's passes edit ``ClassFile.copy()``s, which start
+    without the memo."""
+    total = cf._size
+    if total is None:
+        total = _CLASS_HEADER + len(cf.name)
+        if cf.superclass:
+            total += 2
+        total += _FIELD_BYTES * len(cf.fields)
+        for m in cf.methods.values():
+            total += method_size(m)
+        cf._size = total
     return total

@@ -63,26 +63,38 @@ Host-level errors (LinkError, type confusion) reuse the last armed
 record best-effort — they abort the run, so the guest can never observe
 the approximation.
 
-Compilation is per ``(code, namespace)``: the machine compiles while a
-namespace's loader is swapped in, and stores the closure in that
-namespace's own compiled map, so bound static cells never leak across
-class-loader namespaces (mirroring the decoded-stream maps).  Under
-those maps sits one process-wide level (:func:`_factory`): source
-generation runs for every compile, but CPython compiles each distinct
-generated text once, and a repeat is a *relink* of the cached factory
-against the new namespace's bindings — code is shared, cells never.
+Compilation is two steps, with the shared/isolated boundary between
+them.  *Generate* (:class:`_Compiler`) is a pure function of the code
+object, the cost-weight table and a *link shape* — which
+``GETS``/``PUTS``/``INVOKESTATIC``/``NEW`` sites are bound and which
+stay lazy.  It never sees a machine or a loader, and its result, a
+:class:`_Template`, is memoised on the ``CodeObject`` beside the
+predecoded streams (same lifetime, same ``invalidate_decoded()``).
+*Link* (:func:`compile_code`) runs per ``(machine, namespace)`` on
+every tier-up: it resolves the sites in the namespace whose loader is
+swapped in, looks the template up by their shape, and instantiates a
+closure over this namespace's values — statics dicts, linked classes,
+fresh guard cells, the compiled map it was asked to compile into —
+which the machine stores in that namespace's own map.  A fresh
+namespace therefore links code, it does not regenerate it: code is
+shared, cells never.  Shapes per method are not capped: classes link
+in program order and a hot method tiers up at its first entry, so a
+method sees few (2 at most in the benchmark, 4 in the fuzzers).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject
 from repro.bytecode.verifier import stack_depths
 from repro.preprocess.fuse import cache_seeds
 from repro.vm import machine as _machine
+from repro.vm.frames import Frame
+from repro.vm.objects import VMArray, VMInstance
+from repro.vm.values import RemoteRef, truthy
 
 #: hotness (entries + loop back-edges) at which a code object tiers up
 JIT_THRESHOLD = 16
@@ -123,15 +135,54 @@ class _Refuse(Exception):
 # -- runtime helpers bound into every closure ------------------------------------
 #
 # Failure and first-resolution branches are tier 1's own
-# (``machine._arr_fail`` and friends, bound in :meth:`assemble`), so the
-# differential suite cannot tell the tiers apart; the one tier-2
-# addition is the guard-miss counter.
+# (``machine._arr_fail`` and friends), so the differential suite cannot
+# tell the tiers apart; the one tier-2 addition is the guard-miss
+# counter.
 
 def _resolve_virtual(m: Any, receiver: Any, name: str, nargs: int,
                      cell: List[Any]) -> Tuple[CodeObject, List[Any]]:
     """Virtual-call guard miss: count the bail, rebind the cell."""
     m.jit_guard_bails += 1
     return _machine._bind_virtual(m, receiver, name, nargs, cell)
+
+
+#: what every closure of every template binds, built once: stateless
+#: functions, classes and a sentinel (``_mk`` parameter name -> value)
+_RUNTIME: Dict[str, Any] = {
+    "T": truthy, "A": _machine._add, "D": _machine._div,
+    "MO": _machine._mod, "MS": _machine._MISSING, "Inst": VMInstance,
+    "Arr": VMArray, "RR": RemoteRef, "F": Frame,
+    "GT": _machine.GuestThrow, "AF": _machine._arr_fail,
+    "IO": _machine._iobe, "FF": _machine._field_fail,
+    "TH": _machine._throw_carrier, "NA": _machine._newarr,
+    "RS": _machine._resolve_static, "RV": _resolve_virtual,
+    "RSF": _machine._static_cell, "PS": _machine._put_static,
+}
+
+#: the link sites: ops whose tier-2 code binds namespace state
+_SITE_OPS = frozenset({op.GETS, op.PUTS, op.INVOKESTATIC, op.INVOKEVIRT,
+                       op.NEW})
+
+
+class _Template(NamedTuple):
+    """Generated tier-2 code for one ``(CodeObject, weights, link
+    shape)``: process-wide and immutable — no machine, loader, class,
+    statics dict or cell.  Everything namespace-specific enters a
+    closure through ``slots`` when :func:`compile_code` links it."""
+
+    #: the factory: ``mk(NB, JM, *shared, *slot values)`` -> closure
+    mk: Any
+    #: resumable bci -> dispatch block id (``EN``, also in ``shared``)
+    entries: Dict[int, int]
+    #: ``_RUNTIME``, ``EN``, ``FT``, the literal-less constants and
+    #: ``LSWITCH`` tables, in ``mk``'s parameter order
+    shared: Tuple[Any, ...]
+    #: link slots ``(bci, i)``: the resolved value of the site at
+    #: ``bci`` (``i`` None) or element ``i`` of it; with no ``bci``, a
+    #: fresh ``[None] * i`` guard cell
+    slots: Tuple[Tuple[Optional[int], Optional[int]], ...]
+    #: snapshot of the weight table the text carries as literals
+    weights: Dict[str, float]
 
 
 # -- the compiler ----------------------------------------------------------------
@@ -151,16 +202,22 @@ def _literal(v: Any) -> Optional[str]:
 
 
 class _Compiler:
-    """One ``compile_code`` invocation's state."""
+    """Generate: the state of one ``(code, weights, link shape)`` ->
+    :class:`_Template` run.  The shape is the set of link-site bcis
+    that are *bound* (the value arrives in a slot); the rest are lazy."""
 
-    def __init__(self, machine: Any, code: CodeObject):
-        self.m = machine
+    def __init__(self, code: CodeObject, weights: Dict[str, float],
+                 shape: frozenset):
         self.code = code
         self.instrs = code.instrs
-        self.wt = machine.cost.op_weights.get
+        self.weights = weights
+        self.wt = weights.get
+        self.shape = shape
         self.lines: List[str] = []
         self.consts: Dict[str, Any] = {}
         self._const_by_id: Dict[int, str] = {}
+        #: link slots in parameter order: (name, site bci, element)
+        self.slots: List[Tuple[str, Optional[int], Optional[int]]] = []
         self._kn = 0
         self._un = 0
         #: fault table: (bci, w_pre, n_pre, w_self); index 0 is the
@@ -170,9 +227,6 @@ class _Compiler:
         self.seg_n = 0
         self.sym: List[Tuple[str, Optional[int]]] = []
         self.indent = 16
-        # tier-1 cache seeds: bci -> warmed inline-cache cell contents
-        stream = machine._decoded.get(code)
-        self.seeds = cache_seeds(stream, code) if stream else {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -184,6 +238,15 @@ class _Compiler:
         name = f"{prefix}{self._kn}"
         self.consts[name] = value
         self._const_by_id[id(value)] = name
+        return name
+
+    def slot(self, prefix: str, bci: Optional[int],
+             i: Optional[int] = None) -> str:
+        """A link slot: a closure parameter carrying namespace state
+        (see :attr:`_Template.slots`)."""
+        self._kn += 1
+        name = f"{prefix}{self._kn}"
+        self.slots.append((name, bci, i))
         return name
 
     def emit(self, line: str, extra: int = 0) -> None:
@@ -337,7 +400,7 @@ class _Compiler:
 
     # -- code generation --------------------------------------------------
 
-    def compile(self) -> Tuple[Any, Dict[int, int]]:
+    def compile(self) -> _Template:
         self.analyze()
         for k, start in enumerate(self.block_order):
             kw = "if" if k == 0 else "elif"
@@ -461,30 +524,23 @@ class _Compiler:
             self.emit("else:")
             self.emit(f"    FF(m, {obj}, {fn}, 'putfield')")
         elif o == op.GETS:
-            c = self.gen_static_cell(bci, o, ins.a)
-            if isinstance(c, str):
-                expr = f"{c}[0][{c}[1]]"
+            if bci in self.shape:  # the home class's statics dict
+                expr = f"{self.slot('sd', bci, 0)}[{ins.a[1]!r}]"
             else:
-                expr = (f"{self.bind(c[0], 'sd')}"
-                        f"[{_literal(c[1]) or self.bind(c[1])}]")
+                c = self.gen_lazy_static(bci, o, ins.a)
+                expr = f"{c}[0][{c}[1]]"
             return (False, self.push_value(bci, expr))
         elif o == op.PUTS:
             v = sym.pop()[0]
-            c = self.gen_static_cell(bci, o, ins.a)
-            if not isinstance(c, str):
-                c = self.bind(c, "sc")
+            c = self.slot("sc", bci) if bci in self.shape \
+                else self.gen_lazy_static(bci, o, ins.a)
             self.emit(f"PS(m, {c}, {v})")
         elif o == op.NEW:
             self.marker(bci, o)
-            cls_name = ins.a
-            seeded = self.m.loader.is_loaded(cls_name)
-            if seeded:
-                k = self.bind(self.m.loader.load(cls_name), "cls")
-                return (False, self.push_value(
-                    bci, f"m.heap.new_instance({k})"))
-            nm = _literal(cls_name) or self.bind(cls_name)
+            k = self.slot("cls", bci) if bci in self.shape else \
+                f"m.loader.load({_literal(ins.a) or self.bind(ins.a)})"
             return (False, self.push_value(
-                bci, f"m.heap.new_instance(m.loader.load({nm}))"))
+                bci, f"m.heap.new_instance({k})"))
         elif o == op.NEWARR:
             cnt = sym.pop()[0]
             self.marker(bci, o)
@@ -616,22 +672,14 @@ class _Compiler:
         self.emit("continue")
         return 1 if raw else 0
 
-    def gen_static_cell(self, bci: int, opname: str,
-                        key: Tuple[str, str]) -> Any:
-        """A static-field site's inline-cache content (tier 1's
-        ``_static_cell``: statics dict, field name, home class): the
-        tuple itself when monomorphy is proven (linked class or a
-        warmed tier-1 cache), else the name of a temp holding a lazy
-        cell identical to tier 1."""
-        seed = self.seeds.get(bci)
-        if seed is not None:
-            return seed[0]
-        if self.m.loader.is_loaded(key[0]):
-            try:
-                return _machine._static_cell(self.m, key)
-            except Exception:
-                pass  # unresolvable: raise at runtime like tier 1
-        cell = self.bind([None], "gc")
+    def gen_lazy_static(self, bci: int, opname: str,
+                        key: Tuple[str, str]) -> str:
+        """A static-field site the link left lazy (class not linked
+        yet, or unresolvable): the name of a temp holding tier 1's
+        ``_static_cell`` content (statics dict, field name, home
+        class), filled on first execution through a fresh per-closure
+        cell.  Bound sites get that tuple, or its dict, in a slot."""
+        cell = self.slot("gc", None, 1)
         u = self.fresh()
         self.emit(f"{u} = {cell}[0]")
         self.emit(f"if {u} is None:")
@@ -651,24 +699,13 @@ class _Compiler:
         self.poll(bci, spill_sym=True)
         args = [sym.pop()[0] for _ in range(nargs)][::-1]
         live = list(sym)
-        cls_name = ins.a[0]
-        seed = self.seeds.get(bci)
-        bound = None
-        if seed is not None:
-            bound = seed[0]
-        elif self.m.loader.is_loaded(cls_name):
-            try:
-                bound = _machine._resolve_static(self.m, ins.a, nargs)
-            except Exception:
-                bound = None  # let the runtime raise exactly like tier 1
         self.spill(live)
         self.emit(f"frame.pc = {bci + 1}")
-        if bound is not None:
-            kc = self.bind(bound[0], "mc")
-            kp = self.bind(bound[1], "mp")
-            code_expr, pad_expr = kc, kp
+        if bci in self.shape:  # (callee code, its locals padding)
+            code_expr = self.slot("mc", bci, 0)
+            pad_expr = self.slot("mp", bci, 1)
         else:
-            cell = self.bind([None], "ic")
+            cell = self.slot("ic", None, 1)
             u = self.fresh()
             self.emit(f"{u} = {cell}[0]")
             self.emit(f"if {u} is None:")
@@ -693,10 +730,8 @@ class _Compiler:
         args = [sym.pop()[0] for _ in range(nargs)][::-1]
         recv = sym.pop()[0]
         live = list(sym)
-        seed = self.seeds.get(bci)
-        # share the tier-1 cell when warmed (both tiers keep it hot);
-        # otherwise a fresh per-site guard cell
-        cell = self.bind(seed if seed is not None else [None, None], "vc")
+        # tier 1's warmed cell (both tiers keep it hot) or a fresh one
+        cell = self.slot("vc", bci)
         mn = _literal(ins.a) or self.bind(ins.a)
         u = self.fresh()
         self.emit(f"if {recv}.__class__ is Inst "
@@ -793,45 +828,19 @@ class _Compiler:
 
     # -- assembly ---------------------------------------------------------
 
-    def assemble(self) -> Tuple[Any, Dict[int, int]]:
+    def assemble(self) -> _Template:
         entries = {b: self.block_id[b] for b in self.block_order}
-        g: Dict[str, Any] = {
-            "T": __import__("repro.vm.values", fromlist=["truthy"]).truthy,
-            "A": _machine._add,
-            "D": _machine._div,
-            "MO": _machine._mod,
-            "MS": _machine._MISSING,
-            "Inst": __import__("repro.vm.objects",
-                               fromlist=["VMInstance"]).VMInstance,
-            "Arr": __import__("repro.vm.objects",
-                              fromlist=["VMArray"]).VMArray,
-            "RR": __import__("repro.vm.values",
-                             fromlist=["RemoteRef"]).RemoteRef,
-            "F": __import__("repro.vm.frames",
-                            fromlist=["Frame"]).Frame,
-            "GT": _machine.GuestThrow,
-            "AF": _machine._arr_fail,
-            "IO": _machine._iobe,
-            "FF": _machine._field_fail,
-            "TH": _machine._throw_carrier,
-            "NA": _machine._newarr,
-            "RS": _machine._resolve_static,
-            "RV": _resolve_virtual,
-            "RSF": _machine._static_cell,
-            "PS": _machine._put_static,
-            "EN": entries,
-            "FT": tuple(self.faults),
-            "NB": self.m.cost.native_base,
-            # the active compiled-code map (this namespace's): direct
-            # compiled->compiled calls resolve the callee through it
-            "JM": self.m._compiled,
-        }
-        g.update(self.consts)
-        # Constants enter through a factory's closure cells, not
+        shared = {**_RUNTIME, "EN": entries, "FT": tuple(self.faults),
+                  **self.consts}
+        # Everything enters through the factory's closure cells, not
         # keyword defaults: kwdefault filling costs one dict lookup per
         # missing argument on EVERY call, which dominates small
         # call-heavy methods; LOAD_DEREF is paid only where used.
-        params = ", ".join(g)
+        # ``NB`` is the machine's native base cost; ``JM`` the compiled
+        # map being compiled into (this namespace's): direct
+        # compiled->compiled calls resolve the callee through it.
+        params = ", ".join(["NB", "JM", *shared,
+                            *(slot[0] for slot in self.slots)])
         src_lines = [
             f"def _mk({params}):",
             "  def _cf(m, thread, frame, frames, ql, w_acc, n_acc, opc,",
@@ -859,24 +868,25 @@ class _Compiler:
             "  return _cf",
         ])
         src = "\n".join(src_lines) + "\n"
-        mk = _factory(f"<jit {self.code.qualname}>", src)
-        fn = mk(**g)  # link: this namespace's bindings, fresh cells
-        fn.__jit_source__ = mk.__jit_source__  # debugging aid (shared)
-        return fn, entries
+        return _Template(_factory(f"<jit {self.code.qualname}>", src),
+                         entries, tuple(shared.values()),
+                         tuple(slot[1:] for slot in self.slots),
+                         dict(self.weights))
 
 
 @functools.lru_cache(maxsize=128)
 def _factory(filename: str, src: str) -> Any:
-    """The process-wide code cache under the per-(machine, namespace)
-    ``_compiled`` maps: one CPython ``compile()`` per distinct generated
-    source.  The factory ``_mk`` is immutable code — everything
-    namespace-specific (static dicts, linked classes, guard cells,
-    ``JM``/``EN``/``FT``/``NB``) reaches a closure only through the
-    arguments of its own ``_mk(**g)`` call — so every machine and
-    namespace may link against the same one.  The key is the complete
-    source text (cost weights are literals in it): a hit is a verified
-    match, so nothing ever needs invalidating; the bound keeps the
-    fuzzers' thousands of one-off methods from growing it."""
+    """The text level under the templates: one CPython ``compile()``
+    (~4 ms) per distinct generated source, process-wide.  A template
+    saves *generation* whenever the same ``CodeObject`` compiles again
+    (every fresh ``req{rid}`` namespace: the ``serve_*`` workloads);
+    this level saves ``compile()`` when equal text comes from
+    *different* code objects, which no template can see — ``vm_solo``
+    rebuilds its programs for every repetition so cold means cold, and
+    two machines may hold separately built class files.  The key is
+    the complete source text (cost weights are literals in it): a hit
+    is a verified match, so nothing ever needs invalidating; the bound
+    keeps the fuzzers' thousands of one-off methods from growing it."""
     ns: Dict[str, Any] = {}
     exec(compile(src, filename, "exec"), ns)
     mk = ns["_mk"]
@@ -884,27 +894,82 @@ def _factory(filename: str, src: str) -> Any:
     return mk
 
 
-def compile_code(machine: Any, code: CodeObject
+def _resolve_sites(m: Any, code: CodeObject,
+                   sites: Tuple[Tuple[int, Any], ...]) -> Dict[int, Any]:
+    """Link, step 1: every site's value (by bci) in the machine's
+    *current* namespace, found tier 1's way — the warmed inline-cache
+    seed, else resolution against an already linked class (never a
+    load: ``load_listener`` charges virtual time), else ``None``: the
+    site stays lazy and resolves on first execution, like tier 1."""
+    stream = m._decoded.get(code)
+    seeds = cache_seeds(stream, code) if stream else {}
+    loader = m.loader
+    vals: Dict[int, Any] = {}
+    for bci, ins in sites:
+        o, seed, v = ins.op, seeds.get(bci), None
+        if o == op.INVOKEVIRT:
+            # the live tier-1 cell when warmed (both tiers keep it
+            # hot), else a fresh guard cell: bound either way
+            v = seed if seed is not None else [None, None]
+        elif o == op.NEW:
+            if loader.is_loaded(ins.a):
+                v = loader.load(ins.a)
+        elif seed is not None:
+            v = seed[0]
+        elif loader.is_loaded(ins.a[0]):
+            try:
+                v = _machine._resolve_static(m, ins.a, ins.b or 0) \
+                    if o == op.INVOKESTATIC \
+                    else _machine._static_cell(m, ins.a)
+            except Exception:
+                pass  # unresolvable: raise at runtime exactly like tier 1
+        vals[bci] = v
+    return vals
+
+
+def compile_code(machine: Any, code: CodeObject, jm: Dict[CodeObject, Any]
                  ) -> Optional[Tuple[Any, Dict[int, int]]]:
-    """Compile ``code`` against ``machine``'s current loader (which IS
-    the running thread's namespace loader during ``run``).  Returns
+    """The one compile path: resolve ``code``'s link sites against
+    ``machine``'s current loader and decoded map (the running thread's
+    namespace during ``run``), look the template of their shape up on
+    the code object — a hit is verified against the weight table, and
+    trusts ``instrs`` as far as ``predecoded()`` does — generate it on
+    a miss, and link a closure for the compiled map ``jm``.  Returns
     ``(closure, entries)`` — ``entries`` maps every resumable bci to
-    its dispatch block id — or ``None`` when the method is refused."""
-    try:
-        return _Compiler(machine, code).compile()
-    except _Refuse:
-        return None
+    its dispatch block id — or ``None`` when the method is refused
+    (refusals are not memoised here: ``jm`` remembers them)."""
+    n = len(code.instrs)
+    memo = code._tier2
+    if memo is None or memo[0] != n:
+        memo = code._tier2 = (n, tuple(
+            (i, ins) for i, ins in enumerate(code.instrs)
+            if ins.op in _SITE_OPS), {})
+    templates = memo[2]
+    vals = _resolve_sites(machine, code, memo[1])
+    shape = frozenset(bci for bci, v in vals.items() if v is not None)
+    weights = machine.cost.op_weights
+    tpl = templates.get(shape)
+    if tpl is None or tpl.weights != weights:
+        try:
+            tpl = templates[shape] = _Compiler(code, weights, shape).compile()
+        except _Refuse:
+            return None
+    fn = tpl.mk(machine.cost.native_base, jm, *tpl.shared,
+                *[[None] * i if bci is None else vals[bci] if i is None
+                  else vals[bci][i] for bci, i in tpl.slots])
+    fn.__jit_source__ = tpl.mk.__jit_source__  # debugging aid (shared)
+    return fn, tpl.entries
 
 
 def compile_into(machine: Any, code: CodeObject,
                  jm: Dict[CodeObject, Any]) -> Any:
     """Tier-up entry used by the fast loop's driver: compile ``code``
-    into the active compiled-code map.  Failures are cached as
+    into the compiled-code map ``jm``.  Failures are cached as
     ``False`` so the driver never retries a refused method; anything
     but a refusal is a code-generator bug — the method stays on tier 1,
     but ``machine.jit_compile_errors`` says so (0 in every suite)."""
     try:
-        cf = compile_code(machine, code)
+        cf = compile_code(machine, code, jm)
     except Exception:
         machine.jit_compile_errors += 1
         cf = None

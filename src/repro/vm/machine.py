@@ -368,8 +368,9 @@ class Machine:
         Needed only after host-level surgery the VM cannot see: swapping
         ``machine.cost`` (or mutating its weight table) after execution
         started, or mutating a ``CodeObject.instrs`` list in place.
-        Also drops the per-CodeObject predecoded streams this machine
-        used, so re-decoding observes current weights and instrs.
+        Also drops the per-CodeObject predecoded streams and tier-2
+        templates of the code this machine still maps, so re-decoding
+        observes current weights and instrs.
         """
         for code in self._decoded:
             code.invalidate_decoded()

@@ -6,7 +6,8 @@ compilation fires, that OSR catches single-activation loops, that
 guard bails and deopts are counted and harmless, that compiled maps
 are per-namespace and reclaimed with the namespace, that a full
 serving run leaves no decoded/compiled cache growth behind, and that
-the process-wide factory cache under those maps shares only code.
+the two process-wide levels under those maps — templates on the code
+object, the text-keyed factory cache — share only code.
 
 Every test here (and in the whole suite) also runs under conftest's
 ``jit_compile_failures`` check: no compile may die of anything but a
@@ -15,7 +16,9 @@ refusal.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -150,7 +153,7 @@ def test_refused_code_is_not_retried(monkeypatch):
     calls = []
     orig = jit_mod.compile_code
 
-    def counting(machine, code):
+    def counting(machine, code, jm):
         calls.append(code.qualname)
         return None  # refuse everything
 
@@ -270,27 +273,42 @@ def test_work_profile_drives_precompilation(monkeypatch):
     assert rep.stats["tier2_precompiles"] > 0
 
 
-# -- the process-wide factory cache ----------------------------------------------
+# -- the process-wide levels: templates and the factory cache --------------------
 #
-# Level 2 under the per-(machine, namespace) maps: jit._factory memoises
-# (filename, generated source) -> _mk.  Other tests warm it, so these
-# assert on cache_info() *deltas* and object identity, never on absolutes.
+# Under the per-(machine, namespace) maps: a CodeObject memoises its
+# generated templates by link shape (what saves a fresh namespace the
+# generator), and jit._factory memoises (filename, generated source) ->
+# _mk (what saves CPython's compile() for equal text from *different*
+# code objects).  Other tests warm the factory, so its tests assert on
+# cache_info() *deltas* and object identity, never on absolutes.
 
 
 def _work_code(m, namespace=None):
     return m.namespace(namespace).load("P").find_method("work")
 
 
-def test_second_namespace_links_against_the_cached_factory():
-    """Same method, two namespaces on one machine: the second compile
-    is a cache hit, and the hit is a *relink* — same code object, but
-    distinct closures over each namespace's own cells."""
+@pytest.fixture
+def generations(monkeypatch):
+    """Every run of the tier-2 generator, as (CodeObject, link shape)."""
+    runs = []
+    generate = jit_mod._Compiler.compile
+
+    def counting(self):
+        runs.append((self.code, self.shape))
+        return generate(self)
+
+    monkeypatch.setattr(jit_mod._Compiler, "compile", counting)
+    return runs
+
+
+def test_second_namespace_generates_nothing(generations):
+    """Same method, two namespaces on one machine: the generator runs
+    once and both compiles are *links* of its template — same code
+    object, but distinct closures over each namespace's own cells."""
     m = Machine(_classes(), jit=True)
     assert m.precompile("P", "work", namespace="a")
-    before = jit_mod._factory.cache_info()
     assert m.precompile("P", "work", namespace="b")
-    after = jit_mod._factory.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert len(generations) == 1
     assert m.jit_compiles == 2  # a link still counts as a compile
     fa = m._compiled_ns["a"][_work_code(m, "a")][0]
     fb = m._compiled_ns["b"][_work_code(m, "b")][0]
@@ -303,6 +321,39 @@ def test_second_namespace_links_against_the_cached_factory():
         m.run(t)
         assert m.namespace(ns).load("P").statics["s"] == n
     assert m.namespace(None).load("P").statics["s"] == 0
+
+
+def test_serving_generates_once_per_code_and_link_shape(generations):
+    """A serving run compiles in every fresh ``req{rid}`` namespace but
+    generates at most once per distinct (CodeObject, link shape) — at
+    least 5x fewer generator runs than links."""
+    from repro.workloads.mixes import serve_classpath
+
+    for cf in serve_classpath(MIXES["paper"].programs()).values():
+        for code in cf.methods.values():
+            code._tier2 = None  # the registry's class files are cached
+    rep = serve_mix("paper", n_nodes=4, n_requests=24, seed=7)
+    assert rep.served == rep.correct == 24
+    assert rep.stats["jit_compile_errors"] == 0
+    assert len(generations) == len(set(generations))
+    assert 0 < 5 * len(generations) <= rep.stats["tier2_compiles"]
+
+
+def test_templates_die_with_their_class():
+    """Templates live on the CodeObject and nowhere else: when the
+    class goes, so do they (no registry to bound or sweep).  Only the
+    bounded text level keeps a ``_mk`` alive, and holds no code object."""
+    m = Machine(_classes(), jit=True)
+    assert m.precompile("P", "work")
+    code = _work_code(m)
+    (tpl,) = code._tier2[2].values()
+    code_ref, mk_ref = weakref.ref(code), weakref.ref(tpl.mk)
+    del m, code, tpl
+    gc.collect()
+    assert code_ref() is None and mk_ref() is not None
+    jit_mod._factory.cache_clear()
+    gc.collect()
+    assert mk_ref() is None
 
 
 def test_two_machines_share_the_factory():
@@ -322,29 +373,43 @@ def test_two_machines_share_the_factory():
     assert m1.loader.load("P").statics["s"] == 40  # not 80: own cells
 
 
-def test_cost_weight_change_is_a_different_cache_entry():
+def test_cost_weight_change_is_a_different_cache_entry(monkeypatch):
     """Weights are literals in the generated source, so new weights
-    are a new key: no invalidation hook, and the relinked closure's
-    clock equals legacy dispatch under the new weights."""
+    are a new text: a template hit is verified against a snapshot of
+    the table, so a table *mutated in place* regenerates too — also
+    for a method whose only compile was in a namespace since dropped,
+    which ``invalidate_caches()`` no longer reaches — and the relinked
+    closures' clock equals legacy dispatch under the new weights."""
+    monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)  # runs stay in tier 2
     classes = _classes()
-    m = Machine(classes, jit=True)
+    cost = CostModel()
+    cost.op_weights = dict(CostModel.op_weights)
+    m = Machine(classes, cost=cost, jit=True)
     assert m.precompile("P", "work")
     old = m._compiled[_work_code(m)][0]
-    cost = CostModel()
-    cost.op_weights = dict(CostModel.op_weights, STORE=7.25, PUTS=3.5)
-    m.cost = cost
+    t = m.spawn("P", "caller", [3], namespace="gone")
+    m.run(t)
+    caller = m.namespace("gone").load("P").find_method("caller")
+    old_caller = m._compiled_ns["gone"][caller][0]
+    m.drop_namespace("gone")
+    cost.op_weights.update(STORE=7.25, PUTS=3.5)
     m.invalidate_caches()
     assert m.precompile("P", "work")
     new = m._compiled[_work_code(m)][0]
     assert new.__code__ is not old.__code__
     assert new.__jit_source__ != old.__jit_source__
     legacy = Machine(classes, cost=cost, dispatch="legacy")
-    assert m.call("P", "work", [300]) == legacy.call("P", "work", [300])
-    assert m.instr_count == legacy.instr_count
-    assert math.isclose(m.clock, legacy.clock, rel_tol=1e-9, abs_tol=1e-12)
+    clock, instrs = m.clock, m.instr_count
+    assert m.call("P", "caller", [300]) == legacy.call("P", "caller", [300])
+    new_caller = m._compiled[caller][0]
+    assert new_caller.__code__ is not old_caller.__code__
+    assert new_caller.__jit_source__ != old_caller.__jit_source__
+    assert m.instr_count - instrs == legacy.instr_count
+    assert math.isclose(m.clock - clock, legacy.clock,
+                        rel_tol=1e-9, abs_tol=1e-12)
     stock = Machine(classes, dispatch="legacy")
-    stock.call("P", "work", [300])
-    assert not math.isclose(m.clock, stock.clock, rel_tol=1e-3)
+    stock.call("P", "caller", [300])
+    assert not math.isclose(m.clock - clock, stock.clock, rel_tol=1e-3)
 
 
 def test_factory_cache_is_bounded():
@@ -366,8 +431,8 @@ def test_factory_cache_is_bounded():
 def test_refusal_is_memoised_per_namespace_not_in_the_factory(
         monkeypatch, namespaces):
     """A refused method is ``False`` in each namespace's own map; it
-    never reaches the shared factory cache (nothing was generated) and
-    is not an error."""
+    never reaches the shared levels (nothing was generated) and is not
+    an error."""
     monkeypatch.setattr(jit_mod, "_MAX_INSTRS", 1)
     m = Machine(_classes(), jit=True)
     before = jit_mod._factory.cache_info()
@@ -376,4 +441,5 @@ def test_refusal_is_memoised_per_namespace_not_in_the_factory(
         jm = m._compiled if ns is None else m._compiled_ns[ns]
         assert jm[_work_code(m, ns)] is False
     assert jit_mod._factory.cache_info() == before
+    assert not _work_code(m)._tier2[2]  # ...nor in a template
     assert m.jit_compiles == 0 and m.jit_compile_errors == 0

@@ -87,6 +87,137 @@ def test_namespaces_isolate_static_cells_under_shared_tier2_code(monkeypatch):
     assert len({fn.__code__ for fn in fns}) == 1
 
 
+# -- the shared/isolated boundary of tier-2 code ---------------------------------
+#
+# Process-wide and immutable: CodeObject.instrs, its predecoded streams,
+# tier-2 templates, jit._factory.  Per (machine, namespace): linked
+# classes and statics, decoded streams with their inline-cache cells,
+# compiled closures and every cell in them.  (ROADMAP direction 4.)
+
+BOUNDARY_SRC = """
+class H { static int h; static int inc(int x) { H.h = H.h + x; return H.h; } }
+class V { int tag; int f(int a) { return a + this.tag; } }
+class P {
+  static int s;
+  static int bump(int n) { P.s = P.s + n; return P.s; }
+  static int work(int n) {
+    int r = 0;
+    for (int i = 0; i < n; i = i + 1) { r = P.bump(1); }
+    return r;
+  }
+  static int mixed(int n) {
+    V v = new V();
+    v.tag = n;
+    int r = 0;
+    switch (n) { case 1: r = 10; break; case 2: r = 20; break; default: r = 30; }
+    P.s = P.s + 1;
+    return r + v.f(P.s) + H.inc(n) + H.h + P.bump(n);
+  }
+}
+"""
+
+
+def _boundary_classes():
+    return preprocess_program(compile_source(BOUNDARY_SRC), "original")
+
+
+def test_precompiled_namespace_closure_calls_through_its_own_map():
+    """``precompile(namespace=...)`` links the closure to the map it
+    compiles into: its direct compiled->compiled calls must never reach
+    a root-namespace closure (and the root's static cells)."""
+    m = Machine(_boundary_classes(), jit=True)
+    assert m.call("P", "work", [100]) == 100  # root: work and bump compiled
+    assert m.precompile("P", "work", namespace="a")
+    t = m.spawn("P", "work", [10], namespace="a")
+    m.run(t)
+    assert t.result == 10
+    assert m.namespace("a").load("P").statics["s"] == 10
+    assert m.loader.load("P").statics["s"] == 100
+    work = m.namespace("a").load("P").find_method("work")
+    fn = m._compiled_ns["a"][work][0]
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+    assert cells["JM"].cell_contents is m._compiled_ns["a"]
+
+
+def _link_mixed(m, ns):
+    """``P.mixed`` linked in fresh namespace ``ns`` with ``P`` and
+    ``V`` linked and ``H`` not: every kind of slot, bound and lazy."""
+    m.namespace(ns).load("V")
+    assert m.precompile("P", "mixed", namespace=ns)
+    mixed = m.namespace(ns).load("P").find_method("mixed")
+    return mixed, m._compiled_ns[ns][mixed][0]
+
+
+def test_template_holds_no_namespace_state():
+    """Walk everything a template references: no machine, loader,
+    linked class, statics dict, or list (guard cells are lists) —
+    nothing mutable, nothing any one namespace owns."""
+    from repro.vm.classloader import ClassLoader
+    from repro.vm.objects import VMClass
+
+    m = Machine(_boundary_classes(), jit=True)
+    mixed, _fn = _link_mixed(m, "a")
+    (tpl,) = mixed._tier2[2].values()
+    # every slot kind: a site's value, an element of it, a guard cell
+    assert {(bci is None, i) for bci, i in tpl.slots} == {
+        (False, None), (False, 0), (False, 1), (True, 1)}
+    statics = {id(c.statics) for ld in m.loaders()
+               for c in ld.loaded_classes().values()}
+    seen, todo = set(), [tpl]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        assert not isinstance(x, (Machine, ClassLoader, VMClass, list)), x
+        assert id(x) not in statics
+        if isinstance(x, dict):
+            todo.extend(x.keys())
+            todo.extend(x.values())
+        elif isinstance(x, (tuple, frozenset)):
+            todo.extend(x)
+        elif callable(x) and getattr(x, "__closure__", None):
+            todo.extend(c.cell_contents for c in x.__closure__)
+
+
+def test_linked_closures_share_only_immutable_code():
+    """One template linked into two namespaces: cell by cell, the two
+    closures hold the same object only if it is code (a function, a
+    class, a CodeObject), a str / number / None / sentinel, a tuple
+    (``FT``), or a read-only int -> int map built by the generator
+    (``EN``, ``LSWITCH`` tables).  Turning any link slot into a
+    template constant breaks this or the walk above."""
+    import types
+
+    from repro.bytecode.code import CodeObject
+    from repro.vm.machine import _MISSING
+
+    m = Machine(_boundary_classes(), jit=True)
+    (_mixed, fa), (mixed, fb) = _link_mixed(m, "a"), _link_mixed(m, "b")
+    assert len(mixed._tier2[2]) == 1 and fa.__code__ is fb.__code__
+    private = set()
+    for name, ca, cb in zip(fa.__code__.co_freevars, fa.__closure__,
+                            fb.__closure__):
+        a, b = ca.cell_contents, cb.cell_contents
+        if a is not b:
+            private.add(name.rstrip("0123456789"))
+            continue
+        assert a is None or a is _MISSING or isinstance(
+            a, (str, int, float, tuple, type, types.FunctionType,
+                CodeObject)) or (
+            isinstance(a, dict) and all(
+                type(k) is int and type(v) is int for k, v in a.items())
+        ), (name, a)
+    # the compiled map and every slot but ``mc`` (the callee's code)
+    assert private == {"JM", "cls", "sd", "sc", "vc", "ic", "gc", "mp"}
+    for ns in ("a", "b"):
+        t = m.spawn("P", "mixed", [2], namespace=ns)
+        m.run(t)
+        assert t.result == 30
+        assert m.namespace(ns).load("H").statics["h"] == 2
+    assert m.loader.is_loaded("H") is False
+
+
 def test_namespace_shares_classpath_but_not_linked_classes():
     m = Machine(_classes("original"))
     ns = m.namespace("x")

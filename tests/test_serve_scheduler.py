@@ -168,11 +168,12 @@ def test_serving_replays_bit_identically():
         == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def _modeled_outcome(**described):
+def _modeled_outcome(tier2_counters=False, **described):
     """Everything one serving run says about the *modeled* cluster:
-    the report (minus the host-side tier-2 activity counters), the
-    network's byte totals, each request's fate, and every write-back
-    message (which copies and statics it carried, and its bytes)."""
+    the report (minus the host-side tier-2 activity counters, unless
+    asked to keep them), the network's byte totals, each request's
+    fate, and every write-back message (which copies and statics it
+    carried, and its bytes)."""
     messages = []
     build = WorkerObjectManager.build_writeback
 
@@ -189,8 +190,9 @@ def _modeled_outcome(**described):
         rep = sched.serve(load).to_dict()
     assert rep["served"] == rep["correct"] == described["n_requests"]
     assert rep["sched"]["max_quantum_overshoot"] < 2000
-    rep["sched"] = {k: v for k, v in rep["sched"].items()
-                    if not k.startswith("tier2_")}
+    if not tier2_counters:
+        rep["sched"] = {k: v for k, v in rep["sched"].items()
+                        if not k.startswith("tier2_")}
     return {
         "report": rep,
         "bytes": (sched.network.total_bytes(), sched.network.total_saved()),
@@ -218,11 +220,17 @@ def _assert_same_outcome(a, b, path="outcome"):
         assert a == b, path
 
 
-@pytest.mark.parametrize("described", [
+#: the described runs every "what executes does not change what is
+#: modeled" differential serves
+TIER_BLIND_RUNS = [
     dict(mix="paper", n_nodes=4, n_requests=40, max_seg_hops=2),
     dict(mix="offload", n_nodes=4, n_requests=20, max_seg_hops=2,
          placement="front-door"),
-], ids=["paper", "offload-front-door"])
+]
+
+
+@pytest.mark.parametrize("described", TIER_BLIND_RUNS,
+                         ids=["paper", "offload-front-door"])
 def test_serving_outcome_is_tier_blind(described, monkeypatch):
     """The modeled cluster does not depend on which VM loop executed
     it: the same described run served with tier 2 on, with
@@ -255,6 +263,43 @@ def test_serving_outcome_is_tier_blind(described, monkeypatch):
         sodee, "Machine",
         lambda *a, **kw: Machine(*a, dispatch="legacy", **kw))
     _assert_same_outcome(tier2, _modeled_outcome(**described))
+
+
+@pytest.mark.parametrize("described", TIER_BLIND_RUNS,
+                         ids=["paper", "offload-front-door"])
+def test_template_cache_is_transparent(described, monkeypatch):
+    """Tier-2 templates change no closure's code: the tier-blindness
+    runs, compiling at every first entry, with the template lookup
+    forced to miss every time give the same outcome — the tier-2
+    counters this time included — and the same multiset of linked
+    ``__jit_source__`` texts as with the cache."""
+    import repro.vm.jit as jit
+
+    compile_code = jit.compile_code
+    monkeypatch.setattr(jit, "JIT_THRESHOLD", 1)  # hotness-independent
+
+    def outcome(miss):
+        texts = []
+
+        def linking(machine, code, jm):
+            if miss:
+                code._tier2 = None  # forget the sites and every template
+            cf = compile_code(machine, code, jm)
+            if cf is not None:
+                texts.append(cf[0].__jit_source__)
+            return cf
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jit, "compile_code", linking)
+            return _modeled_outcome(tier2_counters=True, **described), \
+                sorted(texts)
+
+    cached, cached_texts = outcome(miss=False)
+    assert cached["report"]["sched"]["tier2_compiles"] == len(cached_texts)
+    assert len(set(cached_texts)) < len(cached_texts)  # links share code
+    missed, missed_texts = outcome(miss=True)
+    _assert_same_outcome(cached, missed)
+    assert cached_texts == missed_texts
 
 
 def test_interarrival_stream_is_open_loop():
