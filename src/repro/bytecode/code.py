@@ -131,7 +131,7 @@ class CodeObject:
         #: tier-2 memo, owned by :func:`repro.vm.jit.compile_code`:
         #: (len(instrs), link sites, {link shape: template}).  Same
         #: lifetime and invalidation as ``_predecoded``.
-        self._tier2: Optional[Tuple[int, tuple, Dict[tuple, Any]]] = None
+        self._tier2: Optional[Tuple[int, tuple, Dict[frozenset, Any]]] = None
 
     # -- identity / display ------------------------------------------------
 
