@@ -13,6 +13,7 @@ Run:  python examples/elastic_workflows.py
 from repro.cluster import gige_cluster
 from repro.lang import compile_source
 from repro.migration import SODEngine
+from repro.migration.policies import on_method_entry
 from repro.migration.workflow import (multi_hop, partial_return,
                                       total_migration)
 from repro.preprocess import preprocess_program
@@ -49,7 +50,7 @@ def fresh():
     home = engine.host("node0")
     thread = engine.spawn(home, "Pipeline", "main", [N])
     engine.run(home, thread,
-               stop=lambda t: t.frames[-1].code.name == "stage3")
+               stop=on_method_entry("Pipeline", "stage3"))
     return engine, home, thread
 
 

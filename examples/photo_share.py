@@ -13,6 +13,7 @@ Run:  python examples/photo_share.py
 from repro.cluster import phone_setup
 from repro.lang import compile_source
 from repro.migration import SODEngine
+from repro.migration.policies import on_method_entry
 from repro.migration.segments import pin_methods
 from repro.preprocess import preprocess_program
 from repro.units import kb, to_ms
@@ -38,7 +39,7 @@ def serve_once(bandwidth_kbps: float) -> None:
     pin_methods(thread, ["PhotoServer.serve"])
 
     engine.run(server, thread,
-               stop=lambda t: t.frames[-1].code.name == "searchPhotos")
+               stop=on_method_entry("PhotoServer", "searchPhotos"))
     listing, record = engine.run_segment_remote(server, thread, "iphone",
                                                 nframes=1)
     photos = [p for p in listing.split(";") if p]

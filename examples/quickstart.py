@@ -8,6 +8,7 @@ Run:  python examples/quickstart.py
 from repro.cluster import gige_cluster
 from repro.lang import compile_source
 from repro.migration import SODEngine
+from repro.migration.policies import on_method_entry
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
 
@@ -52,7 +53,7 @@ def main() -> None:
     # 4. Run until the hot method is entered, then ship its frame to
     #    node1.  The heap stays home; objects fault over on demand.
     engine.run(home, thread,
-               stop=lambda t: t.frames[-1].code.name == "crunch")
+               stop=on_method_entry("App", "crunch"))
     result, record = engine.run_segment_remote(home, thread, "node1",
                                                nframes=1)
     print(f"migrated result    : {result}")

@@ -122,11 +122,11 @@ class CodeObject:
         #: is a property of the program, not of one VM — so machines
         #: compare against the threshold with ``>=``, never ``==``.
         self.hotness = 0
-        #: cache for :meth:`predecoded`: id(weights) -> (weights, stream).
-        #: The weight table itself is kept in the entry so the id cannot
-        #: be recycled by a new dict while the cache is alive.
+        #: cache for :meth:`predecoded`: id(weights) -> (weights, the
+        #: copy of it a hit is verified against, stream).  The table is
+        #: kept so its id cannot be recycled while the cache is alive.
         self._predecoded: Dict[
-            int, Tuple[Dict[str, float],
+            int, Tuple[Dict[str, float], Dict[str, float],
                        List[Tuple[int, Any, Any, float]]]] = {}
         #: tier-2 memo, owned by :func:`repro.vm.jit.compile_code`:
         #: (len(instrs), link sites, {link shape: template}).  Same
@@ -179,19 +179,21 @@ class CodeObject:
         ``weights`` (default 1.0) — so the interpreter's hot loop never
         touches opcode strings or the weight table.
 
-        The stream is cached per weight-table identity; callers that
-        mutate ``instrs`` after execution started (no in-tree pass does)
-        must call :meth:`invalidate_decoded`.
+        The stream is cached per weight table, verified against a
+        snapshot so an in-place edit rebuilds it; callers that mutate
+        ``instrs`` after execution started (no in-tree pass does) must
+        call :meth:`invalidate_decoded`.
         """
         entry = self._predecoded.get(id(weights))
         if (entry is not None and entry[0] is weights
-                and len(entry[1]) == len(self.instrs)):
-            return entry[1]
+                and entry[1] == weights
+                and len(entry[2]) == len(self.instrs)):
+            return entry[2]
         get_w = weights.get
         ids = op.OP_IDS
         stream = [(ids[i.op], i.a, i.b, get_w(i.op, 1.0))
                   for i in self.instrs]
-        self._predecoded[id(weights)] = (weights, stream)
+        self._predecoded[id(weights)] = (weights, dict(weights), stream)
         return stream
 
     def invalidate_decoded(self) -> None:

@@ -15,6 +15,7 @@ from repro.cluster import gige_cluster
 from repro.experiments.common import Table
 from repro.lang import compile_source
 from repro.migration import SODEngine
+from repro.migration.policies import on_method_entry
 from repro.migration.workflow import multi_hop, partial_return, total_migration
 from repro.preprocess import preprocess_program
 from repro.units import to_ms
@@ -52,7 +53,7 @@ def _fresh():
                     cost=sodee_model(instr_seconds=2e-7))
     home = eng.host("node0")
     t = eng.spawn(home, "Flow", "main", [N])
-    eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "inner")
+    eng.run(home, t, stop=on_method_entry("Flow", "inner"))
     return classes, eng, home, t
 
 

@@ -21,6 +21,7 @@ from repro.cluster import gige_cluster
 from repro.experiments.common import Table
 from repro.lang import compile_source
 from repro.migration import SODEngine
+from repro.migration.policies import on_method_entry
 from repro.preprocess import preprocess_program
 from repro.units import mb
 from repro.vm.costmodel import jessica2_model, sodee_model, xen_model
@@ -67,7 +68,7 @@ def run_sodee() -> Tuple[float, float, float]:
     home = eng.host("node0")
     t = eng.spawn(home, "Search", "run3", _args(paths))
     # Trigger before any file is read: at entry of the first searchFile.
-    eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "searchFile")
+    eng.run(home, t, stop=on_method_entry("Search", "searchFile"))
     # Migrate the whole remaining job (run3 + searchFile frames).
     result, _rec = eng.run_segment_remote(home, t, "node1",
                                           nframes=t.depth())
@@ -93,7 +94,7 @@ def run_jessica2() -> Tuple[float, float, float]:
     classes, cluster, paths = _setup("faulting")
     eng = Jessica2Engine(cluster, classes, jessica2_model())
     m, t = eng.start("Search", "run3", _args(paths), at="node0")
-    eng.run(m, t, stop=lambda th: th.frames[-1].code.name == "searchFile")
+    eng.run(m, t, stop=on_method_entry("Search", "searchFile"))
     dm, wt, _rec = eng.migrate(m, t, "node1")
     result = eng.finish(dm, wt, home_machine=m, home_thread=t)
     assert result == 3, result
@@ -117,7 +118,7 @@ def run_xen() -> Tuple[float, float, float]:
     classes, cluster, paths = _setup("original")
     eng = XenEngine(cluster, classes, xen_model())
     m, t = eng.start("Search", "run3", _args(paths), at="node0")
-    eng.run(m, t, stop=lambda th: th.frames[-1].code.name == "searchFile")
+    eng.run(m, t, stop=on_method_entry("Search", "searchFile"))
     m, t, _rec = eng.migrate(m, t, "node1")
     result = eng.finish(m, t)
     assert result == 3, result

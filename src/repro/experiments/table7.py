@@ -16,6 +16,7 @@ from repro.cluster import phone_setup
 from repro.experiments.common import Table
 from repro.lang import compile_source
 from repro.migration import SODEngine
+from repro.migration.policies import on_method_entry
 from repro.migration.segments import pin_methods
 from repro.preprocess import preprocess_program
 from repro.units import kb, to_ms
@@ -52,7 +53,7 @@ def migrate_once(bandwidth_kbps: float):
     # The serve frame holds the client socket: pinned at home (IV.D).
     pin_methods(t, ["PhotoServer.serve"])
     eng.run(server, t,
-            stop=lambda th: th.frames[-1].code.name == "searchPhotos")
+            stop=on_method_entry("PhotoServer", "searchPhotos"))
     result, rec = eng.run_segment_remote(server, t, "iphone", nframes=1)
     assert "beach" in result
     return rec, result

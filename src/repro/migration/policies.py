@@ -4,9 +4,9 @@ The paper leaves "migration, prefetching and task distribution policies"
 as the tuning surface of SOD (section VI); this module supplies the ones
 its scenarios need:
 
-* trigger combinators (:func:`on_method_entry`, :func:`on_depth`,
-  :func:`after_instrs`) used by the experiment harnesses to decide
-  *when* to freeze;
+* the trigger combinators (:func:`on_method_entry`, :func:`on_depth`,
+  :func:`after_instrs`, ...) the experiment harnesses use to decide
+  *when* to freeze, re-exported from :mod:`repro.vm.frames`;
 * :class:`LocalityPolicy` — migrate a data-access method to the node
   hosting its data (the text-search / roaming studies);
 * :class:`SpeculativeCloudPolicy` — the section II.B scenario: "if
@@ -28,9 +28,9 @@ from repro.bytecode import opcodes as op
 from repro.errors import MigrationError
 from repro.migration.segments import max_migratable, segment_bytes_estimate
 from repro.migration.sodee import Host, SODEngine
-from repro.vm.frames import ThreadState
-
-Trigger = Callable[[ThreadState], bool]
+from repro.vm.frames import (ThreadState, Trigger, after_clock,  # noqa: F401
+                             after_instrs, any_of, on_depth,
+                             on_method_entry)
 
 
 def rewind_to_line_start(thread: ThreadState) -> None:
@@ -42,43 +42,6 @@ def rewind_to_line_start(thread: ThreadState) -> None:
     frame = thread.frames[-1]
     frame.pc = frame.code.line_start(frame.pc)
     frame.stack.clear()
-
-
-# -- triggers ----------------------------------------------------------------
-
-def on_method_entry(class_name: str, method: str) -> Trigger:
-    """Fires when the named method becomes the top frame at its entry."""
-
-    def trig(t: ThreadState) -> bool:
-        f = t.frames[-1]
-        return (f.code.class_name == class_name and f.code.name == method
-                and f.pc == 0)
-
-    return trig
-
-
-def on_depth(depth: int) -> Trigger:
-    """Fires when the stack reaches ``depth`` frames."""
-    return lambda t: t.depth() >= depth
-
-
-def after_instrs(machine, budget: int) -> Trigger:
-    """Fires once the machine has executed ``budget`` more instructions."""
-    start = machine.instr_count
-    return lambda t: machine.instr_count - start >= budget
-
-
-def after_clock(machine, budget: float) -> Trigger:
-    """Fires once the machine's virtual clock has advanced ``budget``
-    simulated seconds (the serve scheduler's clock-pressure offload
-    trigger is built on the same idea at node granularity)."""
-    start = machine.clock
-    return lambda t: machine.clock - start >= budget
-
-
-def any_of(*triggers: Trigger) -> Trigger:
-    """Fires when any sub-trigger fires."""
-    return lambda t: any(trig(t) for trig in triggers)
 
 
 # -- locality ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Activation records.
+"""Activation records, and the ``stop`` predicates that watch them.
 
 A :class:`Frame` is exactly the paper's stack frame: local variable
 slots, an operand stack, the method (with its runtime constant pool via
@@ -8,7 +8,7 @@ migration captures and rebuilds them.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.bytecode.code import CodeObject
 
@@ -85,3 +85,53 @@ class ThreadState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Thread {self.name} depth={len(self.frames)}>"
+
+
+# -- stop predicates (migration triggers) -----------------------------------
+
+Trigger = Callable[[ThreadState], bool]
+
+
+def on_method_entry(class_name: str, method: str,
+                    min_depth: int = 0) -> Trigger:
+    """Fires when the named method becomes the top frame at its entry
+    (with at least ``min_depth`` frames on the stack).  *Declared*
+    (``entry_of``): ``Machine.run`` asks it only there and keeps the
+    fast tiers; a bare ``fn(thread) -> bool`` is polled everywhere."""
+
+    def trig(t: ThreadState) -> bool:
+        f = t.frames[-1]
+        return (f.pc == 0 and f.code.name == method
+                and f.code.class_name == class_name
+                and len(t.frames) >= min_depth)
+
+    trig.entry_of = frozenset({(class_name, method)})
+    return trig
+
+
+def on_depth(depth: int) -> Trigger:
+    """Fires when the stack reaches ``depth`` frames."""
+    return lambda t: t.depth() >= depth
+
+
+def after_instrs(machine: Any, budget: int) -> Trigger:
+    """Fires once the machine has executed ``budget`` more instructions."""
+    start = machine.instr_count
+    return lambda t: machine.instr_count - start >= budget
+
+
+def after_clock(machine: Any, budget: float) -> Trigger:
+    """Fires once the machine's virtual clock has advanced ``budget``
+    simulated seconds (the serve scheduler's clock-pressure offload
+    trigger is built on the same idea at node granularity)."""
+    start = machine.clock
+    return lambda t: machine.clock - start >= budget
+
+
+def any_of(*triggers: Trigger) -> Trigger:
+    """Fires when any sub-trigger fires; declared when every part is."""
+    def trig(t: ThreadState) -> bool:
+        return any(part(t) for part in triggers)
+    if all(hasattr(part, "entry_of") for part in triggers):
+        trig.entry_of = frozenset().union(*(p.entry_of for p in triggers))
+    return trig

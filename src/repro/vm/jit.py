@@ -968,6 +968,8 @@ def compile_into(machine: Any, code: CodeObject,
     ``False`` so the driver never retries a refused method; anything
     but a refusal is a code-generator bug — the method stays on tier 1,
     but ``machine.jit_compile_errors`` says so (0 in every suite)."""
+    if machine._traps is not None and machine._trap(code):
+        return False  # masked for this run only (the undo log forgets it)
     try:
         cf = compile_code(machine, code, jm)
     except Exception:

@@ -24,10 +24,11 @@ contract does not depend on which of three loops does the work:
 
 * the **hooked loop** (:meth:`Machine._run_loop` + :meth:`_execute`)
   handles one instruction at a time — breakpoint checks and
-  ``stop``/``max_instrs`` polling.  It runs whenever any of those is
-  installed (or ``dispatch="legacy"`` forces it), and is the
+  ``stop``/``max_instrs`` polling.  It executes the instructions that
+  carry a hook — all of them under a breakpoint, ``max_instrs``, an
+  undeclared ``stop`` or ``dispatch="legacy"`` — and is the
   hand-written oracle of the differential suites;
-* **tier 1** (:meth:`Machine._run_fast`) runs otherwise: a per-machine
+* **tier 1** (:meth:`Machine._run_fast`) runs the rest: a per-machine
   cached *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
   integer opcodes, pre-resolved cost weights, fused superinstructions
   and monomorphic inline caches, with clock / instruction accounting
@@ -38,10 +39,16 @@ contract does not depend on which of three loops does the work:
   specialized Python closures, one frame at a time.
 
 What selects a loop is host-side state only (breakpoints, ``stop``,
-``max_instrs``, ``dispatch=``, ``fuse=``, ``jit=``, hotness); if a
-native installs a breakpoint *mid-run* the fast tiers sync
-``frame.pc``, flush and retreat, and :meth:`run` continues on the
-hooked loop.  (A migration worker's write barrier selects nothing: it
+``max_instrs``, ``dispatch=``, ``fuse=``, ``jit=``, hotness).  A
+``stop`` may *declare* ``entry_of``, a frozenset of ``(class,
+method)`` at whose bci 0 alone it can be true; :meth:`run` then asks
+it exactly there — after pending-exception delivery, before the
+instruction, where the hooked loop would — by trapping slot 0 of those
+methods' decoded streams for the call (:meth:`Machine._run_declared`):
+a hit syncs ``frame.pc``, flushes and asks; on "no" the hooked loop
+executes that one instruction and the fast tiers resume — the retreat
+is two-way.  Only a breakpoint a native installs *mid-run* retreats
+for good.  (A migration worker's write barrier selects nothing: it
 lives in the fetched copies — :mod:`repro.migration.object_manager`.)
 What no selection may change:
 
@@ -223,6 +230,8 @@ class Machine:
         self.current_thread: Optional[ThreadState] = None
         self._speed = node.spec.speed_factor if node is not None else 1.0
         self._bp_guard: Optional[Tuple[int, int]] = None
+        #: during :meth:`_run_declared`: (``entry_of``, undo log)
+        self._traps: Optional[Tuple[frozenset, List[tuple]]] = None
 
     # -- time ------------------------------------------------------------
 
@@ -359,6 +368,8 @@ class Machine:
             stream = decode_and_fuse(code, self.cost.op_weights, _ARITH,
                                      _FAST2, fuse=self.fuse)
             self._decoded[code] = stream
+            if self._traps is not None:
+                self._trap(code)
         return stream
 
     def invalidate_caches(self) -> None:
@@ -429,6 +440,10 @@ class Machine:
         ``max_instrs`` run, or a scheduler ``quantum`` expires.  Returns
         ``"finished"`` / ``"stopped"`` / ``"limit"`` / ``"preempted"``.
 
+        ``stop(thread)`` is asked before every instruction; one that
+        declares ``entry_of`` only at bci 0 of the methods it names,
+        and the run keeps the fast tiers ("Dispatch" above).
+
         ``quantum`` is the cluster scheduler's preemption budget, in
         executed instructions.  It expires before the first safepoint
         instruction (:func:`repro.bytecode.opcodes.is_safepoint`)
@@ -460,12 +475,15 @@ class Machine:
             self._decoded = self._decoded_ns[thread.namespace]
             self._compiled = self._compiled_ns[thread.namespace]
         try:
-            if (stop is None and max_instrs is None
+            if ((stop is None or getattr(stop, "entry_of", None))
+                    and max_instrs is None
                     and self.dispatch == "fast"
                     and not self.breakpoints
                     and self.on_breakpoint is None):
                 self._bp_guard = None
-                status = self._run_fast(thread, op_cost, quantum)
+                status = self._run_fast(thread, op_cost, quantum) \
+                    if stop is None else \
+                    self._run_declared(thread, stop, op_cost, quantum)
                 if status is not None:
                     return status
                 # A native installed a breakpoint mid-run: the fast loop
@@ -484,6 +502,54 @@ class Machine:
                 if over > self.max_quantum_overshoot:
                     self.max_quantum_overshoot = over
 
+    def _run_declared(self, thread: ThreadState, stop: Any, op_cost: float,
+                      quantum: Optional[int]) -> Optional[str]:
+        """:meth:`_run_fast` under a ``stop`` that declares ``entry_of``
+        ("Dispatch" above).  Re-entries get what is left of ``quantum``,
+        so the absolute preemption watermark carries across traps."""
+        start = self.instr_count
+        undo: List[tuple] = []
+        self._traps = (stop.entry_of, undo)
+        try:
+            for code in [*self._decoded, *self._compiled]:
+                self._trap(code)
+            while True:
+                ran = self.instr_count - start
+                try:
+                    return self._run_fast(
+                        thread, op_cost,
+                        None if quantum is None else quantum - ran)
+                except _EntryTrap:  # frame.pc synced, accounting flushed
+                    if stop(thread):
+                        return "stopped"
+                    ran = self.instr_count - start
+                    status = self._run_loop(thread, None, ran + 1, op_cost,
+                                            ran, quantum)
+                    if status != "limit":
+                        return status
+        finally:
+            self._traps = None
+            for box, key, old in undo:
+                if old is None:  # a tier-up declined during the run
+                    box.pop(key, None)
+                else:
+                    box[key] = old
+
+    def _trap(self, code: CodeObject) -> bool:
+        """Is ``code`` named by the running declared ``stop``?  Then, in
+        the running maps, trap its stream and mask its closure (if any)."""
+        names, undo = self._traps
+        if (code.class_name, code.name) not in names:
+            return False
+        stream = self._decoded.get(code)
+        if stream is not None and stream[0] is not _TRAP:
+            undo.append((stream, 0, stream[0]))
+            stream[0] = _TRAP
+        if self._compiled.get(code) is not False:
+            undo.append((self._compiled, code, self._compiled.get(code)))
+            self._compiled[code] = False
+        return True
+
     # -- the fast loop -----------------------------------------------------------
 
     def _run_fast(self, thread: ThreadState, op_cost: float,
@@ -491,12 +557,12 @@ class Machine:
         """Zero-overhead interpretation of ``thread``.
 
         Preconditions (enforced by :meth:`run`): no breakpoints, no
-        breakpoint callback, no ``stop`` predicate, no instruction
-        limit.  Returns ``"finished"``, ``"preempted"``
-        (scheduler ``quantum`` expired at a safepoint), or ``None`` if a
-        native call armed hooks and the loop retreated (``frame.pc``
-        synced, accounting flushed) for :meth:`run` to continue on the
-        legacy loop.
+        breakpoint callback, no ``stop`` but a declared one (its traps
+        raise :class:`_EntryTrap` through here), no instruction limit.
+        Returns ``"finished"``, ``"preempted"`` (``quantum`` expired at
+        a safepoint), or ``None`` if a native call armed hooks and the
+        loop retreated (``frame.pc`` synced, accounting flushed) for
+        :meth:`run` to continue on the legacy loop.
         """
         # Localize everything the hot path touches.
         frames = thread.frames
@@ -1588,7 +1654,21 @@ def _cold_lswitch(m: "Machine", frame: Frame, stack: list, ins: tuple,
     return ins[1].get(stack.pop(), ins[2])
 
 
+class _EntryTrap(Exception):
+    """Tier 1 dispatched :data:`_TRAP` (see ``Machine._run_declared``)."""
+
+
+def _cold_trap(m: "Machine", frame: Frame, stack: list, ins: tuple,
+               pc: int) -> int:
+    raise _EntryTrap
+
+
+#: the slot ``Machine._trap`` plants at bci 0: an opcode id no
+#: instruction has, so it falls through every hot test into ``_COLD``
+_TRAP = (-1, None, None, 0.0, 0, None, 0.0)
+
 _COLD: Dict[int, Callable[..., int]] = {
+    _TRAP[0]: _cold_trap,
     op.OP_IDS[op.NEW]: _cold_new,
     op.OP_IDS[op.NEWARR]: _cold_newarr,
     op.OP_IDS[op.LEN]: _cold_len,

@@ -15,17 +15,16 @@ breakpoints, asynchronous exception injection, `pop_frame` /
 (section III.B.1).
 
 Interaction with ``Machine.run`` (see "Dispatch" in
-:mod:`repro.vm.machine`): breakpoints and breakpoint callbacks are what
-make ``run`` pick the hooked loop.  Installing one through this
-interface between ``run()`` calls (the normal case — a
-breakpoint callback already executes under the hooked loop) takes
-effect at the next ``run()``; installing one *mid-run* from a native is
-seen at that native's safepoint, where tier 1 / tier 2 sync
-``frame.pc``, flush their batched accounting and hand the thread to the
-hooked loop.  Either way ``get_frame_location`` sees a precise original
-bytecode index, and nothing the guest or a scheduler can observe —
-result, ``instr_count``, where a quantum expires — depends on which
-loop ran.
+:mod:`repro.vm.machine`): a breakpoint or breakpoint callback puts the
+whole ``run`` on the hooked loop — unlike a ``stop`` that declares its
+``entry_of``, which traps at those entries and keeps the fast tiers.
+One installed between ``run()`` calls (the normal case) takes effect at
+the next; one installed *mid-run* from a native is seen at that
+native's safepoint, where tier 1 / tier 2 sync ``frame.pc``, flush and
+hand the thread over for good.  Either way ``get_frame_location`` sees
+a precise original bytecode index, and nothing the guest or a scheduler
+can observe — result, ``instr_count``, where a quantum expires —
+depends on which loop ran.
 """
 
 from __future__ import annotations

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bytecode.code import ClassFile
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.vm.costmodel import CostModel  # noqa: F401 (re-export for runners)
-from repro.vm.frames import ThreadState
+from repro.vm.frames import Trigger, on_method_entry
 from repro.vm.machine import Machine
 from repro.workloads import programs
-
-Trigger = Callable[[ThreadState], bool]
 
 
 @dataclass(frozen=True)
@@ -59,16 +57,8 @@ class Workload:
     def trigger(self) -> Trigger:
         """The migration trigger: fires at entry of ``trigger_method``
         (optionally also requiring a minimum stack depth)."""
-        cls, meth = self.trigger_method
-
-        def trig(t: ThreadState) -> bool:
-            f = t.frames[-1]
-            if self.trigger_depth and t.depth() < self.trigger_depth:
-                return False
-            return (f.code.class_name == cls and f.code.name == meth
-                    and f.pc == 0)
-
-        return trig
+        return on_method_entry(*self.trigger_method,
+                               min_depth=self.trigger_depth)
 
 
 WORKLOADS: Dict[str, Workload] = {

@@ -503,24 +503,34 @@ OBSERVED = ("result", "uncaught", "stdout", "instr_count", "clock",
 def _observe(classes, args, quantum: Optional[int] = None,
              main: Tuple[str, str] = ("G", "main"),
              threshold: Optional[int] = None,
-             max_instrs: Optional[int] = None, **kw) -> Tuple[Any, ...]:
+             max_instrs: Optional[int] = None,
+             stop: Any = None, **kw) -> Tuple[Any, ...]:
     """Run ``main(*args)`` on a fresh ``Machine(classes, **kw)`` to
     completion — sliced into ``quantum``-instruction runs when given —
     and return the :data:`OBSERVED` tuple.  ``schedule`` is where every
     slice ended: ``(stack depth, method, frame.pc, instr_count)`` per
-    ``"preempted"``.  None if a run hit ``max_instrs`` (which, like
-    any run with it set, executes on the hooked loop)."""
+    ``"preempted"``.  With a ``stop`` predicate every run carries it
+    and every ``"stopped"`` is one more slice end (``"stop"`` appended
+    to its row), resumed the way ``workflow.roam`` resumes: one
+    instruction under ``max_instrs=1``, then ``stop`` again.  None if
+    the runs together hit ``max_instrs`` (which, like any run with it
+    set, executes on the hooked loop)."""
     m = Machine(classes, **kw)
     t = m.spawn(main[0], main[1], list(args))
     schedule = []
     with _jit_threshold(threshold):
         while True:
-            status = m.run(t, quantum=quantum, max_instrs=max_instrs)
-            if status != "preempted":
+            status = m.run(
+                t, stop=stop, quantum=quantum,
+                max_instrs=max_instrs and max_instrs - m.instr_count)
+            if status not in ("preempted", "stopped"):
                 break
             top = t.frames[-1]
-            schedule.append((len(t.frames), top.code.qualname, top.pc,
-                             m.instr_count))
+            row = (len(t.frames), top.code.qualname, top.pc, m.instr_count)
+            if status == "stopped":
+                row += ("stop",)
+                m.run(t, max_instrs=1)
+            schedule.append(row)
     if status == "limit":
         return None
     err = None
@@ -542,26 +552,34 @@ def divergence(source: str, args: Tuple[int, ...],
                build: str = "original",
                modes: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
                quanta: Tuple[int, ...] = (),
-               main: Tuple[str, str] = ("G", "main")) -> Optional[str]:
+               main: Tuple[str, str] = ("G", "main"),
+               stop: Any = None) -> Optional[str]:
     """None if every mode in ``modes`` (default: the tier-1 fast
     modes) matches the legacy oracle — run unsliced, then sliced by
     every scheduler budget in ``quanta`` — ``SKIPPED`` if the program
     exceeds the instruction budget, else a human-readable description
     of the first mismatch.  Everything but the clock must be *equal*,
     including the whole preemption ``schedule``: where a quantum
-    expires may not depend on which loop executed the slice."""
+    expires may not depend on which loop executed the slice.
+
+    ``stop`` is a *declared* predicate (``entry_of``) every run of
+    every mode carries — on the fast tiers, evaluated at its traps —
+    while the oracle polls the same predicate *undeclared* before every
+    instruction; the schedule then holds every stop as well."""
     try:
         classes = preprocess_program(compile_source(source), build)
     except CompileError as exc:
         return f"generator produced invalid program: {exc}"
+    polled = stop and (lambda thread: stop(thread))
     for q in (None,) + tuple(quanta):
         # The unsliced legacy run doubles as the budget screen.
         ref = _observe(classes, args, q, main, dispatch="legacy",
-                       max_instrs=MAX_INSTRS if q is None else None)
+                       max_instrs=MAX_INSTRS if q is None else None,
+                       stop=polled)
         if ref is None:
             return SKIPPED
         for label, kw in (MODES if modes is None else modes):
-            got = _observe(classes, args, q, main, **kw)
+            got = _observe(classes, args, q, main, stop=stop, **kw)
             for what, a, b in zip(OBSERVED, ref, got):
                 if what == "clock":
                     ok = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
@@ -985,58 +1003,102 @@ def run_migration_fuzz(base_seed: int, count: int) -> Optional[str]:
     return None
 
 
-def run_fuzz(base_seed: int, count: int,
-             faulting_every: int = 5) -> Optional[str]:
-    """Fuzz ``count`` programs; every ``faulting_every``-th one is also
-    checked on the preprocessed (flattened + handler-injected) build.
-    Each program runs unsliced and sliced by one of :data:`QUANTA`
-    (rotating), where the preemption schedule must match too.
-    Returns None, or a failure report with the minimized program."""
+def _rotating_campaign(what: str, base_seed: int, count: int,
+                       faulting_every: int, check_for) -> Optional[str]:
+    """The shape the dispatch campaigns share: program ``i`` runs
+    unsliced and sliced by ``QUANTA[i % len(QUANTA)]`` (where the
+    preemption schedule must match too), every ``faulting_every``-th
+    one also on the preprocessed (flattened + handler-injected) build.
+    ``check_for(prog, build, quanta)`` returns the campaign's
+    ``check(source, args)``, which the shrinker reuses.  Returns None,
+    or a failure report with the minimized program."""
     for i in range(count):
         seed = base_seed + i
         prog = generate(seed)
-        source = prog.render()
         quanta = (QUANTA[i % len(QUANTA)],)
         builds = ["original"]
         if i % faulting_every == 0:
             builds.append("faulting")
         for build in builds:
-            diff = divergence(source, prog.main_args, build, quanta=quanta)
+            check = check_for(prog, build, quanta)
+            diff = check(prog.render(), prog.main_args)
             if diff == SKIPPED:
                 break  # over budget: still a generated program, move on
             if diff is not None:
-                small = shrink(
-                    prog, lambda s, a: divergence(
-                        s, a, build, quanta=quanta))
-                return (f"fast/legacy divergence at seed={seed} "
+                small = shrink(prog, check)
+                return (f"{what} divergence at seed={seed} "
                         f"args={prog.main_args} build={build}:\n{diff}\n"
                         f"--- minimized program ---\n{small.render()}\n")
     return None
+
+
+def run_fuzz(base_seed: int, count: int,
+             faulting_every: int = 5) -> Optional[str]:
+    """Fuzz ``count`` programs, tier 1 (fused and unfused) against the
+    legacy oracle (see :func:`_rotating_campaign`)."""
+    return _rotating_campaign(
+        "fast/legacy", base_seed, count, faulting_every,
+        lambda prog, build, quanta: lambda source, args: divergence(
+            source, args, build, quanta=quanta))
 
 
 def run_tier2_fuzz(base_seed: int, count: int,
                    faulting_every: int = 5) -> Optional[str]:
-    """The tier-2 differential over ``count`` generated programs (every
-    ``faulting_every``-th also on the faulting build), unsliced and
-    under a rotating budget like :func:`run_fuzz`.  Returns None, or a
-    failure report with the minimized program."""
-    for i in range(count):
-        seed = base_seed + i
-        prog = generate(seed)
-        source = prog.render()
-        quanta = (QUANTA[i % len(QUANTA)],)
-        builds = ["original"]
-        if i % faulting_every == 0:
-            builds.append("faulting")
-        for build in builds:
-            diff = tier2_divergence(source, prog.main_args, build, quanta)
-            if diff == SKIPPED:
-                break
-            if diff is not None:
-                small = shrink(
-                    prog, lambda s, a: tier2_divergence(
-                        s, a, build, quanta))
-                return (f"tier2/legacy divergence at seed={seed} "
-                        f"args={prog.main_args} build={build}:\n{diff}\n"
-                        f"--- minimized program ---\n{small.render()}\n")
-    return None
+    """The tier-2 differential over ``count`` generated programs (see
+    :func:`_rotating_campaign`)."""
+    return _rotating_campaign(
+        "tier2/legacy", base_seed, count, faulting_every,
+        lambda prog, build, quanta: lambda source, args: tier2_divergence(
+            source, args, build, quanta))
+
+
+# -- declared-stop fuzzing -----------------------------------------------------
+
+#: virtual methods of the prelude hierarchy a trigger may name
+_VIRTUAL_METHODS = (("V", "f"), ("V", "g"), ("VA", "f"), ("VB", "f"),
+                    ("VB", "g"))
+
+
+def declared_stop_for(prog: FuzzProgram) -> Any:
+    """The seeded trigger of the declared-stop campaign for ``prog``:
+    entry of one of its methods (or a prelude virtual one) at a seeded
+    minimum depth, sometimes ``any_of`` two — a declared ``stop`` that
+    fires never, once, or on every call, depending on the program."""
+    from repro.vm.frames import any_of, on_method_entry
+
+    rng = random.Random(f"declared-stop:{prog.seed}")
+    own = [("G", n) for n, _h, _s in prog.methods]
+    parts = [on_method_entry(
+        *rng.choice(own if rng.random() < 0.75 else _VIRTUAL_METHODS),
+        min_depth=rng.choice((0, 0, 0, 2, 3, 5)))
+        for _ in range(rng.choice((1, 1, 2)))]
+    return parts[0] if len(parts) == 1 else any_of(*parts)
+
+
+def run_declared_stop_fuzz(base_seed: int, count: int,
+                           faulting_every: int = 5) -> Optional[str]:
+    """A declared ``stop`` on the fast tiers vs the same predicate
+    polled on the hooked loop, over ``count`` generated programs (see
+    :func:`_rotating_campaign`): every stop of the ``roam`` resume
+    pattern and every preemption, in all of :data:`SCHEDULE_MODES`."""
+    fired = set()
+
+    def check_for(prog, build, quanta):
+        trigger = declared_stop_for(prog)
+
+        def stop(thread):
+            if trigger(thread):
+                fired.add(prog.seed)
+                return True
+            return False
+        stop.entry_of = trigger.entry_of
+        return lambda source, args: divergence(
+            source, args, build, SCHEDULE_MODES, quanta, stop=stop)
+
+    failure = _rotating_campaign(
+        "declared/undeclared stop", base_seed, count, faulting_every,
+        check_for)
+    if failure is None and count >= 20 and len(fired) < count // 4:
+        return (f"declared-stop fuzz: a trigger fired in only "
+                f"{len(fired)}/{count} programs — generator drift?")
+    return failure

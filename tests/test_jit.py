@@ -412,6 +412,29 @@ def test_cost_weight_change_is_a_different_cache_entry(monkeypatch):
     assert not math.isclose(m.clock - clock, stock.clock, rel_tol=1e-3)
 
 
+def test_weight_table_edit_reaches_tier1_of_a_dropped_namespace():
+    """The tier-1 twin of the test above: ``predecoded()`` verifies
+    its per-code stream against a snapshot of the weight table, so a
+    table mutated in place rebuilds the stream of a method that only a
+    since-dropped namespace ever ran (``invalidate_caches()`` reaches
+    only code the machine still maps; identity alone would hand tier 1
+    the old weights)."""
+    classes = _classes()
+    cost = CostModel()
+    cost.op_weights = dict(CostModel.op_weights)
+    m = Machine(classes, cost=cost, jit=False)
+    m.run(m.spawn("P", "caller", [3], namespace="gone"))
+    m.drop_namespace("gone")
+    cost.op_weights.update(STORE=7.25, PUTS=3.5)
+    m.invalidate_caches()
+    legacy = Machine(classes, cost=cost, dispatch="legacy")
+    clock, instrs = m.clock, m.instr_count
+    assert m.call("P", "caller", [300]) == legacy.call("P", "caller", [300])
+    assert m.instr_count - instrs == legacy.instr_count
+    assert math.isclose(m.clock - clock, legacy.clock,
+                        rel_tol=1e-9, abs_tol=1e-12)
+
+
 def test_factory_cache_is_bounded():
     """More distinct methods than the bound: the cache evicts, it does
     not grow (the fuzzers compile thousands of one-off methods)."""

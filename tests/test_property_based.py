@@ -275,6 +275,20 @@ def test_minilang_fuzz_differential_tier2_vs_legacy():
     assert failure is None, failure
 
 
+def test_minilang_fuzz_declared_stop_vs_the_same_predicate_polled():
+    """Differential fuzz of the *declared* ``stop``: a seeded
+    ``on_method_entry`` (method, ``min_depth``; sometimes ``any_of``
+    two) per generated program, run with its ``entry_of`` declaration
+    — trapped at bci 0 on tier 1 and tier 2 — against the same
+    predicate polled undeclared by the legacy loop: every stop of the
+    ``roam`` resume pattern, every preemption under a rotating budget,
+    and the usual result / uncaught / stdout / instr_count / clock."""
+    from minilang_fuzz import run_declared_stop_fuzz
+
+    failure = run_declared_stop_fuzz(FUZZ_SEED, fuzz_budget(40))
+    assert failure is None, failure
+
+
 def test_minilang_fuzz_tier2_deopt_at_capture_and_migration():
     """Forced deopt mid-compiled-region: each program runs with the JIT
     on and is frozen by a scheduler quantum at a seeded-random cut —
