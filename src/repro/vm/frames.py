@@ -98,13 +98,11 @@ def on_method_entry(class_name: str, method: str,
     (with at least ``min_depth`` frames on the stack).  *Declared*
     (``entry_of``): ``Machine.run`` asks it only there and keeps the
     fast tiers; a bare ``fn(thread) -> bool`` is polled everywhere."""
-
     def trig(t: ThreadState) -> bool:
         f = t.frames[-1]
         return (f.pc == 0 and f.code.name == method
                 and f.code.class_name == class_name
                 and len(t.frames) >= min_depth)
-
     trig.entry_of = frozenset({(class_name, method)})
     return trig
 
@@ -122,8 +120,7 @@ def after_instrs(machine: Any, budget: int) -> Trigger:
 
 def after_clock(machine: Any, budget: float) -> Trigger:
     """Fires once the machine's virtual clock has advanced ``budget``
-    simulated seconds (the serve scheduler's clock-pressure offload
-    trigger is built on the same idea at node granularity)."""
+    simulated seconds."""
     start = machine.clock
     return lambda t: machine.clock - start >= budget
 

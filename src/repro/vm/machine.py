@@ -48,9 +48,7 @@ methods' decoded streams for the call (:meth:`Machine._run_declared`):
 a hit syncs ``frame.pc``, flushes and asks; on "no" the hooked loop
 executes that one instruction and the fast tiers resume — the retreat
 is two-way.  Only a breakpoint a native installs *mid-run* retreats
-for good.  (A migration worker's write barrier selects nothing: it
-lives in the fetched copies — :mod:`repro.migration.object_manager`.)
-What no selection may change:
+for good.  What no selection may change:
 
 * the **result**, ``stdout``, uncaught exception and ``instr_count`` —
   equal, always;
@@ -439,7 +437,6 @@ class Machine:
         """Execute ``thread`` until it finishes, ``stop`` returns True,
         ``max_instrs`` run, or a scheduler ``quantum`` expires.  Returns
         ``"finished"`` / ``"stopped"`` / ``"limit"`` / ``"preempted"``.
-
         ``stop(thread)`` is asked before every instruction; one that
         declares ``entry_of`` only at bci 0 of the methods it names,
         and the run keeps the fast tiers ("Dispatch" above).
@@ -504,9 +501,8 @@ class Machine:
 
     def _run_declared(self, thread: ThreadState, stop: Any, op_cost: float,
                       quantum: Optional[int]) -> Optional[str]:
-        """:meth:`_run_fast` under a ``stop`` that declares ``entry_of``
-        ("Dispatch" above).  Re-entries get what is left of ``quantum``,
-        so the absolute preemption watermark carries across traps."""
+        """:meth:`_run_fast` under a declared ``stop`` ("Dispatch" above);
+        re-entries get what is left of ``quantum``: one absolute watermark."""
         start = self.instr_count
         undo: List[tuple] = []
         self._traps = (stop.entry_of, undo)
