@@ -14,11 +14,19 @@ batched clock/instr accounting, ``aux`` carries per-site state
 when the group's final component raises a guest exception that goes
 uncaught, matching the legacy loop's charge-only-if-dispatched rule.
 
-This module additionally *fuses* hot multi-instruction sequences into
-single superinstructions (``LOAD+LOAD+arith``, ``CONST+STORE``,
-``LOAD+GETF``, ``compare+JZ`` and friends), so a whole source-level
-idiom — e.g. the loop header ``LOAD i; LOAD n; LT; JZ exit`` — costs one
-dispatch instead of four.
+This module additionally *fuses* multi-instruction sequences into
+single superinstructions.  The set is sized by the code the system
+deploys, not by what the compiler emits: every build that can migrate
+is flattened (:mod:`repro.preprocess.flatten`), so each instruction
+reaches the interpreter as a group ``LOAD t..; op; STORE t`` and a
+branch as ``LOAD t; JZ`` — a ``CONST``, a compare or a ``GETS`` is
+always followed by a ``STORE``, never by its consumer.  The eight
+patterns are the ones such a stream executes at a group start
+(``LOAD+LOAD+arith``, ``LOAD+LOAD+ALOAD``, ``LOAD+LOAD``,
+``LOAD+GETF``, ``CONST+STORE``, ``LOAD+JZ``/``JNZ``); the ``original``
+build fuses with the same eight.  ``tests/test_preprocess.py`` replays
+a pc trace against the streams and fails on a pattern that never
+fires there.
 
 Coordinate invariant (what keeps migration working unchanged): the
 decoded stream is indexed by **original** bci, and a fused tuple sits at
@@ -62,53 +70,28 @@ DecodedSlot = Tuple[int, Any, Any, float, int, Any, float]
 # -- fused opcode ids --------------------------------------------------------
 
 F_LOAD_LOAD = op.FUSED_BASE + 0    # a=slot1, b=slot2
-F_LOAD_CONST = op.FUSED_BASE + 1   # a=slot, b=value
-F_CONST_STORE = op.FUSED_BASE + 2  # a=value, b=slot
-F_LOAD_GETF = op.FUSED_BASE + 3    # a=slot, b=field name
-F_LL_OP2 = op.FUSED_BASE + 4       # a=slot1, b=slot2, aux=2-arg fn
-F_LL_ARITH = op.FUSED_BASE + 5     # a=slot1, b=slot2, aux=3-arg fn
-F_LC_OP2 = op.FUSED_BASE + 6       # a=slot, b=value, aux=2-arg fn
-F_LC_ARITH = op.FUSED_BASE + 7     # a=slot, b=value, aux=3-arg fn
-F_LL_ALOAD = op.FUSED_BASE + 8     # a=arr slot, b=index slot
-F_INC = op.FUSED_BASE + 9          # a=src slot, b=(int value, dst slot),
-                                   # aux=3-arg ADD fallback
-F_CMP_JZ = op.FUSED_BASE + 10      # a=target, aux=2-arg compare fn
-F_LL_CMP_JZ = op.FUSED_BASE + 11   # a=(slot1, slot2), b=target, aux=2-arg fn
-F_LC_CMP_JZ = op.FUSED_BASE + 12   # a=(slot, value), b=target, aux=2-arg fn
-F_GETS_LOAD_ALOAD = op.FUSED_BASE + 13  # a=index slot, b=(class, field),
-                                        # aux=static-home cache cell
-F_LOAD_JZ = op.FUSED_BASE + 14     # a=slot, b=target
-F_LOAD_JNZ = op.FUSED_BASE + 15    # a=slot, b=target
-F_LGS_CMP_JZ = op.FUSED_BASE + 16   # a=(slot, (class, field)), b=target,
-                                    # aux=(2-arg cmp fn, static cache cell)
-F_CCMP_JZ = op.FUSED_BASE + 17      # a=value, b=target, aux=2-arg cmp fn
-F_L_ALOAD = op.FUSED_BASE + 18      # a=index slot (array ref on stack)
-
-# (No compare+JNZ fusions: the compiler emits JNZ only as ``DUP; JNZ``
-# for ``||``, so the sequence is unreachable from source; hand-assembled
-# compare+JNZ simply executes unfused.)
+F_CONST_STORE = op.FUSED_BASE + 1  # a=value, b=slot
+F_LOAD_GETF = op.FUSED_BASE + 2    # a=slot, b=field name
+F_LL_OP2 = op.FUSED_BASE + 3       # a=slot1, b=slot2, aux=2-arg fn
+F_LL_ARITH = op.FUSED_BASE + 4     # a=slot1, b=slot2, aux=3-arg fn
+F_LL_ALOAD = op.FUSED_BASE + 5     # a=arr slot, b=index slot
+F_LOAD_JZ = op.FUSED_BASE + 6      # a=slot, b=target
+F_LOAD_JNZ = op.FUSED_BASE + 7     # a=slot, b=target
 
 #: display names for tooling / tests
 FUSED_NAMES = {
-    F_LOAD_LOAD: "LOAD+LOAD", F_LOAD_CONST: "LOAD+CONST",
-    F_CONST_STORE: "CONST+STORE", F_LOAD_GETF: "LOAD+GETF",
+    F_LOAD_LOAD: "LOAD+LOAD", F_CONST_STORE: "CONST+STORE",
+    F_LOAD_GETF: "LOAD+GETF",
     F_LL_OP2: "LOAD+LOAD+arith", F_LL_ARITH: "LOAD+LOAD+arith(m)",
-    F_LC_OP2: "LOAD+CONST+arith", F_LC_ARITH: "LOAD+CONST+arith(m)",
-    F_LL_ALOAD: "LOAD+LOAD+ALOAD", F_INC: "LOAD+CONST+ADD+STORE",
-    F_CMP_JZ: "cmp+JZ", F_LL_CMP_JZ: "LOAD+LOAD+cmp+JZ",
-    F_LC_CMP_JZ: "LOAD+CONST+cmp+JZ",
-    F_GETS_LOAD_ALOAD: "GETS+LOAD+ALOAD",
+    F_LL_ALOAD: "LOAD+LOAD+ALOAD",
     F_LOAD_JZ: "LOAD+JZ", F_LOAD_JNZ: "LOAD+JNZ",
-    F_LGS_CMP_JZ: "LOAD+GETS+cmp+JZ", F_CCMP_JZ: "CONST+cmp+JZ",
-    F_L_ALOAD: "LOAD+ALOAD",
 }
 
 _CMP_OPS = frozenset({op.EQ, op.NE, op.LT, op.LE, op.GT, op.GE})
 _BIN_OPS = frozenset({op.ADD, op.SUB, op.MUL, op.DIV, op.MOD}) | _CMP_OPS
 
-#: dense id -> opcode name for the binop subsets
+#: dense id -> opcode name of the binops
 _BIN_IDS: Dict[int, str] = {op.OP_IDS[name]: name for name in _BIN_OPS}
-_CMP_IDS: Dict[int, str] = {op.OP_IDS[name]: name for name in _CMP_OPS}
 
 #: opcodes that get a per-site monomorphic inline-cache cell (cell size)
 _CACHED_OPS = {op.GETS: 1, op.PUTS: 1, op.INVOKESTATIC: 1, op.INVOKEVIRT: 2}
@@ -159,22 +142,17 @@ def cache_seeds(stream: List[DecodedSlot],
 
     The tier-2 compiler reuses the monomorphic facts tier-1 execution
     has already proven instead of re-discovering them: every
-    GETS/PUTS/INVOKESTATIC/INVOKEVIRT site that kept its plain decoded
-    slot (fusion only replaces the group-leader position; component
-    bcis keep their own decodable slot) and whose cell is bound
+    GETS/PUTS/INVOKESTATIC/INVOKEVIRT site (none leads a fused group,
+    and component bcis keep their own plain slot) whose cell is bound
     contributes a seed.  The returned cells are the *live* tier-1
     cells, so a rebind by either tier is seen by both.
     """
-    ids = op.OP_IDS
     seeds: Dict[int, list] = {}
     for i, ins in enumerate(code.instrs):
         ncells = _CACHED_OPS.get(ins.op)
         if ncells is None or i >= len(stream):
             continue
-        slot = stream[i]
-        if slot[0] != ids[ins.op]:
-            continue  # fused over: per-site state lives in the leader
-        aux = slot[5]
+        aux = stream[i][5]
         if isinstance(aux, list) and len(aux) == ncells \
                 and aux[0] is not None:
             seeds[i] = aux
@@ -188,87 +166,36 @@ def _fuse_at(base: Sequence[Tuple[int, Any, Any, float]], i: int, n: int,
     ids = op.OP_IDS
     LOAD, CONST = ids[op.LOAD], ids[op.CONST]
     o0, a0, _b0, w0 = base[i]
-    if o0 == ids[op.GETS]:
-        # the static-array indexing idiom: GETS arr; LOAD i; ALOAD
-        if i + 2 < n:
-            o1, a1, _b1, w1 = base[i + 1]
-            o2, _a2, _b2, w2 = base[i + 2]
-            if o1 == LOAD and o2 == ids[op.ALOAD]:
-                return (F_GETS_LOAD_ALOAD, a1, a0, w0 + w1 + w2, 3,
-                        [None], w0 + w1)
+    if o0 != LOAD and o0 != CONST:
         return None
-    if o0 != LOAD and o0 != CONST and o0 not in _CMP_IDS:
-        return None
-
-    # ---- 4-instruction patterns ----
-    if i + 3 < n:
-        o1, a1, _b1, w1 = base[i + 1]
-        o2, _a2, _b2, w2 = base[i + 2]
-        o3, a3, _b3, w3 = base[i + 3]
-        w4 = w0 + w1 + w2 + w3
-        if (o0 == LOAD and o1 == CONST and o2 == ids[op.ADD]
-                and o3 == ids[op.STORE] and type(a1) is int):
-            # the classic induction-variable step: i = i + c
-            return (F_INC, a0, (a1, a3), w4, 4, arith[op.ADD], w0 + w1 + w2)
-        if o0 == LOAD and o2 in _CMP_IDS and o3 == ids[op.JZ]:
-            fn = fast2[_CMP_IDS[o2]]
-            if o1 == LOAD:
-                return (F_LL_CMP_JZ, (a0, a1), a3, w4, 4, fn, w0 + w1 + w2)
-            if o1 == CONST:
-                return (F_LC_CMP_JZ, (a0, a1), a3, w4, 4, fn, w0 + w1 + w2)
-            if o1 == ids[op.GETS]:
-                # loop bound kept in a static: i < Cls.n
-                return (F_LGS_CMP_JZ, (a0, a1), a3, w4, 4,
-                        (fn, [None]), w0 + w1 + w2)
 
     # ---- 3-instruction patterns ----
     if i + 2 < n and o0 == LOAD:
         o1, a1, _b1, w1 = base[i + 1]
         o2, _a2, _b2, w2 = base[i + 2]
         w3 = w0 + w1 + w2
-        name = _BIN_IDS.get(o2)
-        if name is not None:
-            if o1 == LOAD:
+        if o1 == LOAD:
+            name = _BIN_IDS.get(o2)
+            if name is not None:
                 if name in fast2:
                     return (F_LL_OP2, a0, a1, w3, 3, fast2[name], w0 + w1)
                 return (F_LL_ARITH, a0, a1, w3, 3, arith[name], w0 + w1)
-            if o1 == CONST:
-                if name in fast2:
-                    return (F_LC_OP2, a0, a1, w3, 3, fast2[name], w0 + w1)
-                return (F_LC_ARITH, a0, a1, w3, 3, arith[name], w0 + w1)
-        if o1 == LOAD and o2 == ids[op.ALOAD]:
-            return (F_LL_ALOAD, a0, a1, w3, 3, None, w0 + w1)
-
-    if i + 2 < n and o0 == CONST:
-        # compare the stack top against a literal and branch: v == 0 etc.
-        o1, _a1, _b1, w1 = base[i + 1]
-        o2, a2, _b2, w2 = base[i + 2]
-        if o1 in _CMP_IDS and o2 == ids[op.JZ]:
-            return (F_CCMP_JZ, a0, a2, w0 + w1 + w2, 3,
-                    fast2[_CMP_IDS[o1]], w0 + w1)
+            if o2 == ids[op.ALOAD]:
+                return (F_LL_ALOAD, a0, a1, w3, 3, None, w0 + w1)
 
     # ---- 2-instruction patterns ----
     if i + 1 < n:
         o1, a1, _b1, w1 = base[i + 1]
         w2 = w0 + w1
-        if o0 in _CMP_IDS:
-            if o1 == ids[op.JZ]:
-                return (F_CMP_JZ, a1, None, w2, 2, fast2[_CMP_IDS[o0]], w0)
-            return None
         if o0 == LOAD:
             if o1 == ids[op.GETF]:
                 return (F_LOAD_GETF, a0, a1, w2, 2, None, w0)
             if o1 == LOAD:
                 return (F_LOAD_LOAD, a0, a1, w2, 2, None, w0)
-            if o1 == CONST:
-                return (F_LOAD_CONST, a0, a1, w2, 2, None, w0)
             if o1 == ids[op.JZ]:
                 return (F_LOAD_JZ, a0, a1, w2, 2, None, w0)
             if o1 == ids[op.JNZ]:
                 return (F_LOAD_JNZ, a0, a1, w2, 2, None, w0)
-            if o1 == ids[op.ALOAD]:
-                # index from a local, array reference on the stack
-                return (F_L_ALOAD, a0, None, w2, 2, None, w0)
             return None
         if o0 == CONST and o1 == ids[op.STORE]:
             return (F_CONST_STORE, a0, a1, w2, 2, None, w0)

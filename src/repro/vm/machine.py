@@ -31,7 +31,9 @@ contract does not depend on which of three loops does the work:
 * **tier 1** (:meth:`Machine._run_fast`) runs the rest: a per-machine
   cached *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
   integer opcodes, pre-resolved cost weights, fused superinstructions
-  and monomorphic inline caches, with clock / instruction accounting
+  (the eight a flattened stream executes — its groups are ``LOAD t..;
+  op; STORE t`` — tested in that stream's measured order) and
+  monomorphic inline caches, with clock / instruction accounting
   batched in locals and flushed at natives, exception dispatch and
   loop exit;
 * **tier 2** (:mod:`repro.vm.jit`; ``jit=``, default on, off under
@@ -104,13 +106,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import ClassFile, CodeObject
 from repro.errors import LinkError, NativeError, VMError
-from repro.preprocess.fuse import (F_CCMP_JZ, F_CMP_JZ, F_CONST_STORE,
-                                   F_GETS_LOAD_ALOAD, F_INC, F_L_ALOAD,
-                                   F_LC_ARITH, F_LC_CMP_JZ, F_LC_OP2,
-                                   F_LGS_CMP_JZ, F_LL_ALOAD, F_LL_ARITH,
-                                   F_LL_CMP_JZ, F_LL_OP2, F_LOAD_CONST,
-                                   F_LOAD_GETF, F_LOAD_JNZ, F_LOAD_JZ,
-                                   F_LOAD_LOAD, decode_and_fuse)
+from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD, F_LL_ARITH,
+                                   F_LL_OP2, F_LOAD_GETF, F_LOAD_JNZ,
+                                   F_LOAD_JZ, F_LOAD_LOAD, decode_and_fuse)
 from repro.vm.classloader import ClassLoader, Namespace
 from repro.vm.costmodel import CostModel
 from repro.vm.frames import Frame, ThreadState
@@ -592,17 +590,10 @@ class Machine:
         I_INVOKESTATIC = _I_INVOKESTATIC; I_INVOKEVIRT = _I_INVOKEVIRT
         I_NATIVE = _I_NATIVE; I_RET = _I_RET; I_RETV = _I_RETV
         BIN_LO = _I_BINOP_LO; BIN_HI = _I_BINOP_HI
-        FI_LL_CMP_JZ = F_LL_CMP_JZ; FI_LC_CMP_JZ = F_LC_CMP_JZ
-        FI_CMP_JZ = F_CMP_JZ
         FI_LL_OP2 = F_LL_OP2; FI_LL_ARITH = F_LL_ARITH
-        FI_LC_OP2 = F_LC_OP2; FI_LC_ARITH = F_LC_ARITH
-        FI_INC = F_INC; FI_LL_ALOAD = F_LL_ALOAD
-        FI_LOAD_LOAD = F_LOAD_LOAD; FI_LOAD_CONST = F_LOAD_CONST
+        FI_LL_ALOAD = F_LL_ALOAD; FI_LOAD_LOAD = F_LOAD_LOAD
         FI_CONST_STORE = F_CONST_STORE; FI_LOAD_GETF = F_LOAD_GETF
-        FI_GLA = F_GETS_LOAD_ALOAD
         FI_LOAD_JZ = F_LOAD_JZ; FI_LOAD_JNZ = F_LOAD_JNZ
-        FI_LGS_CMP_JZ = F_LGS_CMP_JZ; FI_CCMP_JZ = F_CCMP_JZ
-        FI_L_ALOAD = F_L_ALOAD
         try:
             while frames:
                 if thread.pending_exception is not None:
@@ -662,77 +653,38 @@ class Machine:
                     while True:
                         ins = stream[pc]
                         oid = ins[0]
+                        # Arm order = dispatch share on the flattened
+                        # build every migratable path runs (faulting,
+                        # four registry programs, 4,818,128 dispatches
+                        # for 6,632,609 instructions): LOAD 27.4% and
+                        # STORE 40.6 (swapping the two measures the
+                        # same; LOAD leads every unflattened stream),
+                        # LOAD+LOAD+arith 6.8, CONST+STORE 5.1, LOAD+JZ
+                        # 4.0, LOAD+LOAD+arith(m) 3.7, LOAD+LOAD+ALOAD
+                        # 2.5, LOAD+LOAD 1.8, GETS 1.6, JMP 1.3,
+                        # INVOKESTATIC 1.2, ASTORE 1.1, RETV 1.0, the
+                        # rest under 0.5 each.  Plain CONST / ALOAD /
+                        # binop / JZ / JNZ / GETF come last: flattened
+                        # code pairs each with a LOAD or a STORE, so
+                        # they run only after a jump or a resume into
+                        # the middle of a group (0 dispatches there;
+                        # the original build pays for it).
                         if oid == I_LOAD:
                             push(locs[ins[1]])
                             pc += 1
-                        elif oid == FI_LL_CMP_JZ:
-                            s = ins[1]
-                            pc = pc + 4 if ins[5](locs[s[0]], locs[s[1]]) \
-                                else ins[2]
-                        elif oid == FI_LC_CMP_JZ:
-                            s = ins[1]
-                            pc = pc + 4 if ins[5](locs[s[0]], s[1]) \
-                                else ins[2]
-                        elif oid == FI_LGS_CMP_JZ:
-                            s = ins[1]
-                            aux = ins[5]
-                            cell = aux[1]
-                            c = cell[0]
-                            if c is None:
-                                c = cell[0] = _static_cell(self, s[1])
-                            pc = pc + 4 if aux[0](locs[s[0]], c[0][c[1]]) \
-                                else ins[2]
-                        elif oid == FI_CCMP_JZ:
-                            pc = pc + 3 if ins[5](pop(), ins[1]) else ins[2]
-                        elif oid == FI_L_ALOAD:
-                            arr = pop()
-                            idx = locs[ins[1]]
-                            if not isinstance(arr, Arr):
-                                _arr_fail(self, arr, "arrayload")
-                            data = arr.data
-                            if 0 <= idx < len(data):
-                                push(data[idx])
-                            else:
-                                raise _iobe(self, idx, len(data))
-                            pc += 2
-                        elif oid == FI_INC:
-                            x = locs[ins[1]]
-                            b = ins[2]
-                            if type(x) is int:
-                                locs[b[1]] = x + b[0]
-                            else:
-                                locs[b[1]] = ins[5](self, x, b[0])
-                            pc += 4
-                        elif oid == FI_GLA:
-                            cell = ins[5]
-                            c = cell[0]
-                            if c is None:
-                                c = cell[0] = _static_cell(self, ins[2])
-                            arr = c[0][c[1]]
-                            idx = locs[ins[1]]
-                            if not isinstance(arr, Arr):
-                                _arr_fail(self, arr, "arrayload")
-                            data = arr.data
-                            if 0 <= idx < len(data):
-                                push(data[idx])
-                            else:
-                                raise _iobe(self, idx, len(data))
-                            pc += 3
-                        elif oid == FI_LOAD_JZ:
-                            pc = pc + 2 if tr(locs[ins[1]]) else ins[2]
-                        elif oid == FI_LOAD_JNZ:
-                            pc = ins[2] if tr(locs[ins[1]]) else pc + 2
+                        elif oid == I_STORE:
+                            locs[ins[1]] = pop()
+                            pc += 1
                         elif oid == FI_LL_OP2:
                             push(ins[5](locs[ins[1]], locs[ins[2]]))
                             pc += 3
-                        elif oid == FI_LC_OP2:
-                            push(ins[5](locs[ins[1]], ins[2]))
-                            pc += 3
+                        elif oid == FI_CONST_STORE:
+                            locs[ins[2]] = ins[1]
+                            pc += 2
+                        elif oid == FI_LOAD_JZ:
+                            pc = pc + 2 if tr(locs[ins[1]]) else ins[2]
                         elif oid == FI_LL_ARITH:
                             push(ins[5](self, locs[ins[1]], locs[ins[2]]))
-                            pc += 3
-                        elif oid == FI_LC_ARITH:
-                            push(ins[5](self, locs[ins[1]], ins[2]))
                             pc += 3
                         elif oid == FI_LL_ALOAD:
                             arr = locs[ins[1]]
@@ -749,32 +701,6 @@ class Machine:
                             push(locs[ins[1]])
                             push(locs[ins[2]])
                             pc += 2
-                        elif oid == FI_LOAD_CONST:
-                            push(locs[ins[1]])
-                            push(ins[2])
-                            pc += 2
-                        elif oid == FI_CONST_STORE:
-                            locs[ins[2]] = ins[1]
-                            pc += 2
-                        elif oid == FI_CMP_JZ:
-                            b = pop()
-                            a = pop()
-                            pc = pc + 2 if ins[5](a, b) else ins[1]
-                        elif oid == FI_LOAD_GETF:
-                            obj = locs[ins[1]]
-                            fname = ins[2]
-                            v = obj.fields.get(fname, miss) \
-                                if isinstance(obj, Inst) else miss
-                            if v is miss:
-                                _field_fail(self, obj, fname, "getfield")
-                            push(v)
-                            pc += 2
-                        elif oid == I_CONST:
-                            push(ins[1])
-                            pc += 1
-                        elif oid == I_STORE:
-                            locs[ins[1]] = pop()
-                            pc += 1
                         elif oid == I_GETS:
                             cell = ins[5]
                             c = cell[0]
@@ -782,24 +708,6 @@ class Machine:
                                 c = cell[0] = _static_cell(self, ins[1])
                             push(c[0][c[1]])
                             pc += 1
-                        elif oid == I_ALOAD:
-                            idx = pop()
-                            arr = pop()
-                            if not isinstance(arr, Arr):
-                                _arr_fail(self, arr, "arrayload")
-                            data = arr.data
-                            if 0 <= idx < len(data):
-                                push(data[idx])
-                            else:
-                                raise _iobe(self, idx, len(data))
-                            pc += 1
-                        elif BIN_LO <= oid <= BIN_HI:
-                            b = pop()
-                            a = pop()
-                            push(ins[5](self, a, b))
-                            pc += 1
-                        elif oid == I_JZ:
-                            pc = pc + 1 if tr(pop()) else ins[1]
                         elif oid == I_JMP:
                             # Backward jumps are loop back-edges (the
                             # codegen compiles every loop top-tested
@@ -825,38 +733,6 @@ class Machine:
                                     frame.pc = ins[1]
                                     break
                             pc = ins[1]
-                        elif oid == I_JNZ:
-                            pc = ins[1] if tr(pop()) else pc + 1
-                        elif oid == I_GETF:
-                            obj = pop()
-                            fname = ins[1]
-                            v = obj.fields.get(fname, miss) \
-                                if isinstance(obj, Inst) else miss
-                            if v is miss:
-                                _field_fail(self, obj, fname, "getfield")
-                            push(v)
-                            pc += 1
-                        elif oid == I_PUTF:
-                            value = pop()
-                            obj = pop()
-                            fname = ins[1]
-                            if isinstance(obj, Inst) and fname in obj.fields:
-                                obj.fields[fname] = value
-                            else:
-                                _field_fail(self, obj, fname, "putfield")
-                            pc += 1
-                        elif oid == I_ASTORE:
-                            value = pop()
-                            idx = pop()
-                            arr = pop()
-                            if not isinstance(arr, Arr):
-                                _arr_fail(self, arr, "arraystore")
-                            data = arr.data
-                            if 0 <= idx < len(data):
-                                data[idx] = value
-                            else:
-                                raise _iobe(self, idx, len(data))
-                            pc += 1
                         elif oid == I_INVOKESTATIC:
                             if q is not None and \
                                     self.instr_count + n_acc >= q_limit:
@@ -904,6 +780,18 @@ class Machine:
                                     w_acc += ins[3]
                                     n_acc += ins[4]
                                     break
+                        elif oid == I_ASTORE:
+                            value = pop()
+                            idx = pop()
+                            arr = pop()
+                            if not isinstance(arr, Arr):
+                                _arr_fail(self, arr, "arraystore")
+                            data = arr.data
+                            if 0 <= idx < len(data):
+                                data[idx] = value
+                            else:
+                                raise _iobe(self, idx, len(data))
+                            pc += 1
                         elif oid == I_RETV:
                             if q is not None and \
                                     self.instr_count + n_acc >= q_limit:
@@ -937,6 +825,21 @@ class Machine:
                                 w_acc += ins[3]
                                 n_acc += 1
                                 break
+                        elif oid == FI_LOAD_GETF:
+                            obj = locs[ins[1]]
+                            fname = ins[2]
+                            v = obj.fields.get(fname, miss) \
+                                if isinstance(obj, Inst) else miss
+                            if v is miss:
+                                _field_fail(self, obj, fname, "getfield")
+                            push(v)
+                            pc += 2
+                        elif oid == I_POP:
+                            pop()
+                            pc += 1
+                        elif oid == I_DUP:
+                            push(stack[-1])
+                            pc += 1
                         elif oid == I_RET:
                             if q is not None and \
                                     self.instr_count + n_acc >= q_limit:
@@ -966,6 +869,43 @@ class Machine:
                                 thread.result = None
                                 w_acc += ins[3]
                                 n_acc += 1
+                                break
+                        elif oid == FI_LOAD_JNZ:
+                            pc = ins[2] if tr(locs[ins[1]]) else pc + 2
+                        elif oid == I_NATIVE:
+                            if q is not None and \
+                                    self.instr_count + n_acc >= q_limit:
+                                frame.pc = pc
+                                return "preempted"
+                            nargs = ins[2]
+                            if nargs:
+                                args = stack[-nargs:]
+                                del stack[-nargs:]
+                            else:
+                                args = []
+                            # Safepoint: natives may read the clock, print,
+                            # charge time, or install hooks — flush batched
+                            # accounting and expose a precise frame.pc.
+                            self.clock += op_cost * w_acc
+                            self.instr_count += n_acc
+                            w_acc = 0.0
+                            n_acc = 0
+                            frame.pc = pc
+                            fn = self.natives.lookup(ins[1])
+                            self.charge(self.cost.native_base)
+                            push(fn(self, args))
+                            pc += 1
+                            if (self.breakpoints
+                                    or self.on_breakpoint is not None):
+                                # Loop-selection guard: breakpoints appeared.
+                                w_acc += ins[3]
+                                n_acc += 1
+                                frame.pc = pc
+                                return None
+                            if thread.pending_exception is not None:
+                                w_acc += ins[3]
+                                n_acc += 1
+                                frame.pc = pc
                                 break
                         elif oid == I_INVOKEVIRT:
                             if q is not None and \
@@ -1010,46 +950,46 @@ class Machine:
                                     w_acc += ins[3]
                                     n_acc += ins[4]
                                     break
-                        elif oid == I_NATIVE:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
-                                frame.pc = pc
-                                return "preempted"
-                            nargs = ins[2]
-                            if nargs:
-                                args = stack[-nargs:]
-                                del stack[-nargs:]
+                        elif oid == I_PUTF:
+                            value = pop()
+                            obj = pop()
+                            fname = ins[1]
+                            if isinstance(obj, Inst) and fname in obj.fields:
+                                obj.fields[fname] = value
                             else:
-                                args = []
-                            # Safepoint: natives may read the clock, print,
-                            # charge time, or install hooks — flush batched
-                            # accounting and expose a precise frame.pc.
-                            self.clock += op_cost * w_acc
-                            self.instr_count += n_acc
-                            w_acc = 0.0
-                            n_acc = 0
-                            frame.pc = pc
-                            fn = self.natives.lookup(ins[1])
-                            self.charge(self.cost.native_base)
-                            push(fn(self, args))
+                                _field_fail(self, obj, fname, "putfield")
                             pc += 1
-                            if (self.breakpoints
-                                    or self.on_breakpoint is not None):
-                                # Loop-selection guard: breakpoints appeared.
-                                w_acc += ins[3]
-                                n_acc += 1
-                                frame.pc = pc
-                                return None
-                            if thread.pending_exception is not None:
-                                w_acc += ins[3]
-                                n_acc += 1
-                                frame.pc = pc
-                                break
-                        elif oid == I_DUP:
-                            push(stack[-1])
+                        elif oid == I_CONST:
+                            push(ins[1])
                             pc += 1
-                        elif oid == I_POP:
-                            pop()
+                        elif oid == I_ALOAD:
+                            idx = pop()
+                            arr = pop()
+                            if not isinstance(arr, Arr):
+                                _arr_fail(self, arr, "arrayload")
+                            data = arr.data
+                            if 0 <= idx < len(data):
+                                push(data[idx])
+                            else:
+                                raise _iobe(self, idx, len(data))
+                            pc += 1
+                        elif BIN_LO <= oid <= BIN_HI:
+                            b = pop()
+                            a = pop()
+                            push(ins[5](self, a, b))
+                            pc += 1
+                        elif oid == I_JZ:
+                            pc = pc + 1 if tr(pop()) else ins[1]
+                        elif oid == I_JNZ:
+                            pc = ins[1] if tr(pop()) else pc + 1
+                        elif oid == I_GETF:
+                            obj = pop()
+                            fname = ins[1]
+                            v = obj.fields.get(fname, miss) \
+                                if isinstance(obj, Inst) else miss
+                            if v is miss:
+                                _field_fail(self, obj, fname, "getfield")
+                            push(v)
                             pc += 1
                         else:
                             h = _COLD.get(oid)
@@ -1080,8 +1020,8 @@ class Machine:
                 except BaseException:
                     # Host-level error (LinkError, VMError, TypeError...):
                     # report the faulting bci like the legacy loop before
-                    # propagating.
-                    frame.pc = pc
+                    # propagating — a group's last component, as above.
+                    frame.pc = pc + ins[4] - 1
                     raise
             thread.finished = True
             return "finished"
@@ -1661,7 +1601,8 @@ def _cold_trap(m: "Machine", frame: Frame, stack: list, ins: tuple,
 
 #: the slot ``Machine._trap`` plants at bci 0: an opcode id no
 #: instruction has, so it falls through every hot test into ``_COLD``
-_TRAP = (-1, None, None, 0.0, 0, None, 0.0)
+#: (count 1: the handler that syncs ``frame.pc`` reads it as a width)
+_TRAP = (-1, None, None, 0.0, 1, None, 0.0)
 
 _COLD: Dict[int, Callable[..., int]] = {
     _TRAP[0]: _cold_trap,

@@ -10,16 +10,23 @@ and capture/restore on fast-dispatch machines.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
+from repro.bytecode import opcodes as op
+from repro.errors import VMError
 from repro.lang import compile_source
 from repro.migration import RestoreDriver, capture_segment, run_to_msp
 from repro.preprocess import preprocess_program
-from repro.preprocess.fuse import fused_coverage
+from repro.preprocess.fuse import FUSED_NAMES, fused_coverage
 from repro.vm import Machine, VMTI
+from repro.vm import jit as jit_mod
 from repro.vm.machine import UncaughtGuestException
 from repro.workloads import registry
+from repro.workloads.mixes import (MIXES, SERVE_PROGRAMS, RequestSpec,
+                                   serve_compiled)
+from tests.helpers import tier1_dispatches
 
 #: dispatch configurations under test: (label, Machine kwargs)
 MODES = [
@@ -119,6 +126,39 @@ def test_guest_exceptions_identical(main, args):
     _assert_equivalent(exc_classes(), main, args)
 
 
+# -- host-level errors: the faulting bci, from inside a fused group too -------
+
+HOST_ERR_SRC = """
+class B {
+  static int main(int n) { int x = 5; int i = 0; int y = x[i]; return y; }
+}
+"""
+
+HOST_ERR_LOOPS = {
+    "legacy": dict(dispatch="legacy"),
+    "tier 1": dict(jit=False),
+    "tier 1 unfused": dict(jit=False, fuse=False),
+    "tier 2 @1": dict(jit=True),
+}
+
+
+@pytest.mark.parametrize("build", ["original", "faulting"])
+@pytest.mark.parametrize("loop", sorted(HOST_ERR_LOOPS))
+def test_host_error_reports_the_faulting_bci(loop, build, monkeypatch):
+    """``x[i]`` on an int is a host-level ``VMError`` out of ``ALOAD`` —
+    on tier 1 the last component of a ``LOAD+LOAD+ALOAD`` group, whose
+    first bci the fast loop used to leave in ``frame.pc``."""
+    monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
+    classes = preprocess_program(compile_source(HOST_ERR_SRC), build)
+    code = classes["B"].methods["main"]
+    m = Machine(classes, **HOST_ERR_LOOPS[loop])
+    t = m.spawn("B", "main", [0])
+    with pytest.raises(VMError, match="arrayload on int"):
+        m.run(t)
+    assert m.jit_compiles == (loop == "tier 2 @1")
+    assert t.frames[-1].pc == [ins.op for ins in code.instrs].index(op.ALOAD)
+
+
 # -- inline caches -----------------------------------------------------------
 
 POLY_SRC = """
@@ -179,7 +219,7 @@ class L {
 
 
 def _loop_setup():
-    classes = preprocess_program(compile_source(LOOP_SRC), "original")
+    classes = preprocess_program(compile_source(LOOP_SRC), "faulting")
     m = Machine(classes)
     code = m.loader.load("L").find_method("sum")
     return m, code, m.decoded(code)
@@ -188,9 +228,10 @@ def _loop_setup():
 def test_fused_stream_structure():
     m, code, stream = _loop_setup()
     cov = fused_coverage(stream)
-    # the loop header and induction step must both have fused
-    assert any("cmp+JZ" in k for k in cov), cov
-    assert "LOAD+CONST+ADD+STORE" in cov, cov
+    # the loop header (compare into a temp, branch on the temp), the
+    # induction step and the literals must all have fused
+    assert {"LOAD+LOAD+arith", "LOAD+JZ", "LOAD+LOAD+arith(m)",
+            "CONST+STORE"} <= set(cov), cov
     # streams are parallel to the original instrs: every slot is an
     # executable decode for its own bci and groups never run off the end
     assert len(stream) == len(code.instrs)
@@ -199,14 +240,45 @@ def test_fused_stream_structure():
         assert i + slot[4] <= len(stream)
 
 
+def test_every_superinstruction_fires_on_the_flattened_builds():
+    """The set is sized by what the deployed builds execute, and this
+    is the evidence: every pattern is dispatched at a group start on
+    ``faulting`` over the registry and serve programs (pc trace
+    replayed against the fused streams), and has a site in the other
+    two flattened builds.  A pattern only ``original`` can reach — the
+    eleven retired ones never fired here — fails this test."""
+    names = set(FUSED_NAMES.values())
+    catalogue = {spec for mix in ("paper", "mixed")
+                 for spec, _w in MIXES[mix].choices}
+    assert ({spec.program for spec in catalogue} == set(SERVE_PROGRAMS)
+            >= set(registry.WORKLOADS))
+    fired = Counter()
+    for spec in sorted(catalogue, key=RequestSpec.label):
+        fired += tier1_dispatches(serve_compiled(spec.program),
+                                  spec.main, spec.args)
+    assert names <= set(fired), \
+        f"never dispatched on faulting: {sorted(names - set(fired))}"
+    for build in ("checking", "flattened"):
+        sites = Counter()
+        for prog in SERVE_PROGRAMS.values():
+            classes = preprocess_program(compile_source(prog.source), build)
+            m = Machine(classes)
+            for cf in classes.values():
+                for code in cf.methods.values():
+                    sites.update(fused_coverage(m.decoded(code)))
+        assert names <= set(sites), \
+            f"no site on {build}: {sorted(names - set(sites))}"
+
+
 def test_fast_and_unfused_share_results():
     classes = preprocess_program(compile_source(LOOP_SRC), "original")
     _assert_equivalent(classes, ("L", "sum"), (200,))
 
 
 def test_hand_assembled_compare_jnz_runs_unfused():
-    """The compiler never emits compare+JNZ (``||`` lowers to ``DUP;
-    JNZ``), so there are no compare+JNZ superinstructions; assembled
+    """No superinstruction spans a compare and its branch (flattened
+    code stores the compare into a temp first, and the compiler never
+    emits compare+JNZ at all: ``||`` lowers to ``DUP; JNZ``); assembled
     code that does use the sequence still executes — through the
     LOAD+LOAD+cmp / plain-JNZ decodes — identically to the legacy loop."""
     from repro.bytecode import ClassFile, assemble
@@ -247,13 +319,14 @@ def test_hand_assembled_compare_jnz_runs_unfused():
 # -- suspension and resumption mid-fused-sequence -----------------------------
 
 def _interior_bci(stream):
-    """An original bci strictly inside a 4-wide fused group (the loop
-    header compare-and-branch or the induction step — both live inside
-    the loop, so they execute once per iteration)."""
+    """An original bci strictly inside a 3-wide fused group — the
+    widest there is; the first one is the loop header's ``LOAD i; LOAD
+    n; LT``, which executes once per iteration, and its last component
+    finds both operands already on the stack."""
     for i, slot in enumerate(stream):
-        if slot[4] == 4:
+        if slot[4] == 3:
             return i + 2
-    raise AssertionError("no 4-wide fused group found")
+    raise AssertionError("no 3-wide fused group found")
 
 
 def test_resume_inside_fused_group_on_fast_loop():
@@ -301,7 +374,7 @@ def test_native_installed_hooks_retreat_to_slow_loop():
       }
     }
     """
-    classes = preprocess_program(compile_source(src), "original")
+    classes = preprocess_program(compile_source(src), "faulting")
     m = Machine(classes)
     hits = []
 
@@ -470,7 +543,6 @@ def _opcode_sites():
     ``quantum=1`` the budget is spent before everything after it — and
     in which only the site itself can be a safepoint before the final
     ``RET``."""
-    from repro.bytecode import opcodes as op
     from repro.bytecode.code import ExcEntry, Instr as I
 
     arr = [I(op.CONST, 2), I(op.NEWARR, "int", 8)]
@@ -548,7 +620,7 @@ def test_quantum_expires_only_at_declared_safepoints(label):
     stops *before* the instruction iff ``opcodes.is_safepoint`` says
     so — in all three loops (catches a handler, a tier-2 template and
     the declared set drifting apart)."""
-    from repro.bytecode import ClassFile, opcodes as op
+    from repro.bytecode import ClassFile
     from repro.bytecode.code import CodeObject, FieldDecl, Instr as I
 
     body, at, rows = OPCODE_SITES[label]
