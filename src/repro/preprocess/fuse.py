@@ -24,9 +24,9 @@ always followed by a ``STORE``, never by its consumer.  The eight
 patterns are the ones such a stream executes at a group start
 (``LOAD+LOAD+arith``, ``LOAD+LOAD+ALOAD``, ``LOAD+LOAD``,
 ``LOAD+GETF``, ``CONST+STORE``, ``LOAD+JZ``/``JNZ``); the ``original``
-build fuses with the same eight.  ``tests/test_preprocess.py`` replays
-a pc trace against the streams and fails on a pattern that never
-fires there.
+build fuses with the same eight.  A test
+(``tests/test_dispatch_equivalence.py``) replays a pc trace against
+the streams and fails on a pattern that never fires there.
 
 Coordinate invariant (what keeps migration working unchanged): the
 decoded stream is indexed by **original** bci, and a fused tuple sits at

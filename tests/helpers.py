@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from repro.bytecode import opcodes as op
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.preprocess.fuse import FUSED_NAMES
@@ -19,9 +18,6 @@ def compile_and_run(source: str, cls: str, method: str, args=None,
     machine = Machine(classes)
     result = machine.call(cls, method, list(args or []))
     return result, machine
-
-
-_OP_NAMES = {opid: name for name, opid in op.OP_IDS.items()}
 
 
 def tier1_dispatches(classes, main, args) -> Counter:
@@ -43,7 +39,8 @@ def tier1_dispatches(classes, main, args) -> Counter:
             assert pending.pop() == at, f"group left at {at}"
             return False
         slot = m.decoded(frame.code)[frame.pc]
-        hist[FUSED_NAMES.get(slot[0]) or _OP_NAMES[slot[0]]] += 1
+        hist[FUSED_NAMES.get(slot[0])
+             or frame.code.instrs[frame.pc].op] += 1
         pending.extend((frame.code, frame.pc + k)
                        for k in range(slot[4] - 1, 0, -1))
         return False

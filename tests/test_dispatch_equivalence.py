@@ -24,8 +24,7 @@ from repro.vm import Machine, VMTI
 from repro.vm import jit as jit_mod
 from repro.vm.machine import UncaughtGuestException
 from repro.workloads import registry
-from repro.workloads.mixes import (MIXES, SERVE_PROGRAMS, RequestSpec,
-                                   serve_compiled)
+from repro.workloads.mixes import MIXES, SERVE_PROGRAMS, serve_compiled
 from tests.helpers import tier1_dispatches
 
 #: dispatch configurations under test: (label, Machine kwargs)
@@ -146,8 +145,8 @@ HOST_ERR_LOOPS = {
 @pytest.mark.parametrize("loop", sorted(HOST_ERR_LOOPS))
 def test_host_error_reports_the_faulting_bci(loop, build, monkeypatch):
     """``x[i]`` on an int is a host-level ``VMError`` out of ``ALOAD`` —
-    on tier 1 the last component of a ``LOAD+LOAD+ALOAD`` group, whose
-    first bci the fast loop used to leave in ``frame.pc``."""
+    on tier 1 the last component of a ``LOAD+LOAD+ALOAD`` group:
+    ``frame.pc`` names the ``ALOAD``, not the group's first bci."""
     monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
     classes = preprocess_program(compile_source(HOST_ERR_SRC), build)
     code = classes["B"].methods["main"]
@@ -245,15 +244,15 @@ def test_every_superinstruction_fires_on_the_flattened_builds():
     is the evidence: every pattern is dispatched at a group start on
     ``faulting`` over the registry and serve programs (pc trace
     replayed against the fused streams), and has a site in the other
-    two flattened builds.  A pattern only ``original`` can reach — the
-    eleven retired ones never fired here — fails this test."""
+    two flattened builds.  A pattern only ``original`` can reach (a
+    compare fused with its branch, say) fails this test."""
     names = set(FUSED_NAMES.values())
     catalogue = {spec for mix in ("paper", "mixed")
                  for spec, _w in MIXES[mix].choices}
     assert ({spec.program for spec in catalogue} == set(SERVE_PROGRAMS)
             >= set(registry.WORKLOADS))
     fired = Counter()
-    for spec in sorted(catalogue, key=RequestSpec.label):
+    for spec in catalogue:
         fired += tier1_dispatches(serve_compiled(spec.program),
                                   spec.main, spec.args)
     assert names <= set(fired), \
