@@ -20,9 +20,11 @@ the one tier 1's superinstruction set and arm order are sized by.
 
 Emits ``BENCH_interpreter.json`` at the repo root so the performance
 trajectory of the VM hot path is tracked.  Two asserted floors: geomean
-fast-vs-legacy >= 4.5x and geomean tier2-vs-tier1 >= 1.65x — 6.10 and
-1.88 measured, with the relative margins the floors have always had
-(3.0 asserted of 4.03 measured, 2.0 of 2.27).
+fast-vs-legacy >= 4.5x (6.10 measured when it was set) and geomean
+tier2-vs-tier1 >= 1.9x — 2.16 measured (2.20-2.38 on five more
+runs), with the relative margin that floor has always had (1.65
+asserted of 1.88 measured before tier 2 compiled flattened groups as
+groups; 2.0 of 2.27 before that).
 
 JSON layout convention: host-dependent wall-clock measurements
 (ips rates, speedup ratios) live under ``"wall"`` subkeys — per
@@ -194,7 +196,7 @@ def test_interpreter_throughput_vs_legacy(benchmark, write_bench_json):
     print(f"  geomean: fast/legacy {report['wall']['geomean_speedup']:.2f}x, "
           f"tier2/fast {report['wall']['geomean_tier2_speedup']:.2f}x "
           f"-> {BENCH_JSON.name}")
-    # acceptance floors: >= 4.5x tier 1 over legacy, >= 1.65x tier 2
+    # acceptance floors: >= 4.5x tier 1 over legacy, >= 1.9x tier 2
     # on top — on a quiet machine; shared CI runners override via the
     # env vars so a noisy-neighbour timing dip cannot fail unrelated PRs
     floor = float(os.environ.get("BENCH_MIN_SPEEDUP", "4.5"))
@@ -202,7 +204,7 @@ def test_interpreter_throughput_vs_legacy(benchmark, write_bench_json):
     # and every workload individually benefits substantially
     assert all(r["wall"]["speedup"] >= floor * 2 / 3
                for r in report["workloads"].values())
-    t2_floor = float(os.environ.get("BENCH_MIN_T2_SPEEDUP", "1.65"))
+    t2_floor = float(os.environ.get("BENCH_MIN_T2_SPEEDUP", "1.9"))
     assert report["wall"]["geomean_tier2_speedup"] >= t2_floor
     assert all(r["wall"]["tier2_speedup"] >= 1.0
                for r in report["workloads"].values())

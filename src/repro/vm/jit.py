@@ -4,13 +4,36 @@ The interpreter already pre-decodes, fuses and inline-caches (tier 1,
 :meth:`repro.vm.machine.Machine._run_fast`); this module adds the next
 tier above it.  :func:`compile_code` turns one :class:`CodeObject` into
 a *specialized Python closure*: the method's control-flow graph is
-compiled to a ``while``-loop over basic blocks, the operand stack is
-compiled away into Python local temporaries (``s0``, ``s1``, ...),
-guest locals stay in ``frame.locals`` (so deoptimization never needs a
-write-back pass), and every monomorphic fact the tier-1 inline caches
-have proven — static-call targets, static-field home dicts, virtual
-receiver classes — is baked in as a bound constant or a one-compare
-guard.
+compiled to a ``while``-loop over *blocks*, the operand stack is
+compiled away into single-assignment Python names (``v1``, ``v2``,
+...), and every monomorphic fact the tier-1 inline caches have proven —
+static-call targets, static-field home dicts, virtual receiver classes
+— is baked in as a bound constant or a one-compare guard.
+
+A block is sized for the code that is deployed: the preprocessor's
+flattened builds reach the VM as ``LOAD t..; op; STORE t`` groups and
+``LOAD t; JZ`` branches (:mod:`repro.preprocess.flatten`), so the
+generator works on what a group *means*.  Within a block a ``LOAD``
+names ``locs[a]`` once and a ``STORE`` only records which name the slot
+now holds (the temp traffic costs nothing); a name a compare, ``NOT``
+or ``ISREMOTE`` produced is a host ``bool`` and branches raw; and a
+block does not end at a leader nobody branches to — a ``JZ`` leaves
+only in its taken arm, calls, returns and back-edges are generated in
+line (each still an entry of its own for a frame that *resumes*
+there), and a compiled->compiled call that returns continues in line.
+Blocks end at branch targets (every source-line start and fault-retry
+point of a migratable build is one: restoration ``LSWITCH``es to them)
+and around every ``NATIVE``.
+
+Deferred writes reach ``frame.locals`` exactly where it can be
+observed (:meth:`_Compiler.write_back`): before an op arms its fault
+record (a guest handler of this frame — the injected object-fault
+handlers — reads the slots), in the yielding arm of every quantum
+poll, before a call pushes a frame and before a native runs (names
+read from ``locs`` are forgotten after either: ``ObjMan.resolve``
+patches slots), and at every block exit — not at ``RET``/``RETV``,
+whose frame is gone.  So a capture, a guest handler or a deopt never
+needs a write-back pass of its own.
 
 Execution protocol
 ------------------
@@ -47,7 +70,7 @@ Safepoints and accounting
 
 ``frame.pc`` and ``frame.stack`` are materialized *only* at the
 preemption safepoints (:func:`repro.bytecode.opcodes.is_safepoint` —
-calls, returns, natives, loop back-edges; :meth:`_Compiler.poll`
+calls, returns, natives, loop back-edges; :meth:`_Compiler.safepoint`
 refuses to emit a quantum check anywhere else, so compiled code is
 preempted exactly where both interpreter loops are) and at guest-throw
 sites.  Between safepoints the closure runs pure Python with block-summed
@@ -60,8 +83,11 @@ order differs in ulps).
 Guest exceptions report a precise faulting bci through a per-closure
 fault table (``f`` holds the index of the last armed fault record).
 Host-level errors (LinkError, type confusion) reuse the last armed
-record best-effort — they abort the run, so the guest can never observe
-the approximation.
+record: after one, ``frame.pc`` is the faulting bci and that is *all*
+that is defined — the accounting of the faulting group and locals
+whose write-back was still pending are not (no caller reads them: the
+run is aborted).  Guest throws, preemptions, calls, natives and deopts
+are exact.
 
 Compilation is two steps, with the shared/isolated boundary between
 them.  *Generate* (:class:`_Compiler`) is a pure function of the code
@@ -115,15 +141,6 @@ _INLINE_BINOP = {
     op.EQ: "==", op.NE: "!=",
     op.LT: "<", op.LE: "<=", op.GT: ">", op.GE: ">=",
 }
-
-#: value-producing ops whose result assignment is the last action that
-#: can raise — safe to fuse with a following STORE (write straight to
-#: the local slot, skipping the temp)
-_STORE_FUSABLE = frozenset({
-    op.ADD, op.SUB, op.MUL, op.DIV, op.MOD, op.EQ, op.NE, op.LT, op.LE,
-    op.GT, op.GE, op.NEG, op.NOT, op.ISREMOTE, op.LEN, op.ALOAD,
-    op.GETF, op.GETS, op.NEW, op.NEWARR,
-})
 
 _CMP_OPS = frozenset({op.EQ, op.NE, op.LT, op.LE, op.GT, op.GE})
 
@@ -225,7 +242,20 @@ class _Compiler:
         self.faults: List[Tuple[int, float, int, float]] = [(0, 0.0, 0, 0.0)]
         self.seg_w = 0.0
         self.seg_n = 0
-        self.sym: List[Tuple[str, Optional[int]]] = []
+        # Per-block symbolic state (reset by :meth:`gen_block`).  Every
+        # atom is a literal or a name assigned exactly once in the
+        # block, so holding one — on the stack or as a pending write —
+        # never goes stale.
+        self.sym: List[str] = []
+        #: local slot -> atom holding its current value in this block
+        self.known: Dict[int, str] = {}
+        #: the part of ``known`` that ``locs`` has not been told yet
+        self.pending: Dict[int, str] = {}
+        #: atoms that are a host ``bool``: ``JZ``/``JNZ`` branch on
+        #: them raw
+        self.bools: Set[str] = set()
+        #: int literal atom -> its value
+        self.ints: Dict[str, int] = {}
         self.indent = 16
 
     # -- plumbing ---------------------------------------------------------
@@ -253,102 +283,109 @@ class _Compiler:
         self.lines.append(" " * (self.indent + extra) + line)
 
     def fresh(self) -> str:
+        """A name no earlier statement of this block assigns (blocks
+        share the pool: nothing named survives a block exit)."""
         self._un += 1
-        return f"u{self._un}"
+        return f"v{self._un}"
 
-    def target_name(self, pos: int) -> str:
-        """Assignment target for a push at stack position ``pos`` —
-        positional naming reuses temps, but SWAP/DUP can keep an alias
-        of ``s<pos>`` live elsewhere on the symbolic stack."""
-        name = f"s{pos}"
-        if any(e[0] == name for e in self.sym):
-            return self.fresh()
+    def push(self, expr: str, is_bool: bool = False) -> None:
+        name = self.fresh()
+        self.emit(f"{name} = {expr}")
+        if is_bool:
+            self.bools.add(name)
+        self.sym.append(name)
+
+    def named(self, atom: str) -> str:
+        """``atom`` as something an attribute can hang off: a literal
+        is given a name first (``5.data`` is not an expression)."""
+        if atom.isidentifier():
+            return atom
+        name = self.fresh()
+        self.emit(f"{name} = {atom}")
         return name
 
     def account(self, opname: str) -> None:
         self.seg_w += self.wt(opname, 1.0)
         self.seg_n += 1
 
-    def flush_acc(self, extra: int = 0) -> None:
+    def emit_acc(self, extra: int = 0) -> None:
         """Emit the pending block-summed accounting adds."""
         if self.seg_n:
             self.emit(f"w_acc += {self.seg_w!r}", extra)
             self.emit(f"n_acc += {self.seg_n}", extra)
-            self.seg_w = 0.0
-            self.seg_n = 0
 
-    def marker(self, bci: int, opname: str, charged: bool = True) -> None:
+    def flush_acc(self) -> None:
+        self.emit_acc()
+        self.seg_w = 0.0
+        self.seg_n = 0
+
+    def write_back(self, extra: int = 0) -> None:
+        """Tell ``locs`` every deferred ``STORE``: emitted wherever
+        ``frame.locals`` is about to be observable.  In a conditional
+        arm (``extra``) the straight path still owes them."""
+        for slot, atom in self.pending.items():
+            self.emit(f"locs[{slot}] = {atom}", extra)
+        if not extra:
+            self.pending.clear()
+
+    def marker(self, bci: int, opname: str, charged: bool = True,
+               extra: int = 0) -> None:
         """Arm the fault record for a potentially-throwing op at
-        ``bci``.  The record's pre-fault sums must EXCLUDE the faulting
-        op itself (it is charged only if a handler is found, the tier-1
-        rule): ``charged`` says whether :meth:`gen_op`'s up-front
-        ``account`` of this op is still in the segment and must be
-        backed out of the record."""
+        ``bci``, locals written back first: a guest handler of this
+        frame reads them (the injected object-fault handlers re-read
+        the receiver from its slot).  The record's pre-fault sums must
+        EXCLUDE the faulting op itself (it is charged only if a handler
+        is found, the tier-1 rule): ``charged`` says whether
+        :meth:`gen_op`'s up-front ``account`` of this op is still in
+        the segment and must be backed out of the record."""
         w = self.wt(opname, 1.0)
         idx = len(self.faults)
         if charged:
             self.faults.append((bci, self.seg_w - w, self.seg_n - 1, w))
         else:
             self.faults.append((bci, self.seg_w, self.seg_n, w))
-        self.emit(f"f = {idx}")
+        self.write_back(extra)
+        self.emit(f"f = {idx}", extra)
 
-    def spill(self, atoms: List[Tuple[str, Optional[int]]],
-              extra: int = 0) -> None:
+    def spill(self, atoms: List[str], extra: int = 0) -> None:
         if not atoms:
             return
         if len(atoms) == 1:
-            self.emit(f"fstack.append({atoms[0][0]})", extra)
+            self.emit(f"fstack.append({atoms[0]})", extra)
         else:
-            self.emit(
-                "fstack.extend((" + ", ".join(e[0] for e in atoms) + "))",
-                extra)
+            self.emit("fstack.extend((" + ", ".join(atoms) + "))", extra)
 
-    def poll(self, bci: int, extra: int = 0,
-             spill_sym: bool = False) -> None:
-        """Quantum safepoint: yield with ``frame.pc`` at ``bci``."""
+    def safepoint(self, bci: int, frame_lives: bool = True) -> float:
+        """Open the safepoint instruction at ``bci``: it is charged on
+        the way out, not in the segment (returns its weight), and a
+        spent quantum yields *before* it, ``frame.pc`` at ``bci`` and
+        the whole operand stack spilled.  Locals are written back for
+        good first — a callee's natives may patch this frame, a call's
+        resolution may throw into a handler of it — unless the frame
+        dies here (a return): then only the yielding arm needs them."""
         ins = self.instrs[bci]
         assert op.is_safepoint(ins.op, ins.a, bci), (bci, ins.op)
-        self.emit(f"if ql and m.instr_count + n_acc >= ql:", extra)
-        if spill_sym:
-            self.spill(self.sym, extra + 4)
-        self.emit(f"    frame.pc = {bci}", extra)
-        self.emit(f"    return (2, w_acc, n_acc)", extra)
+        w = self.wt(ins.op, 1.0)
+        self.seg_w -= w
+        self.seg_n -= 1
+        self.flush_acc()
+        if frame_lives:
+            self.write_back()
+        self.emit("if ql and m.instr_count + n_acc >= ql:")
+        self.write_back(4)
+        self.spill(self.sym, 4)
+        self.emit(f"    frame.pc = {bci}")
+        self.emit("    return (2, w_acc, n_acc)")
+        return w
 
-    def materialize_slot(self, slot: int) -> None:
-        """Before ``locs[slot]`` is written, copy any symbolic-stack
-        aliases of it into temps."""
-        for p, (expr, s) in enumerate(self.sym):
-            if s == slot:
-                name = self.target_name(p)
-                self.emit(f"{name} = {expr}")
-                self.sym[p] = (name, None)
-
-    def push_temp(self, expr: str) -> None:
-        name = self.target_name(len(self.sym))
-        self.emit(f"{name} = {expr}")
-        self.sym.append((name, None))
-
-    def store_fused_slot(self, bci: int) -> Optional[int]:
-        """If the next instruction is a STORE in the same block, return
-        its slot (the caller writes its result straight to the local)."""
-        nxt = bci + 1
-        if nxt < len(self.instrs) and nxt not in self.leaders \
-                and self.instrs[nxt].op == op.STORE:
-            return self.instrs[nxt].a
-        return None
-
-    def push_value(self, bci: int, expr: str) -> int:
-        """Deliver a fusable op's result: either straight into a local
-        (STORE fusion) or onto the symbolic stack.  Returns the number
-        of extra instructions consumed (0 or 1)."""
-        slot = self.store_fused_slot(bci)
-        if slot is not None:
-            self.materialize_slot(slot)
-            self.emit(f"locs[{slot}] = {expr}")
-            self.account(op.STORE)
-            return 1
-        self.push_temp(expr)
-        return 0
+    def exit_to(self, target: int, extra: int = 0) -> None:
+        """Leave the block for the one at ``target`` through the
+        dispatch loop, everything materialized."""
+        self.emit_acc(extra)
+        self.write_back(extra)
+        self.spill(self.sym, extra)
+        self.emit(f"b = {self.block_id[target]}", extra)
+        self.emit("continue", extra)
 
     # -- analysis ---------------------------------------------------------
 
@@ -358,38 +395,44 @@ class _Compiler:
         if n == 0 or n > _MAX_INSTRS:
             raise _Refuse("size")
         self.depths = stack_depths(code)
-        leaders: Set[int] = {0}
+        #: bcis with a branch predecessor (or a handler's throw): the
+        #: symbolic state of whoever falls into one cannot be carried
+        #: over, so they are always reached through the dispatch loop
+        targets: Set[int] = {e.handler for e in code.exc_table}
+        #: bcis a frame can resume at without having branched there
+        resumes: Set[int] = {0}
         self.backward: Set[int] = set()
         for i, ins in enumerate(code.instrs):
             o = ins.op
             if o in (op.JMP, op.JZ, op.JNZ):
-                leaders.add(ins.a)
-                if o != op.JMP:
-                    leaders.add(i + 1)
+                targets.add(ins.a)
                 if ins.a <= i:
                     self.backward.add(i)
             elif o == op.LSWITCH:
-                for t in ins.a.values():
-                    leaders.add(t)
-                leaders.add(ins.b)
-                if i + 1 < n:
-                    leaders.add(i + 1)
+                targets.update(ins.a.values())
+                targets.add(ins.b)
             elif op.is_call(o):
-                leaders.add(i + 1)  # return / after-native re-entry
+                resumes.add(i + 1)  # return / after-native re-entry
             if op.is_safepoint(o, ins.a, i):
-                # preemption re-entry; a back-edge JMP is its own
-                # block so the poll reports frame.pc at the JMP itself
-                leaders.add(i)
-        for e in code.exc_table:
-            leaders.add(e.handler)
-        self.leaders = {b for b in leaders
+                resumes.add(i)  # preemption re-entry
+        self.leaders = {b for b in targets | resumes
                         if b < n and b in self.depths}
+        #: the leaders a block that falls into them must stop at (the
+        #: others it goes on generating through, names and pending
+        #: writes carried over — they are entries of their own only
+        #: for a frame that resumes there): branch targets, and both
+        #: edges of every ``NATIVE`` — each is an entry that would
+        #: generate the whole suffix again, and restoration handlers
+        #: are chains of ``CapturedState.read`` natives, quadratic in
+        #: their length
+        self.cuts = {b for b in self.leaders if b in targets
+                     or op.NATIVE in (code.instrs[b].op,
+                                      code.instrs[b - 1].op)}
         # Block order: loop bodies first (shorter dispatch scans on the
         # hot path), then everything else in bci order.
         hot: Set[int] = set()
         for i in self.backward:
-            t = code.instrs[i].a if code.instrs[i].op == op.JMP \
-                else code.instrs[i].a
+            t = code.instrs[i].a
             for b in self.leaders:
                 if t <= b <= i:
                     hot.add(b)
@@ -409,45 +452,50 @@ class _Compiler:
         return self.assemble()
 
     def gen_block(self, start: int) -> None:
-        code = self.code
+        """One dispatch entry: the code from ``start`` up to the first
+        instruction that closes the block or is a cut (``analyze``)."""
         n = len(self.instrs)
         self.seg_w = 0.0
         self.seg_n = 0
-        d = self.depths[start]
-        self.sym = [(f"s{i}", None) for i in range(d)]
-        for i in range(d - 1, -1, -1):
-            self.emit(f"s{i} = fstack.pop()")
+        self._un = 0
+        self.known = {}
+        self.pending = {}
+        self.bools = {"True", "False"}
+        self.sym = [self.fresh() for _ in range(self.depths[start])]
+        for name in reversed(self.sym):
+            self.emit(f"{name} = fstack.pop()")
         bci = start
         while True:
             if bci >= n:
                 raise _Refuse("fell off code end")
-            if bci != start and bci in self.leaders:
-                self.flush_acc()
-                self.spill(self.sym)
-                self.emit(f"b = {self.block_id[bci]}")
-                self.emit("continue")
+            if bci != start and bci in self.cuts:
+                self.exit_to(bci)
                 return
-            closed, extra = self.gen_op(bci, self.instrs[bci])
-            if closed:
+            if self.gen_op(bci, self.instrs[bci]):
                 return
-            bci += 1 + extra
+            bci += 1
 
-    # one op -> source lines; returns (block_closed, extra_consumed)
-    def gen_op(self, bci: int, ins: Any) -> Tuple[bool, int]:
+    # one op -> source lines; True when it closed the block
+    def gen_op(self, bci: int, ins: Any) -> bool:
         o = ins.op
         sym = self.sym
         self.account(o)
 
         if o == op.LOAD:
-            sym.append((f"locs[{ins.a}]", ins.a))
+            atom = self.known.get(ins.a)
+            if atom is None:
+                atom = self.known[ins.a] = self.fresh()
+                self.emit(f"{atom} = locs[{ins.a}]")
+            sym.append(atom)
         elif o == op.CONST:
             lit = _literal(ins.a)
-            sym.append((lit if lit is not None
-                        else self.bind(ins.a, "c"), None))
+            if lit is not None and type(ins.a) is int:
+                self.ints[lit] = ins.a
+            sym.append(lit if lit is not None else self.bind(ins.a, "c"))
         elif o == op.STORE:
-            v = sym.pop()
-            self.materialize_slot(ins.a)
-            self.emit(f"locs[{ins.a}] = {v[0]}")
+            # deferred: write_back tells locs where it can be observed
+            self.pending.pop(ins.a, None)
+            self.known[ins.a] = self.pending[ins.a] = sym.pop()
         elif o == op.POP:
             sym.pop()
         elif o == op.DUP:
@@ -458,64 +506,42 @@ class _Compiler:
             pass
 
         elif o == op.ADD:
-            b = sym.pop()[0]
-            a = sym.pop()[0]
-            return (False, self.push_value(
-                bci, f"({a} + {b}) if type({a}) is int "
-                     f"and type({b}) is int else A(m, {a}, {b})"))
+            b = sym.pop()
+            a = sym.pop()
+            tests = [f"type({x}) is int" for x in (a, b)
+                     if x not in self.ints]
+            self.push(f"({a} + {b}) if {' and '.join(tests)} "
+                      f"else A(m, {a}, {b})" if tests else f"{a} + {b}")
         elif o in _INLINE_BINOP:
-            b = sym.pop()[0]
-            a = sym.pop()[0]
-            expr = f"{a} {_INLINE_BINOP[o]} {b}"
-            if o in _CMP_OPS:
-                nxt = bci + 1
-                if nxt < len(self.instrs) and nxt not in self.leaders \
-                        and self.instrs[nxt].op in (op.JZ, op.JNZ):
-                    # compare+branch fusion: the raw bool drives the
-                    # branch (same certification as tier-1's fused
-                    # compare-jump superinstructions — no truthy call)
-                    return (True, self.gen_branch(
-                        nxt, self.instrs[nxt], expr, raw=True))
-            return (False, self.push_value(bci, expr))
+            b = sym.pop()
+            a = sym.pop()
+            # a compare yields a raw host bool (same certification as
+            # tier-1's fused compare-jump superinstructions)
+            self.push(f"{a} {_INLINE_BINOP[o]} {b}", o in _CMP_OPS)
         elif o == op.DIV or o == op.MOD:
-            b = sym.pop()[0]
-            a = sym.pop()[0]
-            self.marker(bci, o)
-            fn = "D" if o == op.DIV else "MO"
-            return (False, self.push_value(bci, f"{fn}(m, {a}, {b})"))
+            b = sym.pop()
+            a = sym.pop()
+            self.gen_divmod(bci, o, a, b)
         elif o == op.NEG:
-            a = sym.pop()[0]
-            return (False, self.push_value(bci, f"-({a})"))
+            self.push(f"-({sym.pop()})")
         elif o == op.NOT:
-            a = sym.pop()[0]
-            return (False, self.push_value(bci, f"not T({a})"))
+            a = sym.pop()
+            self.push(f"not {a}" if a in self.bools else f"not T({a})",
+                      True)
         elif o == op.ISREMOTE:
-            a = sym.pop()[0]
-            return (False, self.push_value(bci, f"isinstance({a}, RR)"))
+            self.push(f"isinstance({sym.pop()}, RR)", True)
 
         elif o == op.GETF:
-            obj = sym.pop()[0]
+            obj = self.named(sym.pop())
             self.marker(bci, o)
-            slot = self.store_fused_slot(bci)
             fn = _literal(ins.a) or self.bind(ins.a)
-            # Guard in a temp, never in the destination: the faulting
-            # build's injected NPE handlers re-read the receiver from
-            # its *local slot* (ObjMan.resolve + retry), so a fused
-            # store must not clobber the slot before GFF raises.
-            u = self.fresh()
-            self.emit(f"{u} = {obj}.fields.get({fn}, MS) "
+            self.push(f"{obj}.fields.get({fn}, MS) "
                       f"if isinstance({obj}, Inst) else MS")
-            self.emit(f"if {u} is MS:")
+            self.emit(f"if {sym[-1]} is MS:")
             self.emit(f"    FF(m, {obj}, {fn}, 'getfield')")
-            if slot is not None:
-                self.materialize_slot(slot)
-                self.emit(f"locs[{slot}] = {u}")
-                self.account(op.STORE)
-                return (False, 1)
-            sym.append((u, None))
         elif o == op.PUTF:
-            v = sym.pop()[0]
-            obj = sym.pop()[0]
+            v = sym.pop()
+            obj = self.named(sym.pop())
             self.marker(bci, o)
             fn = _literal(ins.a) or self.bind(ins.a)
             self.emit(f"if isinstance({obj}, Inst) "
@@ -525,13 +551,12 @@ class _Compiler:
             self.emit(f"    FF(m, {obj}, {fn}, 'putfield')")
         elif o == op.GETS:
             if bci in self.shape:  # the home class's statics dict
-                expr = f"{self.slot('sd', bci, 0)}[{ins.a[1]!r}]"
+                self.push(f"{self.slot('sd', bci, 0)}[{ins.a[1]!r}]")
             else:
                 c = self.gen_lazy_static(bci, o, ins.a)
-                expr = f"{c}[0][{c}[1]]"
-            return (False, self.push_value(bci, expr))
+                self.push(f"{c}[0][{c}[1]]")
         elif o == op.PUTS:
-            v = sym.pop()[0]
+            v = sym.pop()
             c = self.slot("sc", bci) if bci in self.shape \
                 else self.gen_lazy_static(bci, o, ins.a)
             self.emit(f"PS(m, {c}, {v})")
@@ -539,138 +564,145 @@ class _Compiler:
             self.marker(bci, o)
             k = self.slot("cls", bci) if bci in self.shape else \
                 f"m.loader.load({_literal(ins.a) or self.bind(ins.a)})"
-            return (False, self.push_value(
-                bci, f"m.heap.new_instance({k})"))
+            self.push(f"m.heap.new_instance({k})")
         elif o == op.NEWARR:
-            cnt = sym.pop()[0]
+            cnt = sym.pop()
             self.marker(bci, o)
             kn = _literal(ins.a) or self.bind(ins.a)
-            return (False, self.push_value(
-                bci, f"NA(m, {cnt}, {kn}, {ins.b or 8})"))
+            self.push(f"NA(m, {cnt}, {kn}, {ins.b or 8})")
         elif o == op.ALOAD:
-            idx = sym.pop()[0]
-            arr = sym.pop()[0]
-            self.marker(bci, o)
-            u = self.fresh()
-            self.emit(f"{u} = {arr}.data if isinstance({arr}, Arr) "
-                      f"else AF(m, {arr}, 'arrayload')")
-            slot = self.store_fused_slot(bci)
-            tgt = f"locs[{slot}]" if slot is not None \
-                else self.target_name(len(sym))
-            if slot is not None:
-                self.materialize_slot(slot)
+            idx = sym.pop()
+            u = self.gen_array_data(bci, o, sym.pop(), "arrayload")
+            v = self.fresh()
             self.emit(f"if 0 <= {idx} < len({u}):")
-            self.emit(f"    {tgt} = {u}[{idx}]")
+            self.emit(f"    {v} = {u}[{idx}]")
             self.emit("else:")
             self.emit(f"    raise IO(m, {idx}, len({u}))")
-            if slot is not None:
-                self.account(op.STORE)
-                return (False, 1)
-            sym.append((tgt, None))
+            sym.append(v)
         elif o == op.ASTORE:
-            v = sym.pop()[0]
-            idx = sym.pop()[0]
-            arr = sym.pop()[0]
-            self.marker(bci, o)
-            u = self.fresh()
-            self.emit(f"{u} = {arr}.data if isinstance({arr}, Arr) "
-                      f"else AF(m, {arr}, 'arraystore')")
+            v = sym.pop()
+            idx = sym.pop()
+            u = self.gen_array_data(bci, o, sym.pop(), "arraystore")
             self.emit(f"if not (0 <= {idx} < len({u})):")
             self.emit(f"    raise IO(m, {idx}, len({u}))")
             self.emit(f"{u}[{idx}] = {v}")
         elif o == op.LEN:
-            arr = sym.pop()[0]
+            arr = self.named(sym.pop())
             self.marker(bci, o)
-            return (False, self.push_value(
-                bci, f"len({arr}.data) if isinstance({arr}, Arr) "
-                     f"else AF(m, {arr}, 'arraylength')"))
+            self.push(f"len({arr}.data) if isinstance({arr}, Arr) "
+                      f"else AF(m, {arr}, 'arraylength')")
 
         elif o == op.JMP:
             if bci in self.backward:
                 # back-edge safepoint: frame.pc reports the JMP itself
                 # (not yet charged), exactly like the tier-1 fast loop
-                self.seg_w -= self.wt(op.JMP, 1.0)
-                self.seg_n -= 1
-                self.flush_acc()
-                self.poll(bci, spill_sym=True)
-                self.emit(f"w_acc += {self.wt(op.JMP, 1.0)!r}")
-                self.emit("n_acc += 1")
-            else:
-                self.flush_acc()
-            self.spill(self.sym)
-            self.emit(f"b = {self.block_id[ins.a]}")
-            self.emit("continue")
-            return (True, 0)
+                self.safepoint(bci)
+                self.account(op.JMP)
+            self.exit_to(ins.a)
+            return True
         elif o == op.JZ or o == op.JNZ:
-            cond = sym.pop()[0]
-            self.gen_branch(bci, ins, cond, raw=False)
-            return (True, 0)
+            return self.gen_branch(bci, ins, sym.pop())
         elif o == op.LSWITCH:
-            key = sym.pop()[0]
-            self.flush_acc()
-            self.spill(self.sym)
+            key = sym.pop()
+            self.emit_acc()
+            self.write_back()
+            self.spill(sym)
             table = {k: self.block_id[t] for k, t in ins.a.items()}
             tb = self.bind(table, "tb")
             self.emit(f"b = {tb}.get({key}, {self.block_id[ins.b]})")
             self.emit("continue")
-            return (True, 0)
+            return True
 
         elif o == op.RET or o == op.RETV:
-            self.seg_w -= self.wt(o, 1.0)
-            self.seg_n -= 1
-            self.flush_acc()
-            self.poll(bci, spill_sym=True)
-            val = sym.pop()[0] if o == op.RETV else "None"
+            # the frame is popped: nobody reads its locals, so pending
+            # writes die here — except in the arm that yields instead
+            w_ret = self.safepoint(bci, frame_lives=False)
+            val = sym.pop() if o == op.RETV else "None"
             self.emit("frames.pop()")
             self.emit("if frames:")
             self.emit(f"    frames[-1].stack.append({val})")
             self.emit("else:")
             self.emit("    thread.finished = True")
             self.emit(f"    thread.result = {val}")
-            self.emit(f"return (1, w_acc + {self.wt(o, 1.0)!r}, "
-                      f"n_acc + 1)")
-            return (True, 0)
+            self.emit(f"return (1, w_acc + {w_ret!r}, n_acc + 1)")
+            return True
         elif o == op.THROW:
-            v = sym.pop()[0]
+            v = sym.pop()
             self.seg_w -= self.wt(o, 1.0)
             self.seg_n -= 1
             self.marker(bci, o, charged=False)
             self.emit(f"raise TH(m, {v})")
-            return (True, 0)
+            return True
 
         elif o == op.INVOKESTATIC:
-            return (True, self.gen_invokestatic(bci, ins))
+            self.gen_invokestatic(bci, ins)
         elif o == op.INVOKEVIRT:
-            return (True, self.gen_invokevirt(bci, ins))
+            self.gen_invokevirt(bci, ins)
         elif o == op.NATIVE:
-            return (False, self.gen_native(bci, ins))
+            self.gen_native(bci, ins)
         else:  # pragma: no cover - ISA is closed
             raise _Refuse(f"op {o}")
-        return (False, 0)
+        return False
 
-    def gen_branch(self, bci: int, ins: Any, cond: str,
-                   raw: bool) -> int:
-        """JZ/JNZ (optionally fused with a preceding compare: ``raw``
-        conditions skip the truthy coercion, like tier-1 fusion)."""
-        if raw:
-            self.account(ins.op)
-        self.flush_acc()
-        self.spill(self.sym)
-        taken = self.block_id[ins.a]
-        fall = self.block_id[bci + 1]
-        test = cond if raw else f"T({cond})"
-        if ins.op == op.JZ:
-            self.emit(f"if {test}:")
-            self.emit(f"    b = {fall}")
-            self.emit("else:")
-            self.emit(f"    b = {taken}")
+    def gen_divmod(self, bci: int, o: str, a: str, b: str) -> None:
+        """``DIV``/``MOD``: for a non-negative int over a positive one
+        Java's truncation is Python's floor, inline; anything else
+        (negative, zero divisor, float, ``bool`` — which ``_div`` does
+        not treat as an int) takes the interpreter's helper, and only
+        that arm can throw."""
+        pyop, fn = ("//", "D") if o == op.DIV else ("%", "MO")
+        types: List[str] = []  # tested first: ``>=`` needs a number
+        bounds: List[str] = []
+        fast = True
+        for x, bound, least in ((a, ">= 0", 0), (b, "> 0", 1)):
+            if x not in self.ints:
+                types.append(f"type({x}) is int")
+                bounds.append(f"{x} {bound}")
+            elif self.ints[x] < least:
+                fast = False
+        v = self.fresh()
+        if fast and not types:
+            self.emit(f"{v} = {a} {pyop} {b}")
         else:
-            self.emit(f"if {test}:")
-            self.emit(f"    b = {taken}")
-            self.emit("else:")
-            self.emit(f"    b = {fall}")
-        self.emit("continue")
-        return 1 if raw else 0
+            extra = 0
+            if fast:
+                self.emit(f"if {' and '.join(types + bounds)}:")
+                self.emit(f"    {v} = {a} {pyop} {b}")
+                self.emit("else:")
+                extra = 4
+            self.marker(bci, o, extra=extra)
+            self.emit(f"{v} = {fn}(m, {a}, {b})", extra)
+        self.sym.append(v)
+
+    def gen_array_data(self, bci: int, o: str, arr: str, what: str) -> str:
+        """Arm ``ALOAD``/``ASTORE`` and name the receiver's element
+        list (``AF`` raises for anything but an array)."""
+        arr = self.named(arr)
+        self.marker(bci, o)
+        u = self.fresh()
+        self.emit(f"{u} = {arr}.data if isinstance({arr}, Arr) "
+                  f"else AF(m, {arr}, {what!r})")
+        return u
+
+    def gen_branch(self, bci: int, ins: Any, cond: str) -> bool:
+        """JZ/JNZ.  A fall-through nobody else branches to is not a
+        block boundary: only the taken arm leaves, materializing in the
+        arm, and generation goes on with everything carried over."""
+        test = cond if cond in self.bools else f"T({cond})"
+        fall = bci + 1
+        if fall in self.cuts:
+            on_true, on_false = (fall, ins.a) if ins.op == op.JZ \
+                else (ins.a, fall)
+            self.emit_acc()
+            self.write_back()
+            self.spill(self.sym)
+            self.emit(f"b = {self.block_id[on_true]} if {test} "
+                      f"else {self.block_id[on_false]}")
+            self.emit("continue")
+            return True
+        self.emit(f"if not {test}:" if ins.op == op.JZ else f"if {test}:")
+        self.exit_to(ins.a, 4)
+        return False
 
     def gen_lazy_static(self, bci: int, opname: str,
                         key: Tuple[str, str]) -> str:
@@ -683,21 +715,15 @@ class _Compiler:
         u = self.fresh()
         self.emit(f"{u} = {cell}[0]")
         self.emit(f"if {u} is None:")
-        self.marker(bci, opname)
-        # marker emits at base indent; re-emit inside the if
-        self.lines[-1] = self.lines[-1].replace("f =", "    f =", 1)
+        self.marker(bci, opname, extra=4)
         self.emit(f"    {u} = {cell}[0] = RSF(m, {tuple(key)!r})")
         return u
 
-    def gen_invokestatic(self, bci: int, ins: Any) -> int:
+    def gen_invokestatic(self, bci: int, ins: Any) -> None:
         nargs = ins.b or 0
         sym = self.sym
-        # the call itself is charged on the return tuple, not the segment
-        self.seg_w -= self.wt(op.INVOKESTATIC, 1.0)
-        self.seg_n -= 1
-        self.flush_acc()
-        self.poll(bci, spill_sym=True)
-        args = [sym.pop()[0] for _ in range(nargs)][::-1]
+        w_call = self.safepoint(bci)
+        args = [sym.pop() for _ in range(nargs)][::-1]
         live = list(sym)
         self.spill(live)
         self.emit(f"frame.pc = {bci + 1}")
@@ -710,25 +736,20 @@ class _Compiler:
             self.emit(f"{u} = {cell}[0]")
             self.emit(f"if {u} is None:")
             idx = len(self.faults)
-            self.faults.append((bci, 0.0, 0,
-                                self.wt(op.INVOKESTATIC, 1.0)))
+            self.faults.append((bci, 0.0, 0, w_call))
             self.emit(f"    f = {idx}")
             self.emit(f"    {u} = {cell}[0] = "
                       f"RS(m, {tuple(ins.a)!r}, {nargs})")
             code_expr, pad_expr = f"{u}[0]", f"{u}[1]"
         self.gen_push_frame(code_expr, pad_expr, args)
-        self.gen_call_exit(bci, self.wt(op.INVOKESTATIC, 1.0))
-        return 0
+        self.gen_call_exit(w_call, live)
 
-    def gen_invokevirt(self, bci: int, ins: Any) -> int:
+    def gen_invokevirt(self, bci: int, ins: Any) -> None:
         nargs = ins.b or 0
         sym = self.sym
-        self.seg_w -= self.wt(op.INVOKEVIRT, 1.0)
-        self.seg_n -= 1
-        self.flush_acc()
-        self.poll(bci, spill_sym=True)
-        args = [sym.pop()[0] for _ in range(nargs)][::-1]
-        recv = sym.pop()[0]
+        w_call = self.safepoint(bci)
+        args = [sym.pop() for _ in range(nargs)][::-1]
+        recv = self.named(sym.pop())
         live = list(sym)
         # tier 1's warmed cell (both tiers keep it hot) or a fresh one
         cell = self.slot("vc", bci)
@@ -739,16 +760,15 @@ class _Compiler:
         self.emit(f"    {u} = {cell}[1]")
         self.emit("else:")
         idx = len(self.faults)
-        self.faults.append((bci, 0.0, 0, self.wt(op.INVOKEVIRT, 1.0)))
+        self.faults.append((bci, 0.0, 0, w_call))
         self.emit(f"    f = {idx}")
         self.emit(f"    {u} = RV(m, {recv}, {mn}, {nargs}, {cell})")
         self.spill(live)
         self.emit(f"frame.pc = {bci + 1}")
         self.gen_push_frame(f"{u}[0]", f"{u}[1]", [recv] + args)
-        self.gen_call_exit(bci, self.wt(op.INVOKEVIRT, 1.0))
-        return 0
+        self.gen_call_exit(w_call, live)
 
-    def gen_call_exit(self, bci: int, w_call: float) -> None:
+    def gen_call_exit(self, w_call: float, live: List[str]) -> None:
         """Close a call site: try a compiled->compiled direct call
         (host-level recursion, depth-capped so deep guest recursion
         still round-trips through the driver instead of blowing the
@@ -758,23 +778,27 @@ class _Compiler:
         so every non-return status simply forwards: the driver sees
         exactly what it would have seen had it made the call itself.
         A status-1 result from the direct callee means our own frame is
-        the top again — re-enter this region at the return-continuation
-        block without leaving the closure."""
-        ret_blk = self.block_id.get(bci + 1)
-        if ret_blk is not None:
-            u = self.fresh()
-            self.emit(f"if rd < {_MAX_INLINE_DEPTH}:")
-            self.emit(f"    {u} = JM.get(nf.code)")
-            self.emit(f"    if {u}.__class__ is tuple:")
-            self.emit(f"        res = {u}[0](m, thread, nf, frames, ql, "
-                      f"w_acc + {w_call!r}, n_acc + 1, opc, rd + 1)")
-            self.emit("        if res[0] == 1 and frames[-1] is frame:")
-            self.emit("            w_acc = res[1]")
-            self.emit("            n_acc = res[2]")
-            self.emit(f"            b = {ret_blk}")
-            self.emit("            continue")
-            self.emit("        return res")
-        self.emit(f"return (0, w_acc + {w_call!r}, n_acc + 1)")
+        the top again: take the value it delivered and the spilled
+        operands back off ``fstack`` and go on generating at the return
+        bci — what the callee's natives may have patched in ``locs``
+        is re-read."""
+        u = self.fresh()
+        self.emit(f"{u} = JM.get(nf.code) if rd < {_MAX_INLINE_DEPTH} "
+                  f"else None")
+        self.emit(f"if {u}.__class__ is not tuple:")
+        self.emit(f"    return (0, w_acc + {w_call!r}, n_acc + 1)")
+        self.emit(f"res = {u}[0](m, thread, nf, frames, ql, "
+                  f"w_acc + {w_call!r}, n_acc + 1, opc, rd + 1)")
+        self.emit("if res[0] != 1 or frames[-1] is not frame:")
+        self.emit("    return res")
+        self.emit("w_acc = res[1]")
+        self.emit("n_acc = res[2]")
+        rv = self.fresh()
+        self.emit(f"{rv} = fstack.pop()")
+        if live:
+            self.emit(f"del fstack[-{len(live)}:]")
+        self.known.clear()
+        self.sym.append(rv)
 
     def gen_push_frame(self, code_expr: str, pad_expr: str,
                        args: List[str]) -> None:
@@ -786,15 +810,11 @@ class _Compiler:
         self.emit("nf.pinned = False")
         self.emit("frames.append(nf)")
 
-    def gen_native(self, bci: int, ins: Any) -> int:
+    def gen_native(self, bci: int, ins: Any) -> None:
         nargs = ins.b or 0
         sym = self.sym
-        wn = self.wt(op.NATIVE, 1.0)
-        self.seg_w -= wn
-        self.seg_n -= 1
-        self.flush_acc()
-        self.poll(bci, spill_sym=True)
-        args = [sym.pop()[0] for _ in range(nargs)][::-1]
+        wn = self.safepoint(bci)
+        args = [sym.pop() for _ in range(nargs)][::-1]
         live = list(sym)
         # Safepoint: natives may read the clock, print, charge time or
         # install hooks — flush hard and expose a precise frame state.
@@ -807,7 +827,7 @@ class _Compiler:
         self.marker(bci, op.NATIVE, charged=False)
         nm = _literal(ins.a) or self.bind(ins.a)
         rv = self.fresh()
-        self.emit(f"m.charge(NB)")
+        self.emit("m.charge(NB)")
         self.emit(f"{rv} = m.natives.lookup({nm})(m, [{', '.join(args)}])")
         self.emit("if m.breakpoints or m.on_breakpoint is not None:")
         self.emit(f"    fstack.append({rv})")
@@ -821,10 +841,8 @@ class _Compiler:
             self.emit(f"del fstack[-{len(live)}:]")
         self.seg_w += wn
         self.seg_n += 1
-        # no STORE fusion across the native's spill/refill bookkeeping;
-        # rv was assigned under a fresh name, so it is its own temp.
-        sym.append((rv, None))
-        return 0
+        self.known.clear()  # the native may have patched locs
+        sym.append(rv)
 
     # -- assembly ---------------------------------------------------------
 

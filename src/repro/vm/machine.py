@@ -448,7 +448,17 @@ class Machine:
         straight-line tail (``max_quantum_overshoot`` records the
         worst), never lands mid-instruction, and is exactly
         reproducible.  A preempted thread resumes with another ``run``
-        call; ``frame.pc`` is synced and accounting flushed."""
+        call; ``frame.pc`` is synced and accounting flushed.
+
+        After a *host-level* error (``LinkError``, ``VMError``, a host
+        ``TypeError``: the run is aborted, not a guest throw) only
+        ``frame.pc`` — the faulting bci — is defined.  How much of the
+        faulting group was charged differs by loop (tier 1 has not
+        charged a fused group's leading components, tier 2 nothing
+        since its last flush) and tier 2 may not have written its
+        latest temps to ``frame.locals``; no caller reads either.
+        Guest throws, preemptions, calls, natives and deopts are exact
+        in every loop."""
         if quantum is not None and quantum < 1:
             raise VMError(f"bad scheduler quantum {quantum}")
         op_cost = self.cost.unit_op_cost() * self._speed

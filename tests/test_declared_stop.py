@@ -22,11 +22,11 @@ import pytest
 
 import repro.vm.jit as jit_mod
 import repro.vm.machine as machine_mod
+from minilang_fuzz import flat_frames
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
 from repro.vm.frames import any_of, on_depth, on_method_entry
-from repro.vm.objects import VMArray, VMInstance
 from repro.workloads import registry
 
 
@@ -36,26 +36,6 @@ def _undeclared(trigger):
     polled = lambda thread: trigger(thread)  # noqa: E731
     assert not hasattr(polled, "entry_of")
     return polled
-
-
-_PRIMITIVE = (int, float, str, bool, type(None))
-
-
-def _flat(v):
-    """A guest value as comparable plain data (one level deep)."""
-    def leaf(x):
-        return x if isinstance(x, _PRIMITIVE) else type(x).__name__
-    if isinstance(v, VMInstance):
-        return (v.class_name, sorted((k, leaf(x))
-                                     for k, x in v.fields.items()))
-    if isinstance(v, VMArray):
-        return (v.kind, [leaf(x) for x in v.data])
-    return v
-
-
-def _frames(thread):
-    return [(f.code.qualname, f.pc, [_flat(v) for v in f.stack],
-             [_flat(v) for v in f.locals]) for f in thread.frames]
 
 
 def _close(a, b):
@@ -81,7 +61,7 @@ def _to_trigger_and_on(name, build, stop, hotness=0, **kw):
     m = Machine(_fresh(name, build, hotness), **kw)
     t = m.spawn(w.main[0], w.main[1], list(w.sim_args))
     status = m.run(t, stop=stop)
-    at_stop = (status, _frames(t), m.instr_count, tuple(m.stdout))
+    at_stop = (status, flat_frames(t), m.instr_count, tuple(m.stdout))
     clock_at_stop = m.clock
     assert m.run(t) == "finished"
     assert m.jit_compile_errors == 0
@@ -178,8 +158,8 @@ def _every_stop(classes, n, stop, **kw):
     """``minilang_fuzz._observe`` on ``E.main(n)``: every run carries
     ``stop`` and each "stopped" resumes the way ``workflow.roam`` does
     (one instruction under ``max_instrs=1``, then ``stop`` again).
-    Returns the stops as (depth, method, pc, instr_count), the end
-    state (result, uncaught, stdout, instr_count) and the clock."""
+    Returns the stops as (depth, method, pc, instr_count, frames),
+    the end state (result, uncaught, stdout, instr_count) and the clock."""
     from minilang_fuzz import _observe
 
     result, err, stdout, instrs, clock, compile_errors, schedule = _observe(
@@ -208,7 +188,7 @@ def test_every_stop_equals_the_hooked_loops(label, build):
         assert 150 > jit_mod._MAX_INLINE_DEPTH
     want = _every_stop(classes, n, _undeclared(make()))
     assert len(want[0]) > (1 if label != "deep-recursion" else 50)
-    assert all(pc == 0 for _depth, _method, pc, _instrs in want[0])
+    assert all(row[2] == 0 for row in want[0])  # every stop at a bci 0
     for tier, kw in ENTRY_TIERS:
         got = _every_stop(classes, n, make(), **kw)
         assert got[0] == want[0], f"{tier}: stops diverged"

@@ -146,7 +146,12 @@ HOST_ERR_LOOPS = {
 def test_host_error_reports_the_faulting_bci(loop, build, monkeypatch):
     """``x[i]`` on an int is a host-level ``VMError`` out of ``ALOAD`` —
     on tier 1 the last component of a ``LOAD+LOAD+ALOAD`` group:
-    ``frame.pc`` names the ``ALOAD``, not the group's first bci."""
+    ``frame.pc`` names the ``ALOAD``, not the group's first bci.  That
+    is all a host-level error defines (``Machine.run``): ``instr_count``
+    of the faulting group and tier 2's not yet written-back temps
+    differ by loop and are not compared.  On tier 2 the literal ``5``
+    is forwarded to the ``ALOAD`` — as a *name*: ``5.data`` would be a
+    ``SyntaxError`` the compile swallows (``jit_compiles`` says not)."""
     monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
     classes = preprocess_program(compile_source(HOST_ERR_SRC), build)
     code = classes["B"].methods["main"]

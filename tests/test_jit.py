@@ -16,6 +16,8 @@ refusal.
 
 from __future__ import annotations
 
+import ast
+import functools
 import gc
 import math
 import weakref
@@ -466,3 +468,219 @@ def test_refusal_is_memoised_per_namespace_not_in_the_factory(
     assert jit_mod._factory.cache_info() == before
     assert not _work_code(m)._tier2[2]  # ...nor in a template
     assert m.jit_compiles == 0 and m.jit_compile_errors == 0
+
+
+# -- the generator's shape on the deployed build ----------------------------------
+#
+# Tier 2 compiles what a flattened group *means* (jit.py's header): these
+# read the generated source of every method of the registry and serve
+# programs on the ``faulting`` build — the code every serving and
+# migration path runs — all link sites bound (the steady-state shape).
+
+@functools.lru_cache(maxsize=None)
+def _deployed_templates():
+    """[(CodeObject, _Template, {block id: its statements})]"""
+    from repro.workloads import registry
+    from repro.workloads.mixes import SERVE_PROGRAMS, serve_compiled
+
+    weights = CostModel().op_weights
+    out, seen = [], set()
+    for classes in [registry.compiled(n, "faulting")
+                    for n in registry.WORKLOADS] + \
+            [serve_compiled(p) for p in SERVE_PROGRAMS]:
+        for cf in classes.values():
+            for code in cf.methods.values():
+                if code.qualname in seen or not code.instrs:
+                    continue
+                seen.add(code.qualname)
+                shape = frozenset(i for i, ins in enumerate(code.instrs)
+                                  if ins.op in jit_mod._SITE_OPS)
+                tpl = jit_mod._Compiler(code, weights, shape).compile()
+                loop = next(n for n in ast.walk(
+                    ast.parse(tpl.mk.__jit_source__))
+                    if isinstance(n, ast.While))
+                blocks, arm = {}, loop.body[0]
+                while True:  # the ``if b == k: ... elif ...`` chain
+                    blocks[arm.test.comparators[0].value] = arm.body
+                    if not arm.orelse:
+                        break
+                    arm, = arm.orelse
+                assert blocks.keys() == set(tpl.entries.values())
+                out.append((code, tpl, blocks))
+    assert len(out) >= 25
+    return out
+
+
+def _is_call_to(node, name):
+    return isinstance(node, ast.Call) and \
+        isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def test_known_bools_branch_raw():
+    """A compare / ``NOT`` / ``ISREMOTE`` result is a host bool: no
+    ``T()`` coercion may be applied to it — not directly, and not after
+    the round trip through a temp the flattened build gives every
+    condition (``LT; STORE t; LOAD t; JZ``)."""
+    coerced = []
+    for code, _tpl, blocks in _deployed_templates():
+        for body in blocks.values():
+            bools = set()  # unparsed targets currently holding a bool
+            for node in ast.walk(ast.Module(body, [])):
+                if isinstance(node, ast.Assign):
+                    v = node.value
+                    is_bool = isinstance(v, ast.Compare) or (
+                        isinstance(v, ast.UnaryOp)
+                        and isinstance(v.op, ast.Not)) or (
+                        _is_call_to(v, "isinstance")
+                        and ast.unparse(v.args[1]) == "RR")
+                    for t in map(ast.unparse, node.targets):
+                        (bools.add if is_bool else bools.discard)(t)
+            for node in ast.walk(ast.Module(body, [])):
+                if _is_call_to(node, "T") and \
+                        ast.unparse(node.args[0]) in bools:
+                    coerced.append((code.qualname, ast.unparse(node)))
+    assert not coerced, coerced[:5]
+
+
+def _branch_targets(code):
+    targets = {e.handler for e in code.exc_table}
+    for ins in code.instrs:
+        if ins.op in ("JMP", "JZ", "JNZ"):
+            targets.add(ins.a)
+        elif ins.op == "LSWITCH":
+            targets.update(ins.a.values())
+            targets.add(ins.b)
+    return targets
+
+
+def _native_edge(code, bci):
+    return "NATIVE" in (code.instrs[bci].op, code.instrs[bci - 1].op)
+
+
+def test_no_block_spills_into_a_leader_nobody_branches_to():
+    """``fstack.append(x); b = k; continue`` -> ``elif b == k: v1 =
+    fstack.pop()`` is how an operand used to reach every call: a trip
+    through the operand stack and the dispatch chain into a block only
+    its predecessor can reach.  Such a leader is generated in line now;
+    what a block still exits to with operands spilled is a branch
+    target, or the edge of a ``NATIVE`` (see the next test)."""
+    bad = []
+    for code, tpl, blocks in _deployed_templates():
+        bci_of = {k: bci for bci, k in tpl.entries.items()}
+        targets = _branch_targets(code)
+        for body in blocks.values():
+            for node in ast.walk(ast.Module(body, [])):
+                for stmts in (getattr(node, "body", None),
+                              getattr(node, "orelse", None)):
+                    if not isinstance(stmts, list) or len(stmts) < 3 or \
+                            not isinstance(stmts[-1], ast.Continue):
+                        continue
+                    spill, goto = stmts[-3:-1]
+                    if not ast.unparse(spill).startswith(
+                            ("fstack.append(", "fstack.extend(")):
+                        continue
+                    assert ast.unparse(goto.targets[0]) == "b"
+                    for k in ast.walk(goto.value):
+                        if isinstance(k, ast.Constant) and \
+                                type(k.value) is int:
+                            bci = bci_of[k.value]
+                            if bci not in targets and \
+                                    not _native_edge(code, bci):
+                                bad.append((code.qualname, bci))
+    assert not bad, bad[:5]
+
+
+def test_no_inline_continuation_crosses_a_native():
+    """A ``NATIVE`` is generated in exactly one block, the one that
+    starts at it, and that block ends right after it: restoration
+    handlers are chains of ``CapturedState.read`` natives, each native
+    and each instruction after one a resume entry, so continuing in
+    line through them would generate every suffix of the chain again
+    (measured on a scratch copy: ``peak_rss_mb`` 30 -> 88 MiB)."""
+    for code, tpl, blocks in _deployed_templates():
+        bci_of = {k: bci for bci, k in tpl.entries.items()}
+        for k, body in blocks.items():
+            src = ast.unparse(ast.Module(body, []))
+            n = src.count("m.natives.lookup(")
+            if n:
+                bci = bci_of[k]
+                assert n == 1 and code.instrs[bci].op == "NATIVE", \
+                    (code.qualname, bci)
+                assert src.endswith(f"b = {tpl.entries[bci + 1]}\ncontinue"), \
+                    (code.qualname, bci)
+
+
+def test_generated_source_stays_within_a_quarter_of_the_per_group_one():
+    """The duplication guard: a leader generated in line *and* as a
+    resume entry is generated twice.  The same set of methods was
+    19,089 lines when every leader was a block of its own (the parent
+    of the change that introduced fall-through; 29 templates)."""
+    lines = sum(tpl.mk.__jit_source__.count("\n")
+                for _code, tpl, _blocks in _deployed_templates())
+    assert lines <= 1.25 * 19_089, lines
+
+
+HANDLER_SRC = """
+class W {
+  static int f(int n) {
+    int[] a = new int[2];
+    int x = 1;
+    int r = 0;
+    try { x = n + 5; r = a[n]; } catch (IndexOutOfBoundsException e) { r = x * 10; }
+    int y = 3;
+    try { y = n * 7; r = r + y % (n - n); } catch (ArithmeticException e) { r = r + y; }
+    return r;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("build", ["original", "faulting"])
+def test_guest_handler_reads_locals_assigned_in_the_faulting_block(
+        build, monkeypatch):
+    """``x = n + 5`` and the out-of-bounds ``a[n]`` (then ``y = n * 7``
+    and ``% 0``) share a block, so tier 2 holds ``x`` in a Python name
+    when ``ALOAD`` throws — and has written it to ``frame.locals``
+    before arming the fault record, because the handler reads it."""
+    monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
+    classes = _classes(HANDLER_SRC, build)
+    for n in (1, 2, 9):
+        ref = Machine(classes, dispatch="legacy")
+        want = ref.call("W", "f", [n])
+        m = Machine(classes, jit=True)
+        assert m.call("W", "f", [n]) == want
+        assert want == ((n + 5) * 10 if n >= 2 else 0) + n * 7
+        assert m.jit_compiles == 1 and m.jit_compile_errors == 0
+        assert m.instr_count == ref.instr_count
+
+
+DIVMOD_SRC = """
+class D {
+  static int f(int a, int b) {
+    int r = a / 3 + a % 3 + 7 / 2 + 7 % 2 + a / -3 + a % -3 + -7 / 2;
+    r = r + -7 % 2 + 9 / b + 9 % b + a / b + a % b;
+    try { r = r + a / 0; } catch (ArithmeticException e) { r = r + 1000; }
+    try { r = r + 5 % (b - b); } catch (ArithmeticException e) { r = r + 4000; }
+    return r;
+  }
+  static float g(float x, int b) { return x / b + x % b + x / 2 + 3 % x; }
+}
+"""
+
+
+@pytest.mark.parametrize("build", ["original", "faulting"])
+def test_inline_divmod_is_java_division(build, monkeypatch):
+    """``//`` / ``%`` stand in for ``_div`` / ``_mod`` only for a
+    non-negative int over a positive one; negative operands (variable
+    or literal), a zero divisor (likewise) and floats take the helpers —
+    every combination equals the legacy loop."""
+    monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
+    classes = _classes(DIVMOD_SRC, build)
+    for a, b in [(7, 2), (-7, 2), (7, -2), (-7, -2), (0, 5), (100, 7)]:
+        for meth, args in (("f", [a, b]), ("g", [a + 0.5, b])):
+            ref = Machine(classes, dispatch="legacy")
+            want = ref.call("D", meth, args)
+            m = Machine(classes, jit=True)
+            assert m.call("D", meth, args) == want
+            assert m.instr_count == ref.instr_count
+            assert m.jit_compiles == 1 and m.jit_compile_errors == 0
