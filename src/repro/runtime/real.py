@@ -2,9 +2,9 @@
 
 Wall-clock mode for the serving stack.  The parent process is the
 control plane (placement, work stealing, crash recovery, accounting);
-each worker process owns one VM — its own ``Machine`` over a locally
-rebuilt classpath — and serves requests in preemptible quanta exactly
-like a virtual node does.  Everything that crosses a process boundary
+each worker process owns one VM — its own ``Machine`` over the mix's
+classpath, inherited warm from the fork (:func:`_prefork`) — and serves
+requests in preemptible quanta exactly like a virtual node does.  Everything that crosses a process boundary
 crosses as canonical :mod:`repro.runtime.wire` bytes over OS pipes:
 
 * **request dispatch** — (rid, program, args) rows;
@@ -19,8 +19,8 @@ crosses as canonical :mod:`repro.runtime.wire` bytes over OS pipes:
   carries :func:`repro.runtime.wire.class_token` digests, and the
   receiver verifies them against its own deterministically-built
   classpath (the transfer ledger's "ship once, then tokens" behavior,
-  with "once" collapsed to zero because every worker builds the same
-  classpath from the mix name);
+  with "once" collapsed to zero because every worker holds the same
+  classpath, a pure function of the mix name);
 * **ledger deltas** — statics still holding their class-file defaults
   ride as ``("@cached", fingerprint)`` markers; the receiver verifies
   the fingerprint against its own freshly-linked cells and keeps the
@@ -42,6 +42,7 @@ requeues everything it still owed onto the survivors, counted under
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -62,6 +63,10 @@ REAL_QUANTUM = 100_000
 
 #: namespace used only to read pristine class-file static defaults
 _DEFAULTS_NS = "___defaults"
+
+#: guest values that encode as themselves (anything else is a graph or
+#: a descriptor tuple)
+_PRIMITIVES = (int, float, str, bool, type(None))
 
 
 def available_cores() -> int:
@@ -114,47 +119,74 @@ def _encode_result(value: Any) -> Any:
         return ("@repr", repr(value))
 
 
+# -- pre-fork state: what is a pure function of the classpath ------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes],
+                                Dict[Tuple[str, str], Optional[int]]]:
+    """``(classpath, class tokens, static-default fingerprints)`` of
+    ``mix`` — and, as a side effect, the process-wide immutable code
+    its workers run.  ``serve_real`` calls this before it forks and
+    every ``_Worker`` in ``__init__``: a memo hit in a forked child
+    (which inherits, copy-on-write, what the call left on the
+    ``CodeObject``s), computed locally under ``spawn``.  Each spec of
+    the mix is served once in a throwaway namespace of a throwaway
+    ``Machine`` with every ``hotness`` already at ``JIT_THRESHOLD`` —
+    as a worker meets it — so the ``_predecoded`` streams, ``_tier2``
+    templates and ``jit._factory`` entries are those of the link shapes
+    a fresh request namespace asks for, and a worker only *links*.
+    Nothing rests on that: a missed shape is generated lazily as
+    before, every template hit is verified against the weight table,
+    and the virtual oracle never sees the raised ``hotness``
+    (``ClusterScheduler.__init__`` resets it).  The machine, its
+    namespaces and its heap die here."""
+    from repro.migration.state import fingerprint
+    from repro.vm.jit import JIT_THRESHOLD
+    from repro.vm.machine import Machine
+    from repro.workloads.mixes import MIXES, serve_classpath
+
+    classes = serve_classpath(MIXES[mix].programs())
+    #: deterministic token per class — what migrations verify
+    tokens = {cname: wire.class_token(cname, _classfile_payload(cf))
+              for cname, cf in classes.items()}
+    machine = Machine(classes)
+    #: fingerprint of every static's pristine class-file default (the
+    #: value a fresh namespace cell holds right after linking)
+    pristine = machine.namespace(_DEFAULTS_NS)
+    default_fps = {
+        (cname, fname): (fingerprint(v) if isinstance(v, _PRIMITIVES)
+                         else None)
+        for cname in classes
+        for fname, v in pristine.load(cname).statics.items()}
+    for cf in classes.values():
+        for code in cf.methods.values():
+            code.hotness = max(code.hotness, JIT_THRESHOLD)
+    for spec, _weight in MIXES[mix].choices:
+        machine.run(machine.spawn(*spec.main, list(spec.args),
+                                  namespace="warm"))
+        machine.drop_namespace("warm")
+    return classes, tokens, default_fps
+
+
 # -- worker process ------------------------------------------------------------
 
 
 class _Worker:
-    """One cluster node: a VM over a locally built classpath, serving a
-    local FIFO of requests in quanta and answering control messages."""
+    """One cluster node: a VM over the mix's classpath, serving a local
+    FIFO of requests in quanta and answering control messages."""
 
     def __init__(self, conn_, name: str, mix: str, quantum: int):
         from repro.vm.machine import Machine
-        from repro.workloads.mixes import MIXES, serve_classpath
 
         self.conn = conn_
         self.name = name
         self.quantum = quantum
-        self.classes = serve_classpath(MIXES[mix].programs())
+        self.classes, self.tokens, self.default_fps = _prefork(mix)
         self.machine = Machine(self.classes)
-        #: deterministic token per class — what migrations verify
-        self.tokens: Dict[str, bytes] = {
-            cname: wire.class_token(cname, _classfile_payload(cf))
-            for cname, cf in self.classes.items()}
         self.queue: deque = deque()   # (rid, program, args)
         self.running: Optional[Tuple[int, Any]] = None  # (rid, thread)
         self.instr_mark = 0
-        self._default_fps: Dict[Tuple[str, str], int] = {}
-
-    # -- statics delta (ledger markers across the process boundary) -----
-
-    def _default_fp(self, cname: str, fname: str) -> Optional[int]:
-        """Fingerprint of a static's pristine class-file default (the
-        value a fresh namespace cell holds right after linking)."""
-        from repro.migration.state import fingerprint
-        key = (cname, fname)
-        if key not in self._default_fps:
-            cls = self.machine.namespace(_DEFAULTS_NS).load(cname)
-            home = cls.find_static_home(fname)
-            v = home.statics.get(fname)
-            self._default_fps[key] = (
-                fingerprint(v)
-                if isinstance(v, (int, float, str, bool, type(None)))
-                else None)
-        return self._default_fps[key]
 
     # -- eager image capture/restore ------------------------------------
 
@@ -173,11 +205,9 @@ class _Worker:
         elided = 0
         elided_bytes = 0
         for (cname, fname), v in statics.items():
-            # primitives encode as themselves; anything else is a graph
-            # or descriptor tuple and always ships
-            if isinstance(v, (int, float, str, bool, type(None))):
+            if isinstance(v, _PRIMITIVES):  # anything else always ships
                 fp = fingerprint(v)
-                if fp == self._default_fp(cname, fname):
+                if fp == self.default_fps.get((cname, fname)):
                     marker = (CACHED_TAG, fp)
                     statics[(cname, fname)] = marker
                     elided += 1
@@ -381,6 +411,8 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     rows = [(rid, tenant, spec)
             for rid, (_when, tenant, spec) in enumerate(load.schedule())]
 
+    t0 = time.perf_counter()  # the caller's wait: warm-up and forks included
+    _prefork(mix)  # forked workers inherit it (and the code it warmed)
     ctx = get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn")
@@ -399,8 +431,10 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
              "image_bytes": 0, "token_bytes": 0, "statics_elided": 0,
              "bytes_saved": 0, "control_bytes": 0, "instrs": 0}
     results: Dict[int, Dict[str, Any]] = {}
+    #: rows of ``results`` holding a ``state``: gained in ``record_done``,
+    #: lost in ``requeue`` (an ``image`` mark carries the row's over)
+    done = 0
     killed = False
-    t0 = time.perf_counter()
 
     def send(w: _WorkerHandle, msg: Any) -> None:
         stats["control_bytes"] += _send(w.conn, msg)
@@ -429,6 +463,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
 
     def record_done(rid: int, result: Any, state: str, error: Optional[str],
                     instrs: int, worker: str) -> None:
+        nonlocal done
         tenant, spec = spec_of[rid]
         if isinstance(result, tuple) and len(result) == 2 \
                 and result[0] == "@repr":
@@ -437,6 +472,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
             ok = (state == "done"
                   and result == expected_request_result(spec))
         prev = results.get(rid)
+        done += not (prev and prev.get("state"))
         results[rid] = {
             "rid": rid, "program": spec.program,
             "args": list(spec.args), "tenant": tenant,
@@ -450,6 +486,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     def requeue(dead: _WorkerHandle) -> None:
         """Chaos ``crash_node`` recovery: everything the dead worker
         still owed re-executes from scratch on the survivors."""
+        nonlocal done
         owed = list(dead.owed.items())
         dead.owed.clear()
         if not owed:
@@ -461,6 +498,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                 "all workers dead with requests outstanding")
         for i, (rid, (program, args, tenant)) in enumerate(owed):
             mark = results.get(rid)
+            done -= bool(mark and mark.get("state"))
             results[rid] = {"retries": (mark["retries"] + 1 if mark
                                         else 1), "migrated": False}
             _tenant, spec = spec_of[rid]
@@ -543,13 +581,9 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
 
     # -- event loop ------------------------------------------------------
     deadline = t0 + deadline_s
-    while len(results) < n_requests or any(
-            r.get("state") is None for r in results.values()):
-        done_count = sum(1 for r in results.values() if r.get("state"))
-        if done_count >= n_requests:
-            break
+    while done < n_requests:
         if (fault_plan and not killed
-                and done_count >= fault_plan.get("after_done", 0)):
+                and done >= fault_plan.get("after_done", 0)):
             victim = workers[fault_plan.get("kill_worker", 0) % procs]
             if victim.alive:
                 killed = True

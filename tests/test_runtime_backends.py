@@ -11,15 +11,19 @@ wrong answer; and a worker must not accumulate per-request state.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
+import weakref
 
 import pytest
+from test_jit import generations  # noqa: F401  (fixture)
 
 from repro.runtime.crosscheck import (CrosscheckError,
                                       crosscheck_real_vs_virtual,
                                       virtual_request_rows)
-from repro.runtime.real import (REAL_QUANTUM, _Worker, available_cores,
-                                serve_real)
+from repro.runtime.real import (REAL_QUANTUM, _prefork, _Worker,
+                                available_cores, serve_real)
 
 #: small enough to stay civil on a 1-core CI box, large enough to mix
 #: programs and (with 2 procs) exercise the control plane
@@ -168,6 +172,175 @@ def test_worker_namespaces_stay_bounded_across_requests():
     assert migrated >= 6
     parent.close()
     child.close()
+
+
+# -- pre-fork state: code is built once and inherited, cells never -------------
+
+
+@pytest.fixture
+def cold_prefork():
+    """The pre-fork step as a cold process meets it: no memo entry, no
+    decoded stream or template on any serve program, no factory entry
+    (other tests fill and drop each of these independently)."""
+    from repro.vm import jit
+    from repro.workloads.mixes import SERVE_PROGRAMS, serve_classpath
+
+    _prefork.cache_clear()
+    for cf in serve_classpath(SERVE_PROGRAMS).values():
+        for code in cf.methods.values():
+            code.invalidate_decoded()
+    jit._factory.cache_clear()
+    yield
+    _prefork.cache_clear()
+
+
+def _serve_every_spec(classes, mix):
+    """Each spec of ``mix`` the way a worker serves it: a fresh
+    namespace of one machine, dropped afterwards."""
+    from repro.vm.machine import Machine
+    from repro.workloads.mixes import MIXES, expected_request_result
+
+    m = Machine(classes)
+    for spec, _w in MIXES[mix].choices:
+        t = m.spawn(*spec.main, list(spec.args), namespace="rq")
+        m.run(t)
+        assert t.result == expected_request_result(spec)
+        m.drop_namespace("rq")
+    return m
+
+
+@pytest.mark.parametrize("mix", ["paper", "scale"])
+def test_after_the_prefork_step_a_fresh_machine_only_links(
+        mix, cold_prefork, generations):
+    """Everything that is a function of the classpath exists once the
+    pre-fork step returns: a *fresh* machine serving every spec in
+    fresh namespaces runs the generator zero times and never reaches
+    CPython's ``compile()`` — it links."""
+    from repro.vm import jit
+
+    classes, _tokens, _fps = _prefork(mix)
+    assert generations, "the step itself generates (cold templates)"
+    del generations[:]
+    misses = jit._factory.cache_info().misses
+    m = _serve_every_spec(classes, mix)
+    assert m.jit_compiles > 0 and m.jit_compile_errors == 0
+    assert generations == []
+    assert jit._factory.cache_info().misses == misses
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="inheritance is what fork gives; spawn recomputes (below)")
+def test_forked_workers_generate_nothing(cold_prefork, monkeypatch,
+                                         tmp_path):
+    """End to end through the fork: the generator is patched in the
+    parent *after* the pre-fork step to log every run to a file, the
+    children inherit the patch, and the file stays empty — every
+    worker of the run only linked.  (``steal=False``: a restored image
+    resumes mid-method in a namespace no fresh request resembles, and
+    may ask for a link shape of its own — lazily, as before.)"""
+    from repro.vm import jit
+
+    _prefork("paper")
+    log = tmp_path / "generated.txt"
+    generate = jit._Compiler.compile
+
+    def logging(self):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {self.code.qualname}\n")
+        return generate(self)
+
+    monkeypatch.setattr(jit._Compiler, "compile", logging)
+    rep = _real(n=12, procs=2, steal=False)
+    assert rep["served"] == rep["correct"] == 12
+    assert {r["worker"] for r in rep["requests"]} == {"proc0", "proc1"}
+    assert not log.exists() or log.read_text() == ""
+    crosscheck_real_vs_virtual(rep)
+
+
+def test_second_call_does_no_warm_up_and_nothing_of_the_vm_survives(
+        cold_prefork, monkeypatch):
+    """The throwaway machine is built once per mix per process, and it
+    is thrown away: after the first call nothing keeps it, its heap,
+    its namespaces or its threads alive — the memo holds class files,
+    tokens and fingerprints.  A second call builds no machine at all
+    in the control plane."""
+    from repro.vm.frames import ThreadState
+    from repro.vm.machine import Machine
+
+    built, refs, tags = [], [], set()
+    init, spawn = Machine.__init__, Machine.spawn
+
+    def tracking_init(self, *a, **kw):
+        init(self, *a, **kw)
+        built.append(kw.get("dispatch", "fast"))
+        refs.extend((weakref.ref(self), weakref.ref(self.heap)))
+
+    def tracking_spawn(self, *a, **kw):
+        tags.add(kw["namespace"])
+        refs.append(weakref.ref(self.namespace(kw["namespace"])))
+        return spawn(self, *a, **kw)
+
+    monkeypatch.setattr(Machine, "__init__", tracking_init)
+    monkeypatch.setattr(Machine, "spawn", tracking_spawn)
+    first = _real()
+    assert built.count("fast") == 1  # (legacy ones: the result oracle)
+    assert _prefork.cache_info().misses == 1
+    classes, tokens, fps = _prefork("paper")
+    assert set(tokens) == set(classes)
+    assert all(isinstance(t, bytes) for t in tokens.values())
+    assert all(fp is None or isinstance(fp, int) for fp in fps.values())
+    gc.collect()
+    assert len(refs) > 4 and all(r() is None for r in refs)
+    assert not [t for t in gc.get_objects()  # (slotted: no weakrefs)
+                if isinstance(t, ThreadState) and t.namespace in tags]
+    n = len(built)
+    second = _real()
+    assert len(built) == n and _prefork.cache_info().misses == 1
+    assert [(r["rid"], r["result"]) for r in first["requests"]] == [
+        (r["rid"], r["result"]) for r in second["requests"]]
+
+
+def test_prefork_step_does_not_perturb_the_virtual_oracle(cold_prefork):
+    """The step raises ``CodeObject.hotness`` on class files the
+    virtual backend shares (``serve_compiled`` is cached per process);
+    ``ClusterScheduler.__init__`` resets it, so a recorded chaos run
+    replays byte-identically across a real run, and the real run still
+    agrees with the oracle."""
+    from repro.chaos import replay_trace, run_recorded, traces_equal
+
+    t1, rep1 = run_recorded({"mix": "paper", "n_requests": 12,
+                             "chaos_seed": 42, "placement": "front-door"})
+    rep = _real()
+    t2, rep2 = replay_trace(t1)
+    assert traces_equal(t1, t2)
+    assert rep1.served == rep2.served
+    assert crosscheck_real_vs_virtual(rep)["ok"]
+
+
+def _tokens_of_a_cold_process(conn_):
+    assert _prefork.cache_info().currsize == 0
+    conn_.send(_prefork("paper")[1:])
+    conn_.close()
+
+
+def test_spawned_worker_computes_the_same_prefork_state():
+    """The ``spawn`` fallback has no inheritance: the worker's own call
+    of the same function, on an empty memo, must arrive at the parent's
+    tokens and static-default fingerprints (or every image it sends
+    would be refused)."""
+    ctx = multiprocessing.get_context("spawn")
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_tokens_of_a_cold_process, args=(child,))
+    proc.start()
+    child.close()
+    assert parent.poll(DEADLINE), "spawned worker never answered"
+    tokens, fps = parent.recv()
+    proc.join(timeout=30.0)
+    assert proc.exitcode == 0
+    _classes, mine, my_fps = _prefork("paper")
+    assert tokens == mine and fps == my_fps and len(tokens) > 4
+    parent.close()
 
 
 # -- crash recovery ------------------------------------------------------------
