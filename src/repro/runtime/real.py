@@ -4,8 +4,9 @@ Wall-clock mode for the serving stack.  The parent process is the
 control plane (placement, work stealing, crash recovery, accounting);
 each worker process owns one VM — its own ``Machine`` over the mix's
 classpath, inherited warm from the fork (:func:`_prefork`) — and serves
-requests in preemptible quanta exactly like a virtual node does.  Everything that crosses a process boundary
-crosses as canonical :mod:`repro.runtime.wire` bytes over OS pipes:
+requests in preemptible quanta exactly like a virtual node does.
+Everything that crosses a process boundary crosses as canonical
+:mod:`repro.runtime.wire` bytes over OS pipes:
 
 * **request dispatch** — (rid, program, args) rows;
 * **SOD images** — when the control plane steals a *running* request
@@ -60,9 +61,6 @@ __all__ = ["serve_real", "available_cores", "REAL_QUANTUM"]
 #: quanta a worker makes a real ``poll()`` syscall to look for control
 #: messages, so the budget trades steal latency against poll overhead.
 REAL_QUANTUM = 100_000
-
-#: namespace used only to read pristine class-file static defaults
-_DEFAULTS_NS = "___defaults"
 
 #: guest values that encode as themselves (anything else is a graph or
 #: a descriptor tuple)
@@ -147,18 +145,17 @@ def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes],
     from repro.workloads.mixes import MIXES, serve_classpath
 
     classes = serve_classpath(MIXES[mix].programs())
-    #: deterministic token per class — what migrations verify
+    # deterministic token per class — what migrations verify
     tokens = {cname: wire.class_token(cname, _classfile_payload(cf))
               for cname, cf in classes.items()}
     machine = Machine(classes)
-    #: fingerprint of every static's pristine class-file default (the
-    #: value a fresh namespace cell holds right after linking)
-    pristine = machine.namespace(_DEFAULTS_NS)
+    # every static's pristine class-file default (the value a fresh
+    # namespace cell holds right after linking; the root's are never run)
     default_fps = {
         (cname, fname): (fingerprint(v) if isinstance(v, _PRIMITIVES)
                          else None)
         for cname in classes
-        for fname, v in pristine.load(cname).statics.items()}
+        for fname, v in machine.loader.load(cname).statics.items()}
     for cf in classes.values():
         for code in cf.methods.values():
             code.hotness = max(code.hotness, JIT_THRESHOLD)
