@@ -196,11 +196,13 @@ class WorkerObjectManager:
         #: updates.
         self.dirty_statics: Dict[Tuple[Optional[str], str, str],
                                  Tuple[VMClass, str]] = {}
-        #: cache keys fetched on behalf of each running segment thread,
-        #: so its consistency epoch can be released at completion (the
-        #: serve scheduler re-offloads threads whose home state has
-        #: moved on; serving them stale cached copies would fork state)
-        self.fetched_by: Dict[Any, List[Tuple[int, str]]] = {}
+        #: cache keys fetched on behalf of each running segment thread
+        #: (a dict used as an ordered set: first-fetch order, one entry
+        #: per distinct object however often the cache is hit), so its
+        #: consistency epoch can be released at completion (the serve
+        #: scheduler re-offloads threads whose home state has moved on;
+        #: serving them stale cached copies would fork state)
+        self.fetched_by: Dict[Any, Dict[Tuple[int, str], None]] = {}
         #: clean copies demoted (not evicted) when their segment epoch
         #: ended (their payload fingerprint stays in ``_payload_fp``).
         #: A later segment's fault on the same key revalidates the copy
@@ -392,7 +394,7 @@ class WorkerObjectManager:
         """Attribute a fetched cache entry to the thread that faulted."""
         thread = self.machine.current_thread
         if thread is not None:
-            self.fetched_by.setdefault(thread, []).append(key)
+            self.fetched_by.setdefault(thread, {})[key] = None
 
     def release_thread(self, thread: Any) -> None:
         """End one segment thread's consistency epoch: forget the home
@@ -409,7 +411,7 @@ class WorkerObjectManager:
         rather than re-shipping the payload.  Dirty copies — writes the
         worker never shipped home (an abandoned segment) — are always
         dropped: their content has forked from the fingerprint."""
-        keys = self.fetched_by.pop(thread, [])
+        keys = self.fetched_by.pop(thread, ())
         self.thread_home.pop(thread, None)
         self.thread_statics.pop(thread, None)
         if not keys:
@@ -509,23 +511,25 @@ class WorkerObjectManager:
         baseline path."""
 
         def resolve(machine: Machine, args: List[Any]) -> Any:
-            exc, recv_slot = args[0], args[1]
-            ref = exc.host_payload
+            ref = args[0].host_payload
             if not isinstance(ref, RemoteRef):  # pragma: no cover
                 raise MigrationError("ObjMan.resolve on a non-fault NPE")
             obj = self.fetch(ref)
-            # Patch the hardcoded receiver slot (the temp the re-executed
-            # group reads — guarantees forward progress, paper III.C),
-            # but only if it actually holds this sentinel: for native
-            # sites the faulting value may be a later argument, in which
-            # case the origin patch below is what re-execution reads.
-            frame = machine.current_thread.frames[-1]
-            if 0 <= recv_slot < len(frame.locals):
-                cur = frame.locals[recv_slot]
-                if isinstance(cur, RemoteRef) and (
-                        cur is ref or (cur.home_oid == ref.home_oid
-                                       and cur.home_node == ref.home_node)):
-                    frame.locals[recv_slot] = obj
+            # Patch every slot of the faulting frame that holds this
+            # object's sentinel: the hardcoded receiver temp the
+            # re-executed group reads (forward progress, paper III.C; for
+            # native sites the faulting value may be a later argument's
+            # temp) and the parameter or local it was copied from — a
+            # sentinel passed *by value* has its origin in the caller, so
+            # without this every later load of the parameter re-faults.
+            # The flattened build's operand stack is empty at every
+            # faultable op: ``locals`` is the whole frame.
+            locs = machine.current_thread.frames[-1].locals
+            for slot, cur in enumerate(locs):
+                if (isinstance(cur, RemoteRef)
+                        and cur.home_oid == ref.home_oid
+                        and cur.home_node == ref.home_node):
+                    locs[slot] = obj
             # ...and the sentinel's origin, so the local heap converges.
             self._patch(ref, obj)
             return None

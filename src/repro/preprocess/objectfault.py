@@ -4,7 +4,7 @@ For every instruction that dereferences an object (field get/put, array
 load/store/length, virtual invoke) we append a tiny handler block::
 
     H:  CONST <receiver slot>     ; hardcoded, like the paper's slot id
-        NATIVE ObjMan.resolve 2   ; fetch home object, patch slot + origin
+        NATIVE ObjMan.resolve 2   ; fetch home object, patch frame + origin
         POP
         JMP <group start>         ; the paper's "goto label"
 
@@ -12,9 +12,7 @@ The receiver's temp slot is *hardcoded into the handler at preprocessing
 time* — the paper does exactly this ("creates an object fault handler for
 each instance variable with its slot id (or field name) being hardcoded
 inside the code of the handler").  Patching the slot the re-executed
-group actually reads is what guarantees forward progress; the resolver
-additionally patches the sentinel's origin (field/static/element) so the
-local heap converges.
+group actually reads is what guarantees forward progress.
 
 and an exception-table row covering *just that instruction* with the
 internal class ``__ObjectFault``.  Dispatch semantics (implemented in
@@ -28,6 +26,20 @@ internal class ``__ObjectFault``.  Dispatch semantics (implemented in
   application's own handlers at the original bci, exactly like the
   paper's "throw another null pointer exception to indicate that this
   exception truly comes from the application level".
+
+Convergence rule — a remote object faults once per frame that holds its
+sentinel, not once per access.  ``ObjMan.resolve`` replaces, in order:
+the receiver temp; every other slot of the *faulting frame* holding a
+sentinel of the same ``(home_oid, home_node)`` (the parameter or local
+the temp was copied from, sibling temps of the same line — the operand
+stack is empty at every faultable op, so the locals are the whole
+frame); and the sentinel's origin (the local/field/static/element it
+was decoded into), so the local heap converges.  A sentinel passed *by
+value* has its origin in the caller's frame; without the second step
+the callee's parameter re-faults on every load.  Not covered: a
+sentinel a guest *stores* by value into another object's field or
+array element leaves that container out of reach of all three patches,
+so each read of the field faults again (a cache hit).
 
 In normal execution no extra instruction runs — that is the entire point
 of the design ("we take this free ride to realize an object faulting
