@@ -1173,9 +1173,14 @@ class SODEngine:
         ``scope_home`` restricts the flush to state owned by that home
         (a multi-tenant worker must not ship another home's oids);
         ``only_keys`` narrows it further to one thread's working set;
-        ``None`` keeps the single-tenant flush-everything behavior."""
+        ``None`` keeps the single-tenant flush-everything behavior.
+        Nothing dirty *in that scope* sends nothing — a sibling's
+        in-flight writes are no reason for an empty message."""
         objman = worker.objman
-        if objman is None or (not objman.dirty and not objman.dirty_statics):
+        if objman is None or not (
+                objman.dirty_in(scope_home, only_keys)
+                or any(scope_home is None or h == scope_home
+                       for _cls, h in objman.dirty_statics.values())):
             return 0.0
         dt = self._write_back(worker, home, None, scope_home, only_keys)
         self.timeline += dt

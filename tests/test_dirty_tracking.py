@@ -269,6 +269,44 @@ def test_rehop_flushes_only_what_a_fetched_copy_changed(touch):
     assert t.result == want and d.fields["v"] == od.fields["v"]
 
 
+def test_rehop_with_an_empty_scope_sends_nothing_beside_a_dirty_sibling():
+    """Two same-home segments share node1; one wrote a fetched copy,
+    the other only an object it created.  The clean one's rehop has
+    nothing *of its own* to flush, so no message leaves (the emptiness
+    test used to read the whole dirty set and ship 72 empty bytes);
+    the sibling's write stays tracked and lands at its completion."""
+    classes = preprocess_program(compile_source(HOP_SRC), "faulting")
+    eng = SODEngine(gige_cluster(3), classes)
+    eng.tracer = events = _Events()
+    home = eng.host("node0")
+    D = home.machine.loader.load("D")
+    segs = []
+    for touch in 1, 0:
+        d = home.machine.heap.new_instance(D)
+        t = eng.spawn(home, "P", "inner", [d, 9, touch])
+        run_to_msp(home.machine, t)
+        w1, wt, _rec = eng.migrate(home, t, "node1", 1)
+        eng.run(w1, wt, max_instrs=120)
+        assert not wt.finished
+        segs.append((d, t, wt))
+    (d_dirty, t_dirty, wt_dirty), (d_clean, t_clean, wt_clean) = segs
+    key = (d_dirty.oid, "node0")
+    assert _dirty_homes(w1.objman) == [key]
+
+    w2, wt2, _rec = eng.rehop_segment(w1, wt_clean, "node2", home)
+    assert events.kinds.count("writeback") == 0
+    assert _dirty_homes(w1.objman) == [key] and d_dirty.fields["v"] == 0
+
+    eng.run(w1, wt_dirty)
+    eng.complete_segment(w1, wt_dirty, home, t_dirty, 1)
+    assert d_dirty.fields["v"] == 9 and not w1.objman.dirty
+    eng.run(w2, wt2)
+    eng.complete_segment(w2, wt2, home, t_clean, 1)
+    assert d_clean.fields["v"] == 0
+    # the two completions, and ``mine`` (node1's, written on node2)
+    assert events.kinds.count("writeback") == 3
+
+
 # -- a drained cluster holds nothing dirty --------------------------------------
 
 
