@@ -517,13 +517,12 @@ class WorkerObjectManager:
             obj = self.fetch(ref)
             # Patch every slot of the faulting frame that holds this
             # object's sentinel: the hardcoded receiver temp the
-            # re-executed group reads (forward progress, paper III.C; for
-            # native sites the faulting value may be a later argument's
+            # re-executed group reads (forward progress, paper III.C; at
+            # a native site the faulting value may be a later argument's
             # temp) and the parameter or local it was copied from — a
-            # sentinel passed *by value* has its origin in the caller, so
-            # without this every later load of the parameter re-faults.
-            # The flattened build's operand stack is empty at every
-            # faultable op: ``locals`` is the whole frame.
+            # sentinel passed by value has its origin in the caller.
+            # (Empty operand stack at every faultable op: the locals are
+            # the whole frame, so the handler's slot argument goes unread.)
             locs = machine.current_thread.frames[-1].locals
             for slot, cur in enumerate(locs):
                 if (isinstance(cur, RemoteRef)
@@ -573,6 +572,13 @@ class WorkerObjectManager:
             out.append((obj, ident))
         return out
 
+    def dirty_statics_in(self, home_node: Optional[str]
+                         ) -> Dict[Tuple[Optional[str], str, str], VMClass]:
+        """The dirty statics a write-back scoped to ``home_node`` carries:
+        the writes of that home's segment threads (``None``: all)."""
+        return {key: cls for key, (cls, home) in self.dirty_statics.items()
+                if home_node is None or home == home_node}
+
     def build_writeback(self, return_value: Any,
                         home_node: Optional[str] = None,
                         only_keys: Optional[set] = None
@@ -611,9 +617,7 @@ class WorkerObjectManager:
         # whose cells were written.
         static_updates = {
             key: enc.encode(cls.statics[key[2]])
-            for key, (cls, home) in self.dirty_statics.items()
-            if home_node is None or home == home_node
-        }
+            for key, cls in self.dirty_statics_in(home_node).items()}
         return_enc = enc.encode(return_value)
         message = {
             "updates": updates,

@@ -1177,10 +1177,8 @@ class SODEngine:
         Nothing dirty *in that scope* sends nothing — a sibling's
         in-flight writes are no reason for an empty message."""
         objman = worker.objman
-        if objman is None or not (
-                objman.dirty_in(scope_home, only_keys)
-                or any(scope_home is None or h == scope_home
-                       for _cls, h in objman.dirty_statics.values())):
+        if objman is None or not (objman.dirty_in(scope_home, only_keys)
+                                  or objman.dirty_statics_in(scope_home)):
             return 0.0
         dt = self._write_back(worker, home, None, scope_home, only_keys)
         self.timeline += dt

@@ -28,18 +28,15 @@ internal class ``__ObjectFault``.  Dispatch semantics (implemented in
   exception truly comes from the application level".
 
 Convergence rule — a remote object faults once per frame that holds its
-sentinel, not once per access.  ``ObjMan.resolve`` replaces, in order:
-the receiver temp; every other slot of the *faulting frame* holding a
-sentinel of the same ``(home_oid, home_node)`` (the parameter or local
-the temp was copied from, sibling temps of the same line — the operand
-stack is empty at every faultable op, so the locals are the whole
-frame); and the sentinel's origin (the local/field/static/element it
-was decoded into), so the local heap converges.  A sentinel passed *by
-value* has its origin in the caller's frame; without the second step
-the callee's parameter re-faults on every load.  Not covered: a
-sentinel a guest *stores* by value into another object's field or
-array element leaves that container out of reach of all three patches,
-so each read of the field faults again (a cache hit).
+sentinel, not once per access.  ``ObjMan.resolve`` replaces the receiver
+temp, every other slot of the *faulting frame* holding a sentinel of the
+same ``(home_oid, home_node)`` (the operand stack is empty at every
+faultable op, so the locals are the whole frame), and the sentinel's
+origin (the local/field/static/element it was decoded into).  A sentinel
+passed *by value* has its origin in the caller's frame: without the
+middle step the callee's parameter re-faults on every load.  Not
+covered: a sentinel the guest *stores* by value into another object's
+field or element re-faults (a cache hit) on each read of that field.
 
 In normal execution no extra instruction runs — that is the entire point
 of the design ("we take this free ride to realize an object faulting

@@ -35,16 +35,11 @@ class RemoteRef:
         home_node: name of the home node.
         loc: where this sentinel was decoded into (its *origin*), so
             the fault handler can patch in the fetched object (see
-            ``LOC_*``).
-
-    Guest code copies a sentinel by value (``LOAD`` / ``STORE``, an
-    argument), so ``loc`` names one of possibly many holders.  A fault
-    converges the three it can reach — the receiver temp, every slot
-    of the faulting frame holding the same ``(home_oid, home_node)``,
-    and ``loc`` (``WorkerObjectManager``'s ``ObjMan.resolve``) — so an
-    object faults at most once per frame it was passed to.  A copy the
-    guest stored into another object's field or element is not
-    reached: reads of that field re-fault (as cache hits).
+            ``LOC_*``).  Guest code copies sentinels by value, so it is
+            one holder of many: a fault converges the receiver temp,
+            every same-identity slot of the faulting frame and ``loc``
+            — not a copy the guest stored into another object's field,
+            which re-faults per read (``preprocess/objectfault.py``).
     """
 
     __slots__ = ("home_oid", "home_node", "loc")
