@@ -28,7 +28,8 @@ per-tenant arrival streams are independent by construction, so the
 victims' offered work is byte-identical in both runs).
 
 Emits ``BENCH_overload.json`` at the repo root.  ``BENCH_SMOKE=1``
-sweeps fewer points (CI smoke mode); run directly
+sweeps fewer points on a shorter stream and does not assert the strict
+win (CI smoke mode); run directly
 (``python benchmarks/test_overload.py``) to print the JSON.
 """
 
@@ -199,11 +200,15 @@ def test_overload(benchmark, write_bench_json):
 
     # The headline: adaptive strictly beats static goodput at every
     # offered load past the knee (>= 1.2x saturation).  Deterministic
-    # virtual time — a tie is a regression, not noise.
-    for factor, row in report["sweep"].items():
-        if float(factor) >= 1.2:
-            assert row["adaptive"]["goodput_rps"] > \
-                row["static"]["goodput_rps"], (factor, row)
+    # virtual time — a tie is a regression, not noise.  Full size only
+    # (tier-1 runs it): the 96-request smoke stream ends before the
+    # controller's first sheds at 1.5x have paid for themselves, so the
+    # smoke run gates correctness, shed honesty and isolation below.
+    if not SMOKE:
+        for factor, row in report["sweep"].items():
+            if float(factor) >= 1.2:
+                assert row["adaptive"]["goodput_rps"] > \
+                    row["static"]["goodput_rps"], (factor, row)
 
     # Overload control actually engaged past the knee.
     assert any(row["adaptive"]["shed"] > 0

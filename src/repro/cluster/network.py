@@ -77,8 +77,8 @@ class Network:
         #: total messages sent, per (src, dst)
         self.messages: Dict[Tuple[str, str], int] = {}
         #: bytes that would have crossed each link but were elided by a
-        #: transfer cache hit (delta captures, cached classes, object
-        #: revalidations) — the migration fast path's savings meter
+        #: transfer cache hit (class tokens, object revalidations) —
+        #: the migration fast path's savings meter
         self.bytes_saved: Dict[Tuple[str, str], int] = {}
         #: chaos state: directed links currently down, crashed nodes,
         #: and failure epochs (each fail bumps one — an in-flight

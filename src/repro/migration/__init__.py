@@ -1,11 +1,9 @@
 """SOD migration: capture, restore, object faulting, the SODEE engine,
-flows, policies, prefetching, tracing and checkpoint persistence."""
+flows, policies, prefetching and tracing."""
 
 from repro.migration.capture import capture_segment, run_to_msp
 from repro.migration.object_manager import (HomeObjectServer,
                                             WorkerObjectManager)
-from repro.migration.persistence import (load_checkpoint, save_checkpoint,
-                                         state_from_json, state_to_json)
 from repro.migration.restore import RestoreDriver, java_level_restore
 from repro.migration.sodee import Host, MigrationRecord, SODEngine
 from repro.migration.state import (CapturedFrame, CapturedState,
@@ -16,7 +14,6 @@ from repro.migration.tracing import Tracer, format_timeline
 __all__ = [
     "capture_segment", "run_to_msp",
     "HomeObjectServer", "WorkerObjectManager",
-    "load_checkpoint", "save_checkpoint", "state_from_json", "state_to_json",
     "RestoreDriver", "java_level_restore",
     "Host", "MigrationRecord", "SODEngine",
     "CapturedFrame", "CapturedState", "GraphDecoder", "GraphEncoder",

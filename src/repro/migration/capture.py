@@ -19,11 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import MigrationError
-from repro.migration.state import (CACHED_TAG, CapturedFrame, CapturedState,
-                                   _enc_bytes, CACHED_MARKER_BYTES,
-                                   FRAME_MARKER_BYTES, FrameMarker,
-                                   encode_value, fingerprint,
-                                   frame_fingerprint)
+from repro.migration.state import (CapturedFrame, CapturedState,
+                                   encode_value)
 from repro.vm.frames import ThreadState
 from repro.vm.machine import Machine
 from repro.vm.vmti import VMTI
@@ -51,20 +48,9 @@ def capture_segment(vmti: VMTI, thread: ThreadState, nframes: int,
                     home_node: str,
                     return_to: Optional[str] = None,
                     top_is_caller: bool = False,
-                    baseline=None,
                     identity=None) -> CapturedState:
     """Capture the top ``nframes`` frames of ``thread`` (which must be
     suspended at an MSP) into a :class:`CapturedState`.
-
-    ``baseline`` (a :class:`repro.migration.sodee.TransferLedger`, or
-    anything with a ``statics`` fingerprint dict) turns this into a
-    *delta* capture: a static whose encoded value fingerprint matches
-    what the destination already holds is shipped as a
-    :data:`~repro.migration.state.CACHED_MARKER_BYTES`-sized
-    ``@cached`` marker instead of by value — the destination verifies
-    the digest against its current cell and keeps the (identical)
-    copy.  ``baseline=None`` is the from-scratch full capture, which
-    doubles as the delta property-test oracle.
 
     ``identity`` maps ``id(obj) -> (home_oid, home_node)`` for fetched
     copies on an intermediate hop (see :func:`encode_value`).
@@ -113,76 +99,19 @@ def capture_segment(vmti: VMTI, thread: ThreadState, nframes: int,
     # Statics of the classes the segment references (superclass chains
     # included): primitives by value, objects as descriptors — read
     # from the thread's own class-loader namespace, whose cells are the
-    # segment's static state.  Against a baseline ledger, values the
-    # destination already holds collapse to fingerprint markers (delta
-    # snapshot).
-    # Delta frames (stack analogue of the statics delta): an unchanged
-    # deep prefix of a re-shipped stack rides as fingerprint markers.
-    # The ledger retains the previous shipment's records outermost-
-    # first; a frame is elided only while every frame beneath it also
-    # matched (a changed deep frame invalidates everything above it —
-    # restore order would otherwise splice stale callers under fresh
-    # callees).  The top frame always ships in full: it is the one
-    # frame guaranteed to have advanced, and the restore drivers key
-    # class shipment off it.
-    cached_frames = 0
-    frame_saved = 0
-    frame_fps = getattr(baseline, "frame_fps", None)
-    if frame_fps is not None and nframes > 1:
-        known_fps = frame_fps(thread.name)
-        staged = []
-        out_frames: List[object] = []
-        in_prefix = True
-        for i, fr in enumerate(frames):
-            fp = frame_fingerprint(fr)
-            staged.append((fp, fr))
-            if (in_prefix and i < len(frames) - 1 and i < len(known_fps)
-                    and known_fps[i] == fp
-                    and fr.state_bytes() > FRAME_MARKER_BYTES):
-                out_frames.append(FrameMarker(fp))
-                cached_frames += 1
-                frame_saved += fr.state_bytes() - FRAME_MARKER_BYTES
-            else:
-                in_prefix = False
-                out_frames.append(fr)
-        baseline.stage_frames(thread.name, staged)
-        frames = out_frames
-
-    known = baseline.statics if baseline is not None else None
+    # segment's static state.
     loader = machine.namespace(thread.namespace)
     statics: Dict[Tuple[str, str], object] = {}
-    cached = 0
-    saved = 0
     for cname in sorted(class_names):
-        cls = loader.load(cname)
-        walk = cls
+        walk = loader.load(cname)
         while walk is not None:
             for fname in walk.statics:
                 value = vmti.get_static(walk.name, fname,
                                         namespace=thread.namespace)
-                enc, _b = encode_value(value, home_node, identity)
-                key = (walk.name, fname)
-                # Object-valued statics ship as 12-byte descriptors and
-                # re-arm the destination's fault path; a marker could
-                # pin a stale released copy in the cell — never
-                # delta-cache them.  And elide only when the marker is
-                # actually smaller than the value it replaces.
-                if known is not None and not (
-                        isinstance(enc, tuple) and enc
-                        and enc[0] == "@ref") \
-                        and _enc_bytes(enc) > CACHED_MARKER_BYTES:
-                    fp = fingerprint(enc)
-                    if known.get(key) == fp:
-                        statics[key] = (CACHED_TAG, fp)
-                        cached += 1
-                        saved += max(0, _enc_bytes(enc)
-                                     - CACHED_MARKER_BYTES)
-                        continue
-                statics[key] = enc
+                statics[(walk.name, fname)], _b = encode_value(
+                    value, home_node, identity)
             walk = walk.superclass
     return CapturedState(
         frames=frames, statics=statics, class_names=sorted(class_names),
         home_node=home_node, return_to=return_to or home_node,
-        thread_name=thread.name, namespace=thread.namespace,
-        cached_statics=cached, cached_frames=cached_frames,
-        saved_bytes=saved + frame_saved)
+        thread_name=thread.name, namespace=thread.namespace)

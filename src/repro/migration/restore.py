@@ -26,12 +26,10 @@ charged on the (slow) device CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import MigrationError
-from repro.migration.state import (CapturedState, decode_value,
-                                   encode_value, fingerprint,
-                                   is_cached_marker)
+from repro.migration.state import CapturedState, decode_value
 from repro.preprocess.restoration import RESTORE_EXCEPTION
 from repro.vm.frames import Frame, ThreadState
 from repro.vm.machine import Machine
@@ -51,23 +49,12 @@ class RestoreContext:
 
 
 class RestoreDriver:
-    """Rebuilds a captured segment on a worker machine.
+    """Rebuilds a captured segment on a worker machine."""
 
-    ``static_fallback(cname, fname) -> value`` services delta-capture
-    ``@cached`` markers whose fingerprint does *not* match the worker's
-    current cell (somebody forked the cell behind the ledger's back —
-    e.g. a local guest thread wrote a static between segment episodes):
-    the true value is fetched from the home instead of trusting the
-    marker.  Without a fallback a mismatched marker is left in place
-    (the pre-delta single-tenant contract)."""
-
-    def __init__(self, machine: Machine, vmti: VMTI, state: CapturedState,
-                 static_fallback: Optional[Callable[[str, str], Any]]
-                 = None):
+    def __init__(self, machine: Machine, vmti: VMTI, state: CapturedState):
         self.machine = machine
         self.vmti = vmti
         self.state = state
-        self.static_fallback = static_fallback
         self.ctx = RestoreContext(state=state)
         self._armed: List[tuple] = []
 
@@ -105,17 +92,6 @@ class RestoreDriver:
         for cname in self.state.class_names:
             loader.load(cname)
         for (cname, fname), enc in self.state.statics.items():
-            if is_cached_marker(enc):
-                # Delta capture: this worker should already hold the
-                # fingerprinted value (shipped by an earlier capture or
-                # write-back).  Verify before trusting — a cell forked
-                # behind the ledger's back heals via the fallback fetch.
-                if not _marker_matches(self.machine, cname, fname, enc, ns):
-                    if self.static_fallback is not None:
-                        self.vmti.set_static(
-                            cname, fname, self.static_fallback(cname, fname),
-                            namespace=ns)
-                continue
             self.vmti.set_static(
                 cname, fname, decode_value(enc, (LOC_STATIC, cname, fname)),
                 namespace=ns)
@@ -190,20 +166,8 @@ class RestoreDriver:
         return thread
 
 
-def _marker_matches(machine: Machine, cname: str, fname: str,
-                    marker: tuple, namespace=None) -> bool:
-    """Does the worker's current static cell (in the segment's
-    namespace) still hold the value the ``@cached`` marker
-    fingerprints?  Markers only ever cover primitive/string statics,
-    whose encoding is node-independent, so re-encoding the local cell
-    reproduces the capture-side digest."""
-    cls = machine.namespace(namespace).load(cname).find_static_home(fname)
-    enc, _b = encode_value(cls.statics[fname], "")
-    return fingerprint(enc) == marker[1]
-
-
-def java_level_restore(machine: Machine, state: CapturedState,
-                       static_fallback=None) -> ThreadState:
+def java_level_restore(machine: Machine, state: CapturedState
+                       ) -> ThreadState:
     """VMTI-less restore (JamVM-style device): rebuild frames directly at
     Java level via reflection.  Functionally identical result; the cost
     model charges the much slower per-frame reflective path
@@ -213,13 +177,6 @@ def java_level_restore(machine: Machine, state: CapturedState,
     for cname in state.class_names:
         loader.load(cname)
     for (cname, fname), enc in state.statics.items():
-        if is_cached_marker(enc):
-            # device already holds this value — verify, heal on fork
-            if not _marker_matches(machine, cname, fname, enc, ns) \
-                    and static_fallback is not None:
-                cls = loader.load(cname).find_static_home(fname)
-                cls.statics[fname] = static_fallback(cname, fname)
-            continue
         cls = loader.load(cname).find_static_home(fname)
         cls.statics[fname] = decode_value(enc, (LOC_STATIC, cname, fname))
     thread = ThreadState(state.thread_name, namespace=ns)

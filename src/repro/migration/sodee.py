@@ -24,9 +24,7 @@ from repro.migration.capture import capture_segment, run_to_msp
 from repro.migration.object_manager import (HomeObjectServer,
                                             WorkerObjectManager)
 from repro.migration.restore import RestoreDriver, java_level_restore
-from repro.migration.state import (CapturedState, FrameMarker, encode_value,
-                                   fingerprint, frame_fingerprint,
-                                   is_cached_marker)
+from repro.migration.state import CapturedState, encode_value
 from repro.preprocess.sizes import class_size
 from repro.vm.costmodel import CostModel, SystemCosts, sodee_model
 from repro.vm.frames import ThreadState
@@ -37,160 +35,16 @@ from repro.vm.vmti import VMTI
 
 #: wire size of a content-addressed class token (name + digest): what a
 #: repeat offload ships instead of the class file + its pre-decoded
-#: stream when the destination's classpath already holds them
+#: stream when the destination's classpath already holds them.  The
+#: worker's classpath *is* the cache — class files are immutable,
+#: namespace-independent and shared across namespaces by reference —
+#: so no record of past shipments is kept: a capture always ships the
+#: frames and statics it captured (190-300 B), a restore always writes
+#: what it received, and the two things a repeat offload can re-use are
+#: pulled on demand and checked by content: classes (this token) and
+#: retained object copies (``fetch_if_changed``, see
+#: :meth:`WorkerObjectManager.fetch`).
 CLASS_TOKEN_BYTES = 24
-
-
-class TransferLedger:
-    """Per-(home, worker) shipment ledger: the content-addressed record
-    of what a worker already holds from one home.
-
-    * ``statics`` maps ``(class, field)`` to the fingerprint of the
-      encoded value last *synchronized* with the worker (shipped by a
-      capture, a class-load sync, a resync, or applied back home by a
-      completed segment's write-back) — a delta capture elides any
-      static whose current fingerprint matches.
-    * ``stamp`` records the shipment epoch each entry was last written
-      at, and ``epoch`` counts shipments — the observability handle the
-      delta property tests assert against (an unchanged static must not
-      be re-stamped by a re-offload).
-
-    Static cells live per class-loader *namespace*, so the ledger keeps
-    one ``(statics, stamp)`` view per namespace tag: two requests
-    running the same class through one (home, worker) pair never share
-    markers.  The attribute pair above is the root (``None``) view —
-    the single-tenant fast path reads it with zero indirection;
-    :meth:`view` resolves any tag.
-
-    Classes and their pre-decoded instruction streams need no ledger:
-    a worker's classpath *is* the truth (class files are immutable,
-    namespace-independent, and shared across namespaces by reference),
-    so repeat offloads ship a :data:`CLASS_TOKEN_BYTES` digest token
-    instead of the class — whatever namespace first pulled it.
-    Object payloads are revalidated content-addressed per fetch (see
-    :meth:`WorkerObjectManager.fetch` / ``fetch_if_changed``).
-    """
-
-    def __init__(self) -> None:
-        self.epoch = 0
-        self.statics: Dict[Tuple[str, str], int] = {}
-        self.stamp: Dict[Tuple[str, str], int] = {}
-        #: per-namespace (statics, stamp) views; root lives above
-        self._ns: Dict[str, Tuple[Dict, Dict]] = {}
-        #: delta frames: per-(namespace, thread) retained activation
-        #: records from the last committed shipment, outermost-first as
-        #: ``(fingerprint, CapturedFrame)`` pairs.  A re-offload of the
-        #: same thread to this worker elides an unchanged deep prefix
-        #: as markers; the engine rehydrates them from here at restore.
-        self.frames: Dict[Tuple[Optional[str], str],
-                          List[Tuple[int, Any]]] = {}
-
-    def frame_view(self, ns: Optional[str],
-                   thread_name: str) -> List[Tuple[int, Any]]:
-        """Retained (fingerprint, record) pairs for one thread's last
-        committed shipment (empty if none)."""
-        return self.frames.get((ns, thread_name), [])
-
-    def record_frames(self, ns: Optional[str], thread_name: str,
-                      entries: List[Tuple[int, Any]]) -> None:
-        """The restore succeeded: the worker now retains exactly these
-        activation records for ``thread_name`` (wholesale replacement —
-        markers in the shipment referenced records already present)."""
-        self.frames[(ns, thread_name)] = list(entries)
-
-    def view(self, ns: Optional[str]) -> Tuple[Dict, Dict]:
-        """The (statics, stamp) dicts for namespace ``ns``."""
-        if ns is None:
-            return self.statics, self.stamp
-        pair = self._ns.get(ns)
-        if pair is None:
-            pair = self._ns[ns] = ({}, {})
-        return pair
-
-    def record(self, key: Tuple[str, str], enc: Any,
-               ns: Optional[str] = None) -> None:
-        """Note that the worker now holds ``enc`` for static ``key`` in
-        namespace ``ns`` (object-valued descriptors are never ledgered
-        — see capture)."""
-        statics, stamp = self.view(ns)
-        if isinstance(enc, tuple) and enc and enc[0] == "@ref":
-            statics.pop(key, None)
-            stamp.pop(key, None)
-            return
-        statics[key] = fingerprint(enc)
-        stamp[key] = self.epoch
-
-    def invalidate(self, key: Tuple[str, str],
-                   ns: Optional[str] = None) -> None:
-        statics, stamp = self.view(ns)
-        statics.pop(key, None)
-        stamp.pop(key, None)
-
-    def drop_namespace(self, ns: str) -> None:
-        """Forget a namespace's view (its request completed and the
-        worker dropped the cells the fingerprints described)."""
-        self._ns.pop(ns, None)
-        for key in [k for k in self.frames if k[0] == ns]:
-            del self.frames[key]
-
-
-class CaptureBaseline:
-    """Mutable ledger view staged during one (possibly batched) capture,
-    scoped to one class-loader namespace (``ns=None`` = root).
-
-    A migration can still be refused *after* capture (cross-home static
-    conflict, restore failure) — nothing shipped, so nothing may be
-    ledgered.  Captures read and update this overlay (so the second
-    capture of a batch can elide statics the first one just shipped);
-    :meth:`commit` folds the staged entries into the real ledger only
-    once the restore has succeeded.
-    """
-
-    def __init__(self, led: TransferLedger, ns: Optional[str] = None):
-        self.led = led
-        self.ns = ns
-        #: the fingerprint view capture_segment reads
-        self.statics: Dict[Tuple[str, str], int] = dict(led.view(ns)[0])
-        self._fresh: List[Tuple[Tuple[str, str], Any]] = []
-        #: delta frames staged per thread name (committed with statics)
-        self._frames: Dict[str, List[Tuple[int, Any]]] = {}
-
-    def frame_fps(self, thread_name: str) -> List[int]:
-        """Fingerprints of the destination's retained activation
-        records for ``thread_name``, outermost-first — what a delta
-        capture may elide an unchanged deep prefix against."""
-        return [fp for fp, _rec in
-                self.led.frame_view(self.ns, thread_name)]
-
-    def frame_record(self, thread_name: str, index: int):
-        """The retained record behind a shipped frame marker (from the
-        *durable* ledger — staged entries are not restorable yet)."""
-        view = self.led.frame_view(self.ns, thread_name)
-        return view[index][1] if index < len(view) else None
-
-    def stage_frames(self, thread_name: str,
-                     entries: List[Tuple[int, Any]]) -> None:
-        """Stage one capture's full frame-record list (elided frames
-        included — their content is identical to the retained copy)."""
-        self._frames[thread_name] = entries
-
-    def stage(self, state: "CapturedState") -> None:
-        """Overlay one capture's fresh-shipped statics."""
-        for key, enc in state.statics.items():
-            if is_cached_marker(enc):
-                continue
-            self._fresh.append((key, enc))
-            if isinstance(enc, tuple) and enc and enc[0] == "@ref":
-                self.statics.pop(key, None)
-            else:
-                self.statics[key] = fingerprint(enc)
-
-    def commit(self) -> None:
-        self.led.epoch += 1
-        for key, enc in self._fresh:
-            self.led.record(key, enc, self.ns)
-        for thread_name, entries in self._frames.items():
-            self.led.record_frames(self.ns, thread_name, entries)
 
 
 @dataclass
@@ -208,13 +62,9 @@ class MigrationRecord:
     state_bytes: int = 0
     class_bytes: int = 0
     worker_spawn_time: float = 0.0
-    #: transfer-cache outcome: did the class collapse to a digest token,
-    #: how many statics rode as @cached markers, how many deep frames
-    #: rode as FrameMarkers, and the payload bytes the delta kept off
-    #: the wire vs. a from-scratch capture
+    #: transfer-cache outcome: did the class collapse to a digest
+    #: token, and the class-file bytes that kept off the wire
     cached_class: bool = False
-    cached_statics: int = 0
-    cached_frames: int = 0
     saved_bytes: int = 0
 
     @property
@@ -275,13 +125,11 @@ class SODEngine:
         self.cost = cost or sodee_model()
         self.sys = syscosts or SystemCosts()
         self.prestart_workers = prestart_workers
-        #: migration fast path: content-addressed per-(home, worker)
-        #: transfer caches — delta static captures, class digest tokens,
-        #: retained-object revalidation.  ``False`` restores the
-        #: ship-everything-every-time behavior (the delta property
-        #: tests' oracle configuration).
+        #: content-checked transfer caches: class digest tokens and
+        #: retained-object revalidation.  ``False`` ships every class
+        #: file and object payload every time (the cache-on vs
+        #: cache-off fuzzers' oracle configuration).
         self.transfer_cache = transfer_cache
-        self._ledgers: Dict[Tuple[str, str], TransferLedger] = {}
         #: namespace tag -> the node whose cells are authoritative for
         #: it (the home a segment in that namespace was captured from).
         #: A worker's load_listener is bound to the home that *spawned*
@@ -390,16 +238,12 @@ class SODEngine:
         if home_loader is None or not home_loader.is_loaded(vmclass.name):
             return  # home never linked it: defaults are authoritative
         home_cls = home_loader.load(vmclass.name)
-        led = (self.ledger(home.node_name, worker.node_name)
-               if self.transfer_cache else None)
         nbytes = 0
         for fname in list(vmclass.statics):
             enc, b = encode_value(home_cls.statics[fname], home.node_name)
             vmclass.statics[fname] = decode_value(
                 enc, (LOC_STATIC, vmclass.name, fname))
             nbytes += b
-            if led is not None:
-                led.record((vmclass.name, fname), enc, ns)
         if nbytes:
             worker.machine.charge_raw(self.transfer_time(
                 home.node_name, worker.node_name, nbytes))
@@ -453,29 +297,16 @@ class SODEngine:
                                      * 1e3))
         return payload, nbytes, ref.home_node
 
-    def ledger(self, home_node: str, worker_node: str) -> TransferLedger:
-        """The (home, worker) transfer ledger (created on first use)."""
-        key = (home_node, worker_node)
-        led = self._ledgers.get(key)
-        if led is None:
-            led = self._ledgers[key] = TransferLedger()
-        return led
-
     def crash_host(self, name: str) -> None:
         """Node ``name`` died (chaos layer): its JVM process — machine,
-        caches, object manager, restored segments — is gone, and so is
-        every transfer-ledger epoch it participated in.  Ledgers where
-        the dead node was the *worker* describe state that no longer
-        exists; ledgers where it was the *home* describe fingerprints
-        nobody can verify against anymore.  Both sides drop, so a
-        post-recovery re-offload over the same pair starts from a
-        from-scratch shipment instead of trusting markers for cells
-        that evaporated.  Namespace site records shed the dead node so
-        later :meth:`forget_namespace` sweeps stay exact."""
+        caches, object manager, restored segments — is gone.  Nothing
+        else remembers what it held (a class token is checked against
+        the destination's live classpath, a retained copy lives in the
+        dead object manager), so a post-recovery re-offload starts from
+        a from-scratch shipment by construction.  Namespace site
+        records shed the dead node so later :meth:`forget_namespace`
+        sweeps stay exact."""
         self.hosts.pop(name, None)
-        for key in [k for k in self._ledgers
-                    if k[0] == name or k[1] == name]:
-            del self._ledgers[key]
         for sites in self._ns_sites.values():
             sites.discard(name)
 
@@ -487,30 +318,20 @@ class SODEngine:
 
     def forget_namespace(self, tag: str) -> None:
         """End of a namespace's life (its request completed): drop its
-        linked classes and decoded streams, its ledger views, and its
-        bookkeeping — per-request namespaces must not accumulate
-        across a long serving run.  With recorded sites the sweep is
-        O(sites²) dict pops (a request touches 2-3 nodes, not the
-        cluster); a tag with no recorded sites falls back to the full
-        host/ledger sweep so engine-level callers that never note
-        sites still reclaim everything."""
+        linked classes and decoded streams and its bookkeeping —
+        per-request namespaces must not accumulate across a long
+        serving run.  With recorded sites the sweep touches the 2-3
+        nodes a request used, not the cluster; a tag with no recorded
+        sites falls back to the full host sweep so engine-level callers
+        that never note sites still reclaim everything."""
         self._ns_home.pop(tag, None)
         sites = self._ns_sites.pop(tag, None)
         if sites is None:
-            for h in self.hosts.values():
-                h.machine.drop_namespace(tag)
-            for led in self._ledgers.values():
-                led.drop_namespace(tag)
-            return
-        for n in sites:
-            h = self.hosts.get(n)
-            if h is not None:
-                h.machine.drop_namespace(tag)
-        for a in sites:
-            for b in sites:
-                led = self._ledgers.get((a, b))
-                if led is not None:
-                    led.drop_namespace(tag)
+            hosts = list(self.hosts.values())
+        else:
+            hosts = [self.hosts[n] for n in sites if n in self.hosts]
+        for h in hosts:
+            h.machine.drop_namespace(tag)
 
     def recycle_namespace(self, tag: str) -> int:
         """Re-virginize a *pooled* namespace for its next lease and
@@ -526,12 +347,6 @@ class SODEngine:
           class-file defaults in place (copy-on-write: clean cells are
           untouched, and the ``statics`` dict identity is preserved so
           the caches stay bound to the live cells);
-        * **the tag's ledger views** — the per-(home, worker) static
-          fingerprints describe the *previous* request's cells; a
-          stale entry could elide a static whose content happens to
-          re-fingerprint identically after the reset, pinning the
-          worker to re-virginized defaults.  Dropping the views makes
-          the next capture ship (and re-stamp) fresh values;
         * **the namespace's home binding** — the next lease may spawn
           anywhere, so ``_ns_home`` re-binds at its next migration.
 
@@ -549,11 +364,6 @@ class SODEngine:
             ns = h.machine.namespace(tag, create=False)
             if ns is not None:
                 reset += ns.revirginize()
-        for a in sites:
-            for b in sites:
-                led = self._ledgers.get((a, b))
-                if led is not None:
-                    led.drop_namespace(tag)
         return reset
 
     # -- program control ------------------------------------------------------------
@@ -644,8 +454,7 @@ class SODEngine:
         them to ``dst_node`` in one bulk message, restore them there
         anchored to ``home``, and only then commit what was shipped.
 
-        ``home`` is where the segments' values and write-back return,
-        whose (home, worker) ledger the captures are deltas against,
+        ``home`` is where the segments' values and write-back return
         and which serves the worker's class and object faults; ``src``
         is where the frames currently live — the home itself, or the
         previous hop of a Fig. 1c chain (fetched copies in its frames
@@ -656,10 +465,8 @@ class SODEngine:
           (unless ``top_is_caller``: a residual segment is suspended at
           a call and restores to its re-invoke line), then
           ``before_capture`` runs, then the top ``nframes`` frames
-          (``None`` = the whole stack as frozen) are captured as a
-          delta against the staged ledger view of the thread's *own
-          namespace*: the first capture of a batch ships a static
-          fresh, same-namespace batchmates ride as ``@cached`` markers.
+          (``None`` = the whole stack as frozen) are captured with the
+          statics of the thread's *own namespace*.
         * **price** — serialized sizes go on the wire: one fixed
           per-message setup and each distinct top-frame class once
           (digest-tokenized against the destination's classpath); the
@@ -669,9 +476,8 @@ class SODEngine:
         * **restore** — on-demand class fetching from ``home``, the
           cross-home statics refusal, then one restore per segment.
         * **commit** — a shipment can still be refused after capture;
-          the staged ledger entries, the link's savings meter, the
-          timeline and :attr:`migrations` advance only once every
-          restore has succeeded.
+          the link's savings meter, the timeline and :attr:`migrations`
+          advance only once every restore has succeeded.
 
         Returns ``(worker_host, [(worker_thread, record), ...])`` in
         input order."""
@@ -693,7 +499,6 @@ class SODEngine:
         identity = (src.objman.home_identity
                     if src is not home and src.objman is not None else None)
 
-        bases: Dict[Optional[str], Optional[CaptureBaseline]] = {}
         recs: List[MigrationRecord] = []
         states: List[CapturedState] = []
         for thread, nframes in segments:
@@ -705,29 +510,19 @@ class SODEngine:
                 before_capture()
             if nframes is None:
                 nframes = len(thread.frames)
-            ns = thread.namespace
-            if ns not in bases:
-                bases[ns] = (CaptureBaseline(
-                    self.ledger(home.node_name, dst_node), ns)
-                    if self.transfer_cache else None)
             t0 = machine.clock
             state = capture_segment(src.vmti, thread, nframes,
                                     home_node=src.node_name,
                                     return_to=home.node_name,
                                     top_is_caller=top_is_caller,
-                                    baseline=bases[ns], identity=identity)
+                                    identity=identity)
             machine.charge(self.sys.sod_capture_fixed)
             if portable:
                 machine.charge(self.sys.portable_capture_fixed)
             recs.append(MigrationRecord(
                 src=src.node_name, dst=dst_node, nframes=nframes,
                 capture_time=machine.clock - t0,
-                state_bytes=state.state_bytes(),
-                cached_statics=state.cached_statics,
-                cached_frames=state.cached_frames,
-                saved_bytes=state.saved_bytes))
-            if bases[ns] is not None:
-                bases[ns].stage(state)
+                state_bytes=state.state_bytes()))
             states.append(state)
 
         class_files: Dict[str, ClassFile] = {}
@@ -740,7 +535,7 @@ class SODEngine:
             rec.class_bytes, rec.cached_class, full = \
                 self._class_ship_bytes(dst_node, top_class, cf)
             if rec.cached_class:
-                rec.saved_bytes += max(0, full - rec.class_bytes)
+                rec.saved_bytes = max(0, full - rec.class_bytes)
             class_wire += machine.cost.wire_bytes(rec.class_bytes)
         state_wire = sum(machine.cost.wire_bytes(r.state_bytes)
                          for r in recs)
@@ -769,12 +564,8 @@ class SODEngine:
         out: List[Tuple[ThreadState, MigrationRecord]] = []
         for rec, state in zip(recs, states):
             out.append((self._restore_segment(worker, state, rec.nframes,
-                                              home, rec,
-                                              bases[state.namespace]), rec))
+                                              home, rec), rec))
 
-        for base in bases.values():
-            if base is not None:
-                base.commit()
         saved = sum(r.saved_bytes for r in recs)
         if saved:
             self.cluster.network.record_saved(src.node_name, dst_node, saved)
@@ -836,8 +627,7 @@ class SODEngine:
         the chain.
 
         Before the segment leaves, its effects flush home (the home
-        heap is authoritative again, and the (home, dst) transfer
-        ledger prices the statics as a delta).  Objects the hop itself
+        heap is authoritative again).  Objects the hop itself
         created stay on its heap and serve on-demand fetches from the
         next hop.
 
@@ -937,11 +727,10 @@ class SODEngine:
         """The one write-back path: assemble the worker's dirty state
         (scoped as :meth:`WorkerObjectManager.build_writeback` documents)
         around ``return_value``, charge serialization on the worker, the
-        wire, and deserialization + application on ``home``; re-stamp
-        the ledger with what both sides now agree on and forget what
-        was shipped.  ``on_applied(value)`` runs on the home's clock
-        with the decoded return value.  Returns the elapsed seconds
-        (the caller accounts them on the timeline)."""
+        wire, and deserialization + application on ``home``, and
+        forget what was shipped.  ``on_applied(value)`` runs on the
+        home's clock with the decoded return value.  Returns the
+        elapsed seconds (the caller accounts them on the timeline)."""
         objman = worker.objman
         t0 = worker.machine.clock
         message, nbytes = objman.build_writeback(
@@ -955,8 +744,6 @@ class SODEngine:
         value = home.server.apply_writeback(
             message["updates"], message["elem_updates"],
             message["static_updates"], message["graph"], message["return"])
-        self._refresh_static_ledger(home, worker.node_name,
-                                    message["static_updates"])
         if on_applied is not None:
             on_applied(value)
         dt += home.machine.clock - t0
@@ -965,89 +752,31 @@ class SODEngine:
                     bytes=nbytes, seconds=dt)
         return dt
 
-    def _static_fallback(self, worker: Host, home: Host,
-                         base: Optional[CaptureBaseline]):
-        """Self-heal service for mismatched delta markers: fetch the
-        static's true value from the home's matching namespace (one
-        small round trip on the worker's clock) and re-stamp the
-        ledger — the worker physically holds the value afterwards,
-        whatever else the restore does."""
-        if base is None:
-            return None
-        led = base.led
-        ns = base.ns
-
-        def fetch(cname: str, fname: str) -> Any:
-            from repro.migration.state import decode_value
-            from repro.vm.classloader import Namespace
-            from repro.vm.values import LOC_STATIC
-            ldr = home.machine.namespace(ns, create=False)
-            if ldr is None:
-                # The home never materialized this namespace: nothing
-                # ever wrote its cells there, so the paper defaults are
-                # the true values — read them through a *transient*
-                # (unregistered) view rather than creating an empty
-                # namespace on the home as a side effect.
-                ldr = Namespace(home.machine.loader, ns)
-            cls = ldr.load(cname).find_static_home(fname)
-            enc, b = encode_value(cls.statics[fname], home.node_name)
-            worker.machine.charge_raw(
-                self.rtt(worker.node_name, home.node_name, 64, b))
-            led.record((cname, fname), enc, ns)
-            return decode_value(enc, (LOC_STATIC, cname, fname))
-
-        return fetch
-
-    @staticmethod
-    def _rehydrate_frames(state: CapturedState,
-                          base: Optional[CaptureBaseline]) -> None:
-        """Replace delta-capture :class:`FrameMarker`\\ s with the
-        destination ledger's retained activation records (digest-
-        verified) so the restore drivers only see full frames.  Runs
-        *after* transfer pricing — the whole point is that markers,
-        not frames, crossed the wire."""
-        for i, f in enumerate(state.frames):
-            if not isinstance(f, FrameMarker):
-                continue
-            rec = base.frame_record(state.thread_name, i) \
-                if base is not None else None
-            if rec is None or frame_fingerprint(rec) != f.fp:
-                raise MigrationError(
-                    f"frame marker {i} of {state.thread_name} does not "
-                    f"match the retained record (ledger out of sync)")
-            state.frames[i] = rec
-
     def _restore_segment(self, worker: Host, state: CapturedState,
                          nframes: int, home: Host,
-                         rec: MigrationRecord,
-                         base: Optional[CaptureBaseline]) -> ThreadState:
-        """The one restore step: rehydrate delta markers, bind the
-        namespace to ``home``, rebuild the frames — the breakpoint
-        dance through VMTI, or the reflection-based rebuild on a
-        (slow) device CPU without it (paper section IV.D) — with
-        delta-marker fallback wired to ``home``, register the epoch,
-        and fill in ``rec.restore_time``."""
-        self._rehydrate_frames(state, base)
+                         rec: MigrationRecord) -> ThreadState:
+        """The one restore step: bind the namespace to ``home``,
+        rebuild the frames — the breakpoint dance through VMTI, or the
+        reflection-based rebuild on a (slow) device CPU without it
+        (paper section IV.D) — register the epoch, and fill in
+        ``rec.restore_time``."""
         if state.namespace is not None:
             self._ns_home[state.namespace] = home.node_name
             self.note_namespace_site(state.namespace, worker.node_name)
             self.note_namespace_site(state.namespace, home.node_name)
-        fallback = self._static_fallback(worker, home, base)
         t0 = worker.machine.clock
         if worker.vmti is not None:
             worker.machine.charge(self.sys.sod_restore_fixed
                                   + self.sys.sod_restore_per_frame * nframes)
             worker_thread = RestoreDriver(
-                worker.machine, worker.vmti, state,
-                static_fallback=fallback).restore(run_after=False)
+                worker.machine, worker.vmti, state).restore(run_after=False)
         else:
             worker.machine.charge(
                 self.sys.java_restore_fixed
                 + self.sys.java_restore_per_frame * nframes)
             worker.machine.charge(worker.machine.cost.deserialize_cost(
                 rec.state_bytes))
-            worker_thread = java_level_restore(worker.machine, state,
-                                               static_fallback=fallback)
+            worker_thread = java_level_restore(worker.machine, state)
         worker.objman.register_thread_home(
             worker_thread, home.node_name, self._static_classes(state))
         rec.restore_time = worker.machine.clock - t0
@@ -1081,21 +810,6 @@ class SODEngine:
                                                  only_keys=by_home[other])
         return dt
 
-    def _refresh_static_ledger(self, home: Host, worker_node: str,
-                               static_updates: Dict) -> None:
-        """After a write-back lands, both sides agree on the written
-        statics: re-stamp the (home, worker) ledger with the home's
-        post-apply values so the next delta capture can elide them.
-        Update keys carry the namespace whose cells were written."""
-        if not self.transfer_cache or not static_updates:
-            return
-        led = self.ledger(home.node_name, worker_node)
-        for (ns, cname, fname) in static_updates:
-            cls = home.machine.namespace(ns).load(cname) \
-                .find_static_home(fname)
-            enc, _b = encode_value(cls.statics[fname], home.node_name)
-            led.record((cname, fname), enc, ns)
-
     def abandon_segment(self, worker: Host,
                         worker_thread: ThreadState) -> None:
         """Discard a dead segment's worker-side state without any
@@ -1108,16 +822,6 @@ class SODEngine:
         if objman is None:
             return
         home = objman.thread_home.get(worker_thread)
-        if home is not None and self.transfer_cache:
-            # The dead segment's static writes never shipped home: the
-            # worker's cells have forked from the ledgered values, so a
-            # later delta capture must re-ship them in full.
-            led = self._ledgers.get((home, worker.node_name))
-            if led is not None:
-                for (ns, cname, fname), (_cls, h) in \
-                        objman.dirty_statics.items():
-                    if h == home:
-                        led.invalidate((cname, fname), ns)
         objman.release_thread(worker_thread)
         if home is not None and home not in objman.thread_home.values():
             objman.dirty_statics = {
@@ -1135,8 +839,6 @@ class SODEngine:
         clobber them)."""
         from repro.migration.state import decode_value
         from repro.vm.values import LOC_STATIC
-        led = (self.ledger(home.node_name, worker.node_name)
-               if self.transfer_cache else None)
         nbytes = 0
         for loader in worker.machine.loaders():
             ns = loader.tag
@@ -1156,8 +858,6 @@ class SODEngine:
                     nbytes += b
                     cls.statics[fname] = decode_value(
                         enc, (LOC_STATIC, cls.name, fname))
-                    if led is not None:
-                        led.record((cls.name, fname), enc, ns)
         dt = self.transfer_time(home.node_name, worker.node_name,
                                 nbytes + 64)
         self.timeline += dt

@@ -34,36 +34,29 @@ from repro.vm.values import (LOC_ELEM, LOC_FIELD, LOC_LOCAL, LOC_STATIC,
 REF_DESC_BYTES = 12
 PRIM_BYTES = 8
 
-#: wire size of a delta-capture "unchanged" marker: the 4-byte content
-#: digest the receiver validates its cell against, plus framing (the
-#: (class, field) key rides the statics table's existing entry header)
-CACHED_MARKER_BYTES = 6
-
-#: marker tag for statics elided from a delta capture (the destination
-#: already holds the fingerprinted value — see repro.migration.sodee's
-#: TransferLedger)
+#: marker tag for a static the receiver already holds: the real
+#: backend (:mod:`repro.runtime.real`) elides statics still at their
+#: class-file default as ``(CACHED_TAG, fingerprint)`` and the thief
+#: verifies the digest against its freshly linked cell
 CACHED_TAG = "@cached"
-
-#: wire size of a delta-capture frame marker: the 4-byte content digest
-#: of the elided activation record plus framing (tag + stack index)
-FRAME_MARKER_BYTES = 10
 
 
 def fingerprint(enc: Any) -> int:
     """Deterministic content hash of an *encoded* value or payload.
 
-    Drives the content-addressed transfer caches: two encodings are
-    "the same bytes on the wire" iff their fingerprints match.  CRC32
-    over the canonical repr is stable across processes (unlike
-    ``hash()``, which salts strings), cheap, and adequate for a
-    simulation — collisions would need adversarial guest programs.
+    Drives object revalidation and the real backend's static markers:
+    two encodings are "the same bytes on the wire" iff their
+    fingerprints match.  CRC32 over the canonical repr is stable across
+    processes (unlike ``hash()``, which salts strings), cheap, and
+    adequate for a simulation — collisions would need adversarial guest
+    programs.
     """
     return zlib.crc32(repr(enc).encode("utf-8", "backslashreplace"))
 
 
 def is_cached_marker(enc: Any) -> bool:
-    """True if ``enc`` is a delta-capture "destination already has this
-    value" marker rather than a real encoded value."""
+    """True if ``enc`` is a "receiver already has this value" marker
+    rather than a real encoded value."""
     return isinstance(enc, tuple) and len(enc) == 2 and enc[0] == CACHED_TAG
 
 
@@ -128,38 +121,9 @@ class CapturedFrame:
         return total
 
 
-@dataclass
-class FrameMarker:
-    """A frame elided from a delta capture: the destination's transfer
-    ledger retains the identical activation record from the previous
-    shipment of this thread, so only the content digest rides the wire
-    (the stack-frame analogue of the ``@cached`` statics marker).
-
-    Only an unchanged *deep prefix* of the re-offloaded stack is ever
-    elided — a suspended caller that has not run since the last
-    shipment — and never the top frame.  The engine rehydrates markers
-    from the ledger before restore, so the restore drivers only ever
-    see full :class:`CapturedFrame` records.
-    """
-
-    fp: int
-
-    def state_bytes(self) -> int:
-        return FRAME_MARKER_BYTES
-
-
-def frame_fingerprint(frame: CapturedFrame) -> int:
-    """Content digest of one captured activation record (method
-    identity, both pcs, and every encoded local)."""
-    return fingerprint((frame.class_name, frame.method_name, frame.pc,
-                        frame.raw_pc, tuple(frame.locals)))
-
-
 def _enc_bytes(enc: Any) -> int:
     if isinstance(enc, tuple) and enc and enc[0] == "@ref":
         return REF_DESC_BYTES
-    if is_cached_marker(enc):
-        return CACHED_MARKER_BYTES
     if isinstance(enc, str):
         return 4 + len(enc)
     return PRIM_BYTES
@@ -184,12 +148,6 @@ class CapturedState:
     return_to: str = ""
     thread_name: str = "main"
     namespace: Optional[str] = None
-    #: statics elided as ``@cached`` markers / frames elided as
-    #: :class:`FrameMarker`\ s by a delta capture, and the payload bytes
-    #: those elisions kept off the wire (vs. a full capture)
-    cached_statics: int = 0
-    cached_frames: int = 0
-    saved_bytes: int = 0
 
     def nframes(self) -> int:
         return len(self.frames)

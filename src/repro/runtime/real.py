@@ -19,13 +19,15 @@ Everything that crosses a process boundary crosses as canonical
 * **class-digest tokens** — an image never carries class files; it
   carries :func:`repro.runtime.wire.class_token` digests, and the
   receiver verifies them against its own deterministically-built
-  classpath (the transfer ledger's "ship once, then tokens" behavior,
+  classpath (the virtual engine's "ship once, then tokens" behavior,
   with "once" collapsed to zero because every worker holds the same
   classpath, a pure function of the mix name);
-* **ledger deltas** — statics still holding their class-file defaults
-  ride as ``("@cached", fingerprint)`` markers; the receiver verifies
-  the fingerprint against its own freshly-linked cells and keeps the
-  identical copy.
+* **default-static markers** — statics still holding their class-file
+  defaults ride as ``("@cached", fingerprint)`` markers; the receiver
+  verifies the fingerprint against its own freshly-linked cells and
+  keeps the identical copy.  (This backend's own scheme — the
+  reference is a constant of the classpath, so there is nothing to
+  keep in sync; the virtual engine ships every static by value.)
 
 Determinism contract: requests are pure functions of their spec, so
 *results* are reproducible and cross-checked request-by-request

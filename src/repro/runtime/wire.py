@@ -1,10 +1,10 @@
 """Canonical byte codec for everything that crosses a process boundary.
 
-Until this PR the "wire format" was modeled: tagged host tuples
-(``("@ref", oid, node)``, ``("I", class, fields)``, ``@cached``
-markers) annotated with *nominal* byte counts.  The real-parallel
-backend makes the bytes real — SOD images, class-digest tokens, and
-ledger markers travel over OS pipes — so the format needs an actual
+The virtual backend's "wire format" is modeled: tagged host tuples
+(``("@ref", oid, node)``, ``("I", class, fields)``) annotated with
+*nominal* byte counts.  The real-parallel backend makes the bytes real
+— eager images, class-digest tokens and ``@cached`` default-static
+markers travel over OS pipes — so the format needs an actual
 serializer, and one stable enough to pin with golden fixtures
 (``tests/test_wire_goldens.py``).
 
@@ -64,7 +64,7 @@ _F64 = struct.Struct(">d")
 
 #: byte length of a content-addressed class token: 4-byte magic +
 #: 20 digest bytes (matches the modeled ``CLASS_TOKEN_BYTES`` = 24 the
-#: transfer ledger has always charged for repeat class shipments)
+#: engine charges for a repeat class shipment)
 CLASS_TOKEN_LEN = 24
 
 _TOKEN_MAGIC = b"RCT1"
@@ -189,62 +189,46 @@ def _dec(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
 # -- CapturedState <-> wire ----------------------------------------------------
 #
 # The SOD shipment unit serialized for a real process boundary (and
-# pinned by the golden fixtures).  Frame rows are tagged: "F" a full
-# activation record, "K" a delta-capture FrameMarker.  Statics ride as
-# the migration layer encoded them — including ``("@cached", fp)``
-# markers, which must survive the trip byte-exactly for the receiver's
-# fingerprint check to mean anything.
+# pinned by the golden fixtures): one ``("F", ...)`` row per activation
+# record, statics as the migration layer encoded them.
 
-_CAPTURE_MAGIC = "RCS1"
+_CAPTURE_MAGIC = "RCS2"
 
 
 def capture_to_wire(state: Any) -> bytes:
-    """Serialize a :class:`repro.migration.state.CapturedState` (frames
-    may include :class:`FrameMarker` rows from a delta capture)."""
-    from repro.migration.state import CapturedFrame, FrameMarker
+    """Serialize a :class:`repro.migration.state.CapturedState`."""
+    from repro.migration.state import CapturedFrame
     frames: List[Any] = []
     for f in state.frames:
-        if isinstance(f, FrameMarker):
-            frames.append(("K", f.fp))
-        elif isinstance(f, CapturedFrame):
-            frames.append(("F", f.class_name, f.method_name, f.pc,
-                           f.raw_pc, list(f.locals)))
-        else:
+        if not isinstance(f, CapturedFrame):
             raise WireError(f"not a capturable frame: {f!r}")
+        frames.append(("F", f.class_name, f.method_name, f.pc,
+                       f.raw_pc, list(f.locals)))
     return encode((_CAPTURE_MAGIC, frames, dict(state.statics),
                    list(state.class_names), state.home_node,
-                   state.return_to, state.thread_name, state.namespace,
-                   state.cached_statics, state.cached_frames,
-                   state.saved_bytes))
+                   state.return_to, state.thread_name, state.namespace))
 
 
 def capture_from_wire(data: bytes) -> Any:
     """Inverse of :func:`capture_to_wire`."""
-    from repro.migration.state import (CapturedFrame, CapturedState,
-                                       FrameMarker)
+    from repro.migration.state import CapturedFrame, CapturedState
     v = decode(data)
     try:
         (magic, frames_enc, statics, class_names, home_node, return_to,
-         thread_name, namespace, cached_statics, cached_frames,
-         saved_bytes) = v
+         thread_name, namespace) = v
         if magic != _CAPTURE_MAGIC:
             raise ValueError(f"bad magic {magic!r}")
         frames: List[Any] = []
         for row in frames_enc:
-            if row[0] == "K":
-                frames.append(FrameMarker(fp=row[1]))
-            elif row[0] == "F":
-                frames.append(CapturedFrame(
-                    class_name=row[1], method_name=row[2], pc=row[3],
-                    raw_pc=row[4], locals=list(row[5])))
-            else:
+            if row[0] != "F":
                 raise ValueError(f"unknown frame row tag {row[0]!r}")
+            frames.append(CapturedFrame(
+                class_name=row[1], method_name=row[2], pc=row[3],
+                raw_pc=row[4], locals=list(row[5])))
         return CapturedState(
             frames=frames, statics=statics, class_names=list(class_names),
             home_node=home_node, return_to=return_to,
-            thread_name=thread_name, namespace=namespace,
-            cached_statics=cached_statics, cached_frames=cached_frames,
-            saved_bytes=saved_bytes)
+            thread_name=thread_name, namespace=namespace)
     except (TypeError, ValueError, IndexError) as e:
         # well-formed wire bytes, but not the shape a capture has
         raise WireError(f"not a wire-encoded CapturedState: {e}") from e
@@ -253,7 +237,7 @@ def capture_from_wire(data: bytes) -> Any:
 def class_token(name: str, payload: bytes) -> bytes:
     """Content-addressed class-shipment token: what a repeat offload
     ships instead of the class file when the destination's classpath
-    already holds it (the ledger's ``CLASS_TOKEN_BYTES`` = 24 made
+    already holds it (the engine's ``CLASS_TOKEN_BYTES`` = 24 made
     real).  ``payload`` is any canonical byte rendering of the class
     definition; both sides must derive it the same way — the receiver
     recomputes the token over its own copy and refuses a mismatch.

@@ -80,7 +80,7 @@ class Request:
     #: namespace was leased from the tenant's warm pool — completion
     #: recycles the tag back to the pool instead of forgetting it
     #: (retry/failure paths retire it regardless: a cancelled zombie
-    #: segment may still invalidate the tag's ledger entries later)
+    #: segment may still write the tag's cells on its worker later)
     pooled: bool = False
 
     @property

@@ -681,8 +681,8 @@ class ClusterScheduler:
         classes, decoded streams, tier-2 closures); the reset of its
         dirty statics is deferred to the next lease.  A throwaway
         ``req{rid}`` namespace — or a pooled one on the ``retire`` path
-        (retry/failure: cancelled zombie segments may still invalidate
-        ledger entries under this tag later, so it must never be
+        (retry/failure: cancelled zombie segments may still write this
+        tag's cells on their workers later, so it must never be
         re-leased) — is forgotten on every host it migrated through, so
         thousands of isolated requests don't accumulate per-node
         state."""
@@ -710,9 +710,9 @@ class ClusterScheduler:
     # -- faults and recovery (the chaos layer's seams) ---------------------
 
     def crash_node(self, name: str) -> None:
-        """Kill ``name`` permanently: its guest threads, worker caches,
-        and ledger epochs die with the machine, in-flight transfers
-        touching it fail, and every piece of work it held is recovered
+        """Kill ``name`` permanently: its guest threads and worker
+        caches die with the machine, in-flight transfers touching it
+        fail, and every piece of work it held is recovered
         from clean state elsewhere.
 
         Ownership of recovery is split to make it exactly-once: this
@@ -743,9 +743,9 @@ class ClusterScheduler:
         run = self.running[name]
         if run is not None:
             victims.append(run)
-        # 2. The engine forgets the host: worker caches, restored
-        #    threads, and *both sides* of every ledger it was party to
-        #    go (a later re-offload to a reborn name would start cold).
+        # 2. The engine forgets the host: its classpath, retained
+        #    copies and restored threads go with it (a later re-offload
+        #    to a reborn name would start cold).
         self.engine.crash_host(name)
         # 3. Recover every victim.
         for r in victims:
@@ -786,10 +786,10 @@ class ClusterScheduler:
 
         The engine restored the worker thread eagerly when the message
         was built, so a *live* ``node`` holds state that must be
-        abandoned (epochs released, ledger staging invalidated on both
-        ends); a dead one lost it with the machine either way.  A
-        cancelled segment's parent was already recovered elsewhere, so
-        nothing more is owed.  Otherwise the parent resumes without it:
+        abandoned (epochs released, dirty copies dropped); a dead one
+        lost it with the machine either way.  A cancelled segment's
+        parent was already recovered elsewhere, so nothing more is
+        owed.  Otherwise the parent resumes without it:
         a first-hop segment re-executes from home state — the home
         thread kept its full (stale-above-MSP) stack at migrate time,
         and the lost worker's dirty writes were never flushed, so

@@ -50,7 +50,7 @@ class Event:
         self.env = env
         # Nearly every event has exactly one waiter (the process that
         # yielded it): a dedicated slot avoids allocating a list per
-        # event; ``_cbs`` overflows only for fan-out events (all_of).
+        # event; ``_cbs`` overflows only for fan-out events (any_of).
         self._cb: Optional[Callable[["Event"], None]] = None
         self._cbs: Optional[list[Callable[["Event"], None]]] = None
         self.triggered = False
@@ -158,31 +158,6 @@ class Environment:
         """Start ``gen`` as a process at the current time."""
         return Process(self, gen, name=name)
 
-    def all_of(self, events: Iterable[Event], name: str = "") -> Event:
-        """An event firing when every event in ``events`` has fired; its
-        value is the list of their values in input order."""
-        events = list(events)
-        done = self.event(name=name or "all_of")
-        remaining = len(events)
-        if remaining == 0:
-            done.succeed([])
-            return done
-        values: list[Any] = [None] * remaining
-        state = {"n": remaining}
-
-        def make_cb(i: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                values[i] = ev.value
-                state["n"] -= 1
-                if state["n"] == 0:
-                    done.succeed(values)
-
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return done
-
     def any_of(self, events: Iterable[Event], name: str = "") -> Event:
         """An event firing when the first of ``events`` fires; its value is
         ``(index, value)`` of the winner."""
@@ -220,14 +195,6 @@ class Environment:
             self.now = at
             fn(arg)
         return self.now
-
-    def run_process(self, gen: ProcessGen, name: str = "") -> Any:
-        """Convenience: start ``gen``, run to completion, return its value."""
-        proc = self.process(gen, name=name)
-        self.run()
-        if not proc.triggered:
-            raise SimulationError(f"process {proc.name!r} never finished (deadlock?)")
-        return proc.value
 
 
 class Store:

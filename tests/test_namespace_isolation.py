@@ -7,7 +7,7 @@ solo run of the same program produces, including requests whose frames
 migrate (and re-hop) mid-run.  Before namespaces, interleaving two FFT
 requests on one machine corrupted both; these tests prove the
 namespace machinery restores solo semantics at every layer: the VM,
-the migration engine, the transfer ledger, and the cluster scheduler.
+the migration engine and the cluster scheduler.
 """
 
 from __future__ import annotations
@@ -267,33 +267,39 @@ def test_namespaced_migration_round_trips_into_home_namespace():
 
 
 def test_delta_markers_never_cross_namespaces():
-    """Ledger views are per-namespace: after namespace A ships its
-    statics to a worker, namespace B's first capture to the same worker
-    must ship fresh values (a cross-namespace marker would restore A's
-    cells into B)."""
+    """Nothing a shipment leaves behind crosses namespaces — stated on
+    values (there are no markers to cross any more: every capture ships
+    the statics it captured and every restore writes them).  After A
+    and B each ran a segment on one worker, a re-offload in namespace
+    A carries A's cells and leaves B's and the root's alone, on the
+    worker and at home."""
     eng = SODEngine(gige_cluster(2), _classes())
     home = eng.host("node0")
 
+    def cells(host):
+        return {ns: host.machine.namespace(ns).load("P").statics["s"]
+                for ns in ("A", "B", None)}
+
     ta = _spawn_ns_at_msp(eng, home, 3, "A")
-    worker, wta, rec_a = eng.migrate(home, ta, "node1", 1)
+    worker, wta, _rec = eng.migrate(home, ta, "node1", 1)
     eng.run(worker, wta)
     eng.complete_segment(worker, wta, home, ta, 1)
 
     tb = _spawn_ns_at_msp(eng, home, 5, "B")
-    worker, wtb, rec_b = eng.migrate(home, tb, "node1", 1)
-    assert rec_b.cached_statics == 0  # nothing elided across namespaces
+    worker, wtb, _rec = eng.migrate(home, tb, "node1", 1)
+    assert cells(worker) == {"A": 3, "B": 0, None: 0}  # B restored fresh
     eng.run(worker, wtb)
     eng.complete_segment(worker, wtb, home, tb, 1)
     assert ta.result == 3 and tb.result == 5
+    assert cells(home) == cells(worker) == {"A": 3, "B": 5, None: 0}
 
-    # ...but a *same-namespace* re-offload does elide (the cache still
-    # works within one namespace).
     ta2 = _spawn_ns_at_msp(eng, home, 2, "A")
-    worker, wta2, rec_a2 = eng.migrate(home, ta2, "node1", 1)
-    assert rec_a2.cached_statics > 0
+    worker, wta2, _rec = eng.migrate(home, ta2, "node1", 1)
+    assert cells(worker) == {"A": 3, "B": 5, None: 0}
     eng.run(worker, wta2)
     eng.complete_segment(worker, wta2, home, ta2, 1)
     assert ta2.result == 3 + 2  # namespace A's cells carried over
+    assert cells(home) == cells(worker) == {"A": 5, "B": 5, None: 0}
 
 
 def test_cross_home_colocation_allowed_in_distinct_namespaces():
@@ -426,17 +432,17 @@ def test_solo_oracle_agrees_with_registry_results():
 
 
 def test_checkpoint_round_trips_namespace():
-    """A persisted segment checkpoint keeps its namespace tag — a
-    resumed task must land in the same cells it left."""
+    """A segment checkpoint — its wire bytes — keeps its namespace
+    tag: a resumed task must land in the same cells it left."""
     from repro.migration import capture_segment
-    from repro.migration.persistence import state_from_json, state_to_json
+    from repro.runtime.wire import capture_from_wire, capture_to_wire
 
     eng = SODEngine(gige_cluster(2), _classes())
     home = eng.host("node0")
     t = _spawn_ns_at_msp(eng, home, 3, "ckpt")
     state = capture_segment(home.vmti, t, 1, home_node="node0")
     assert state.namespace == "ckpt"
-    back = state_from_json(state_to_json(state))
+    back = capture_from_wire(capture_to_wire(state))
     assert back.namespace == "ckpt"
     assert back.statics == state.statics
 

@@ -1,51 +1,13 @@
-"""DES overlap validation plus corner-case coverage across modules."""
+"""Corner-case coverage across modules."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cluster import gige_cluster
 from repro.errors import CompileError, MigrationError
 from repro.lang import compile_source
 from repro.migration import SODEngine
-from repro.migration.overlap import (HopTiming, analytic_two_hop,
-                                     simulate_two_hop)
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
-
-# -- overlap model -----------------------------------------------------------
-
-_timing = st.builds(
-    HopTiming,
-    capture=st.floats(min_value=1e-4, max_value=0.01),
-    transfer=st.floats(min_value=1e-4, max_value=0.05),
-    restore=st.floats(min_value=1e-4, max_value=0.02),
-    exec_seconds=st.floats(min_value=1e-4, max_value=0.5),
-)
-
-
-@given(_timing, _timing,
-       st.floats(min_value=0.0, max_value=0.01))
-@settings(max_examples=60, deadline=None)
-def test_des_makespan_matches_analytic(seg1, seg2, forward):
-    des = simulate_two_hop(seg1, seg2, forward)
-    closed = analytic_two_hop(seg1, seg2, forward)
-    assert des.makespan == pytest.approx(closed, rel=0.02)
-
-
-def test_overlap_hides_second_hop_when_exec_long():
-    seg1 = HopTiming(0.001, 0.004, 0.005, exec_seconds=1.0)
-    seg2 = HopTiming(0.001, 0.004, 0.005, exec_seconds=0.01)
-    r = simulate_two_hop(seg1, seg2)
-    # Second hop fully restored long before the value arrives.
-    assert r.hidden == pytest.approx(0.010, rel=0.05)
-
-
-def test_overlap_exposed_when_exec_short():
-    seg1 = HopTiming(0.001, 0.001, 0.001, exec_seconds=0.0001)
-    seg2 = HopTiming(0.001, 0.5, 0.001, exec_seconds=0.01)
-    r = simulate_two_hop(seg1, seg2)
-    assert r.hidden < 0.01  # almost nothing hidden
-
 
 # -- engine corners ---------------------------------------------------------------
 

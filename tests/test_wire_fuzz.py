@@ -52,12 +52,11 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
 
 
 def _capture_bytes() -> bytes:
-    from repro.migration.state import (CapturedFrame, CapturedState,
-                                       FrameMarker)
+    from repro.migration.state import CapturedFrame, CapturedState
     state = CapturedState(
-        frames=[FrameMarker(fp=99),
+        frames=[CapturedFrame("App", "work", 9, 12, [5, None]),
                 CapturedFrame("App", "step", 4, 7, [1, ("@ref", 2, "n0")])],
-        statics={("App", "n"): 8, ("App", "t"): ("@cached", 5)},
+        statics={("App", "n"): 8, ("App", "t"): "tag"},
         class_names=["App"], home_node="n0", return_to=("App", "work", 3),
         thread_name="main", namespace="req1")
     return wire.capture_to_wire(state)

@@ -1,7 +1,7 @@
 """Byte-stability goldens for the cross-process wire format.
 
 The real-parallel backend ships SOD captures, class-digest tokens, and
-ledger ``@cached`` markers between OS processes as
+``@cached`` default-static markers between OS processes as
 :mod:`repro.runtime.wire` bytes.  Two builds of this repo must agree
 on those bytes — an old worker and a new control plane may meet across
 a rolling restart, and the class-token scheme is *content-addressed*,
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.migration.state import (CACHED_TAG, CapturedFrame, CapturedState,
-                                   FrameMarker, fingerprint)
+                                   fingerprint)
 from repro.runtime import wire
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -49,9 +49,9 @@ def _value_zoo():
 
 
 def _sample_capture() -> CapturedState:
-    """A hand-built shipment exercising every shipment feature: full
-    frames, a delta-elided :class:`FrameMarker`, object descriptors,
-    an ``@cached`` statics marker, and a namespace tag."""
+    """A hand-built shipment exercising every shipment feature: a
+    caller and a top frame, object descriptors in locals and statics,
+    a string static, and a namespace tag."""
     caller = CapturedFrame(
         class_name="Fib", method_name="run", pc=4, raw_pc=7,
         locals=[10, ("@ref", 3, "node0"), None])
@@ -59,13 +59,12 @@ def _sample_capture() -> CapturedState:
         class_name="Fib", method_name="fib", pc=2, raw_pc=2,
         locals=[9, 34, 1.5, "memo"])
     return CapturedState(
-        frames=[FrameMarker(fp=fingerprint(caller)), top],
+        frames=[caller, top],
         statics={("Fib", "calls"): 1024,
                  ("Fib", "table"): ("@ref", 11, "node1"),
-                 ("Fib", "limit"): (CACHED_TAG, fingerprint(90))},
+                 ("Fib", "tag"): "warm"},
         class_names=["Fib"], home_node="node0", return_to="node0",
-        thread_name="req#5:Fib(9,)", namespace="rq5",
-        cached_statics=1, cached_frames=1, saved_bytes=123)
+        thread_name="req#5:Fib(9,)", namespace="rq5")
 
 
 def _check_golden(name: str, data: bytes) -> None:
@@ -100,18 +99,17 @@ def test_captured_state_bytes_are_pinned():
 def test_captured_state_round_trips():
     state = _sample_capture()
     back = wire.capture_from_wire(wire.capture_to_wire(state))
-    assert back == state  # dataclass equality: frames, statics, counters
+    assert back == state  # dataclass equality: frames, statics, tags
 
 
 def test_cached_marker_survives_the_wire_byte_exactly():
-    """The receiver fingerprint-checks ``@cached`` markers; a codec that
-    perturbed them (e.g. int widening) would break delta shipment."""
-    state = _sample_capture()
-    back = wire.capture_from_wire(wire.capture_to_wire(state))
-    marker = back.statics[("Fib", "limit")]
-    assert marker == (CACHED_TAG, fingerprint(90))
-    assert isinstance(back.frames[0], FrameMarker)
-    assert back.frames[0].fp == state.frames[0].fp
+    """The real backend's thief fingerprint-checks the ``@cached``
+    markers of an eager image's statics table; a codec that perturbed
+    them (e.g. int widening, tuple -> list) would refuse every image."""
+    statics = {("Fib", "limit"): (CACHED_TAG, fingerprint(90))}
+    back = wire.decode(wire.encode({"statics": statics}))["statics"]
+    assert back == statics
+    assert type(back[("Fib", "limit")]) is tuple
 
 
 def test_class_token_bytes_are_pinned():
