@@ -11,8 +11,9 @@ Semantics (enforced by the injector/scheduler, documented here):
 
 * **crash** — permanent.  The node's JVM process dies: guest threads
   and worker caches (its classpath, its retained object copies) are
-  gone; in-flight transfers touching the node are lost.  The *front* node (ingress + classpath
-  home) never crashes — a plan naming it is rejected.
+  gone; in-flight transfers touching the node are lost.  The *front*
+  node (ingress + classpath home) never crashes — a plan naming it is
+  rejected.
 * **link** — the directed pair goes down both ways; ``heal`` seconds
   later it comes back (0 = stays down).  Messages on the wire when the
   link fails are lost even if it heals before their timeout expires.

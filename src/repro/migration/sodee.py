@@ -37,13 +37,11 @@ from repro.vm.vmti import VMTI
 #: repeat offload ships instead of the class file + its pre-decoded
 #: stream when the destination's classpath already holds them.  The
 #: worker's classpath *is* the cache — class files are immutable,
-#: namespace-independent and shared across namespaces by reference —
-#: so no record of past shipments is kept: a capture always ships the
-#: frames and statics it captured (190-300 B), a restore always writes
-#: what it received, and the two things a repeat offload can re-use are
-#: pulled on demand and checked by content: classes (this token) and
-#: retained object copies (``fetch_if_changed``, see
-#: :meth:`WorkerObjectManager.fetch`).
+#: namespace-independent and shared across namespaces by reference.
+#: Classes (this token) and retained object copies
+#: (``fetch_if_changed``, see :meth:`WorkerObjectManager.fetch`) are
+#: the two things a repeat offload re-uses, each checked by content
+#: when used; frames and statics (190-300 B) ship every time.
 CLASS_TOKEN_BYTES = 24
 
 
@@ -299,13 +297,12 @@ class SODEngine:
 
     def crash_host(self, name: str) -> None:
         """Node ``name`` died (chaos layer): its JVM process — machine,
-        caches, object manager, restored segments — is gone.  Nothing
-        else remembers what it held (a class token is checked against
-        the destination's live classpath, a retained copy lives in the
-        dead object manager), so a post-recovery re-offload starts from
-        a from-scratch shipment by construction.  Namespace site
-        records shed the dead node so later :meth:`forget_namespace`
-        sweeps stay exact."""
+        caches, object manager, restored segments — is gone, so a
+        post-recovery re-offload to a reborn name starts cold (a class
+        token is checked against the destination's live classpath, a
+        retained copy lived in the dead object manager).  Namespace
+        site records shed the dead node so later
+        :meth:`forget_namespace` sweeps stay exact."""
         self.hosts.pop(name, None)
         for sites in self._ns_sites.values():
             sites.discard(name)

@@ -712,8 +712,8 @@ class ClusterScheduler:
     def crash_node(self, name: str) -> None:
         """Kill ``name`` permanently: its guest threads and worker
         caches die with the machine, in-flight transfers touching it
-        fail, and every piece of work it held is recovered
-        from clean state elsewhere.
+        fail, and every piece of work it held is recovered from clean
+        state elsewhere.
 
         Ownership of recovery is split to make it exactly-once: this
         handler owns (a) the dead run queue's items, (b) the running
