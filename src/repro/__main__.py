@@ -150,9 +150,7 @@ def _serve_real_backend(args: argparse.Namespace, cfg: dict) -> int:
     print(f"wall={w['seconds']:.3f}s  throughput={w['throughput_rps']:.1f} "
           f"req/s  usable cores={w['cores']}")
     print(f"steals={s['steals']} migrations={s['migrations']} "
-          f"(image {s['image_bytes']} B, class tokens {s['token_bytes']} B, "
-          f"{s['statics_elided']} statics elided, {s['bytes_saved']} B "
-          f"kept off the wire)")
+          f"(image {s['image_bytes']} B, class tokens {s['token_bytes']} B)")
     if s["crashes"]:
         print(f"chaos: {s['crashes']} worker crashes, "
               f"{s['retries']} retries")
@@ -171,11 +169,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.chaos import (FaultPlan, read_trace, replay_trace,
                              run_recorded, trace_divergence, traces_equal,
                              write_trace)
+    from repro.errors import ClusterError
     from repro.serve.scheduler import SERVE_KEYS
     from repro.workloads import MIXES
     if args.replay:
         recorded = read_trace(args.replay)
-        new, rep = replay_trace(recorded)
+        try:
+            new, rep = replay_trace(recorded)
+        except (ValueError, ClusterError) as e:
+            print(f"serve: replay of {args.replay}: {e}", file=sys.stderr)
+            return 2
         if args.record:
             write_trace(args.record, new)
         if traces_equal(recorded, new):
@@ -196,7 +199,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = {k: getattr(args, k) for k in SERVE_KEYS if hasattr(args, k)}
     if cfg["tenants"]:
         from repro.serve import parse_tenants
-        cfg["tenants"] = parse_tenants(cfg["tenants"]).to_dict()
+        try:
+            cfg["tenants"] = parse_tenants(cfg["tenants"]).to_dict()
+        except ClusterError as e:
+            print(f"serve: {e}", file=sys.stderr)
+            return 2
     if cfg["admission"] == "none":
         cfg["admission"] = None
     if args.backend == "real":
@@ -237,12 +244,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"max quantum overshoot {s['max_quantum_overshoot']} instrs")
     print(f"static isolation: {s['isolated']} requests in per-request "
           f"namespaces; admission shed {s['shed']}")
-    if s.get("pool_leases"):
-        print(f"namespace pool: {s['pool_leases']} leases "
-              f"({s['pool_reuses']} warm reuses, "
-              f"{s['pool_cells_reset']} static cells re-virginized, "
-              f"{s['pool_exhausted']} pool-exhausted fallbacks, "
-              f"{s['pool_retired']} retired)")
     if "adaptive_threshold" in s:
         print(f"adaptive admission: threshold={s['adaptive_threshold']:.2f} "
               f"({s['adaptive_down']} down / {s['adaptive_up']} up "
@@ -254,8 +255,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"done={block['done']} failed={block['failed']} "
               f"quanta={block['quanta']} "
               f"p50={tl['p50'] * 1e3:.1f}ms p95={tl['p95'] * 1e3:.1f}ms")
-    print(f"tier-2 jit: {s['tier2_compiles']} compiles "
-          f"({s['tier2_precompiles']} profile-driven), "
+    print(f"tier-2 jit: {s['tier2_compiles']} compiles, "
           f"{s['tier2_deopts']} deopts, "
           f"{s['tier2_guard_bails']} guard bails, "
           f"{s['jit_compile_errors']} compile errors")
@@ -348,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     # One flag per SERVE_KEYS key the CLI spells (fault_plan and
     # max_retries have no flag): dest, default and help come from the
     # table, the type from the default unless given.
-    from repro.serve.scheduler import OFFLOADS, PLACEMENTS, SERVE_KEYS
+    from repro.serve.scheduler import PLACEMENTS, SERVE_KEYS
 
     def knob(key: str, **kw) -> None:
         default, _virtual_only, meaning = SERVE_KEYS[key]
@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
                 "interarrival", "rack_size", "max_seg_hops"):
         knob(key)
     knob("placement", choices=list(PLACEMENTS))
-    knob("offload", choices=[*OFFLOADS, "none"])
+    knob("offload", choices=["queue-depth", "none"])
     knob("isolation", choices=["auto", "all", "off"])
     knob("admission", choices=["none", "static", "adaptive"])
     for key in ("staleness", "shed_at", "arrival_rate", "slo",
@@ -371,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     knob("tenants", type=str, metavar="SPEC",
          help="multi-tenant QoS: comma-separated name[:key=val]* "
               "entries with keys w/weight (fair-queueing share), "
-              "p/priority (0 = shed last), slo, pool (warm namespace "
-              "pool bound), r/rate (arrival-rate factor) — e.g. "
+              "p/priority (0 = shed last), r/rate (arrival-rate "
+              "factor) — e.g. "
               "'gold:w=3,free:w=1:p=2:r=10'; requires --arrival-rate")
     p.add_argument("--record", metavar="PATH", default=None,
                    help="record the run's event trace (config, faults, "

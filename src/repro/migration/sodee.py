@@ -330,39 +330,6 @@ class SODEngine:
         for h in hosts:
             h.machine.drop_namespace(tag)
 
-    def recycle_namespace(self, tag: str) -> int:
-        """Re-virginize a *pooled* namespace for its next lease and
-        return how many static cells were actually reset.
-
-        Unlike :meth:`forget_namespace`, the namespace's expensive
-        state survives: linked classes, decoded instruction streams,
-        inline-cache bindings, and tier-2 compiled closures all stay
-        warm on every site the tag ever touched — that is the pool's
-        whole point.  What must NOT survive a lease:
-
-        * **dirty static cells** — each site's loader resets them to
-          class-file defaults in place (copy-on-write: clean cells are
-          untouched, and the ``statics`` dict identity is preserved so
-          the caches stay bound to the live cells);
-        * **the namespace's home binding** — the next lease may spawn
-          anywhere, so ``_ns_home`` re-binds at its next migration.
-
-        Sites are kept: future recycles must keep sweeping every node
-        that ever linked this tag."""
-        self._ns_home.pop(tag, None)
-        sites = self._ns_sites.get(tag)
-        if not sites:
-            return 0
-        reset = 0
-        for n in sites:
-            h = self.hosts.get(n)
-            if h is None:
-                continue
-            ns = h.machine.namespace(tag, create=False)
-            if ns is not None:
-                reset += ns.revirginize()
-        return reset
-
     # -- program control ------------------------------------------------------------
 
     def spawn(self, host: Host, class_name: str, method: str,

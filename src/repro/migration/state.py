@@ -34,30 +34,17 @@ from repro.vm.values import (LOC_ELEM, LOC_FIELD, LOC_LOCAL, LOC_STATIC,
 REF_DESC_BYTES = 12
 PRIM_BYTES = 8
 
-#: marker tag for a static the receiver already holds: the real
-#: backend (:mod:`repro.runtime.real`) elides statics still at their
-#: class-file default as ``(CACHED_TAG, fingerprint)`` and the thief
-#: verifies the digest against its freshly linked cell
-CACHED_TAG = "@cached"
-
 
 def fingerprint(enc: Any) -> int:
     """Deterministic content hash of an *encoded* value or payload.
 
-    Drives object revalidation and the real backend's static markers:
-    two encodings are "the same bytes on the wire" iff their
-    fingerprints match.  CRC32 over the canonical repr is stable across
-    processes (unlike ``hash()``, which salts strings), cheap, and
-    adequate for a simulation — collisions would need adversarial guest
-    programs.
+    Drives object revalidation: two encodings are "the same bytes on
+    the wire" iff their fingerprints match.  CRC32 over the canonical
+    repr is stable across processes (unlike ``hash()``, which salts
+    strings), cheap, and adequate for a simulation — collisions would
+    need adversarial guest programs.
     """
     return zlib.crc32(repr(enc).encode("utf-8", "backslashreplace"))
-
-
-def is_cached_marker(enc: Any) -> bool:
-    """True if ``enc`` is a "receiver already has this value" marker
-    rather than a real encoded value."""
-    return isinstance(enc, tuple) and len(enc) == 2 and enc[0] == CACHED_TAG
 
 
 # -- value encoding ------------------------------------------------------------

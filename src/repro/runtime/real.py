@@ -21,13 +21,8 @@ Everything that crosses a process boundary crosses as canonical
   receiver verifies them against its own deterministically-built
   classpath (the virtual engine's "ship once, then tokens" behavior,
   with "once" collapsed to zero because every worker holds the same
-  classpath, a pure function of the mix name);
-* **default-static markers** — statics still holding their class-file
-  defaults ride as ``("@cached", fingerprint)`` markers; the receiver
-  verifies the fingerprint against its own freshly-linked cells and
-  keeps the identical copy.  (This backend's own scheme — the
-  reference is a constant of the classpath, so there is nothing to
-  keep in sync; the virtual engine ships every static by value.)
+  classpath, a pure function of the mix name).  Statics ship by value,
+  as in the virtual engine.
 
 Determinism contract: requests are pure functions of their spec, so
 *results* are reproducible and cross-checked request-by-request
@@ -63,10 +58,6 @@ __all__ = ["serve_real", "available_cores", "REAL_QUANTUM"]
 #: quanta a worker makes a real ``poll()`` syscall to look for control
 #: messages, so the budget trades steal latency against poll overhead.
 REAL_QUANTUM = 100_000
-
-#: guest values that encode as themselves (anything else is a graph or
-#: a descriptor tuple)
-_PRIMITIVES = (int, float, str, bool, type(None))
 
 
 def available_cores() -> int:
@@ -123,11 +114,10 @@ def _encode_result(value: Any) -> Any:
 
 
 @functools.lru_cache(maxsize=None)
-def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes],
-                                Dict[Tuple[str, str], Optional[int]]]:
-    """``(classpath, class tokens, static-default fingerprints)`` of
-    ``mix`` — and, as a side effect, the process-wide immutable code
-    its workers run.  ``serve_real`` calls this before it forks and
+def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes]]:
+    """``(classpath, class tokens)`` of ``mix`` — and, as a side
+    effect, the process-wide immutable code its workers run.
+    ``serve_real`` calls this before it forks and
     every ``_Worker`` in ``__init__``: a memo hit in a forked child
     (which inherits, copy-on-write, what the call left on the
     ``CodeObject``s), computed locally under ``spawn``.  Each spec of
@@ -141,7 +131,6 @@ def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes],
     and the virtual oracle never sees the raised ``hotness``
     (``ClusterScheduler.__init__`` resets it).  The machine, its
     namespaces and its heap die here."""
-    from repro.migration.state import fingerprint
     from repro.vm.jit import JIT_THRESHOLD
     from repro.vm.machine import Machine
     from repro.workloads.mixes import MIXES, serve_classpath
@@ -151,13 +140,6 @@ def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes],
     tokens = {cname: wire.class_token(cname, _classfile_payload(cf))
               for cname, cf in classes.items()}
     machine = Machine(classes)
-    # every static's pristine class-file default (the value a fresh
-    # namespace cell holds right after linking; the root's are never run)
-    default_fps = {
-        (cname, fname): (fingerprint(v) if isinstance(v, _PRIMITIVES)
-                         else None)
-        for cname in classes
-        for fname, v in machine.loader.load(cname).statics.items()}
     for cf in classes.values():
         for code in cf.methods.values():
             code.hotness = max(code.hotness, JIT_THRESHOLD)
@@ -165,7 +147,7 @@ def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes],
         machine.run(machine.spawn(*spec.main, list(spec.args),
                                   namespace="warm"))
         machine.drop_namespace("warm")
-    return classes, tokens, default_fps
+    return classes, tokens
 
 
 # -- worker process ------------------------------------------------------------
@@ -181,10 +163,12 @@ class _Worker:
         self.conn = conn_
         self.name = name
         self.quantum = quantum
-        self.classes, self.tokens, self.default_fps = _prefork(mix)
+        self.classes, self.tokens = _prefork(mix)
         self.machine = Machine(self.classes)
         self.queue: deque = deque()   # (rid, program, args)
         self.running: Optional[Tuple[int, Any]] = None  # (rid, thread)
+        #: ``machine.instr_count`` less the running request's executed
+        #: instructions (its victims' shares included after a restore)
         self.instr_mark = 0
 
     # -- eager image capture/restore ------------------------------------
@@ -192,41 +176,24 @@ class _Worker:
     def capture_image(self, rid: int, thread) -> bytes:
         """Whole-segment eager capture at a quantum boundary: the shared
         eager image (frames + operand stacks + reachable graph +
-        namespace statics) with unmodified statics elided as
-        ``@cached`` fingerprint markers and the class manifest as
+        namespace statics, all by value) with the class manifest as
         digest tokens."""
-        from repro.migration.state import (CACHED_TAG, encode_eager_image,
-                                           fingerprint)
+        from repro.migration.state import encode_eager_image
 
         image = encode_eager_image(
             thread, self.machine.namespace(thread.namespace))
-        statics = image["statics"]
-        elided = 0
-        elided_bytes = 0
-        for (cname, fname), v in statics.items():
-            if isinstance(v, _PRIMITIVES):  # anything else always ships
-                fp = fingerprint(v)
-                if fp == self.default_fps.get((cname, fname)):
-                    marker = (CACHED_TAG, fp)
-                    statics[(cname, fname)] = marker
-                    elided += 1
-                    elided_bytes += max(
-                        0, len(wire.encode(v)) - len(wire.encode(marker)))
         class_names = sorted({f[0] for f in image["frames"]}
-                             | {c for (c, _f) in statics})
-        image.update(rid=rid, elided=elided, elided_bytes=elided_bytes,
+                             | {c for (c, _f) in image["statics"]})
+        image.update(rid=rid,
                      classes=[(c, self.tokens[c]) for c in class_names])
         return wire.encode(image)
 
     def restore_image(self, data: bytes):
         """Rebuild a shipped thread on this VM, in a fresh namespace:
-        verify every class token against the local classpath and every
-        static marker against the pristine freshly-linked cell (which
-        then keeps its identical default), and hand the rest to the
-        shared eager-image decoder."""
+        verify every class token against the local classpath and hand
+        the rest to the shared eager-image decoder."""
         from repro.errors import MigrationError, VMError
-        from repro.migration.state import (decode_eager_image, fingerprint,
-                                           is_cached_marker)
+        from repro.migration.state import decode_eager_image
 
         image = wire.decode(data)
         try:
@@ -238,18 +205,8 @@ class _Worker:
                         f"class token mismatch for {cname} on {self.name}: "
                         f"classpaths diverged")
             ns = f"mig{rid}@{self.name}"
-            loader = self.machine.namespace(ns)
-            statics = image["statics"]
-            for (cname, fname), e in list(statics.items()):
-                if is_cached_marker(e):
-                    home = loader.load(cname).find_static_home(fname)
-                    if fingerprint(home.statics.get(fname)) != e[1]:
-                        raise MigrationError(
-                            f"static marker mismatch for {cname}.{fname} "
-                            f"on {self.name}: default cell diverged")
-                    del statics[(cname, fname)]
-            return rid, decode_eager_image(image, self.machine.heap, loader,
-                                           ns)
+            return rid, decode_eager_image(
+                image, self.machine.heap, self.machine.namespace(ns), ns)
         except (LookupError, TypeError, ValueError, AttributeError,
                 VMError) as e:
             # well-formed wire bytes that are not the shape an image has
@@ -305,14 +262,17 @@ class _Worker:
             if self.running is not None and self.running[0] == rid:
                 _rid, thread = self.running
                 image = self.capture_image(rid, thread)
+                instrs = self.machine.instr_count - self.instr_mark
                 self._retire(thread)
-                _send(self.conn, ("image", rid, image))
+                _send(self.conn, ("image", rid, image, instrs))
             else:
                 _send(self.conn, ("nocapture", rid))
         elif kind == "restore":
-            rid, thread = self.restore_image(msg[1])
-            # stolen work runs ahead of the local queue
-            self.instr_mark = self.machine.instr_count
+            _k, image, instrs = msg
+            rid, thread = self.restore_image(image)
+            # stolen work runs ahead of the local queue; the victims'
+            # share rides along, so ``done`` reports the whole request
+            self.instr_mark = self.machine.instr_count - instrs
             self.running = (rid, thread)
         elif kind == "stop":
             return False
@@ -427,8 +387,8 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
         workers.append(_WorkerHandle(proc, parent_conn, name))
 
     stats = {"migrations": 0, "steals": 0, "crashes": 0, "retries": 0,
-             "image_bytes": 0, "token_bytes": 0, "statics_elided": 0,
-             "bytes_saved": 0, "control_bytes": 0, "instrs": 0}
+             "image_bytes": 0, "token_bytes": 0, "control_bytes": 0,
+             "instrs": 0}
     results: Dict[int, Dict[str, Any]] = {}
     #: rows of ``results`` holding a ``state``: gained in ``record_done``,
     #: lost in ``requeue`` (an ``image`` mark carries the row's over)
@@ -530,7 +490,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                 dispatch(thief, [(rid, spec_of[rid][0], spec_of[rid][1])
                                  for rid, _p, _a in rows_back])
         elif kind == "image":
-            _k, rid, image = msg
+            _k, rid, image, instrs = msg
             w.capture_pending = False
             w.owed.pop(rid, None)
             meta = wire.decode(image)
@@ -539,13 +499,11 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                 thief = w  # nobody idle anymore: bounce it back
             tenant, spec = spec_of[rid]
             thief.owed[rid] = (spec.program, tuple(spec.args), tenant)
-            send(thief, ("restore", image))
+            send(thief, ("restore", image, instrs))
             thief.idle = False
             stats["migrations"] += 1
             stats["image_bytes"] += len(image)
             stats["token_bytes"] += sum(len(t) for _c, t in meta["classes"])
-            stats["statics_elided"] += meta["elided"]
-            stats["bytes_saved"] += meta["elided_bytes"]
             mark = results.get(rid) or {"retries": 0}
             results[rid] = {**mark, "migrated": True}
         elif kind == "nocapture":

@@ -3,10 +3,9 @@
 The virtual backend's "wire format" is modeled: tagged host tuples
 (``("@ref", oid, node)``, ``("I", class, fields)``) annotated with
 *nominal* byte counts.  The real-parallel backend makes the bytes real
-— eager images, class-digest tokens and ``@cached`` default-static
-markers travel over OS pipes — so the format needs an actual
-serializer, and one stable enough to pin with golden fixtures
-(``tests/test_wire_goldens.py``).
+— eager images and class-digest tokens travel over OS pipes — so
+the format needs an actual serializer, and one stable enough to pin
+with golden fixtures (``tests/test_wire_goldens.py``).
 
 Design constraints:
 

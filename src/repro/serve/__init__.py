@@ -9,7 +9,7 @@ underloaded nodes mid-run.
 * :mod:`repro.serve.loadgen` — requests and the seeded load generator.
 * :mod:`repro.serve.loadindex` — the incremental O(log n) load indexes
   (event-driven counters, per-rack heaps, gossip digest, work profile).
-* :mod:`repro.serve.policies` — admission placement and offload policies.
+* :mod:`repro.serve.policies` — admission placement and the offload policy.
 * :mod:`repro.serve.tenants` — tenants: the unit of multi-tenant QoS.
 * :mod:`repro.serve.wfq` — weighted fair run queues (stride scheduling).
 * :mod:`repro.serve.scheduler` — the cluster scheduler itself.
@@ -18,8 +18,7 @@ underloaded nodes mid-run.
 from repro.serve.loadgen import LoadGenerator, Request
 from repro.serve.loadindex import (DEFAULT_STALENESS, LoadIndex, WorkProfile,
                                    naive_pick, recompute_load)
-from repro.serve.policies import (AdaptiveShed, ClockPressurePolicy,
-                                  FrontDoorPlacement, OffloadPolicy,
+from repro.serve.policies import (AdaptiveShed, FrontDoorPlacement,
                                   Placement, QueueDepthPolicy,
                                   ShedWhenSaturated,
                                   WeightedRoundRobinPlacement)
@@ -33,8 +32,7 @@ __all__ = [
     "LoadIndex", "WorkProfile", "DEFAULT_STALENESS",
     "naive_pick", "recompute_load",
     "Placement", "FrontDoorPlacement", "WeightedRoundRobinPlacement",
-    "OffloadPolicy", "QueueDepthPolicy", "ClockPressurePolicy",
-    "ShedWhenSaturated", "AdaptiveShed",
+    "QueueDepthPolicy", "ShedWhenSaturated", "AdaptiveShed",
     "Tenant", "TenantSet", "parse_tenants", "FairStore",
     "ClusterScheduler", "ServeReport", "build_serving", "serve_mix",
 ]

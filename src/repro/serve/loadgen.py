@@ -77,11 +77,6 @@ class Request:
     #: parent's tenant, so offloading never launders one tenant's load
     #: into another's share); None = the legacy single-tenant mode
     tenant: Optional[str] = None
-    #: namespace was leased from the tenant's warm pool — completion
-    #: recycles the tag back to the pool instead of forgetting it
-    #: (retry/failure paths retire it regardless: a cancelled zombie
-    #: segment may still write the tag's cells on its worker later)
-    pooled: bool = False
 
     @property
     def depth(self) -> int:

@@ -449,17 +449,14 @@ class WorkProfile:
 
     Learns from completed requests (segment work is credited back to
     the parent, so the profile covers the whole request even when parts
-    ran remotely).  Two statistics per program:
-
-    * the running **mean** instructions-per-request (reporting,
-      ablations);
-    * a streaming **P75** (:class:`StreamingQuantile`), which is what
-      ``remaining()`` budgets against.  On bimodal mixes — the same
-      program cheap for most arguments, expensive for a tail — the
-      mean sits uselessly between the modes and vetoes threads from
-      the expensive mode as "nearly done" when most of their work is
-      still ahead; the 75th percentile keeps the heavy mode
-      offloadable while still fencing off genuinely-finishing threads.
+    ran remotely).  One statistic per program: a streaming **P75** of
+    instructions-per-request (:class:`StreamingQuantile`), which is
+    what ``remaining()`` budgets against.  On bimodal mixes — the same
+    program cheap for most arguments, expensive for a tail — a mean
+    would sit uselessly between the modes and veto threads from the
+    expensive mode as "nearly done" when most of their work is still
+    ahead; the 75th percentile keeps the heavy mode offloadable while
+    still fencing off genuinely-finishing threads.
 
     ``remaining(req)`` estimates how much work a running request (or a
     migrated segment of one — work done on the parent's behalf counts)
@@ -471,23 +468,14 @@ class WorkProfile:
     QUANTILE = 0.75
 
     def __init__(self) -> None:
-        self._mean: Dict[str, float] = {}
-        self._count: Dict[str, int] = {}
         self._quant: Dict[str, StreamingQuantile] = {}
 
     def observe(self, program: str, instrs: int) -> None:
         """Fold one completed request's instruction count in."""
-        c = self._count.get(program, 0) + 1
-        m = self._mean.get(program, 0.0)
-        self._count[program] = c
-        self._mean[program] = m + (instrs - m) / c
         sq = self._quant.get(program)
         if sq is None:
             sq = self._quant[program] = StreamingQuantile(self.QUANTILE)
         sq.observe(instrs)
-
-    def mean(self, program: str) -> Optional[float]:
-        return self._mean.get(program)
 
     def p75(self, program: str) -> Optional[float]:
         sq = self._quant.get(program)

@@ -1,7 +1,7 @@
-"""Admission placement and offload policies.
+"""Admission placement and the offload policy.
 
-Placement decides where a freshly admitted request first queues;
-offload policies decide when a node is hot enough to push work away —
+Placement decides where a freshly admitted request first queues; the
+offload policy decides when a node is hot enough to push work away —
 either *handing off* a request that has not started yet (cheap: only a
 descriptor crosses the wire) or *SOD-offloading* the top frames of a
 running thread (the paper's stack-on-demand migration, executed through
@@ -313,11 +313,12 @@ class AdaptiveShed:
 
 
 @dataclass
-class OffloadPolicy:
-    """Base offload policy: common knobs plus the depth-based handoff
-    rule every policy shares (a pre-start request carries no clock, so
-    queue depth is the only signal it can be judged by).  Subclasses
-    define *when a running thread* is worth SOD-offloading.
+class QueueDepthPolicy:
+    """The offload policy: a node is hot when its weighted runnable
+    count reaches ``depth_threshold``, and work — a pre-start request
+    by handoff, a running thread by SOD offload, a preempted segment by
+    a chain hop — moves to a node at least ``min_gap`` weighted threads
+    lighter.
 
     Attributes:
         min_depth: frames a thread needs before SOD offload is
@@ -380,7 +381,12 @@ class OffloadPolicy:
         return True
 
     def offload_target(self, sched, node: str, req) -> Optional[str]:
-        return None
+        if not self.victim_ok(sched, req):
+            return None
+        load = weighted_load(sched, node, extra=1)
+        if load < self.depth_threshold:
+            return None
+        return sched.pick_underloaded(node, load, self.min_gap)
 
     def rehop_ok(self, sched, seg) -> bool:
         """Is a preempted segment worth moving another hop?  Its chain
@@ -411,41 +417,3 @@ class OffloadPolicy:
         return sched.pick_underloaded(
             node, load, self.min_gap + self.rehop_gap_extra)
 
-
-@dataclass
-class QueueDepthPolicy(OffloadPolicy):
-    """Queue-depth trigger: a node is hot when its weighted runnable
-    count reaches ``depth_threshold``; work moves to a node at least
-    ``min_gap`` weighted threads lighter."""
-
-    def offload_target(self, sched, node: str, req) -> Optional[str]:
-        if not self.victim_ok(sched, req):
-            return None
-        load = weighted_load(sched, node, extra=1)
-        if load < self.depth_threshold:
-            return None
-        return sched.pick_underloaded(node, load, self.min_gap)
-
-
-@dataclass
-class ClockPressurePolicy(OffloadPolicy):
-    """Clock-pressure trigger: a node is hot when its accumulated guest
-    CPU time runs ``pressure_ratio`` times ahead of the cluster mean
-    (its backlog is time, not queue slots — catches few-but-heavy
-    threads that a queue-depth trigger misses).  The per-node and
-    cluster-total CPU counters are event-driven (bumped once per
-    quantum), so the pressure check is O(1), not a cluster scan.
-    Handoff stays depth-based (inherited): pre-start requests carry no
-    clock yet."""
-
-    pressure_ratio: float = 1.5
-    min_gap: float = 1.0
-
-    def offload_target(self, sched, node: str, req) -> Optional[str]:
-        if not self.victim_ok(sched, req):
-            return None
-        mean = sched.cpu_total / len(sched.node_names)
-        if mean <= 0 or sched.cpu_used[node] < self.pressure_ratio * mean:
-            return None
-        load = weighted_load(sched, node, extra=1)
-        return sched.pick_underloaded(node, load, self.min_gap)

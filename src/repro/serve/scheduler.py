@@ -60,8 +60,7 @@ from repro.migration.segments import max_migratable
 from repro.migration.sodee import Host, SODEngine
 from repro.serve.loadgen import LoadGenerator, Request
 from repro.serve.loadindex import (DEFAULT_STALENESS, LoadIndex, WorkProfile)
-from repro.serve.policies import (AdaptiveShed, ClockPressurePolicy,
-                                  FrontDoorPlacement, OffloadPolicy,
+from repro.serve.policies import (AdaptiveShed, FrontDoorPlacement,
                                   Placement, QueueDepthPolicy,
                                   ShedWhenSaturated,
                                   WeightedRoundRobinPlacement)
@@ -90,17 +89,14 @@ _STOP = object()
 #: request's service time
 DELIVERY_BACKOFF = 250e-6
 
+#: retransmissions of one failed delivery before a descriptor is
+#: requeued at its origin and a segment is written off as lost
+DELIVERY_RETRIES = 2
+
 #: queued threads one offload decision may examine when gathering batch
 #: victims: keeps the decision cost independent of queue depth (a
 #: thousand-deep backlog must not make every offload an O(queue) walk)
 VICTIM_SCAN_WINDOW = 64
-
-#: profile-driven tier-up: when :class:`WorkProfile` already knows a
-#: program averages at least this many instructions per request, its
-#: entry point is tier-2 compiled at spawn instead of interpreting the
-#: first ``JIT_THRESHOLD`` activations of a request that will run for
-#: many quanta anyway
-PRECOMPILE_INSTRS = 50_000
 
 
 @dataclass
@@ -157,14 +153,13 @@ class ClusterScheduler:
                  cost: Optional[CostModel] = None,
                  quantum: int = 2500,
                  placement: Optional[Placement] = None,
-                 offload: Optional[OffloadPolicy] = None,
+                 offload: Optional[QueueDepthPolicy] = None,
                  front: Optional[str] = None,
                  staleness: float = DEFAULT_STALENESS,
                  isolation: str = "auto",
                  admission: Optional[Any] = None,
                  tracer: Optional[Any] = None,
                  max_retries: int = 3,
-                 delivery_retries: int = 2,
                  tenants: Optional[TenantSet] = None):
         if isolation not in ("auto", "all", "off"):
             raise ClusterError(f"unknown isolation mode {isolation!r}")
@@ -199,8 +194,8 @@ class ClusterScheduler:
         #: front-door admission control (None = admit everything)
         self.admission = admission
         #: the tenant tier (None/empty = legacy single-tenant mode:
-        #: plain FIFO queues, no per-tenant accounting, no pooling —
-        #: structurally the pre-tenant code paths, byte-identical runs)
+        #: plain FIFO queues and no per-tenant accounting — structurally
+        #: the pre-tenant code paths, byte-identical runs)
         self.tenants = tenants if tenants else None
         #: per-node run queues (both expose .items for load inspection);
         #: with tenants configured each queue is a weighted fair store —
@@ -214,14 +209,6 @@ class ClusterScheduler:
         else:
             self.stores = {
                 n: Store(self.env, name=f"runq:{n}") for n in self.node_names}
-        #: per-tenant namespace pools: free (warm) tags ready to lease,
-        #: live tag counts against Tenant.pool, and a monotonic mint
-        #: sequence (a retired tag's index is never reissued — a zombie
-        #: segment of the old lease may still invalidate entries under
-        #: the old tag name)
-        self._ns_free: Dict[str, List[str]] = {}
-        self._ns_live: Dict[str, int] = {}
-        self._ns_seq: Dict[str, int] = {}
         #: per-tenant outcome counters + served latencies (report fuel)
         self.tenant_stats: Dict[str, Dict[str, int]] = {}
         self._tenant_lat: Dict[str, List[float]] = {}
@@ -240,22 +227,16 @@ class ClusterScheduler:
         self.load_index = LoadIndex(cluster, staleness=staleness)
         #: online per-program instructions-per-request profile
         self.profile = WorkProfile()
-        #: event-driven guest-CPU counters (per node + cluster total),
-        #: bumped once per quantum — the clock-pressure policy's O(1)
-        #: alternative to summing machine clocks across the cluster
-        self.cpu_used: Dict[str, float] = {n: 0.0 for n in self.node_names}
-        self.cpu_total: float = 0.0
         #: host wall-clock seconds spent inside pick_underloaded (not
         #: part of the simulation: profiling data for the scale bench)
         self.decision_seconds: float = 0.0
         self.requests: List[Request] = []
         self.finished: List[Request] = []
         #: chaos-layer state: an event tracer (duck-typed ``emit(now,
-        #: kind, fields)``; None = tracing off), the per-request retry
-        #: budget, and the per-delivery retransmission budget
+        #: kind, fields)``; None = tracing off) and the per-request
+        #: retry budget
         self.tracer = tracer
         self.max_retries = max_retries
-        self.delivery_retries = delivery_retries
         #: permanently crashed nodes (their processes idle forever)
         self.dead: set = set()
         #: bumped by :meth:`crash_node`; a node process compares the
@@ -271,14 +252,12 @@ class ClusterScheduler:
             "batched_threads": 0, "offload_aborts": 0, "completions": 0,
             "failed": 0, "decisions": 0, "decision_ops": 0,
             "victim_vetoes": 0, "seg_rehops": 0, "shed": 0,
-            "isolated": 0, "tier2_precompiles": 0,
+            "isolated": 0,
             "crashes": 0, "link_failures": 0, "straggles": 0,
             "retries": 0, "seg_recoveries": 0, "home_requeues": 0,
             "cancelled_segments": 0, "fault_aborts": 0,
             "delivery_retries": 0, "delivery_drops": 0,
             "requeued_home": 0,
-            "pool_leases": 0, "pool_reuses": 0, "pool_cells_reset": 0,
-            "pool_exhausted": 0, "pool_retired": 0,
         }
         self._expected: Optional[int] = None
         self._next_rid = 0
@@ -430,8 +409,6 @@ class ClusterScheduler:
             self.stats["quanta"] += 1
             if req.tenant is not None:
                 self._tstat(req.tenant)["quanta"] += 1
-            self.cpu_used[name] += dt
-            self.cpu_total += dt
             if dt > 0:
                 # Hold the busy slot across the quantum's virtual span
                 # so other nodes' load probes see this CPU occupied.
@@ -490,21 +467,13 @@ class ClusterScheduler:
                 # loader namespace — fresh static cells here and on
                 # every node a migrated segment of it lands on (the
                 # captured state carries the tag).  Reentrant programs
-                # skip this entirely and share the root cells.  With a
-                # tenant pool, the namespace is *leased*: a recycled
-                # tag keeps its linked classes, decoded streams, and
-                # tier-2 closures warm instead of re-linking from
-                # scratch on every request.
-                req.namespace, req.pooled = self._lease_namespace(req)
+                # skip this entirely and share the root cells.
+                req.namespace = f"req{req.rid}"
                 self.engine.note_namespace_site(req.namespace, node)
                 self.stats["isolated"] += 1
             req.thread = machine.spawn(cls, meth, list(req.spec.args),
                                        thread_name=req.label(),
                                        namespace=req.namespace)
-            mean = self.profile.mean(req.spec.program)
-            if mean is not None and mean >= PRECOMPILE_INSTRS:
-                if machine.precompile(cls, meth, namespace=req.namespace):
-                    self.stats["tier2_precompiles"] += 1
         req.quanta += 1
         status = machine.run(req.thread, quantum=self.quantum)
         req.instrs += machine.instr_count - i0
@@ -542,7 +511,7 @@ class ClusterScheduler:
 
         Delivery is leased, not assumed: a drop (link down, endpoint
         crashed) is retransmitted after an exponential backoff up to
-        ``delivery_retries`` times.  After that a descriptor is
+        :data:`DELIVERY_RETRIES` times.  After that a descriptor is
         requeued at its origin — the request is never lost, only its
         trip — and a segment is *lost in flight*: its restored worker
         thread is abandoned (live target) or died with the machine
@@ -552,7 +521,7 @@ class ClusterScheduler:
             ok = yield from send(src, target, amount)
             delivered = ok and target not in self.dead
             if (delivered or target in self.dead  # a dead peer never acks
-                    or attempt >= self.delivery_retries):
+                    or attempt >= DELIVERY_RETRIES):
                 break
             attempt += 1
             self.stats["delivery_retries"] += 1
@@ -644,61 +613,17 @@ class ClusterScheduler:
         self.stats["failed"] += 1
         if req.tenant is not None:
             self._tstat(req.tenant)["failed"] += 1
-        self._drop_namespace(req, retire=True)
+        self._drop_namespace(req)
         self.finished.append(req)
         self._maybe_stop()
 
-    def _lease_namespace(self, req: Request) -> Tuple[str, bool]:
-        """The namespace an isolated request runs in: a warm tag from
-        its tenant's bounded pool when one is available (re-virginized
-        lazily, right here at lease time — a tag that sits in the pool
-        unleased never pays a reset), a newly minted pool tag while the
-        tenant is under its ``Tenant.pool`` bound, else the legacy
-        throwaway ``req{rid}`` namespace."""
-        t = self.tenants.get(req.tenant) if self.tenants else None
-        if t is None or t.pool <= 0:
-            return f"req{req.rid}", False
-        self.stats["pool_leases"] += 1
-        free = self._ns_free.get(t.name)
-        if free:
-            tag = free.pop()
-            self.stats["pool_reuses"] += 1
-            self.stats["pool_cells_reset"] += \
-                self.engine.recycle_namespace(tag)
-            return tag, True
-        live = self._ns_live.get(t.name, 0)
-        if live < t.pool:
-            self._ns_live[t.name] = live + 1
-            seq = self._ns_seq.get(t.name, 0)
-            self._ns_seq[t.name] = seq + 1
-            return f"t:{t.name}:{seq}", True
-        self.stats["pool_exhausted"] += 1
-        return f"req{req.rid}", False
-
-    def _drop_namespace(self, req: Request, retire: bool = False) -> None:
-        """A request's life is over.  A *pooled* namespace that ends
-        cleanly goes back to its tenant's free list, still warm (linked
-        classes, decoded streams, tier-2 closures); the reset of its
-        dirty statics is deferred to the next lease.  A throwaway
-        ``req{rid}`` namespace — or a pooled one on the ``retire`` path
-        (retry/failure: cancelled zombie segments may still write this
-        tag's cells on their workers later, so it must never be
-        re-leased) — is forgotten on every host it migrated through, so
-        thousands of isolated requests don't accumulate per-node
-        state."""
-        tag = req.namespace
-        if tag is None:
-            return
-        if req.pooled:
-            req.pooled = False
-            if not retire:
-                self._ns_free.setdefault(req.tenant, []).append(tag)
-                return
-            # Retired tags give their pool seat back; the sequence
-            # counter never reissues the tag name itself.
-            self._ns_live[req.tenant] -= 1
-            self.stats["pool_retired"] += 1
-        self.engine.forget_namespace(tag)
+    def _drop_namespace(self, req: Request) -> None:
+        """A request's life is over (done, failed, or restarting from
+        scratch): its ``req{rid}`` namespace is forgotten on every host
+        it migrated through, so thousands of isolated requests don't
+        accumulate per-node state."""
+        if req.namespace is not None:
+            self.engine.forget_namespace(req.namespace)
 
     def _maybe_stop(self) -> None:
         if (self._expected is not None and not self._stopped
@@ -852,7 +777,7 @@ class ClusterScheduler:
             self._fail(req, reason)
             return
         self.stats["retries"] += 1
-        self._drop_namespace(req, retire=True)
+        self._drop_namespace(req)
         req.thread = None
         req.namespace = None
         req.host_node = None
@@ -1146,11 +1071,6 @@ PLACEMENTS = {
     "front-door": FrontDoorPlacement,
 }
 
-OFFLOADS = {
-    "queue-depth": QueueDepthPolicy,
-    "clock-pressure": ClockPressurePolicy,
-}
-
 #: Every knob that *describes* a serving run, spelled the way a trace's
 #: ``config`` block, the ``serve`` CLI and ``build_serving``'s keywords
 #: all spell it: key -> (default, virtual-only?, meaning).  The one
@@ -1173,7 +1093,7 @@ SERVE_KEYS: Dict[str, Tuple[Any, bool, str]] = {
     "placement": ("round-robin", True,
                   "first-queue placement: round-robin or front-door"),
     "offload": ("queue-depth", True,
-                "SOD offload policy: queue-depth, clock-pressure or none"),
+                "SOD offload policy: queue-depth or none"),
     "max_seg_hops": (0, True,
                      "chain hops a migrated segment may take beyond its "
                      "first offload (Fig. 1c; 0 = single-hop)"),
@@ -1203,8 +1123,8 @@ SERVE_KEYS: Dict[str, Tuple[Any, bool, str]] = {
                    "chaos_seed materializes to)"),
     "tenants": (None, False,
                 "tenant set (`Tenant.to_dict()` rows): weighted fair "
-                "queues, priorities, namespace pools, rate factors; "
-                "needs arrival_rate"),
+                "queues, shedding priorities, rate factors; needs "
+                "arrival_rate"),
     "arrival_rate": (None, False,
                      "open-loop Poisson arrivals, requests per virtual "
                      "second (per tenant: times its rate factor)"),
@@ -1262,9 +1182,12 @@ def build_serving(mix: Optional[str] = None, *,
     placement, offload = cfg["placement"], cfg["offload"]
     if isinstance(placement, str):
         placement = PLACEMENTS[placement]()
-    if isinstance(offload, str):
-        offload = (None if offload == "none" else
-                   OFFLOADS[offload](max_seg_hops=cfg["max_seg_hops"]))
+    if offload == "queue-depth":
+        offload = QueueDepthPolicy(max_seg_hops=cfg["max_seg_hops"])
+    elif offload == "none":
+        offload = None
+    elif isinstance(offload, str):
+        raise ValueError(f"unknown offload {offload!r}")
     admission, shed_at = cfg["admission"], cfg["shed_at"]
     if admission == "adaptive":
         knobs = {"slo": cfg["slo"], "init_load": shed_at}

@@ -3,12 +3,9 @@
 "Millions of users" means *tenants*, not an open firehose of anonymous
 requests: traffic arrives on behalf of identified customers with
 conflicting demand, and the cluster owes each of them an isolated
-share — of CPU (weighted fair scheduling, :mod:`repro.serve.wfq`), of
-admission (per-tenant shedding, :class:`repro.serve.policies.
-AdaptiveShed`), and of per-request namespace state (each tenant owns a
-bounded pool of pre-linked class-loader namespaces its non-reentrant
-requests lease instead of paying a fresh ``req{rid}`` link on every
-node they touch).
+share — of CPU (weighted fair scheduling, :mod:`repro.serve.wfq`) and
+of admission (per-tenant shedding, :class:`repro.serve.policies.
+AdaptiveShed`).
 
 A :class:`Tenant` is pure configuration — everything mutable lives in
 the scheduler — so a :class:`TenantSet` can ride a recorded trace and
@@ -24,12 +21,6 @@ Semantics of the knobs:
   shed earlier as overload deepens (the adaptive controller scales its
   admit threshold down per priority rank).  Priority orders who is
   refused at the door; ``weight`` divides the CPU among those admitted.
-* ``slo`` — the tenant's P95 latency target in virtual seconds
-  (reporting/benchmark target; the adaptive controller's own knee
-  target is its ``slo`` parameter).
-* ``pool`` — how many pre-linked namespaces the tenant may keep warm
-  (only non-reentrant programs use them); 0 disables pooling and
-  falls back to per-request ``req{rid}`` namespaces.
 * ``rate_factor`` — multiplies the load generator's base per-tenant
   arrival rate; the "abusive tenant" scenario is one tenant with
   ``rate_factor=10`` and everyone else at 1.
@@ -51,10 +42,6 @@ class Tenant:
     weight: float = 1.0
     #: shedding tier: 0 = highest priority (shed last)
     priority: int = 0
-    #: P95 latency target, virtual seconds (None = no declared SLO)
-    slo: Optional[float] = None
-    #: bound on the tenant's warm namespace pool (0 = no pooling)
-    pool: int = 4
     #: arrival-rate multiplier for the load generator
     rate_factor: float = 1.0
 
@@ -69,9 +56,6 @@ class Tenant:
             raise ClusterError(
                 f"tenant {self.name!r}: priority must be >= 0, "
                 f"got {self.priority}")
-        if self.pool < 0:
-            raise ClusterError(
-                f"tenant {self.name!r}: pool must be >= 0, got {self.pool}")
         if self.rate_factor <= 0:
             raise ClusterError(
                 f"tenant {self.name!r}: rate_factor must be > 0, "
@@ -79,11 +63,15 @@ class Tenant:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "weight": self.weight,
-                "priority": self.priority, "slo": self.slo,
-                "pool": self.pool, "rate_factor": self.rate_factor}
+                "priority": self.priority, "rate_factor": self.rate_factor}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "Tenant":
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ClusterError(
+                f"tenant row {d.get('name')!r}: unknown key(s) {unknown}; "
+                f"known: {sorted(cls.__dataclass_fields__)}")
         return cls(**d)
 
 
@@ -147,8 +135,6 @@ class TenantSet:
 _PARSE_KEYS = {
     "w": ("weight", float), "weight": ("weight", float),
     "p": ("priority", int), "priority": ("priority", int),
-    "slo": ("slo", float),
-    "pool": ("pool", int),
     "r": ("rate_factor", float), "rate": ("rate_factor", float),
 }
 
@@ -158,7 +144,7 @@ def parse_tenants(spec: str) -> TenantSet:
 
     ``spec`` is comma-separated tenant entries, each
     ``name[:key=value]*`` with keys ``w``/``weight``, ``p``/
-    ``priority``, ``slo``, ``pool``, and ``r``/``rate`` (rate factor):
+    ``priority`` and ``r``/``rate`` (rate factor):
 
     >>> ts = parse_tenants("gold:w=3:p=0,silver:w=2:p=1,free:w=1:p=2:r=10")
     >>> [t.name for t in ts]

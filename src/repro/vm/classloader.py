@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.bytecode.code import ClassFile
 from repro.errors import LinkError
 from repro.lang.codegen import builtin_exception_classes
-from repro.vm.objects import VMClass, default_value
+from repro.vm.objects import VMClass
 
 
 class ClassLoader:
@@ -106,30 +106,6 @@ class ClassLoader:
         if self.load_listener is not None:
             self.load_listener(cls)
         return cls
-
-    def revirginize(self) -> int:
-        """Reset every linked class's static cells to their class-file
-        defaults, *in place*, and return how many cells actually
-        changed.
-
-        This is the copy-on-write half of namespace pooling: a pooled
-        namespace keeps its linked classes, decoded streams, inline
-        caches, and tier-2 closures across leases (the expensive part),
-        and only the cells a previous request dirtied are rewritten.
-        The ``statics`` dict *object* is preserved — the fast loop's
-        GETS/PUTS inline caches and the JIT's guard bindings hold that
-        dict by reference, so replacing it would silently decouple
-        cached reads from the live cells."""
-        reset = 0
-        for cls in self._loaded.values():
-            statics = cls.statics
-            for f in cls.cf.static_fields():
-                v = default_value(f.type_name)
-                cur = statics[f.name]
-                if cur is not v and cur != v:
-                    statics[f.name] = v
-                    reset += 1
-        return reset
 
 
 class Namespace(ClassLoader):

@@ -393,14 +393,9 @@ class Machine:
 
     def precompile(self, class_name: str, method: str,
                    namespace: Optional[str] = None) -> bool:
-        """Tier-2 compile a method ahead of its hotness threshold.
-
-        The serve scheduler calls this when ``WorkProfile`` already
-        knows a program is heavy: there is no point interpreting the
-        first ``JIT_THRESHOLD`` activations of a request that will run
-        millions of instructions.  Compiles against ``namespace``'s
-        loader/caches (the root's when ``None``).  Returns True when a
-        compiled closure is available afterwards."""
+        """Tier-2 compile a method ahead of its hotness threshold, against
+        ``namespace``'s loader/caches (the root's when ``None``).
+        Returns True when a compiled closure is available afterwards."""
         if not self.jit:
             return False
         from repro.vm.jit import compile_into

@@ -481,9 +481,9 @@ def test_record_replay_with_tenants_and_chaos():
     to its tenant."""
     cfg = {"mix": "parallel", "n_nodes": 4, "n_requests": 24, "seed": 5,
            "tenants": [{"name": "gold", "weight": 2.0, "priority": 0,
-                        "slo": None, "pool": 4, "rate_factor": 1.0},
+                        "rate_factor": 1.0},
                        {"name": "free", "weight": 1.0, "priority": 1,
-                        "slo": None, "pool": 2, "rate_factor": 3.0}],
+                        "rate_factor": 3.0}],
            "arrival_rate": 300.0, "admission": "adaptive", "slo": 0.05,
            "chaos_seed": 11}
     t1, rep1 = run_recorded(cfg)

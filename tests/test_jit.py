@@ -24,7 +24,6 @@ import weakref
 
 import pytest
 
-import repro.serve.scheduler as scheduler_mod
 import repro.vm.jit as jit_mod
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
@@ -261,18 +260,6 @@ def test_serve_run_namespace_and_cache_maps_return_to_baseline():
     # root-namespace caches may legitimately hold shared-program state;
     # engine-level per-request bookkeeping must be gone
     assert not sched.engine._ns_home and not sched.engine._ns_sites
-
-
-def test_work_profile_drives_precompilation(monkeypatch):
-    """Once the profile knows a program is heavy, later requests of it
-    tier up at spawn (tier2_precompiles > 0 in the report stats)."""
-    monkeypatch.setattr(scheduler_mod, "PRECOMPILE_INSTRS", 1_000)
-    # spaced arrivals: early requests complete (seeding the profile)
-    # before later ones spawn — back-to-back arrivals all spawn first
-    rep = serve_mix("parallel", n_nodes=2, n_requests=10, seed=3,
-                    interarrival=0.05)
-    assert rep.served == rep.correct == 10
-    assert rep.stats["tier2_precompiles"] > 0
 
 
 # -- the process-wide levels: templates and the factory cache --------------------

@@ -145,9 +145,8 @@ def test_worker_namespaces_stay_bounded_across_requests():
     def n_loaders():
         return len(w.machine.loaders())
 
-    # steady state: the root loader, the static-defaults namespace the
-    # marker codec reads, and the one running request
-    bound = n_loaders() + 2
+    # steady state: the root loader and the one running request
+    bound = n_loaders() + 1
     migrated = 0
     for rid, spec in enumerate(specs):
         w._start_next()
@@ -155,10 +154,10 @@ def test_worker_namespaces_stay_bounded_across_requests():
         if rid % 5 == 0 and w.machine.run(thread, quantum=500) != "finished":
             w._handle(("capture", rid))
             assert w.running is None
-            (kind, got, image), = replies()
+            (kind, got, image, instrs), = replies()
             assert (kind, got) == ("image", rid)
             assert n_loaders() < bound  # the rq namespace is gone
-            w._handle(("restore", image))
+            w._handle(("restore", image, instrs))
             _rid, thread = w.running
             migrated += 1
         while w.machine.run(thread, quantum=REAL_QUANTUM) != "finished":
@@ -170,6 +169,44 @@ def test_worker_namespaces_stay_bounded_across_requests():
         assert result == expected_request_result(spec)
         assert n_loaders() < bound
     assert migrated >= 6
+    parent.close()
+    child.close()
+
+
+def test_migrated_request_reports_every_instruction_it_executed():
+    """A request captured mid-run and finished from its own image
+    reports the victim's share and the thief's: its ``done`` count
+    equals a solo ``Machine`` run's, whichever worker finished it."""
+    from multiprocessing import Pipe
+
+    from repro.runtime import wire
+    from repro.vm.machine import Machine
+    from repro.workloads.mixes import (MIXES, RequestSpec,
+                                       expected_request_result,
+                                       serve_classpath)
+
+    spec = RequestSpec("TSP", (6,))  # the paper mix's heaviest: statics
+    solo = Machine(serve_classpath(MIXES["paper"].programs()))
+    t = solo.spawn(*spec.main, list(spec.args), namespace="solo")
+    solo.run(t)
+    parent, child = Pipe()
+    w = _Worker(child, "proc0", "paper", REAL_QUANTUM)
+    w._handle(("run", [(0, spec.program, list(spec.args))]))
+    w._start_next()
+    _rid, thread = w.running
+    for quantum in (3000, 5000):  # two hops: victim, thief, thief again
+        assert w.machine.run(thread, quantum=quantum) == "preempted"
+        w._handle(("capture", 0))
+        kind, rid, image, instrs = wire.decode(parent.recv_bytes())
+        assert (kind, rid) == ("image", 0) and instrs >= quantum
+        w._handle(("restore", image, instrs))
+        _rid, thread = w.running
+    while w.machine.run(thread, quantum=REAL_QUANTUM) != "finished":
+        pass
+    w._finish(0, thread)
+    kind, rid, result, instrs = wire.decode(parent.recv_bytes())
+    assert (kind, rid, result) == ("done", 0, expected_request_result(spec))
+    assert instrs == solo.instr_count
     parent.close()
     child.close()
 
@@ -218,7 +255,7 @@ def test_after_the_prefork_step_a_fresh_machine_only_links(
     CPython's ``compile()`` — it links."""
     from repro.vm import jit
 
-    classes, _tokens, _fps = _prefork(mix)
+    classes, _tokens = _prefork(mix)
     assert generations, "the step itself generates (cold templates)"
     del generations[:]
     misses = jit._factory.cache_info().misses
@@ -262,8 +299,8 @@ def test_second_call_does_no_warm_up_and_nothing_of_the_vm_survives(
         cold_prefork, monkeypatch):
     """The throwaway machine is built once per mix per process, and it
     is thrown away: after the first call nothing keeps it, its heap,
-    its namespaces or its threads alive — the memo holds class files,
-    tokens and fingerprints.  A second call builds no machine at all
+    its namespaces or its threads alive — the memo holds class files
+    and tokens.  A second call builds no machine at all
     in the control plane."""
     from repro.vm.frames import ThreadState
     from repro.vm.machine import Machine
@@ -286,10 +323,9 @@ def test_second_call_does_no_warm_up_and_nothing_of_the_vm_survives(
     first = _real()
     assert built.count("fast") == 1  # (legacy ones: the result oracle)
     assert _prefork.cache_info().misses == 1
-    classes, tokens, fps = _prefork("paper")
+    classes, tokens = _prefork("paper")
     assert set(tokens) == set(classes)
     assert all(isinstance(t, bytes) for t in tokens.values())
-    assert all(fp is None or isinstance(fp, int) for fp in fps.values())
     gc.collect()
     assert len(refs) > 4 and all(r() is None for r in refs)
     assert not [t for t in gc.get_objects()  # (slotted: no weakrefs)
@@ -320,26 +356,25 @@ def test_prefork_step_does_not_perturb_the_virtual_oracle(cold_prefork):
 
 def _tokens_of_a_cold_process(conn_):
     assert _prefork.cache_info().currsize == 0
-    conn_.send(_prefork("paper")[1:])
+    conn_.send(_prefork("paper")[1])
     conn_.close()
 
 
 def test_spawned_worker_computes_the_same_prefork_state():
     """The ``spawn`` fallback has no inheritance: the worker's own call
     of the same function, on an empty memo, must arrive at the parent's
-    tokens and static-default fingerprints (or every image it sends
-    would be refused)."""
+    tokens (or every image it sends would be refused)."""
     ctx = multiprocessing.get_context("spawn")
     parent, child = ctx.Pipe()
     proc = ctx.Process(target=_tokens_of_a_cold_process, args=(child,))
     proc.start()
     child.close()
     assert parent.poll(DEADLINE), "spawned worker never answered"
-    tokens, fps = parent.recv()
+    tokens = parent.recv()
     proc.join(timeout=30.0)
     assert proc.exitcode == 0
-    _classes, mine, my_fps = _prefork("paper")
-    assert tokens == mine and fps == my_fps and len(tokens) > 4
+    _classes, mine = _prefork("paper")
+    assert tokens == mine and len(tokens) > 4
     parent.close()
 
 

@@ -11,8 +11,7 @@ from repro.cluster import serve_cluster
 from repro.errors import VMError
 from repro.migration.object_manager import WorkerObjectManager
 from repro.migration.sodee import SODEngine
-from repro.serve import (ClockPressurePolicy, ClusterScheduler,
-                         FrontDoorPlacement, LoadGenerator, QueueDepthPolicy,
+from repro.serve import (ClusterScheduler, FrontDoorPlacement, LoadGenerator, QueueDepthPolicy,
                          Request, ShedWhenSaturated,
                          WeightedRoundRobinPlacement, build_serving,
                          serve_mix)
@@ -134,13 +133,6 @@ def test_front_door_handoff_spreads_load():
     served_away = sum(row["served"] for node, row in rep.per_node.items()
                       if node != "node0")
     assert served_away > 0
-
-
-def test_clock_pressure_policy_offloads():
-    rep = serve_mix("mixed", n_nodes=3, n_requests=18, seed=5,
-                    placement="front-door", offload="clock-pressure")
-    assert rep.served == rep.correct == 18
-    assert rep.stats["handoffs"] + rep.stats["sod_offloads"] > 0
 
 
 def test_no_offload_policy_keeps_work_in_place():

@@ -1,5 +1,5 @@
-"""Multi-tenant QoS: tenants, weighted fair queueing, namespace
-pooling, adaptive overload control, and graceful degradation.
+"""Multi-tenant QoS: tenants, weighted fair queueing, adaptive overload
+control, and graceful degradation.
 
 The load-bearing guarantees tested here:
 
@@ -7,9 +7,8 @@ The load-bearing guarantees tested here:
   tenant leaves every other tenant's request sequence byte-identical;
 * an empty tenant configuration is inert — ``tenants=TenantSet([])``
   serves byte-identically to the legacy single-tenant path;
-* pooled namespaces recycle without leaking state — every request
-  still matches its solo oracle even when the whole tenant shares one
-  pre-linked namespace;
+* a tenant owns no namespace state — every isolated request's
+  namespace dies with it, so a drained run leaves only root loaders;
 * the adaptive controller learns the latency knee, sheds by priority
   with hysteresis (no admit/shed flapping at the threshold), and caps
   an abusive tenant at its fair share;
@@ -24,15 +23,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.__main__ import main as cli_main
+from repro.chaos import replay_trace, run_recorded, write_trace
 from repro.chaos.fuzz import fuzz_one
 from repro.cluster import serve_cluster
 from repro.errors import ClusterError
-from repro.lang import compile_source
-from repro.preprocess import preprocess_program
 from repro.serve import (AdaptiveShed, FairStore, LoadGenerator, LoadIndex,
-                         Tenant, TenantSet, parse_tenants, serve_mix)
+                         Tenant, TenantSet, build_serving, parse_tenants,
+                         serve_mix)
 from repro.sim import Environment
-from repro.vm.machine import Machine
 from repro.workloads.mixes import MIXES
 
 # -- tenant configuration ------------------------------------------------------
@@ -46,16 +45,13 @@ def test_tenant_validation():
     with pytest.raises(ClusterError):
         Tenant("a", priority=-1)
     with pytest.raises(ClusterError):
-        Tenant("a", pool=-1)
-    with pytest.raises(ClusterError):
         Tenant("a", rate_factor=0)
     with pytest.raises(ClusterError):
         TenantSet([Tenant("a"), Tenant("a", weight=2)])
 
 
 def test_tenant_round_trips_through_dict():
-    t = Tenant("gold", weight=3.0, priority=1, slo=0.05, pool=2,
-               rate_factor=0.5)
+    t = Tenant("gold", weight=3.0, priority=1, rate_factor=0.5)
     assert Tenant.from_dict(t.to_dict()) == t
     ts = TenantSet([t, Tenant("free")])
     back = TenantSet.from_dict(ts.to_dict())
@@ -65,15 +61,16 @@ def test_tenant_round_trips_through_dict():
 
 
 def test_parse_tenants_cli_syntax():
-    ts = parse_tenants("gold:w=3:p=0:slo=0.05,silver:weight=2:priority=1,"
-                       "free:r=10:pool=0")
+    ts = parse_tenants("gold:w=3:p=0,silver:weight=2:priority=1,free:r=10")
     assert ts.names() == ["gold", "silver", "free"]
-    assert ts.get("gold").weight == 3.0 and ts.get("gold").slo == 0.05
+    assert ts.get("gold").weight == 3.0
     assert ts.get("silver").priority == 1
-    assert ts.get("free").rate_factor == 10.0 and ts.get("free").pool == 0
+    assert ts.get("free").rate_factor == 10.0
     assert ts.share("gold") == pytest.approx(0.5)
-    with pytest.raises(ClusterError):
-        parse_tenants("a:x=1")
+    for key in ("x", "slo", "pool"):
+        with pytest.raises(ClusterError, match=f"unknown tenant option "
+                                               f"'{key}'"):
+            parse_tenants(f"a:{key}=1")
     with pytest.raises(ClusterError):
         parse_tenants("a:w")
     with pytest.raises(ClusterError):
@@ -231,63 +228,45 @@ def test_empty_tenant_set_is_inert():
         json.dumps(b.to_dict(), sort_keys=True)
 
 
-# -- namespace pooling ---------------------------------------------------------
-
-_STATIC_SRC = """
-class P {
-  static int s;
-  static str tag;
-  static int work(int n) {
-    for (int i = 0; i < n; i = i + 1) {
-      P.s = P.s + 1;
-      P.tag = "n" + P.s;
-    }
-    return P.s;
-  }
-}
-"""
+# -- namespace state dies with its request ------------------------------------
 
 
-def test_revirginize_resets_dirty_cells_in_place():
-    classes = preprocess_program(compile_source(_STATIC_SRC), "faulting")
-    m = Machine(classes)
-    ns = m.namespace("t:a:0")
-    before = ns.load("P").statics
-    t = m.spawn("P", "work", [3], namespace="t:a:0")
-    m.run(t)
-    assert before["s"] == 3 and before["tag"] == "n3"
-    assert ns.revirginize() == 2  # exactly the two dirtied cells
-    # The dict *object* survives (inline caches hold it by reference);
-    # only its values reset.
-    assert ns.load("P").statics is before
-    assert before["s"] == 0 and before["tag"] == ""
-    assert ns.revirginize() == 0  # already virgin: nothing to do
+def test_tenanted_run_leaves_only_root_namespaces():
+    """Tenants own no namespace state: every isolated request of a
+    tenanted paper-mix run spawns in its own ``req{rid}`` namespace,
+    and once the run drains every host holds its root loader alone and
+    the engine tracks no namespace site or home."""
+    sched, load = build_serving(mix="paper", n_nodes=4, n_requests=24,
+                                seed=7, tenants=parse_tenants("a:w=2,b"),
+                                arrival_rate=60.0)
+    rep = sched.serve(load)
+    assert rep.correct == rep.served == 24
+    assert rep.stats["isolated"] > 0 and rep.stats["sod_offloads"] > 0
+    for h in sched.engine.hosts.values():
+        assert len(h.machine.loaders()) == 1  # the root alone
+    assert not sched.engine._ns_sites and not sched.engine._ns_home
 
 
-def test_pooled_namespaces_recycle_without_leaking_state():
-    """pool=1 forces every non-reentrant request of the tenant through
-    the same recycled namespace — results must still match the solo
-    oracle, and the reuse must actually happen."""
-    rep = serve_mix(mix="paper", n_nodes=4, n_requests=16, seed=3,
-                    tenants=parse_tenants("a:pool=1"), arrival_rate=20.0)
-    assert rep.unserved == 0 and rep.failed == 0
-    assert rep.correct == rep.served == 16
-    s = rep.stats
-    assert s["pool_leases"] > 0
-    assert s["pool_reuses"] > 0          # the pool was actually shared
-    assert s["pool_cells_reset"] > 0     # recycling had dirt to scrub
-
-
-def test_pool_zero_disables_pooling():
-    rep = serve_mix(mix="paper", n_nodes=4, n_requests=12, seed=3,
-                    tenants=parse_tenants("a:pool=0"), arrival_rate=200.0)
-    assert rep.correct == rep.served == 12
-    s = rep.stats
-    # pool=0 never enters the pool path at all: isolated requests take
-    # the legacy throwaway req{rid} namespaces, no pool accounting.
-    assert s["pool_leases"] == 0
-    assert s["pool_reuses"] == 0 and s["pool_exhausted"] == 0
-    assert s["isolated"] > 0             # isolation itself still ran
+def test_replay_refuses_tenant_rows_with_retired_keys(tmp_path, capsys):
+    """A trace recorded when tenant rows still carried ``slo`` and
+    ``pool`` fails to replay with an error naming the key — from the
+    library and from the CLI (exit 2) — not with a ``TypeError``."""
+    trace, _rep = run_recorded({"mix": "parallel", "n_requests": 4,
+                                "arrival_rate": 100.0,
+                                "tenants": [{"name": "a"}]})
+    for key, value in (("slo", 0.05), ("pool", 4)):
+        trace["config"]["tenants"][0][key] = value
+        with pytest.raises(ClusterError, match=f"unknown key.*'{key}'"):
+            replay_trace(trace)
+        path = tmp_path / f"{key}.json"
+        write_trace(str(path), trace)
+        assert cli_main(["serve", "--replay", str(path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        del trace["config"]["tenants"][0][key]
+        # the CLI's compact spelling is refused the same way
+        assert cli_main(["serve", "--tenants", f"a:{key}=1",
+                         "--arrival-rate", "60"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 # -- adaptive overload control -------------------------------------------------

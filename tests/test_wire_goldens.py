@@ -1,8 +1,7 @@
 """Byte-stability goldens for the cross-process wire format.
 
-The real-parallel backend ships SOD captures, class-digest tokens, and
-``@cached`` default-static markers between OS processes as
-:mod:`repro.runtime.wire` bytes.  Two builds of this repo must agree
+The real-parallel backend ships SOD captures and class-digest tokens
+between OS processes as :mod:`repro.runtime.wire` bytes.  Two builds of this repo must agree
 on those bytes — an old worker and a new control plane may meet across
 a rolling restart, and the class-token scheme is *content-addressed*,
 so a silent codec change would make every token mismatch look like
@@ -24,8 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.migration.state import (CACHED_TAG, CapturedFrame, CapturedState,
-                                   fingerprint)
+from repro.migration.state import CapturedFrame, CapturedState
 from repro.runtime import wire
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -100,16 +98,6 @@ def test_captured_state_round_trips():
     state = _sample_capture()
     back = wire.capture_from_wire(wire.capture_to_wire(state))
     assert back == state  # dataclass equality: frames, statics, tags
-
-
-def test_cached_marker_survives_the_wire_byte_exactly():
-    """The real backend's thief fingerprint-checks the ``@cached``
-    markers of an eager image's statics table; a codec that perturbed
-    them (e.g. int widening, tuple -> list) would refuse every image."""
-    statics = {("Fib", "limit"): (CACHED_TAG, fingerprint(90))}
-    back = wire.decode(wire.encode({"statics": statics}))["statics"]
-    assert back == statics
-    assert type(back[("Fib", "limit")]) is tuple
 
 
 def test_class_token_bytes_are_pinned():
