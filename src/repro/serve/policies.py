@@ -416,4 +416,3 @@ class QueueDepthPolicy:
             return None
         return sched.pick_underloaded(
             node, load, self.min_gap + self.rehop_gap_extra)
-
