@@ -50,7 +50,7 @@ class Event:
         self.env = env
         # Nearly every event has exactly one waiter (the process that
         # yielded it): a dedicated slot avoids allocating a list per
-        # event; ``_cbs`` overflows only for fan-out events (any_of).
+        # event; ``_cbs`` overflows only when several wait on one event.
         self._cb: Optional[Callable[["Event"], None]] = None
         self._cbs: Optional[list[Callable[["Event"], None]]] = None
         self.triggered = False
@@ -157,22 +157,6 @@ class Environment:
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Start ``gen`` as a process at the current time."""
         return Process(self, gen, name=name)
-
-    def any_of(self, events: Iterable[Event], name: str = "") -> Event:
-        """An event firing when the first of ``events`` fires; its value is
-        ``(index, value)`` of the winner."""
-        done = self.event(name=name or "any_of")
-
-        def make_cb(i: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                if not done.triggered:
-                    done.succeed((i, ev.value))
-
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return done
 
     # -- running ---------------------------------------------------------
 

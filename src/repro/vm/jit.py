@@ -17,13 +17,17 @@ generator works on what a group *means*.  Within a block a ``LOAD``
 names ``locs[a]`` once and a ``STORE`` only records which name the slot
 now holds (the temp traffic costs nothing); a name a compare, ``NOT``
 or ``ISREMOTE`` produced is a host ``bool`` and branches raw; and a
-block does not end at a leader nobody branches to — a ``JZ`` leaves
-only in its taken arm, calls, returns and back-edges are generated in
-line (each still an entry of its own for a frame that *resumes*
-there), and a compiled->compiled call that returns continues in line.
-Blocks end at branch targets (every source-line start and fault-retry
-point of a migratable build is one: restoration ``LSWITCH``es to them)
-and around every ``NATIVE``.
+block ends only where the method *body* branches.  The body is what
+bci 0 reaches without exception edges: the migration machinery — the
+restoration handler's ``LSWITCH`` to every source-line start, each
+object-fault handler's ``JMP`` back to its retry point — lies outside
+it, as in the paper, where it costs the normal path nothing.  So a
+``JZ`` leaves only in its taken arm; calls, returns, back-edges, MSPs
+and retry points are generated in line (each still an entry of its own
+for a frame that resumes or is dispatched there); and a
+compiled->compiled call that returns continues in line.  Blocks end at
+the body's branch targets, at handler entries and around every
+``NATIVE``.
 
 Deferred writes reach ``frame.locals`` exactly where it can be
 observed (:meth:`_Compiler.write_back`): before an op arms its fault
@@ -143,6 +147,18 @@ _INLINE_BINOP = {
 }
 
 _CMP_OPS = frozenset({op.EQ, op.NE, op.LT, op.LE, op.GT, op.GE})
+
+#: ops execution never falls through from
+_NO_FALL = frozenset({op.JMP, op.LSWITCH, op.RET, op.RETV, op.THROW})
+
+
+def _branches(ins: Any) -> Tuple[int, ...]:
+    """Branch targets of one instruction (fall-through not included)."""
+    if ins.op in op.BRANCHES:
+        return (ins.a,)
+    if ins.op == op.LSWITCH:
+        return (*ins.a.values(), ins.b)
+    return ()
 
 
 class _Refuse(Exception):
@@ -391,53 +407,70 @@ class _Compiler:
 
     def analyze(self) -> None:
         code = self.code
-        n = len(code.instrs)
+        instrs = code.instrs
+        n = len(instrs)
         if n == 0 or n > _MAX_INSTRS:
             raise _Refuse("size")
         self.depths = stack_depths(code)
-        #: bcis with a branch predecessor (or a handler's throw): the
-        #: symbolic state of whoever falls into one cannot be carried
-        #: over, so they are always reached through the dispatch loop
-        targets: Set[int] = {e.handler for e in code.exc_table}
+        # The method *body*: what bci 0 reaches along fall-through and
+        # branch edges, exception edges left out — so not the injected
+        # restoration and object-fault handlers (module docstring).
+        body: Set[int] = set()
+        work = [0]
+        while work:
+            i = work.pop()
+            if i < n and i not in body:
+                body.add(i)
+                work.extend(_branches(instrs[i]))
+                if instrs[i].op not in _NO_FALL:
+                    work.append(i + 1)
+        handlers = {e.handler for e in code.exc_table}
+        targets: Set[int] = set()
+        #: targets of the body's own branches
+        body_targets: Set[int] = set()
+        #: the body's loops, as (head, back-edge bci)
+        loops: List[Tuple[int, int]] = []
         #: bcis a frame can resume at without having branched there
         resumes: Set[int] = {0}
-        self.backward: Set[int] = set()
-        for i, ins in enumerate(code.instrs):
-            o = ins.op
-            if o in (op.JMP, op.JZ, op.JNZ):
-                targets.add(ins.a)
-                if ins.a <= i:
-                    self.backward.add(i)
-            elif o == op.LSWITCH:
-                targets.update(ins.a.values())
-                targets.add(ins.b)
-            elif op.is_call(o):
+        for i, ins in enumerate(instrs):
+            ts = _branches(ins)
+            targets.update(ts)
+            if i in body:
+                body_targets.update(ts)
+                loops.extend((t, i) for t in ts if t <= i)
+            if op.is_call(ins.op):
                 resumes.add(i + 1)  # return / after-native re-entry
-            if op.is_safepoint(o, ins.a, i):
+            if op.is_safepoint(ins.op, ins.a, i):
                 resumes.add(i)  # preemption re-entry
-        self.leaders = {b for b in targets | resumes
+        #: every bci with a dispatch entry of its own
+        self.leaders = {b for b in targets | handlers | resumes
                         if b < n and b in self.depths}
-        #: the leaders a block that falls into them must stop at (the
-        #: others it goes on generating through, names and pending
-        #: writes carried over — they are entries of their own only
-        #: for a frame that resumes there): branch targets, and both
-        #: edges of every ``NATIVE`` — each is an entry that would
-        #: generate the whole suffix again, and restoration handlers
-        #: are chains of ``CapturedState.read`` natives, quadratic in
-        #: their length
-        self.cuts = {b for b in self.leaders if b in targets
-                     or op.NATIVE in (code.instrs[b].op,
-                                      code.instrs[b - 1].op)}
-        # Block order: loop bodies first (shorter dispatch scans on the
-        # hot path), then everything else in bci order.
-        hot: Set[int] = set()
-        for i in self.backward:
-            t = code.instrs[i].a
-            for b in self.leaders:
-                if t <= b <= i:
-                    hot.add(b)
-        ordered = sorted(b for b in self.leaders if b in hot) + \
-            sorted(b for b in self.leaders if b not in hot)
+        #: the leaders a block that falls into them must stop at — the
+        #: symbolic state of whoever falls into one cannot be carried
+        #: over: bci 0 and the body's branch targets, handler entries,
+        #: and both edges of every ``NATIVE`` (restoration handlers are
+        #: chains of ``CapturedState.read`` natives: generating on
+        #: through them would be quadratic in their length).  Every
+        #: other leader — an MSP, a retry point, a call or preemption
+        #: resume — is *soft*: a block generates on through it, names
+        #: and pending writes carried over, and its own entry block
+        #: (for a frame that resumes or is dispatched there) stops at
+        #: the next leader of any kind, so every instruction is
+        #: generated at most twice: in line and in one soft entry.
+        self.cuts = {b for b in self.leaders
+                     if b == 0 or b in body_targets or b in handlers
+                     or op.NATIVE in (instrs[b].op, instrs[b - 1].op)}
+
+        # Block order = who enters the ``if b == k`` chain: body entries
+        # inside a body loop (a handler's retry ``JMP`` is no loop),
+        # the other body entries, resumes, then what only handler code
+        # reaches.
+        def rank(b: int) -> int:
+            if b in body and b in self.cuts:
+                return 0 if any(t <= b <= i for t, i in loops) else 1
+            return 2 if b in body and b in resumes else 3
+
+        ordered = sorted(self.leaders, key=lambda b: (rank(b), b))
         self.block_id = {b: k for k, b in enumerate(ordered)}
         self.block_order = ordered
 
@@ -453,8 +486,10 @@ class _Compiler:
 
     def gen_block(self, start: int) -> None:
         """One dispatch entry: the code from ``start`` up to the first
-        instruction that closes the block or is a cut (``analyze``)."""
+        instruction that closes the block or is a cut — or, from a soft
+        leader, any leader (``analyze``)."""
         n = len(self.instrs)
+        self.stops = self.cuts if start in self.cuts else self.leaders
         self.seg_w = 0.0
         self.seg_n = 0
         self._un = 0
@@ -468,7 +503,7 @@ class _Compiler:
         while True:
             if bci >= n:
                 raise _Refuse("fell off code end")
-            if bci != start and bci in self.cuts:
+            if bci != start and bci in self.stops:
                 self.exit_to(bci)
                 return
             if self.gen_op(bci, self.instrs[bci]):
@@ -593,7 +628,7 @@ class _Compiler:
                       f"else AF(m, {arr}, 'arraylength')")
 
         elif o == op.JMP:
-            if bci in self.backward:
+            if ins.a <= bci:
                 # back-edge safepoint: frame.pc reports the JMP itself
                 # (not yet charged), exactly like the tier-1 fast loop
                 self.safepoint(bci)
@@ -685,12 +720,12 @@ class _Compiler:
         return u
 
     def gen_branch(self, bci: int, ins: Any, cond: str) -> bool:
-        """JZ/JNZ.  A fall-through nobody else branches to is not a
+        """JZ/JNZ.  A fall-through this block does not stop at is no
         block boundary: only the taken arm leaves, materializing in the
         arm, and generation goes on with everything carried over."""
         test = cond if cond in self.bools else f"T({cond})"
         fall = bci + 1
-        if fall in self.cuts:
+        if fall in self.stops:
             on_true, on_false = (fall, ins.a) if ins.op == op.JZ \
                 else (ins.a, fall)
             self.emit_acc()

@@ -529,52 +529,120 @@ def test_known_bools_branch_raw():
     assert not coerced, coerced[:5]
 
 
-def _branch_targets(code):
-    targets = {e.handler for e in code.exc_table}
-    for ins in code.instrs:
-        if ins.op in ("JMP", "JZ", "JNZ"):
-            targets.add(ins.a)
-        elif ins.op == "LSWITCH":
-            targets.update(ins.a.values())
-            targets.add(ins.b)
-    return targets
+def _targets_of(ins):
+    if ins.op in ("JMP", "JZ", "JNZ"):
+        return [ins.a]
+    if ins.op == "LSWITCH":
+        return [*ins.a.values(), ins.b]
+    return []
 
 
-def _native_edge(code, bci):
-    return "NATIVE" in (code.instrs[bci].op, code.instrs[bci - 1].op)
+class _Flow:
+    """One method's control flow as the block rules read it.  The
+    *body* is what bci 0 reaches along fall-through and branch edges,
+    exception edges left out; the injected handlers lie outside it."""
+
+    def __init__(self, code):
+        instrs = code.instrs
+        self.body, work = set(), [0]
+        while work:
+            i = work.pop()
+            if i < len(instrs) and i not in self.body:
+                self.body.add(i)
+                work.extend(_targets_of(instrs[i]))
+                if instrs[i].op not in ("JMP", "LSWITCH", "RET", "RETV",
+                                        "THROW"):
+                    work.append(i + 1)
+        self.body_targets = {t for i in self.body
+                             for t in _targets_of(instrs[i])}
+        self.native_edges = {b for i, ins in enumerate(instrs)
+                             if ins.op == "NATIVE" for b in (i, i + 1)}
+        self.cuts = {0} | self.body_targets | self.native_edges | \
+            {e.handler for e in code.exc_table}
+        #: the soft leaders only handler code branches to: MSPs and
+        #: retry points that are not block boundaries anyway
+        self.handler_only = {t for i, ins in enumerate(instrs)
+                             if i not in self.body
+                             for t in _targets_of(ins)} - self.cuts
 
 
-def test_no_block_spills_into_a_leader_nobody_branches_to():
+def _gotos(body):
+    """``(spilled, [block ids])`` per ``b = ...; continue`` exit of a
+    block: whether operands were spilled on the way out, and every
+    block the exit can select."""
+    for node in ast.walk(ast.Module(body, [])):
+        for stmts in (getattr(node, "body", None),
+                      getattr(node, "orelse", None)):
+            if not isinstance(stmts, list) or len(stmts) < 2 or \
+                    not isinstance(stmts[-1], ast.Continue):
+                continue
+            goto = stmts[-2]
+            assert ast.unparse(goto.targets[0]) == "b"
+            spilled = len(stmts) > 2 and ast.unparse(stmts[-3]).startswith(
+                ("fstack.append(", "fstack.extend("))
+            yield spilled, [k.value for k in ast.walk(goto.value)
+                            if isinstance(k, ast.Constant)
+                            and type(k.value) is int]
+
+
+def test_blocks_spill_only_into_body_targets_native_edges_or_the_next_leader():
     """``fstack.append(x); b = k; continue`` -> ``elif b == k: v1 =
-    fstack.pop()`` is how an operand used to reach every call: a trip
-    through the operand stack and the dispatch chain into a block only
-    its predecessor can reach.  Such a leader is generated in line now;
-    what a block still exits to with operands spilled is a branch
-    target, or the edge of a ``NATIVE`` (see the next test)."""
+    fstack.pop()`` is a trip through the operand stack and the dispatch
+    chain.  A block exits with operands spilled only into (i) a branch
+    target of the method body, (ii) an edge of a ``NATIVE`` (see the
+    next test), or (iii) the next leader — and (iii) only from a *soft*
+    entry block (one at an MSP, retry point or resume), which stops at
+    any leader so no text is generated twice.  A block entered at a cut
+    generates on through every soft leader, carrying its names."""
     bad = []
     for code, tpl, blocks in _deployed_templates():
         bci_of = {k: bci for bci, k in tpl.entries.items()}
-        targets = _branch_targets(code)
-        for body in blocks.values():
-            for node in ast.walk(ast.Module(body, [])):
-                for stmts in (getattr(node, "body", None),
-                              getattr(node, "orelse", None)):
-                    if not isinstance(stmts, list) or len(stmts) < 3 or \
-                            not isinstance(stmts[-1], ast.Continue):
+        flow = _Flow(code)
+        for k, body in blocks.items():
+            start = bci_of[k]
+            following = min((b for b in tpl.entries if b > start),
+                            default=None)
+            for spilled, ids in _gotos(body):
+                for bci in map(bci_of.get, ids if spilled else ()):
+                    if bci in flow.body_targets or \
+                            bci in flow.native_edges:
                         continue
-                    spill, goto = stmts[-3:-1]
-                    if not ast.unparse(spill).startswith(
-                            ("fstack.append(", "fstack.extend(")):
-                        continue
-                    assert ast.unparse(goto.targets[0]) == "b"
-                    for k in ast.walk(goto.value):
-                        if isinstance(k, ast.Constant) and \
-                                type(k.value) is int:
-                            bci = bci_of[k.value]
-                            if bci not in targets and \
-                                    not _native_edge(code, bci):
-                                bad.append((code.qualname, bci))
+                    if bci != following or start in flow.cuts:
+                        bad.append((code.qualname, start, bci))
     assert not bad, bad[:5]
+
+
+def test_body_blocks_never_dispatch_to_a_handler_only_leader():
+    """A block entered at bci 0 or at a body branch target (the blocks
+    a run that never migrates or faults executes) leaves through the
+    dispatch loop only for body entries: never for an MSP or retry
+    point that only the restoration / object-fault handlers branch
+    to, which would cut the hot path at every source line."""
+    bad = []
+    for code, tpl, blocks in _deployed_templates():
+        bci_of = {k: bci for bci, k in tpl.entries.items()}
+        flow = _Flow(code)
+        for k, body in blocks.items():
+            if bci_of[k] != 0 and bci_of[k] not in flow.body_targets:
+                continue
+            for _spilled, ids in _gotos(body):
+                bad += [(code.qualname, bci_of[k], bci_of[i]) for i in ids
+                        if bci_of[i] in flow.handler_only]
+    assert not bad, bad[:5]
+
+
+def test_body_target_blocks_lead_the_dispatch_chain():
+    """The ``if b == k`` chain is ordered by who enters it: every block
+    at a body branch target has a lower id (is compared sooner) than
+    every block at a resume or handler-only leader — a fault handler's
+    retry ``JMP`` is not a loop that would pull its leaders forward."""
+    for code, tpl, _blocks in _deployed_templates():
+        flow = _Flow(code)
+        body_cuts = flow.cuts & flow.body
+        hot = [k for b, k in tpl.entries.items() if b in flow.body_targets]
+        cold = [k for b, k in tpl.entries.items() if b not in body_cuts]
+        if hot and cold:
+            assert max(hot) < min(cold), code.qualname
 
 
 def test_no_inline_continuation_crosses_a_native():
@@ -605,6 +673,94 @@ def test_generated_source_stays_within_a_quarter_of_the_per_group_one():
     lines = sum(tpl.mk.__jit_source__.count("\n")
                 for _code, tpl, _blocks in _deployed_templates())
     assert lines <= 1.25 * 19_089, lines
+
+
+def test_generating_through_soft_leaders_costs_at_most_a_tenth_more_text():
+    """Blocks that run on through MSPs, retry points and resumes carry
+    more code each, and every soft leader keeps an entry block too.
+    The same 29 templates were 741,059 B of source when every branch
+    target cut a block, and 782,355 B (+5.6%) once a block stopped only
+    where the method body branches."""
+    size = sum(len(tpl.mk.__jit_source__)
+               for _code, tpl, _blocks in _deployed_templates())
+    assert size <= 1.10 * 741_059, size
+
+
+# -- soft entries: the leaders only the migration machinery enters ----------------
+
+#: (migrated method, main's arguments) per registry program
+SOFT_ENTRY_RUNS = {"Fib": ("fib", (12,)), "NQ": ("ok", (6,)),
+                   "TSP": ("search", (6,))}
+
+
+def _migrated_at(name, meth, args, msp, tier2):
+    """Run ``name`` on a home node until ``meth``'s frame sits at
+    ``msp``, SOD-migrate that frame and run it on the worker — as tier
+    2 (the method compiled there before its frame resumes at ``msp``)
+    or on the legacy loop — then complete it home.  Returns ``(result,
+    worker instr_count, worker clock, faults)`` for the worker's run,
+    or None if the run never reaches ``msp``."""
+    from repro.cluster import gige_cluster
+    from repro.migration import SODEngine
+    from repro.workloads import registry
+
+    eng = SODEngine(gige_cluster(2), registry.compiled(name, "faulting"))
+    home = eng.host("node0")
+    t = eng.spawn(home, *registry.WORKLOADS[name].main, list(args))
+    qualname = f"{name}.{meth}"
+    if eng.run(home, t, stop=lambda th: th.frames[-1].pc == msp and
+               th.frames[-1].code.qualname == qualname) != "stopped":
+        return None
+    worker, wt, _rec = eng.migrate(home, t, "node1", 1)
+    m = worker.machine
+    if tier2:
+        assert m.precompile(name, meth)
+        assert wt.frames[-1].pc == msp in m._compiled[wt.frames[-1].code][1]
+    else:
+        m.dispatch, m.jit = "legacy", False
+    n0, c0 = m.instr_count, m.clock
+    eng.run(worker, wt)
+    observed = (m.instr_count - n0, m.clock - c0, worker.objman.stats.faults)
+    eng.complete_segment(worker, wt, home, t, 1)
+    eng.run(home, t)
+    assert m.jit_compile_errors == 0
+    return (t.result,) + observed
+
+
+@pytest.mark.parametrize("name", sorted(SOFT_ENTRY_RUNS))
+def test_soft_entries_under_tier2_match_the_legacy_loop(name):
+    """A frame restored at an MSP resumes in a compiled closure at the
+    MSP's *soft* entry block (only the restoration ``LSWITCH`` branches
+    there), and on NQ / TSP its first use of a remote array faults
+    inside the closure: the object-fault handler ``JMP``s back to its
+    retry point, another soft entry.  At every MSP of the method, the
+    worker's run must equal the legacy loop's: result, ``instr_count``
+    (``==``) and clock (``isclose``), with the same faults.
+
+    Other campaigns reach these entries but compare no counts there.
+    Over the stock seeds the tier-2 migration fuzz enters a closure at
+    such an MSP 7 times and at an object-fault handler 3 times, and
+    checks result / stdout only; the migration, multi-hop, tier-2 and
+    declared-stop fuzzers enter neither; a 40-request ``offload``
+    serve run enters both (263 / 314 times) against a results-only
+    oracle."""
+    from repro.workloads import registry
+
+    meth, args = SOFT_ENTRY_RUNS[name]
+    want = Machine(registry.compiled(name, "faulting"),
+                   dispatch="legacy").call(*registry.WORKLOADS[name].main,
+                                           list(args))
+    code = registry.compiled(name, "faulting")[name].methods[meth]
+    faults = 0
+    for msp in sorted(code.msps):
+        got = _migrated_at(name, meth, args, msp, tier2=True)
+        ref = _migrated_at(name, meth, args, msp, tier2=False)
+        assert got is not None and ref is not None, msp
+        assert got[0] == ref[0] == want, msp
+        assert got[1] == ref[1] and got[3] == ref[3], (msp, got, ref)
+        assert math.isclose(got[2], ref[2], rel_tol=1e-9), (msp, got, ref)
+        faults += got[3]
+    assert (faults > 0) == (name != "Fib")
 
 
 HANDLER_SRC = """

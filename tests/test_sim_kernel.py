@@ -77,19 +77,6 @@ def test_nested_processes_sequence():
     assert log == [("child", 1.0), ("parent", 1.0, 42)]
 
 
-def test_any_of_returns_first():
-    env = Environment()
-
-    def proc():
-        winner = yield env.any_of([env.timeout(5, "slow"),
-                                   env.timeout(1, "fast")])
-        return (env.now, winner)
-
-    now, (idx, val) = _run(env, proc())
-    assert now == 1.0
-    assert (idx, val) == (1, "fast")
-
-
 def test_event_double_trigger_rejected():
     env = Environment()
     ev = env.event()
