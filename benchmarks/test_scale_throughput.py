@@ -13,11 +13,10 @@ thousands of light requests from the ``scale`` mix and asserts:
   the 16-node cost (it is O(log n); the seed implementation's O(n)
   all-node scan would quadruple from 16 to 64).
 
-Host-dependent measurements live under ``"wall"`` subkeys (per the
-bench JSON convention): ``decision_cost`` carries only deterministic
-op counts, and the host seconds spent inside the decision path ride in
-``row["wall"]["decision_s"]`` — a regeneration on any machine may only
-move ``"wall"`` blocks; any other diff is a real behavior change.
+Every number in the report is deterministic: ``decision_cost``
+carries heap-op counts only (``bench/``'s ``serve.loadindex.pick_host_s``
+span times the decision path in host seconds), so a regeneration on any
+machine that changes the file is a real behavior change.
 
 Emits ``BENCH_scale.json`` at the repo root.  ``BENCH_SMOKE=1``
 serves a smaller stream (CI smoke mode); run directly
@@ -66,8 +65,6 @@ def run_point(n_nodes: int, n_requests: int) -> dict:
         # deterministic: total index work amortized per served request
         "ops_per_request": round(s["decision_ops"] / n_requests, 3),
     }
-    # host-dependent wall-clock noise, quarantined per convention
-    row["wall"] = {"decision_s": sched.decision_seconds}
     return row
 
 

@@ -18,13 +18,13 @@ reproducible as the happy path:
 
 from repro.chaos.faults import KINDS, FaultEvent, FaultPlan, random_plan
 from repro.chaos.injector import ChaosInjector
-from repro.chaos.trace import (TraceRecorder, canonical, read_trace,
-                               replay_trace, resolve_config, run_recorded,
+from repro.chaos.trace import (canonical, read_trace, replay_trace,
+                               resolve_config, run_recorded,
                                trace_divergence, traces_equal, write_trace)
 
 __all__ = [
     "KINDS", "FaultEvent", "FaultPlan", "random_plan", "ChaosInjector",
-    "TraceRecorder", "canonical", "read_trace", "replay_trace",
+    "canonical", "read_trace", "replay_trace",
     "resolve_config", "run_recorded", "trace_divergence", "traces_equal",
     "write_trace",
 ]

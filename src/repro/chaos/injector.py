@@ -53,7 +53,6 @@ class ChaosInjector:
             sched.crash_node(ev.node)
         elif ev.kind == "link":
             sched.network.fail_link(ev.src, ev.dst)
-            sched.stats["link_failures"] += 1
             sched._trace("fault", fault="link", src=ev.src, dst=ev.dst,
                          heal=ev.heal)
             if ev.heal > 0:
@@ -61,7 +60,6 @@ class ChaosInjector:
         elif ev.kind == "partition":
             others = [n for n in sched.node_names if n not in ev.nodes]
             sched.network.partition(ev.nodes, others)
-            sched.stats["link_failures"] += 1
             sched._trace("fault", fault="partition", nodes=list(ev.nodes),
                          heal=ev.heal)
             if ev.heal > 0:
@@ -94,7 +92,6 @@ class ChaosInjector:
         if machine is None:
             return
         machine._speed *= ev.factor
-        self.sched.stats["straggles"] += 1
         self.sched._trace("fault", fault="straggle", node=ev.node,
                           factor=ev.factor, heal=ev.heal)
         if ev.heal > 0:

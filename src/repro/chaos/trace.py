@@ -21,22 +21,13 @@ documents with sorted keys and compares the serialized bytes.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro.migration.tracing import Tracer
 from repro.serve.scheduler import build_serving, resolve_config
 
 #: trace document schema version (bump on incompatible change)
 TRACE_VERSION = 1
-
-
-class TraceRecorder:
-    """Collects scheduler events (duck-typed tracer: ``emit``)."""
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-
-    def emit(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
-        self.events.append({"t": now, "kind": kind, **fields})
 
 
 def run_recorded(config: Optional[Dict[str, Any]] = None
@@ -48,8 +39,8 @@ def run_recorded(config: Optional[Dict[str, Any]] = None
     Returns ``(trace, report)``: the JSON-ready trace document and the
     live :class:`~repro.serve.scheduler.ServeReport`."""
     cfg = resolve_config(config)
-    tracer = TraceRecorder()
-    sched, load = build_serving(tracer=tracer, **cfg)
+    sched, load = build_serving(**cfg)
+    tracer = Tracer().attach(sched)
     rep = sched.serve(load)
     summary = [{
         "rid": r.rid,
@@ -92,7 +83,10 @@ def traces_equal(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
 
 def trace_divergence(a: Dict[str, Any], b: Dict[str, Any]) -> Optional[str]:
     """A human-oriented pointer at the first difference (None if
-    equal) — enough to start debugging a replay failure."""
+    equal) — enough to start debugging a replay failure: the first
+    differing event, else the first differing path outside the event
+    stream (``config.<key>``, ``summary.requests[i].<field>``,
+    ``summary.report.<key>``...)."""
     if traces_equal(a, b):
         return None
     ea, eb = a.get("events", []), b.get("events", [])
@@ -102,7 +96,29 @@ def trace_divergence(a: Dict[str, Any], b: Dict[str, Any]) -> Optional[str]:
                     f" vs replayed {json.dumps(y, sort_keys=True)}")
     if len(ea) != len(eb):
         return f"event count differs: {len(ea)} recorded vs {len(eb)} replayed"
-    return "traces differ outside the event stream (config or summary)"
+    rest = [{k: v for k, v in t.items() if k != "events"} for t in (a, b)]
+    path, x, y = _first_difference(*rest, "")
+    return (f"{path} differs: recorded {json.dumps(x, sort_keys=True)}"
+            f" vs replayed {json.dumps(y, sort_keys=True)}")
+
+
+def _first_difference(x: Any, y: Any,
+                      path: str) -> Optional[Tuple[str, Any, Any]]:
+    """``(path, x', y')`` at the first leaf where the canonical forms of
+    ``x`` and ``y`` differ (dict keys in sorted order; a missing key
+    reads as None; lists of unequal length differ whole), or None."""
+    if canonical(x) == canonical(y):
+        return None
+    if isinstance(x, dict) and isinstance(y, dict):
+        kids = [(f"{path}.{k}" if path else k, x.get(k), y.get(k))
+                for k in sorted(x.keys() | y.keys())]
+    elif (isinstance(x, (list, tuple)) and isinstance(y, (list, tuple))
+            and len(x) == len(y)):
+        kids = [(f"{path}[{i}]", u, v) for i, (u, v) in enumerate(zip(x, y))]
+    else:
+        kids = []
+    return next(filter(None, (_first_difference(u, v, p)
+                              for p, u, v in kids)), (path, x, y))
 
 
 def write_trace(path: str, trace: Dict[str, Any]) -> None:

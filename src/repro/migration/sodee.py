@@ -151,8 +151,8 @@ class SODEngine:
     def _trace(self, kind: str, src: str, dst: str, **detail: Any) -> None:
         """Emit one runtime event at the engine timeline.  Hooked where
         every caller converges — :meth:`_ship`'s commit,
-        :meth:`_write_back`, the two fetch services — so no shipment,
-        write-back or fault can bypass it."""
+        :meth:`_write_back`, the fetch service (:meth:`fetch_remote`) —
+        so no shipment, write-back or fault can bypass it."""
         if self.tracer is not None:
             self.tracer.emit(self.timeline, kind,
                              {"src": src, "dst": dst, **detail})

@@ -50,8 +50,8 @@ replay byte-identically too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.topology import Cluster, serve_cluster
@@ -97,6 +97,42 @@ DELIVERY_RETRIES = 2
 #: victims: keeps the decision cost independent of queue depth (a
 #: thousand-deep backlog must not make every offload an O(queue) walk)
 VICTIM_SCAN_WINDOW = 64
+
+#: The public ``stats`` keys after ``quanta`` (the sum of
+#: :attr:`ClusterScheduler.quanta`), in report order, each with its
+#: source: a tuple names the event counts it sums (an event counts under
+#: ``kind``, or ``kind:sub`` for its ``fault`` / ``mode`` sub-kind; see
+#: :meth:`ClusterScheduler._trace`), and None marks a plain counter in
+#: :attr:`ClusterScheduler.stats`, bumped where no event records the fact.
+STATS: Dict[str, Optional[Tuple[str, ...]]] = {
+    "handoffs": ("handoff",),
+    "sod_offloads": ("offload", "offload:batch", "rehop"),
+    "batched_threads": ("offload:batch",), "offload_aborts": None,
+    "completions": ("seg_complete",), "failed": ("fail",),
+    "decisions": None, "decision_ops": None, "victim_vetoes": None,
+    "seg_rehops": ("rehop",), "shed": ("shed",), "isolated": None,
+    "crashes": ("fault:crash",),
+    "link_failures": ("fault:link", "fault:partition"),
+    "straggles": ("fault:straggle",), "retries": ("retry",),
+    "seg_recoveries": ("recover:home-requeue", "recover:retry"),
+    "home_requeues": ("recover:home-requeue",),
+    "cancelled_segments": None, "fault_aborts": ("fault_abort",),
+    "delivery_retries": None, "delivery_drops": None,
+    "requeued_home": ("delivery_failed",),
+}
+
+
+def latency_summary(served: List[Request]) -> Dict[str, float]:
+    """Mean / P50 / P95 / max of served requests' end-to-end latency
+    (``finished_at - arrival``; all 0.0 when none was served)."""
+    lat = sorted(r.finished_at - r.arrival for r in served)
+    if not lat:
+        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+
+    def pct(p: float) -> float:
+        return lat[int(p * (len(lat) - 1))]
+    return {"mean": sum(lat) / len(lat), "p50": pct(0.50),
+            "p95": pct(0.95), "max": lat[-1]}
 
 
 @dataclass
@@ -158,7 +194,6 @@ class ClusterScheduler:
                  staleness: float = DEFAULT_STALENESS,
                  isolation: str = "auto",
                  admission: Optional[Any] = None,
-                 tracer: Optional[Any] = None,
                  max_retries: int = 3,
                  tenants: Optional[TenantSet] = None):
         if isolation not in ("auto", "all", "off"):
@@ -209,11 +244,6 @@ class ClusterScheduler:
         else:
             self.stores = {
                 n: Store(self.env, name=f"runq:{n}") for n in self.node_names}
-        #: per-tenant outcome counters + served latencies (report fuel)
-        self.tenant_stats: Dict[str, Dict[str, int]] = {}
-        self._tenant_lat: Dict[str, List[float]] = {}
-        for t in self.tenants or ():
-            self._tstat(t.name)
         #: the request currently holding each node's CPU (or None)
         self.running: Dict[str, Optional[Request]] = {
             n: None for n in self.node_names}
@@ -227,15 +257,13 @@ class ClusterScheduler:
         self.load_index = LoadIndex(cluster, staleness=staleness)
         #: online per-program instructions-per-request profile
         self.profile = WorkProfile()
-        #: host wall-clock seconds spent inside pick_underloaded (not
-        #: part of the simulation: profiling data for the scale bench)
-        self.decision_seconds: float = 0.0
         self.requests: List[Request] = []
         self.finished: List[Request] = []
-        #: chaos-layer state: an event tracer (duck-typed ``emit(now,
-        #: kind, fields)``; None = tracing off) and the per-request
+        #: the event sink (duck-typed ``emit(now, kind, fields)``; a
+        #: :class:`~repro.migration.tracing.Tracer` attaches itself
+        #: here; None = events are only counted) and the per-request
         #: retry budget
-        self.tracer = tracer
+        self.tracer: Optional[Any] = None
         self.max_retries = max_retries
         #: permanently crashed nodes (their processes idle forever)
         self.dead: set = set()
@@ -247,18 +275,13 @@ class ClusterScheduler:
         #: a dict (not a set) so recovery iteration order is insertion
         #: order, never id-hash order (replay determinism)
         self.active_segments: Dict[int, Request] = {}
+        #: the counters no event records (:data:`STATS` rows of None)
         self.stats: Dict[str, int] = {
-            "quanta": 0, "handoffs": 0, "sod_offloads": 0,
-            "batched_threads": 0, "offload_aborts": 0, "completions": 0,
-            "failed": 0, "decisions": 0, "decision_ops": 0,
-            "victim_vetoes": 0, "seg_rehops": 0, "shed": 0,
-            "isolated": 0,
-            "crashes": 0, "link_failures": 0, "straggles": 0,
-            "retries": 0, "seg_recoveries": 0, "home_requeues": 0,
-            "cancelled_segments": 0, "fault_aborts": 0,
-            "delivery_retries": 0, "delivery_drops": 0,
-            "requeued_home": 0,
-        }
+            k: 0 for k, kinds in STATS.items() if kinds is None}
+        #: events recorded by :meth:`_trace`, by ``kind[:sub]``
+        self.event_counts: Counter = Counter()
+        #: quanta run, by the tenant they billed (None = untagged)
+        self.quanta: Counter = Counter()
         self._expected: Optional[int] = None
         self._next_rid = 0
         self._stopped = False
@@ -266,8 +289,18 @@ class ClusterScheduler:
             self.env.process(self._node_proc(n), name=f"node:{n}")
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        """Emit one trace event at the current virtual time (no-op
-        without a tracer, so fault-free runs pay nothing)."""
+        """Record one serving fact at the current virtual time: count
+        it — under ``kind:sub`` when it names a ``fault`` / ``mode``
+        sub-kind; an offload once per thread it ships, under
+        ``offload:batch`` when that is more than one — and hand it to
+        the tracer, if one is attached.  :meth:`report` folds the
+        counts into ``stats`` through :data:`STATS`."""
+        n = 1
+        sub = fields.get("fault") or fields.get("mode")
+        if kind == "offload":
+            n = len(fields["segs"])
+            sub = "batch" if n > 1 else None
+        self.event_counts[kind if sub is None else f"{kind}:{sub}"] += n
         if self.tracer is not None:
             self.tracer.emit(self.env.now, kind, fields)
 
@@ -283,40 +316,18 @@ class ClusterScheduler:
         req = Request(rid=self._take_rid(), spec=spec, arrival=self.env.now,
                       tenant=tenant)
         self.requests.append(req)
-        tstat = self._tstat(tenant)
-        if tstat is not None:
-            tstat["submitted"] += 1
         if self.admission is not None and not self.admission.admit(self, req):
             req.state = "shed"
             req.finished_at = self.env.now
-            self.stats["shed"] += 1
-            if tstat is not None:
-                tstat["shed"] += 1
             self._trace("shed", rid=req.rid, program=spec.program,
                         tenant=tenant)
             self.finished.append(req)
             self._maybe_stop()
             return req
-        if tstat is not None:
-            tstat["admitted"] += 1
         node = self._place_live(req)
         self._trace("submit", rid=req.rid, program=spec.program, node=node)
         self._enqueue(req, node)
         return req
-
-    def _tstat(self, tenant: Optional[str]) -> Optional[Dict[str, int]]:
-        """The tenant's outcome counters (created on demand for names
-        submitted outside the configured set); None in legacy mode or
-        for untagged requests."""
-        if tenant is None:
-            return None
-        st = self.tenant_stats.get(tenant)
-        if st is None:
-            st = self.tenant_stats[tenant] = {
-                "submitted": 0, "admitted": 0, "shed": 0,
-                "done": 0, "failed": 0, "quanta": 0}
-            self._tenant_lat[tenant] = []
-        return st
 
     def serve(self, load: LoadGenerator) -> ServeReport:
         """Admit ``load``'s stream, run to completion, report.
@@ -349,13 +360,11 @@ class ClusterScheduler:
     def pick_underloaded(self, src: str, src_load: float,
                          min_gap: float) -> Optional[str]:
         """Policy entry point for target picking: an O(log n) index
-        query, with the decision count / heap-op cost / host wall time
-        accounted for the scale benchmark."""
+        query, with the decision count and heap-op cost accounted for
+        the scale benchmark."""
         idx = self.load_index
         ops0 = idx.ops
-        t0 = perf_counter()
         target = idx.pick_underloaded(self.env.now, src, src_load, min_gap)
-        self.decision_seconds += perf_counter() - t0
         self.stats["decisions"] += 1
         self.stats["decision_ops"] += idx.ops - ops0
         return target
@@ -383,7 +392,6 @@ class ClusterScheduler:
                 target = policy.handoff_target(self, name)
                 if target is not None:
                     req.hops += 1
-                    self.stats["handoffs"] += 1
                     self._trace("handoff", rid=req.rid, src=name,
                                 dst=target)
                     self._dispatch(name, target, [(req, 0.0)],
@@ -403,12 +411,9 @@ class ClusterScheduler:
                 # state instead.
                 self.running[name] = None
                 self._bump(name, -1, req)
-                self.stats["fault_aborts"] += 1
                 self._recover_faulted(name, req, str(e))
                 continue
-            self.stats["quanta"] += 1
-            if req.tenant is not None:
-                self._tstat(req.tenant)["quanta"] += 1
+            self.quanta[req.tenant] += 1
             if dt > 0:
                 # Hold the busy slot across the quantum's virtual span
                 # so other nodes' load probes see this CPU occupied.
@@ -547,7 +552,6 @@ class ClusterScheduler:
             elif delivered:
                 self._enqueue(r, target)
             else:
-                self.stats["requeued_home"] += 1
                 fallback = (src if src not in self.dead
                             else self._place_live(r))
                 self._trace("delivery_failed", rid=r.rid, src=src,
@@ -569,10 +573,6 @@ class ClusterScheduler:
             req.result = t.result
             if req.spec is not None:
                 self.profile.observe(req.spec.program, req.instrs)
-            if req.tenant is not None:
-                self._tstat(req.tenant)["done"] += 1
-                self._tenant_lat[req.tenant].append(
-                    req.finished_at - req.arrival)
             observe = getattr(self.admission, "observe", None)
             if observe is not None:
                 # Adaptive overload control learns from every served
@@ -602,7 +602,6 @@ class ClusterScheduler:
         dt = self.engine.complete_segment(
             self._host(node), seg.thread,
             self._host(parent.host_node), parent.thread, seg.nframes)
-        self.stats["completions"] += 1
         self._trace("seg_complete", rid=parent.rid, seg=seg.rid, node=node)
         self._enqueue(parent, parent.host_node)
         return dt
@@ -610,9 +609,6 @@ class ClusterScheduler:
     def _fail(self, req: Request, error: str) -> None:
         req.state = "failed"
         req.error = error
-        self.stats["failed"] += 1
-        if req.tenant is not None:
-            self._tstat(req.tenant)["failed"] += 1
         self._drop_namespace(req)
         self.finished.append(req)
         self._maybe_stop()
@@ -653,7 +649,6 @@ class ClusterScheduler:
             return
         self.dead.add(name)
         self.crash_epoch[name] += 1
-        self.stats["crashes"] += 1
         self._trace("fault", fault="crash", node=name)
         self.network.crash_node(name)
         self.load_index.retire(name)
@@ -737,10 +732,8 @@ class ClusterScheduler:
         parent = seg.parent
         if parent.state != "remote":
             return  # another recovery path already owns the parent
-        self.stats["seg_recoveries"] += 1
         if (seg.hops == 0 and parent.host_node is not None
                 and parent.host_node not in self.dead):
-            self.stats["home_requeues"] += 1
             self._trace("recover", rid=parent.rid, seg=seg.rid,
                         mode="home-requeue", reason=reason)
             self._enqueue(parent, parent.host_node)
@@ -776,7 +769,6 @@ class ClusterScheduler:
             self._trace("fail", rid=req.rid, error=reason)
             self._fail(req, reason)
             return
-        self.stats["retries"] += 1
         self._drop_namespace(req)
         req.thread = None
         req.namespace = None
@@ -849,8 +841,6 @@ class ClusterScheduler:
             lambda: self.engine.migrate_many(
                 home, [r.thread for r in batch], target, nframes)[1])
         if shipped:
-            if candidates:
-                self.stats["batched_threads"] += len(batch)
             segs = [(self._new_segment(r, wt, target, nframes), rec)
                     for r, (wt, rec) in zip(batch, shipped)]
             self._trace("offload", src=node, dst=target,
@@ -878,7 +868,6 @@ class ClusterScheduler:
                 src, seg.thread, target, home_host)[1:]])
         if shipped:
             (wt, rec), = shipped
-            self.stats["seg_rehops"] += 1
             self.active_segments.pop(seg.rid, None)
             hop = self._new_segment(seg.parent, wt, target, seg.nframes,
                                     hops=seg.hops + 1, instrs=seg.instrs)
@@ -930,7 +919,6 @@ class ClusterScheduler:
         restored as ``thread`` on ``target`` (``hops``/``instrs`` carry
         a chain's history onto its next hop)."""
         parent.sod_offloads += 1
-        self.stats["sod_offloads"] += 1
         seg = Request(rid=self._take_rid(), kind="segment", parent=parent,
                       arrival=self.env.now, thread=thread,
                       host_node=target, nframes=nframes, hops=hops,
@@ -993,7 +981,7 @@ class ClusterScheduler:
         served = [r for r in self.finished if r.state == "done"]
         failed = [r for r in self.finished if r.state == "failed"]
         submitted = len(self.requests)
-        lat = sorted(r.finished_at - r.arrival for r in served)
+        lat = latency_summary(served)
         makespan = max((r.finished_at for r in self.finished), default=0.0)
         correct = sum(1 for r in served
                       if r.result == expected_request_result(r.spec))
@@ -1004,7 +992,10 @@ class ClusterScheduler:
                 "busy_s": self.busy_time(n),
                 "cpu_weight": self.cluster.node(n).spec.cpu_weight,
             }
-        stats = dict(self.stats)
+        stats = {"quanta": sum(self.quanta.values())}
+        for key, kinds in STATS.items():
+            stats[key] = (self.stats[key] if kinds is None else
+                          sum(self.event_counts[k] for k in kinds))
         stats["gossip_rounds"] = self.load_index.gossip_rounds
         # Chaos layer: messages lost to injected faults.
         stats["dropped_messages"] = self.network.total_dropped()
@@ -1034,32 +1025,32 @@ class ClusterScheduler:
             stats["adaptive_down"] = self.admission.adjust_down
             stats["adaptive_up"] = self.admission.adjust_up
             stats["fair_sheds"] = self.admission.fair_sheds
+        # Per tenant: every configured one, then any other name a request
+        # carried, in submission order.
+        by_tenant: Dict[str, List[Request]] = {
+            t.name: [] for t in self.tenants or ()}
+        for r in self.requests:
+            if r.tenant is not None:
+                by_tenant.setdefault(r.tenant, []).append(r)
         tenant_blocks: Dict[str, Dict[str, Any]] = {}
-        for name in self.tenant_stats:
-            tlat = sorted(self._tenant_lat.get(name, []))
-
-            def tpct(p: float) -> float:
-                return tlat[int(p * (len(tlat) - 1))] if tlat else 0.0
-
-            block: Dict[str, Any] = dict(self.tenant_stats[name])
-            block["latency_s"] = {
-                "mean": sum(tlat) / len(tlat) if tlat else 0.0,
-                "p50": tpct(0.50), "p95": tpct(0.95),
-                "max": tlat[-1] if tlat else 0.0,
+        for name, reqs in by_tenant.items():
+            states = Counter(r.state for r in reqs)
+            tenant_blocks[name] = {
+                "submitted": len(reqs),
+                "admitted": len(reqs) - states["shed"],
+                "shed": states["shed"], "done": states["done"],
+                "failed": states["failed"], "quanta": self.quanta[name],
+                "latency_s": latency_summary(
+                    [r for r in reqs if r.state == "done"]),
             }
-            tenant_blocks[name] = block
-
-        def pct(p: float) -> float:
-            return lat[int(p * (len(lat) - 1))] if lat else 0.0
         return ServeReport(
             n_nodes=len(self.node_names), submitted=submitted,
             served=len(served), failed=len(failed),
             unserved=submitted - len(self.finished),
             correct=correct, makespan=makespan,
             throughput=(len(served) / makespan) if makespan > 0 else 0.0,
-            latency_mean=sum(lat) / len(lat) if lat else 0.0,
-            latency_p50=pct(0.50), latency_p95=pct(0.95),
-            latency_max=lat[-1] if lat else 0.0,
+            latency_mean=lat["mean"], latency_p50=lat["p50"],
+            latency_p95=lat["p95"], latency_max=lat["max"],
             per_node=per_node, stats=stats,
             quantum=self.quantum, tenants=tenant_blocks)
 
@@ -1162,8 +1153,7 @@ def resolve_config(config: Optional[Dict[str, Any]] = None
 
 def build_serving(mix: Optional[str] = None, *,
                   cpu_weights: Optional[List[float]] = None,
-                  cost: Optional[CostModel] = None,
-                  tracer: Optional[Any] = None, **described: Any
+                  cost: Optional[CostModel] = None, **described: Any
                   ) -> Tuple["ClusterScheduler", LoadGenerator]:
     """Build a ready-to-run (scheduler, load generator) pair on a fresh
     ``serve_cluster(n_nodes)`` — the only place a *described* run turns
@@ -1209,7 +1199,7 @@ def build_serving(mix: Optional[str] = None, *,
         quantum=cfg["quantum"], placement=placement, offload=offload,
         staleness=(DEFAULT_STALENESS if cfg["staleness"] is None
                    else cfg["staleness"]),
-        isolation=cfg["isolation"], admission=admission, tracer=tracer,
+        isolation=cfg["isolation"], admission=admission,
         max_retries=cfg["max_retries"], tenants=tenants)
     plan = cfg["fault_plan"]
     if plan is not None:

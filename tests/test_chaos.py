@@ -243,6 +243,25 @@ def test_trace_divergence_pinpoints_first_difference():
     assert "event 3" in trace_divergence(t1, mutated)
 
 
+@pytest.mark.parametrize("region, path", [
+    ("config", "config.seed"),
+    ("request", "summary.requests[5].finished_at"),
+    ("report", "summary.report.makespan_s"),
+])
+def test_trace_divergence_names_the_path_outside_the_events(region, path):
+    """With the event streams equal, the pointer names the first
+    differing config key, request-row field or report key."""
+    t1, _ = run_recorded({"n_requests": 8})
+    mutated = json.loads(json.dumps(t1))
+    if region == "config":
+        mutated["config"]["seed"] += 1
+    elif region == "request":
+        mutated["summary"]["requests"][5]["finished_at"] += 1e-9
+    else:
+        mutated["summary"]["report"]["makespan_s"] += 1e-9
+    assert trace_divergence(t1, mutated).startswith(f"{path} differs: ")
+
+
 def test_trace_rejects_unknown_config_and_version():
     with pytest.raises(ValueError):
         run_recorded({"warp_factor": 9})

@@ -33,16 +33,16 @@ def test_tracer_records_all_phases(traced):
 def test_tracer_event_details(traced):
     eng, tracer = traced
     mig = tracer.of_kind("migrate")[0]
-    assert mig.src == "node0" and mig.dst == "node1"
-    assert mig.detail["frames"] == 1
-    assert mig.detail["state_bytes"] > 0
+    assert mig["src"] == "node0" and mig["dst"] == "node1"
+    assert mig["frames"] == 1
+    assert mig["state_bytes"] > 0
     fault = tracer.of_kind("fault")[0]
-    assert fault.detail["bytes"] > 0
+    assert fault["bytes"] > 0
 
 
 def test_tracer_timestamps_monotone(traced):
     eng, tracer = traced
-    times = [e.at for e in tracer.events]
+    times = [e["t"] for e in tracer.events]
     assert times == sorted(times)
 
 
@@ -102,7 +102,7 @@ def test_tracer_sees_the_residual_push_of_total_migration(
     rep = total_migration(eng, home, t, "node1", top_frames=1)
     migs = tracer.of_kind("migrate")
     assert len(migs) == len(rep.records) == 2
-    assert [m.detail["state_bytes"] for m in migs] \
+    assert [m["state_bytes"] for m in migs] \
         == [r.state_bytes for r in rep.records]
     assert tracer.counts()["writeback"] >= 1
 

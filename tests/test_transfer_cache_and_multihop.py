@@ -398,9 +398,9 @@ def test_saved_bytes_are_class_tokens_plus_revalidations():
         tokens += rec.saved_bytes
     assert tokens > 0
 
-    hits = [e for e in tracer.of_kind("fault") if e.detail["revalidated"]]
+    hits = [e for e in tracer.of_kind("fault") if e["revalidated"]]
     assert len(hits) == rep.stats["reval_hits"] > 0
-    revalidated = sum(max(0, e.detail["bytes"] - 16) for e in hits)
+    revalidated = sum(max(0, e["bytes"] - 16) for e in hits)
 
     assert sched.network.total_saved() == tokens + revalidated
     assert rep.stats["bytes_saved"] == tokens + revalidated
