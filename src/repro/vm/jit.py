@@ -27,16 +27,24 @@ and retry points are generated in line (each still an entry of its own
 for a frame that resumes or is dispatched there); and a
 compiled->compiled call that returns continues in line.  Blocks end at
 the body's branch targets, at handler entries and around every
-``NATIVE``.
+``NATIVE`` but the pure ``Sys`` math ones
+(:data:`repro.vm.natives.PURE_MATH`: ``sqrt``, ``floatOf``, ...).
+Those are generated in line, still safepoints that poll and flush:
+while the arguments are numbers and the machine's registry still maps
+the name to the table's own wrapper, the host function is called
+straight; otherwise the arm takes the generic path and leaves for the
+entry after the native.  An ``ADD`` is in line for every operand pair
+but a string one, the only case ``_add`` is not ``a + b``.
 
 Deferred writes reach ``frame.locals`` exactly where it can be
 observed (:meth:`_Compiler.write_back`): before an op arms its fault
 record (a guest handler of this frame — the injected object-fault
 handlers — reads the slots), in the yielding arm of every quantum
-poll, before a call pushes a frame and before a native runs (names
-read from ``locs`` are forgotten after either: ``ObjMan.resolve``
-patches slots), and at every block exit — not at ``RET``/``RETV``,
-whose frame is gone.  So a capture, a guest handler or a deopt never
+poll, before a call pushes a frame and before a registry native runs
+(names read from ``locs`` are forgotten after either:
+``ObjMan.resolve`` patches slots), and at every block exit — not at
+``RET``/``RETV``, whose frame is gone, nor at a pure native's host
+call.  So a capture, a guest handler or a deopt never
 needs a write-back pass of its own.
 
 Execution protocol
@@ -123,6 +131,7 @@ from repro.bytecode.verifier import stack_depths
 from repro.preprocess.fuse import cache_seeds
 from repro.vm import machine as _machine
 from repro.vm.frames import Frame
+from repro.vm.natives import PURE_MATH, PURE_NATIVES
 from repro.vm.objects import VMArray, VMInstance
 from repro.vm.values import RemoteRef, truthy
 
@@ -151,6 +160,11 @@ _CMP_OPS = frozenset({op.EQ, op.NE, op.LT, op.LE, op.GT, op.GE})
 #: ops execution never falls through from
 _NO_FALL = frozenset({op.JMP, op.LSWITCH, op.RET, op.RETV, op.THROW})
 
+#: what a registry native can force on its way out: (status, test) —
+#: a deopt when it armed hooks, a dispatch when it set an exception
+_NATIVE_EXITS = ((5, "m.breakpoints or m.on_breakpoint is not None"),
+                 (4, "thread.pending_exception is not None"))
+
 
 def _branches(ins: Any) -> Tuple[int, ...]:
     """Branch targets of one instruction (fall-through not included)."""
@@ -159,6 +173,13 @@ def _branches(ins: Any) -> Tuple[int, ...]:
     if ins.op == op.LSWITCH:
         return (*ins.a.values(), ins.b)
     return ()
+
+
+def _pure(ins: Any) -> Optional[Tuple[Any, int]]:
+    """The ``PURE_MATH`` entry of a ``NATIVE`` that names one with the
+    table's arity — tier 2 generates it in line — else None."""
+    entry = PURE_MATH.get(ins.a)
+    return entry if entry is not None and entry[1] == (ins.b or 0) else None
 
 
 class _Refuse(Exception):
@@ -272,6 +293,8 @@ class _Compiler:
         self.bools: Set[str] = set()
         #: int literal atom -> its value
         self.ints: Dict[str, int] = {}
+        #: float literal atoms
+        self.floats: Set[str] = set()
         self.indent = 16
 
     # -- plumbing ---------------------------------------------------------
@@ -310,6 +333,10 @@ class _Compiler:
         if is_bool:
             self.bools.add(name)
         self.sym.append(name)
+
+    def is_num(self, atom: str) -> bool:
+        """Is ``atom`` an int or float literal?"""
+        return atom in self.ints or atom in self.floats
 
     def named(self, atom: str) -> str:
         """``atom`` as something an attribute can hang off: a literal
@@ -354,13 +381,18 @@ class _Compiler:
         is found, the tier-1 rule): ``charged`` says whether
         :meth:`gen_op`'s up-front ``account`` of this op is still in
         the segment and must be backed out of the record."""
+        self.write_back(extra)
+        self.arm(bci, opname, charged, extra)
+
+    def arm(self, bci: int, opname: str, charged: bool = True,
+            extra: int = 0) -> None:
+        """:meth:`marker` without the write-back."""
         w = self.wt(opname, 1.0)
         idx = len(self.faults)
         if charged:
             self.faults.append((bci, self.seg_w - w, self.seg_n - 1, w))
         else:
             self.faults.append((bci, self.seg_w, self.seg_n, w))
-        self.write_back(extra)
         self.emit(f"f = {idx}", extra)
 
     def spill(self, atoms: List[str], extra: int = 0) -> None:
@@ -371,19 +403,23 @@ class _Compiler:
         else:
             self.emit("fstack.extend((" + ", ".join(atoms) + "))", extra)
 
-    def safepoint(self, bci: int, frame_lives: bool = True) -> float:
+    def safepoint(self, bci: int, frame_lives: bool = True,
+                  charged: bool = True) -> float:
         """Open the safepoint instruction at ``bci``: it is charged on
-        the way out, not in the segment (returns its weight), and a
-        spent quantum yields *before* it, ``frame.pc`` at ``bci`` and
-        the whole operand stack spilled.  Locals are written back for
-        good first — a callee's natives may patch this frame, a call's
-        resolution may throw into a handler of it — unless the frame
-        dies here (a return): then only the yielding arm needs them."""
+        the way out, not in the segment (returns its weight; ``charged``
+        says whether :meth:`gen_op` put it there), and a spent quantum
+        yields *before* it, ``frame.pc`` at ``bci`` and the whole
+        operand stack spilled.  Locals are written back for good first
+        — a callee's natives may patch this frame, a call's resolution
+        may throw into a handler of it — unless nothing reads them on
+        the straight path (a return; a pure native's in-line call):
+        then only the yielding arm needs them."""
         ins = self.instrs[bci]
         assert op.is_safepoint(ins.op, ins.a, bci), (bci, ins.op)
         w = self.wt(ins.op, 1.0)
-        self.seg_w -= w
-        self.seg_n -= 1
+        if charged:
+            self.seg_w -= w
+            self.seg_n -= 1
         self.flush_acc()
         if frame_lives:
             self.write_back()
@@ -448,18 +484,21 @@ class _Compiler:
         #: the leaders a block that falls into them must stop at — the
         #: symbolic state of whoever falls into one cannot be carried
         #: over: bci 0 and the body's branch targets, handler entries,
-        #: and both edges of every ``NATIVE`` (restoration handlers are
-        #: chains of ``CapturedState.read`` natives: generating on
-        #: through them would be quadratic in their length).  Every
-        #: other leader — an MSP, a retry point, a call or preemption
-        #: resume — is *soft*: a block generates on through it, names
-        #: and pending writes carried over, and its own entry block
-        #: (for a frame that resumes or is dispatched there) stops at
-        #: the next leader of any kind, so every instruction is
-        #: generated at most twice: in line and in one soft entry.
+        #: and both edges of every ``NATIVE`` but the pure math ones
+        #: (restoration handlers are chains of ``CapturedState.read``
+        #: natives: generating on through them would be quadratic in
+        #: their length).  Every other leader — an MSP, a retry point,
+        #: a call or preemption resume, a pure native and the bci after
+        #: it — is *soft*: a block generates on through it, names and
+        #: pending writes carried over, and its own entry block (for a
+        #: frame that resumes or is dispatched there) stops at the next
+        #: leader of any kind, so every instruction is generated at
+        #: most twice: in line and in one soft entry.
+        opaque = {i for i, ins in enumerate(instrs)
+                  if ins.op == op.NATIVE and _pure(ins) is None}
         self.cuts = {b for b in self.leaders
                      if b == 0 or b in body_targets or b in handlers
-                     or op.NATIVE in (instrs[b].op, instrs[b - 1].op)}
+                     or b in opaque or b - 1 in opaque}
 
         # Block order = who enters the ``if b == k`` chain: body entries
         # inside a body loop (a handler's retry ``JMP`` is no loop),
@@ -514,6 +553,9 @@ class _Compiler:
     def gen_op(self, bci: int, ins: Any) -> bool:
         o = ins.op
         sym = self.sym
+        if o == op.NATIVE:  # charged after its call, never in the segment
+            self.gen_native(bci, ins)
+            return False
         self.account(o)
 
         if o == op.LOAD:
@@ -526,6 +568,8 @@ class _Compiler:
             lit = _literal(ins.a)
             if lit is not None and type(ins.a) is int:
                 self.ints[lit] = ins.a
+            elif lit is not None and type(ins.a) is float:
+                self.floats.add(lit)
             sym.append(lit if lit is not None else self.bind(ins.a, "c"))
         elif o == op.STORE:
             # deferred: write_back tells locs where it can be observed
@@ -541,10 +585,11 @@ class _Compiler:
             pass
 
         elif o == op.ADD:
+            # ``_add`` is ``a + b`` unless an operand is a string
             b = sym.pop()
             a = sym.pop()
-            tests = [f"type({x}) is int" for x in (a, b)
-                     if x not in self.ints]
+            tests = [f"type({x}) is not str" for x in (a, b)
+                     if not self.is_num(x)]
             self.push(f"({a} + {b}) if {' and '.join(tests)} "
                       f"else A(m, {a}, {b})" if tests else f"{a} + {b}")
         elif o in _INLINE_BINOP:
@@ -673,8 +718,6 @@ class _Compiler:
             self.gen_invokestatic(bci, ins)
         elif o == op.INVOKEVIRT:
             self.gen_invokevirt(bci, ins)
-        elif o == op.NATIVE:
-            self.gen_native(bci, ins)
         else:  # pragma: no cover - ISA is closed
             raise _Refuse(f"op {o}")
         return False
@@ -846,37 +889,68 @@ class _Compiler:
         self.emit("frames.append(nf)")
 
     def gen_native(self, bci: int, ins: Any) -> None:
+        """A safepoint that flushes the clock hard: natives may read it,
+        print, charge time or install hooks.  The registry's function
+        runs at a precise frame state and the block ends after it.  A
+        pure math native (:func:`_pure`) is generated in line instead:
+        while its arguments are numbers (``_num``'s rule) and the
+        registry still maps its name to ``PURE_NATIVES``' own object,
+        the host function is called straight; otherwise the arm takes
+        that precise path and leaves for the entry at ``bci + 1`` — a
+        re-registered native may have patched ``locs``."""
         nargs = ins.b or 0
         sym = self.sym
-        wn = self.safepoint(bci)
+        pure = _pure(ins)
+        wn = self.safepoint(bci, frame_lives=pure is None, charged=False)
         args = [sym.pop() for _ in range(nargs)][::-1]
         live = list(sym)
-        # Safepoint: natives may read the clock, print, charge time or
-        # install hooks — flush hard and expose a precise frame state.
-        self.spill(live)
+        nm = _literal(ins.a) or self.bind(ins.a)
+        rv = self.fresh()
+        call = f"{rv} = m.natives.lookup({nm})(m, [{', '.join(args)}])"
+        if pure is None:
+            self.spill(live)
         self.emit("m.clock += opc * w_acc")
         self.emit("m.instr_count += n_acc")
         self.emit("w_acc = 0.0")
         self.emit("n_acc = 0")
-        self.emit(f"frame.pc = {bci}")
-        self.marker(bci, op.NATIVE, charged=False)
-        nm = _literal(ins.a) or self.bind(ins.a)
-        rv = self.fresh()
+        self.arm(bci, op.NATIVE, charged=False)
         self.emit("m.charge(NB)")
-        self.emit(f"{rv} = m.natives.lookup({nm})(m, [{', '.join(args)}])")
-        self.emit("if m.breakpoints or m.on_breakpoint is not None:")
+        if pure is None:
+            self.emit(f"frame.pc = {bci}")
+            self.emit(call)
+            for st, test in _NATIVE_EXITS:
+                self.emit(f"if {test}:")
+                self.emit(f"    fstack.append({rv})")
+                self.emit(f"    frame.pc = {bci + 1}")
+                self.emit(f"    return ({st}, {wn!r}, 1)")
+            if live:
+                self.emit(f"del fstack[-{len(live)}:]")
+            self.seg_w += wn
+            self.seg_n += 1
+            self.known.clear()  # the native may have patched locs
+            sym.append(rv)
+            return
+        guard = [f"(type({x}) is int or type({x}) is float)"
+                 for x in args if not self.is_num(x)]
+        guard.append(f"m.natives.fns.get({nm}) is "
+                     f"{self.bind(PURE_NATIVES[ins.a])}")
+        self.emit(f"if not ({' and '.join(guard)}):")
+        self.write_back(4)
+        self.spill(live, 4)
+        self.emit(f"    frame.pc = {bci}")
+        self.emit(call, 4)
         self.emit(f"    fstack.append({rv})")
         self.emit(f"    frame.pc = {bci + 1}")
-        self.emit(f"    return (5, {wn!r}, 1)")
-        self.emit("if thread.pending_exception is not None:")
-        self.emit(f"    fstack.append({rv})")
-        self.emit(f"    frame.pc = {bci + 1}")
-        self.emit(f"    return (4, {wn!r}, 1)")
-        if live:
-            self.emit(f"del fstack[-{len(live)}:]")
-        self.seg_w += wn
-        self.seg_n += 1
-        self.known.clear()  # the native may have patched locs
+        for st, test in _NATIVE_EXITS:
+            self.emit(f"    if {test}:")
+            self.emit(f"        return ({st}, {wn!r}, 1)")
+        self.emit(f"    w_acc += {wn!r}")
+        self.emit("    n_acc += 1")
+        self.emit(f"    b = {self.block_id[bci + 1]}")
+        self.emit("    continue")
+        self.emit(f"{rv} = {self.bind(pure[0])}({', '.join(args)})")
+        self.emit(f"w_acc += {wn!r}")
+        self.emit("n_acc += 1")
         sym.append(rv)
 
     # -- assembly ---------------------------------------------------------

@@ -398,7 +398,7 @@ class Machine:
         Returns True when a compiled closure is available afterwards."""
         if not self.jit:
             return False
-        from repro.vm.jit import compile_into
+        compile_into = _jit_module().compile_into
         prev_loader = self.loader
         prev_decoded = self._decoded
         try:
@@ -580,11 +580,12 @@ class Machine:
         q = quantum
         q_limit = self.instr_count + q if q is not None else 0
         # Tier-2: per-(machine, namespace) compiled-closure map and the
-        # tier-up machinery (lazy import: jit.py leans on this module).
+        # tier-up machinery.
         jm = None
         if self.jit:
-            from repro.vm.jit import JIT_THRESHOLD as TH
-            from repro.vm.jit import compile_into as _ci
+            jit = _jit_module()
+            TH = jit.JIT_THRESHOLD
+            _ci = jit.compile_into
             jm = self._compiled
         # dense opcode ids as locals (LOAD_FAST beats LOAD_GLOBAL)
         I_LOAD = _I_LOAD; I_CONST = _I_CONST; I_STORE = _I_STORE
@@ -1310,6 +1311,20 @@ class Machine:
         else:
             thread.finished = True
             thread.result = value
+
+
+_jit = None
+
+
+def _jit_module() -> Any:
+    """:mod:`repro.vm.jit`, imported on first use: it imports this
+    module.  Callers read its attributes at each use (tests and the
+    tracer patch ``JIT_THRESHOLD`` / ``compile_into`` on the module)."""
+    global _jit
+    if _jit is None:
+        from repro.vm import jit
+        _jit = jit
+    return _jit
 
 
 def _tname(v: Any) -> str:

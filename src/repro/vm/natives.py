@@ -20,7 +20,7 @@ loudly instead of silently.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.errors import NativeError
 from repro.vm.objects import VMArray, VMInstance
@@ -36,15 +36,17 @@ class NativeRegistry:
     """Name -> implementation mapping for one VM."""
 
     def __init__(self) -> None:
-        self._fns: Dict[str, NativeFn] = {}
+        #: name -> implementation; tier 2 reads it to check that a pure
+        #: math name still maps to :data:`PURE_NATIVES`' own object
+        self.fns: Dict[str, NativeFn] = {}
         install_default_natives(self)
 
     def register(self, name: str, fn: NativeFn) -> None:
         """Bind ``Namespace.name`` to ``fn`` (replacing any previous)."""
-        self._fns[name] = fn
+        self.fns[name] = fn
 
     def lookup(self, name: str) -> NativeFn:
-        fn = self._fns.get(name)
+        fn = self.fns.get(name)
         if fn is None:
             raise NativeError(f"unknown native {name!r}")
         return fn
@@ -80,6 +82,40 @@ def _num(machine: "Machine", args: List[Any], i: int = 0) -> Any:
     return v
 
 
+#: the pure ``Sys`` math natives: name -> (host function, arity).  Each
+#: reads only its number arguments, so tier 2 (:mod:`repro.vm.jit`)
+#: calls the host function in line while the machine's registry still
+#: maps the name to the wrapper below
+PURE_MATH: Dict[str, Tuple[Callable[..., Any], int]] = {
+    "Sys.floor": (math.floor, 1),
+    "Sys.ceil": (math.ceil, 1),
+    "Sys.sqrt": (math.sqrt, 1),
+    "Sys.sin": (math.sin, 1),
+    "Sys.cos": (math.cos, 1),
+    "Sys.pi": (lambda: math.pi, 0),
+    "Sys.abs": (abs, 1),
+    "Sys.min": (min, 2),
+    "Sys.max": (max, 2),
+    "Sys.intOf": (int, 1),
+    "Sys.floatOf": (float, 1),
+}
+
+
+def _pure_native(fn: Callable[..., Any], arity: int) -> NativeFn:
+    """The registered form of a :data:`PURE_MATH` entry: ``_num``
+    checks each argument, in order."""
+    if arity == 0:
+        return lambda m, a: fn()
+    if arity == 1:
+        return lambda m, a: fn(_num(m, a))
+    return lambda m, a: fn(_num(m, a, 0), _num(m, a, 1))
+
+
+#: one wrapper per :data:`PURE_MATH` name, shared by every registry
+PURE_NATIVES: Dict[str, NativeFn] = {
+    name: _pure_native(fn, arity) for name, (fn, arity) in PURE_MATH.items()}
+
+
 def _sys_len(machine: "Machine", args: List[Any]) -> int:
     v = args[0]
     if isinstance(v, str):
@@ -113,17 +149,8 @@ def install_default_natives(reg: NativeRegistry) -> None:
     reg.register("Sys.charAt", lambda m, a: a[0][a[1]])
     reg.register("Sys.indexOf", lambda m, a: _indexof(m, a))
     reg.register("Sys.parseInt", lambda m, a: int(a[0]))
-    reg.register("Sys.floor", lambda m, a: int(math.floor(_num(m, a))))
-    reg.register("Sys.ceil", lambda m, a: int(math.ceil(_num(m, a))))
-    reg.register("Sys.sqrt", lambda m, a: math.sqrt(_num(m, a)))
-    reg.register("Sys.sin", lambda m, a: math.sin(_num(m, a)))
-    reg.register("Sys.cos", lambda m, a: math.cos(_num(m, a)))
-    reg.register("Sys.pi", lambda m, a: math.pi)
-    reg.register("Sys.abs", lambda m, a: abs(_num(m, a)))
-    reg.register("Sys.min", lambda m, a: min(_num(m, a, 0), _num(m, a, 1)))
-    reg.register("Sys.max", lambda m, a: max(_num(m, a, 0), _num(m, a, 1)))
-    reg.register("Sys.intOf", lambda m, a: int(_num(m, a)))
-    reg.register("Sys.floatOf", lambda m, a: float(_num(m, a)))
+    for name, fn in PURE_NATIVES.items():
+        reg.register(name, fn)
     reg.register("Sys.setNominal", _sys_set_nominal)
     reg.register("Sys.nominalSize", _sys_nominal_size)
     reg.register("Sys.sleep", _sys_sleep)

@@ -4,7 +4,8 @@ Generates random-but-valid MiniLang programs (bounded loops, DAG calls,
 bounded recursion, arrays, objects, virtual-dispatch hierarchies,
 switch/LSWITCH, statics, string bands — concat / compare / length /
 substring over locals and a static string cell, substr-clamped so
-loop-carried folds stay bounded — try/catch, guest-exception sites) and
+loop-carried folds stay bounded — the pure ``Sys`` math natives in the
+int and float bands, try/catch, guest-exception sites) and
 differentially checks the fast pre-decoded/fused/inline-cached
 interpreter against the legacy string-dispatched loop on
 stdout / result / uncaught-exception / instr_count / clock.
@@ -184,8 +185,25 @@ def _expr(ctx: _Ctx, depth: int) -> str:
                 f"{_expr(ctx, depth - 1)})")
     if roll < 0.89:
         return f"(-{_expr(ctx, depth - 1)})"
+    if roll < 0.93:
+        return _int_math(ctx, depth)
     op = rng.choice(BINOPS)
     return f"({_expr(ctx, depth - 1)} {op} {_expr(ctx, depth - 1)})"
+
+
+def _int_math(ctx: _Ctx, depth: int) -> str:
+    """An int-valued pure math native (tier 2 runs these in line): of a
+    clamped float, so ``intOf`` / ``floor`` / ``ceil`` stay finite, or
+    of int expressions."""
+    rng = ctx.rng
+    roll = rng.random()
+    if roll < 0.4:
+        fn = rng.choice(("intOf", "floor", "ceil"))
+        return f"Sys.{fn}(({_fexpr(ctx, depth - 1)}) % {FCLAMP})"
+    if roll < 0.8:
+        return (f"Sys.{rng.choice(('min', 'max'))}({_expr(ctx, depth - 1)}, "
+                f"{_expr(ctx, depth - 1)})")
+    return f"Sys.abs({_expr(ctx, depth - 1)})"
 
 
 def _fexpr(ctx: _Ctx, depth: int) -> str:
@@ -205,8 +223,27 @@ def _fexpr(ctx: _Ctx, depth: int) -> str:
     if roll < 0.75:
         denom = f"{rng.randint(1, 9)}.{rng.choice(('5', '25'))}"
         return f"({_fexpr(ctx, depth - 1)} / {denom})"
+    if roll < 0.85:
+        return _float_math(ctx, depth)
     op = rng.choice(("+", "-", "*"))
     return f"({_fexpr(ctx, depth - 1)} {op} {_fexpr(ctx, depth - 1)})"
+
+
+def _float_math(ctx: _Ctx, depth: int) -> str:
+    """A float-valued pure math native (tier 2 runs these in line),
+    each argument in its domain: ``sqrt`` of an ``abs``, ``floatOf`` of
+    a clamped int, ``min`` / ``max`` mixing int and float operands."""
+    rng = ctx.rng
+    roll = rng.random()
+    if roll < 0.3:
+        return f"Sys.sqrt(Sys.abs({_fexpr(ctx, depth - 1)}))"
+    if roll < 0.5:
+        return f"Sys.floatOf({rng.choice(ctx.ints)} % {CLAMP})"
+    if roll < 0.75:
+        return (f"Sys.{rng.choice(('sin', 'cos'))}"
+                f"({_fexpr(ctx, depth - 1)})")
+    return (f"Sys.{rng.choice(('min', 'max'))}({_fexpr(ctx, depth - 1)}, "
+            f"{_fexpr(ctx, depth - 1)})")
 
 
 def _float_stmt(ctx: _Ctx) -> str:

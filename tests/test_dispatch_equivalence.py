@@ -649,3 +649,135 @@ def test_quantum_expires_only_at_declared_safepoints(label):
         while m.run(t, quantum=1) == "preempted":
             pass
         assert t.finished and t.uncaught is None
+
+
+# -- pure math natives: generated in line by tier 2 ----------------------------
+#
+# Tier 2 calls a ``PURE_MATH`` host function in line while the arguments
+# are numbers and the registry still holds ``PURE_NATIVES``' own object;
+# everything else takes the registry's function.  Which arm ran may not
+# show: the result (or the exception class and ``frame.pc``) and
+# ``instr_count`` are equal to the legacy loop's, the clock to 1e-9.
+
+def _intrinsic_cases():
+    """``(name, [argument tuples])`` per pure math native: every number
+    type, what ``_num`` refuses (``bool``, ``None``, a string), min /
+    max mixed both ways, and the host functions' own errors."""
+    from repro.vm.natives import PURE_MATH
+
+    one = [(7,), (-3,), (2.5,), (-0.5,), (True,), (None,), ("s",)]
+    two = [(3, 2.5), (2.5, 3), (1, 1.0), (-4, 9), (1.5, False),
+           (None, 2), (2, "s")]
+    extra = {"Sys.sqrt": [(-1.0,)], "Sys.intOf": [(math.inf,), (math.nan,)],
+             "Sys.floatOf": [(10 ** 400,)]}
+    return [(name, {0: [()], 1: one, 2: two}[arity] + extra.get(name, []))
+            for name, (_fn, arity) in sorted(PURE_MATH.items())]
+
+
+def _intrinsic_outcome(classes, args, **kw):
+    """Run ``T.go(*args)`` — on tier 2 compiled before its first
+    instruction — and return ``(machine, outcome)``: the result's repr,
+    or the host exception's class and the faulting ``frame.pc``."""
+    m = Machine(classes, **kw)
+    if m.jit:
+        assert m.precompile("T", "go")
+    t = m.spawn("T", "go", list(args))
+    try:
+        m.run(t)
+        return m, repr(t.result)
+    except Exception as exc:
+        return m, (type(exc).__name__, t.frames[-1].pc)
+
+
+@pytest.mark.parametrize("via", ["locals", "literals"])
+@pytest.mark.parametrize("name,cases", _intrinsic_cases())
+def test_intrinsic_matches_the_legacy_loop(name, cases, via):
+    """Arguments read from locals meet the type guard; literal ones
+    are known numbers at generation time and skip it."""
+    from repro.bytecode import ClassFile
+    from repro.bytecode.code import CodeObject, Instr as I
+
+    for args in cases:
+        n = len(args)
+        push = [I(op.LOAD, i) for i in range(n)] if via == "locals" \
+            else [I(op.CONST, a) for a in args]
+        code = CodeObject("T", "go", n, n,
+                          push + [I(op.NATIVE, name, n), I(op.RETV)])
+        classes = {"T": ClassFile("T", None, [], {"go": code})}
+        ref, want = _intrinsic_outcome(classes, args, dispatch="legacy")
+        m, got = _intrinsic_outcome(classes, args, jit=True)
+        assert got == want, (name, args)
+        assert m.instr_count == ref.instr_count, (name, args)
+        assert math.isclose(m.clock, ref.clock, rel_tol=1e-9,
+                            abs_tol=1e-12), (name, args)
+        assert m.jit_compiles == 1 and m.jit_compile_errors == 0
+
+
+INTRINSIC_LOOP_SRC = """
+class Q {
+  static float go(int n) {
+    float acc = 0.0;
+    for (int i = 0; i < n; i = i + 1) {
+      acc = acc + Sys.sqrt(Sys.floatOf(i * i + 1));
+    }
+    return acc;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_intrinsic_runs_a_re_registered_native(when):
+    """``register("Sys.sqrt", custom)`` before the method tiers up and
+    after it: the compiled code runs ``custom`` either way, and goes on
+    at the bci after it with what ``custom`` wrote into the frame (it
+    bumps the loop counter, the way ``ObjMan.resolve`` patches slots)."""
+    classes = preprocess_program(compile_source(INTRINSIC_LOOP_SRC),
+                                 "faulting")
+    slot = classes["Q"].methods["go"].local_names.index("i")
+
+    def custom(m, args):
+        m.current_thread.frames[-1].locals[slot] += 1
+        return -args[0]
+
+    ref = Machine(classes, dispatch="legacy")
+    ref.natives.register("Sys.sqrt", custom)
+    want = ref.call("Q", "go", [9])
+    m = Machine(classes, jit=True)
+    if when == "before":
+        m.natives.register("Sys.sqrt", custom)
+    assert m.precompile("Q", "go")
+    if when == "after":
+        assert m.call("Q", "go", [9]) != want  # the host sqrt, in line
+        m.natives.register("Sys.sqrt", custom)
+        n0, c0 = m.instr_count, m.clock
+    else:
+        n0, c0 = 0, 0.0
+    assert m.call("Q", "go", [9]) == want
+    assert m.instr_count - n0 == ref.instr_count
+    assert math.isclose(m.clock - c0, ref.clock, rel_tol=1e-9)
+    assert m.jit_compiles == 1 and m.jit_compile_errors == 0
+
+
+def test_intrinsic_preemption_schedule_is_tier_blind():
+    """A quantum spent exactly where the loop reaches its first in-line
+    native, one instruction later, and at every safepoint: the same
+    preemption schedule — stack depth, pc, ``instr_count`` and the top
+    frames' locals at every slice end — on every loop."""
+    from minilang_fuzz import SCHEDULE_MODES, divergence
+
+    classes = preprocess_program(compile_source(INTRINSIC_LOOP_SRC),
+                                 "faulting")
+    m = Machine(classes, dispatch="legacy")
+    t = m.spawn("Q", "go", [6])
+
+    def at_native(th):
+        f = th.frames[-1]
+        return f.code.instrs[f.pc].op == op.NATIVE
+
+    assert m.run(t, stop=at_native) == "stopped"
+    top = t.frames[-1]
+    assert jit_mod._pure(top.code.instrs[top.pc])
+    at = m.instr_count
+    assert divergence(INTRINSIC_LOOP_SRC, (6,), "faulting", SCHEDULE_MODES,
+                      (at, at + 1, 1), ("Q", "go")) is None

@@ -557,7 +557,12 @@ class _Flow:
                              for t in _targets_of(instrs[i])}
         self.native_edges = {b for i, ins in enumerate(instrs)
                              if ins.op == "NATIVE" for b in (i, i + 1)}
-        self.cuts = {0} | self.body_targets | self.native_edges | \
+        #: the edges of every native but the pure math ones (generated
+        #: in line)
+        self.opaque_edges = {b for i, ins in enumerate(instrs)
+                             if ins.op == "NATIVE" and not jit_mod._pure(ins)
+                             for b in (i, i + 1)}
+        self.cuts = {0} | self.body_targets | self.opaque_edges | \
             {e.handler for e in code.exc_table}
         #: the soft leaders only handler code branches to: MSPs and
         #: retry points that are not block boundaries anyway
@@ -645,24 +650,73 @@ def test_body_target_blocks_lead_the_dispatch_chain():
             assert max(hot) < min(cold), code.qualname
 
 
+def _native_lookups(body):
+    """The native names a block's statements call through the registry
+    (``m.natives.lookup(name)(m, args)``)."""
+    return [node.args[0].value for node in ast.walk(ast.Module(body, []))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "m.natives.lookup"]
+
+
 def test_no_inline_continuation_crosses_a_native():
-    """A ``NATIVE`` is generated in exactly one block, the one that
-    starts at it, and that block ends right after it: restoration
-    handlers are chains of ``CapturedState.read`` natives, each native
-    and each instruction after one a resume entry, so continuing in
-    line through them would generate every suffix of the chain again
-    (measured on a scratch copy: ``peak_rss_mb`` 30 -> 88 MiB)."""
+    """A ``NATIVE`` other than a pure math one is generated in exactly
+    one block, the one that starts at it, and that block ends right
+    after it: restoration handlers are chains of
+    ``CapturedState.read`` natives, each native and each instruction
+    after one a resume entry, so continuing in line through them would
+    generate every suffix of the chain again (measured on a copy that
+    did: ``peak_rss_mb`` 30 -> 88 MiB)."""
+    from repro.vm.natives import PURE_MATH
+
     for code, tpl, blocks in _deployed_templates():
         bci_of = {k: bci for bci, k in tpl.entries.items()}
         for k, body in blocks.items():
-            src = ast.unparse(ast.Module(body, []))
-            n = src.count("m.natives.lookup(")
-            if n:
+            opaque = [nm for nm in _native_lookups(body)
+                      if nm not in PURE_MATH]
+            if opaque:
                 bci = bci_of[k]
-                assert n == 1 and code.instrs[bci].op == "NATIVE", \
+                assert len(opaque) == 1 and code.instrs[bci].op == "NATIVE" \
+                    and not jit_mod._pure(code.instrs[bci]), \
                     (code.qualname, bci)
+                src = ast.unparse(ast.Module(body, []))
                 assert src.endswith(f"b = {tpl.entries[bci + 1]}\ncontinue"), \
                     (code.qualname, bci)
+
+
+def test_pure_natives_run_in_line():
+    """A pure math native's fast arm — the statements after its guard
+    ``if not (...): <registry path>`` — calls the host function, never
+    ``m.natives.lookup(``, and a block that did not start at the native
+    goes on past it: on every deployed template, including FFT's
+    ``checksum`` loop (the paper's migration point), whose two natives
+    per iteration used to end three blocks."""
+    def is_guard(stmt):
+        return isinstance(stmt, ast.If) and \
+            "m.natives.fns.get(" in ast.unparse(stmt.test)
+
+    seen = set()
+    for code, tpl, blocks in _deployed_templates():
+        bci_of = {k: bci for bci, k in tpl.entries.items()}
+        for k, body in blocks.items():
+            guards = [i for i, stmt in enumerate(body) if is_guard(stmt)]
+            for i, j in zip(guards, guards[1:] + [len(body)]):
+                stmt = body[i]
+                bci = next(s.value.value for s in stmt.body
+                           if ast.unparse(s).startswith("frame.pc = "))
+                assert jit_mod._pure(code.instrs[bci]), (code.qualname, bci)
+                assert _native_lookups(stmt.body) == [code.instrs[bci].a]
+                fast = body[i + 1:j]  # up to the next pure native's guard
+                assert not _native_lookups(fast), (code.qualname, bci)
+                call = fast[0].value
+                assert isinstance(call, ast.Call) and \
+                    isinstance(call.func, ast.Name), (code.qualname, bci)
+                if bci_of[k] != bci:
+                    exit_after = f"b = {tpl.entries[bci + 1]}"
+                    assert exit_after not in map(ast.unparse, fast), \
+                        (code.qualname, bci)
+                seen.add((code.qualname, code.instrs[bci].a))
+    assert {("FFT.checksum", "Sys.floatOf"),
+            ("FFT.checksum", "Sys.sqrt")} <= seen, sorted(seen)
 
 
 def test_generated_source_stays_within_a_quarter_of_the_per_group_one():
