@@ -1,7 +1,6 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 * detection scheme: SOD with object-fault handlers vs status checks;
-* prefetching: none vs reachable-closure vs history;
 * worker pre-start: pre-started worker JVM vs cold spawn;
 * segment size: latency as a function of frames migrated.
 """
@@ -12,8 +11,6 @@ from conftest import once
 from repro.cluster import gige_cluster
 from repro.lang import compile_source
 from repro.migration import SODEngine
-from repro.migration.prefetch import (HistoryPrefetch, NoPrefetch,
-                                      ReachablePrefetch)
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
 
@@ -57,15 +54,13 @@ class T {
 """
 
 
-def _sod_run(build, prefetcher=None, prestart=True, n=24):
+def _sod_run(build, prestart=True, n=24):
     classes = preprocess_program(compile_source(CHAIN_SRC), build)
     eng = SODEngine(gige_cluster(2), classes, prestart_workers=prestart)
     home = eng.host("node0")
     t = eng.spawn(home, "T", "setup", [n])
     eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "walk")
     worker, wt, rec = eng.migrate(home, t, "node1", 1)
-    if prefetcher is not None:
-        worker.objman.prefetcher = prefetcher
     eng.run(worker, wt)
     eng.complete_segment(worker, wt, home, t, 1)
     eng.run(home, t)
@@ -85,28 +80,6 @@ def test_ablation_detection_scheme(benchmark):
     print(f"\nSOD faulting={time_f * 1e3:.2f} ms, "
           f"checking={time_c * 1e3:.2f} ms")
     assert res_f == res_c == sum(range(24))
-
-
-def test_ablation_prefetch(benchmark):
-    """Prefetchers trade bytes for round trips on a pointer chase."""
-
-    def run():
-        out = {}
-        for name, pf in (("none", NoPrefetch()),
-                         ("reachable", ReachablePrefetch(depth=8)),
-                         ("history", HistoryPrefetch())):
-            result, elapsed, stats, _rec = _sod_run("faulting", prefetcher=pf)
-            out[name] = (result, elapsed, stats.faults, stats.prefetched)
-        return out
-
-    out = once(benchmark, run)
-    print("\nprefetch ablation:")
-    for name, (result, elapsed, faults, prefetched) in out.items():
-        print(f"  {name:10s} time={elapsed * 1e3:8.2f} ms "
-              f"faults={faults:3d} prefetched={prefetched:3d}")
-        assert result == sum(range(24))
-    assert out["reachable"][2] < out["none"][2]       # fewer demand faults
-    assert out["reachable"][1] < out["none"][1]       # and less time
 
 
 def test_ablation_worker_prestart(benchmark):

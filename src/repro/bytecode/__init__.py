@@ -1,11 +1,11 @@
-"""Bytecode layer: ISA, code objects, assembler, verifier."""
+"""Bytecode layer: ISA, code objects, disassembler, verifier."""
 
-from repro.bytecode.assembler import assemble, disassemble
+from repro.bytecode.assembler import disassemble
 from repro.bytecode.code import ClassFile, CodeObject, ExcEntry, FieldDecl, Instr
 from repro.bytecode.verifier import stack_depths, verify, verify_class
 
 __all__ = [
-    "assemble", "disassemble",
+    "disassemble",
     "ClassFile", "CodeObject", "ExcEntry", "FieldDecl", "Instr",
     "stack_depths", "verify", "verify_class",
 ]

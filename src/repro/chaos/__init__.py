@@ -11,9 +11,7 @@ reproducible as the happy path:
   process that applies a plan to a live scheduler through the network /
   load-index / engine seams;
 * :mod:`repro.chaos.trace` — record a serving run's event stream and
-  replay it byte-identically from the embedded config;
-* :mod:`repro.chaos.fuzz` — random fault schedules checked against
-  per-request solo oracles (zero incorrect responses, ever).
+  replay it byte-identically from the embedded config.
 """
 
 from repro.chaos.faults import KINDS, FaultEvent, FaultPlan, random_plan

@@ -1,5 +1,5 @@
 """SOD migration: capture, restore, object faulting, the SODEE engine,
-flows, policies, prefetching and tracing."""
+flows, policies and tracing."""
 
 from repro.migration.capture import capture_segment, run_to_msp
 from repro.migration.object_manager import (HomeObjectServer,

@@ -160,7 +160,6 @@ class FaultStats:
     """Counters for the object-faulting path (Table III analysis)."""
 
     faults: int = 0
-    prefetched: int = 0
     fetched_bytes: int = 0
     fetch_seconds: float = 0.0
     #: conditional re-fetches of retained copies, and how many came
@@ -227,12 +226,9 @@ class WorkerObjectManager:
         #: static-bearing classes each segment thread's state touches
         self.thread_statics: Dict[Any, frozenset] = {}
         self.stats = FaultStats()
-        #: pluggable prefetching scheme (see repro.migration.prefetch)
-        from repro.migration.prefetch import NoPrefetch
-        self.prefetcher = NoPrefetch()
         #: fixed home-agent service cost per request (JVMTI object lookup
         #: + serializer setup); charged once per demand fetch and once
-        #: per prefetch *batch* — batching is what prefetching buys.
+        #: per revalidation round trip.
         self.service_fixed = 0.0
         machine.on_static_write = self._on_static_write
 
@@ -297,10 +293,6 @@ class WorkerObjectManager:
         self._track_fetch(key)
         self.stats.faults += 1
         self.stats.fetched_bytes += nbytes
-        self.prefetcher.record(ref, obj)
-        extra = self.prefetcher.after_fetch(self, ref, obj)
-        if extra:
-            self._prefetch_batch(extra)
         self.stats.fetch_seconds += self.machine.clock - t0
         return obj
 
@@ -318,10 +310,7 @@ class WorkerObjectManager:
         self.stats.revalidations += 1
         fresh = payload is not None
         if not fresh:
-            # Still current: request + tiny validation reply only.  (No
-            # prefetcher hooks — neighbors are likely retained too, and
-            # batch-prefetching would re-ship copies revalidation exists
-            # to keep off the wire.)
+            # Still current: request + tiny validation reply only.
             self.machine.charge_raw(
                 self.rtt_service(self.node_name, owner, 72, 16))
             self.stats.reval_hits += 1
@@ -337,58 +326,8 @@ class WorkerObjectManager:
         self.cache[key] = obj
         self.home_identity[id(obj)] = key
         self._track_fetch(key)
-        if fresh:
-            # A changed payload is a normal fault: keep the prefetcher's
-            # view of the access stream intact.
-            self.prefetcher.record(ref, obj)
-            extra = self.prefetcher.after_fetch(self, ref, obj)
-            if extra:
-                self._prefetch_batch(extra)
         self.stats.fetch_seconds += self.machine.clock - t0
         return obj
-
-    def _prefetch_batch(self, refs: List[RemoteRef]) -> None:
-        """Fetch a batch of prefetch candidates in one round trip.
-
-        The home agent walks the requested closure server-side (up to the
-        prefetcher's ``batch_rounds`` levels), so the worker pays a
-        single service cost + RTT with the combined payload — this is
-        exactly what prefetching buys over demand faulting."""
-        rounds = getattr(self.prefetcher, "batch_rounds", 1)
-        by_owner: Dict[str, List[RemoteRef]] = {}
-        for r in refs:
-            by_owner.setdefault(r.home_node, []).append(r)
-        for owner, group in by_owner.items():
-            total = 0
-            count = 0
-            frontier = list(group)
-            level = 0
-            while frontier and level < rounds:
-                next_frontier: List[RemoteRef] = []
-                for r in frontier:
-                    key = (r.home_oid, r.home_node)
-                    if key in self.cache:
-                        continue
-                    payload, nbytes, _o = self.fetch_service(self.node_name, r)
-                    total += nbytes
-                    obj = self._decode(payload)
-                    self.cache[key] = obj
-                    self.home_identity[id(obj)] = key
-                    self._track_fetch(key)
-                    count += 1
-                    next_frontier.extend(
-                        x for x in self.prefetcher.after_fetch(self, r, obj)
-                        if x.home_node == owner)
-                frontier = next_frontier
-                level += 1
-            if count:
-                self.machine.charge_raw(self.service_fixed)
-                wire = self.machine.cost.wire_bytes(total)
-                self.machine.charge_raw(
-                    self.rtt_service(self.node_name, owner, 96, wire))
-                self.machine.charge(self.machine.cost.deserialize_cost(total))
-                self.stats.prefetched += count
-                self.stats.fetched_bytes += total
 
     def _track_fetch(self, key: Tuple[int, str]) -> None:
         """Attribute a fetched cache entry to the thread that faulted."""

@@ -1,8 +1,7 @@
 """Migration policies and triggers.
 
-The paper leaves "migration, prefetching and task distribution policies"
-as the tuning surface of SOD (section VI); this module supplies the ones
-its scenarios need:
+The paper leaves migration policies as a tuning surface of SOD (section
+VI); this module supplies the ones its scenarios need:
 
 * the trigger combinators (:func:`on_method_entry`, :func:`on_depth`,
   :func:`after_instrs`, ...) the experiment harnesses use to decide
@@ -16,17 +15,16 @@ its scenarios need:
   allocation (the allocation would exceed the device's RAM), freeze at
   the MSP, and rocket the active segment to the cloud node where the
   retry succeeds.
-* :class:`BandwidthAwarePolicy` — size segments against a link budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.bytecode import opcodes as op
 from repro.errors import MigrationError
-from repro.migration.segments import max_migratable, segment_bytes_estimate
+from repro.migration.segments import max_migratable
 from repro.migration.sodee import Host, SODEngine
 from repro.vm.frames import (ThreadState, Trigger, after_clock,  # noqa: F401
                              after_instrs, any_of, on_depth,
@@ -128,26 +126,3 @@ class SpeculativeCloudPolicy:
         result, _rec = self.engine.run_segment_remote(
             self.device, thread, self.cloud_node, nframes)
         return result
-
-
-# -- bandwidth-aware segment sizing ----------------------------------------------------
-
-@dataclass
-class BandwidthAwarePolicy:
-    """Pick the largest top segment whose estimated transfer time fits a
-    latency budget on the (possibly slow) link to ``dst``."""
-
-    engine: SODEngine
-    dst: str
-    latency_budget: float
-
-    def choose_nframes(self, src: str, thread: ThreadState) -> int:
-        best = 1
-        for n in range(1, max_migratable(thread) + 1):
-            est = segment_bytes_estimate(thread, n)
-            t = self.engine.transfer_time(src, self.dst, est)
-            if t <= self.latency_budget:
-                best = n
-            else:
-                break
-        return best

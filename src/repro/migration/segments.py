@@ -1,34 +1,16 @@
-"""Stack segmentation planning.
+"""Stack segmentation: which frames may migrate.
 
 "One segment should logically map to one agglomerated task" (paper
-section II.A).  This module validates and plans how a thread's stack is
-chopped into segments: which frames travel, which stay pinned at home
-(frames holding sockets, section IV.D), and how a multi-hop plan (Fig.
-1c) partitions the remaining frames.
+section II.A).  This module decides which frames of a thread's stack may
+travel and which stay pinned at home (frames holding sockets, section
+IV.D).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Sequence
 
-from repro.errors import MigrationError
 from repro.vm.frames import Frame, ThreadState
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """A partition of the top of a stack into orderly segments.
-
-    ``sizes[0]`` is the size of the *top* segment (migrated first /
-    furthest); the remaining frames below ``sum(sizes)`` stay at home.
-    """
-
-    sizes: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
 
 
 def pin_frames(thread: ThreadState,
@@ -57,32 +39,3 @@ def max_migratable(thread: ThreadState) -> int:
             break
         n += 1
     return n
-
-
-def plan(thread: ThreadState, sizes: Sequence[int]) -> SegmentPlan:
-    """Validate a segmentation of the current stack.
-
-    Raises :class:`MigrationError` if the plan is empty, exceeds the
-    stack, or would migrate a pinned frame.
-    """
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise MigrationError(f"bad segment sizes {sizes}")
-    total = sum(sizes)
-    if total > thread.depth():
-        raise MigrationError(
-            f"plan covers {total} frames but stack depth is {thread.depth()}")
-    if total > max_migratable(thread):
-        raise MigrationError(
-            f"plan covers {total} frames but only {max_migratable(thread)} "
-            f"are migratable (pinned frames)")
-    return SegmentPlan(sizes=sizes)
-
-
-def segment_bytes_estimate(thread: ThreadState, nframes: int) -> int:
-    """Cheap upper-bound estimate of a segment's captured size, used by
-    bandwidth-aware policies to size segments before committing."""
-    total = 64
-    for f in list(reversed(thread.frames))[:nframes]:
-        total += 40 + 12 * f.code.max_locals
-    return total

@@ -27,7 +27,7 @@ itinerary (the 10-NFS-server study, section IV.C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import MigrationError
 from repro.migration.sodee import Host, MigrationRecord, SODEngine
@@ -240,57 +240,6 @@ def multi_hop(engine: SODEngine, home: Host, thread: ThreadState,
         thread.result = mid_thread.result
         rep.result = mid_thread.result
     rep.total_time = engine.timeline - t_start
-    return rep
-
-
-def scatter(engine: SODEngine, home: Host,
-            tasks: Sequence[Tuple[ThreadState, str, int]],
-            ) -> FlowReport:
-    """Scatter a team of stack segments to many nodes concurrently
-    (paper section II.B: "migrating a team of thread stack segments to
-    all connected and trusted mobile clients").
-
-    ``tasks`` is a list of ``(thread, dst_node, nframes)`` with every
-    thread already stopped at its migration point.  Captures serialize
-    on the home CPU; the branches then proceed concurrently, so the
-    elapsed time is the serial capture prefix plus the slowest branch
-    (transfer + restore + execution + write-back).  Results are gathered
-    in task order into ``report.result`` (a list).
-
-    Correctness is exactly per-branch ``run_segment_remote``; only the
-    timeline accounting models the fan-out overlap.
-    """
-    rep = FlowReport()
-    t_start = engine.timeline
-    branch_times: List[float] = []
-    results: List[Any] = []
-    capture_serial = 0.0
-    for thread, dst_node, nframes in tasks:
-        t0 = engine.timeline
-        worker, worker_thread, rec = engine.migrate(home, thread, dst_node,
-                                                    nframes)
-        engine.run(worker, worker_thread)
-        engine.complete_segment(worker, worker_thread, home, thread,
-                                nframes)
-        engine.run(home, thread)
-        if thread.uncaught is not None:
-            raise MigrationError(
-                f"scatter branch to {dst_node} died: "
-                f"{thread.uncaught.class_name}")
-        branch_total = engine.timeline - t0
-        # Undo the serial accounting: branches overlap after capture.
-        engine.timeline = t0
-        capture_serial += rec.capture_time
-        branch_times.append(branch_total - rec.capture_time)
-        rep.records.append(rec)
-        results.append(thread.result)
-    slowest = max(branch_times) if branch_times else 0.0
-    engine.timeline = t_start + capture_serial + slowest
-    rep.hidden_latency = sum(branch_times) - slowest
-    rep.result = results
-    rep.total_time = engine.timeline - t_start
-    rep.phase("serial captures", capture_serial)
-    rep.phase("slowest branch", slowest)
     return rep
 
 

@@ -1,4 +1,5 @@
-"""The fault-schedule fuzzer: random disasters vs solo oracles.
+"""The fault-schedule fuzzer the chaos and tenant tests drive: random
+disasters vs solo oracles.
 
 Each fuzz run derives a random :class:`FaultPlan` from a seed, serves a
 request mix under it, and checks the recovery invariants that must hold

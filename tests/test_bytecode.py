@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.bytecode import (ClassFile, CodeObject, ExcEntry, Instr, assemble,
+from repro.bytecode import (ClassFile, CodeObject, ExcEntry, Instr,
                             disassemble, stack_depths, verify, verify_class)
 from repro.bytecode import opcodes as op
 from repro.errors import VerifyError
+
+from tests.helpers import assemble
 
 
 # -- Instr / CodeObject -------------------------------------------------------

@@ -20,7 +20,6 @@ import pytest
 from repro.chaos import (ChaosInjector, FaultEvent, FaultPlan, random_plan,
                          replay_trace, run_recorded, trace_divergence,
                          traces_equal)
-from repro.chaos.fuzz import fuzz
 from repro.cluster import gige_cluster, serve_cluster
 from repro.errors import ClusterError
 from repro.lang import compile_source
@@ -30,6 +29,8 @@ from repro.preprocess import preprocess_program
 from repro.serve import LoadIndex, naive_pick, serve_mix
 from repro.serve.policies import ShedWhenSaturated
 from repro.serve.scheduler import build_serving
+
+from tests.chaos_fuzz import fuzz
 
 
 def _serve(**kw):

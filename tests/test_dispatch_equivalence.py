@@ -25,7 +25,7 @@ from repro.vm import jit as jit_mod
 from repro.vm.machine import UncaughtGuestException
 from repro.workloads import registry
 from repro.workloads.mixes import MIXES, SERVE_PROGRAMS, serve_compiled
-from tests.helpers import tier1_dispatches
+from tests.helpers import assemble, tier1_dispatches
 
 #: dispatch configurations under test: (label, Machine kwargs)
 MODES = [
@@ -285,7 +285,7 @@ def test_hand_assembled_compare_jnz_runs_unfused():
     emits compare+JNZ at all: ``||`` lowers to ``DUP; JNZ``); assembled
     code that does use the sequence still executes — through the
     LOAD+LOAD+cmp / plain-JNZ decodes — identically to the legacy loop."""
-    from repro.bytecode import ClassFile, assemble
+    from repro.bytecode import ClassFile
     code = assemble("""
     method H.count static params=1 locals=2
       line 1

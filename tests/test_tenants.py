@@ -25,7 +25,6 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.chaos import replay_trace, run_recorded, write_trace
-from repro.chaos.fuzz import fuzz_one
 from repro.cluster import serve_cluster
 from repro.errors import ClusterError
 from repro.serve import (AdaptiveShed, FairStore, LoadGenerator, LoadIndex,
@@ -33,6 +32,8 @@ from repro.serve import (AdaptiveShed, FairStore, LoadGenerator, LoadIndex,
                          serve_mix)
 from repro.sim import Environment
 from repro.workloads.mixes import MIXES
+
+from tests.chaos_fuzz import fuzz_one
 
 # -- tenant configuration ------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bytecode import assemble
 from repro.cluster import NodeSpec, Node
 from repro.errors import LinkError, NativeError, VMError
 from repro.lang import compile_source
@@ -11,7 +10,7 @@ from repro.vm import (Machine, RemoteRef, ThreadState, UncaughtGuestException,
 from repro.vm.costmodel import CostModel
 from repro.vm.objects import default_value
 
-from tests.helpers import compile_and_run
+from tests.helpers import assemble, compile_and_run
 
 
 # -- values --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Workflow flows (Fig. 1), segmentation, policies, prefetch."""
+"""Workflow flows (Fig. 1), segmentation, policies, demand faulting."""
 
 import pytest
 
@@ -6,15 +6,12 @@ from repro.cluster import gige_cluster, phone_setup
 from repro.errors import MigrationError
 from repro.lang import compile_source
 from repro.migration import SODEngine
-from repro.migration.policies import (BandwidthAwarePolicy, LocalityPolicy,
+from repro.migration.policies import (LocalityPolicy,
                                       SpeculativeCloudPolicy, after_clock,
                                       after_instrs,
                                       any_of, on_depth, on_method_entry,
                                       rewind_to_line_start)
-from repro.migration.prefetch import (HistoryPrefetch, NoPrefetch,
-                                      ReachablePrefetch)
-from repro.migration.segments import (max_migratable, pin_methods, plan,
-                                      segment_bytes_estimate)
+from repro.migration.segments import max_migratable, pin_methods
 from repro.migration.workflow import (deliver_value, multi_hop,
                                       partial_return, roam, total_migration)
 from repro.preprocess import preprocess_program
@@ -118,28 +115,11 @@ def test_deliver_value_intercepts_reinvoke(flow_classes):
 
 # -- segmentation --------------------------------------------------------------
 
-def test_plan_validation(flow):
-    eng, home, t = flow
-    p = plan(t, [1, 2])
-    assert p.total == 3
-    with pytest.raises(MigrationError):
-        plan(t, [])
-    with pytest.raises(MigrationError):
-        plan(t, [99])
-
-
 def test_pinning_limits_migratable(flow):
     eng, home, t = flow
     assert max_migratable(t) == t.depth()
     pin_methods(t, ["W.b"])
     assert max_migratable(t) == 1  # only c above the pinned b
-    with pytest.raises(MigrationError):
-        plan(t, [2])
-
-
-def test_segment_bytes_estimate_grows(flow):
-    eng, home, t = flow
-    assert segment_bytes_estimate(t, 2) > segment_bytes_estimate(t, 1)
 
 
 # -- triggers ------------------------------------------------------------------
@@ -175,7 +155,7 @@ def test_rewind_to_line_start(flow_classes):
     assert t.result == 10  # unchanged semantics after rewind
 
 
-# -- locality / bandwidth policies ----------------------------------------------
+# -- locality policy ---------------------------------------------------------
 
 def test_locality_policy_picks_file_host(flow_classes):
     eng = SODEngine(gige_cluster(3), flow_classes)
@@ -186,14 +166,6 @@ def test_locality_policy_picks_file_host(flow_classes):
     assert pol.destination(t) == "node2"
     pol2 = LocalityPolicy(engine=eng, path_of=lambda th: None)
     assert pol2.destination(t) is None
-
-
-def test_bandwidth_aware_policy_caps_segment(flow):
-    eng, home, t = flow
-    pol = BandwidthAwarePolicy(engine=eng, dst="node1", latency_budget=1e-9)
-    assert pol.choose_nframes("node0", t) == 1
-    pol2 = BandwidthAwarePolicy(engine=eng, dst="node1", latency_budget=1.0)
-    assert pol2.choose_nframes("node0", t) == t.depth()
 
 
 # -- speculative cloud retry ---------------------------------------------------------
@@ -245,9 +217,9 @@ def test_speculative_policy_stays_local_when_it_fits():
     assert not policy.migrated
 
 
-# -- prefetch ---------------------------------------------------------------------------
+# -- demand faulting -------------------------------------------------------------------
 
-PREFETCH_SRC = """
+CHAIN_SRC = """
 class Link { int v; Link next; }
 class T {
   static Link head;
@@ -272,33 +244,21 @@ class T {
 """
 
 
-def _prefetch_run(prefetcher):
-    classes = preprocess_program(compile_source(PREFETCH_SRC), "faulting")
+@pytest.mark.parametrize("build", ["faulting", "checking"])
+def test_pointer_chase_faults_each_link_on_demand(build):
+    """walk() migrates alone and chases a 12-link list living at home:
+    each Link faults in exactly once, on either detection build."""
+    classes = preprocess_program(compile_source(CHAIN_SRC), build)
     eng = SODEngine(gige_cluster(2), classes)
     home = eng.host("node0")
     t = eng.spawn(home, "T", "setup", [12])
     eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "walk")
     worker, wt, _rec = eng.migrate(home, t, "node1", 1)
-    worker.objman.prefetcher = prefetcher
     eng.run(worker, wt)
     eng.complete_segment(worker, wt, home, t, 1)
     eng.run(home, t)
-    return t.result, worker.objman.stats
-
-
-def test_reachable_prefetch_reduces_demand_faults():
-    ref, none_stats = _prefetch_run(NoPrefetch())
-    ref2, pf_stats = _prefetch_run(ReachablePrefetch(depth=1))
-    assert ref == ref2 == sum(range(12))
-    assert pf_stats.prefetched > 0
-    assert pf_stats.faults < none_stats.faults
-
-
-def test_history_prefetch_learns_transitions():
-    hp = HistoryPrefetch()
-    ref, stats = _prefetch_run(hp)
-    assert ref == sum(range(12))
-    assert hp.transitions  # learned Link -> Link chains
+    assert t.result == Machine(classes).call("T", "setup", [12]) == 66
+    assert worker.objman.stats.faults == 12
 
 
 def test_roam_visits_hosts(flow_classes):
