@@ -33,6 +33,7 @@ would read as unreached at module level.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import os
@@ -268,7 +269,6 @@ def _children(co: types.CodeType) -> List[types.CodeType]:
 def _spans(tree) -> Dict[Tuple[str, int], int]:
     """(qualname, first line incl. decorators) -> last line, per
     ``def`` / ``class`` in a parsed module."""
-    import ast
     out: Dict[Tuple[str, int], int] = {}
 
     def walk(node, prefix: str) -> None:
@@ -290,7 +290,6 @@ def _spans(tree) -> Dict[Tuple[str, int], int]:
 def audit(reach: Reach) -> Dict[str, object]:
     """Totals, per-file unreached counts and the maximal wholly-unreached
     units (key -> span in lines)."""
-    import ast
     called = {(os.path.realpath(co.co_filename), co.co_firstlineno,
                co.co_qualname) for co in reach.called.values()}
     made = {f"{c.__module__}:{c.__qualname__}"
@@ -355,7 +354,7 @@ def run_all(reach: Reach) -> None:
         _cli(tmp)
 
 
-def main(argv: List[str] = None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--check", action="store_true",
                     help="exit 1 if a wholly-unreached unit of "
