@@ -132,6 +132,8 @@ class CodeObject:
         #: (len(instrs), link sites, {link shape: template}).  Same
         #: lifetime and invalidation as ``_predecoded``.
         self._tier2: Optional[Tuple[int, tuple, Dict[frozenset, Any]]] = None
+        #: cell-less tier-1 streams by (id(weights), fuse); owned by fuse.py
+        self._fused: Dict[Tuple[int, bool], tuple] = {}
 
     # -- identity / display ------------------------------------------------
 
@@ -197,9 +199,10 @@ class CodeObject:
         return stream
 
     def invalidate_decoded(self) -> None:
-        """Drop cached decoded streams and tier-2 templates (after
-        in-place instr or weight-table mutation)."""
+        """Drop cached decoded and fused streams and tier-2 templates
+        (after in-place instr or weight-table mutation)."""
         self._predecoded.clear()
+        self._fused.clear()
         self._tier2 = None
 
     # -- transformation support ---------------------------------------------

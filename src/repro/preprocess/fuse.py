@@ -4,15 +4,17 @@ The fast dispatch loop (:meth:`repro.vm.machine.Machine._run_fast`)
 executes a *decoded stream*: a list parallel to ``CodeObject.instrs``
 where slot ``i`` describes the instruction at bci ``i`` as a tuple
 
-    ``(opid, a, b, weight, count, aux, lead_weight)``
+    ``(opid, a, b, weight, count, aux, fault, c, head)``
 
 ``opid`` is the dense integer opcode, ``weight``/``count`` feed the
 batched clock/instr accounting, ``aux`` carries per-site state
-(semantic helper functions, monomorphic inline-cache cells), and
-``lead_weight`` is the summed weight of a fused group's components
-*before* the last one (0.0 for plain instructions) — the amount charged
-when the group's final component raises a guest exception that goes
-uncaught, matching the legacy loop's charge-only-if-dispatched rule.
+(semantic helper functions, monomorphic inline-cache cells), ``c`` is
+the destination local of a 4-wide group and ``fault`` names the one
+component that may raise: ``(offset, lead weight, own weight)`` — see
+the fault rule below.  In a ``LOAD``-led group closed by its ``STORE``
+``weight`` is that ``STORE``'s alone and ``head`` the summed weight of
+the rest: the loop adds ``head``, then ``weight``, so the batched clock
+sums bit-equal to a stream whose closing ``STORE`` is not fused.
 
 This module additionally *fuses* multi-instruction sequences into
 single superinstructions.  The set is sized by the code the system
@@ -20,24 +22,26 @@ deploys, not by what the compiler emits: every build that can migrate
 is flattened (:mod:`repro.preprocess.flatten`), so each instruction
 reaches the interpreter as a group ``LOAD t..; op; STORE t`` and a
 branch as ``LOAD t; JZ`` — a ``CONST``, a compare or a ``GETS`` is
-always followed by a ``STORE``, never by its consumer.  The eight
-patterns are the ones such a stream executes at a group start
-(``LOAD+LOAD+arith``, ``LOAD+LOAD+ALOAD``, ``LOAD+LOAD``,
-``LOAD+GETF``, ``CONST+STORE``, ``LOAD+JZ``/``JNZ``); the ``original``
-build fuses with the same eight.  A test
+always followed by a ``STORE``, never by its consumer.  The nine
+patterns are the ones such a stream executes at a group start: the
+group's closing ``STORE`` joins its superinstruction
+(``LOAD+STORE``, ``CONST+STORE``, ``LOAD+LOAD+arith+STORE``,
+``LOAD+LOAD+arith(m)+STORE``, ``LOAD+LOAD+ALOAD+STORE``), and
+``LOAD+LOAD``, ``LOAD+GETF``, ``LOAD+JZ``/``JNZ``; the ``original``
+build fuses with the same nine.  A test
 (``tests/test_dispatch_equivalence.py``) replays a pc trace against
 the streams and fails on a pattern that never fires there.
 
 Coordinate invariant (what keeps migration working unchanged): the
 decoded stream is indexed by **original** bci, and a fused tuple sits at
-the bci of its *first* component while the interior slots keep their
-plain decoded form.  ``frame.pc`` therefore always holds an original
-bci — capture, restore, breakpoints, exception tables and line tables
-never see fused coordinates, and control transfer *into* the middle of a
-fused group (a jump target, or resumption after a hook-driven suspension
-mid-sequence) simply executes the interior instructions unfused.  The
-fused→original pc map is the identity on group-start slots; executing a
-fused tuple advances the pc by its ``count``.
+the bci of its *first* component while every other slot keeps the
+decode that starts there.  ``frame.pc`` therefore always holds an
+original bci — capture, restore, breakpoints, exception tables and line
+tables never see fused coordinates, and control transfer *into* the
+middle of a fused group (a jump target, or resumption after a
+hook-driven suspension mid-sequence) simply executes the interior
+instructions unfused.  Executing a fused tuple advances the pc by its
+``count``.
 
 Safety rules for patterns:
 
@@ -45,16 +49,26 @@ Safety rules for patterns:
   whose semantics need the machine (``ADD`` string concatenation,
   ``DIV``/``MOD`` guest exceptions) keep the legacy 3-arg helpers, the
   rest use 2-arg fast functions the machine certifies as equivalent;
-* only the **last** component of a pattern may raise a guest exception —
-  the fast loop charges the whole group and reports the fault at bci
-  ``start + count - 1``, which is exactly what unfused execution would
-  have charged and reported for a last-component fault;
+* **fault rule**: at most one component may raise — the binop or the
+  ``ALOAD`` of a STORE-tailed group (second to last), the last one
+  elsewhere — and ``fault`` names it.  The fast loop reports a guest or
+  host-level fault at ``start + offset``, charges the ``lead weight``
+  of the components before it, and the ``own weight`` only once a
+  handler is found: what unfused execution charges and reports.  A
+  fault writes nothing into the destination local ``c``;
 * fused groups never include opcodes with frame effects (calls,
-  returns, throws) or host-visible hooks (the ``PUTS`` static-write
-  hook, ``NATIVE``) — in particular no preemption safepoint
+  returns, throws), host-visible hooks (the ``PUTS`` static-write hook,
+  ``NATIVE``) or a ``GETS`` (:func:`cache_seeds` reads plain slots) —
+  in particular no preemption safepoint
   (:func:`repro.bytecode.opcodes.is_safepoint`; asserted below), so a
   quantum can expire before every safepoint of the fused stream exactly
   as it does in the unfused one.
+
+Each method's stream is built once per weight table and ``fuse`` flag,
+stored on its ``CodeObject`` (``_fused``; a hit needs the very
+``predecoded()`` stream it was built from; ``invalidate_decoded()``
+drops it) and holds no cell: a machine or namespace *links* it — copies
+the list and gives each inline-cache site a fresh cell.
 """
 
 from __future__ import annotations
@@ -64,26 +78,28 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject
 
-#: decoded-slot layout: (opid, a, b, weight, count, aux, lead_weight)
-DecodedSlot = Tuple[int, Any, Any, float, int, Any, float]
+#: (opid, a, b, weight, count, aux, fault, c, head): module docstring
+DecodedSlot = Tuple[Any, ...]
 
 # -- fused opcode ids --------------------------------------------------------
 
 F_LOAD_LOAD = op.FUSED_BASE + 0    # a=slot1, b=slot2
 F_CONST_STORE = op.FUSED_BASE + 1  # a=value, b=slot
 F_LOAD_GETF = op.FUSED_BASE + 2    # a=slot, b=field name
-F_LL_OP2 = op.FUSED_BASE + 3       # a=slot1, b=slot2, aux=2-arg fn
-F_LL_ARITH = op.FUSED_BASE + 4     # a=slot1, b=slot2, aux=3-arg fn
-F_LL_ALOAD = op.FUSED_BASE + 5     # a=arr slot, b=index slot
-F_LOAD_JZ = op.FUSED_BASE + 6      # a=slot, b=target
-F_LOAD_JNZ = op.FUSED_BASE + 7     # a=slot, b=target
+F_LOAD_STORE = op.FUSED_BASE + 3   # a=from slot, b=to slot
+F_LL_OP2_ST = op.FUSED_BASE + 4    # a=slot1, b=slot2, aux=2-arg fn, c=dest
+F_LL_ARITH_ST = op.FUSED_BASE + 5  # a=slot1, b=slot2, aux=3-arg fn, c=dest
+F_LL_ALOAD_ST = op.FUSED_BASE + 6  # a=arr slot, b=index slot, c=dest
+F_LOAD_JZ = op.FUSED_BASE + 7      # a=slot, b=target
+F_LOAD_JNZ = op.FUSED_BASE + 8     # a=slot, b=target
 
 #: display names for tooling / tests
 FUSED_NAMES = {
     F_LOAD_LOAD: "LOAD+LOAD", F_CONST_STORE: "CONST+STORE",
-    F_LOAD_GETF: "LOAD+GETF",
-    F_LL_OP2: "LOAD+LOAD+arith", F_LL_ARITH: "LOAD+LOAD+arith(m)",
-    F_LL_ALOAD: "LOAD+LOAD+ALOAD",
+    F_LOAD_GETF: "LOAD+GETF", F_LOAD_STORE: "LOAD+STORE",
+    F_LL_OP2_ST: "LOAD+LOAD+arith+STORE",
+    F_LL_ARITH_ST: "LOAD+LOAD+arith(m)+STORE",
+    F_LL_ALOAD_ST: "LOAD+LOAD+ALOAD+STORE",
     F_LOAD_JZ: "LOAD+JZ", F_LOAD_JNZ: "LOAD+JNZ",
 }
 
@@ -101,19 +117,37 @@ def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
                     arith: Dict[str, Callable],
                     fast2: Dict[str, Callable],
                     fuse: bool = True) -> List[DecodedSlot]:
-    """Build the decoded (and, by default, fused) stream for ``code``.
+    """The decoded (and, by default, fused) stream for ``code``, linked
+    for one machine or namespace.
 
     ``arith`` maps binop opcode names to the interpreter's 3-arg
     semantic helpers (``fn(machine, a, b)``); ``fast2`` maps the subset
     whose semantics are machine-independent to plain 2-arg functions
-    (the machine certifies this equivalence).  ``weights`` is the cost
-    model's per-opcode weight table.  The result is machine-specific
-    (inline-cache cells resolve against one loader) and is cached by the
-    owning :class:`~repro.vm.machine.Machine`.
+    (the machine certifies this equivalence; both are its constant
+    tables).  ``weights`` is the cost model's per-opcode weight table.
+    The result is a fresh link of the stream stored on ``code``, cached
+    by the owning :class:`~repro.vm.machine.Machine` per namespace.
     """
     base = code.predecoded(weights)
+    key = (id(weights), fuse)
+    tpl = code._fused.get(key)
+    if tpl is None or tpl[0] is not base:
+        tpl = code._fused[key] = (base,
+                                  *_build(code, base, arith, fast2, fuse))
+    stream = list(tpl[1])
+    for i, ncells in tpl[2]:
+        s = stream[i]
+        stream[i] = s[:5] + ([None] * ncells,) + s[6:]
+    return stream
+
+
+def _build(code: CodeObject, base: Sequence[Tuple[int, Any, Any, float]],
+           arith: Dict[str, Callable], fast2: Dict[str, Callable],
+           fuse: bool) -> Tuple[List[DecodedSlot], tuple]:
+    """``code``'s cell-less stream and its ``(bci, cell size)`` sites."""
     n = len(base)
     out: List[DecodedSlot] = []
+    sites = []
     for i in range(n):
         slot = _fuse_at(base, i, n, arith, fast2) if fuse else None
         if slot is None:
@@ -121,19 +155,16 @@ def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
             name = code.instrs[i].op
             ncells = _CACHED_OPS.get(name)
             if ncells is not None:
-                aux: Any = [None] * ncells
-            elif name in _BIN_OPS:
-                aux = arith[name]
-            else:
-                aux = None
-            slot = (opid, a, b, w, 1, aux, 0.0)
+                sites.append((i, ncells))
+            slot = (opid, a, b, w, 1, arith.get(name), (0, 0.0, w), None,
+                    None)
         else:
             assert not any(
                 op.is_safepoint(ins.op, ins.a, j) for j, ins in
                 enumerate(code.instrs[i:i + slot[4]], i)), \
                 f"{code.qualname}@{i}: safepoint fused into a group"
         out.append(slot)
-    return out
+    return out, tuple(sites)
 
 
 def cache_seeds(stream: List[DecodedSlot],
@@ -164,42 +195,35 @@ def _fuse_at(base: Sequence[Tuple[int, Any, Any, float]], i: int, n: int,
              ) -> Any:
     """Longest fused pattern starting at slot ``i`` (or None)."""
     ids = op.OP_IDS
-    LOAD, CONST = ids[op.LOAD], ids[op.CONST]
+    LOAD, STORE = ids[op.LOAD], ids[op.STORE]
     o0, a0, _b0, w0 = base[i]
-    if o0 != LOAD and o0 != CONST:
+    if (o0 != LOAD and o0 != ids[op.CONST]) or i + 1 >= n:
         return None
+    o1, a1, _b1, w1 = base[i + 1]
+    w2 = w0 + w1
 
-    # ---- 3-instruction patterns ----
-    if i + 2 < n and o0 == LOAD:
-        o1, a1, _b1, w1 = base[i + 1]
-        o2, _a2, _b2, w2 = base[i + 2]
-        w3 = w0 + w1 + w2
-        if o1 == LOAD:
-            name = _BIN_IDS.get(o2)
-            if name is not None:
-                if name in fast2:
-                    return (F_LL_OP2, a0, a1, w3, 3, fast2[name], w0 + w1)
-                return (F_LL_ARITH, a0, a1, w3, 3, arith[name], w0 + w1)
-            if o2 == ids[op.ALOAD]:
-                return (F_LL_ALOAD, a0, a1, w3, 3, None, w0 + w1)
+    # ---- 4-instruction patterns: LOAD; LOAD; op; STORE ----
+    if i + 3 < n and o0 == LOAD and o1 == LOAD and base[i + 3][0] == STORE:
+        o2, _a2, _b2, wop = base[i + 2]
+        _o3, dest, _b3, wst = base[i + 3]
+        tail = ((2, w2, wop), dest, w2 + wop)
+        name = _BIN_IDS.get(o2)
+        if name is not None:
+            if name in fast2:
+                return (F_LL_OP2_ST, a0, a1, wst, 4, fast2[name], *tail)
+            return (F_LL_ARITH_ST, a0, a1, wst, 4, arith[name], *tail)
+        if o2 == ids[op.ALOAD]:
+            return (F_LL_ALOAD_ST, a0, a1, wst, 4, None, *tail)
 
     # ---- 2-instruction patterns ----
-    if i + 1 < n:
-        o1, a1, _b1, w1 = base[i + 1]
-        w2 = w0 + w1
-        if o0 == LOAD:
-            if o1 == ids[op.GETF]:
-                return (F_LOAD_GETF, a0, a1, w2, 2, None, w0)
-            if o1 == LOAD:
-                return (F_LOAD_LOAD, a0, a1, w2, 2, None, w0)
-            if o1 == ids[op.JZ]:
-                return (F_LOAD_JZ, a0, a1, w2, 2, None, w0)
-            if o1 == ids[op.JNZ]:
-                return (F_LOAD_JNZ, a0, a1, w2, 2, None, w0)
-            return None
-        if o0 == CONST and o1 == ids[op.STORE]:
-            return (F_CONST_STORE, a0, a1, w2, 2, None, w0)
-    return None
+    if o0 == LOAD and o1 == STORE:
+        return (F_LOAD_STORE, a0, a1, w1, 2, None, (1, w0, w1), None, w0)
+    fused = {LOAD: F_LOAD_LOAD, ids[op.GETF]: F_LOAD_GETF, ids[op.JZ]:
+             F_LOAD_JZ, ids[op.JNZ]: F_LOAD_JNZ}.get(o1) if o0 == LOAD \
+        else F_CONST_STORE if o1 == STORE else None
+    if fused is None:
+        return None
+    return (fused, a0, a1, w2, 2, None, (1, w0, w1), None, None)
 
 
 def fused_coverage(stream: Sequence[DecodedSlot]) -> Dict[str, int]:

@@ -123,11 +123,11 @@ def _prefork(mix: str) -> Tuple[Dict[str, Any], Dict[str, bytes]]:
     ``CodeObject``s), computed locally under ``spawn``.  Each spec of
     the mix is served once in a throwaway namespace of a throwaway
     ``Machine`` with every ``hotness`` already at ``JIT_THRESHOLD`` —
-    as a worker meets it — so the ``_predecoded`` streams, ``_tier2``
-    templates and ``jit._factory`` entries are those of the link shapes
-    a fresh request namespace asks for, and a worker only *links*.
-    Nothing rests on that: a missed shape is generated lazily as
-    before, every template hit is verified against the weight table,
+    as a worker meets it — so the ``_predecoded`` / ``_fused`` streams,
+    ``_tier2`` templates and ``jit._factory`` entries are those of the
+    link shapes a fresh request namespace asks for, and a worker only
+    *links*.  Nothing rests on that: a missed shape is generated lazily
+    as before, every template hit is verified against the weight table,
     and the virtual oracle never sees the raised ``hotness``
     (``ClusterScheduler.__init__`` resets it).  The machine, its
     namespaces and its heap die here."""

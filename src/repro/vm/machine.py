@@ -29,10 +29,11 @@ contract does not depend on which of three loops does the work:
   undeclared ``stop`` or ``dispatch="legacy"`` — and is the
   hand-written oracle of the differential suites;
 * **tier 1** (:meth:`Machine._run_fast`) runs the rest: a per-machine
-  cached *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
+  linked *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
   integer opcodes, pre-resolved cost weights, fused superinstructions
-  (the eight a flattened stream executes — its groups are ``LOAD t..;
-  op; STORE t`` — tested in that stream's measured order) and
+  (the nine a flattened stream executes — its groups are ``LOAD t..;
+  op; STORE t``, closing STORE included — tested in that stream's
+  measured order) and
   monomorphic inline caches, with clock / instruction accounting
   batched in locals and flushed at natives, exception dispatch and
   loop exit;
@@ -76,9 +77,9 @@ tables and line tables are oblivious to fusion and to the tier.
 Inline caches are valid because classes cannot be redefined once linked
 (:meth:`repro.vm.classloader.ClassLoader.define` refuses) and method
 tables/static homes are immutable after linking; caches live in the
-per-machine decoded stream, never on shared ``CodeObject``s.  Swapping
-``machine.cost`` (or mutating its weight table) or mutating a method's
-``instrs`` after execution started requires
+per-machine linked stream, never in the one a ``CodeObject`` stores.
+Swapping ``machine.cost`` (or mutating its weight table) or mutating a
+method's ``instrs`` after execution started requires
 :meth:`Machine.invalidate_caches`.
 
 Namespaces
@@ -106,9 +107,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import ClassFile, CodeObject
 from repro.errors import LinkError, NativeError, VMError
-from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD, F_LL_ARITH,
-                                   F_LL_OP2, F_LOAD_GETF, F_LOAD_JNZ,
-                                   F_LOAD_JZ, F_LOAD_LOAD, decode_and_fuse)
+from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD_ST,
+                                   F_LL_ARITH_ST, F_LL_OP2_ST, F_LOAD_GETF,
+                                   F_LOAD_JNZ, F_LOAD_JZ, F_LOAD_LOAD,
+                                   F_LOAD_STORE, decode_and_fuse)
 from repro.vm.classloader import ClassLoader, Namespace
 from repro.vm.costmodel import CostModel
 from repro.vm.frames import Frame, ThreadState
@@ -447,11 +449,10 @@ class Machine:
 
         After a *host-level* error (``LinkError``, ``VMError``, a host
         ``TypeError``: the run is aborted, not a guest throw) only
-        ``frame.pc`` — the faulting bci — is defined.  How much of the
-        faulting group was charged differs by loop (tier 1 has not
-        charged a fused group's leading components, tier 2 nothing
-        since its last flush) and tier 2 may not have written its
-        latest temps to ``frame.locals``; no caller reads either.
+        ``frame.pc`` — the faulting bci — is defined.  Tier 1 charges
+        what the hooked loop does, but tier 2 may not have charged what
+        ran since its last flush nor written its latest temps to
+        ``frame.locals``; no caller reads either.
         Guest throws, preemptions, calls, natives and deopts are exact
         in every loop."""
         if quantum is not None and quantum < 1:
@@ -596,8 +597,9 @@ class Machine:
         I_INVOKESTATIC = _I_INVOKESTATIC; I_INVOKEVIRT = _I_INVOKEVIRT
         I_NATIVE = _I_NATIVE; I_RET = _I_RET; I_RETV = _I_RETV
         BIN_LO = _I_BINOP_LO; BIN_HI = _I_BINOP_HI
-        FI_LL_OP2 = F_LL_OP2; FI_LL_ARITH = F_LL_ARITH
-        FI_LL_ALOAD = F_LL_ALOAD; FI_LOAD_LOAD = F_LOAD_LOAD
+        FI_LL_OP2_ST = F_LL_OP2_ST; FI_LL_ARITH_ST = F_LL_ARITH_ST
+        FI_LL_ALOAD_ST = F_LL_ALOAD_ST; FI_LOAD_LOAD = F_LOAD_LOAD
+        FI_LOAD_STORE = F_LOAD_STORE
         FI_CONST_STORE = F_CONST_STORE; FI_LOAD_GETF = F_LOAD_GETF
         FI_LOAD_JZ = F_LOAD_JZ; FI_LOAD_JNZ = F_LOAD_JNZ
         try:
@@ -661,48 +663,56 @@ class Machine:
                         oid = ins[0]
                         # Arm order = dispatch share on the flattened
                         # build every migratable path runs (faulting,
-                        # four registry programs, 4,818,128 dispatches
-                        # for 6,632,609 instructions): LOAD 27.4% and
-                        # STORE 40.6 (swapping the two measures the
-                        # same; LOAD leads every unflattened stream),
-                        # LOAD+LOAD+arith 6.8, CONST+STORE 5.1, LOAD+JZ
-                        # 4.0, LOAD+LOAD+arith(m) 3.7, LOAD+LOAD+ALOAD
-                        # 2.5, LOAD+LOAD 1.8, GETS 1.6, JMP 1.3,
-                        # INVOKESTATIC 1.2, ASTORE 1.1, RETV 1.0, the
-                        # rest under 0.5 each.  Plain CONST / ALOAD /
-                        # binop / JZ / JNZ / GETF come last: flattened
-                        # code pairs each with a LOAD or a STORE, so
-                        # they run only after a jump or a resume into
-                        # the middle of a group (0 dispatches there;
-                        # the original build pays for it).
-                        if oid == I_LOAD:
-                            push(locs[ins[1]])
-                            pc += 1
-                        elif oid == I_STORE:
-                            locs[ins[1]] = pop()
-                            pc += 1
-                        elif oid == FI_LL_OP2:
-                            push(ins[5](locs[ins[1]], locs[ins[2]]))
-                            pc += 3
+                        # four registry programs, 3,050,197 dispatches
+                        # for 6,632,609 instructions;
+                        # tests/helpers.tier1_dispatches): LOAD+STORE
+                        # 37.4%, LOAD+LOAD+arith+STORE 10.7, CONST+STORE
+                        # 8.1, LOAD+JZ 6.4, STORE 6.2, LOAD 6.0,
+                        # LOAD+LOAD+arith(m)+STORE 5.9,
+                        # LOAD+LOAD+ALOAD+STORE 4.0, LOAD+LOAD 2.9, GETS
+                        # 2.5, JMP 2.1, INVOKESTATIC 2.0, ASTORE 1.8,
+                        # RETV 1.6, the rest under 1 each.  Plain CONST
+                        # / ALOAD / binop / JZ / JNZ / GETF come last:
+                        # flattened code pairs each with a LOAD or a
+                        # STORE, so they run only after a jump or a
+                        # resume into the middle of a group (0
+                        # dispatches there; the original build pays).
+                        if oid == FI_LOAD_STORE:
+                            locs[ins[2]] = locs[ins[1]]
+                            w_acc += ins[8]
+                            pc += 2
+                        elif oid == FI_LL_OP2_ST:
+                            locs[ins[7]] = ins[5](locs[ins[1]], locs[ins[2]])
+                            w_acc += ins[8]
+                            pc += 4
                         elif oid == FI_CONST_STORE:
                             locs[ins[2]] = ins[1]
                             pc += 2
                         elif oid == FI_LOAD_JZ:
                             pc = pc + 2 if tr(locs[ins[1]]) else ins[2]
-                        elif oid == FI_LL_ARITH:
-                            push(ins[5](self, locs[ins[1]], locs[ins[2]]))
-                            pc += 3
-                        elif oid == FI_LL_ALOAD:
+                        elif oid == I_STORE:
+                            locs[ins[1]] = pop()
+                            pc += 1
+                        elif oid == I_LOAD:
+                            push(locs[ins[1]])
+                            pc += 1
+                        elif oid == FI_LL_ARITH_ST:
+                            locs[ins[7]] = ins[5](self, locs[ins[1]],
+                                                  locs[ins[2]])
+                            w_acc += ins[8]
+                            pc += 4
+                        elif oid == FI_LL_ALOAD_ST:
                             arr = locs[ins[1]]
                             idx = locs[ins[2]]
                             if not isinstance(arr, Arr):
                                 _arr_fail(self, arr, "arrayload")
                             data = arr.data
                             if 0 <= idx < len(data):
-                                push(data[idx])
+                                locs[ins[7]] = data[idx]
                             else:
                                 raise _iobe(self, idx, len(data))
-                            pc += 3
+                            w_acc += ins[8]
+                            pc += 4
                         elif oid == FI_LOAD_LOAD:
                             push(locs[ins[1]])
                             push(locs[ins[2]])
@@ -1007,27 +1017,30 @@ class Machine:
                         w_acc += ins[3]
                         n_acc += ins[4]
                 except GuestThrow as gt:
-                    # Guest exceptions always originate from the last
-                    # component of a (super)instruction: report the
-                    # precise faulting bci and charge the group's leading
-                    # components, then dispatch.  The faulting component
-                    # itself is charged only when a handler is found —
-                    # the legacy loop returns before charging a fatally-
-                    # throwing instruction.
-                    frame.pc = pc + ins[4] - 1
-                    self.clock += op_cost * (w_acc + ins[6])
-                    self.instr_count += n_acc + ins[4] - 1
+                    # The slot names the one component that may raise
+                    # (fuse's fault rule): report the precise faulting
+                    # bci and charge the components before it, then
+                    # dispatch.  The faulting component itself is
+                    # charged only when a handler is found — the legacy
+                    # loop returns before charging a fatally-throwing
+                    # instruction.
+                    off, lead, own = ins[6]
+                    frame.pc = pc + off
+                    self.clock += op_cost * (w_acc + lead)
+                    self.instr_count += n_acc + off
                     w_acc = 0.0
                     n_acc = 0
                     if not self._dispatch(thread, gt.exc):
                         return "finished"
-                    w_acc = ins[3] - ins[6]
+                    w_acc = own
                     n_acc = 1
                 except BaseException:
                     # Host-level error (LinkError, VMError, TypeError...):
-                    # report the faulting bci like the legacy loop before
-                    # propagating — a group's last component, as above.
-                    frame.pc = pc + ins[4] - 1
+                    # report the same component and charge the ones
+                    # before it like the legacy loop, then propagate.
+                    frame.pc = pc + ins[6][0]
+                    w_acc += ins[6][1]
+                    n_acc += ins[6][0]
                     raise
             thread.finished = True
             return "finished"
@@ -1621,8 +1634,8 @@ def _cold_trap(m: "Machine", frame: Frame, stack: list, ins: tuple,
 
 #: the slot ``Machine._trap`` plants at bci 0: an opcode id no
 #: instruction has, so it falls through every hot test into ``_COLD``
-#: (count 1: the handler that syncs ``frame.pc`` reads it as a width)
-_TRAP = (-1, None, None, 0.0, 1, None, 0.0)
+#: (fault offset 0: the handler that syncs ``frame.pc`` reads it)
+_TRAP = (-1, None, None, 0.0, 1, None, (0, 0.0, 0.0), None, None)
 
 _COLD: Dict[int, Callable[..., int]] = {
     _TRAP[0]: _cold_trap,

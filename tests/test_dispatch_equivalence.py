@@ -23,6 +23,7 @@ from repro.preprocess.fuse import FUSED_NAMES, fused_coverage
 from repro.vm import Machine, VMTI
 from repro.vm import jit as jit_mod
 from repro.vm.machine import UncaughtGuestException
+from repro.vm.values import RemoteRef
 from repro.workloads import registry
 from repro.workloads.mixes import MIXES, SERVE_PROGRAMS, serve_compiled
 from tests.helpers import assemble, tier1_dispatches
@@ -145,8 +146,9 @@ HOST_ERR_LOOPS = {
 @pytest.mark.parametrize("loop", sorted(HOST_ERR_LOOPS))
 def test_host_error_reports_the_faulting_bci(loop, build, monkeypatch):
     """``x[i]`` on an int is a host-level ``VMError`` out of ``ALOAD`` —
-    on tier 1 the last component of a ``LOAD+LOAD+ALOAD`` group:
-    ``frame.pc`` names the ``ALOAD``, not the group's first bci.  That
+    on tier 1 the second to last component of a
+    ``LOAD+LOAD+ALOAD+STORE`` group: ``frame.pc`` names the ``ALOAD``,
+    not the group's first or last bci.  That
     is all a host-level error defines (``Machine.run``): ``instr_count``
     of the faulting group and tier 2's not yet written-back temps
     differ by loop and are not compared.  On tier 2 the literal ``5``
@@ -161,6 +163,143 @@ def test_host_error_reports_the_faulting_bci(loop, build, monkeypatch):
         m.run(t)
     assert m.jit_compiles == (loop == "tier 2 @1")
     assert t.frames[-1].pc == [ins.op for ins in code.instrs].index(op.ALOAD)
+
+
+# -- the fault rule: a STORE-tailed group faults at its second to last ------
+
+FAULT_SRC = """
+class F {
+  static int[] data;
+  static int div(int a, int b) { int r = 5; r = a / b; return r; }
+  static int divc(int a, int b) {
+    int r = 5;
+    try { r = a / b; } catch (ArithmeticException e) { return r + 100; }
+    return r;
+  }
+  static int mod(int a, int b) { int r = 5; r = a % b; return r; }
+  static int modc(int a, int b) {
+    int r = 5;
+    try { r = a % b; } catch (ArithmeticException e) { return r + 100; }
+    return r;
+  }
+  static int idx(int i) { int[] xs = new int[4]; int r = 5; r = xs[i]; return r; }
+  static int idxc(int i) {
+    int[] xs = new int[4];
+    int r = 5;
+    try { r = xs[i]; } catch (IndexOutOfBoundsException e) { return r + 100; }
+    return r;
+  }
+  static int remote(int i) { int[] xs = F.data; int r = 5; r = xs[i]; return r; }
+  static int sub(int a, int b) { int r = 5; r = a - b; return r; }
+  static int subc(int a, int b) {
+    int r = 5;
+    try { r = a - b; } catch (Throwable e) { return r + 100; }
+    return r;
+  }
+}
+"""
+
+
+def _remote_data(m):
+    """``F.data`` is a remote-ref sentinel; ``ObjMan.resolve`` patches
+    the faulting frame's copies of it with a local array (the object
+    manager's convergence step, without a cluster)."""
+    ref = RemoteRef(1, "home")
+    m.loader.load("F").statics["data"] = ref
+    arr = m.heap.new_array("int", 4, 4)
+    for k in range(4):
+        arr.data[k] = 10 * (k + 1)
+
+    def resolve(machine, args):
+        locs = machine.current_thread.frames[-1].locals
+        for k, v in enumerate(locs):
+            if v is ref:
+                locs[k] = arr
+    m.natives.register("ObjMan.resolve", resolve)
+
+
+#: (pattern, method, args, build, set-up, faulting opcode); ``F.remote``
+#: on ``faulting`` is caught by its injected ``__ObjectFault`` row and
+#: retried, on ``flattened`` (no handler) the NPE is uncaught
+FAULT_CASES = {
+    "div": ("LOAD+LOAD+arith(m)+STORE", "div", (7, 0), "faulting", None,
+            op.DIV),
+    "mod": ("LOAD+LOAD+arith(m)+STORE", "mod", (7, 0), "faulting", None,
+            op.MOD),
+    "aload-bounds": ("LOAD+LOAD+ALOAD+STORE", "idx", (4,), "faulting",
+                     None, op.ALOAD),
+    "aload-remote": ("LOAD+LOAD+ALOAD+STORE", "remote", (2,), "flattened",
+                     _remote_data, op.ALOAD),
+    "op2-typeerror": ("LOAD+LOAD+arith+STORE", "sub", ("x", 1), "faulting",
+                      None, op.SUB),
+}
+
+
+def _heap_blind(v):
+    """A local, comparable across two machines' heaps."""
+    if isinstance(v, RemoteRef):
+        return ("remote", v.home_oid)
+    oid = getattr(v, "oid", None)
+    return v if oid is None else ("oid", oid)
+
+
+def _fault_run(classes, method, args, setup, **kw):
+    m = Machine(classes, jit=False, **kw)
+    if setup is not None:
+        setup(m)
+    t = m.spawn("F", method, list(args))
+    frame = t.frames[-1]
+    try:
+        m.run(t)
+        host = None
+    except TypeError as exc:  # a host-level error out of a 2-arg op
+        host = type(exc).__name__
+    # a frame that returned has no defined pc; one that faulted out
+    # holds the faulting bci
+    faulted = host is not None or t.uncaught is not None
+    return m, frame, dict(
+        pc=frame.pc if faulted else None, instr_count=m.instr_count,
+        result=t.result,
+        locals=[_heap_blind(v) for v in frame.locals],
+        host=host, uncaught=t.uncaught and t.uncaught.class_name)
+
+
+@pytest.mark.parametrize("caught", [False, True], ids=["uncaught", "caught"])
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_store_tailed_group_faults_like_unfused(case, caught):
+    """Each STORE-tailed pattern with its binop / ``ALOAD`` throwing:
+    tier 1 fused must stop at the faulting component's bci, charge
+    exactly what unfused tier 1 charges and leave the destination local
+    unwritten — uncaught, and caught by a guest handler (a host
+    ``TypeError`` escapes the ``catch (Throwable)`` either way; the
+    remote-ref fault is caught by the object-fault handler, which
+    resolves the sentinel and re-runs the group)."""
+    pattern, method, args, build, setup, fault_op = FAULT_CASES[case]
+    if caught and setup is None:
+        method += "c"  # the same body inside a try / catch
+    elif caught:
+        build = "faulting"  # its injected __ObjectFault row catches it
+    classes = preprocess_program(compile_source(FAULT_SRC), build)
+    m, frame, fused = _fault_run(classes, method, args, setup)
+    # the unfused stream, and the hooked loop (which shares no charge
+    # code with tier 1)
+    for kw in (dict(fuse=False), dict(dispatch="legacy")):
+        ref, _f, want = _fault_run(classes, method, args, setup, **kw)
+        assert fused == want, kw
+        assert math.isclose(m.clock, ref.clock, rel_tol=1e-12), kw
+    # the fault really came from inside the pattern under test (its
+    # destination local is compared above: left as it was)
+    stream = m.decoded(frame.code)
+    sites = [i for i, ins in enumerate(frame.code.instrs)
+             if ins.op == fault_op and i >= 2
+             and FUSED_NAMES.get(stream[i - 2][0]) == pattern
+             and stream[i - 2][6][0] == 2]
+    assert sites, f"no {pattern} group faults at {fault_op}"
+    if not caught or fused["host"]:
+        assert fused["pc"] in sites
+    else:
+        want = 30 if setup else 105  # retried / the handler saw r == 5
+        assert fused["result"] == want and fused["uncaught"] is None
 
 
 # -- inline caches -----------------------------------------------------------
@@ -230,18 +369,32 @@ def _loop_setup():
 
 
 def test_fused_stream_structure():
+    # the nine patterns: a flattened group's closing STORE joins it
+    assert sorted(FUSED_NAMES.values()) == sorted([
+        "LOAD+LOAD", "CONST+STORE", "LOAD+GETF", "LOAD+STORE",
+        "LOAD+LOAD+arith+STORE", "LOAD+LOAD+arith(m)+STORE",
+        "LOAD+LOAD+ALOAD+STORE", "LOAD+JZ", "LOAD+JNZ"])
     m, code, stream = _loop_setup()
     cov = fused_coverage(stream)
     # the loop header (compare into a temp, branch on the temp), the
-    # induction step and the literals must all have fused
-    assert {"LOAD+LOAD+arith", "LOAD+JZ", "LOAD+LOAD+arith(m)",
-            "CONST+STORE"} <= set(cov), cov
+    # induction step, the temp copies and the literals must all have
+    # fused
+    assert {"LOAD+LOAD+arith+STORE", "LOAD+JZ", "LOAD+LOAD+arith(m)+STORE",
+            "CONST+STORE", "LOAD+STORE"} <= set(cov), cov
     # streams are parallel to the original instrs: every slot is an
-    # executable decode for its own bci and groups never run off the end
+    # executable decode for its own bci, groups never run off the end,
+    # and the component a slot names as the one that may fault is in it
     assert len(stream) == len(code.instrs)
+    base = code.predecoded(m.cost.op_weights)
     for i, slot in enumerate(stream):
         assert slot[4] >= 1
         assert i + slot[4] <= len(stream)
+        assert 0 <= slot[6][0] < slot[4]
+        if slot[8] is not None:
+            # STORE-tailed: the loop adds ``head`` (summed left to right)
+            # and then the STORE's weight, as unfused STORE dispatch does
+            ws = [w for _o, _a, _b, w in base[i:i + slot[4]]]
+            assert slot[3] == ws[-1] and slot[8] == sum(ws[:-1])
 
 
 def test_every_superinstruction_fires_on_the_flattened_builds():
@@ -322,46 +475,47 @@ def test_hand_assembled_compare_jnz_runs_unfused():
 
 # -- suspension and resumption mid-fused-sequence -----------------------------
 
-def _interior_bci(stream):
-    """An original bci strictly inside a 3-wide fused group — the
-    widest there is; the first one is the loop header's ``LOAD i; LOAD
-    n; LT``, which executes once per iteration, and its last component
-    finds both operands already on the stack."""
-    for i, slot in enumerate(stream):
-        if slot[4] == 3:
-            return i + 2
-    raise AssertionError("no 3-wide fused group found")
+def _interior_bcis(stream):
+    """Every original bci strictly inside the first of the widest fused
+    groups — 4-wide; the first one is the loop header's ``LOAD i; LOAD
+    n; LT; STORE t``, which executes once per iteration: entered at its
+    ``LOAD n``, ``LT`` or ``STORE`` it finds one operand, both, or the
+    result already on the stack."""
+    width = max(slot[4] for slot in stream)
+    assert width == 4, f"no 4-wide fused group found (widest {width})"
+    start = next(i for i, slot in enumerate(stream) if slot[4] == width)
+    return list(range(start + 1, start + width))
 
 
 def test_resume_inside_fused_group_on_fast_loop():
     m, code, stream = _loop_setup()
-    interior = _interior_bci(stream)
-    t = m.spawn("L", "sum", [60])
-    # stop exactly at the interior bci (slow loop, bci-precise)...
-    status = m.run(t, stop=lambda th: th.frames[-1].pc == interior)
-    assert status == "stopped"
-    assert t.frames[-1].pc == interior
-    # ...then resume on the fast loop: execution enters the middle of a
-    # fused group and must run the interior slots unfused.
-    m.run(t)
-    assert t.result == sum(range(60))
+    for interior in _interior_bcis(stream):
+        t = m.spawn("L", "sum", [60])
+        # stop exactly at the interior bci (slow loop, bci-precise)...
+        status = m.run(t, stop=lambda th: th.frames[-1].pc == interior)
+        assert status == "stopped"
+        assert t.frames[-1].pc == interior
+        # ...then resume on the fast loop: execution enters the middle
+        # of a fused group and must run the interior slots unfused.
+        m.run(t)
+        assert t.result == sum(range(60))
 
 
 def test_breakpoint_fires_mid_fused_sequence():
-    m, code, stream = _loop_setup()
-    interior = _interior_bci(stream)
-    vmti = VMTI(m)
-    hits = []
-    vmti.set_breakpoint("L", "sum", interior)
-    vmti.set_breakpoint_callback(
-        lambda mach, th: hits.append(th.frames[-1].pc))
-    t = m.spawn("L", "sum", [10])
-    m.run(t)
-    assert t.result == sum(range(10))
-    assert hits and all(pc == interior for pc in hits)
-    # the interior bci is loop-body code: it fires once per iteration
-    # (n or n+1 times depending on whether it is the header or the step)
-    assert len(hits) in (10, 11)
+    for interior in _interior_bcis(_loop_setup()[2]):
+        m, code, stream = _loop_setup()
+        vmti = VMTI(m)
+        hits = []
+        vmti.set_breakpoint("L", "sum", interior)
+        vmti.set_breakpoint_callback(
+            lambda mach, th: hits.append(th.frames[-1].pc))
+        t = m.spawn("L", "sum", [10])
+        m.run(t)
+        assert t.result == sum(range(10))
+        assert hits and all(pc == interior for pc in hits)
+        # the interior bci is loop-body code: it fires once per
+        # iteration (n or n+1 times: the header or the step)
+        assert len(hits) in (10, 11)
 
 
 def test_native_installed_hooks_retreat_to_slow_loop():
@@ -379,21 +533,22 @@ def test_native_installed_hooks_retreat_to_slow_loop():
     }
     """
     classes = preprocess_program(compile_source(src), "faulting")
-    m = Machine(classes)
-    hits = []
+    code = classes["G"].methods["go"]
+    for k in range(3):  # each interior offset of a 4-wide group
+        m = Machine(classes)
+        hits = []
 
-    def arm(machine, args):
-        code = machine.loader.load("G").find_method("go")
-        interior = _interior_bci(machine.decoded(code))
-        machine.breakpoints.add(("G", "go", interior))
-        machine.on_breakpoint = lambda mach, th: hits.append(
-            th.frames[-1].pc)
-        return None
+        def arm(machine, args):
+            interior = _interior_bcis(machine.decoded(code))[k]
+            machine.breakpoints.add(("G", "go", interior))
+            machine.on_breakpoint = lambda mach, th: hits.append(
+                th.frames[-1].pc)
+            return None
 
-    m.natives.register("Sys.armHook", arm)
-    result = m.call("G", "go", [5])
-    assert result == sum(range(5))
-    assert hits, "breakpoint armed by a native never fired"
+        m.natives.register("Sys.armHook", arm)
+        result = m.call("G", "go", [5])
+        assert result == sum(range(5))
+        assert hits, f"breakpoint armed by a native never fired ({k})"
 
 
 # -- capture / restore on fast-dispatch machines ------------------------------

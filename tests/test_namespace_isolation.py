@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 import repro.vm.jit as jit_mod
+from repro.bytecode import opcodes as op
 from repro.cluster import gige_cluster, serve_cluster
 from repro.errors import MigrationError
 from repro.lang import compile_source
@@ -238,6 +239,137 @@ def test_drop_namespace_reclaims_state():
     assert "gone" not in m._decoded_ns
     # root state untouched
     assert m.loader.load("P").statics["s"] == 0
+
+
+# -- tier 1's stored stream: built once, linked per namespace -----------------
+
+
+def _run_in(m, namespaces, n=2):
+    for ns in namespaces:
+        t = m.spawn("P", "work", [n], namespace=ns)
+        m.run(t)
+        assert t.result == n
+    return m.namespace(namespaces[0]).load("P").find_method("work")
+
+
+def test_namespace_streams_share_the_stored_stream_but_no_cell():
+    """Two namespaces link ``P.work``'s one stored stream: every slot
+    without an inline-cache cell is the same tuple in both, and each
+    cached site holds a cell of its own, bound to its namespace's
+    static home."""
+    m = Machine(_classes(), jit=False)
+    work = _run_in(m, ["a", "b"])
+    sa, sb = m._decoded_ns["a"][work], m._decoded_ns["b"][work]
+    assert sa is not sb and len(sa) == len(sb) == len(work.instrs)
+    cells = 0
+    for x, y in zip(sa, sb):
+        if not isinstance(x[5], list):
+            assert x is y
+            continue
+        cells += 1
+        assert x[5] is not y[5] and x[:5] == y[:5] and x[6:] == y[6:]
+    assert cells >= 2  # GETS/PUTS P.s, P.tag
+    for ns, stream in (("a", sa), ("b", sb)):
+        statics = m.namespace(ns).load("P").statics
+        bound = [s[5][0] for s in stream
+                 if isinstance(s[5], list) and s[5][0] is not None]
+        assert bound and all(c[0] is statics for c in bound)
+    # the stored stream itself holds no cell
+    (tpl,) = work._fused.values()
+    assert not any(isinstance(s[5], list) for s in tpl[1])
+
+
+def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
+    """A hit needs the very ``predecoded()`` stream it was built from
+    and the same ``fuse`` flag: an in-place weight edit and
+    ``invalidate_decoded()`` each force one rebuild, a plain re-link
+    none."""
+    from repro.preprocess import fuse
+    from repro.vm.machine import _ARITH, _FAST2
+
+    builds = []
+    build = fuse._build
+    monkeypatch.setattr(fuse, "_build", lambda code, *a: (
+        builds.append(code.qualname), build(code, *a))[1])
+    code = _classes()["P"].methods["work"]
+    weights = dict(Machine().cost.op_weights)  # private: edited below
+
+    def link(fuse_flag=True):
+        return fuse.decode_and_fuse(code, weights, _ARITH, _FAST2,
+                                    fuse=fuse_flag)
+
+    s1, s2 = link(), link()
+    assert len(builds) == 1 and s1 is not s2
+    assert [s[0] for s in s1] == [s[0] for s in s2]
+    link(fuse_flag=False)
+    assert len(builds) == 2 and len(code._fused) == 2
+    weights[op.LOAD] = weights.get(op.LOAD, 1.0) * 2
+    s3 = link()
+    assert len(builds) == 3
+    i = next(i for i, ins in enumerate(code.instrs) if ins.op == op.LOAD
+             and s3[i][4] == 1)
+    assert s3[i][3] == weights[op.LOAD] != s1[i][3]
+    code.invalidate_decoded()
+    assert code._fused == {}
+    link()
+    assert len(builds) == 4
+
+
+def test_tier2_seeds_read_the_namespace_own_tier1_cells(monkeypatch):
+    """``cache_seeds`` reads the linking namespace's stream, never the
+    stored one or another namespace's: tier 2 compiled in ``a`` starts
+    from ``a``'s warmed tier-1 cells."""
+    from repro.preprocess.fuse import cache_seeds
+
+    m = Machine(_classes(), jit=True)
+    work = _run_in(m, ["a", "b"])  # below JIT_THRESHOLD: tier 1 only
+    assert not m._compiled_ns["a"] and not m._compiled_ns["b"]
+    read = []
+    monkeypatch.setattr(jit_mod, "cache_seeds", lambda stream, code: (
+        read.append(stream), cache_seeds(stream, code))[1])
+    assert m.precompile("P", "work", namespace="a")
+    assert read == [m._decoded_ns["a"][work]]
+    seeds = cache_seeds(read[0], work)
+    assert seeds and all(cell is read[0][bci][5]
+                         for bci, cell in seeds.items())
+    others = {id(s[5]) for s in m._decoded_ns["b"][work]}
+    assert not any(id(cell) in others for cell in seeds.values())
+    t = m.spawn("P", "work", [3], namespace="a")
+    m.run(t)
+    assert t.result == 5 and m.namespace("b").load("P").statics["s"] == 2
+
+
+def test_serving_builds_each_stream_at_most_once(monkeypatch):
+    """Ten ``paper``-mix requests, each in its own namespace on four
+    hosts, link tier-1 streams many times and build each method's at
+    most once (the serve programs' stored streams are dropped first,
+    so every build is counted)."""
+    from collections import Counter
+
+    import repro.vm.machine as machine_mod
+    from repro.preprocess import fuse
+
+    for cf in serve_classpath(MIXES["paper"].programs()).values():
+        for code in cf.methods.values():
+            code._fused.clear()
+    builds, links = Counter(), Counter()
+    build, link = fuse._build, machine_mod.decode_and_fuse
+
+    def counted_build(code, *a):
+        builds[code] += 1
+        return build(code, *a)
+
+    def counted_link(code, *a, **k):
+        links[code] += 1
+        return link(code, *a, **k)
+
+    monkeypatch.setattr(fuse, "_build", counted_build)
+    monkeypatch.setattr(machine_mod, "decode_and_fuse", counted_link)
+    rep = serve_mix("paper", n_nodes=4, n_requests=10, seed=5)
+    assert rep.served == rep.correct == 10
+    assert builds and max(builds.values()) == 1
+    assert set(links) == set(builds)
+    assert sum(links.values()) > 2 * len(builds)
 
 
 # -- engine level --------------------------------------------------------------
