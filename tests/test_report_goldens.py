@@ -26,10 +26,9 @@ from repro.__main__ import main as repro_main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
-#: every table/figure the CLI can regenerate (roaming is excluded: its
-#: report is exercised by the benchmark suite and takes the longest)
+#: every table/figure the CLI can regenerate
 NAMES = ["table1", "table2", "table3", "table4", "table5", "table6",
-         "table7", "figure1", "figure5"]
+         "table7", "figure1", "figure5", "roaming"]
 
 BLESS = os.environ.get("REPRO_BLESS_GOLDENS") == "1"
 
