@@ -17,19 +17,16 @@ compares against the fault-free run of the same configuration:
 Also records a replay-equivalence probe: the worst-case schedule is
 recorded and re-executed, and the two traces must be byte-identical.
 
-Emits ``BENCH_chaos.json`` at the repo root.  ``BENCH_SMOKE=1``
-runs fewer schedules (CI smoke mode); run directly
-(``python benchmarks/test_chaos_recovery.py``) to print the JSON.
+Emits ``BENCH_chaos.json`` (see ``conftest.write_bench_json``); run
+directly (``python benchmarks/test_chaos_recovery.py``) to print the
+JSON.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
-
-from conftest import SMOKE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_chaos.json"
@@ -38,12 +35,10 @@ SEED = 7
 N_NODES = 4
 N_REQUESTS = 32
 HORIZON = 0.2  # fault window ~ the front-door makespan
-
-
-def _chaos_seeds():
-    if SMOKE:
-        return (1, 2)
-    return (1, 2, 3, 4, 5)
+CHAOS_SEEDS = (1, 2, 3, 4, 5)
+#: goodput floor, as a share of the fault-free run's.  Deterministic
+#: virtual time, so no noise margin is needed.
+MIN_GOODPUT = 0.4
 
 
 def _run(fault_plan=None):
@@ -72,7 +67,6 @@ def run_bench() -> dict:
         "unit": "correct responses per virtual second",
         "mix": "parallel", "placement": "front-door",
         "n_nodes": N_NODES, "n_requests": N_REQUESTS, "seed": SEED,
-        "smoke": SMOKE,
         "fault_free": {"goodput_rps": round(base_goodput, 1),
                        "makespan_s": base_rep.makespan,
                        **{k: base_rep.to_dict()[k]
@@ -80,7 +74,7 @@ def run_bench() -> dict:
         "schedules": {},
     }
     worst = None
-    for cs in _chaos_seeds():
+    for cs in CHAOS_SEEDS:
         plan = random_plan(names, cs, horizon=HORIZON)
         rep, latency, hit = _run(plan)
         goodput = rep.correct / rep.makespan
@@ -124,10 +118,8 @@ def run_bench() -> dict:
     return report
 
 
-def test_chaos_recovery(benchmark, write_bench_json):
-    from conftest import once
-
-    report = once(benchmark, run_bench)
+def test_chaos_recovery(write_bench_json):
+    report = run_bench()
     write_bench_json(BENCH_JSON.name, report)
     print(f"\nchaos recovery ({report['unit']}; fault-free "
           f"{report['fault_free']['goodput_rps']} rps):")
@@ -155,9 +147,8 @@ def test_chaos_recovery(benchmark, write_bench_json):
     assert report["total_recoveries"] > 0
 
     # Goodput floor: faults cost capacity but recovery keeps the run
-    # moving.  Deterministic virtual time — no noise margin needed.
-    floor = float(os.environ.get("BENCH_CHAOS_MIN_GOODPUT", "0.4"))
-    assert report["min_goodput_ratio"] >= floor, report["schedules"]
+    # moving.
+    assert report["min_goodput_ratio"] >= MIN_GOODPUT, report["schedules"]
 
     # And the recorded worst case replays byte-identically.
     assert report["replay"]["byte_identical"]

@@ -10,49 +10,42 @@ real scheduler/VM regression can).
 Also measures the pure-elasticity scenario: every request arrives at
 one front node and only request handoff + SOD offload spread the load.
 
-Emits ``BENCH_cluster.json`` at the repo root.  ``BENCH_SMOKE=1``
-serves a smaller stream (CI smoke mode); run directly
-(``python benchmarks/test_cluster_throughput.py``) to print the JSON.
+Emits ``BENCH_cluster.json`` (see ``conftest.write_bench_json``); run
+directly (``python benchmarks/test_cluster_throughput.py``) to print
+the JSON.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
-
-from conftest import SMOKE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_cluster.json"
 
 NODE_COUNTS = (1, 2, 4, 8)
 SEED = 7
-
-
-def _n_requests() -> int:
-    if SMOKE:
-        return 32
-    return 64
+N_REQUESTS = 64
+#: acceptance floor: served throughput at 8 nodes vs 1 on the parallel
+#: mix.  Virtual time is deterministic, so no noise margin is needed.
+MIN_SCALING = 3.0
 
 
 def run_sweep() -> dict:
     from repro.serve import serve_mix
 
-    n_requests = _n_requests()
     report = {
         "bench": "cluster_throughput",
         "unit": "served requests per virtual second",
         "mix": "parallel",
-        "n_requests": n_requests,
+        "n_requests": N_REQUESTS,
         "seed": SEED,
-        "smoke": SMOKE,
         "sweep": {},
     }
     base = None
     for n in NODE_COUNTS:
-        rep = serve_mix("parallel", n_nodes=n, n_requests=n_requests,
+        rep = serve_mix("parallel", n_nodes=n, n_requests=N_REQUESTS,
                         seed=SEED)
         row = rep.to_dict()
         if base is None:
@@ -67,8 +60,8 @@ def run_sweep() -> dict:
     from repro.serve import QueueDepthPolicy
     front = {}
     for n in (1, 4):
-        rep = serve_mix("hotspot", n_nodes=n, n_requests=max(24,
-                        n_requests // 2), seed=3, placement="front-door",
+        rep = serve_mix("hotspot", n_nodes=n, n_requests=N_REQUESTS // 2,
+                        seed=3, placement="front-door",
                         offload=QueueDepthPolicy(min_depth=3, mig_frames=2))
         front[str(n)] = rep.to_dict()
     front["speedup"] = round(
@@ -77,10 +70,8 @@ def run_sweep() -> dict:
     return report
 
 
-def test_cluster_throughput_scaling(benchmark, write_bench_json):
-    from conftest import once
-
-    report = once(benchmark, run_sweep)
+def test_cluster_throughput_scaling(write_bench_json):
+    report = run_sweep()
     write_bench_json(BENCH_JSON.name, report)
     print(f"\ncluster serving throughput ({report['unit']}):")
     for n, row in report["sweep"].items():
@@ -98,11 +89,8 @@ def test_cluster_throughput_scaling(benchmark, write_bench_json):
         assert row["correct"] == row["served"]
         assert row["failed"] == 0 and row["unserved"] == 0
 
-    # Acceptance floor: >= 3x served throughput at 8 nodes vs 1 on the
-    # parallel mix.  Virtual time is deterministic, so no noise margin
-    # is needed; the env override exists for exploratory runs only.
-    floor = float(os.environ.get("BENCH_CLUSTER_MIN_SCALING", "3.0"))
-    assert report["sweep"]["8"]["scaling"] >= floor, report["sweep"]["8"]
+    assert report["sweep"]["8"]["scaling"] >= MIN_SCALING, \
+        report["sweep"]["8"]
     # and scaling is monotone in cluster size
     scalings = [report["sweep"][str(n)]["scaling"] for n in NODE_COUNTS]
     assert scalings == sorted(scalings)
@@ -119,8 +107,8 @@ def test_cluster_throughput_scaling(benchmark, write_bench_json):
 
 
 def test_serving_run_is_deterministic():
-    """The same sweep configuration replays bit-identically (the CI
-    artifact is meaningful history, not noise)."""
+    """The same sweep configuration replays bit-identically (the committed
+    report is meaningful history, not noise)."""
     from repro.serve import serve_mix
 
     a = serve_mix("mixed", n_nodes=2, n_requests=16, seed=11)

@@ -18,9 +18,9 @@ carries heap-op counts only (``bench/``'s ``serve.loadindex.pick_host_s``
 span times the decision path in host seconds), so a regeneration on any
 machine that changes the file is a real behavior change.
 
-Emits ``BENCH_scale.json`` at the repo root.  ``BENCH_SMOKE=1``
-serves a smaller stream (CI smoke mode); run directly
-(``python benchmarks/test_scale_throughput.py``) to print the JSON.
+Emits ``BENCH_scale.json`` (see ``conftest.write_bench_json``); run
+directly (``python benchmarks/test_scale_throughput.py``) to print the
+JSON.
 """
 
 from __future__ import annotations
@@ -30,20 +30,16 @@ import os
 import sys
 from pathlib import Path
 
-from conftest import SMOKE
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_scale.json"
 
 NODE_COUNTS = (1, 4, 16, 32, 64)
 SEED = 7
 MIX = "scale"
-
-
-def _n_requests() -> int:
-    if SMOKE:
-        return 300
-    return 2000
+N_REQUESTS = 2000
+#: acceptance floor: served throughput at 32 nodes vs 1.  Virtual time
+#: is deterministic, so no noise margin is needed.
+MIN_SCALING = 12.0
 
 
 def run_point(n_nodes: int, n_requests: int) -> dict:
@@ -69,19 +65,17 @@ def run_point(n_nodes: int, n_requests: int) -> dict:
 
 
 def run_sweep() -> dict:
-    n_requests = _n_requests()
     report = {
         "bench": "scale_throughput",
         "unit": "served requests per virtual second",
         "mix": MIX,
-        "n_requests": n_requests,
+        "n_requests": N_REQUESTS,
         "seed": SEED,
-        "smoke": SMOKE,
         "sweep": {},
     }
     base = None
     for n in NODE_COUNTS:
-        row = run_point(n, n_requests)
+        row = run_point(n, N_REQUESTS)
         if base is None:
             base = row["throughput_rps"]
         row["scaling"] = round(row["throughput_rps"] / base, 2)
@@ -89,10 +83,8 @@ def run_sweep() -> dict:
     return report
 
 
-def test_scale_throughput_and_decision_cost(benchmark, write_bench_json):
-    from conftest import once
-
-    report = once(benchmark, run_sweep)
+def test_scale_throughput_and_decision_cost(write_bench_json):
+    report = run_sweep()
     write_bench_json(BENCH_JSON.name, report)
     print(f"\nscale-out serving ({report['unit']}, "
           f"{report['n_requests']} requests):")
@@ -128,11 +120,8 @@ def test_scale_throughput_and_decision_cost(benchmark, write_bench_json):
         assert row["correct"] == row["served"]
         assert row["failed"] == 0 and row["unserved"] == 0
 
-    # Acceptance floor: >= 12x served throughput at 32 nodes vs 1.
-    # Virtual time is deterministic, so no noise margin is needed; the
-    # env override exists for exploratory runs only.
-    floor = float(os.environ.get("BENCH_SCALE_MIN_SCALING", "12.0"))
-    assert report["sweep"]["32"]["scaling"] >= floor, report["sweep"]["32"]
+    assert report["sweep"]["32"]["scaling"] >= MIN_SCALING, \
+        report["sweep"]["32"]
     # and scaling is monotone in cluster size
     scalings = [report["sweep"][str(n)]["scaling"] for n in NODE_COUNTS]
     assert scalings == sorted(scalings)
@@ -148,8 +137,8 @@ def test_scale_throughput_and_decision_cost(benchmark, write_bench_json):
 
 
 def test_scale_run_is_deterministic():
-    """The same sweep point replays bit-identically (the CI artifact is
-    meaningful history, not noise)."""
+    """The same sweep point replays bit-identically (the committed report
+    is meaningful history, not noise)."""
     from repro.serve import serve_mix
 
     a = serve_mix(MIX, n_nodes=16, n_requests=64, seed=11)

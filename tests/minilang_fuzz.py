@@ -6,9 +6,11 @@ switch/LSWITCH, statics, string bands — concat / compare / length /
 substring over locals and a static string cell, substr-clamped so
 loop-carried folds stay bounded — the pure ``Sys`` math natives in the
 int and float bands, try/catch, guest-exception sites) and
-differentially checks the fast pre-decoded/fused/inline-cached
-interpreter against the legacy string-dispatched loop on
-stdout / result / uncaught-exception / instr_count / clock.
+differentially checks the fast tiers — the pre-decoded/fused/
+inline-cached interpreter, and the tier-2 JIT on a prefix of the
+stream — against one legacy string-dispatched run per program on
+stdout / result / uncaught-exception / instr_count / clock
+(:func:`run_fuzz`).
 
 Beyond dispatch, :func:`run_migration_fuzz` drives the *migration*
 path: each program is re-run on the faulting build, frozen at a
@@ -632,7 +634,9 @@ def divergence(source: str, args: Tuple[int, ...],
                modes: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
                quanta: Tuple[int, ...] = (),
                main: Tuple[str, str] = ("G", "main"),
-               stop: Any = None) -> Optional[str]:
+               stop: Any = None,
+               oracle: Optional[Dict[Optional[int], Any]] = None
+               ) -> Optional[str]:
     """None if every mode in ``modes`` (default: the tier-1 fast
     modes) matches the legacy oracle — run unsliced, then sliced by
     every scheduler budget in ``quanta`` — ``SKIPPED`` if the program
@@ -644,17 +648,26 @@ def divergence(source: str, args: Tuple[int, ...],
     ``stop`` is a *declared* predicate (``entry_of``) every run of
     every mode carries — on the fast tiers, evaluated at its traps —
     while the oracle polls the same predicate *undeclared* before every
-    instruction; the schedule then holds every stop as well."""
+    instruction; the schedule then holds every stop as well.
+
+    ``oracle``, a dict shared by calls on the same source, args, build
+    and main, keeps each legacy run by quantum so that it runs once.
+    A run it already holds is compared against as it is, whatever
+    ``stop`` this call carries (``modes=[]`` only fills it)."""
     try:
         classes = preprocess_program(compile_source(source), build)
     except CompileError as exc:
         return f"generator produced invalid program: {exc}"
     polled = stop and (lambda thread: stop(thread))
+    if oracle is None:
+        oracle = {}
     for q in (None,) + tuple(quanta):
-        # The unsliced legacy run doubles as the budget screen.
-        ref = _observe(classes, args, q, main, dispatch="legacy",
-                       max_instrs=MAX_INSTRS if q is None else None,
-                       stop=polled)
+        if q not in oracle:
+            # The unsliced legacy run doubles as the budget screen.
+            oracle[q] = _observe(
+                classes, args, q, main, dispatch="legacy",
+                max_instrs=MAX_INSTRS if q is None else None, stop=polled)
+        ref = oracle[q]
         if ref is None:
             return SKIPPED
         for label, kw in (MODES if modes is None else modes):
@@ -673,16 +686,6 @@ def divergence(source: str, args: Tuple[int, ...],
                     return (f"[{label}/{build}/quantum={q}] {what}: "
                             f"legacy={a!r} {label}={b!r}")
     return None
-
-
-def tier2_divergence(source: str, args: Tuple[int, int],
-                     build: str = "original",
-                     quanta: Tuple[int, ...] = ()) -> Optional[str]:
-    """The tier-2 differential: both JIT modes vs the legacy oracle,
-    under a hotness threshold of 1 so the generated program's methods
-    actually compile.  Same observables as :func:`divergence` —
-    including exact ``instr_count`` and clock agreement to 1e-9."""
-    return divergence(source, args, build, TIER2_MODES, quanta)
 
 
 def _compiles(source: str) -> bool:
@@ -1111,24 +1114,23 @@ def _rotating_campaign(what: str, base_seed: int, count: int,
     return None
 
 
-def run_fuzz(base_seed: int, count: int,
+def run_fuzz(base_seed: int, count: int, tier2_count: int = 0,
+             modes: List[Tuple[str, Dict[str, Any]]] = MODES,
              faulting_every: int = 5) -> Optional[str]:
-    """Fuzz ``count`` programs, tier 1 (fused and unfused) against the
-    legacy oracle (see :func:`_rotating_campaign`)."""
-    return _rotating_campaign(
-        "fast/legacy", base_seed, count, faulting_every,
-        lambda prog, build, quanta: lambda source, args: divergence(
-            source, args, build, quanta=quanta))
+    """The dispatch differential over ``count`` generated programs (see
+    :func:`_rotating_campaign`): each program's legacy oracle runs once,
+    and every mode in ``modes`` (default: tier 1 fused and unfused) is
+    compared against it — plus, on the first ``tier2_count`` programs,
+    both tier-2 modes, under a hotness threshold of 1 so the generated
+    methods actually compile."""
+    def check_for(prog, build, quanta):
+        checked = modes + TIER2_MODES \
+            if prog.seed - base_seed < tier2_count else modes
+        return lambda source, args: divergence(source, args, build,
+                                               checked, quanta)
 
-
-def run_tier2_fuzz(base_seed: int, count: int,
-                   faulting_every: int = 5) -> Optional[str]:
-    """The tier-2 differential over ``count`` generated programs (see
-    :func:`_rotating_campaign`)."""
-    return _rotating_campaign(
-        "tier2/legacy", base_seed, count, faulting_every,
-        lambda prog, build, quanta: lambda source, args: tier2_divergence(
-            source, args, build, quanta))
+    return _rotating_campaign("fast-tier/legacy", base_seed, count,
+                              faulting_every, check_for)
 
 
 # -- declared-stop fuzzing -----------------------------------------------------

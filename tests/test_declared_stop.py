@@ -234,15 +234,19 @@ def test_preemption_schedule_with_a_declared_stop(name, firing):
     "stopped" lands on the same (depth, method, pc, instr_count) as on
     the legacy loop polling the predicate undeclared, in every mode and
     under every budget — the quantum's absolute watermark survives the
-    fast loop's re-entries after a trap."""
+    fast loop's re-entries after a trap.  A stop that never fires
+    changes no observable, so that case compares against the tier-blind
+    test's legacy oracle, run without a stop."""
     from minilang_fuzz import QUANTA, SCHEDULE_MODES, divergence
-    from test_dispatch_equivalence import SCHEDULE_ARGS
+    from test_dispatch_equivalence import SCHEDULE_ARGS, schedule_oracle
 
     w = registry.WORKLOADS[name]
     stop = on_method_entry(*w.trigger_method,
                            min_depth=2 if firing else 99)
     assert divergence(w.source, SCHEDULE_ARGS[name], "faulting",
-                      SCHEDULE_MODES, QUANTA, w.main, stop=stop) is None
+                      SCHEDULE_MODES, QUANTA, w.main, stop=stop,
+                      oracle=None if firing else schedule_oracle(name)
+                      ) is None
 
 
 # -- (5) no residue ----------------------------------------------------------------

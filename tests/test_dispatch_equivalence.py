@@ -78,6 +78,30 @@ def test_registry_workloads_identical_faulting_build(name):
     _assert_equivalent(classes, w.main, w.sim_args)
 
 
+#: what a cold tier-2 machine does with each registry program on the
+#: ``faulting`` build at ``sim_args``: (instructions, tier-2 compiles,
+#: guard bails, fused sites in the tier-1 streams of the classes it
+#: loaded).  All four are deterministic on any host.
+REGISTRY_COUNTS = {
+    "FFT": (2_291_708, 6, 0, 462),
+    "Fib": (1_062_621, 1, 0, 17),
+    "NQ": (949_411, 2, 0, 85),
+    "TSP": (2_328_869, 3, 0, 194),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_COUNTS))
+def test_registry_counts_on_the_faulting_build(name):
+    w = registry.WORKLOADS[name]
+    m = Machine(registry.compiled(name, "faulting"), jit=True)
+    m.call(w.main[0], w.main[1], list(w.sim_args))
+    sites = sum(sum(fused_coverage(m.decoded(code)).values())
+                for cls in m.loader.loaded_classes().values()
+                for code in cls.cf.methods.values())
+    assert (m.instr_count, m.jit_compiles, m.jit_guard_bails,
+            sites) == REGISTRY_COUNTS[name]
+
+
 # -- guest exceptions, incl. faults from inside fused sequences --------------
 
 EXC_SRC = """
@@ -628,6 +652,25 @@ def test_full_migration_workflow_still_works(sod_engine, app_classes_faulting):
 #: registry programs at sizes that keep five modes x five runs quick
 SCHEDULE_ARGS = {"Fib": (17,), "NQ": (6,), "FFT": (8, 1024), "TSP": (6,)}
 
+_SCHEDULE_ORACLES = {}
+
+
+def schedule_oracle(name):
+    """The legacy runs of registry program ``name`` at ``SCHEDULE_ARGS``
+    under every budget in ``QUANTA``, without a stop, as ``divergence``
+    keeps them.  Two tests compare against it (this file's tier-blind
+    one and the never-firing declared stop's), so the first caller runs
+    it and the second takes it over: tens of MiB are not held longer."""
+    if name in _SCHEDULE_ORACLES:
+        return _SCHEDULE_ORACLES.pop(name)
+    from minilang_fuzz import QUANTA, divergence
+
+    w = registry.WORKLOADS[name]
+    oracle = _SCHEDULE_ORACLES[name] = {}
+    divergence(w.source, SCHEDULE_ARGS[name], "faulting", [], QUANTA,
+               w.main, oracle=oracle)
+    return oracle
+
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_ARGS))
 def test_preemption_schedule_is_tier_blind(name):
@@ -640,7 +683,8 @@ def test_preemption_schedule_is_tier_blind(name):
 
     w = registry.WORKLOADS[name]
     assert divergence(w.source, SCHEDULE_ARGS[name], "faulting",
-                      SCHEDULE_MODES, QUANTA, w.main) is None
+                      SCHEDULE_MODES, QUANTA, w.main,
+                      oracle=schedule_oracle(name)) is None
 
 
 LEAF_LOOP_SRC = """

@@ -1,7 +1,7 @@
 """Smoke tests: the example scripts must run cleanly end-to-end.
 
-(The roaming and photo-share examples run multi-second harnesses and are
-covered by the benchmarks; here we exercise the quick ones.)
+(``task_roaming.py`` is the roaming study that ``repro report roaming``
+prints and ``tests/goldens/roaming.txt`` pins, so it is not re-run here.)
 """
 
 import runpy

@@ -3,6 +3,8 @@
 These tests run the real harnesses (cached across tests) and assert the
 *qualitative* findings of the paper, not absolute numbers:
 
+Table II: migration never makes a run faster.
+
 Table III: SODEE's migration overhead is the lowest for Fib/NQ/FFT, and
 TSP is the exception where eager copy wins; Xen is far above everyone.
 
@@ -38,6 +40,13 @@ def test_results_correct_for_every_system_and_workload():
             outcome(system, wl, False)
             if system != "JDK":
                 outcome(system, wl, True)
+
+
+def test_table2_migration_never_makes_a_run_faster():
+    for system in ("SODEE", "G-JavaMPI", "JESSICA2", "Xen"):
+        for wl in ("Fib", "NQ", "FFT", "TSP"):
+            assert (outcome(system, wl, True).exec_seconds
+                    >= outcome(system, wl, False).exec_seconds), (system, wl)
 
 
 def test_table3_sodee_lowest_except_tsp():

@@ -518,6 +518,34 @@ def test_paper_mix_serves_statics_heavy_programs_correctly():
     assert any(needs_isolation(p) for p in mix.programs())
 
 
+def test_paper_mix_scales_across_nodes():
+    """Namespaced FFT/TSP requests beside reentrant Fib/NQ: four nodes
+    serve the paper mix at least twice as fast as one (virtual time),
+    offloading isolated requests on the way."""
+    def serve(n_nodes):
+        rep = serve_mix("paper", n_nodes=n_nodes, n_requests=8, seed=7,
+                        offload=QueueDepthPolicy(max_seg_hops=2))
+        assert rep.served == rep.correct == 8
+        return rep
+
+    solo, multi = serve(1), serve(4)
+    assert multi.stats["isolated"] > 0 and multi.stats["sod_offloads"] > 0
+    assert multi.throughput >= 2.0 * solo.throughput
+
+
+def test_namespacing_every_request_costs_no_throughput():
+    """The reentrant mix served with every request namespaced and with
+    none: virtual throughput within 5% (equal when last measured)."""
+    reps = {iso: serve_mix("parallel", n_nodes=4, n_requests=8, seed=7,
+                           offload=QueueDepthPolicy(max_seg_hops=2),
+                           isolation=iso)
+            for iso in ("off", "all")}
+    assert reps["all"].stats["isolated"] == 8
+    assert reps["off"].stats["isolated"] == 0
+    off, every = reps["off"].throughput, reps["all"].throughput
+    assert abs(every - off) <= 0.05 * off
+
+
 def test_paper_mix_differential_with_migration_and_rehops():
     """Front-door serving of an FFT/TSP-only stream with chains
     enabled: every offload and every chain hop moves an *isolated*

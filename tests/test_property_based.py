@@ -245,9 +245,16 @@ def test_minilang_fuzz_shrinker_removes_statements():
 
 
 def test_minilang_fuzz_differential_fast_vs_legacy():
+    """Differential fuzz of the fast tiers, one legacy oracle run per
+    (program, build, quantum): tier 1 fused and unfused on every
+    program, and the *tier-2 JIT* fused and unfused on the first
+    ``fuzz_budget(120)`` — with the hotness threshold dropped to 1 so
+    the generated programs' methods actually compile into closures —
+    on stdout / result / uncaught / instr_count / clock and the whole
+    preemption schedule."""
     from minilang_fuzz import run_fuzz
 
-    failure = run_fuzz(FUZZ_SEED, FUZZ_COUNT)
+    failure = run_fuzz(FUZZ_SEED, FUZZ_COUNT, tier2_count=fuzz_budget(120))
     assert failure is None, failure
 
 
@@ -262,17 +269,6 @@ def test_minilang_fuzz_generates_switch_and_virtual_dispatch():
     assert sum("switch (" in s for s in sources) >= 5
     assert sum("new VA()" in s or "new VB()" in s for s in sources) >= 5
     assert sum("float f" in s for s in sources) >= 5
-
-
-def test_minilang_fuzz_differential_tier2_vs_legacy():
-    """Differential fuzz of the *tier-2 JIT*: both jit modes (fused and
-    unfused) against the legacy oracle on stdout / result / uncaught /
-    instr_count / clock, with the hotness threshold dropped to 1 so the
-    generated programs' methods actually compile into closures."""
-    from minilang_fuzz import run_tier2_fuzz
-
-    failure = run_tier2_fuzz(FUZZ_SEED, fuzz_budget(120))
-    assert failure is None, failure
 
 
 def test_minilang_fuzz_declared_stop_vs_the_same_predicate_polled():
@@ -308,12 +304,13 @@ def test_minilang_fuzz_tier2_warm_code_cache_matches_cold():
     compiles the same programs on fresh machines, so every closure is
     *linked* from the process-wide factory cache (no new miss) — and
     must match the legacy oracle exactly as the cold pass does."""
-    from minilang_fuzz import run_tier2_fuzz, run_tier2_migration_fuzz
+    from minilang_fuzz import TIER2_MODES, run_fuzz, \
+        run_tier2_migration_fuzz
 
     import repro.vm.jit as jit
 
     def one_pass():
-        failure = run_tier2_fuzz(FUZZ_SEED, 16)
+        failure = run_fuzz(FUZZ_SEED, 16, modes=TIER2_MODES)
         assert failure is None, failure
         failure = run_tier2_migration_fuzz(FUZZ_SEED, 10)
         assert failure is None, failure

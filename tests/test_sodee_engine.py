@@ -83,13 +83,20 @@ def test_timeline_accumulates_phases(setup):
 
 
 def test_worker_spawn_cost_when_not_prestarted(app_classes_faulting):
-    eng = SODEngine(gige_cluster(2), app_classes_faulting,
-                    prestart_workers=False)
-    home = eng.host("node0")
-    t = eng.spawn(home, "App", "work", [5])
-    eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "step")
-    _result, rec = eng.run_segment_remote(home, t, "node1", 1)
-    assert rec.worker_spawn_time >= eng.sys.worker_spawn
+    """A cold worker adds the paper's worker-JVM start-up to the
+    migration and to the run; a pre-started one adds nothing."""
+    recs, timelines = {}, {}
+    for prestart in (False, True):
+        eng = SODEngine(gige_cluster(2), app_classes_faulting,
+                        prestart_workers=prestart)
+        home = eng.host("node0")
+        t = eng.spawn(home, "App", "work", [5])
+        eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "step")
+        _result, recs[prestart] = eng.run_segment_remote(home, t, "node1", 1)
+        timelines[prestart] = eng.timeline
+    assert recs[False].worker_spawn_time >= eng.sys.worker_spawn > 0
+    assert recs[True].worker_spawn_time == 0
+    assert timelines[False] > timelines[True]
 
 
 def test_migrate_from_vmti_less_source_rejected(app_classes_faulting):
@@ -163,3 +170,76 @@ def test_fault_cache_preserves_identity(app_classes_faulting):
     # Aliasing must survive migration: p.a and p.b are the same object,
     # so the increment through a is visible through b.
     assert result == ref == 5
+
+
+#: a linked list built at home and walked by the migrated frame: every
+#: node the walk touches is remote
+CHAIN_SRC = """
+class Link { int v; Link next; }
+class T {
+  static Link head;
+  static int setup(int n) {
+    Link cur = null;
+    for (int i = 0; i < n; i = i + 1) {
+      Link fresh = new Link();
+      fresh.v = i;
+      fresh.next = cur;
+      cur = fresh;
+    }
+    T.head = cur;
+    return T.walk();
+  }
+  static int walk() {
+    int s = 0;
+    Link cur = T.head;
+    while (cur != null) { s = s + cur.v; cur = cur.next; }
+    return s;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("build", ["faulting", "checking"])
+def test_both_detection_schemes_survive_migration(build):
+    """Object-fault handlers and status checks, the paper's two ways
+    to find a remote object, give the same result on a migrated walk
+    over home objects."""
+    classes = preprocess_program(compile_source(CHAIN_SRC), build)
+    eng = SODEngine(gige_cluster(2), classes)
+    home = eng.host("node0")
+    t = eng.spawn(home, "T", "setup", [24])
+    eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "walk")
+    assert eng.run_segment_remote(home, t, "node1", 1)[0] == sum(range(24))
+
+
+DEEP_SRC = """
+class T {
+  static int deep(int n, int acc) {
+    if (n == 0) { return T.leaf(acc); }
+    return T.deep(n - 1, acc + n);
+  }
+  static int leaf(int acc) {
+    int s = 0;
+    for (int i = 0; i < 2000; i = i + 1) { s = s + i % 7; }
+    return acc + s;
+  }
+  static int main(int n) { return T.deep(n, 0); }
+}
+"""
+
+
+def test_migration_latency_grows_with_segment_size():
+    """Capture, transfer and restore grow with the frames migrated, so
+    the top frame alone (the SOD default) is the cheapest segment."""
+    classes = preprocess_program(compile_source(DEEP_SRC), "faulting")
+    ref = Machine(classes).call("T", "main", [12])
+    latencies = []
+    for nframes in (1, 4, 8, 12):
+        eng = SODEngine(gige_cluster(2), classes)
+        home = eng.host("node0")
+        t = eng.spawn(home, "T", "main", [12])
+        eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "leaf")
+        result, rec = eng.run_segment_remote(home, t, "node1", nframes)
+        assert result == ref
+        latencies.append(rec.latency)
+    assert latencies == sorted(latencies) and latencies[0] < latencies[-1]

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -180,6 +181,25 @@ def test_readme_flag_table_is_generated_from_the_key_table():
         return
     assert _old == serve_key_table(), \
         "README serve-key table is stale: REPRO_BLESS_GOLDENS=1 regenerates"
+
+
+#: a read of a named environment variable, through ``os.environ.get``
+#: or ``os.getenv``
+ENV_READ = re.compile(r"""os\.(?:environ\.get|getenv)\(\s*["'](\w+)["']""")
+
+
+def test_readme_environment_table_lists_exactly_the_names_read():
+    """The README's "Test layer" table and the source agree: a new
+    environment name needs its row, and a retired one loses it."""
+    root = README.parent
+    read = {name for tree in ("src", "tests", "benchmarks", "tools")
+            for path in (root / tree).rglob("*.py")
+            for name in ENV_READ.findall(path.read_text())}
+    section = README.read_text().split("\n## Test layer\n")[1]
+    table = {name for row in section.split("\n## ")[0].splitlines()
+             if row.startswith("| `")
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert read == table
 
 
 def test_cli_spells_every_key_but_the_two_flagless_ones(capsys):
