@@ -1,12 +1,8 @@
-"""Bench: regenerate Fig. 5's class-size comparison."""
-
-from conftest import once
+"""Bench: Fig. 5's class-size comparison."""
 
 from repro.experiments import figure5
 
 
-def test_figure5_sizes(benchmark):
-    t = once(benchmark, figure5.run)
-    print("\n" + t.format())
+def test_figure5_sizes():
     sizes = figure5.sizes()
     assert sizes["original"] < sizes["checking"] < sizes["faulting"]

@@ -1,12 +1,7 @@
-"""Bench: regenerate the section IV.C roaming study (speedup 3.39)."""
-
-from conftest import once
+"""Bench: the section IV.C roaming study (speedup 3.39)."""
 
 from repro.experiments import roaming
 
 
-def test_roaming_speedup(benchmark):
-    t = once(benchmark, roaming.run)
-    print("\n" + t.format())
-    r = roaming.measure()
-    assert r.speedup > 3.0
+def test_roaming_speedup():
+    assert roaming.measure().speedup > 3.0

@@ -1,13 +1,9 @@
-"""Bench: regenerate Table III (migration overhead per system)."""
-
-from conftest import once
+"""Bench: Table III (migration overhead per system)."""
 
 from repro.experiments import table3
 
 
-def test_table3_overhead(benchmark):
-    t = once(benchmark, table3.run)
-    print("\n" + t.format())
+def test_table3_overhead():
     # Headline: SODEE lowest on Fib/NQ/FFT; TSP flips to eager copy.
     for wl in ("Fib", "NQ", "FFT"):
         sod = table3.overhead("SODEE", wl)[0]

@@ -1,13 +1,9 @@
-"""Bench: regenerate Table IV (migration latency breakdown)."""
-
-from conftest import once
+"""Bench: Table IV (migration latency breakdown)."""
 
 from repro.experiments import table4
 
 
-def test_table4_latency(benchmark):
-    t = once(benchmark, table4.run)
-    print("\n" + t.format())
+def test_table4_latency():
     # SOD's latency is heap-size independent; G-JavaMPI's is not.
     sod_totals = [table4.breakdown("SOD", wl)[0]
                   for wl in ("Fib", "NQ", "FFT", "TSP")]

@@ -1,13 +1,9 @@
-"""Bench: regenerate Table VI (NFS text-search locality gain)."""
-
-from conftest import once
+"""Bench: Table VI (NFS text-search locality gain)."""
 
 from repro.experiments import table6
 
 
-def test_table6_locality(benchmark):
-    t = once(benchmark, table6.run)
-    print("\n" + t.format())
+def test_table6_locality():
     sodee = table6.run_sodee()
     j2 = table6.run_jessica2()
     gain = lambda r: (r[0] - r[1]) / r[1] * 100.0

@@ -7,10 +7,10 @@ substring over locals and a static string cell, substr-clamped so
 loop-carried folds stay bounded — the pure ``Sys`` math natives in the
 int and float bands, try/catch, guest-exception sites) and
 differentially checks the fast tiers — the pre-decoded/fused/
-inline-cached interpreter, and the tier-2 JIT on a prefix of the
-stream — against one legacy string-dispatched run per program on
-stdout / result / uncaught-exception / instr_count / clock
-(:func:`run_fuzz`).
+inline-cached interpreter and the tier-2 JIT — against the legacy
+string-dispatched loop on stdout / result / uncaught-exception /
+instr_count / clock (:func:`run_fuzz`; campaigns over the same seeds
+can share each program's legacy run).
 
 Beyond dispatch, :func:`run_migration_fuzz` drives the *migration*
 path: each program is re-run on the faulting build, frozen at a
@@ -544,25 +544,27 @@ def _leaf(x):
 
 def _flat_ref(v):
     if isinstance(v, VMInstance):
-        return (v.class_name, sorted((k, _leaf(x))
-                                     for k, x in v.fields.items()))
+        return (v.class_name, tuple(sorted((k, _leaf(x))
+                                           for k, x in v.fields.items())))
     if isinstance(v, VMArray):
-        return (v.kind, [_leaf(x) for x in v.data])
+        return (v.kind, tuple(_leaf(x) for x in v.data))
     return v
 
 
 def _flat(values):
     """Guest values as comparable plain data (one level deep)."""
-    return [v if type(v) in _PRIMITIVE else _flat_ref(v) for v in values]
+    return tuple(v if type(v) in _PRIMITIVE else _flat_ref(v)
+                 for v in values)
 
 
 def flat_frames(thread, top: Optional[int] = None):
     """The frames of ``thread`` (all, or the ``top`` innermost) as
     plain data: method, pc, operand stack and locals — the
-    preprocessor's temps included."""
-    return [(f.code.qualname, f.pc, _flat(f.stack), _flat(f.locals))
-            for f in (thread.frames if top is None
-                      else thread.frames[-top:])]
+    preprocessor's temps included.  Tuples all the way down, so that
+    kept oracle runs cost the garbage collector nothing."""
+    return tuple((f.code.qualname, f.pc, _flat(f.stack), _flat(f.locals))
+                 for f in (thread.frames if top is None
+                           else thread.frames[-top:]))
 
 
 #: frames per ``schedule`` row.  Not the whole stack: one generated
@@ -1114,20 +1116,25 @@ def _rotating_campaign(what: str, base_seed: int, count: int,
     return None
 
 
-def run_fuzz(base_seed: int, count: int, tier2_count: int = 0,
+def run_fuzz(base_seed: int, count: int,
              modes: List[Tuple[str, Dict[str, Any]]] = MODES,
+             legacy_runs: Optional[Dict[Tuple[str, Tuple[int, ...], str],
+                                        Dict[Optional[int], Any]]] = None,
              faulting_every: int = 5) -> Optional[str]:
     """The dispatch differential over ``count`` generated programs (see
-    :func:`_rotating_campaign`): each program's legacy oracle runs once,
-    and every mode in ``modes`` (default: tier 1 fused and unfused) is
-    compared against it — plus, on the first ``tier2_count`` programs,
-    both tier-2 modes, under a hotness threshold of 1 so the generated
-    methods actually compile."""
+    :func:`_rotating_campaign`): every mode in ``modes`` (default: tier 1
+    fused and unfused; :data:`TIER2_MODES` run under a hotness threshold
+    of 1 so the generated methods actually compile) against the legacy
+    oracle.  ``legacy_runs``, a dict kept across calls, holds each
+    program's oracle runs by (source, args, build), so that campaigns
+    over the same seeds run each oracle once."""
     def check_for(prog, build, quanta):
-        checked = modes + TIER2_MODES \
-            if prog.seed - base_seed < tier2_count else modes
-        return lambda source, args: divergence(source, args, build,
-                                               checked, quanta)
+        def check(source, args):
+            oracle = None if legacy_runs is None else \
+                legacy_runs.setdefault((source, tuple(args), build), {})
+            return divergence(source, args, build, modes, quanta,
+                              oracle=oracle)
+        return check
 
     return _rotating_campaign("fast-tier/legacy", base_seed, count,
                               faulting_every, check_for)

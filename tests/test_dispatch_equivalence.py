@@ -81,7 +81,10 @@ def test_registry_workloads_identical_faulting_build(name):
 #: what a cold tier-2 machine does with each registry program on the
 #: ``faulting`` build at ``sim_args``: (instructions, tier-2 compiles,
 #: guard bails, fused sites in the tier-1 streams of the classes it
-#: loaded).  All four are deterministic on any host.
+#: loaded).  All four are deterministic on any host.  Freshly compiled
+#: classes: hotness lives on the code objects, so runs of
+#: ``registry.compiled``'s shared classes earlier in the process would
+#: tier them up sooner.
 REGISTRY_COUNTS = {
     "FFT": (2_291_708, 6, 0, 462),
     "Fib": (1_062_621, 1, 0, 17),
@@ -93,7 +96,8 @@ REGISTRY_COUNTS = {
 @pytest.mark.parametrize("name", sorted(REGISTRY_COUNTS))
 def test_registry_counts_on_the_faulting_build(name):
     w = registry.WORKLOADS[name]
-    m = Machine(registry.compiled(name, "faulting"), jit=True)
+    m = Machine(preprocess_program(compile_source(w.source), "faulting"),
+                jit=True)
     m.call(w.main[0], w.main[1], list(w.sim_args))
     sites = sum(sum(fused_coverage(m.decoded(code)).values())
                 for cls in m.loader.loaded_classes().values()

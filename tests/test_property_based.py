@@ -244,17 +244,16 @@ def test_minilang_fuzz_shrinker_removes_statements():
         assert not smaller.methods[mi][2][si].text.startswith("return ")
 
 
+#: each generated program's legacy oracle runs, shared by the two
+#: dispatch differentials below: they walk the same seeds, so in one
+#: session each program's oracle runs once
+_LEGACY_RUNS: dict = {}
+
+
 def test_minilang_fuzz_differential_fast_vs_legacy():
-    """Differential fuzz of the fast tiers, one legacy oracle run per
-    (program, build, quantum): tier 1 fused and unfused on every
-    program, and the *tier-2 JIT* fused and unfused on the first
-    ``fuzz_budget(120)`` — with the hotness threshold dropped to 1 so
-    the generated programs' methods actually compile into closures —
-    on stdout / result / uncaught / instr_count / clock and the whole
-    preemption schedule."""
     from minilang_fuzz import run_fuzz
 
-    failure = run_fuzz(FUZZ_SEED, FUZZ_COUNT, tier2_count=fuzz_budget(120))
+    failure = run_fuzz(FUZZ_SEED, FUZZ_COUNT, legacy_runs=_LEGACY_RUNS)
     assert failure is None, failure
 
 
@@ -269,6 +268,19 @@ def test_minilang_fuzz_generates_switch_and_virtual_dispatch():
     assert sum("switch (" in s for s in sources) >= 5
     assert sum("new VA()" in s or "new VB()" in s for s in sources) >= 5
     assert sum("float f" in s for s in sources) >= 5
+
+
+def test_minilang_fuzz_differential_tier2_vs_legacy():
+    """Differential fuzz of the *tier-2 JIT*: both jit modes (fused and
+    unfused) against the legacy oracle on stdout / result / uncaught /
+    instr_count / clock, with the hotness threshold dropped to 1 so the
+    generated programs' methods actually compile into closures.  The
+    oracle runs are the tier-1 differential's, where it ran first."""
+    from minilang_fuzz import TIER2_MODES, run_fuzz
+
+    failure = run_fuzz(FUZZ_SEED, fuzz_budget(120), modes=TIER2_MODES,
+                       legacy_runs=_LEGACY_RUNS)
+    assert failure is None, failure
 
 
 def test_minilang_fuzz_declared_stop_vs_the_same_predicate_polled():
