@@ -12,6 +12,24 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode import opcodes as op
+from repro.errors import VMError
+
+#: Instructions are charged in whole ticks, this many to a cost weight
+#: of 1.0, held as integer-valued floats: sums of those (below 2**53)
+#: are exact in any order, so every dispatch loop counts the same bits.
+TICKS_PER_WEIGHT = 100
+
+
+def weight_ticks(weights: Dict[str, float]) -> Dict[str, float]:
+    """Every opcode's cost in ticks under ``weights`` (1.0 unless named
+    there); refuses, by name, a weight that is not whole ticks."""
+    ticks = dict.fromkeys(op.OP_IDS, float(TICKS_PER_WEIGHT))
+    for name, w in weights.items():
+        ticks[name] = t = float(round(w * TICKS_PER_WEIGHT))
+        if t / TICKS_PER_WEIGHT != w:
+            raise VMError(f"cost weight {name}={w!r} is not a whole "
+                          f"number of ticks (1/{TICKS_PER_WEIGHT})")
+    return ticks
 
 
 class Instr:
@@ -175,11 +193,11 @@ class CodeObject:
                    ) -> List[Tuple[int, Any, Any, float]]:
         """The cached tuple-form instruction stream.
 
-        Slot ``i`` holds ``(opid, a, b, weight)`` for ``instrs[i]``:
+        Slot ``i`` holds ``(opid, a, b, ticks)`` for ``instrs[i]``:
         the dense integer opcode (:data:`repro.bytecode.opcodes.OP_IDS`),
-        the two raw arguments, and the pre-resolved cost weight from
-        ``weights`` (default 1.0) — so the interpreter's hot loop never
-        touches opcode strings or the weight table.
+        the two raw arguments, and the cost weight from ``weights``
+        converted to ticks (:func:`weight_ticks`) — so the interpreter's
+        hot loop never touches opcode strings or the weight table.
 
         The stream is cached per weight table, verified against a
         snapshot so an in-place edit rebuilds it; callers that mutate
@@ -191,10 +209,9 @@ class CodeObject:
                 and entry[1] == weights
                 and len(entry[2]) == len(self.instrs)):
             return entry[2]
-        get_w = weights.get
+        ticks = weight_ticks(weights)
         ids = op.OP_IDS
-        stream = [(ids[i.op], i.a, i.b, get_w(i.op, 1.0))
-                  for i in self.instrs]
+        stream = [(ids[i.op], i.a, i.b, ticks[i.op]) for i in self.instrs]
         self._predecoded[id(weights)] = (weights, dict(weights), stream)
         return stream
 

@@ -18,7 +18,8 @@ Each fault kind maps onto one seam:
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Dict, List, Optional
 
 from repro.chaos.faults import FaultEvent, FaultPlan
 
@@ -31,6 +32,8 @@ class ChaosInjector:
         self.sched = sched
         self.plan = plan
         self.applied = 0
+        #: node -> factors of its straggles not yet healed, in order
+        self._straggling: Dict[str, List[float]] = {}
 
     def start(self) -> "ChaosInjector":
         """Spawn the injector process (call before ``sched.serve``)."""
@@ -91,7 +94,8 @@ class ChaosInjector:
         machine = self._machine(ev.node)
         if machine is None:
             return
-        machine._speed *= ev.factor
+        self._straggling.setdefault(ev.node, []).append(ev.factor)
+        self._set_speed(machine, ev.node)
         self.sched._trace("fault", fault="straggle", node=ev.node,
                           factor=ev.factor, heal=ev.heal)
         if ev.heal > 0:
@@ -100,7 +104,15 @@ class ChaosInjector:
 
     def _recover_straggle(self, ev: FaultEvent):
         yield self.sched.env.timeout(ev.heal)
+        self._straggling[ev.node].remove(ev.factor)
         machine = self._machine(ev.node)
         if machine is not None:
-            machine._speed /= ev.factor
+            self._set_speed(machine, ev.node)
             self.sched._trace("heal", fault="straggle", node=ev.node)
+
+    def _set_speed(self, machine, node: str) -> None:
+        """The node's speed times each active straggle factor, computed
+        afresh: dividing a factor back out would leave a healed node
+        an ulp off its own speed."""
+        machine._speed = math.prod(self._straggling[node],
+                                   start=machine.node.spec.speed_factor)

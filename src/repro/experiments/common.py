@@ -112,10 +112,7 @@ class RunOutcome:
 def run_jdk(w: Workload) -> RunOutcome:
     """Plain JDK: original build, no agent, no migration."""
     isec = calibrated_instr_seconds(w.name)
-    # jit=False: keep golden-report clocks byte-stable under REPRO_JIT=0/1
-    # (tier-2 sums the clock in a different association order).
-    machine = Machine(compiled(w.name, "original"), cost=jdk_model(isec),
-                      jit=False)
+    machine = Machine(compiled(w.name, "original"), cost=jdk_model(isec))
     result = machine.call(w.main[0], w.main[1], list(w.sim_args))
     return RunOutcome("JDK", w.name, False, machine.clock, result)
 

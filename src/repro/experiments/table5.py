@@ -56,12 +56,9 @@ def _classes(build: str) -> dict:
 def per_iteration_ns(build: str, method: str, reps: int = REPS) -> float:
     """Marginal per-iteration simulated nanoseconds for one loop."""
     classes = _classes(build)
-    # jit=False: golden reports must be byte-stable under either REPRO_JIT
-    # setting, and tier-2 block-sums the clock in a different association
-    # order (equal only to ~1e-9 relative), which can flip a rounded digit.
-    m1 = Machine(classes, cost=jdk_model(), jit=False)
+    m1 = Machine(classes, cost=jdk_model())
     m1.call("Micro", method, [reps])
-    m2 = Machine(classes, cost=jdk_model(), jit=False)
+    m2 = Machine(classes, cost=jdk_model())
     m2.call("Micro", method, [2 * reps])
     return (m2.clock - m1.clock) / reps * 1e9
 

@@ -4,17 +4,16 @@ The fast dispatch loop (:meth:`repro.vm.machine.Machine._run_fast`)
 executes a *decoded stream*: a list parallel to ``CodeObject.instrs``
 where slot ``i`` describes the instruction at bci ``i`` as a tuple
 
-    ``(opid, a, b, weight, count, aux, fault, c, head)``
+    ``(opid, a, b, weight, count, aux, fault, c)``
 
 ``opid`` is the dense integer opcode, ``weight``/``count`` feed the
-batched clock/instr accounting, ``aux`` carries per-site state
+batched clock/instr accounting (``weight`` is the group's summed cost
+in whole ticks, :data:`repro.bytecode.code.TICKS_PER_WEIGHT`, so any
+grouping sums to the same bits), ``aux`` carries per-site state
 (semantic helper functions, monomorphic inline-cache cells), ``c`` is
 the destination local of a 4-wide group and ``fault`` names the one
 component that may raise: ``(offset, lead weight, own weight)`` — see
-the fault rule below.  In a ``LOAD``-led group closed by its ``STORE``
-``weight`` is that ``STORE``'s alone and ``head`` the summed weight of
-the rest: the loop adds ``head``, then ``weight``, so the batched clock
-sums bit-equal to a stream whose closing ``STORE`` is not fused.
+the fault rule below.
 
 This module additionally *fuses* multi-instruction sequences into
 single superinstructions.  The set is sized by the code the system
@@ -78,7 +77,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject
 
-#: (opid, a, b, weight, count, aux, fault, c, head): module docstring
+#: (opid, a, b, weight, count, aux, fault, c): module docstring
 DecodedSlot = Tuple[Any, ...]
 
 # -- fused opcode ids --------------------------------------------------------
@@ -149,21 +148,23 @@ def _build(code: CodeObject, base: Sequence[Tuple[int, Any, Any, float]],
     out: List[DecodedSlot] = []
     sites = []
     for i in range(n):
-        slot = _fuse_at(base, i, n, arith, fast2) if fuse else None
-        if slot is None:
-            opid, a, b, w = base[i]
+        group = _fuse_at(base, i, n, arith, fast2) if fuse else None
+        if group is None:
             name = code.instrs[i].op
             ncells = _CACHED_OPS.get(name)
             if ncells is not None:
                 sites.append((i, ncells))
-            slot = (opid, a, b, w, 1, arith.get(name), (0, 0.0, w), None,
-                    None)
+            group = (*base[i][:3], 1, arith.get(name), None)
         else:
             assert not any(
                 op.is_safepoint(ins.op, ins.a, j) for j, ins in
-                enumerate(code.instrs[i:i + slot[4]], i)), \
+                enumerate(code.instrs[i:i + group[3]], i)), \
                 f"{code.qualname}@{i}: safepoint fused into a group"
-        out.append(slot)
+        opid, a, b, count, aux, c = group
+        ws = [slot[3] for slot in base[i:i + count]]
+        off = 2 if count == 4 else count - 1  # the fault rule's component
+        out.append((opid, a, b, sum(ws), count, aux,
+                    (off, sum(ws[:off], 0.0), ws[off]), c))
     return out, tuple(sites)
 
 
@@ -193,37 +194,34 @@ def cache_seeds(stream: List[DecodedSlot],
 def _fuse_at(base: Sequence[Tuple[int, Any, Any, float]], i: int, n: int,
              arith: Dict[str, Callable], fast2: Dict[str, Callable],
              ) -> Any:
-    """Longest fused pattern starting at slot ``i`` (or None)."""
+    """Longest fused pattern starting at slot ``i``, as ``(opid, a, b,
+    count, aux, c)`` (or None)."""
     ids = op.OP_IDS
     LOAD, STORE = ids[op.LOAD], ids[op.STORE]
-    o0, a0, _b0, w0 = base[i]
+    o0, a0 = base[i][:2]
     if (o0 != LOAD and o0 != ids[op.CONST]) or i + 1 >= n:
         return None
-    o1, a1, _b1, w1 = base[i + 1]
-    w2 = w0 + w1
+    o1, a1 = base[i + 1][:2]
 
     # ---- 4-instruction patterns: LOAD; LOAD; op; STORE ----
     if i + 3 < n and o0 == LOAD and o1 == LOAD and base[i + 3][0] == STORE:
-        o2, _a2, _b2, wop = base[i + 2]
-        _o3, dest, _b3, wst = base[i + 3]
-        tail = ((2, w2, wop), dest, w2 + wop)
+        o2, dest = base[i + 2][0], base[i + 3][1]
         name = _BIN_IDS.get(o2)
         if name is not None:
             if name in fast2:
-                return (F_LL_OP2_ST, a0, a1, wst, 4, fast2[name], *tail)
-            return (F_LL_ARITH_ST, a0, a1, wst, 4, arith[name], *tail)
+                return (F_LL_OP2_ST, a0, a1, 4, fast2[name], dest)
+            return (F_LL_ARITH_ST, a0, a1, 4, arith[name], dest)
         if o2 == ids[op.ALOAD]:
-            return (F_LL_ALOAD_ST, a0, a1, wst, 4, None, *tail)
+            return (F_LL_ALOAD_ST, a0, a1, 4, None, dest)
 
     # ---- 2-instruction patterns ----
-    if o0 == LOAD and o1 == STORE:
-        return (F_LOAD_STORE, a0, a1, w1, 2, None, (1, w0, w1), None, w0)
-    fused = {LOAD: F_LOAD_LOAD, ids[op.GETF]: F_LOAD_GETF, ids[op.JZ]:
-             F_LOAD_JZ, ids[op.JNZ]: F_LOAD_JNZ}.get(o1) if o0 == LOAD \
+    fused = {LOAD: F_LOAD_LOAD, STORE: F_LOAD_STORE, ids[op.GETF]:
+             F_LOAD_GETF, ids[op.JZ]: F_LOAD_JZ, ids[op.JNZ]:
+             F_LOAD_JNZ}.get(o1) if o0 == LOAD \
         else F_CONST_STORE if o1 == STORE else None
     if fused is None:
         return None
-    return (fused, a0, a1, w2, 2, None, (1, w0, w1), None, None)
+    return (fused, a0, a1, 2, None, None)
 
 
 def fused_coverage(stream: Sequence[DecodedSlot]) -> Dict[str, int]:

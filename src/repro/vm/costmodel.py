@@ -93,7 +93,9 @@ class CostModel:
             return nbytes / self.io_bandwidth_cap + 0.1 * fs_seconds
         return fs_seconds * self.io_factor
 
-    #: relative cost of specific opcodes (1.0 default).  Field accesses
+    #: relative cost of specific opcodes (1.0 default), each a whole
+    #: number of cost ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`
+    #: per 1.0; decoding refuses any other).  Field accesses
     #: are pricier than register moves; static accesses are cheap
     #: absolute-address loads/stores — mirrors the paper's Table V
     #: baseline times (field read 2.60 ns ... static write 0.13 ns).
@@ -103,16 +105,11 @@ class CostModel:
         "LOAD": 0.5, "STORE": 0.6, "CONST": 0.4,
     }
 
-    def op_cost(self, opcode: str) -> float:
-        """Simulated seconds for one bytecode instruction."""
-        return (self.instr_seconds * self.exec_factor * self.agent_factor
-                * self.op_weights.get(opcode, 1.0))
-
     def unit_op_cost(self) -> float:
         """Simulated seconds per weight-1.0 instruction (node speed not
-        included).  The interpreter multiplies this once per accounting
-        flush against a batch's accumulated weight; per-opcode weights
-        are baked into the pre-decoded streams
+        included).  ``Machine.run`` prices its cost ticks from it once
+        per run; per-opcode weights are baked, as ticks, into the
+        pre-decoded streams
         (:meth:`repro.bytecode.code.CodeObject.predecoded`), so changing
         ``op_weights`` after execution started requires
         ``Machine.invalidate_caches()``."""

@@ -55,7 +55,7 @@ the fast loop's outer driver at every boundary that other subsystems
 can observe; frames stay plain data, so SOD capture/restore, VMTI and
 migration are oblivious to the tier:
 
-``fn(m, thread, frame, frames, ql, w_acc, n_acc, opc)`` returns a
+``fn(m, thread, frame, frames, ql, w_acc, n_acc)`` returns a
 status tuple ``(st, w_acc, n_acc, aux, aux2)``:
 
 =====  ==========================================================
@@ -86,11 +86,11 @@ calls, returns, natives, loop back-edges; :meth:`_Compiler.safepoint`
 refuses to emit a quantum check anywhere else, so compiled code is
 preempted exactly where both interpreter loops are) and at guest-throw
 sites.  Between safepoints the closure runs pure Python with block-summed
-``w_acc``/``n_acc`` accounting constants, so ``instr_count`` is
-integer-exact against tier 1 while the clock agrees to float
-re-association (every clock comparison in the tree uses
-``math.isclose``; the cost weights are non-dyadic, so any summation
-order differs in ulps).
+``w_acc``/``n_acc`` accounting constants: ``w_acc`` counts whole cost
+ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`) as an
+integer-valued float, and the flushes add it to ``m._ticks``, so
+``instr_count`` and the clock are bit-equal to tier 1's and the hooked
+loop's however the blocks group the sums.
 
 Guest exceptions report a precise faulting bci through a per-closure
 fault table (``f`` holds the index of the last armed fault record).
@@ -126,7 +126,7 @@ import functools
 from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.code import CodeObject
+from repro.bytecode.code import CodeObject, weight_ticks
 from repro.bytecode.verifier import stack_depths
 from repro.preprocess.fuse import cache_seeds
 from repro.vm import machine as _machine
@@ -265,7 +265,7 @@ class _Compiler:
         self.code = code
         self.instrs = code.instrs
         self.weights = weights
-        self.wt = weights.get
+        self.tick = weight_ticks(weights)
         self.shape = shape
         self.lines: List[str] = []
         self.consts: Dict[str, Any] = {}
@@ -348,7 +348,7 @@ class _Compiler:
         return name
 
     def account(self, opname: str) -> None:
-        self.seg_w += self.wt(opname, 1.0)
+        self.seg_w += self.tick[opname]
         self.seg_n += 1
 
     def emit_acc(self, extra: int = 0) -> None:
@@ -387,7 +387,7 @@ class _Compiler:
     def arm(self, bci: int, opname: str, charged: bool = True,
             extra: int = 0) -> None:
         """:meth:`marker` without the write-back."""
-        w = self.wt(opname, 1.0)
+        w = self.tick[opname]
         idx = len(self.faults)
         if charged:
             self.faults.append((bci, self.seg_w - w, self.seg_n - 1, w))
@@ -416,7 +416,7 @@ class _Compiler:
         then only the yielding arm needs them."""
         ins = self.instrs[bci]
         assert op.is_safepoint(ins.op, ins.a, bci), (bci, ins.op)
-        w = self.wt(ins.op, 1.0)
+        w = self.tick[ins.op]
         if charged:
             self.seg_w -= w
             self.seg_n -= 1
@@ -708,7 +708,7 @@ class _Compiler:
             return True
         elif o == op.THROW:
             v = sym.pop()
-            self.seg_w -= self.wt(o, 1.0)
+            self.seg_w -= self.tick[o]
             self.seg_n -= 1
             self.marker(bci, o, charged=False)
             self.emit(f"raise TH(m, {v})")
@@ -866,7 +866,7 @@ class _Compiler:
         self.emit(f"if {u}.__class__ is not tuple:")
         self.emit(f"    return (0, w_acc + {w_call!r}, n_acc + 1)")
         self.emit(f"res = {u}[0](m, thread, nf, frames, ql, "
-                  f"w_acc + {w_call!r}, n_acc + 1, opc, rd + 1)")
+                  f"w_acc + {w_call!r}, n_acc + 1, rd + 1)")
         self.emit("if res[0] != 1 or frames[-1] is not frame:")
         self.emit("    return res")
         self.emit("w_acc = res[1]")
@@ -909,7 +909,7 @@ class _Compiler:
         call = f"{rv} = m.natives.lookup({nm})(m, [{', '.join(args)}])"
         if pure is None:
             self.spill(live)
-        self.emit("m.clock += opc * w_acc")
+        self.emit("m._ticks += w_acc")
         self.emit("m.instr_count += n_acc")
         self.emit("w_acc = 0.0")
         self.emit("n_acc = 0")
@@ -970,8 +970,7 @@ class _Compiler:
                             *(slot[0] for slot in self.slots)])
         src_lines = [
             f"def _mk({params}):",
-            "  def _cf(m, thread, frame, frames, ql, w_acc, n_acc, opc,",
-            "          rd=0):",
+            "  def _cf(m, thread, frame, frames, ql, w_acc, n_acc, rd=0):",
             "    locs = frame.locals",
             "    fstack = frame.stack",
             "    f = 0",
@@ -983,12 +982,12 @@ class _Compiler:
         src_lines.extend([
             "    except GT as gt:",
             "        ft = FT[f]",
-            "        m.clock += opc * (w_acc + ft[1])",
+            "        m._ticks += w_acc + ft[1]",
             "        m.instr_count += n_acc + ft[2]",
             "        frame.pc = ft[0]",
             "        return (3, 0.0, 0, gt.exc, ft[3])",
             "    except BaseException:",
-            "        m.clock += opc * w_acc",
+            "        m._ticks += w_acc",
             "        m.instr_count += n_acc",
             "        frame.pc = FT[f][0]",
             "        raise",

@@ -9,7 +9,7 @@ Execution model per instruction:
 
 1. deliver any pending (asynchronously injected) exception;
 2. fire a breakpoint event if one is set at the current location;
-3. execute the instruction, charging ``cost.op_cost`` to the clock
+3. execute the instruction, charging its cost weight to the clock
    (scaled by the hosting node's CPU speed factor).
 
 Guest exceptions unwind through per-method exception tables; the
@@ -53,8 +53,9 @@ executes that one instruction and the fast tiers resume — the retreat
 is two-way.  Only a breakpoint a native installs *mid-run* retreats
 for good.  What no selection may change:
 
-* the **result**, ``stdout``, uncaught exception and ``instr_count`` —
-  equal, always;
+* the **result**, ``stdout``, uncaught exception, ``instr_count`` and
+  the **clock** — equal, always: instructions are charged in whole
+  cost ticks, whose sums are exact in any order (:attr:`clock`);
 * the **preemption points**.  A scheduler ``quantum`` expires only
   *before executing a safepoint instruction*
   (:func:`repro.bytecode.opcodes.is_safepoint`: a call, a native, a
@@ -64,10 +65,7 @@ for good.  What no selection may change:
   asserts none is ever fused, and the tier-2 compiler refuses to emit
   a check anywhere else.  So the sequence of ``(frame, pc,
   instr_count)`` at which a time-sliced thread stops — and everything
-  a cluster model derives from it — is the same in every loop;
-* the **clock**, to float re-association (tiers sum the same
-  instruction weights in different orders; every comparison in the
-  tree is ``math.isclose`` at 1e-9).
+  a cluster model derives from it — is the same in every loop.
 
 ``frame.pc`` always holds an *original* bytecode index (fused
 superinstructions live in a parallel stream — see
@@ -105,7 +103,8 @@ import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.code import ClassFile, CodeObject
+from repro.bytecode.code import (TICKS_PER_WEIGHT, ClassFile, CodeObject,
+                                 weight_ticks)
 from repro.errors import LinkError, NativeError, VMError
 from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD_ST,
                                    F_LL_ARITH_ST, F_LL_OP2_ST, F_LOAD_GETF,
@@ -167,8 +166,10 @@ class Machine:
         #: the cluster file system (or None)
         self.fs = fs
         self.name = name
-        #: simulated seconds consumed by this VM
-        self.clock = 0.0
+        #: :attr:`clock` parts: seconds charged (:meth:`charge` ...),
+        #: instructions since then in cost ticks (every loop's flushes
+        #: add exactly) and seconds per tick as of the last :meth:`run`
+        self._clock = self._ticks = self._unit = 0.0
         #: executed instruction count
         self.instr_count = 0
         #: worst scheduler-quantum overshoot seen (instructions executed
@@ -233,13 +234,19 @@ class Machine:
 
     # -- time ------------------------------------------------------------
 
+    @property
+    def clock(self) -> float:
+        """Simulated seconds consumed by this VM: the charges, plus the
+        ticks since at the last run's price (a new price folds them)."""
+        return self._clock + self._unit * self._ticks
+
     def charge(self, reference_seconds: float) -> None:
         """Add CPU time (scaled by the node's speed factor)."""
-        self.clock += reference_seconds * self._speed
+        self._clock += reference_seconds * self._speed
 
     def charge_raw(self, seconds: float) -> None:
         """Add wall time not subject to CPU scaling (I/O, network)."""
-        self.clock += seconds
+        self._clock += seconds
 
     # -- namespaces ------------------------------------------------------
 
@@ -457,7 +464,12 @@ class Machine:
         in every loop."""
         if quantum is not None and quantum < 1:
             raise VMError(f"bad scheduler quantum {quantum}")
-        op_cost = self.cost.unit_op_cost() * self._speed
+        unit = self.cost.unit_op_cost() * self._speed / TICKS_PER_WEIGHT
+        if unit != self._unit:
+            # A new price (a straggle, a cost-model swap): fold the
+            # ticks run at the old one.  Nothing else folds, so a run
+            # sliced into quanta sums the same bits as one unsliced.
+            self._clock, self._ticks, self._unit = self.clock, 0.0, unit
         start_count = self.instr_count
         prev_thread = self.current_thread
         self.current_thread = thread
@@ -482,15 +494,15 @@ class Machine:
                     and not self.breakpoints
                     and self.on_breakpoint is None):
                 self._bp_guard = None
-                status = self._run_fast(thread, op_cost, quantum) \
+                status = self._run_fast(thread, quantum) \
                     if stop is None else \
-                    self._run_declared(thread, stop, op_cost, quantum)
+                    self._run_declared(thread, stop, quantum)
                 if status is not None:
                     return status
                 # A native installed a breakpoint mid-run: the fast loop
                 # synced frame.pc and flushed accounting — continue
                 # under the hooked loop.
-            return self._run_loop(thread, stop, max_instrs, op_cost,
+            return self._run_loop(thread, stop, max_instrs,
                                   self.instr_count - start_count, quantum)
         finally:
             self.current_thread = prev_thread
@@ -503,7 +515,7 @@ class Machine:
                 if over > self.max_quantum_overshoot:
                     self.max_quantum_overshoot = over
 
-    def _run_declared(self, thread: ThreadState, stop: Any, op_cost: float,
+    def _run_declared(self, thread: ThreadState, stop: Any,
                       quantum: Optional[int]) -> Optional[str]:
         """:meth:`_run_fast` under a declared ``stop`` ("Dispatch" above);
         re-entries get what is left of ``quantum``: one absolute watermark."""
@@ -517,14 +529,13 @@ class Machine:
                 ran = self.instr_count - start
                 try:
                     return self._run_fast(
-                        thread, op_cost,
-                        None if quantum is None else quantum - ran)
+                        thread, None if quantum is None else quantum - ran)
                 except _EntryTrap:  # frame.pc synced, accounting flushed
                     if stop(thread):
                         return "stopped"
                     ran = self.instr_count - start
-                    status = self._run_loop(thread, None, ran + 1, op_cost,
-                                            ran, quantum)
+                    status = self._run_loop(thread, None, ran + 1, ran,
+                                            quantum)
                     if status != "limit":
                         return status
         finally:
@@ -552,7 +563,7 @@ class Machine:
 
     # -- the fast loop -----------------------------------------------------------
 
-    def _run_fast(self, thread: ThreadState, op_cost: float,
+    def _run_fast(self, thread: ThreadState,
                   quantum: Optional[int] = None) -> Optional[str]:
         """Zero-overhead interpretation of ``thread``.
 
@@ -607,7 +618,7 @@ class Machine:
                 if thread.pending_exception is not None:
                     exc = thread.pending_exception
                     thread.pending_exception = None
-                    self.clock += op_cost * w_acc
+                    self._ticks += w_acc
                     self.instr_count += n_acc
                     w_acc = 0.0
                     n_acc = 0
@@ -627,7 +638,7 @@ class Machine:
                             cf = _ci(self, code, jm)
                     if cf and frame.pc in cf[1]:
                         res = cf[0](self, thread, frame, frames, q_limit,
-                                    w_acc, n_acc, op_cost)
+                                    w_acc, n_acc)
                         st = res[0]
                         w_acc = res[1]
                         n_acc = res[2]
@@ -679,11 +690,9 @@ class Machine:
                         # dispatches there; the original build pays).
                         if oid == FI_LOAD_STORE:
                             locs[ins[2]] = locs[ins[1]]
-                            w_acc += ins[8]
                             pc += 2
                         elif oid == FI_LL_OP2_ST:
                             locs[ins[7]] = ins[5](locs[ins[1]], locs[ins[2]])
-                            w_acc += ins[8]
                             pc += 4
                         elif oid == FI_CONST_STORE:
                             locs[ins[2]] = ins[1]
@@ -699,7 +708,6 @@ class Machine:
                         elif oid == FI_LL_ARITH_ST:
                             locs[ins[7]] = ins[5](self, locs[ins[1]],
                                                   locs[ins[2]])
-                            w_acc += ins[8]
                             pc += 4
                         elif oid == FI_LL_ALOAD_ST:
                             arr = locs[ins[1]]
@@ -711,7 +719,6 @@ class Machine:
                                 locs[ins[7]] = data[idx]
                             else:
                                 raise _iobe(self, idx, len(data))
-                            w_acc += ins[8]
                             pc += 4
                         elif oid == FI_LOAD_LOAD:
                             push(locs[ins[1]])
@@ -902,7 +909,7 @@ class Machine:
                             # Safepoint: natives may read the clock, print,
                             # charge time, or install hooks — flush batched
                             # accounting and expose a precise frame.pc.
-                            self.clock += op_cost * w_acc
+                            self._ticks += w_acc
                             self.instr_count += n_acc
                             w_acc = 0.0
                             n_acc = 0
@@ -1026,7 +1033,7 @@ class Machine:
                     # instruction.
                     off, lead, own = ins[6]
                     frame.pc = pc + off
-                    self.clock += op_cost * (w_acc + lead)
+                    self._ticks += w_acc + lead
                     self.instr_count += n_acc + off
                     w_acc = 0.0
                     n_acc = 0
@@ -1045,17 +1052,16 @@ class Machine:
             thread.finished = True
             return "finished"
         finally:
-            self.clock += op_cost * w_acc
+            self._ticks += w_acc
             self.instr_count += n_acc
 
     # -- the legacy (hook-aware) loop ---------------------------------------------
 
     def _run_loop(self, thread: ThreadState,
                   stop: Optional[Callable[[ThreadState], bool]],
-                  max_instrs: Optional[int],
-                  op_cost: float, executed: int,
+                  max_instrs: Optional[int], executed: int,
                   quantum: Optional[int] = None) -> str:
-        weight = self.cost.op_weights.get
+        tick = weight_ticks(self.cost.op_weights)
         while thread.frames:
             if thread.pending_exception is not None:
                 exc = thread.pending_exception
@@ -1090,7 +1096,7 @@ class Machine:
             except GuestThrow as gt:
                 if not self._dispatch(thread, gt.exc):
                     return "finished"
-            self.clock += op_cost * weight(ins.op, 1.0)
+            self._ticks += tick[ins.op]
             self.instr_count += 1
             executed += 1
         thread.finished = True

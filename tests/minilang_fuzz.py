@@ -675,9 +675,7 @@ def divergence(source: str, args: Tuple[int, ...],
         for label, kw in (MODES if modes is None else modes):
             got = _observe(classes, args, q, main, stop=stop, **kw)
             for what, a, b in zip(OBSERVED, ref, got):
-                if what == "clock":
-                    ok = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-                elif what == "schedule" and a != b:
+                if what == "schedule" and a != b:
                     k = next((i for i, (x, y) in enumerate(zip(a, b))
                               if x != y), min(len(a), len(b)))
                     a, b = (len(a), a[k:k + 1]), (len(b), b[k:k + 1])

@@ -180,7 +180,25 @@ def test_straggler_slows_then_recovers():
     assert rep.stats["straggles"] == 1
     assert rep.makespan >= base.makespan
     assert sched.engine.hosts["node1"].machine._speed == \
-        pytest.approx(sched.cluster.node("node1").spec.speed_factor)
+        sched.cluster.node("node1").spec.speed_factor
+
+
+@pytest.mark.parametrize("weight, factors", [(5.0, (3.0,)),
+                                             (3.0, (1.1, 2.5))])
+def test_healed_straggler_gets_its_exact_speed_back(weight, factors):
+    """On a weighted node (speed 1/weight) a healed straggler runs at
+    exactly its own speed again, overlapping straggles included:
+    dividing the factor back out would leave it an ulp off."""
+    plan = FaultPlan([FaultEvent(at=0.02 + 0.01 * i, kind="straggle",
+                                 node="node1", factor=f, heal=0.05)
+                      for i, f in enumerate(factors)])
+    sched, load = build_serving(mix="parallel", n_nodes=4, n_requests=32,
+                                cpu_weights=[1.0, weight, 1.0, 1.0],
+                                fault_plan=plan)
+    rep = sched.serve(load)
+    _assert_sound(rep)
+    assert rep.stats["straggles"] == len(factors)
+    assert sched.engine.hosts["node1"].machine._speed == 1 / weight
 
 
 def test_chaos_run_is_deterministic():

@@ -16,7 +16,6 @@ The generated-program version is ``minilang_fuzz.run_declared_stop_fuzz``.
 from __future__ import annotations
 
 import functools
-import math
 
 import pytest
 
@@ -36,10 +35,6 @@ def _undeclared(trigger):
     polled = lambda thread: trigger(thread)  # noqa: E731
     assert not hasattr(polled, "entry_of")
     return polled
-
-
-def _close(a, b):
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
 # -- (1) the stop point, registry programs x builds x tiers --------------------
@@ -88,18 +83,17 @@ TIERS = {
 @pytest.mark.parametrize("build", ["original", "faulting"])
 @pytest.mark.parametrize("name", sorted(registry.WORKLOADS))
 def test_declared_trigger_stops_where_the_hooked_loop_does(name, build, tier):
-    """Status, every frame's (method, pc, stack, locals), instr_count
-    and stdout at the stop are *equal* to the undeclared run's, the
-    clock to 1e-9; run on to completion, result / instr_count / clock
-    agree again."""
+    """Status, every frame's (method, pc, stack, locals), instr_count,
+    stdout and clock at the stop are *equal* to the undeclared run's;
+    run on to completion, result / instr_count / clock agree again."""
     w = registry.WORKLOADS[name]
     got = _to_trigger_and_on(name, build, w.trigger(), **TIERS[tier])
     want = _oracle(name, build)
     assert got[0] == want[0]
     assert got[0][0] == "stopped"
-    assert _close(got[1], want[1])
+    assert got[1] == want[1]
     assert got[2] == want[2] and got[2][0] == registry.expected_result(name)
-    assert _close(got[3], want[3])
+    assert got[3] == want[3]
 
 
 # -- (2) every hit, every way a frame reaches bci 0 ------------------------------
@@ -193,7 +187,7 @@ def test_every_stop_equals_the_hooked_loops(label, build):
         got = _every_stop(classes, n, make(), **kw)
         assert got[0] == want[0], f"{tier}: stops diverged"
         assert got[1] == want[1], f"{tier}: end state diverged"
-        assert _close(got[2], want[2]), f"{tier}: clock diverged"
+        assert got[2] == want[2], f"{tier}: clock diverged"
 
 
 def test_spawn_of_the_named_method_stops_before_its_first_instruction():
@@ -221,7 +215,7 @@ def test_only_a_complete_declaration_is_a_declaration():
     assert len(want[0]) == 9 + 9
     for stop in (any_of(a, b), any_of(a, b, on_depth(999))):
         got = _every_stop(classes, 9, stop)
-        assert got[:2] == want[:2] and _close(got[2], want[2])
+        assert got == want
 
 
 # -- (4) a quantum rides along ---------------------------------------------------
@@ -445,4 +439,4 @@ def test_a_call_dense_trigger_that_never_fires_steps_once_per_hit(
     plain = Machine(registry.compiled("Fib", "faulting"))
     plain.call(w.main[0], w.main[1], list(w.sim_args))
     assert m.instr_count == plain.instr_count
-    assert _close(m.clock, plain.clock)
+    assert m.clock == plain.clock

@@ -114,7 +114,7 @@ def test_by_value_sentinel_faults_once_per_frame(qs_runs):
     sentinel to one callee, whose first access converges the callee's
     parameter and the restored frame's slot.  Which loop ran the
     segment changes nothing modeled: results, fetches, instruction
-    counts and bytes equal, clocks to float re-association."""
+    counts, bytes and clocks equal."""
     oracle = Machine(serve_compiled("QS"), dispatch="legacy")
     want = oracle.call("QS", "main", [QS_N])
     facts, clocks, calls, _fb = qs_runs["tier2"]
@@ -126,7 +126,7 @@ def test_by_value_sentinel_faults_once_per_frame(qs_runs):
     for loop in "legacy", "tier1":
         other, other_clocks, _c, _fb = qs_runs[loop]
         assert other == facts, loop
-        assert other_clocks == pytest.approx(clocks, rel=1e-9, abs=0.0), loop
+        assert other_clocks == clocks, loop
 
 
 def test_fetched_by_holds_each_key_once(qs_runs):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import ast
 import functools
 import gc
-import math
 import weakref
 
 import pytest
@@ -94,7 +93,7 @@ def test_hot_method_tiers_up_and_matches_tier1():
     (m1, r1), (m2, r2) = _pair(LOOP_SRC, "P", "caller", [64])
     assert r2 == r1
     assert m2.instr_count == m1.instr_count
-    assert math.isclose(m2.clock, m1.clock, rel_tol=1e-9, abs_tol=1e-12)
+    assert m2.clock == m1.clock
     assert m2.jit_compiles > 0 and m2._compiled
     assert m1.jit_compiles == 0 and not m1._compiled
 
@@ -368,16 +367,19 @@ def test_cost_weight_change_is_a_different_cache_entry(monkeypatch):
     the table, so a table *mutated in place* regenerates too — also
     for a method whose only compile was in a namespace since dropped,
     which ``invalidate_caches()`` no longer reaches — and the relinked
-    closures' clock equals legacy dispatch under the new weights."""
+    closures' clock equals legacy dispatch under the new weights (a
+    legacy twin run through the same history)."""
     monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)  # runs stay in tier 2
     classes = _classes()
     cost = CostModel()
     cost.op_weights = dict(CostModel.op_weights)
     m = Machine(classes, cost=cost, jit=True)
+    legacy = Machine(classes, cost=cost, dispatch="legacy")
+    stock = Machine(classes, dispatch="legacy")
     assert m.precompile("P", "work")
     old = m._compiled[_work_code(m)][0]
-    t = m.spawn("P", "caller", [3], namespace="gone")
-    m.run(t)
+    for vm in m, legacy, stock:
+        vm.run(vm.spawn("P", "caller", [3], namespace="gone"))
     caller = m.namespace("gone").load("P").find_method("caller")
     old_caller = m._compiled_ns["gone"][caller][0]
     m.drop_namespace("gone")
@@ -387,18 +389,15 @@ def test_cost_weight_change_is_a_different_cache_entry(monkeypatch):
     new = m._compiled[_work_code(m)][0]
     assert new.__code__ is not old.__code__
     assert new.__jit_source__ != old.__jit_source__
-    legacy = Machine(classes, cost=cost, dispatch="legacy")
-    clock, instrs = m.clock, m.instr_count
+    clock = m.clock
     assert m.call("P", "caller", [300]) == legacy.call("P", "caller", [300])
     new_caller = m._compiled[caller][0]
     assert new_caller.__code__ is not old_caller.__code__
     assert new_caller.__jit_source__ != old_caller.__jit_source__
-    assert m.instr_count - instrs == legacy.instr_count
-    assert math.isclose(m.clock - clock, legacy.clock,
-                        rel_tol=1e-9, abs_tol=1e-12)
-    stock = Machine(classes, dispatch="legacy")
+    assert m.instr_count == legacy.instr_count
+    assert m.clock == legacy.clock
     stock.call("P", "caller", [300])
-    assert not math.isclose(m.clock - clock, stock.clock, rel_tol=1e-3)
+    assert m.clock - clock > 1.5 * (stock.clock - clock)
 
 
 def test_weight_table_edit_reaches_tier1_of_a_dropped_namespace():
@@ -412,16 +411,15 @@ def test_weight_table_edit_reaches_tier1_of_a_dropped_namespace():
     cost = CostModel()
     cost.op_weights = dict(CostModel.op_weights)
     m = Machine(classes, cost=cost, jit=False)
-    m.run(m.spawn("P", "caller", [3], namespace="gone"))
-    m.drop_namespace("gone")
+    legacy = Machine(classes, cost=cost, dispatch="legacy")
+    for vm in m, legacy:
+        vm.run(vm.spawn("P", "caller", [3], namespace="gone"))
+        vm.drop_namespace("gone")
     cost.op_weights.update(STORE=7.25, PUTS=3.5)
     m.invalidate_caches()
-    legacy = Machine(classes, cost=cost, dispatch="legacy")
-    clock, instrs = m.clock, m.instr_count
     assert m.call("P", "caller", [300]) == legacy.call("P", "caller", [300])
-    assert m.instr_count - instrs == legacy.instr_count
-    assert math.isclose(m.clock - clock, legacy.clock,
-                        rel_tol=1e-9, abs_tol=1e-12)
+    assert m.instr_count == legacy.instr_count
+    assert m.clock == legacy.clock
 
 
 def test_factory_cache_is_bounded():
@@ -772,9 +770,9 @@ def _migrated_at(name, meth, args, msp, tier2):
         assert wt.frames[-1].pc == msp in m._compiled[wt.frames[-1].code][1]
     else:
         m.dispatch, m.jit = "legacy", False
-    n0, c0 = m.instr_count, m.clock
+    n0 = m.instr_count
     eng.run(worker, wt)
-    observed = (m.instr_count - n0, m.clock - c0, worker.objman.stats.faults)
+    observed = (m.instr_count - n0, m.clock, worker.objman.stats.faults)
     eng.complete_segment(worker, wt, home, t, 1)
     eng.run(home, t)
     assert m.jit_compile_errors == 0
@@ -789,7 +787,7 @@ def test_soft_entries_under_tier2_match_the_legacy_loop(name):
     inside the closure: the object-fault handler ``JMP``s back to its
     retry point, another soft entry.  At every MSP of the method, the
     worker's run must equal the legacy loop's: result, ``instr_count``
-    (``==``) and clock (``isclose``), with the same faults.
+    and clock (``==``), with the same faults.
 
     Other campaigns reach these entries but compare no counts there.
     Over the stock seeds the tier-2 migration fuzz enters a closure at
@@ -811,8 +809,7 @@ def test_soft_entries_under_tier2_match_the_legacy_loop(name):
         ref = _migrated_at(name, meth, args, msp, tier2=False)
         assert got is not None and ref is not None, msp
         assert got[0] == ref[0] == want, msp
-        assert got[1] == ref[1] and got[3] == ref[3], (msp, got, ref)
-        assert math.isclose(got[2], ref[2], rel_tol=1e-9), (msp, got, ref)
+        assert got[1:] == ref[1:], (msp, got, ref)
         faults += got[3]
     assert (faults > 0) == (name != "Fib")
 

@@ -284,6 +284,7 @@ def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
     and the same ``fuse`` flag: an in-place weight edit and
     ``invalidate_decoded()`` each force one rebuild, a plain re-link
     none."""
+    from repro.bytecode.code import TICKS_PER_WEIGHT
     from repro.preprocess import fuse
     from repro.vm.machine import _ARITH, _FAST2
 
@@ -308,7 +309,7 @@ def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
     assert len(builds) == 3
     i = next(i for i, ins in enumerate(code.instrs) if ins.op == op.LOAD
              and s3[i][4] == 1)
-    assert s3[i][3] == weights[op.LOAD] != s1[i][3]
+    assert s3[i][3] == weights[op.LOAD] * TICKS_PER_WEIGHT != s1[i][3]
     code.invalidate_decoded()
     assert code._fused == {}
     link()

@@ -6,12 +6,10 @@ flows) and dumps what a shipment is *priced* at — every
 ``MigrationRecord`` field, ``engine.timeline``, the network's byte and
 savings meters, the final guest results — with full ``repr`` float
 precision.  All of it is virtual-time arithmetic, so the dump is
-deterministic across hosts.  The comparison follows the "Dispatch"
-contract of :mod:`repro.vm.machine`: the text around the floats and
-every integer must match exactly; floats — all clock sums, which the
-tiers re-associate — must agree to ``rel_tol=1e-9``.  So a change of
-*which loop ran* passes, and any other diff is a real change to the
-capture -> price -> ship -> restore -> write-back pipeline.
+deterministic across hosts, and by the "Dispatch" contract of
+:mod:`repro.vm.machine` the same whichever loop ran: every line must
+match exactly, and any diff is a real change to the capture -> price
+-> ship -> restore -> write-back pipeline.
 
 To re-bless after an *intentional* change::
 
@@ -25,9 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import os
-import re
 from pathlib import Path
 
 import pytest
@@ -43,19 +39,6 @@ from repro.workloads import WORKLOADS, compiled, expected_result
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "shipments.txt"
 BLESS = os.environ.get("REPRO_BLESS_GOLDENS") == "1"
-
-#: a float as ``repr`` writes it (integers stay in the exact skeleton)
-_FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
-
-
-def _same_numbers(line, expected):
-    """Skeleton and integers exact, floats at the clock tolerance."""
-    if _FLOAT.sub("#", line) != _FLOAT.sub("#", expected):
-        return False
-    return all(math.isclose(float(a), float(b), rel_tol=1e-9)
-               for a, b in zip(_FLOAT.findall(line),
-                               _FLOAT.findall(expected)))
-
 
 def _dump(out, label, eng, recs, results):
     out.append(f"== {label}")
@@ -343,7 +326,7 @@ def test_shipment_numbers_match_golden():
         f"missing golden {GOLDEN}; generate with REPRO_BLESS_GOLDENS=1")
     bad = [f"- {want}\n+ {got}" for want, got in itertools.zip_longest(
         GOLDEN.read_text().splitlines(), out, fillvalue="")
-        if not _same_numbers(got, want)]
+        if got != want]
     if bad:
         pytest.fail("shipment numbers diverged from golden "
                     "(goldens/shipments.txt vs regenerated):\n"

@@ -96,33 +96,29 @@ def test_forked_worker_cell_is_overwritten_by_the_next_shipment():
     detection and no healing fetch: the next shipment carries the
     home's value and the restore writes it, at the price of the
     static's own few bytes (no extra round trip on the worker)."""
-    eng = SODEngine(gige_cluster(2), _classes())
-    home = eng.host("node0")
-    d = home.machine.heap.new_instance(home.machine.loader.load("D"))
-
-    recs = []
-    for n in (2, 4):  # the second is the warm, unforked reference
-        t = _spawn_at_msp(eng, home, d, n)
-        worker, wt, rec = eng.migrate(home, t, "node1", 1)
-        recs.append(rec)
-        eng.run(worker, wt)
-        eng.complete_segment(worker, wt, home, t, 1)
-
-    worker.machine.loader.load("P").statics["s0"] = -777
-    assert home.machine.loader.load("P").statics["s0"] != -777
-
-    t2 = _spawn_at_msp(eng, home, d, 4)
-    worker, wt2, rec2 = eng.migrate(home, t2, "node1", 1)
-    assert worker.machine.loader.load("P").statics["s0"] \
-        == home.machine.loader.load("P").statics["s0"]
-    # every static rides by value every time: same state size, and the
-    # restore costs what the unforked one did (no fallback fetch)
-    assert rec2.state_bytes == recs[1].state_bytes == recs[0].state_bytes
-    assert rec2.restore_time == pytest.approx(recs[1].restore_time,
-                                              rel=1e-9)
-    eng.run(worker, wt2)
-    eng.complete_segment(worker, wt2, home, t2, 1)
-    assert worker.machine.loader.load("P").statics["s0"] != -777
+    restores = {}
+    for fork in (False, True):  # an unforked twin, then the fork
+        eng = SODEngine(gige_cluster(2), _classes())
+        home = eng.host("node0")
+        d = home.machine.heap.new_instance(home.machine.loader.load("D"))
+        recs = []
+        for n in (2, 4, 4):
+            if fork and len(recs) == 2:
+                worker.machine.loader.load("P").statics["s0"] = -777
+                assert home.machine.loader.load("P").statics["s0"] != -777
+            t = _spawn_at_msp(eng, home, d, n)
+            worker, wt, rec = eng.migrate(home, t, "node1", 1)
+            recs.append(rec)
+            assert worker.machine.loader.load("P").statics["s0"] \
+                == home.machine.loader.load("P").statics["s0"]
+            eng.run(worker, wt)
+            eng.complete_segment(worker, wt, home, t, 1)
+        assert worker.machine.loader.load("P").statics["s0"] != -777
+        # every static rides by value every time: same state size
+        assert len({rec.state_bytes for rec in recs}) == 1
+        restores[fork] = recs[-1].restore_time
+    # and the restore costs what the unforked twin's did (no fetch)
+    assert restores[True] == restores[False]
 
 
 # -- class tokens --------------------------------------------------------------

@@ -229,6 +229,19 @@ def test_op_weights_affect_clock(app_classes_original):
     assert m1.clock != m2.clock
 
 
+@pytest.mark.parametrize("dispatch", ["fast", "legacy"])
+def test_weight_of_no_whole_ticks_is_refused_at_decode(app_classes_original,
+                                                       dispatch):
+    """Every loop charges whole ticks (hundredths of a weight): a
+    weight between two ticks is refused before anything runs."""
+    cost = CostModel()
+    cost.op_weights = dict(CostModel.op_weights, STORE=0.125)
+    m = Machine(app_classes_original, cost=cost, dispatch=dispatch)
+    with pytest.raises(VMError, match=r"STORE=0\.125 is not a whole"):
+        m.call("App", "work", [50])
+    assert m.instr_count == 0 and m.clock == 0.0
+
+
 def test_cost_copy_overrides():
     c = CostModel(instr_seconds=1e-9)
     c2 = c.copy(exec_factor=4.0)
