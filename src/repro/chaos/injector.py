@@ -111,8 +111,7 @@ class ChaosInjector:
             self.sched._trace("heal", fault="straggle", node=ev.node)
 
     def _set_speed(self, machine, node: str) -> None:
-        """The node's speed times each active straggle factor, computed
-        afresh: dividing a factor back out would leave a healed node
-        an ulp off its own speed."""
+        """The node's speed times each active straggle factor, afresh:
+        dividing a factor back out can leave a healed node an ulp off."""
         machine._speed = math.prod(self._straggling[node],
                                    start=machine.node.spec.speed_factor)

@@ -150,21 +150,22 @@ def _build(code: CodeObject, base: Sequence[Tuple[int, Any, Any, float]],
     for i in range(n):
         group = _fuse_at(base, i, n, arith, fast2) if fuse else None
         if group is None:
+            opid, a, b, w = base[i]
             name = code.instrs[i].op
             ncells = _CACHED_OPS.get(name)
             if ncells is not None:
                 sites.append((i, ncells))
-            group = (*base[i][:3], 1, arith.get(name), None)
-        else:
-            assert not any(
-                op.is_safepoint(ins.op, ins.a, j) for j, ins in
-                enumerate(code.instrs[i:i + group[3]], i)), \
-                f"{code.qualname}@{i}: safepoint fused into a group"
+            out.append((opid, a, b, w, 1, arith.get(name), (0, 0.0, w), None))
+            continue
         opid, a, b, count, aux, c = group
+        assert not any(
+            op.is_safepoint(ins.op, ins.a, j) for j, ins in
+            enumerate(code.instrs[i:i + count], i)), \
+            f"{code.qualname}@{i}: safepoint fused into a group"
         ws = [slot[3] for slot in base[i:i + count]]
-        off = 2 if count == 4 else count - 1  # the fault rule's component
+        off = 2 if count == 4 else 1  # the fault rule's component
         out.append((opid, a, b, sum(ws), count, aux,
-                    (off, sum(ws[:off], 0.0), ws[off]), c))
+                    (off, sum(ws[:off]), ws[off]), c))
     return out, tuple(sites)
 
 

@@ -93,9 +93,8 @@ class CostModel:
             return nbytes / self.io_bandwidth_cap + 0.1 * fs_seconds
         return fs_seconds * self.io_factor
 
-    #: relative cost of specific opcodes (1.0 default), each a whole
-    #: number of cost ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`
-    #: per 1.0; decoding refuses any other).  Field accesses
+    #: relative cost of specific opcodes (1.0 default), in whole cost
+    #: ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`).  Field accesses
     #: are pricier than register moves; static accesses are cheap
     #: absolute-address loads/stores — mirrors the paper's Table V
     #: baseline times (field read 2.60 ns ... static write 0.13 ns).

@@ -236,8 +236,8 @@ class Machine:
 
     @property
     def clock(self) -> float:
-        """Simulated seconds consumed by this VM: the charges, plus the
-        ticks since at the last run's price (a new price folds them)."""
+        """Simulated seconds consumed by this VM: its charges plus its
+        ticks at the last run's price (a new price folds them in)."""
         return self._clock + self._unit * self._ticks
 
     def charge(self, reference_seconds: float) -> None:
