@@ -17,6 +17,10 @@ Captured object references come back as provenance-carrying
 :class:`RemoteRef` sentinels; the first use of each faults it in through
 the object manager.
 
+Each breakpoint, and the saved pc the ``stop`` declares, is a trap point
+of ``Machine.run``: the modeled dance, charged call for call, runs on
+the fast tiers ("Dispatch" in :mod:`repro.vm.machine`).
+
 On devices without VMTI (the paper's JamVM/iPhone case, section IV.D),
 :func:`java_level_restore` rebuilds the frames directly — the paper's
 "pure Java worker using reflection" — at a much higher per-frame cost
@@ -25,8 +29,7 @@ charged on the (slow) device CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.errors import MigrationError
 from repro.migration.state import CapturedState, decode_value
@@ -36,16 +39,8 @@ from repro.vm.machine import Machine
 from repro.vm.values import LOC_LOCAL, LOC_STATIC
 from repro.vm.vmti import VMTI
 
-
-@dataclass
-class RestoreContext:
-    """Shared state between the driver, the breakpoint callback and the
-    ``CapturedState.*`` natives."""
-
-    state: CapturedState
-    index: int = -1           # frame record being restored
-    complete: bool = False
-    current_frame: Optional[Frame] = None
+#: instructions a restoration may take to converge (its ``quantum``)
+MAX_RESTORE_INSTRS = 50_000_000
 
 
 class RestoreDriver:
@@ -55,8 +50,9 @@ class RestoreDriver:
         self.machine = machine
         self.vmti = vmti
         self.state = state
-        self.ctx = RestoreContext(state=state)
-        self._armed: List[tuple] = []
+        #: the frame record being restored; True once the last one's
+        #: handler read its pc (the callback and natives share both)
+        self.index, self.complete = -1, False
 
     # -- natives -------------------------------------------------------------
 
@@ -66,15 +62,15 @@ class RestoreDriver:
 
         def cs_read(machine: Machine, args: List[Any]) -> Any:
             slot = args[0]
-            rec = self.state.frames[self.ctx.index]
+            rec = self.state.frames[self.index]
             frame = machine.current_thread.frames[-1]
             enc = rec.locals[slot] if slot < len(rec.locals) else None
             return decode_value(enc, (LOC_LOCAL, frame, slot))
 
         def cs_pc(machine: Machine, args: List[Any]) -> Any:
-            rec = self.state.frames[self.ctx.index]
-            if self.ctx.index == len(self.state.frames) - 1:
-                self.ctx.complete = True
+            rec = self.state.frames[self.index]
+            if self.index == len(self.state.frames) - 1:
+                self.complete = True
             return rec.pc
 
         self.machine.natives.register("CapturedState.read", cs_read)
@@ -103,14 +99,10 @@ class RestoreDriver:
         return (rec.class_name, rec.method_name, 0)
 
     def _cb(self, machine: Machine, thread: ThreadState) -> None:
-        i = self.ctx.index + 1
-        if i >= len(self.state.frames):  # pragma: no cover - defensive
-            raise MigrationError("breakpoint after restoration completed")
-        self.ctx.index = i
+        i = self.index = self.index + 1
         self.vmti.clear_breakpoint(*self._method_entry(i))
         if i + 1 < len(self.state.frames):
             self.vmti.set_breakpoint(*self._method_entry(i + 1))
-            self._armed.append(self._method_entry(i + 1))
         self.vmti.raise_exception(thread, RESTORE_EXCEPTION, "restore")
 
     def start_thread(self) -> ThreadState:
@@ -129,40 +121,37 @@ class RestoreDriver:
                              namespace=self.state.namespace)
         thread.frames.append(Frame(code))
         self.vmti.set_breakpoint(*self._method_entry(0))
-        self._armed.append(self._method_entry(0))
         self.vmti.set_breakpoint_callback(self._cb)
         return thread
 
     def finish(self) -> None:
-        """Disarm everything after restoration completes."""
-        for key in self._armed:
-            self.machine.breakpoints.discard(key)
-        self._armed.clear()
+        """Disarm everything (uncharged: the dance is over)."""
+        for i in range(len(self.state.frames)):
+            self.machine.clear_breakpoint(self._method_entry(i))
         self.vmti.set_breakpoint_callback(None)
 
-    def restore(self, run_after: bool = False,
-                max_instrs: int = 50_000_000) -> ThreadState:
-        """Run the full restoration.
-
-        With ``run_after=False`` the thread is left suspended exactly at
-        the innermost frame's restored pc (segment ready to execute);
-        with ``run_after=True`` it keeps running to completion.
-        """
+    def restore(self) -> ThreadState:
+        """Run the full restoration.  The thread is left suspended
+        exactly at the innermost frame's restored pc (segment ready to
+        execute); a restoration that raises or does not converge
+        leaves no hook armed."""
         self.install_natives()
-        self.restore_statics()
-        thread = self.start_thread()
+        last = self.state.frames[-1]
 
         def restored(t: ThreadState) -> bool:
-            return (self.ctx.complete
+            return (self.complete
                     and len(t.frames) == len(self.state.frames)
-                    and t.frames[-1].pc in t.frames[-1].code.msps)
-
-        status = self.machine.run(thread, stop=restored, max_instrs=max_instrs)
+                    and t.frames[-1].pc == last.pc)
+        restored.at = frozenset({(last.class_name, last.method_name, last.pc)})
+        try:
+            self.restore_statics()
+            thread = self.start_thread()
+            status = self.machine.run(thread, stop=restored,
+                                      quantum=MAX_RESTORE_INSTRS)
+        finally:
+            self.finish()
         if status != "stopped":
             raise MigrationError(f"restoration did not converge: {status}")
-        self.finish()
-        if run_after:
-            self.machine.run(thread)
         return thread
 
 

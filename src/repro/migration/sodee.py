@@ -542,8 +542,7 @@ class SODEngine:
         return worker, out
 
     def migrate(self, src_host: Host, thread: ThreadState, dst_node: str,
-                nframes: int = 1,
-                run_after_restore: bool = False
+                nframes: int = 1
                 ) -> Tuple[Host, ThreadState, MigrationRecord]:
         """Migrate the top ``nframes`` frames of ``thread`` to
         ``dst_node``.  The source thread keeps its full (now partially
@@ -553,8 +552,6 @@ class SODEngine:
         Returns (worker_host, worker_thread, record)."""
         worker, [(worker_thread, rec)] = self._ship(
             src_host, [(thread, nframes)], dst_node, src_host)
-        if run_after_restore:
-            self.run(worker, worker_thread)
         return worker, worker_thread, rec
 
     def migrate_many(self, src_host: Host, threads: List[ThreadState],
@@ -733,7 +730,7 @@ class SODEngine:
             worker.machine.charge(self.sys.sod_restore_fixed
                                   + self.sys.sod_restore_per_frame * nframes)
             worker_thread = RestoreDriver(
-                worker.machine, worker.vmti, state).restore(run_after=False)
+                worker.machine, worker.vmti, state).restore()
         else:
             worker.machine.charge(
                 self.sys.java_restore_fixed

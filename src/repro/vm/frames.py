@@ -76,10 +76,6 @@ class ThreadState:
         self.uncaught: Any = None
         self.namespace = namespace
 
-    @property
-    def top(self) -> Frame:
-        return self.frames[-1]
-
     def depth(self) -> int:
         return len(self.frames)
 
@@ -96,14 +92,14 @@ def on_method_entry(class_name: str, method: str,
                     min_depth: int = 0) -> Trigger:
     """Fires when the named method becomes the top frame at its entry
     (with at least ``min_depth`` frames on the stack).  *Declared*
-    (``entry_of``): ``Machine.run`` asks it only there and keeps the
+    (``at``: bci 0): ``Machine.run`` asks it only there and keeps the
     fast tiers; a bare ``fn(thread) -> bool`` is polled everywhere."""
     def trig(t: ThreadState) -> bool:
         f = t.frames[-1]
         return (f.pc == 0 and f.code.name == method
                 and f.code.class_name == class_name
                 and len(t.frames) >= min_depth)
-    trig.entry_of = frozenset({(class_name, method)})
+    trig.at = frozenset({(class_name, method, 0)})
     return trig
 
 
@@ -129,6 +125,6 @@ def any_of(*triggers: Trigger) -> Trigger:
     """Fires when any sub-trigger fires; declared when every part is."""
     def trig(t: ThreadState) -> bool:
         return any(part(t) for part in triggers)
-    if all(hasattr(part, "entry_of") for part in triggers):
-        trig.entry_of = frozenset().union(*(p.entry_of for p in triggers))
+    if all(hasattr(part, "at") for part in triggers):
+        trig.at = frozenset().union(*(p.at for p in triggers))
     return trig

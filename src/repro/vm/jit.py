@@ -73,8 +73,9 @@ status tuple ``(st, w_acc, n_acc, aux, aux2)``:
        is found — same rule as both interpreter tiers)
 4      a native set ``thread.pending_exception``; resume state
        materialized at the bci after the native
-5      deopt: a native installed a breakpoint mid-run; state
-       materialized, the driver retreats to the hooked loop
+5      deopt: a native armed a trap in a live frame's method (this
+       closure's, or a caller's, which forwards it); state
+       materialized, the driver re-enters (on tier 1 where masked)
 =====  ==========================================================
 
 Safepoints and accounting
@@ -160,9 +161,9 @@ _CMP_OPS = frozenset({op.EQ, op.NE, op.LT, op.LE, op.GT, op.GE})
 #: ops execution never falls through from
 _NO_FALL = frozenset({op.JMP, op.LSWITCH, op.RET, op.RETV, op.THROW})
 
-#: what a registry native can force on its way out: (status, test) —
-#: a deopt when it armed hooks, a dispatch when it set an exception
-_NATIVE_EXITS = ((5, "m.breakpoints or m.on_breakpoint is not None"),
+#: (status, test) a registry native can force on its way out: a deopt
+#: (``mk``: ``m._masks`` before the call), an exception dispatch
+_NATIVE_EXITS = ((5, "m._masks != mk"),
                  (4, "thread.pending_exception is not None"))
 
 
@@ -890,7 +891,7 @@ class _Compiler:
 
     def gen_native(self, bci: int, ins: Any) -> None:
         """A safepoint that flushes the clock hard: natives may read it,
-        print, charge time or install hooks.  The registry's function
+        print, charge time or arm traps.  The registry's function
         runs at a precise frame state and the block ends after it.  A
         pure math native (:func:`_pure`) is generated in line instead:
         while its arguments are numbers (``_num``'s rule) and the
@@ -917,6 +918,7 @@ class _Compiler:
         self.emit("m.charge(NB)")
         if pure is None:
             self.emit(f"frame.pc = {bci}")
+            self.emit("mk = m._masks")
             self.emit(call)
             for st, test in _NATIVE_EXITS:
                 self.emit(f"if {test}:")
@@ -938,6 +940,7 @@ class _Compiler:
         self.write_back(4)
         self.spill(live, 4)
         self.emit(f"    frame.pc = {bci}")
+        self.emit("    mk = m._masks")
         self.emit(call, 4)
         self.emit(f"    fstack.append({rv})")
         self.emit(f"    frame.pc = {bci + 1}")

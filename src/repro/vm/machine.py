@@ -25,8 +25,8 @@ contract does not depend on which of three loops does the work:
 * the **hooked loop** (:meth:`Machine._run_loop` + :meth:`_execute`)
   handles one instruction at a time — breakpoint checks and
   ``stop``/``max_instrs`` polling.  It executes the instructions that
-  carry a hook — all of them under a breakpoint, ``max_instrs``, an
-  undeclared ``stop`` or ``dispatch="legacy"`` — and is the
+  carry a hook — one per trap hit, all of them under ``max_instrs``,
+  an undeclared ``stop`` or ``dispatch="legacy"`` — and is the
   hand-written oracle of the differential suites;
 * **tier 1** (:meth:`Machine._run_fast`) runs the rest: a per-machine
   linked *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
@@ -41,17 +41,16 @@ contract does not depend on which of three loops does the work:
   ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
   specialized Python closures, one frame at a time.
 
-What selects a loop is host-side state only (breakpoints, ``stop``,
+What selects a loop is host-side state only (``stop``,
 ``max_instrs``, ``dispatch=``, ``fuse=``, ``jit=``, hotness).  A
-``stop`` may *declare* ``entry_of``, a frozenset of ``(class,
-method)`` at whose bci 0 alone it can be true; :meth:`run` then asks
-it exactly there — after pending-exception delivery, before the
-instruction, where the hooked loop would — by trapping slot 0 of those
-methods' decoded streams for the call (:meth:`Machine._run_declared`):
-a hit syncs ``frame.pc``, flushes and asks; on "no" the hooked loop
-executes that one instruction and the fast tiers resume — the retreat
-is two-way.  Only a breakpoint a native installs *mid-run* retreats
-for good.  What no selection may change:
+*trap point* is ``(class, method, bci)``: every breakpoint is one, and
+a ``stop`` may *declare* ``at``, the points where alone it can be true.
+A run without ``max_instrs``, an undeclared ``stop`` or
+``dispatch="legacy"`` keeps the fast tiers and traps every point in the
+running streams (:meth:`Machine._run_trapped`; one armed mid-run too);
+a hit hands the hooked loop exactly one instruction — it asks the
+``stop``, fires the breakpoint and delivers what the callback injected
+— and the fast tiers resume.  What no selection may change:
 
 * the **result**, ``stdout``, uncaught exception, ``instr_count`` and
   the **clock** — equal, always: instructions are charged in whole
@@ -178,8 +177,9 @@ class Machine:
         self.max_quantum_overshoot = 0
         #: guest console output lines
         self.stdout: List[str] = []
-        #: breakpoints: (class_name, method_name, bci)
-        self.breakpoints: set[Tuple[str, str, int]] = set()
+        #: breakpoints: (class_name, method_name, bci); written only by
+        #: :meth:`set_breakpoint` / :meth:`clear_breakpoint`
+        self.breakpoints: frozenset = frozenset()
         #: callback fired on breakpoint hit: fn(machine, thread)
         self.on_breakpoint: Optional[Callable[["Machine", ThreadState], None]] = None
         #: callback fired after a guest ``PUTS``: fn(home_class) — an
@@ -229,8 +229,11 @@ class Machine:
         self.current_thread: Optional[ThreadState] = None
         self._speed = node.spec.speed_factor if node is not None else 1.0
         self._bp_guard: Optional[Tuple[int, int]] = None
-        #: during :meth:`_run_declared`: (``entry_of``, undo log)
-        self._traps: Optional[Tuple[frozenset, List[tuple]]] = None
+        #: during :meth:`_run_trapped`: ({(class, method): bcis}, undo log)
+        self._traps: Optional[Tuple[Dict[Any, set], List[tuple]]] = None
+        #: closures masked while their method had a live frame (tier 2's
+        #: status 5); the hooked loop's (weights, ticks) table
+        self._masks, self._ticks_of = 0, (None, {})
 
     # -- time ------------------------------------------------------------
 
@@ -377,6 +380,16 @@ class Machine:
                 self._trap(code)
         return stream
 
+    def set_breakpoint(self, key: Tuple[str, str, int]) -> None:
+        """Arm ``(class, method, bci)``; mid-run, trap it at once."""
+        self.breakpoints = self.breakpoints | {key}
+        if self._traps is not None:
+            self._plant((key,))
+
+    def clear_breakpoint(self, key: Tuple[str, str, int]) -> None:
+        """Disarm; mid-run, a hit of the trap left behind fires nothing."""
+        self.breakpoints = self.breakpoints - {key}
+
     def invalidate_caches(self) -> None:
         """Drop all decoded streams and the inline caches they carry
         (every namespace's — cost weights are machine-global).
@@ -440,8 +453,8 @@ class Machine:
         ``max_instrs`` run, or a scheduler ``quantum`` expires.  Returns
         ``"finished"`` / ``"stopped"`` / ``"limit"`` / ``"preempted"``.
         ``stop(thread)`` is asked before every instruction; one that
-        declares ``entry_of`` only at bci 0 of the methods it names,
-        and the run keeps the fast tiers ("Dispatch" above).
+        declares ``at`` only at those trap points, and the run keeps
+        the fast tiers ("Dispatch" above).
 
         ``quantum`` is the cluster scheduler's preemption budget, in
         executed instructions.  It expires before the first safepoint
@@ -488,22 +501,10 @@ class Machine:
             self._decoded = self._decoded_ns[thread.namespace]
             self._compiled = self._compiled_ns[thread.namespace]
         try:
-            if ((stop is None or getattr(stop, "entry_of", None))
-                    and max_instrs is None
-                    and self.dispatch == "fast"
-                    and not self.breakpoints
-                    and self.on_breakpoint is None):
-                self._bp_guard = None
-                status = self._run_fast(thread, quantum) \
-                    if stop is None else \
-                    self._run_declared(thread, stop, quantum)
-                if status is not None:
-                    return status
-                # A native installed a breakpoint mid-run: the fast loop
-                # synced frame.pc and flushed accounting — continue
-                # under the hooked loop.
-            return self._run_loop(thread, stop, max_instrs,
-                                  self.instr_count - start_count, quantum)
+            if (max_instrs is None and self.dispatch == "fast"
+                    and (stop is None or hasattr(stop, "at"))):
+                return self._run_trapped(thread, stop, quantum)
+            return self._run_loop(thread, stop, max_instrs, 0, quantum)
         finally:
             self.current_thread = prev_thread
             if prev_loader is not None:
@@ -515,65 +516,89 @@ class Machine:
                 if over > self.max_quantum_overshoot:
                     self.max_quantum_overshoot = over
 
-    def _run_declared(self, thread: ThreadState, stop: Any,
-                      quantum: Optional[int]) -> Optional[str]:
-        """:meth:`_run_fast` under a declared ``stop`` ("Dispatch" above);
-        re-entries get what is left of ``quantum``: one absolute watermark."""
+    def _run_trapped(self, thread: ThreadState, stop: Any,
+                     quantum: Optional[int]) -> str:
+        """:meth:`_run_fast` with the ``stop``'s ``at`` and every breakpoint
+        trapped ("Dispatch" above); re-entries after a hit get what is
+        left of ``quantum``: one absolute watermark."""
         start = self.instr_count
+        prev = self._traps
         undo: List[tuple] = []
-        self._traps = (stop.entry_of, undo)
+        self._traps = ({}, undo)
+        self._bp_guard = None
         try:
-            for code in [*self._decoded, *self._compiled]:
-                self._trap(code)
+            self._plant(self.breakpoints if stop is None
+                        else self.breakpoints | stop.at)
             while True:
                 ran = self.instr_count - start
-                try:
-                    return self._run_fast(
-                        thread, None if quantum is None else quantum - ran)
-                except _EntryTrap:  # frame.pc synced, accounting flushed
-                    if stop(thread):
-                        return "stopped"
-                    ran = self.instr_count - start
-                    status = self._run_loop(thread, None, ran + 1, ran,
-                                            quantum)
-                    if status != "limit":
-                        return status
+                status = self._run_fast(
+                    thread, None if quantum is None else quantum - ran)
+                if status != "trap":
+                    return status
+                # the fast tiers ran: a breakpoint hit again fires again
+                ran = self.instr_count - start
+                self._bp_guard = None
+                status = self._run_loop(thread, stop, ran + 1, ran, quantum)
+                if status != "limit":
+                    return status
         finally:
-            self._traps = None
-            for box, key, old in undo:
+            self._traps = prev
+            while undo:
+                box, key, old = undo.pop()
                 if old is None:  # a tier-up declined during the run
                     box.pop(key, None)
                 else:
                     box[key] = old
 
+    def _plant(self, points: Any) -> None:
+        """Add ``points`` to the trap set; trap their methods, mapped or not."""
+        for cls, meth, bci in points:
+            bcis = self._traps[0].setdefault((cls, meth), set())
+            if bci in bcis:  # planted already (re-armed)
+                continue
+            bcis.add(bci)
+            if self.loader.has_classfile(cls):
+                code = self.loader.classfile(cls).methods.get(meth)
+                if code is not None:
+                    self._trap(code)
+
     def _trap(self, code: CodeObject) -> bool:
-        """Is ``code`` named by the running declared ``stop``?  Then, in
-        the running maps, trap its stream and mask its closure (if any)."""
-        names, undo = self._traps
-        if (code.class_name, code.name) not in names:
+        """Does ``code`` hold a running trap point?  Then trap each in its
+        running stream (a fused group around one reverts its head to the
+        plain, cell-less slot: any arrival traps) and mask its closure."""
+        by_method, undo = self._traps
+        bcis = by_method.get((code.class_name, code.name))
+        if bcis is None:
             return False
-        stream = self._decoded.get(code)
-        if stream is not None and stream[0] is not _TRAP:
-            undo.append((stream, 0, stream[0]))
-            stream[0] = _TRAP
-        if self._compiled.get(code) is not False:
-            undo.append((self._compiled, code, self._compiled.get(code)))
+        stream = self._decoded.get(code) or ()
+        for bci in bcis:
+            if not 0 <= bci < len(stream) or stream[bci] is _TRAP:
+                continue
+            for head in range(max(0, bci - 3), bci):  # groups: <= 4 wide
+                if stream[head][4] > bci - head:
+                    undo.append((stream, head, stream[head]))
+                    stream[head] = decode_and_fuse(
+                        code, self.cost.op_weights, _ARITH, _FAST2,
+                        fuse=False)[head]
+            undo.append((stream, bci, stream[bci]))
+            stream[bci] = _TRAP
+        cf = self._compiled.get(code)
+        if cf is not False:
+            undo.append((self._compiled, code, cf))
             self._compiled[code] = False
+            if cf is not None and any(
+                    f.code is code for f in self.current_thread.frames):
+                self._masks += 1  # its closure may be running
         return True
 
     # -- the fast loop -----------------------------------------------------------
 
     def _run_fast(self, thread: ThreadState,
-                  quantum: Optional[int] = None) -> Optional[str]:
-        """Zero-overhead interpretation of ``thread``.
-
-        Preconditions (enforced by :meth:`run`): no breakpoints, no
-        breakpoint callback, no ``stop`` but a declared one (its traps
-        raise :class:`_EntryTrap` through here), no instruction limit.
-        Returns ``"finished"``, ``"preempted"`` (``quantum`` expired at
-        a safepoint), or ``None`` if a native call armed hooks and the
-        loop retreated (``frame.pc`` synced, accounting flushed) for
-        :meth:`run` to continue on the legacy loop.
+                  quantum: Optional[int] = None) -> str:
+        """Zero-overhead interpretation of ``thread`` under
+        :meth:`_run_trapped` (no ``max_instrs``, no undeclared ``stop``).
+        Returns ``"finished"``, ``"preempted"`` (``quantum`` expired at a
+        safepoint) or ``"trap"`` (``frame.pc`` synced, accounting flushed).
         """
         # Localize everything the hot path touches.
         frames = thread.frames
@@ -654,12 +679,11 @@ class Machine:
                             w_acc = res[4]
                             n_acc = 1
                             continue
-                        if st == 4:       # pending exception armed
-                            continue
-                        # st == 5: a native installed hooks mid-region —
-                        # deoptimize (state is materialized) and retreat
-                        self.jit_deopts += 1
-                        return None
+                        if st == 5:       # a native masked a closure:
+                            # state is materialized; re-enter the top
+                            # frame (on tier 1 if it is the masked one)
+                            self.jit_deopts += 1
+                        continue          # st 4: pending exception armed
                 stream = decoded.get(frame.code)
                 if stream is None:
                     stream = self.decoded(frame.code)
@@ -907,7 +931,7 @@ class Machine:
                             else:
                                 args = []
                             # Safepoint: natives may read the clock, print,
-                            # charge time, or install hooks — flush batched
+                            # charge time, or arm traps — flush batched
                             # accounting and expose a precise frame.pc.
                             self._ticks += w_acc
                             self.instr_count += n_acc
@@ -918,13 +942,6 @@ class Machine:
                             self.charge(self.cost.native_base)
                             push(fn(self, args))
                             pc += 1
-                            if (self.breakpoints
-                                    or self.on_breakpoint is not None):
-                                # Loop-selection guard: breakpoints appeared.
-                                w_acc += ins[3]
-                                n_acc += 1
-                                frame.pc = pc
-                                return None
                             if thread.pending_exception is not None:
                                 w_acc += ins[3]
                                 n_acc += 1
@@ -1021,6 +1038,8 @@ class Machine:
                                     f"unimplemented opcode "
                                     f"{frame.code.instrs[pc].op}")
                             pc = h(self, frame, stack, ins, pc)
+                            if pc < 0:  # _cold_trap synced frame.pc
+                                return "trap"
                         w_acc += ins[3]
                         n_acc += ins[4]
                 except GuestThrow as gt:
@@ -1061,7 +1080,10 @@ class Machine:
                   stop: Optional[Callable[[ThreadState], bool]],
                   max_instrs: Optional[int], executed: int,
                   quantum: Optional[int] = None) -> str:
-        tick = weight_ticks(self.cost.op_weights)
+        weights = self.cost.op_weights
+        if self._ticks_of[0] != weights:  # a new or edited table
+            self._ticks_of = (dict(weights), weight_ticks(weights))
+        tick = self._ticks_of[1]
         while thread.frames:
             if thread.pending_exception is not None:
                 exc = thread.pending_exception
@@ -1629,18 +1651,15 @@ def _cold_lswitch(m: "Machine", frame: Frame, stack: list, ins: tuple,
     return ins[1].get(stack.pop(), ins[2])
 
 
-class _EntryTrap(Exception):
-    """Tier 1 dispatched :data:`_TRAP` (see ``Machine._run_declared``)."""
-
-
 def _cold_trap(m: "Machine", frame: Frame, stack: list, ins: tuple,
                pc: int) -> int:
-    raise _EntryTrap
+    """Tier 1 dispatched :data:`_TRAP` (see ``Machine._run_trapped``)."""
+    frame.pc = pc
+    return -1
 
 
-#: the slot ``Machine._trap`` plants at bci 0: an opcode id no
+#: the slot ``Machine._trap`` plants at a trap point: an opcode id no
 #: instruction has, so it falls through every hot test into ``_COLD``
-#: (fault offset 0: the handler that syncs ``frame.pc`` reads it)
 _TRAP = (-1, None, None, 0.0, 1, None, (0, 0.0, 0.0), None, None)
 
 _COLD: Dict[int, Callable[..., int]] = {

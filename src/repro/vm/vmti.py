@@ -15,16 +15,12 @@ breakpoints, asynchronous exception injection, `pop_frame` /
 (section III.B.1).
 
 Interaction with ``Machine.run`` (see "Dispatch" in
-:mod:`repro.vm.machine`): a breakpoint or breakpoint callback puts the
-whole ``run`` on the hooked loop — unlike a ``stop`` that declares its
-``entry_of``, which traps at those entries and keeps the fast tiers.
-One installed between ``run()`` calls (the normal case) takes effect at
-the next; one installed *mid-run* from a native is seen at that
-native's safepoint, where tier 1 / tier 2 sync ``frame.pc``, flush and
-hand the thread over for good.  Either way ``get_frame_location`` sees
-a precise original bytecode index, and nothing the guest or a scheduler
-can observe — result, ``instr_count``, where a quantum expires —
-depends on which loop ran.
+:mod:`repro.vm.machine`): a breakpoint is a trap point, so a run keeps
+the fast tiers and hands the hooked loop one instruction per hit, which
+fires the callback; one armed mid-run (restoration's callback arms each
+next frame's method) is trapped at once.  ``get_frame_location`` sees a
+precise original bytecode index, and nothing the guest or a scheduler
+can observe depends on which loop ran.
 """
 
 from __future__ import annotations
@@ -137,12 +133,12 @@ class VMTI:
     def set_breakpoint(self, class_name: str, method: str, bci: int) -> None:
         """Arm a breakpoint at (class, method, bci)."""
         self._charge(self._c.set_breakpoint)
-        self.machine.breakpoints.add((class_name, method, bci))
+        self.machine.set_breakpoint((class_name, method, bci))
 
     def clear_breakpoint(self, class_name: str, method: str, bci: int) -> None:
         """Disarm a breakpoint."""
         self._charge(self._c.clear_breakpoint)
-        self.machine.breakpoints.discard((class_name, method, bci))
+        self.machine.clear_breakpoint((class_name, method, bci))
 
     def set_breakpoint_callback(
             self, fn: Optional[Callable[[Machine, ThreadState], None]]) -> None:

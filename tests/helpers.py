@@ -8,6 +8,9 @@ import re
 from collections import Counter
 from typing import Dict, List, Tuple
 
+import pytest
+
+import repro.vm.machine as machine_mod
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject, ExcEntry, Instr
 from repro.errors import VerifyError
@@ -178,3 +181,27 @@ def assemble(text: str) -> CodeObject:
         line_table = [(0, 1)]
     return CodeObject(cls, name, nparams, nlocals, instrs, line_table,
                       exc_table, is_static=static)
+
+
+@pytest.fixture()
+def loop_meter(monkeypatch):
+    """Instructions executed inside ``_run_loop`` and trap hits."""
+    meter = {"hooked_instrs": 0, "trap_hits": 0}
+    real_loop = Machine._run_loop
+    trap_id = machine_mod._TRAP[0]
+    real_trap = machine_mod._COLD[trap_id]
+
+    def run_loop(self, *a, **k):
+        i0 = self.instr_count
+        try:
+            return real_loop(self, *a, **k)
+        finally:
+            meter["hooked_instrs"] += self.instr_count - i0
+
+    def trap(*a):
+        meter["trap_hits"] += 1
+        return real_trap(*a)
+
+    monkeypatch.setattr(Machine, "_run_loop", run_loop)
+    monkeypatch.setitem(machine_mod._COLD, trap_id, trap)
+    return meter

@@ -647,7 +647,7 @@ def divergence(source: str, args: Tuple[int, ...],
     including the whole preemption ``schedule``: where a quantum
     expires may not depend on which loop executed the slice.
 
-    ``stop`` is a *declared* predicate (``entry_of``) every run of
+    ``stop`` is a *declared* predicate (``at``) every run of
     every mode carries — on the fast tiers, evaluated at its traps —
     while the oracle polls the same predicate *undeclared* before every
     instruction; the schedule then holds every stop as well.
@@ -1177,7 +1177,7 @@ def run_declared_stop_fuzz(base_seed: int, count: int,
                 fired.add(prog.seed)
                 return True
             return False
-        stop.entry_of = trigger.entry_of
+        stop.at = trigger.at
         return lambda source, args: divergence(
             source, args, build, SCHEDULE_MODES, quanta, stop=stop)
 

@@ -10,6 +10,7 @@ from repro.migration import (RestoreDriver, SODEngine, capture_segment,
 from repro.migration.segments import pin_methods
 from repro.preprocess import preprocess_program
 from repro.vm import Machine, RemoteRef, VMTI
+from tests.helpers import loop_meter  # noqa: F401 (a fixture)
 
 SRC = """
 class Data { int v; }
@@ -121,7 +122,7 @@ def test_restore_driver_rebuilds_equivalent_state(classes, paused):
 
     dst = Machine(classes)
     driver = RestoreDriver(dst, VMTI(dst), state)
-    restored = driver.restore(run_after=False)
+    restored = driver.restore()
     assert restored.depth() == 3
     names = [f.code.name for f in restored.frames]
     assert names == ["outer", "middle", "inner"]
@@ -131,6 +132,65 @@ def test_restore_driver_rebuilds_equivalent_state(classes, paused):
     assert isinstance(statics["shared"], RemoteRef)
     # Restoration used breakpoints + injected InvalidStateException only.
     assert not dst.breakpoints
+
+
+def _plain_frames(thread):
+    """Method, pc, locals and stack of every frame; a remote sentinel as
+    what it names (it is a fresh object on every machine)."""
+    def plain(v):
+        if isinstance(v, RemoteRef):
+            return ("@ref", v.home_oid, v.home_node)
+        return v
+    return [(f.code.qualname, f.pc, [plain(v) for v in f.locals],
+             [plain(v) for v in f.stack]) for f in thread.frames]
+
+
+def test_restore_runs_off_the_hooked_loop(classes, paused, loop_meter):
+    """Restoring ``outer/middle/inner`` traps at each frame's entry
+    breakpoint and at the declared stop point: 4 trap hits, and the
+    hooked loop runs exactly one instruction per breakpoint hit (the
+    first of the injected handler).  Everything it rebuilds — and the
+    instructions and clock it took — equals a legacy machine's."""
+    src_m, vmti, t = paused
+    state = capture_segment(vmti, t, 3, home_node="home")
+    twin = Machine(classes, dispatch="legacy")
+    want = RestoreDriver(twin, VMTI(twin), state).restore()
+    loop_meter.update(hooked_instrs=0, trap_hits=0)
+
+    dst = Machine(classes)
+    restored = RestoreDriver(dst, VMTI(dst), state).restore()
+    assert loop_meter == {"trap_hits": 4, "hooked_instrs": 3}
+    assert _plain_frames(restored) == _plain_frames(want)
+    assert [f.code.name for f in restored.frames] == [
+        "outer", "middle", "inner"]
+    assert dst.instr_count == twin.instr_count
+    assert dst.clock == twin.clock
+    assert not dst.breakpoints and dst.on_breakpoint is None
+
+
+def test_a_failing_restore_leaves_no_hook_armed(classes, paused,
+                                                monkeypatch):
+    """A restoration that raises mid-run (here the second value decode:
+    a local read by the injected handler, with frame breakpoints
+    armed) disarms anyway: no breakpoint and no callback of the dead
+    driver stays on the worker to trap its later runs."""
+    import repro.migration.restore as restore_mod
+    src_m, vmti, t = paused
+    state = capture_segment(vmti, t, 3, home_node="home")
+    real, calls = restore_mod.decode_value, []
+
+    def failing(enc, loc):
+        calls.append(loc)
+        if len(calls) == 2:
+            raise RuntimeError("decode failed")
+        return real(enc, loc)
+
+    monkeypatch.setattr(restore_mod, "decode_value", failing)
+    dst = Machine(classes)
+    with pytest.raises(RuntimeError, match="decode failed"):
+        RestoreDriver(dst, VMTI(dst), state).restore()
+    assert dst.breakpoints == frozenset()
+    assert dst.on_breakpoint is None
 
 
 def test_java_level_restore_equivalent(classes, paused):

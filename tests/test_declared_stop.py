@@ -2,8 +2,8 @@
 undeclared, polled before every instruction by the hooked loop, is the
 oracle it is held to.
 
-``on_method_entry`` carries ``entry_of``; ``Machine.run`` then traps at
-bci 0 of the named methods (``Machine._run_declared``) instead of
+``on_method_entry`` carries ``at``; ``Machine.run`` then traps at
+bci 0 of the named methods (``Machine._run_trapped``) instead of
 retreating to ``_run_loop``.  Every comparison here is against
 ``lambda th: trigger(th)`` — no declaration, so the hooked loop — on a
 fresh machine: the stop point, every later stop of the ``roam`` resume
@@ -27,13 +27,14 @@ from repro.preprocess import preprocess_program
 from repro.vm import Machine
 from repro.vm.frames import any_of, on_depth, on_method_entry
 from repro.workloads import registry
+from tests.helpers import loop_meter  # noqa: F401 (a fixture)
 
 
 def _undeclared(trigger):
     """The same predicate without its declaration: the oracle side."""
-    assert trigger.entry_of
+    assert trigger.at
     polled = lambda thread: trigger(thread)  # noqa: E731
-    assert not hasattr(polled, "entry_of")
+    assert not hasattr(polled, "at")
     return polled
 
 
@@ -207,9 +208,9 @@ def test_only_a_complete_declaration_is_a_declaration():
     """``any_of`` is declared iff every part is (the union of the
     sets); ``on_depth`` and friends cannot promise a bci."""
     a, b = on_method_entry("E", "leaf"), on_method_entry("Sh", "area", 2)
-    assert any_of(a, b).entry_of == {("E", "leaf"), ("Sh", "area")}
-    assert not hasattr(any_of(a, on_depth(4)), "entry_of")
-    assert not hasattr(on_depth(4), "entry_of")
+    assert any_of(a, b).at == {("E", "leaf", 0), ("Sh", "area", 0)}
+    assert not hasattr(any_of(a, on_depth(4)), "at")
+    assert not hasattr(on_depth(4), "at")
     classes = preprocess_program(compile_source(ENTRY_SRC), "original")
     want = _every_stop(classes, 9, _undeclared(any_of(a, b)))
     assert len(want[0]) == 9 + 9
@@ -384,30 +385,6 @@ def test_traps_stay_in_the_namespace_that_runs():
 
 
 # -- (6) the hooked loop executes only the instructions that carry a trap ---------
-
-@pytest.fixture()
-def loop_meter(monkeypatch):
-    """Instructions executed inside ``_run_loop`` and trap hits."""
-    meter = {"hooked_instrs": 0, "trap_hits": 0}
-    real_loop = Machine._run_loop
-    trap_id = machine_mod._TRAP[0]
-    real_trap = machine_mod._COLD[trap_id]
-
-    def run_loop(self, *a, **k):
-        i0 = self.instr_count
-        try:
-            return real_loop(self, *a, **k)
-        finally:
-            meter["hooked_instrs"] += self.instr_count - i0
-
-    def trap(*a):
-        meter["trap_hits"] += 1
-        return real_trap(*a)
-
-    monkeypatch.setattr(Machine, "_run_loop", run_loop)
-    monkeypatch.setitem(machine_mod._COLD, trap_id, trap)
-    return meter
-
 
 @pytest.mark.parametrize("build", ["original", "faulting"])
 def test_fft_reaches_its_trigger_off_the_hooked_loop(loop_meter, build):

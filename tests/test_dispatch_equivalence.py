@@ -26,7 +26,7 @@ from repro.vm.machine import UncaughtGuestException
 from repro.vm.values import RemoteRef
 from repro.workloads import registry
 from repro.workloads.mixes import MIXES, SERVE_PROGRAMS, serve_compiled
-from tests.helpers import assemble, tier1_dispatches
+from tests.helpers import assemble, loop_meter, tier1_dispatches  # noqa: F401
 
 #: dispatch configurations under test: (label, Machine kwargs)
 MODES = [
@@ -552,21 +552,24 @@ def test_breakpoint_fires_mid_fused_sequence():
         assert len(hits) in (10, 11)
 
 
-def test_native_installed_hooks_retreat_to_slow_loop():
-    """The loop-selection guard: a native arms a breakpoint mid-run; the
-    fast loop must notice at the safepoint and hand over to the
-    hook-aware loop so the breakpoint actually fires."""
-    src = """
-    class G {
-      static int go(int n) {
-        Sys.armHook();
-        int s = 0;
-        for (int i = 0; i < n; i = i + 1) { s = s + i; }
-        return s;
-      }
-    }
-    """
-    classes = preprocess_program(compile_source(src), "faulting")
+ARM_SRC = """
+class G {
+  static int go(int n) {
+    Sys.armHook();
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) { s = s + i; }
+    return s;
+  }
+}
+"""
+
+
+def test_native_installed_hooks_retreat_to_slow_loop(loop_meter):
+    """A native arms a breakpoint mid-run: it is planted at once as a
+    trap in the running stream (inside a fused group: the group's head
+    is unfused too), so it fires on the fast tiers and each hit hands
+    exactly one instruction to the hooked loop."""
+    classes = preprocess_program(compile_source(ARM_SRC), "faulting")
     code = classes["G"].methods["go"]
     for k in range(3):  # each interior offset of a 4-wide group
         m = Machine(classes)
@@ -574,15 +577,99 @@ def test_native_installed_hooks_retreat_to_slow_loop():
 
         def arm(machine, args):
             interior = _interior_bcis(machine.decoded(code))[k]
-            machine.breakpoints.add(("G", "go", interior))
+            machine.set_breakpoint(("G", "go", interior))
             machine.on_breakpoint = lambda mach, th: hits.append(
                 th.frames[-1].pc)
             return None
 
         m.natives.register("Sys.armHook", arm)
+        loop_meter["hooked_instrs"] = 0
         result = m.call("G", "go", [5])
         assert result == sum(range(5))
         assert hits, f"breakpoint armed by a native never fired ({k})"
+        assert loop_meter["hooked_instrs"] == len(hits)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_native_arming_its_own_compiled_method_leaves_the_closure(k):
+    """Tier 2's status 5: a native called from ``go``'s compiled
+    closure arms a breakpoint at an interior bci of ``go`` itself.  The
+    running closure cannot see a trap planted in tier 1's stream, so it
+    exits (one deopt), the driver re-enters the frame on tier 1, and
+    the breakpoint fires at every later arrival — the hits of a legacy
+    twin."""
+    classes = preprocess_program(compile_source(ARM_SRC), "faulting")
+    code = classes["G"].methods["go"]
+    interior = _interior_bcis(Machine(classes).decoded(code))[k]
+    runs = {}
+    for dispatch in ("legacy", "fast"):
+        m = Machine(classes, dispatch=dispatch, jit=True)
+        hits = []
+
+        def arm(machine, args):
+            machine.set_breakpoint(("G", "go", interior))
+            machine.on_breakpoint = lambda mach, th: hits.append(
+                (th.frames[-1].pc, mach.instr_count))
+            return None
+
+        m.natives.register("Sys.armHook", arm)
+        assert m.precompile("G", "go") == (dispatch == "fast")
+        assert m.call("G", "go", [7]) == sum(range(7))
+        runs[dispatch] = (hits, m.instr_count, m.clock, m.jit_deopts)
+    hits, count, clock, deopts = runs["fast"]
+    assert len(hits) in (7, 8) and deopts == 1
+    assert runs["legacy"] == (hits, count, clock, 0)
+
+
+CALLS_SRC = """
+class H {
+  static int leaf(int x) {
+    if (x == 2) { Sys.armHook(); }
+    return x + 1;
+  }
+  static int go(int n) {
+    Sys.armHook();
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) { s = s + H.leaf(i); }
+    return s;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("target", ["leaf", "go"])
+def test_a_native_deopts_only_the_closures_of_live_frames(target):
+    """Both methods compiled, ``go`` calling ``leaf`` closure to
+    closure.  ``go``'s native arming ``leaf`` (no frame of it is live)
+    costs no deopt: the next call finds ``leaf`` masked and runs it on
+    tier 1.  ``leaf``'s native arming ``go`` (the caller on the host
+    stack) deopts: ``leaf``'s closure exits and ``go``'s forwards it.
+    Either way the hits, instructions and clock are a legacy twin's."""
+    classes = preprocess_program(compile_source(CALLS_SRC), "faulting")
+    go = classes["H"].methods["go"]
+    bci = 0 if target == "leaf" else _interior_bcis(
+        Machine(classes).decoded(go))[0]
+    runs = {}
+    for dispatch in ("legacy", "fast"):
+        m = Machine(classes, dispatch=dispatch, jit=True)
+        hits = []
+
+        def arm(machine, args):
+            if machine.current_thread.frames[-1].code.name != target:
+                machine.set_breakpoint(("H", target, bci))
+                machine.on_breakpoint = lambda mach, th: hits.append(
+                    (th.frames[-1].code.name, mach.instr_count))
+            return None
+
+        m.natives.register("Sys.armHook", arm)
+        for name in ("leaf", "go"):
+            assert m.precompile("H", name) == (dispatch == "fast")
+        assert m.call("H", "go", [6]) == sum(range(1, 7))
+        runs[dispatch] = (hits, m.instr_count, m.clock)
+        deopts = m.jit_deopts
+    assert runs["fast"] == runs["legacy"]
+    assert len(runs["fast"][0]) >= (6 if target == "leaf" else 3)
+    assert deopts == (0 if target == "leaf" else 1)
 
 
 # -- capture / restore on fast-dispatch machines ------------------------------
@@ -611,8 +698,8 @@ class R {
 def test_capture_restore_roundtrip_on_fast_dispatch():
     """The restore dance (breakpoints + injected handlers + LSWITCH
     dispatch to the saved pc) runs on machines whose default dispatch is
-    fast — exercising the fast→slow handover and bci-precise capture
-    from a thread that was running fused code."""
+    fast — exercising bci-precise capture from a thread that was
+    running fused code."""
     classes = preprocess_program(compile_source(MIG_SRC), "faulting")
     m = Machine(classes)  # fast dispatch
     t = m.spawn("R", "outer", [6])

@@ -286,7 +286,7 @@ def test_minilang_fuzz_differential_tier2_vs_legacy():
 def test_minilang_fuzz_declared_stop_vs_the_same_predicate_polled():
     """Differential fuzz of the *declared* ``stop``: a seeded
     ``on_method_entry`` (method, ``min_depth``; sometimes ``any_of``
-    two) per generated program, run with its ``entry_of`` declaration
+    two) per generated program, run with its ``at`` declaration
     — trapped at bci 0 on tier 1 and tier 2 — against the same
     predicate polled undeclared by the legacy loop: every stop of the
     ``roam`` resume pattern, every preemption under a rotating budget,

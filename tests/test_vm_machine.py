@@ -164,10 +164,12 @@ def test_stdout_capture(app_classes_original):
 def test_breakpoint_fires_once_per_arrival(app_classes_original):
     m = Machine(app_classes_original)
     hits = []
-    m.breakpoints.add(("App", "step", 0))
+    m.set_breakpoint(("App", "step", 0))
     m.on_breakpoint = lambda mach, th: hits.append(th.frames[-1].pc)
     m.call("App", "work", [3])
     assert hits == [0]
+    with pytest.raises(AttributeError):
+        m.breakpoints.add(("App", "step", 1))  # set_breakpoint writes it
 
 
 def test_breakpoint_fires_per_frame_for_recursion():
@@ -178,7 +180,7 @@ def test_breakpoint_fires_per_frame_for_recursion():
     classes = compile_source(src)
     m = Machine(classes)
     hits = []
-    m.breakpoints.add(("T", "f", 0))
+    m.set_breakpoint(("T", "f", 0))
     m.on_breakpoint = lambda mach, th: hits.append(len(th.frames))
     m.call("T", "f", [3])
     assert hits == [1, 2, 3, 4]
