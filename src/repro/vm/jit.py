@@ -29,10 +29,10 @@ compiled->compiled call that returns continues in line.  Blocks end at
 the body's branch targets, at handler entries and around every
 ``NATIVE`` but the pure ``Sys`` math ones
 (:data:`repro.vm.natives.PURE_MATH`: ``sqrt``, ``floatOf``, ...).
-Those are generated in line, still safepoints that poll and flush:
-while the arguments are numbers and the machine's registry still maps
-the name to the table's own wrapper, the host function is called
-straight; otherwise the arm takes the generic path and leaves for the
+Those are generated in line, still safepoints that poll: while the
+arguments are numbers and the registry still maps every pure name to
+the table's own wrapper, the host function is called straight, with
+no flush; otherwise the arm takes the generic path and leaves for the
 entry after the native.  An ``ADD`` is in line for every operand pair
 but a string one, the only case ``_add`` is not ``a + b``.
 
@@ -132,7 +132,7 @@ from repro.bytecode.verifier import stack_depths
 from repro.preprocess.fuse import cache_seeds
 from repro.vm import machine as _machine
 from repro.vm.frames import Frame
-from repro.vm.natives import PURE_MATH, PURE_NATIVES
+from repro.vm.natives import PURE_MATH
 from repro.vm.objects import VMArray, VMInstance
 from repro.vm.values import RemoteRef, truthy
 
@@ -294,8 +294,9 @@ class _Compiler:
         self.bools: Set[str] = set()
         #: int literal atom -> its value
         self.ints: Dict[str, int] = {}
-        #: float literal atoms
-        self.floats: Set[str] = set()
+        #: atoms known to be an int or float: float literals and pure
+        #: natives' results (reset per block: names are reused)
+        self.nums: Set[str] = set()
         self.indent = 16
 
     # -- plumbing ---------------------------------------------------------
@@ -336,8 +337,8 @@ class _Compiler:
         self.sym.append(name)
 
     def is_num(self, atom: str) -> bool:
-        """Is ``atom`` an int or float literal?"""
-        return atom in self.ints or atom in self.floats
+        """Is ``atom`` a known int or float?"""
+        return atom in self.ints or atom in self.nums
 
     def named(self, atom: str) -> str:
         """``atom`` as something an attribute can hang off: a literal
@@ -536,6 +537,7 @@ class _Compiler:
         self.known = {}
         self.pending = {}
         self.bools = {"True", "False"}
+        self.nums = set()
         self.sym = [self.fresh() for _ in range(self.depths[start])]
         for name in reversed(self.sym):
             self.emit(f"{name} = fstack.pop()")
@@ -554,7 +556,7 @@ class _Compiler:
     def gen_op(self, bci: int, ins: Any) -> bool:
         o = ins.op
         sym = self.sym
-        if o == op.NATIVE:  # charged after its call, never in the segment
+        if o == op.NATIVE:  # charged after its call, never up front
             self.gen_native(bci, ins)
             return False
         self.account(o)
@@ -570,7 +572,7 @@ class _Compiler:
             if lit is not None and type(ins.a) is int:
                 self.ints[lit] = ins.a
             elif lit is not None and type(ins.a) is float:
-                self.floats.add(lit)
+                self.nums.add(lit)
             sym.append(lit if lit is not None else self.bind(ins.a, "c"))
         elif o == op.STORE:
             # deferred: write_back tells locs where it can be observed
@@ -890,36 +892,32 @@ class _Compiler:
         self.emit("frames.append(nf)")
 
     def gen_native(self, bci: int, ins: Any) -> None:
-        """A safepoint that flushes the clock hard: natives may read it,
-        print, charge time or arm traps.  The registry's function
-        runs at a precise frame state and the block ends after it.  A
-        pure math native (:func:`_pure`) is generated in line instead:
-        while its arguments are numbers (``_num``'s rule) and the
-        registry still maps its name to ``PURE_NATIVES``' own object,
-        the host function is called straight; otherwise the arm takes
-        that precise path and leaves for the entry at ``bci + 1`` — a
-        re-registered native may have patched ``locs``."""
+        """A safepoint where a registry native runs: natives may read
+        the clock, print, charge time or arm traps, so that path
+        flushes the accounting and charges ``NB`` first, runs at a
+        precise frame state, and the block ends after it.  A pure math
+        native (:func:`_pure`) is generated in line instead: while its
+        arguments are numbers (``_num``'s rule) and every pure name
+        still maps to ``PURE_NATIVES``' own wrapper
+        (``NativeRegistry.pure_intact``), the host function is called
+        straight after tier 2's in-line ``Machine.charge(NB)``, with no
+        flush — ticks sum apart from every charge, the poll reads
+        ``m.instr_count + n_acc``, and a pure function cannot observe
+        the machine — and its weight joins the segment.  Otherwise the
+        arm takes the registry path, flush included, and leaves for
+        the entry at ``bci + 1``: a re-registered native may have
+        patched ``locs``."""
         nargs = ins.b or 0
         sym = self.sym
         pure = _pure(ins)
         wn = self.safepoint(bci, frame_lives=pure is None, charged=False)
         args = [sym.pop() for _ in range(nargs)][::-1]
         live = list(sym)
-        nm = _literal(ins.a) or self.bind(ins.a)
         rv = self.fresh()
-        call = f"{rv} = m.natives.lookup({nm})(m, [{', '.join(args)}])"
+        self.arm(bci, op.NATIVE, charged=False)
         if pure is None:
             self.spill(live)
-        self.emit("m._ticks += w_acc")
-        self.emit("m.instr_count += n_acc")
-        self.emit("w_acc = 0.0")
-        self.emit("n_acc = 0")
-        self.arm(bci, op.NATIVE, charged=False)
-        self.emit("m.charge(NB)")
-        if pure is None:
-            self.emit(f"frame.pc = {bci}")
-            self.emit("mk = m._masks")
-            self.emit(call)
+            self.gen_registry_call(bci, ins, args, rv)
             for st, test in _NATIVE_EXITS:
                 self.emit(f"if {test}:")
                 self.emit(f"    fstack.append({rv})")
@@ -934,14 +932,11 @@ class _Compiler:
             return
         guard = [f"(type({x}) is int or type({x}) is float)"
                  for x in args if not self.is_num(x)]
-        guard.append(f"m.natives.fns.get({nm}) is "
-                     f"{self.bind(PURE_NATIVES[ins.a])}")
+        guard.append("m.natives.pure_intact")
         self.emit(f"if not ({' and '.join(guard)}):")
         self.write_back(4)
         self.spill(live, 4)
-        self.emit(f"    frame.pc = {bci}")
-        self.emit("    mk = m._masks")
-        self.emit(call, 4)
+        self.gen_registry_call(bci, ins, args, rv, 4)
         self.emit(f"    fstack.append({rv})")
         self.emit(f"    frame.pc = {bci + 1}")
         for st, test in _NATIVE_EXITS:
@@ -951,10 +946,23 @@ class _Compiler:
         self.emit("    n_acc += 1")
         self.emit(f"    b = {self.block_id[bci + 1]}")
         self.emit("    continue")
+        self.emit("m._clock += NB * m._speed")  # legacy charges first
         self.emit(f"{rv} = {self.bind(pure[0])}({', '.join(args)})")
-        self.emit(f"w_acc += {wn!r}")
-        self.emit("n_acc += 1")
+        self.seg_w += wn
+        self.seg_n += 1
+        self.nums.add(rv)
         sym.append(rv)
+
+    def gen_registry_call(self, bci: int, ins: Any, args: List[str],
+                          rv: str, extra: int = 0) -> None:
+        """Flush, charge ``NB`` and call the registry's function at a
+        precise frame state (``mk``: the masks a deopt is told by)."""
+        nm = _literal(ins.a) or self.bind(ins.a)
+        call = f"m.natives.lookup({nm})(m, [{', '.join(args)}])"
+        for line in ("m._ticks += w_acc", "m.instr_count += n_acc",
+                     "w_acc = 0.0", "n_acc = 0", "m.charge(NB)",
+                     f"frame.pc = {bci}", "mk = m._masks", f"{rv} = {call}"):
+            self.emit(line, extra)
 
     # -- assembly ---------------------------------------------------------
 

@@ -244,7 +244,9 @@ class Machine:
         return self._clock + self._unit * self._ticks
 
     def charge(self, reference_seconds: float) -> None:
-        """Add CPU time (scaled by the node's speed factor)."""
+        """Add CPU time (scaled by the node's speed factor).  Tier 2
+        emits a copy of this line before a pure native's in-line host
+        call (``repro.vm.jit._Compiler.gen_native``): change both."""
         self._clock += reference_seconds * self._speed
 
     def charge_raw(self, seconds: float) -> None:

@@ -36,14 +36,21 @@ class NativeRegistry:
     """Name -> implementation mapping for one VM."""
 
     def __init__(self) -> None:
-        #: name -> implementation; tier 2 reads it to check that a pure
-        #: math name still maps to :data:`PURE_NATIVES`' own object
+        #: name -> implementation; tier 2 reads :attr:`pure_intact`
+        #: instead of looking the pure math names up here
         self.fns: Dict[str, NativeFn] = {}
+        #: does every :data:`PURE_MATH` name still map to
+        #: :data:`PURE_NATIVES`' own wrapper?  While it does, tier 2
+        #: calls their host functions in line
+        self.pure_intact = False
         install_default_natives(self)
 
     def register(self, name: str, fn: NativeFn) -> None:
         """Bind ``Namespace.name`` to ``fn`` (replacing any previous)."""
         self.fns[name] = fn
+        if name in PURE_MATH:  # not per ObjMan / CapturedState binding
+            self.pure_intact = all(self.fns.get(n) is f
+                                   for n, f in PURE_NATIVES.items())
 
     def lookup(self, name: str) -> NativeFn:
         fn = self.fns.get(name)
@@ -85,7 +92,8 @@ def _num(machine: "Machine", args: List[Any], i: int = 0) -> Any:
 #: the pure ``Sys`` math natives: name -> (host function, arity).  Each
 #: reads only its number arguments, so tier 2 (:mod:`repro.vm.jit`)
 #: calls the host function in line while the machine's registry still
-#: maps the name to the wrapper below
+#: maps every one of them to its wrapper below
+#: (:attr:`NativeRegistry.pure_intact`)
 PURE_MATH: Dict[str, Tuple[Callable[..., Any], int]] = {
     "Sys.floor": (math.floor, 1),
     "Sys.ceil": (math.ceil, 1),

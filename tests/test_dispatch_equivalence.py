@@ -1021,12 +1021,15 @@ class Q {
 """
 
 
-@pytest.mark.parametrize("when", ["before", "after"])
+@pytest.mark.parametrize("when", ["before", "after", "sibling"])
 def test_intrinsic_runs_a_re_registered_native(when):
     """``register("Sys.sqrt", custom)`` before the method tiers up and
     after it: the compiled code runs ``custom`` either way, and goes on
     at the bci after it with what ``custom`` wrote into the frame (it
-    bumps the loop counter, the way ``ObjMan.resolve`` patches slots)."""
+    bumps the loop counter, the way ``ObjMan.resolve`` patches slots).
+    ``sibling`` re-registers ``Sys.floatOf`` alone: one flag guards
+    every pure site, so the ``Sys.sqrt`` site takes the registry path
+    too, and nothing it computes or charges may show it."""
     classes = preprocess_program(compile_source(INTRINSIC_LOOP_SRC),
                                  "faulting")
     slot = classes["Q"].methods["go"].local_names.index("i")
@@ -1037,6 +1040,10 @@ def test_intrinsic_runs_a_re_registered_native(when):
 
     ref = Machine(classes, dispatch="legacy")
     m = Machine(classes, jit=True)
+    if when == "sibling":
+        for vm in (ref, m):
+            vm.natives.register("Sys.floatOf", lambda vm, a: float(a[0]))
+        assert not m.natives.pure_intact
     if when == "before":
         m.natives.register("Sys.sqrt", custom)
     assert m.precompile("Q", "go")
@@ -1045,12 +1052,50 @@ def test_intrinsic_runs_a_re_registered_native(when):
         host = m.call("Q", "go", [9])
         assert ref.call("Q", "go", [9]) == host
         m.natives.register("Sys.sqrt", custom)
-    ref.natives.register("Sys.sqrt", custom)
+    if when != "sibling":
+        ref.natives.register("Sys.sqrt", custom)
     want = ref.call("Q", "go", [9])
-    assert when == "before" or host != want
+    assert when != "after" or host != want
     assert m.call("Q", "go", [9]) == want
     assert m.instr_count == ref.instr_count
     assert m.clock == ref.clock
+    assert m.jit_compiles == 1 and m.jit_compile_errors == 0
+
+
+def test_intrinsic_pure_intact_tracks_the_pure_names_only():
+    """``NativeRegistry.pure_intact``: binding a migration namespace
+    leaves it set; re-registering a pure name clears it, and putting
+    that name's own wrapper back sets it again."""
+    from repro.vm.natives import PURE_NATIVES, NativeRegistry
+
+    reg = NativeRegistry()
+    assert reg.pure_intact
+    reg.register("ObjMan.resolve", lambda m, a: None)
+    reg.register("CapturedState.read", lambda m, a: None)
+    assert reg.pure_intact
+    reg.register("Sys.floatOf", lambda m, a: float(a[0]))
+    assert not reg.pure_intact
+    reg.register("Sys.floatOf", PURE_NATIVES["Sys.floatOf"])
+    assert reg.pure_intact
+
+
+def test_intrinsic_charge_scales_with_the_node_speed():
+    """Tier 2 charges an in-line native's base cost itself: on a node
+    with ``speed_factor`` 2.5, and again after a chaos-style straggle
+    changed ``_speed`` between runs, the clock and the count equal
+    the legacy loop's."""
+    from repro.cluster.node import Node, NodeSpec
+
+    classes = preprocess_program(compile_source(INTRINSIC_LOOP_SRC),
+                                 "faulting")
+    ref, m = (Machine(classes, node=Node(NodeSpec("n", speed_factor=2.5)),
+                      **kw) for kw in ({"dispatch": "legacy"}, {"jit": True}))
+    assert m.precompile("Q", "go")
+    for speed in (2.5, 2.5 * 3.0):
+        ref._speed = m._speed = speed
+        assert m.call("Q", "go", [40]) == ref.call("Q", "go", [40])
+        assert m.instr_count == ref.instr_count
+        assert m.clock == ref.clock
     assert m.jit_compiles == 1 and m.jit_compile_errors == 0
 
 

@@ -683,36 +683,50 @@ def test_no_inline_continuation_crosses_a_native():
 
 def test_pure_natives_run_in_line():
     """A pure math native's fast arm — the statements after its guard
-    ``if not (...): <registry path>`` — calls the host function, never
-    ``m.natives.lookup(``, and a block that did not start at the native
-    goes on past it: on every deployed template, including FFT's
-    ``checksum`` loop (the paper's migration point), whose two natives
-    per iteration used to end three blocks."""
+    ``if not (... m.natives.pure_intact): <registry path>`` up to the
+    next one — makes one call of the bound host function and neither
+    flushes the accounting, calls ``m.charge(`` nor touches the
+    registry, and a block that did not start at the native goes on
+    past it: on every deployed template, including FFT's ``checksum``
+    loop (the paper's migration point), whose two natives per
+    iteration used to end three blocks."""
+    from repro.vm.natives import PURE_MATH
+
     def is_guard(stmt):
         return isinstance(stmt, ast.If) and \
-            "m.natives.fns.get(" in ast.unparse(stmt.test)
+            "pure_intact" in ast.unparse(stmt.test)
 
     seen = set()
     for code, tpl, blocks in _deployed_templates():
         bci_of = {k: bci for bci, k in tpl.entries.items()}
+        mk = tpl.mk.__code__
+        bound = dict(zip(mk.co_varnames[2:mk.co_argcount], tpl.shared))
         for k, body in blocks.items():
             guards = [i for i, stmt in enumerate(body) if is_guard(stmt)]
             for i, j in zip(guards, guards[1:] + [len(body)]):
                 stmt = body[i]
                 bci = next(s.value.value for s in stmt.body
                            if ast.unparse(s).startswith("frame.pc = "))
+                name = code.instrs[bci].a
                 assert jit_mod._pure(code.instrs[bci]), (code.qualname, bci)
-                assert _native_lookups(stmt.body) == [code.instrs[bci].a]
+                assert _native_lookups(stmt.body) == [name]
                 fast = body[i + 1:j]  # up to the next pure native's guard
-                assert not _native_lookups(fast), (code.qualname, bci)
-                call = fast[0].value
-                assert isinstance(call, ast.Call) and \
-                    isinstance(call.func, ast.Name), (code.qualname, bci)
+                src = ast.unparse(ast.Module(fast, []))
+                for text in ("m._ticks +=", "m.instr_count +=", "n_acc = 0",
+                             "m.charge(", "m.natives."):
+                    assert text not in src, (code.qualname, bci, text)
+                host = [node for node in ast.walk(ast.Module(fast, []))
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and any(bound.get(node.func.id) is fn
+                                for fn, _arity in PURE_MATH.values())]
+                assert len(host) == 1, (code.qualname, bci)
+                assert bound[host[0].func.id] is PURE_MATH[name][0]
                 if bci_of[k] != bci:
                     exit_after = f"b = {tpl.entries[bci + 1]}"
                     assert exit_after not in map(ast.unparse, fast), \
                         (code.qualname, bci)
-                seen.add((code.qualname, code.instrs[bci].a))
+                seen.add((code.qualname, name))
     assert {("FFT.checksum", "Sys.floatOf"),
             ("FFT.checksum", "Sys.sqrt")} <= seen, sorted(seen)
 
