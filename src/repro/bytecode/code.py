@@ -150,8 +150,8 @@ class CodeObject:
         #: (len(instrs), link sites, {link shape: template}).  Same
         #: lifetime and invalidation as ``_predecoded``.
         self._tier2: Optional[Tuple[int, tuple, Dict[frozenset, Any]]] = None
-        #: cell-less tier-1 streams by (id(weights), fuse); owned by fuse.py
-        self._fused: Dict[Tuple[int, bool], tuple] = {}
+        #: cell-less tier-1 streams by id(weights); owned by fuse.py
+        self._fused: Dict[int, tuple] = {}
 
     # -- identity / display ------------------------------------------------
 

@@ -9,11 +9,16 @@ where slot ``i`` describes the instruction at bci ``i`` as a tuple
 ``opid`` is the dense integer opcode, ``weight``/``count`` feed the
 batched clock/instr accounting (``weight`` is the group's summed cost
 in whole ticks, :data:`repro.bytecode.code.TICKS_PER_WEIGHT`, so any
-grouping sums to the same bits), ``aux`` carries per-site state
-(semantic helper functions, monomorphic inline-cache cells), ``c`` is
-the destination local of a 4-wide group and ``fault`` names the one
+grouping sums to the same bits), ``aux`` carries per-site state (a
+fused binop's semantic function, a monomorphic inline-cache cell), ``c``
+is the destination local of a 4-wide group and ``fault`` names the one
 component that may raise: ``(offset, lead weight, own weight)`` — see
-the fault rule below.
+the fault rule below.  A plain slot (:func:`plain_slot`) is one
+instruction: count 1, fault offset 0.  Tier 1 hand-writes an arm for
+the nine superinstructions and the plain opcodes its streams dispatch
+often or poll at; every other plain slot runs the hooked loop's
+``Machine._execute`` from one fallback arm, so a slot needs only its
+weight and count there.
 
 This module additionally *fuses* multi-instruction sequences into
 single superinstructions.  The set is sized by the code the system
@@ -53,7 +58,7 @@ Safety rules for patterns:
   elsewhere — and ``fault`` names it.  The fast loop reports a guest or
   host-level fault at ``start + offset``, charges the ``lead weight``
   of the components before it, and the ``own weight`` only once a
-  handler is found: what unfused execution charges and reports.  A
+  handler is found: what the hooked loop charges and reports.  A
   fault writes nothing into the destination local ``c``;
 * fused groups never include opcodes with frame effects (calls,
   returns, throws), host-visible hooks (the ``PUTS`` static-write hook,
@@ -61,13 +66,15 @@ Safety rules for patterns:
   in particular no preemption safepoint
   (:func:`repro.bytecode.opcodes.is_safepoint`; asserted below), so a
   quantum can expire before every safepoint of the fused stream exactly
-  as it does in the unfused one.
+  as it does in the hooked loop.
 
-Each method's stream is built once per weight table and ``fuse`` flag,
-stored on its ``CodeObject`` (``_fused``; a hit needs the very
-``predecoded()`` stream it was built from; ``invalidate_decoded()``
-drops it) and holds no cell: a machine or namespace *links* it — copies
-the list and gives each inline-cache site a fresh cell.
+Each method's stream is built once per weight table, stored on its
+``CodeObject`` (``_fused``; a hit needs the very ``predecoded()``
+stream it was built from; ``invalidate_decoded()`` drops it) and holds
+no cell: a machine or namespace *links* it — copies the list and gives
+each inline-cache site a fresh cell.  There is no unfused stream: a
+trap point inside a group reverts the group's head to its
+:func:`plain_slot` (``Machine._trap``).
 """
 
 from __future__ import annotations
@@ -108,16 +115,16 @@ _BIN_OPS = frozenset({op.ADD, op.SUB, op.MUL, op.DIV, op.MOD}) | _CMP_OPS
 #: dense id -> opcode name of the binops
 _BIN_IDS: Dict[int, str] = {op.OP_IDS[name]: name for name in _BIN_OPS}
 
-#: opcodes that get a per-site monomorphic inline-cache cell (cell size)
-_CACHED_OPS = {op.GETS: 1, op.PUTS: 1, op.INVOKESTATIC: 1, op.INVOKEVIRT: 2}
+#: opcodes that get a per-site monomorphic inline-cache cell (cell size):
+#: the ones tier 1 binds itself (a ``PUTS`` runs ``Machine._execute``)
+_CACHED_OPS = {op.GETS: 1, op.INVOKESTATIC: 1, op.INVOKEVIRT: 2}
 
 
 def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
                     arith: Dict[str, Callable],
-                    fast2: Dict[str, Callable],
-                    fuse: bool = True) -> List[DecodedSlot]:
-    """The decoded (and, by default, fused) stream for ``code``, linked
-    for one machine or namespace.
+                    fast2: Dict[str, Callable]) -> List[DecodedSlot]:
+    """The decoded and fused stream for ``code``, linked for one machine
+    or namespace.
 
     ``arith`` maps binop opcode names to the interpreter's 3-arg
     semantic helpers (``fn(machine, a, b)``); ``fast2`` maps the subset
@@ -128,11 +135,10 @@ def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
     by the owning :class:`~repro.vm.machine.Machine` per namespace.
     """
     base = code.predecoded(weights)
-    key = (id(weights), fuse)
-    tpl = code._fused.get(key)
+    tpl = code._fused.get(id(weights))
     if tpl is None or tpl[0] is not base:
-        tpl = code._fused[key] = (base,
-                                  *_build(code, base, arith, fast2, fuse))
+        tpl = code._fused[id(weights)] = (base,
+                                          *_build(code, base, arith, fast2))
     stream = list(tpl[1])
     for i, ncells in tpl[2]:
         s = stream[i]
@@ -140,22 +146,27 @@ def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
     return stream
 
 
+def plain_slot(base: Sequence[Tuple[int, Any, Any, float]],
+               i: int) -> DecodedSlot:
+    """The cell-less slot of the one instruction at ``base[i]``."""
+    opid, a, b, w = base[i]
+    return (opid, a, b, w, 1, None, (0, 0.0, w), None)
+
+
 def _build(code: CodeObject, base: Sequence[Tuple[int, Any, Any, float]],
            arith: Dict[str, Callable], fast2: Dict[str, Callable],
-           fuse: bool) -> Tuple[List[DecodedSlot], tuple]:
+           ) -> Tuple[List[DecodedSlot], tuple]:
     """``code``'s cell-less stream and its ``(bci, cell size)`` sites."""
     n = len(base)
     out: List[DecodedSlot] = []
     sites = []
     for i in range(n):
-        group = _fuse_at(base, i, n, arith, fast2) if fuse else None
+        group = _fuse_at(base, i, n, arith, fast2)
         if group is None:
-            opid, a, b, w = base[i]
-            name = code.instrs[i].op
-            ncells = _CACHED_OPS.get(name)
+            ncells = _CACHED_OPS.get(code.instrs[i].op)
             if ncells is not None:
                 sites.append((i, ncells))
-            out.append((opid, a, b, w, 1, arith.get(name), (0, 0.0, w), None))
+            out.append(plain_slot(base, i))
             continue
         opid, a, b, count, aux, c = group
         assert not any(
@@ -175,7 +186,7 @@ def cache_seeds(stream: List[DecodedSlot],
 
     The tier-2 compiler reuses the monomorphic facts tier-1 execution
     has already proven instead of re-discovering them: every
-    GETS/PUTS/INVOKESTATIC/INVOKEVIRT site (none leads a fused group,
+    GETS/INVOKESTATIC/INVOKEVIRT site (none leads a fused group,
     and component bcis keep their own plain slot) whose cell is bound
     contributes a seed.  The returned cells are the *live* tier-1
     cells, so a rebind by either tier is seen by both.

@@ -32,17 +32,19 @@ contract does not depend on which of three loops does the work:
   linked *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
   integer opcodes, pre-resolved cost weights, fused superinstructions
   (the nine a flattened stream executes — its groups are ``LOAD t..;
-  op; STORE t``, closing STORE included — tested in that stream's
-  measured order) and
-  monomorphic inline caches, with clock / instruction accounting
-  batched in locals and flushed at natives, exception dispatch and
-  loop exit;
+  op; STORE t``, closing STORE included) and monomorphic inline
+  caches, with clock / instruction accounting batched in locals and
+  flushed at natives, exception dispatch and loop exit.  It writes an
+  arm for the nine, the safepoint opcodes and the plain opcodes the
+  deployed streams dispatch often, tested in their measured order;
+  every other opcode runs :meth:`_execute`'s own body from one
+  fallback arm;
 * **tier 2** (:mod:`repro.vm.jit`; ``jit=``, default on, off under
   ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
   specialized Python closures, one frame at a time.
 
 What selects a loop is host-side state only (``stop``,
-``max_instrs``, ``dispatch=``, ``fuse=``, ``jit=``, hotness).  A
+``max_instrs``, ``dispatch=``, ``jit=``, hotness).  A
 *trap point* is ``(class, method, bci)``: every breakpoint is one, and
 a ``stop`` may *declare* ``at``, the points where alone it can be true.
 A run without ``max_instrs``, an undeclared ``stop`` or
@@ -108,7 +110,7 @@ from repro.errors import LinkError, NativeError, VMError
 from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD_ST,
                                    F_LL_ARITH_ST, F_LL_OP2_ST, F_LOAD_GETF,
                                    F_LOAD_JNZ, F_LOAD_JZ, F_LOAD_LOAD,
-                                   F_LOAD_STORE, decode_and_fuse)
+                                   F_LOAD_STORE, decode_and_fuse, plain_slot)
 from repro.vm.classloader import ClassLoader, Namespace
 from repro.vm.costmodel import CostModel
 from repro.vm.frames import Frame, ThreadState
@@ -152,7 +154,6 @@ class Machine:
                  node: Any = None, fs: Any = None,
                  name: str = "vm",
                  dispatch: str = "fast",
-                 fuse: bool = True,
                  jit: Optional[bool] = None):
         if dispatch not in DISPATCH_MODES:
             raise VMError(f"unknown dispatch mode {dispatch!r}")
@@ -194,8 +195,6 @@ class Machine:
         #: interpreter selection: "fast" (pre-decoded, inline-cached)
         #: or "legacy" (string-dispatched reference loop)
         self.dispatch = dispatch
-        #: fuse superinstructions in the decoded stream
-        self.fuse = fuse
         #: per-machine decoded-stream cache (holds the inline caches).
         #: This is the *root namespace's* map; while a namespaced
         #: thread runs, :meth:`run` swaps in the namespace's own map
@@ -376,7 +375,7 @@ class Machine:
         stream = self._decoded.get(code)
         if stream is None:
             stream = decode_and_fuse(code, self.cost.op_weights, _ARITH,
-                                     _FAST2, fuse=self.fuse)
+                                     _FAST2)
             self._decoded[code] = stream
             if self._traps is not None:
                 self._trap(code)
@@ -566,8 +565,8 @@ class Machine:
 
     def _trap(self, code: CodeObject) -> bool:
         """Does ``code`` hold a running trap point?  Then trap each in its
-        running stream (a fused group around one reverts its head to the
-        plain, cell-less slot: any arrival traps) and mask its closure."""
+        running stream (a fused group around one reverts its head to its
+        plain slot: any arrival traps) and mask its closure."""
         by_method, undo = self._traps
         bcis = by_method.get((code.class_name, code.name))
         if bcis is None:
@@ -579,9 +578,8 @@ class Machine:
             for head in range(max(0, bci - 3), bci):  # groups: <= 4 wide
                 if stream[head][4] > bci - head:
                     undo.append((stream, head, stream[head]))
-                    stream[head] = decode_and_fuse(
-                        code, self.cost.op_weights, _ARITH, _FAST2,
-                        fuse=False)[head]
+                    stream[head] = plain_slot(
+                        code.predecoded(self.cost.op_weights), head)
             undo.append((stream, bci, stream[bci]))
             stream[bci] = _TRAP
         cf = self._compiled.get(code)
@@ -628,13 +626,10 @@ class Machine:
             jm = self._compiled
         # dense opcode ids as locals (LOAD_FAST beats LOAD_GLOBAL)
         I_LOAD = _I_LOAD; I_CONST = _I_CONST; I_STORE = _I_STORE
-        I_JMP = _I_JMP; I_JZ = _I_JZ; I_JNZ = _I_JNZ
-        I_GETF = _I_GETF; I_PUTF = _I_PUTF; I_GETS = _I_GETS
-        I_ALOAD = _I_ALOAD; I_ASTORE = _I_ASTORE
+        I_JMP = _I_JMP; I_GETS = _I_GETS; I_ASTORE = _I_ASTORE
         I_DUP = _I_DUP; I_POP = _I_POP
         I_INVOKESTATIC = _I_INVOKESTATIC; I_INVOKEVIRT = _I_INVOKEVIRT
         I_NATIVE = _I_NATIVE; I_RET = _I_RET; I_RETV = _I_RETV
-        BIN_LO = _I_BINOP_LO; BIN_HI = _I_BINOP_HI
         FI_LL_OP2_ST = F_LL_OP2_ST; FI_LL_ARITH_ST = F_LL_ARITH_ST
         FI_LL_ALOAD_ST = F_LL_ALOAD_ST; FI_LOAD_LOAD = F_LOAD_LOAD
         FI_LOAD_STORE = F_LOAD_STORE
@@ -708,12 +703,18 @@ class Machine:
                         # LOAD+LOAD+arith(m)+STORE 5.9,
                         # LOAD+LOAD+ALOAD+STORE 4.0, LOAD+LOAD 2.9, GETS
                         # 2.5, JMP 2.1, INVOKESTATIC 2.0, ASTORE 1.8,
-                        # RETV 1.6, the rest under 1 each.  Plain CONST
-                        # / ALOAD / binop / JZ / JNZ / GETF come last:
-                        # flattened code pairs each with a LOAD or a
-                        # STORE, so they run only after a jump or a
-                        # resume into the middle of a group (0
-                        # dispatches there; the original build pays).
+                        # RETV 1.6, the rest under 1 each.  A serve
+                        # workload's tier 1 runs restoration handlers
+                        # (tier 2 runs the hot code): NATIVE, STORE,
+                        # CONST and LSWITCH are 52-79% of its 11-15 k
+                        # dispatches per bench stream, too few to move
+                        # the order.  Plain CONST comes last: flattened
+                        # code pairs it with a STORE outside handlers.
+                        # The 27 opcodes of the fallback arm reach tier
+                        # 1 at most 586 times per bench stream (plain
+                        # ALOAD / binop / JZ / JNZ / GETF only after a
+                        # jump or resume into a group; the original
+                        # build pays).
                         if oid == FI_LOAD_STORE:
                             locs[ins[2]] = locs[ins[1]]
                             pc += 2
@@ -992,56 +993,18 @@ class Machine:
                                     w_acc += ins[3]
                                     n_acc += ins[4]
                                     break
-                        elif oid == I_PUTF:
-                            value = pop()
-                            obj = pop()
-                            fname = ins[1]
-                            if isinstance(obj, Inst) and fname in obj.fields:
-                                obj.fields[fname] = value
-                            else:
-                                _field_fail(self, obj, fname, "putfield")
-                            pc += 1
                         elif oid == I_CONST:
                             push(ins[1])
                             pc += 1
-                        elif oid == I_ALOAD:
-                            idx = pop()
-                            arr = pop()
-                            if not isinstance(arr, Arr):
-                                _arr_fail(self, arr, "arrayload")
-                            data = arr.data
-                            if 0 <= idx < len(data):
-                                push(data[idx])
-                            else:
-                                raise _iobe(self, idx, len(data))
-                            pc += 1
-                        elif BIN_LO <= oid <= BIN_HI:
-                            b = pop()
-                            a = pop()
-                            push(ins[5](self, a, b))
-                            pc += 1
-                        elif oid == I_JZ:
-                            pc = pc + 1 if tr(pop()) else ins[1]
-                        elif oid == I_JNZ:
-                            pc = ins[1] if tr(pop()) else pc + 1
-                        elif oid == I_GETF:
-                            obj = pop()
-                            fname = ins[1]
-                            v = obj.fields.get(fname, miss) \
-                                if isinstance(obj, Inst) else miss
-                            if v is miss:
-                                _field_fail(self, obj, fname, "getfield")
-                            push(v)
-                            pc += 1
                         else:
-                            h = _COLD.get(oid)
-                            if h is None:  # pragma: no cover
-                                raise VMError(
-                                    f"unimplemented opcode "
-                                    f"{frame.code.instrs[pc].op}")
-                            pc = h(self, frame, stack, ins, pc)
-                            if pc < 0:  # _cold_trap synced frame.pc
+                            # The other 27 opcodes run the oracle's own
+                            # body: frame.pc in, frame.pc out.
+                            frame.pc = pc
+                            if oid < 0:  # _TRAP: the hooked loop's turn
                                 return "trap"
+                            self._execute(thread, frame,
+                                          frame.code.instrs[pc])
+                            pc = frame.pc
                         w_acc += ins[3]
                         n_acc += ins[4]
                 except GuestThrow as gt:
@@ -1397,7 +1360,12 @@ def _arity_pad(code: CodeObject, nargs: int) -> List[Any]:
 # The fast loop and the tier-2 closures keep their hot paths inline and
 # call these for everything else, so a message or exception class is
 # written once for both (``_execute`` stays the independent oracle the
-# differential suites compare them with).
+# differential suites compare them with).  ``_throw_carrier``,
+# ``_newarr`` and ``_put_static`` serve tier 2 only: tier 1 runs THROW,
+# NEWARR, PUTS and the 24 other opcodes of its fallback arm through
+# ``_execute`` itself, so for those 27 the tier-1-vs-legacy
+# differential checks only the dispatch glue (pc, charges, fault
+# record), while tier 2 stays an independent encoding of them.
 
 def _arr_fail(m: "Machine", arr: Any, what: str) -> Any:
     """``what`` ("arrayload", ...) on a non-array: NullPointerException
@@ -1560,121 +1528,16 @@ _I_LOAD = op.OP_IDS[op.LOAD]
 _I_STORE = op.OP_IDS[op.STORE]
 _I_POP = op.OP_IDS[op.POP]
 _I_DUP = op.OP_IDS[op.DUP]
-_I_GETF = op.OP_IDS[op.GETF]
-_I_PUTF = op.OP_IDS[op.PUTF]
 _I_GETS = op.OP_IDS[op.GETS]
-_I_ALOAD = op.OP_IDS[op.ALOAD]
 _I_ASTORE = op.OP_IDS[op.ASTORE]
 _I_JMP = op.OP_IDS[op.JMP]
-_I_JZ = op.OP_IDS[op.JZ]
-_I_JNZ = op.OP_IDS[op.JNZ]
 _I_RET = op.OP_IDS[op.RET]
 _I_RETV = op.OP_IDS[op.RETV]
 _I_INVOKESTATIC = op.OP_IDS[op.INVOKESTATIC]
 _I_INVOKEVIRT = op.OP_IDS[op.INVOKEVIRT]
 _I_NATIVE = op.OP_IDS[op.NATIVE]
-_I_BINOP_LO = op.OP_IDS[op.ADD]
-_I_BINOP_HI = op.OP_IDS[op.GE]
-
-
-# -- cold-path handlers for the fast loop ----------------------------------------
-#
-# Rarely executed opcodes are dispatched through this table instead of
-# bloating the hot if/elif chain.  Signature: fn(machine, frame, stack,
-# ins, pc) -> new pc; guest exceptions propagate as GuestThrow.
-
-def _cold_new(m: "Machine", frame: Frame, stack: list, ins: tuple,
-              pc: int) -> int:
-    stack.append(m.heap.new_instance(m.loader.load(ins[1])))
-    return pc + 1
-
-
-def _cold_newarr(m: "Machine", frame: Frame, stack: list, ins: tuple,
-                 pc: int) -> int:
-    stack.append(_newarr(m, stack.pop(), ins[1], ins[2] or 8))
-    return pc + 1
-
-
-def _cold_len(m: "Machine", frame: Frame, stack: list, ins: tuple,
-              pc: int) -> int:
-    arr = stack.pop()
-    if not isinstance(arr, VMArray):
-        _arr_fail(m, arr, "arraylength")
-    stack.append(len(arr.data))
-    return pc + 1
-
-
-def _cold_puts(m: "Machine", frame: Frame, stack: list, ins: tuple,
-               pc: int) -> int:
-    cell = ins[5]
-    c = cell[0]
-    if c is None:
-        c = cell[0] = _static_cell(m, ins[1])
-    _put_static(m, c, stack.pop())
-    return pc + 1
-
-
-def _cold_isremote(m: "Machine", frame: Frame, stack: list, ins: tuple,
-                   pc: int) -> int:
-    stack.append(isinstance(stack.pop(), RemoteRef))
-    return pc + 1
-
-
-def _cold_neg(m: "Machine", frame: Frame, stack: list, ins: tuple,
-              pc: int) -> int:
-    stack.append(-stack.pop())
-    return pc + 1
-
-
-def _cold_not(m: "Machine", frame: Frame, stack: list, ins: tuple,
-              pc: int) -> int:
-    stack.append(not truthy(stack.pop()))
-    return pc + 1
-
-
-def _cold_swap(m: "Machine", frame: Frame, stack: list, ins: tuple,
-               pc: int) -> int:
-    stack[-1], stack[-2] = stack[-2], stack[-1]
-    return pc + 1
-
-
-def _cold_nop(m: "Machine", frame: Frame, stack: list, ins: tuple,
-              pc: int) -> int:
-    return pc + 1
-
-
-def _cold_throw(m: "Machine", frame: Frame, stack: list, ins: tuple,
-                pc: int) -> int:
-    raise _throw_carrier(m, stack.pop())
-
-
-def _cold_lswitch(m: "Machine", frame: Frame, stack: list, ins: tuple,
-                  pc: int) -> int:
-    return ins[1].get(stack.pop(), ins[2])
-
-
-def _cold_trap(m: "Machine", frame: Frame, stack: list, ins: tuple,
-               pc: int) -> int:
-    """Tier 1 dispatched :data:`_TRAP` (see ``Machine._run_trapped``)."""
-    frame.pc = pc
-    return -1
-
 
 #: the slot ``Machine._trap`` plants at a trap point: an opcode id no
-#: instruction has, so it falls through every hot test into ``_COLD``
+#: instruction has (below every real one), so it falls through every arm
+#: into the fallback, which returns ``"trap"`` before it executes
 _TRAP = (-1, None, None, 0.0, 1, None, (0, 0.0, 0.0), None, None)
-
-_COLD: Dict[int, Callable[..., int]] = {
-    _TRAP[0]: _cold_trap,
-    op.OP_IDS[op.NEW]: _cold_new,
-    op.OP_IDS[op.NEWARR]: _cold_newarr,
-    op.OP_IDS[op.LEN]: _cold_len,
-    op.OP_IDS[op.PUTS]: _cold_puts,
-    op.OP_IDS[op.ISREMOTE]: _cold_isremote,
-    op.OP_IDS[op.NEG]: _cold_neg,
-    op.OP_IDS[op.NOT]: _cold_not,
-    op.OP_IDS[op.SWAP]: _cold_swap,
-    op.OP_IDS[op.NOP]: _cold_nop,
-    op.OP_IDS[op.THROW]: _cold_throw,
-    op.OP_IDS[op.LSWITCH]: _cold_lswitch,
-}

@@ -10,7 +10,6 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-import repro.vm.machine as machine_mod
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject, ExcEntry, Instr
 from repro.errors import VerifyError
@@ -185,11 +184,10 @@ def assemble(text: str) -> CodeObject:
 
 @pytest.fixture()
 def loop_meter(monkeypatch):
-    """Instructions executed inside ``_run_loop`` and trap hits."""
+    """Instructions executed inside ``_run_loop`` and trap hits (tier 1
+    returns ``"trap"`` once per hit)."""
     meter = {"hooked_instrs": 0, "trap_hits": 0}
-    real_loop = Machine._run_loop
-    trap_id = machine_mod._TRAP[0]
-    real_trap = machine_mod._COLD[trap_id]
+    real_loop, real_fast = Machine._run_loop, Machine._run_fast
 
     def run_loop(self, *a, **k):
         i0 = self.instr_count
@@ -198,10 +196,11 @@ def loop_meter(monkeypatch):
         finally:
             meter["hooked_instrs"] += self.instr_count - i0
 
-    def trap(*a):
-        meter["trap_hits"] += 1
-        return real_trap(*a)
+    def run_fast(self, *a, **k):
+        status = real_fast(self, *a, **k)
+        meter["trap_hits"] += status == "trap"
+        return status
 
     monkeypatch.setattr(Machine, "_run_loop", run_loop)
-    monkeypatch.setitem(machine_mod._COLD, trap_id, trap)
+    monkeypatch.setattr(Machine, "_run_fast", run_fast)
     return meter

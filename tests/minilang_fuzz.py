@@ -497,22 +497,18 @@ def generate(seed: int) -> FuzzProgram:
 #: modes pin ``jit=False`` so they stay a pure tier-1 differential no
 #: matter what ``REPRO_JIT`` says; the tier-2 modes turn the
 #: specializing JIT on explicitly.
-MODES = [("fast", dict(dispatch="fast", fuse=True, jit=False)),
-         ("fast-nofuse", dict(dispatch="fast", fuse=False, jit=False))]
+MODES = [("fast", dict(dispatch="fast", jit=False))]
 
-#: tier-2 configurations: the specializing JIT above each fast mode.
+#: tier-2 configuration: the specializing JIT above the fast mode.
 #: Fuzzed under a hotness threshold of 1 (:func:`_jit_threshold`) so
 #: even one-shot generated programs compile and run the closures.
-TIER2_MODES = [("tier2", dict(dispatch="fast", fuse=True, jit=True,
-                              threshold=1)),
-               ("tier2-nofuse", dict(dispatch="fast", fuse=False,
-                                     jit=True, threshold=1))]
+TIER2_MODES = [("tier2", dict(dispatch="fast", jit=True, threshold=1))]
 
 #: the modes the cross-tier *schedule* property compares with the
-#: legacy loop: tier 1 fused and unfused, tier 2 compiling at once and
-#: at the shipped threshold (so a run crosses tiers mid-way)
-SCHEDULE_MODES = MODES + TIER2_MODES[:1] + [
-    ("tier2-default", dict(dispatch="fast", fuse=True, jit=True))]
+#: legacy loop: tier 1, tier 2 compiling at once and at the shipped
+#: threshold (so a run crosses tiers mid-way)
+SCHEDULE_MODES = MODES + TIER2_MODES + [
+    ("tier2-default", dict(dispatch="fast", jit=True))]
 
 #: scheduler budgets the schedule property is checked under: every
 #: safepoint, a prime that lands mid-block, and the two in use
@@ -1120,8 +1116,8 @@ def run_fuzz(base_seed: int, count: int,
                                         Dict[Optional[int], Any]]] = None,
              faulting_every: int = 5) -> Optional[str]:
     """The dispatch differential over ``count`` generated programs (see
-    :func:`_rotating_campaign`): every mode in ``modes`` (default: tier 1
-    fused and unfused; :data:`TIER2_MODES` run under a hotness threshold
+    :func:`_rotating_campaign`): every mode in ``modes`` (default: tier
+    1; :data:`TIER2_MODES` run under a hotness threshold
     of 1 so the generated methods actually compile) against the legacy
     oracle.  ``legacy_runs``, a dict kept across calls, holds each
     program's oracle runs by (source, args, build), so that campaigns

@@ -76,7 +76,6 @@ TIERS = {
     "cold": dict(hotness=0),
     "warm": dict(hotness=jit_mod.JIT_THRESHOLD),   # tier 2 at first entry
     "nojit": dict(jit=False),
-    "nofuse": dict(fuse=False),
 }
 
 
@@ -144,7 +143,6 @@ ENTRY_TRIGGERS = {
 
 #: (label, ``_observe`` kwargs: Machine's, plus the JIT threshold)
 ENTRY_TIERS = [("tier1", dict(jit=False)),
-               ("tier1-nofuse", dict(jit=False, fuse=False)),
                ("tier2-at-once", dict(jit=True, threshold=1)),
                ("tier2-shipped", dict(jit=True))]
 

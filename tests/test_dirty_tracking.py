@@ -53,11 +53,10 @@ class P {
 
 CASES = ["putf", "astore", "astore_ref", "puts", "quiet"]
 
-#: the four ways a worker machine can execute the store
+#: the three ways a worker machine can execute the store
 LOOPS = {
     "legacy": dict(dispatch="legacy"),
     "tier1": dict(jit=False),
-    "tier1-unfused": dict(jit=False, fuse=False),
     "tier2": dict(jit=True),
 }
 

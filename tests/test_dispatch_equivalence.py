@@ -22,27 +22,25 @@ from repro.preprocess import preprocess_program
 from repro.preprocess.fuse import FUSED_NAMES, fused_coverage
 from repro.vm import Machine, VMTI
 from repro.vm import jit as jit_mod
-from repro.vm.machine import UncaughtGuestException
 from repro.vm.values import RemoteRef
 from repro.workloads import registry
 from repro.workloads.mixes import MIXES, SERVE_PROGRAMS, serve_compiled
 from tests.helpers import assemble, loop_meter, tier1_dispatches  # noqa: F401
 
 #: dispatch configurations under test: (label, Machine kwargs)
-MODES = [
-    ("fast", dict(dispatch="fast", fuse=True)),
-    ("fast-nofuse", dict(dispatch="fast", fuse=False)),
-]
+MODES = [("fast", dict(dispatch="fast"))]
 
 
 def _run(classes, main, args, **kw):
     m = Machine(classes, **kw)
-    try:
-        result = m.call(main[0], main[1], list(args))
-        err = None
-    except UncaughtGuestException as exc:
-        result, err = None, (exc.exc.class_name, exc.exc.fields.get("msg"))
-    return m, result, err
+    t = m.spawn(main[0], main[1], list(args))
+    entry = t.frames[-1]
+    m.run(t)
+    if t.uncaught is None:
+        return m, t.result, None
+    # an uncaught throw leaves the entry frame at the bci it died at
+    exc = t.uncaught
+    return m, None, (exc.class_name, exc.fields.get("msg"), entry.pc)
 
 
 def _assert_equivalent(classes, main, args):
@@ -95,8 +93,8 @@ REGISTRY_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(REGISTRY_COUNTS))
 def test_registry_counts_on_the_faulting_build(name):
-    """The counts above; the hooked loop, tier 1 and tier 1 unfused
-    execute the same instructions and ticks, to the same clock bits."""
+    """The counts above; the hooked loop and tier 1 execute the same
+    instructions and ticks, to the same clock bits."""
     w = registry.WORKLOADS[name]
     classes = preprocess_program(compile_source(w.source), "faulting")
     m = Machine(classes, jit=True)
@@ -106,8 +104,7 @@ def test_registry_counts_on_the_faulting_build(name):
                 for code in cls.cf.methods.values())
     assert (m.instr_count, m._ticks, m.jit_compiles, m.jit_guard_bails,
             sites) == REGISTRY_COUNTS[name]
-    for kw in (dict(dispatch="legacy"), dict(jit=False),
-               dict(jit=False, fuse=False)):
+    for kw in (dict(dispatch="legacy"), dict(jit=False)):
         other = Machine(classes, **kw)
         other.call(w.main[0], w.main[1], list(w.sim_args))
         assert (other.instr_count, other._ticks, other.clock) == \
@@ -142,12 +139,28 @@ class E {
   static int poke(E e) { return 1; }
   static str concat(int n) { return "n=" + n; }
   static int uncaught(int n) { return n / 0; }
+  static int thrownull() { throw null; }
+  static int newarr(int n) { int[] xs = new int[n]; return 1; }
+  static int pick(int k) {
+    int r = 0;
+    switch (k) { case 1: r = 10; break; case 2: r = 20; break; default: r = 30; }
+    return r;
+  }
 }
 """
 
 
 def exc_classes():
-    return preprocess_program(compile_source(EXC_SRC), "original")
+    classes = preprocess_program(compile_source(EXC_SRC), "original")
+    # MiniLang has no LEN of its own (``Sys.len`` is a native)
+    classes["E"].methods["lennull"] = assemble("""
+    method E.lennull static params=0 locals=0
+      line 1
+      CONST None
+      LEN
+      RETV
+    """)
+    return classes
 
 
 @pytest.mark.parametrize("main,args", [
@@ -157,8 +170,14 @@ def exc_classes():
     (("E", "npe"), ()),
     (("E", "concat"), (42,)),
     (("E", "uncaught"), (5,)),
+    (("E", "thrownull"), ()),
+    (("E", "lennull"), ()),
+    (("E", "newarr"), (-1,)),
+    (("E", "pick"), (9,)),        # the LSWITCH default
 ])
 def test_guest_exceptions_identical(main, args):
+    """Uncaught, the entry frame's ``frame.pc`` is compared too: the
+    THROW / LEN / NEWARR faults run tier 1's fallback arm."""
     _assert_equivalent(exc_classes(), main, args)
 
 
@@ -173,7 +192,6 @@ class B {
 HOST_ERR_LOOPS = {
     "legacy": dict(dispatch="legacy"),
     "tier 1": dict(jit=False),
-    "tier 1 unfused": dict(jit=False, fuse=False),
     "tier 2 @1": dict(jit=True),
 }
 
@@ -305,7 +323,7 @@ def _fault_run(classes, method, args, setup, **kw):
 def test_store_tailed_group_faults_like_unfused(case, caught):
     """Each STORE-tailed pattern with its binop / ``ALOAD`` throwing:
     tier 1 fused must stop at the faulting component's bci, charge
-    exactly what unfused tier 1 charges and leave the destination local
+    exactly what the hooked loop charges and leave the destination local
     unwritten — uncaught, and caught by a guest handler (a host
     ``TypeError`` escapes the ``catch (Throwable)`` either way; the
     remote-ref fault is caught by the object-fault handler, which
@@ -317,12 +335,11 @@ def test_store_tailed_group_faults_like_unfused(case, caught):
         build = "faulting"  # its injected __ObjectFault row catches it
     classes = preprocess_program(compile_source(FAULT_SRC), build)
     m, frame, fused = _fault_run(classes, method, args, setup)
-    # the unfused stream, and the hooked loop (which shares no charge
-    # code with tier 1)
-    for kw in (dict(fuse=False), dict(dispatch="legacy")):
-        ref, _f, want = _fault_run(classes, method, args, setup, **kw)
-        assert fused == want, kw
-        assert m.clock == ref.clock, kw
+    # the hooked loop (which shares no charge code with tier 1)
+    ref, _f, want = _fault_run(classes, method, args, setup,
+                               dispatch="legacy")
+    assert fused == want
+    assert m.clock == ref.clock
     # the fault really came from inside the pattern under test (its
     # destination local is compared above: left as it was)
     stream = m.decoded(frame.code)
@@ -461,6 +478,51 @@ def test_every_superinstruction_fires_on_the_flattened_builds():
             f"no site on {build}: {sorted(names - set(sites))}"
 
 
+#: the plain opcodes tier 1 writes an arm for: the safepoints (their
+#: arms poll the quantum and tier up) and the ones a bench workload
+#: dispatches 1,000+ times per stream; every other opcode runs
+#: ``Machine._execute`` from the fallback arm
+HAND_WRITTEN_PLAIN = {op.JMP, op.INVOKESTATIC, op.INVOKEVIRT, op.NATIVE,
+                      op.RET, op.RETV, op.LOAD, op.STORE, op.CONST,
+                      op.GETS, op.ASTORE, op.POP, op.DUP}
+
+
+def test_every_hand_written_arm_dispatches():
+    """``_run_fast``'s arms are the nine superinstructions and
+    :data:`HAND_WRITTEN_PLAIN`, and each one dispatches on this file's
+    differential programs plus the four registry programs, run on the
+    ``original`` and ``faulting`` builds (pc trace replayed against the
+    fused streams): an arm nothing runs is a third encoding to delete."""
+    import inspect
+    import re
+
+    from repro.preprocess import fuse
+    from repro.vm import machine as machine_mod
+
+    arms = set()
+    for name in re.findall(r"oid == (\w+)",
+                           inspect.getsource(Machine._run_fast)):
+        fused = name.startswith("FI_")
+        oid = getattr(fuse, "F" + name[2:]) if fused \
+            else getattr(machine_mod, "_" + name)
+        arms.add(FUSED_NAMES[oid] if fused else op.OPCODES[oid])
+    assert arms == set(FUSED_NAMES.values()) | HAND_WRITTEN_PLAIN
+    corpus = [(EXC_SRC, ("E", "guarded"), (7, 2)),
+              (EXC_SRC, ("E", "concat"), (42,)),
+              (POLY_SRC, ("P", "virt"), (6,)),
+              (POLY_SRC, ("P", "statics"), (5,)),
+              (MIG_SRC, ("R", "outer"), (4,))]
+    corpus += [(registry.WORKLOADS[name].source,
+                registry.WORKLOADS[name].main, args)
+               for name, args in sorted(SCHEDULE_ARGS.items())]
+    fired = Counter()
+    for build in ("original", "faulting"):
+        for source, main, args in corpus:
+            classes = preprocess_program(compile_source(source), build)
+            fired += tier1_dispatches(classes, main, args)
+    assert arms <= set(fired), f"never dispatched: {arms - set(fired)}"
+
+
 def test_fast_and_unfused_share_results():
     classes = preprocess_program(compile_source(LOOP_SRC), "original")
     _assert_equivalent(classes, ("L", "sum"), (200,))
@@ -499,7 +561,7 @@ def test_hand_assembled_compare_jnz_runs_unfused():
       RETV
     """)
     classes = {"H": ClassFile("H", None, [], {"count": code})}
-    m = Machine(classes, dispatch="fast", fuse=True)
+    m = Machine(classes, dispatch="fast")
     cov = fused_coverage(m.decoded(m.loader.load("H").find_method("count")))
     assert not any("JNZ" in k and "cmp" in k for k in cov), cov
     for n, want in ((5, 5), (7, -7)):
@@ -533,6 +595,42 @@ def test_resume_inside_fused_group_on_fast_loop():
         # of a fused group and must run the interior slots unfused.
         m.run(t)
         assert t.result == sum(range(60))
+
+
+MID_SRC = """
+class M {
+  int v;
+  static int idx(int i) { int[] xs = new int[4]; int r = 5; r = xs[i]; return r; }
+  static int fld() { M o = null; int r = 5; r = o.v; return r; }
+}
+"""
+
+
+@pytest.mark.parametrize("method,args,fault_op", [
+    ("idx", (4,), op.ALOAD), ("fld", (), op.GETF)])
+def test_fallback_entered_mid_group_faults_like_legacy(method, args,
+                                                       fault_op):
+    """Stopped at the ``ALOAD`` of a ``LOAD+LOAD+ALOAD+STORE`` group or
+    the ``GETF`` of a ``LOAD+GETF`` one, then resumed: tier 1 runs the
+    plain slot through its fallback arm and faults there, with
+    ``frame.pc``, ``instr_count`` and the clock of the legacy loop."""
+    classes = preprocess_program(compile_source(MID_SRC), "faulting")
+    code = classes["M"].methods[method]
+    bci = next(i for i, ins in enumerate(code.instrs) if ins.op == fault_op)
+    runs = []
+    for kw in (dict(jit=False), dict(dispatch="legacy")):
+        m = Machine(classes, **kw)
+        stream = m.decoded(code)
+        assert any(stream[h][4] > bci - h for h in range(bci)), \
+            "the fault site is not inside a fused group"
+        t = m.spawn("M", method, list(args))
+        frame = t.frames[-1]
+        assert m.run(t, stop=lambda th: th.frames[-1].pc == bci) \
+            == "stopped"
+        assert m.run(t) == "finished"
+        runs.append((frame.pc, m.instr_count, m.clock,
+                     t.uncaught.class_name))
+    assert runs[0] == runs[1] and runs[0][0] == bci
 
 
 def test_breakpoint_fires_mid_fused_sequence():
@@ -746,7 +844,7 @@ def test_full_migration_workflow_still_works(sod_engine, app_classes_faulting):
 # hooked loop, tier 1 and tier-2 code alike, so *where* a thread is
 # preempted never depends on which loop ran the slice.
 
-#: registry programs at sizes that keep five modes x five runs quick
+#: registry programs at sizes that keep four modes x five runs quick
 SCHEDULE_ARGS = {"Fib": (17,), "NQ": (6,), "FFT": (8, 1024), "TSP": (6,)}
 
 _SCHEDULE_ORACLES = {}
@@ -773,7 +871,7 @@ def schedule_oracle(name):
 def test_preemption_schedule_is_tier_blind(name):
     """The whole preemption sequence — (stack depth, method, pc,
     instr_count) at every "preempted" — is *equal* across the legacy
-    loop, tier 1 fused/unfused, and tier 2 at threshold 1 and the
+    loop, tier 1, and tier 2 at threshold 1 and the
     shipped one, for every budget in QUANTA, on the build serving
     runs; result / stdout / instr_count / clock with it."""
     from minilang_fuzz import QUANTA, SCHEDULE_MODES, divergence

@@ -280,10 +280,9 @@ def test_namespace_streams_share_the_stored_stream_but_no_cell():
 
 
 def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
-    """A hit needs the very ``predecoded()`` stream it was built from
-    and the same ``fuse`` flag: an in-place weight edit and
-    ``invalidate_decoded()`` each force one rebuild, a plain re-link
-    none."""
+    """A hit needs the very ``predecoded()`` stream it was built from:
+    an in-place weight edit and ``invalidate_decoded()`` each force one
+    rebuild, a plain re-link none."""
     from repro.bytecode.code import TICKS_PER_WEIGHT
     from repro.preprocess import fuse
     from repro.vm.machine import _ARITH, _FAST2
@@ -295,25 +294,22 @@ def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
     code = _classes()["P"].methods["work"]
     weights = dict(Machine().cost.op_weights)  # private: edited below
 
-    def link(fuse_flag=True):
-        return fuse.decode_and_fuse(code, weights, _ARITH, _FAST2,
-                                    fuse=fuse_flag)
+    def link():
+        return fuse.decode_and_fuse(code, weights, _ARITH, _FAST2)
 
     s1, s2 = link(), link()
-    assert len(builds) == 1 and s1 is not s2
+    assert len(builds) == 1 and s1 is not s2 and len(code._fused) == 1
     assert [s[0] for s in s1] == [s[0] for s in s2]
-    link(fuse_flag=False)
-    assert len(builds) == 2 and len(code._fused) == 2
     weights[op.LOAD] = weights.get(op.LOAD, 1.0) * 2
     s3 = link()
-    assert len(builds) == 3
+    assert len(builds) == 2 and len(code._fused) == 1
     i = next(i for i, ins in enumerate(code.instrs) if ins.op == op.LOAD
              and s3[i][4] == 1)
     assert s3[i][3] == weights[op.LOAD] * TICKS_PER_WEIGHT != s1[i][3]
     code.invalidate_decoded()
     assert code._fused == {}
     link()
-    assert len(builds) == 4
+    assert len(builds) == 3
 
 
 def test_tier2_seeds_read_the_namespace_own_tier1_cells(monkeypatch):

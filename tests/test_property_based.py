@@ -271,9 +271,9 @@ def test_minilang_fuzz_generates_switch_and_virtual_dispatch():
 
 
 def test_minilang_fuzz_differential_tier2_vs_legacy():
-    """Differential fuzz of the *tier-2 JIT*: both jit modes (fused and
-    unfused) against the legacy oracle on stdout / result / uncaught /
-    instr_count / clock, with the hotness threshold dropped to 1 so the
+    """Differential fuzz of the *tier-2 JIT* against the legacy oracle
+    on stdout / result / uncaught / instr_count / clock, with the
+    hotness threshold dropped to 1 so the
     generated programs' methods actually compile into closures.  The
     oracle runs are the tier-1 differential's, where it ran first."""
     from minilang_fuzz import TIER2_MODES, run_fuzz
