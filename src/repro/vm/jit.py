@@ -15,9 +15,9 @@ flattened builds reach the VM as ``LOAD t..; op; STORE t`` groups and
 ``LOAD t; JZ`` branches (:mod:`repro.preprocess.flatten`), so the
 generator works on what a group *means*.  Within a block a ``LOAD``
 names ``locs[a]`` once and a ``STORE`` only records which name the slot
-now holds (the temp traffic costs nothing); a name a compare, ``NOT``
-or ``ISREMOTE`` produced is a host ``bool`` and branches raw; and a
-block ends only where the method *body* branches.  The body is what
+now holds (the temp traffic costs nothing); a name a compare produced
+is a host ``bool`` and branches raw; and a block ends only where the
+method *body* branches.  The body is what
 bci 0 reaches without exception edges: the migration machinery — the
 restoration handler's ``LSWITCH`` to every source-line start, each
 object-fault handler's ``JMP`` back to its retry point — lies outside
@@ -35,6 +35,11 @@ the table's own wrapper, the host function is called straight, with
 no flush; otherwise the arm takes the generic path and leaves for the
 entry after the native.  An ``ADD`` is in line for every operand pair
 but a string one, the only case ``_add`` is not ``a + b``.
+
+Templates cover the safepoints, ``JZ`` / ``JNZ`` and the plain opcodes
+compiled code executes often; the other nine (``SWAP``, ``NOT``,
+``LSWITCH``, ``PUTS``, ...) run the oracle's body, ``Machine._execute``
+(:meth:`_Compiler.gen_oracle`), so a new one needs nothing here.
 
 Deferred writes reach ``frame.locals`` exactly where it can be
 observed (:meth:`_Compiler.write_back`): before an op arms its fault
@@ -85,9 +90,10 @@ Safepoints and accounting
 preemption safepoints (:func:`repro.bytecode.opcodes.is_safepoint` —
 calls, returns, natives, loop back-edges; :meth:`_Compiler.safepoint`
 refuses to emit a quantum check anywhere else, so compiled code is
-preempted exactly where both interpreter loops are) and at guest-throw
-sites.  Between safepoints the closure runs pure Python with block-summed
-``w_acc``/``n_acc`` accounting constants: ``w_acc`` counts whole cost
+preempted exactly where both interpreter loops are), at guest-throw
+sites and around an opcode without a template.  Between safepoints
+the closure runs pure Python with block-summed ``w_acc``/``n_acc``
+accounting constants: ``w_acc`` counts whole cost
 ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`) as an
 integer-valued float, and the flushes add it to ``m._ticks``, so
 ``instr_count`` and the clock are bit-equal to tier 1's and the hooked
@@ -105,8 +111,8 @@ are exact.
 Compilation is two steps, with the shared/isolated boundary between
 them.  *Generate* (:class:`_Compiler`) is a pure function of the code
 object, the cost-weight table and a *link shape* — which
-``GETS``/``PUTS``/``INVOKESTATIC``/``NEW`` sites are bound and which
-stay lazy.  It never sees a machine or a loader, and its result, a
+``GETS``/``INVOKESTATIC``/``NEW`` sites are bound and which stay
+lazy.  It never sees a machine or a loader, and its result, a
 :class:`_Template`, is memoised on the ``CodeObject`` beside the
 predecoded streams (same lifetime, same ``invalidate_decoded()``).
 *Link* (:func:`compile_code`) runs per ``(machine, namespace)`` on
@@ -134,7 +140,7 @@ from repro.vm import machine as _machine
 from repro.vm.frames import Frame
 from repro.vm.natives import PURE_MATH
 from repro.vm.objects import VMArray, VMInstance
-from repro.vm.values import RemoteRef, truthy
+from repro.vm.values import truthy
 
 #: hotness (entries + loop back-edges) at which a code object tiers up
 JIT_THRESHOLD = 16
@@ -189,10 +195,12 @@ class _Refuse(Exception):
 
 # -- runtime helpers bound into every closure ------------------------------------
 #
-# Failure and first-resolution branches are tier 1's own
-# (``machine._arr_fail`` and friends), so the differential suite cannot
-# tell the tiers apart; the one tier-2 addition is the guard-miss
-# counter.
+# The in-line templates' failure and first-resolution branches
+# (``machine._arr_fail``, ``_static_cell`` and friends) are the ones
+# tier 1's own arms call, so a message or exception class is written
+# once for both; the one tier-2 addition is the guard-miss counter.
+# The opcodes without a template call no helper: they run
+# ``Machine._execute`` itself (:meth:`_Compiler.gen_oracle`).
 
 def _resolve_virtual(m: Any, receiver: Any, name: str, nargs: int,
                      cell: List[Any]) -> Tuple[CodeObject, List[Any]]:
@@ -206,17 +214,15 @@ def _resolve_virtual(m: Any, receiver: Any, name: str, nargs: int,
 _RUNTIME: Dict[str, Any] = {
     "T": truthy, "A": _machine._add, "D": _machine._div,
     "MO": _machine._mod, "MS": _machine._MISSING, "Inst": VMInstance,
-    "Arr": VMArray, "RR": RemoteRef, "F": Frame,
+    "Arr": VMArray, "F": Frame,
     "GT": _machine.GuestThrow, "AF": _machine._arr_fail,
     "IO": _machine._iobe, "FF": _machine._field_fail,
-    "TH": _machine._throw_carrier, "NA": _machine._newarr,
     "RS": _machine._resolve_static, "RV": _resolve_virtual,
-    "RSF": _machine._static_cell, "PS": _machine._put_static,
+    "RSF": _machine._static_cell,
 }
 
 #: the link sites: ops whose tier-2 code binds namespace state
-_SITE_OPS = frozenset({op.GETS, op.PUTS, op.INVOKESTATIC, op.INVOKEVIRT,
-                       op.NEW})
+_SITE_OPS = frozenset({op.GETS, op.INVOKESTATIC, op.INVOKEVIRT, op.NEW})
 
 
 class _Template(NamedTuple):
@@ -229,8 +235,8 @@ class _Template(NamedTuple):
     mk: Any
     #: resumable bci -> dispatch block id (``EN``, also in ``shared``)
     entries: Dict[int, int]
-    #: ``_RUNTIME``, ``EN``, ``FT``, the literal-less constants and
-    #: ``LSWITCH`` tables, in ``mk``'s parameter order
+    #: ``_RUNTIME``, ``EN``, ``FT`` and the literal-less constants, in
+    #: ``mk``'s parameter order
     shared: Tuple[Any, ...]
     #: link slots ``(bci, i)``: the resolved value of the site at
     #: ``bci`` (``i`` None) or element ``i`` of it; with no ``bci``, a
@@ -582,10 +588,6 @@ class _Compiler:
             sym.pop()
         elif o == op.DUP:
             sym.append(sym[-1])
-        elif o == op.SWAP:
-            sym[-1], sym[-2] = sym[-2], sym[-1]
-        elif o == op.NOP:
-            pass
 
         elif o == op.ADD:
             # ``_add`` is ``a + b`` unless an operand is a string
@@ -607,12 +609,6 @@ class _Compiler:
             self.gen_divmod(bci, o, a, b)
         elif o == op.NEG:
             self.push(f"-({sym.pop()})")
-        elif o == op.NOT:
-            a = sym.pop()
-            self.push(f"not {a}" if a in self.bools else f"not T({a})",
-                      True)
-        elif o == op.ISREMOTE:
-            self.push(f"isinstance({sym.pop()}, RR)", True)
 
         elif o == op.GETF:
             obj = self.named(sym.pop())
@@ -635,24 +631,19 @@ class _Compiler:
         elif o == op.GETS:
             if bci in self.shape:  # the home class's statics dict
                 self.push(f"{self.slot('sd', bci, 0)}[{ins.a[1]!r}]")
-            else:
-                c = self.gen_lazy_static(bci, o, ins.a)
+            else:  # lazy: tier 1's ``_static_cell`` on first execution
+                cell = self.slot("gc", None, 1)
+                c = self.fresh()
+                self.emit(f"{c} = {cell}[0]")
+                self.emit(f"if {c} is None:")
+                self.marker(bci, o, extra=4)
+                self.emit(f"    {c} = {cell}[0] = RSF(m, {tuple(ins.a)!r})")
                 self.push(f"{c}[0][{c}[1]]")
-        elif o == op.PUTS:
-            v = sym.pop()
-            c = self.slot("sc", bci) if bci in self.shape \
-                else self.gen_lazy_static(bci, o, ins.a)
-            self.emit(f"PS(m, {c}, {v})")
         elif o == op.NEW:
             self.marker(bci, o)
             k = self.slot("cls", bci) if bci in self.shape else \
                 f"m.loader.load({_literal(ins.a) or self.bind(ins.a)})"
             self.push(f"m.heap.new_instance({k})")
-        elif o == op.NEWARR:
-            cnt = sym.pop()
-            self.marker(bci, o)
-            kn = _literal(ins.a) or self.bind(ins.a)
-            self.push(f"NA(m, {cnt}, {kn}, {ins.b or 8})")
         elif o == op.ALOAD:
             idx = sym.pop()
             u = self.gen_array_data(bci, o, sym.pop(), "arrayload")
@@ -669,11 +660,6 @@ class _Compiler:
             self.emit(f"if not (0 <= {idx} < len({u})):")
             self.emit(f"    raise IO(m, {idx}, len({u}))")
             self.emit(f"{u}[{idx}] = {v}")
-        elif o == op.LEN:
-            arr = self.named(sym.pop())
-            self.marker(bci, o)
-            self.push(f"len({arr}.data) if isinstance({arr}, Arr) "
-                      f"else AF(m, {arr}, 'arraylength')")
 
         elif o == op.JMP:
             if ins.a <= bci:
@@ -685,16 +671,6 @@ class _Compiler:
             return True
         elif o == op.JZ or o == op.JNZ:
             return self.gen_branch(bci, ins, sym.pop())
-        elif o == op.LSWITCH:
-            key = sym.pop()
-            self.emit_acc()
-            self.write_back()
-            self.spill(sym)
-            table = {k: self.block_id[t] for k, t in ins.a.items()}
-            tb = self.bind(table, "tb")
-            self.emit(f"b = {tb}.get({key}, {self.block_id[ins.b]})")
-            self.emit("continue")
-            return True
 
         elif o == op.RET or o == op.RETV:
             # the frame is popped: nobody reads its locals, so pending
@@ -709,20 +685,37 @@ class _Compiler:
             self.emit(f"    thread.result = {val}")
             self.emit(f"return (1, w_acc + {w_ret!r}, n_acc + 1)")
             return True
-        elif o == op.THROW:
-            v = sym.pop()
-            self.seg_w -= self.tick[o]
-            self.seg_n -= 1
-            self.marker(bci, o, charged=False)
-            self.emit(f"raise TH(m, {v})")
-            return True
 
         elif o == op.INVOKESTATIC:
             self.gen_invokestatic(bci, ins)
         elif o == op.INVOKEVIRT:
             self.gen_invokevirt(bci, ins)
-        else:  # pragma: no cover - ISA is closed
-            raise _Refuse(f"op {o}")
+        else:
+            return self.gen_oracle(bci, ins)
+        return False
+
+    def gen_oracle(self, bci: int, ins: Any) -> bool:
+        """An opcode without a template runs :meth:`Machine._execute`
+        at a precise frame state: locals written back, fault record
+        armed (what it raises reaches the ``except`` arms), operand
+        stack in ``frame.stack``, ``frame.pc`` at ``bci``.  Then the
+        stack is popped back into names, or, after ``LSWITCH`` /
+        ``THROW``, the block leaves for ``EN[frame.pc]``."""
+        sym = self.sym
+        self.marker(bci, ins.op)
+        self.spill(sym)
+        self.emit(f"frame.pc = {bci}")
+        self.emit(f"m._execute(thread, frame, frame.code.instrs[{bci}])")
+        if ins.op in _NO_FALL:
+            self.emit_acc()
+            self.emit("b = EN[frame.pc]")
+            self.emit("continue")
+            return True
+        pops, pushes = op.stack_effect(ins.op, ins.a, ins.b)
+        depth = len(sym) - pops + pushes
+        sym[:] = [self.fresh() for _ in range(depth)]
+        for name in reversed(sym):
+            self.emit(f"{name} = fstack.pop()")
         return False
 
     def gen_divmod(self, bci: int, o: str, a: str, b: str) -> None:
@@ -784,21 +777,6 @@ class _Compiler:
         self.emit(f"if not {test}:" if ins.op == op.JZ else f"if {test}:")
         self.exit_to(ins.a, 4)
         return False
-
-    def gen_lazy_static(self, bci: int, opname: str,
-                        key: Tuple[str, str]) -> str:
-        """A static-field site the link left lazy (class not linked
-        yet, or unresolvable): the name of a temp holding tier 1's
-        ``_static_cell`` content (statics dict, field name, home
-        class), filled on first execution through a fresh per-closure
-        cell.  Bound sites get that tuple, or its dict, in a slot."""
-        cell = self.slot("gc", None, 1)
-        u = self.fresh()
-        self.emit(f"{u} = {cell}[0]")
-        self.emit(f"if {u} is None:")
-        self.marker(bci, opname, extra=4)
-        self.emit(f"    {u} = {cell}[0] = RSF(m, {tuple(key)!r})")
-        return u
 
     def gen_invokestatic(self, bci: int, ins: Any) -> None:
         nargs = ins.b or 0

@@ -41,7 +41,10 @@ contract does not depend on which of three loops does the work:
   fallback arm;
 * **tier 2** (:mod:`repro.vm.jit`; ``jit=``, default on, off under
   ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
-  specialized Python closures, one frame at a time.
+  specialized Python closures, one frame at a time.  It writes a
+  template for the safepoint opcodes, ``JZ`` / ``JNZ`` and the plain
+  opcodes compiled code executes often; the nine others run
+  :meth:`_execute`'s body from one arm, the frame materialized.
 
 What selects a loop is host-side state only (``stop``,
 ``max_instrs``, ``dispatch=``, ``jit=``, hotness).  A
@@ -89,7 +92,7 @@ set executes inside that class-loader namespace
 (:class:`repro.vm.classloader.Namespace`): for the duration of
 :meth:`run`, ``machine.loader`` *is* the namespace loader and the
 decoded-stream cache is the namespace's own map, so the
-``GETS``/``PUTS``/``INVOKESTATIC`` inline caches bind per
+``GETS``/``INVOKESTATIC`` inline caches bind per
 ``(code, namespace)`` and never leak one context's static cells into
 another.  Root-namespace threads (``namespace=None``, the default)
 take none of that indirection — the swap is a single ``is None`` test,
@@ -1360,12 +1363,11 @@ def _arity_pad(code: CodeObject, nargs: int) -> List[Any]:
 # The fast loop and the tier-2 closures keep their hot paths inline and
 # call these for everything else, so a message or exception class is
 # written once for both (``_execute`` stays the independent oracle the
-# differential suites compare them with).  ``_throw_carrier``,
-# ``_newarr`` and ``_put_static`` serve tier 2 only: tier 1 runs THROW,
-# NEWARR, PUTS and the 24 other opcodes of its fallback arm through
-# ``_execute`` itself, so for those 27 the tier-1-vs-legacy
-# differential checks only the dispatch glue (pc, charges, fault
-# record), while tier 2 stays an independent encoding of them.
+# differential suites compare them with).  An opcode a tier writes no
+# arm for runs ``_execute`` itself — 27 on tier 1 (its fallback arm),
+# nine on tier 2 (``jit._Compiler.gen_oracle``) — so for those the
+# differentials check only the dispatch glue (pc, charges, fault
+# record, and on tier 2 the materialized operand stack).
 
 def _arr_fail(m: "Machine", arr: Any, what: str) -> Any:
     """``what`` ("arrayload", ...) on a non-array: NullPointerException
@@ -1386,43 +1388,13 @@ def _field_fail(m: "Machine", obj: Any, fname: str, what: str) -> Any:
     raise LinkError(f"no field {fname!r} on {_tname(obj)}")
 
 
-def _throw_carrier(m: "Machine", exc: Any) -> Exception:
-    """The host exception to raise for a guest ``THROW`` of ``exc``."""
-    if is_nullish(exc):
-        return m._npe(exc, "throw")
-    if not isinstance(exc, VMInstance) \
-            or not exc.vmclass.is_subclass_of("Throwable"):
-        return VMError(f"throw of non-Throwable {_tname(exc)}")
-    return GuestThrow(exc)
-
-
-def _newarr(m: "Machine", n: Any, kind: str, elem_bytes: int) -> VMArray:
-    if not isinstance(n, int) or n < 0:
-        raise m.throw("IndexOutOfBoundsException", f"array length {n}")
-    need = n * elem_bytes + 16
-    if m.node is not None and (
-            m.heap.allocated_bytes + need > m.node.spec.ram_bytes):
-        raise m.throw("OutOfMemoryError",
-                      f"array of {need} bytes exceeds node RAM")
-    return m.heap.new_array(kind, n, elem_bytes)
-
-
 def _static_cell(m: "Machine", key: Tuple[str, str]
-                 ) -> Tuple[Dict[str, Any], str, VMClass]:
-    """Inline-cache content for a ``GETS``/``PUTS`` site: the home
-    class's statics dict, the field name, and the home class."""
+                 ) -> Tuple[Dict[str, Any], str]:
+    """Inline-cache content for a ``GETS`` site: the home class's
+    statics dict and the field name."""
     cls_name, fname = key
     home = m.loader.load(cls_name).find_static_home(fname)
-    return (home.statics, fname, home)
-
-
-def _put_static(m: "Machine", c: Tuple[Dict[str, Any], str, VMClass],
-                value: Any) -> None:
-    """The ``PUTS`` body of tier 1 and tier 2 over a bound
-    :func:`_static_cell`: store, then tell the static-write hook."""
-    c[0][c[1]] = value
-    if m.on_static_write is not None:
-        m.on_static_write(c[2])
+    return (home.statics, fname)
 
 
 def _resolve_static(m: "Machine", key: Tuple[str, str], nargs: int

@@ -17,6 +17,7 @@ from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.preprocess.fuse import FUSED_NAMES
 from repro.vm import Machine
+from repro.vm.objects import VMInstance
 
 
 def compile_and_run(source: str, cls: str, method: str, args=None,
@@ -35,7 +36,10 @@ def tier1_dispatches(classes, main, args) -> Counter:
     trace is replayed against the fused stream — the slot at a group
     start is one dispatch and swallows the next ``count - 1`` entries,
     as ``_run_fast`` (``jit=False``) would.  ``sum(values())`` is the
-    dispatch count; the instruction count is ``machine.instr_count``."""
+    dispatch count; the instruction count is ``machine.instr_count``.
+    A component that throws into a guest handler ends its group: the
+    handler's entry is then the next dispatch, and any other departure
+    from the group is an error."""
     m = Machine(classes, dispatch="legacy")
     hist: Counter = Counter()
     pending = []  # the (code, pc) the open group still has to see
@@ -43,6 +47,8 @@ def tier1_dispatches(classes, main, args) -> Counter:
     def replay(thread):
         frame = thread.frames[-1]
         at = (frame.code, frame.pc)
+        if pending and pending[-1] != at and _caught_at(frame):
+            pending.clear()
         if pending:
             assert pending.pop() == at, f"group left at {at}"
             return False
@@ -55,6 +61,14 @@ def tier1_dispatches(classes, main, args) -> Counter:
 
     m.run(m.spawn(main[0], main[1], list(args)), stop=replay)
     return hist
+
+
+def _caught_at(frame) -> bool:
+    """Is ``frame`` at the entry of a handler that just took an
+    exception: a handler pc of its method, the exception alone on the
+    operand stack?"""
+    return any(e.handler == frame.pc for e in frame.code.exc_table) \
+        and len(frame.stack) == 1 and isinstance(frame.stack[0], VMInstance)
 
 
 #: The fuzzers' two environment names.  ``REPRO_FUZZ_SEED`` pins every

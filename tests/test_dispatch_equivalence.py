@@ -146,6 +146,14 @@ class E {
     switch (k) { case 1: r = 10; break; case 2: r = 20; break; default: r = 30; }
     return r;
   }
+  static int caught(int n) {
+    int x = 1;
+    try { x = n + 5; int[] xs = new int[n]; x = 0; }
+    catch (IndexOutOfBoundsException e) { x = x * 10; }
+    x = x + 3;
+    switch (x) { case 43: x = x + 1000; break; default: x = x + 2000; }
+    return x;
+  }
 }
 """
 
@@ -508,6 +516,7 @@ def test_every_hand_written_arm_dispatches():
         arms.add(FUSED_NAMES[oid] if fused else op.OPCODES[oid])
     assert arms == set(FUSED_NAMES.values()) | HAND_WRITTEN_PLAIN
     corpus = [(EXC_SRC, ("E", "guarded"), (7, 2)),
+              (EXC_SRC, ("E", "guarded"), (7, 0)),  # groups throw, caught
               (EXC_SRC, ("E", "concat"), (42,)),
               (POLY_SRC, ("P", "virt"), (6,)),
               (POLY_SRC, ("P", "statics"), (5,)),
@@ -521,6 +530,104 @@ def test_every_hand_written_arm_dispatches():
             classes = preprocess_program(compile_source(source), build)
             fired += tier1_dispatches(classes, main, args)
     assert arms <= set(fired), f"never dispatched: {arms - set(fired)}"
+
+
+#: the opcodes tier 2 writes a template for: the safepoints, the
+#: branches, and the plain ones some bench workload executes 1,000+
+#: times per stream in compiled code; every other opcode runs
+#: ``Machine._execute`` from ``jit._Compiler.gen_oracle``
+TEMPLATED = {op.JMP, op.INVOKESTATIC, op.INVOKEVIRT, op.NATIVE, op.RET,
+             op.RETV, op.JZ, op.JNZ, op.LOAD, op.CONST, op.STORE, op.POP,
+             op.DUP, op.ADD, op.SUB, op.MUL, op.DIV, op.MOD, op.EQ, op.NE,
+             op.LT, op.LE, op.GT, op.GE, op.NEG, op.GETF, op.PUTF, op.GETS,
+             op.NEW, op.ALOAD, op.ASTORE}
+
+
+def misc_classes():
+    """``E.misc``: the stack shuffles and host-bool producers MiniLang
+    never emits, ``a - 5 + 100`` for a local ``a``."""
+    classes = exc_classes()
+    classes["E"].methods["misc"] = assemble("""
+    method E.misc static params=1 locals=1
+      line 1
+      CONST 5
+      LOAD 0
+      SWAP
+      NOP
+      SUB
+      LOAD 0
+      ISREMOTE
+      NOT
+      JZ Lout
+      CONST 100
+      ADD
+    Lout:
+      RETV
+    """)
+    return classes
+
+
+#: id -> (classes, main, args, the oracle-arm opcodes it executes);
+#: THROW / LEN / NEWARR / LSWITCH reuse the exception programs above
+ORACLE_ARM_RUNS = {
+    "misc": (misc_classes, ("E", "misc"), (7,),
+             {op.SWAP, op.NOP, op.ISREMOTE, op.NOT}),
+    "thrownull": (exc_classes, ("E", "thrownull"), (), {op.THROW}),
+    "lennull": (exc_classes, ("E", "lennull"), (), {op.LEN}),
+    "newarr": (exc_classes, ("E", "newarr"), (3,), {op.NEWARR}),
+    "newarr-neg": (exc_classes, ("E", "newarr"), (-1,), {op.NEWARR}),
+    "pick": (exc_classes, ("E", "pick"), (2,), {op.LSWITCH}),
+    "pick-default": (exc_classes, ("E", "pick"), (9,), {op.LSWITCH}),
+    # locals stored in the block reach the handler and the switch arm
+    "caught": (exc_classes, ("E", "caught"), (-1,), {op.NEWARR, op.LSWITCH}),
+    "puts": (lambda: preprocess_program(compile_source(POLY_SRC),
+                                        "original"),
+             ("P", "statics"), (5,), {op.PUTS}),
+}
+
+
+def test_tier2_arms_are_the_templated_set():
+    """``gen_op`` writes a template for :data:`TEMPLATED` and for
+    nothing else, and every other opcode has a run below that executes
+    it through the oracle arm."""
+    import inspect
+    import re
+
+    arms = set(re.findall(r"\bop\.([A-Z]+)\b",
+                          inspect.getsource(jit_mod._Compiler.gen_op)))
+    arms |= set(jit_mod._INLINE_BINOP)
+    assert arms == TEMPLATED
+    assert set().union(*(r[3] for r in ORACLE_ARM_RUNS.values())) \
+        == op.ALL_OPS - TEMPLATED
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_ARM_RUNS))
+def test_tier2_arms_oracle_runs_in_the_closure(case, monkeypatch):
+    """At ``JIT_THRESHOLD`` 1 the method is compiled at its first
+    entry, and each opcode of the case reaches ``Machine._execute``
+    from inside the closure; result, uncaught exception (with the
+    entry frame's pc), stdout, ``instr_count`` and clock equal the
+    legacy loop's."""
+    import sys
+
+    make, main, args, ops = ORACLE_ARM_RUNS[case]
+    monkeypatch.setattr(jit_mod, "JIT_THRESHOLD", 1)
+    in_closure = Counter()
+    real = Machine._execute
+
+    def spy(self, thread, frame, ins):
+        if sys._getframe(1).f_code.co_filename.startswith("<jit "):
+            in_closure[ins.op] += 1
+        return real(self, thread, frame, ins)
+
+    monkeypatch.setattr(Machine, "_execute", spy)
+    classes = make()
+    ref, r_ref, e_ref = _run(classes, main, args, dispatch="legacy")
+    m, r, e = _run(classes, main, args, jit=True)
+    assert ops <= set(in_closure), in_closure
+    assert m.jit_compiles >= 1 and m.jit_compile_errors == 0
+    assert (r, e, m.stdout, m.instr_count, m.clock) == \
+        (r_ref, e_ref, ref.stdout, ref.instr_count, ref.clock)
 
 
 def test_fast_and_unfused_share_results():

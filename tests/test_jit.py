@@ -502,22 +502,17 @@ def _is_call_to(node, name):
 
 
 def test_known_bools_branch_raw():
-    """A compare / ``NOT`` / ``ISREMOTE`` result is a host bool: no
-    ``T()`` coercion may be applied to it — not directly, and not after
-    the round trip through a temp the flattened build gives every
-    condition (``LT; STORE t; LOAD t; JZ``)."""
+    """A compare's result is a host bool: no ``T()`` coercion may be
+    applied to it — not directly, and not after the round trip through
+    a temp the flattened build gives every condition (``LT; STORE t;
+    LOAD t; JZ``)."""
     coerced = []
     for code, _tpl, blocks in _deployed_templates():
         for body in blocks.values():
             bools = set()  # unparsed targets currently holding a bool
             for node in ast.walk(ast.Module(body, [])):
                 if isinstance(node, ast.Assign):
-                    v = node.value
-                    is_bool = isinstance(v, ast.Compare) or (
-                        isinstance(v, ast.UnaryOp)
-                        and isinstance(v.op, ast.Not)) or (
-                        _is_call_to(v, "isinstance")
-                        and ast.unparse(v.args[1]) == "RR")
+                    is_bool = isinstance(node.value, ast.Compare)
                     for t in map(ast.unparse, node.targets):
                         (bools.add if is_bool else bools.discard)(t)
             for node in ast.walk(ast.Module(body, [])):

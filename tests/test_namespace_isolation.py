@@ -186,8 +186,8 @@ def test_linked_closures_share_only_immutable_code():
     closures hold the same object only if it is code (a function, a
     class, a CodeObject), a str / number / None / sentinel, a tuple
     (``FT``), or a read-only int -> int map built by the generator
-    (``EN``, ``LSWITCH`` tables).  Turning any link slot into a
-    template constant breaks this or the walk above."""
+    (``EN``).  Turning any link slot into a template constant breaks
+    this or the walk above."""
     import types
 
     from repro.bytecode.code import CodeObject
@@ -210,7 +210,7 @@ def test_linked_closures_share_only_immutable_code():
                 type(k) is int and type(v) is int for k, v in a.items())
         ), (name, a)
     # the compiled map and every slot but ``mc`` (the callee's code)
-    assert private == {"JM", "cls", "sd", "sc", "vc", "ic", "gc", "mp"}
+    assert private == {"JM", "cls", "sd", "vc", "ic", "gc", "mp"}
     for ns in ("a", "b"):
         t = m.spawn("P", "mixed", [2], namespace=ns)
         m.run(t)
