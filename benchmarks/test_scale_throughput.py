@@ -7,14 +7,15 @@ thousands of light requests from the ``scale`` mix and asserts:
 * near-linear served-throughput scaling (virtual time is fully
   simulated and deterministic, so the floor is strict — host noise
   cannot move it, only a real scheduler/VM regression can);
-* the per-decision scheduler cost — heap operations inside the
-  incremental load index per ``pick_underloaded`` query — grows
-  *sub-linearly* in cluster size: the 64-node cost must stay under 2x
-  the 16-node cost (it is O(log n); the seed implementation's O(n)
-  all-node scan would quadruple from 16 to 64).
+* the per-decision scheduler cost — load-index entries examined (rack
+  members scanned plus gossip-digest rows read) per
+  ``pick_underloaded`` query — grows *sub-linearly* in cluster size:
+  the 64-node cost must stay under 2x the 16-node cost (a pick scans
+  one rack and the digest's first rows; the seed implementation's
+  O(n) all-node scan would quadruple from 16 to 64).
 
 Every number in the report is deterministic: ``decision_cost``
-carries heap-op counts only (``bench/``'s ``serve.loadindex.pick_host_s``
+carries entry counts only (``bench/``'s ``serve.loadindex.pick_host_s``
 span times the decision path in host seconds), so a regeneration on any
 machine that changes the file is a real behavior change.
 
@@ -56,7 +57,7 @@ def run_point(n_nodes: int, n_requests: int) -> dict:
     s = row["sched"]
     decisions = max(1, s["decisions"])
     row["decision_cost"] = {
-        # deterministic: index heap ops per pick_underloaded query
+        # deterministic: index entries examined per pick_underloaded query
         "ops_per_decision": round(s["decision_ops"] / decisions, 3),
         # deterministic: total index work amortized per served request
         "ops_per_request": round(s["decision_ops"] / n_requests, 3),
@@ -128,7 +129,7 @@ def test_scale_throughput_and_decision_cost(write_bench_json):
 
     # Per-decision scheduler cost grows sub-linearly in node count:
     # 64-node cost under 2x the 16-node cost (4x nodes).  Both numbers
-    # are deterministic heap-op counts, so this is exact.
+    # are deterministic entry counts, so this is exact.
     c16 = report["sweep"]["16"]["decision_cost"]["ops_per_decision"]
     c64 = report["sweep"]["64"]["decision_cost"]["ops_per_decision"]
     assert report["sweep"]["16"]["sched"]["decisions"] > 0

@@ -29,8 +29,8 @@ class Cluster:
     default one flat rack).  The rack structure is what the serving
     layer's load indexes aggregate over: a node always has fresh load
     knowledge of its own rack (one switch hop away) and consults a
-    bounded-staleness summary for the rest of the cluster, so offload
-    decisions stay O(log n) in cluster size.
+    bounded-staleness summary for the rest of the cluster, so an
+    offload decision scans one rack, never the whole cluster.
     """
 
     env: Environment

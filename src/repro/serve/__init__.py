@@ -7,8 +7,8 @@ node, and the SOD machinery ships the top frames of hot threads to
 underloaded nodes mid-run.
 
 * :mod:`repro.serve.loadgen` — requests and the seeded load generator.
-* :mod:`repro.serve.loadindex` — the incremental O(log n) load indexes
-  (event-driven counters, per-rack heaps, gossip digest, work profile).
+* :mod:`repro.serve.loadindex` — the incremental load indexes
+  (event-driven counters, rack scans, gossip digest, work profile).
 * :mod:`repro.serve.policies` — admission placement and the offload policy.
 * :mod:`repro.serve.tenants` — tenants: the unit of multi-tenant QoS.
 * :mod:`repro.serve.wfq` — weighted fair run queues (stride scheduling).

@@ -6,29 +6,27 @@ underloaded target?*.  The seed implementation answered the second by
 scanning every node and recomputing each weighted load from queue
 state — O(n) per decision, which melts once the cluster reaches
 dozens of nodes serving thousands of requests.  This module keeps the
-answers in incrementally-maintained structures so both are O(1) /
-O(log n):
+answers in state sized by nodes and racks, never by updates:
 
 * **event-driven counters** — every enqueue, dequeue, run-slot
   change, and delivery-in-flight bumps a per-node runnable count by
   ±1; weighted load is ``count / cpu_weight``, never recomputed from
-  scratch;
-* **per-rack lazy-deletion heaps** — each rack keeps a min-heap of
-  ``(load, node)`` entries; an update pushes a fresh entry and the
-  old one dies lazily (an entry is valid iff its load still matches
-  the node's current load), so the rack minimum is an O(log n)
-  amortized pop-skip;
-* **a bounded-staleness cross-rack summary** — the gossip signal.  A
+  scratch.  A bump writes the node's count and load (and its tenant's
+  count) and nothing else;
+* **rack scans** — a rack's minimum is a scan of its live members
+  (``rack_size``, 4 by default) for the least ``(load, node)``;
+* **a bounded-staleness cross-rack digest** — the gossip signal.  A
   node always has fresh knowledge of its *own* rack (one switch hop
-  away), but consults a cached per-rack digest for the rest of the
-  cluster, refreshed at most every ``staleness`` virtual seconds.
-  Remote racks may therefore look up to ``staleness`` out of date —
-  exactly the bounded error a periodic gossip/heartbeat protocol
-  gives a real cluster — while the common case pays one rack-heap
-  peek instead of polling every peer.
+  away), but consults a cached digest for the rest of the cluster:
+  one ``(load, rack)`` row per rack, sorted once per gossip round and
+  refreshed at most every ``staleness`` virtual seconds.  Remote racks
+  may therefore look up to ``staleness`` out of date — exactly the
+  bounded error a periodic gossip/heartbeat protocol gives a real
+  cluster — while the common case reads the digest's first row or two
+  instead of polling every peer.
 
 Determinism: all tie-breaking is by ``(load, name)`` within a rack
-and ``(load, rack, name)`` across racks, and staleness is measured in
+and ``(load, rack)`` across racks, and staleness is measured in
 *virtual* time, so runs replay bit-identically.
 
 :func:`recompute_load` / :func:`naive_pick` are the from-scratch
@@ -40,7 +38,6 @@ state never drifts.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ClusterError
@@ -52,7 +49,8 @@ DEFAULT_STALENESS = 1e-3
 
 
 class LoadIndex:
-    """O(log n) weighted-load index over a cluster's nodes."""
+    """Weighted-load index over a cluster's nodes: O(1) bumps, a pick
+    scans one rack and reads the gossip digest's first rows."""
 
     def __init__(self, cluster, staleness: float = DEFAULT_STALENESS):
         if staleness < 0:
@@ -75,46 +73,30 @@ class LoadIndex:
         #: tenant's fair share; shrinks when a node crash-retires so
         #: fair shares track the capacity that actually remains
         self.live_capacity: float = sum(self.weights.values())
-        #: per-rack aggregates: runnable threads and static capacity
-        #: (summed cpu_weight, from the topology) — rack_load() is the
-        #: coarse signal admission control / dashboards read without
-        #: touching any per-node state
-        self.rack_count: Dict[str, int] = {r: 0 for r in self.racks}
+        #: static rack capacity (summed cpu_weight, from the topology),
+        #: the denominator of :meth:`rack_load`
         self.rack_weight: Dict[str, float] = {
             r: cluster.rack_capacity(r) for r in self.racks}
         #: current weighted load per node (count / cpu_weight)
         self._load: Dict[str, float] = {n: 0.0 for n in names}
-        #: per-node update version: a heap entry is valid iff it carries
-        #: the node's current version, so at most ONE entry per node is
-        #: ever valid and toggling loads cannot breed duplicates
-        self._version: Dict[str, int] = {n: 0 for n in names}
         #: crashed nodes (chaos layer): retired nodes keep their
         #: counters (the scheduler's -1 bumps must stay balanced while
-        #: it drains the dead queue) but never re-enter the heaps — a
-        #: retirement bumps the version so stale entries die lazily on
-        #: the next pop-skip, and ``add`` stops pushing fresh ones
+        #: it drains the dead queue) but leave their rack's live list
         self._retired: set = set()
-        #: live members per rack (a fully-dead rack drops out of the
-        #: gossip digest and the saturation vote)
-        self._rack_live: Dict[str, int] = {
-            r: len(members) for r, members in self.racks.items()}
-        #: per-rack lazy-deletion heaps of (load, node, version)
-        self._heaps: Dict[str, List[Tuple[float, str, int]]] = {
-            r: [(0.0, n, 0) for n in sorted(members)]
-            for r, members in self.racks.items()}
-        #: cached per-rack digests: rack -> (min load, argmin node)
-        self._summary: Dict[str, Tuple[float, str]] = {}
-        self._summary_version: Dict[str, int] = {}
-        #: lazy-deletion heap over rack digests: (load, rack, version)
-        self._rack_heap: List[Tuple[float, str, int]] = []
+        #: live members per rack, sorted by name: a scan that keeps the
+        #: first of equal loads breaks ties by ``(load, node)``
+        self._live: Dict[str, List[str]] = {
+            r: sorted(members) for r, members in self.racks.items()}
+        #: the gossip digest: ``(load, rack, node)`` per rack with a
+        #: live member at the last round, sorted by ``(load, rack)``
+        self._digest: List[Tuple[float, str, str]] = []
         self._gossip_at: Optional[float] = None
-        #: heap pushes+pops performed (the deterministic cost metric the
-        #: scale benchmark records per decision)
+        #: index entries examined — rack members scanned plus digest
+        #: rows read (the deterministic cost metric the scale
+        #: benchmark records per decision)
         self.ops = 0
         #: cross-rack digest refreshes performed
         self.gossip_rounds = 0
-        for r in self._heaps:
-            self.ops += len(self._heaps[r])
 
     # -- event-driven updates ----------------------------------------------
 
@@ -128,8 +110,8 @@ class LoadIndex:
     def add(self, node: str, delta: int,
             tenant: Optional[str] = None) -> None:
         """Apply a runnable-count change (enqueue/dequeue/run/finish/
-        delivery ±1); O(log n) for the heap entry.  ``tenant`` bills
-        the same change to a tenant's cluster-wide counter."""
+        delivery ±1), O(1).  ``tenant`` bills the same change to a
+        tenant's cluster-wide counter."""
         c = self.count[node] + delta
         if c < 0:
             raise ClusterError(
@@ -142,29 +124,19 @@ class LoadIndex:
                     f"tenant load underflow for {tenant!r}: "
                     f"{self.tenant_count.get(tenant, 0)}{delta:+d}")
             self.tenant_count[tenant] = t
-        load = c / self.weights[node]
-        self._load[node] = load
-        rack = self.rack_of[node]
-        self.rack_count[rack] += delta
-        v = self._version[node] + 1
-        self._version[node] = v
-        if node in self._retired:
-            return  # counters stay exact; a dead node never re-enters
-        heappush(self._heaps[rack], (load, node, v))
-        self.ops += 1
+        self._load[node] = c / self.weights[node]
 
     def retire(self, node: str) -> None:
-        """Remove a crashed node from every future load answer: its
-        heap entries go stale (version bump) and are lazily purged on
-        the next pop-skip, the gossip digest stops counting its rack
-        seat, and :meth:`pick_underloaded` will never return it.  The
-        runnable counters keep working so the scheduler can drain the
-        dead node's queue with balanced ±1 bumps."""
+        """Remove a crashed node from every future load answer: it
+        leaves its rack's live list (a rack left empty drops out of
+        the next gossip round and of the saturation vote at once), and
+        :meth:`pick_underloaded` will never return it.  The runnable
+        counters keep working so the scheduler can drain the dead
+        node's queue with balanced ±1 bumps."""
         if node in self._retired:
             return
         self._retired.add(node)
-        self._version[node] += 1
-        self._rack_live[self.rack_of[node]] -= 1
+        self._live[self.rack_of[node]].remove(node)
         self.live_capacity -= self.weights[node]
 
     def is_live(self, node: str) -> bool:
@@ -172,56 +144,43 @@ class LoadIndex:
 
     def rack_load(self, rack: str) -> float:
         """Aggregate rack load: runnable threads per unit of the rack's
-        summed capacity — O(1), event-driven like the per-node loads."""
-        return self.rack_count[rack] / self.rack_weight[rack]
+        summed capacity, summed from the node counters when read."""
+        count = self.count
+        return sum(count[n] for n in self.racks[rack]) \
+            / self.rack_weight[rack]
 
     # -- rack minima --------------------------------------------------------
 
     def rack_min(self, rack: str,
                  exclude: Optional[str] = None) -> Optional[Tuple[float, str]]:
-        """Freshest ``(load, node)`` minimum of one rack, skipping
-        ``exclude``; lazy-deletion pop-skip, O(log n) amortized."""
-        heap = self._heaps[rack]
-        version = self._version
-        excluded: List[Tuple[float, str, int]] = []
+        """Freshest ``(load, node)`` minimum of one rack's live
+        members, skipping ``exclude``: a scan of the rack."""
+        members = self._live[rack]
+        self.ops += len(members)
+        loads = self._load
         best: Optional[Tuple[float, str]] = None
-        while heap:
-            load, node, v = heap[0]
-            if v != version[node]:
-                heappop(heap)  # stale entry: the node moved on
-                self.ops += 1
-                continue
-            if node == exclude:
-                excluded.append(heappop(heap))
-                self.ops += 1
-                continue
-            best = (load, node)
-            break
-        for entry in excluded:
-            heappush(heap, entry)
-            self.ops += 1
+        for node in members:
+            if node != exclude:
+                load = loads[node]
+                if best is None or load < best[0]:
+                    best = (load, node)
         return best
 
     # -- the gossip digest --------------------------------------------------
 
     def _gossip(self, now: float) -> None:
-        """One gossip round: re-digest every rack's minimum and refresh
-        the cross-rack heap.  Runs at most once per ``staleness``
-        interval, so its O(racks · log) cost amortizes to ~zero per
-        decision."""
+        """One gossip round: re-digest every rack's minimum and sort
+        the rows.  Runs at most once per ``staleness`` interval, so its
+        O(nodes) scan amortizes to a few entries per decision."""
         self._gossip_at = now
         self.gossip_rounds += 1
-        for rack in self._heaps:
+        rows = []
+        for rack in self.racks:
             m = self.rack_min(rack)
-            if m is None:  # every member crashed: no digest seat
-                self._summary.pop(rack, None)
-                self._summary_version.pop(rack, None)
-                continue
-            v = self._summary_version.get(rack, 0) + 1
-            self._summary_version[rack] = v
-            self._summary[rack] = m
-            heappush(self._rack_heap, (m[0], rack, v))
-            self.ops += 1
+            if m is not None:  # every member crashed: no digest seat
+                rows.append((m[0], rack, m[1]))
+        rows.sort()
+        self._digest = rows
 
     def _maybe_gossip(self, now: float) -> None:
         if (self._gossip_at is None
@@ -233,41 +192,23 @@ class LoadIndex:
         """Best ``(load, node)`` outside ``exclude_rack`` according to
         the (≤ ``staleness``-old) gossip digest."""
         self._maybe_gossip(now)
-        heap = self._rack_heap
-        versions = self._summary_version
-        excluded: List[Tuple[float, str, int]] = []
-        best: Optional[Tuple[float, str]] = None
-        while heap:
-            load, rack, v = heap[0]
-            if v != versions.get(rack):
-                heappop(heap)  # superseded digest
-                self.ops += 1
-                continue
-            if rack == exclude_rack:
-                excluded.append(heappop(heap))
-                self.ops += 1
-                continue
-            best = self._summary[rack]
-            break
-        for entry in excluded:
-            heappush(heap, entry)
+        for load, rack, node in self._digest:
             self.ops += 1
-        return best
+            if rack != exclude_rack:
+                return load, node
+        return None
 
     def saturated(self, now: float, threshold: float) -> bool:
         """Does the gossip digest report *every* rack saturated — its
         least-loaded node at or above ``threshold`` weighted threads?
         The front-door admission stub reads this before queueing a
         request; like every cross-rack question it runs on the (≤
-        ``staleness``-old) digest, so it is O(racks) dict reads, not a
-        cluster scan."""
+        ``staleness``-old) digest.  The rows are sorted, so the first
+        row of a rack that still has a live member decides."""
         self._maybe_gossip(now)
-        for rack in self.racks:
-            if self._rack_live.get(rack, 1) <= 0:
-                continue  # a fully-crashed rack cannot veto shedding
-            m = self._summary.get(rack)
-            if m is None or m[0] < threshold:
-                return False
+        for load, rack, _ in self._digest:
+            if self._live[rack]:  # a fully-crashed rack cannot veto shedding
+                return load >= threshold
         return True
 
     # -- the decision -------------------------------------------------------

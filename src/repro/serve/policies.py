@@ -9,7 +9,8 @@ the engine's capture/transfer/restore machinery).
 
 All load questions are answered by the scheduler's incremental
 :class:`repro.serve.loadindex.LoadIndex` — O(1) per-node load reads and
-O(log n) target picks — never by scanning the cluster.  Decisions read
+target picks that scan one rack and read the gossip digest's first
+rows — never by scanning the cluster.  Decisions read
 only state that is a deterministic function of the run so far (counters,
 machine clocks, topology, virtual time), so scheduler runs replay
 exactly.
@@ -407,7 +408,7 @@ class QueueDepthPolicy:
 
     def rehop_target(self, sched, node: str, seg) -> Optional[str]:
         """Where a Fig. 1c chain continues: the same gossip-digest pick
-        the other decisions ride (O(log n)); None when this hop is not
+        the other decisions ride; None when this hop is not
         hot enough or no target light enough to clear the chain bar."""
         if self.max_seg_hops <= 0 or not self.rehop_ok(sched, seg):
             return None

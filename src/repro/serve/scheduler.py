@@ -20,12 +20,13 @@ away.  Two mechanisms provide the elasticity:
 Scale-out design (dozens of nodes, thousands of requests): every load
 question is answered by an incrementally-maintained
 :class:`repro.serve.loadindex.LoadIndex` — event-driven per-node
-counters, per-rack lazy-deletion heaps, and a bounded-staleness
-cross-rack gossip digest — so placement/handoff/offload decisions are
-O(log n) in cluster size instead of all-node scans.  Offload victims
-are ranked by *estimated remaining work* (an online per-program
-profile), and all deliveries ride the network's link resources, so an
-offload storm queues on the wire instead of transferring for free.
+counters, a scan of the picking node's own rack, and a
+bounded-staleness cross-rack gossip digest — so placement/handoff/
+offload decisions read one rack and the digest's first rows instead
+of scanning every node.  Offload victims are ranked by *estimated
+remaining work* (an online per-program profile), and all deliveries
+ride the network's link resources, so an offload storm queues on the
+wire instead of transferring for free.
 
 Everything runs under the discrete-event kernel with deterministic
 tie-breaking, so a serving run is a pure function of (cluster, mix,
@@ -359,9 +360,9 @@ class ClusterScheduler:
 
     def pick_underloaded(self, src: str, src_load: float,
                          min_gap: float) -> Optional[str]:
-        """Policy entry point for target picking: an O(log n) index
-        query, with the decision count and heap-op cost accounted for
-        the scale benchmark."""
+        """Policy entry point for target picking: one index query,
+        with the decision count and its cost (index entries examined)
+        accounted for the scale benchmark."""
         idx = self.load_index
         ops0 = idx.ops
         target = idx.pick_underloaded(self.env.now, src, src_load, min_gap)

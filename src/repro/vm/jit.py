@@ -545,6 +545,9 @@ class _Compiler:
         self.bools = {"True", "False"}
         self.nums = set()
         self.sym = [self.fresh() for _ in range(self.depths[start])]
+        #: the block's leader and its first pop line (``gen_oracle``
+        #: at the leader takes the pops back)
+        self.entry = (start, len(self.lines))
         for name in reversed(self.sym):
             self.emit(f"{name} = fstack.pop()")
         bci = start
@@ -700,10 +703,16 @@ class _Compiler:
         armed (what it raises reaches the ``except`` arms), operand
         stack in ``frame.stack``, ``frame.pc`` at ``bci``.  Then the
         stack is popped back into names, or, after ``LSWITCH`` /
-        ``THROW``, the block leaves for ``EN[frame.pc]``."""
+        ``THROW``, the block leaves for ``EN[frame.pc]``.  At a block's
+        first op the names are its untouched entry pops: they are not
+        popped at all, so there is nothing to spill."""
         sym = self.sym
         self.marker(bci, ins.op)
-        self.spill(sym)
+        start, at = self.entry
+        if bci == start:
+            del self.lines[at:at + len(sym)]
+        else:
+            self.spill(sym)
         self.emit(f"frame.pc = {bci}")
         self.emit(f"m._execute(thread, frame, frame.code.instrs[{bci}])")
         if ins.op in _NO_FALL:

@@ -405,8 +405,8 @@ def test_abandon_midwriteback_discards_dirty_and_releases_epoch():
 
 
 def test_retired_node_leaves_index_and_picks():
-    """Retiring a node: counters stay exact, stale heap entries purge
-    lazily, and no pick (fast path or naive oracle) ever names it."""
+    """Retiring a node: counters stay exact, the node leaves its rack's
+    live list, and no pick (fast path or naive oracle) ever names it."""
     cluster = serve_cluster(8, rack_size=4)
     index = LoadIndex(cluster, staleness=0.0)
     for i, n in enumerate(cluster.names()):

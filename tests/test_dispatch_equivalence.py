@@ -630,7 +630,10 @@ def test_tier2_arms_oracle_runs_in_the_closure(case, monkeypatch):
         (r_ref, e_ref, ref.stdout, ref.instr_count, ref.clock)
 
 
-def test_fast_and_unfused_share_results():
+def test_fast_and_legacy_agree_on_loop_src():
+    """``LOOP_SRC``'s counted loop on the ``original`` build: the fast
+    loop gives the legacy loop's result, stdout, ``instr_count`` and
+    clock."""
     classes = preprocess_program(compile_source(LOOP_SRC), "original")
     _assert_equivalent(classes, ("L", "sum"), (200,))
 

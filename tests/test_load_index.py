@@ -1,9 +1,8 @@
 """The incremental load indexes: property tests proving the
-incrementally-maintained state (event-driven counters, per-rack
-lazy-deletion heaps, gossip digest) never drifts from a from-scratch
-recomputation, across randomized op schedules and live serving runs —
-the guarantee that lets the scheduler's hot path drop its O(n)
-all-node scans."""
+incrementally-maintained state (event-driven counters, rack scans,
+gossip digest) never drifts from a from-scratch recomputation, across
+randomized op schedules and live serving runs — the guarantee that
+lets the scheduler's hot path drop its O(n) all-node scans."""
 
 from __future__ import annotations
 
@@ -75,6 +74,40 @@ def test_index_matches_recomputation_over_random_schedule(
                 agg = sum(counts[n] for n in members) \
                     / sum(weights[n] for n in members)
                 assert index.rack_load(rack) == pytest.approx(agg)
+
+
+def _container_sizes(value):
+    """The length of ``value`` and of every container nested in it."""
+    if isinstance(value, dict):
+        yield len(value)
+        for v in value.values():
+            yield from _container_sizes(v)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        yield len(value)
+        for v in value:
+            yield from _container_sizes(v)
+
+
+def test_index_holds_no_per_bump_state():
+    """A bump writes counters and nothing else: after a long random ±1
+    schedule with no pick in between, every container the index holds
+    is sized by its nodes or racks (or tenants), never by the number of
+    bumps it has seen."""
+    cluster = serve_cluster(32, rack_size=4)
+    index = LoadIndex(cluster)
+    names = cluster.names()
+    rng = random.Random("loadindex:no-per-bump-state")
+    counts = {n: 0 for n in names}
+    tenant = {n: ("gold", "free", None)[i % 3] for i, n in enumerate(names)}
+    for _ in range(20_000):
+        node = rng.choice(names)
+        delta = -1 if counts[node] > 0 and rng.random() < 0.5 else +1
+        counts[node] += delta
+        index.add(node, delta, tenant=tenant[node])
+    bound = len(names) + len(index.racks)
+    for attr, value in vars(index).items():
+        for size in _container_sizes(value):
+            assert size <= bound, (attr, size)
 
 
 def test_index_matches_scheduler_during_live_serving():
