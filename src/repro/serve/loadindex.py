@@ -177,7 +177,7 @@ class LoadIndex:
         rows = []
         for rack in self.racks:
             m = self.rack_min(rack)
-            if m is not None:  # every member crashed: no digest seat
+            if m is not None:  # a rack whose members all crashed: no row
                 rows.append((m[0], rack, m[1]))
         rows.sort()
         self._digest = rows
@@ -234,7 +234,7 @@ class LoadIndex:
             # The digest is allowed to be stale, but a crashed node is
             # never a target: the probe that follows would read its
             # frozen (attractive) load, so the candidacy dies here and
-            # the entry is purged at the next gossip round.
+            # the next gossip round digests its rack afresh.
             remote = None
         if remote is not None:
             remote = (self._load[remote[1]], remote[1])  # probe: fresh load

@@ -10,10 +10,9 @@ the engine's capture/transfer/restore machinery).
 All load questions are answered by the scheduler's incremental
 :class:`repro.serve.loadindex.LoadIndex` — O(1) per-node load reads and
 target picks that scan one rack and read the gossip digest's first
-rows — never by scanning the cluster.  Decisions read
-only state that is a deterministic function of the run so far (counters,
-machine clocks, topology, virtual time), so scheduler runs replay
-exactly.
+rows — never by scanning the cluster.  Decisions read only state that
+is a deterministic function of the run so far (counters, machine
+clocks, topology, virtual time), so scheduler runs replay exactly.
 """
 
 from __future__ import annotations
