@@ -73,23 +73,6 @@ class Cluster:
             out.setdefault(rack, []).append(name)
         return out
 
-    def rack_capacity(self, rack: str) -> float:
-        """Aggregate serving capacity (summed ``cpu_weight``) of a rack —
-        the static half of the per-rack load aggregates."""
-        total = 0.0
-        for name, r in self.node_rack.items():
-            if r == rack:
-                total += self.nodes[name].spec.cpu_weight
-        return total
-
-    def latency(self, a: str, b: str) -> float:
-        """One-way link latency between two nodes.  A topology query
-        for experiments and custom policies; the serving scheduler's
-        locality preference is rack-based (same-rack targets win load
-        ties via :mod:`repro.serve.loadindex`), with link latencies
-        charged where they belong — on the transfers themselves."""
-        return self.network.link(a, b).latency
-
 
 def _base(default_link: LinkSpec) -> Cluster:
     env = Environment()

@@ -1,41 +1,36 @@
 """Real-parallel execution backend: every node is an OS process.
 
-Wall-clock mode for the serving stack.  The parent process is the
-control plane (placement, work stealing, crash recovery, accounting);
-each worker process owns one VM — its own ``Machine`` over the mix's
-classpath, inherited warm from the fork (:func:`_prefork`) — and serves
-requests in preemptible quanta exactly like a virtual node does.
-Everything that crosses a process boundary crosses as canonical
+Wall-clock mode for the serving stack.  The parent runs the control
+plane: :class:`ControlPlane` (placement, work stealing, crash recovery,
+accounting) has no I/O, clock or fork, and :func:`serve_real` is its
+thin driver (forks, pipes, sentinels, the deadline), so a test reaches
+every protocol state without timing.  Each worker process owns one VM —
+a ``Machine`` over the mix's classpath, inherited warm from the fork
+(:func:`_prefork`) — and serves requests in preemptible quanta like a
+virtual node.  Everything crossing a process boundary is canonical
 :mod:`repro.runtime.wire` bytes over OS pipes:
 
 * **request dispatch** — (rid, program, args) rows;
-* **SOD images** — when the control plane steals a *running* request
-  from a loaded worker for an idle one, the victim captures the thread
-  at a quantum boundary into an eager self-contained image (frames +
-  operand stacks + reachable object graph + namespace statics — the
-  G-JavaMPI-style whole-segment encoding, shared with that baseline:
-  :func:`repro.migration.state.encode_eager_image`) and the image
-  bytes are restored on the thief;
-* **class-digest tokens** — an image never carries class files; it
-  carries :func:`repro.runtime.wire.class_token` digests, and the
-  receiver verifies them against its own deterministically-built
-  classpath (the virtual engine's "ship once, then tokens" behavior,
-  with "once" collapsed to zero because every worker holds the same
-  classpath, a pure function of the mix name).  Statics ship by value,
-  as in the virtual engine.
+* **SOD images** — to steal a *running* request for an idle worker,
+  the victim captures the thread at a quantum boundary into an eager
+  self-contained image restored on the thief (frames + operand stacks
+  + reachable object graph + namespace statics, by value; the
+  G-JavaMPI-style encoding shared with that baseline:
+  :func:`repro.migration.state.encode_eager_image`);
+* **class-digest tokens** — an image carries
+  :func:`repro.runtime.wire.class_token` digests, never class files;
+  the receiver verifies them against its own classpath, a pure function
+  of the mix name (the virtual engine's "ship once, then tokens", with
+  "once" collapsed to zero).
 
 Determinism contract: requests are pure functions of their spec, so
 *results* are reproducible and cross-checked request-by-request
 against the same-seed virtual-time run
 (:mod:`repro.runtime.crosscheck`); *timings and placement* are
 wall-clock facts and excluded.  The virtual backend remains the
-correctness oracle and the merge gate — this backend exists to turn
-simulated speedup into hardware speedup.
-
-Crash semantics mirror the chaos layer's ``crash_node``: a worker
-process dying (detected via its sentinel, never by hanging on a pipe)
-requeues everything it still owed onto the survivors, counted under
-``crashes``/``retries`` like a chaos recovery.
+correctness oracle and the merge gate.  A lost worker (its sentinel,
+a corrupt or misshapen frame, the fault plan) is chaos ``crash_node``:
+what it owed requeues onto the survivors (``crashes``/``retries``).
 """
 
 from __future__ import annotations
@@ -43,15 +38,14 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
-import signal
 import time
-from collections import deque
+from collections import Counter, deque
 from multiprocessing import connection, get_context
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.runtime import wire
 
-__all__ = ["serve_real", "available_cores", "REAL_QUANTUM"]
+__all__ = ["serve_real", "ControlPlane", "available_cores", "REAL_QUANTUM"]
 
 #: preemption budget per quantum in the real backend, in guest
 #: instructions.  Bigger than the virtual default (2500): between
@@ -303,11 +297,13 @@ class _Worker:
 
 
 def _worker_main(conn_, name: str, mix: str, quantum: int) -> None:
+    from repro.errors import MigrationError
     try:
         _Worker(conn_, name, mix, quantum).loop()
-    except (EOFError, OSError, wire.WireError):
-        pass  # parent went away, or sent a corrupt frame: exit quietly
-        # (the control plane sees a crashed worker and requeues its work)
+    except (EOFError, OSError, wire.WireError, MigrationError):
+        pass  # parent went away, or sent a corrupt frame or an image this
+        # worker refuses: exit quietly (the control plane sees a crashed
+        # worker and requeues its work)
     finally:
         try:
             conn_.close()
@@ -318,47 +314,228 @@ def _worker_main(conn_, name: str, mix: str, quantum: int) -> None:
 # -- control plane -------------------------------------------------------------
 
 
-class _WorkerHandle:
-    def __init__(self, proc, conn_, name: str):
-        self.proc = proc
-        self.conn = conn_
-        self.name = name
-        #: parent-side model of what the worker still owes, dispatch
-        #: order (head ≈ running): rid -> (program, args, tenant)
-        self.owed: "dict[int, Tuple[str, tuple, Optional[str]]]" = {}
-        self.idle = False
+class _Owner:
+    """The plane's model of one worker; ``owed`` keeps dispatch order."""
+
+    def __init__(self, i: int):
+        self.i, self.name = i, f"proc{i}"
+        self.owed: Dict[int, Tuple[Optional[str], Any]] = {}
+        self.idle = self.capture_pending = False
         self.alive = True
-        self.capture_pending = False
+
+
+def _gaveback_rids(rows: list, owed: Dict[int, Any]) -> Optional[list]:
+    """The rids of a ``gaveback`` row list, or None unless every row is a
+    ``(rid, program, args)`` of a distinct request the sender owes."""
+    rids = dict.fromkeys(r[0] for r in rows if type(r) is tuple
+                         and len(r) == 3 and type(r[0]) is int)
+    return list(rids) if len(rids) == len(rows) \
+        and rids.keys() <= owed.keys() else None
+
+
+def _token_bytes(image: bytes) -> Optional[int]:
+    """Class-token bytes an image carries, or None if it has no manifest."""
+    try:
+        return sum(len(t) for _c, t in wire.decode(image)["classes"])
+    except (LookupError, TypeError, ValueError):  # (WireError is one)
+        return None
+
+
+class ControlPlane:
+    """The real backend's scheduling without I/O, clock or fork.
+    :meth:`start`, :meth:`on_message` (a decoded message of worker ``i``)
+    and :meth:`on_death` (its process is gone, or its pipe untrusted)
+    return the driver's actions: ``("send", i, msg)`` or ``("kill", i)``.
+    A worker is also lost on a message of no shape a worker sends (arity,
+    a rid it does not owe, kind) and to the fault plan, evaluated per
+    message: it fires on the one that finishes ``after_done`` requests.
+    A lost worker's owed requests requeue at once onto the survivors and
+    its later messages are dropped, so buffered results cannot outrun a
+    kill."""
+
+    def __init__(self, schedule: List[Tuple[float, Optional[str], Any]],
+                 procs: int, steal: bool = True,
+                 fault_plan: Optional[Dict[str, int]] = None):
+        #: rid -> (tenant, spec); rid *i* is row *i* of ``schedule``
+        self.spec_of = {rid: (tenant, spec) for rid, (_when, tenant, spec)
+                        in enumerate(schedule)}
+        self.workers = [_Owner(i) for i in range(procs)]
+        self.steal = steal
+        self.fault_plan = fault_plan
+        self.sched = {"migrations": 0, "steals": 0, "crashes": 0,
+                      "retries": 0, "image_bytes": 0, "token_bytes": 0,
+                      "control_bytes": 0, "instrs": 0}
+        #: one terminal row per finished rid
+        self.results: Dict[int, Dict[str, Any]] = {}
+        #: per rid: re-executions after a loss, and whether the current
+        #: attempt moved to another worker as an image
+        self.retries: Counter = Counter()
+        self.migrated: Set[int] = set()
+        self._actions: List[Tuple[Any, ...]] = []
+
+    @property
+    def finished(self) -> bool:
+        return len(self.results) == len(self.spec_of)
+
+    def report_rows(self) -> List[Dict[str, Any]]:
+        return [self.results[rid] for rid in sorted(self.results)]
+
+    def start(self) -> List[Tuple[Any, ...]]:
+        """Initial placement: equal-weight round robin in schedule order —
+        the virtual default placement, minus load feedback (which the
+        stealing path supplies at run time instead)."""
+        for w in self.workers:
+            self._dispatch(w, list(self.spec_of)[w.i::len(self.workers)])
+        return self._step()
+
+    def on_message(self, i: int, msg: Any) -> List[Tuple[Any, ...]]:
+        if self.workers[i].alive:
+            self._handle(self.workers[i], msg)
+        return self._step()
+
+    def on_death(self, i: int) -> List[Tuple[Any, ...]]:
+        self._lose(self.workers[i])
+        return self._step()
+
+    def _step(self) -> List[Tuple[Any, ...]]:
+        plan = self.fault_plan
+        if plan and len(self.results) >= plan.get("after_done", 0):
+            self.fault_plan = None
+            self._lose(self.workers[plan.get("kill_worker", 0)
+                                    % len(self.workers)])
+        self._rebalance()
+        actions, self._actions = self._actions, []
+        return actions
+
+    def _emit(self, w: _Owner, msg: Any) -> None:
+        self._actions.append(("send", w.i, msg))
+
+    def _dispatch(self, w: _Owner, rids: List[int]) -> None:
+        if rids:
+            batch = [(rid, self.spec_of[rid]) for rid in rids]
+            w.owed.update(batch)
+            self._emit(w, ("run", [(rid, spec.program, list(spec.args))
+                                   for rid, (_tenant, spec) in batch]))
+            w.idle = False
+
+    def _handle(self, w: _Owner, msg: Any) -> None:
+        """Apply one message of live worker ``w``, or lose ``w`` when the
+        message has no shape a worker sends."""
+        match msg:
+            case ("done", int(rid), result, int(instrs)) if rid in w.owed:
+                self._record(w, rid, result, "done", None, instrs)
+            case ("fail", int(rid), error, int(instrs)) if rid in w.owed:
+                self._record(w, rid, None, "failed", error, instrs)
+            case ("idle",):
+                w.idle = True
+            case ("nocapture", int()):
+                w.capture_pending = False
+            case ("gaveback", list(rows)) if (
+                    rids := _gaveback_rids(rows, w.owed)) is not None:
+                w.capture_pending = False
+                for rid in rids:
+                    del w.owed[rid]
+                thief = self._pick_idle() or w  # never drop admitted work
+                self.sched["steals"] += len(rids) if thief is not w else 0
+                self._dispatch(thief, rids)
+            case ("image", int(rid), bytes(image), int(instrs)) if (
+                    rid in w.owed
+                    and (tokens := _token_bytes(image)) is not None):
+                w.capture_pending = False
+                thief = self._pick_idle() or w  # nobody idle: bounce it
+                thief.owed[rid] = w.owed.pop(rid)
+                self._emit(thief, ("restore", image, instrs))
+                thief.idle = False
+                self.sched["image_bytes"] += len(image)
+                self.sched["token_bytes"] += tokens
+                if thief is not w:  # a bounce crosses pipes, moves nothing
+                    self.sched["migrations"] += 1
+                    self.migrated.add(rid)
+            case _:
+                self._lose(w)
+
+    def _record(self, w: _Owner, rid: int, result: Any, state: str,
+                error: Any, instrs: int) -> None:
+        from repro.workloads.mixes import expected_request_result
+
+        tenant, spec = w.owed.pop(rid)
+        want = expected_request_result(spec)
+        ok = state == "done" and result in (want, ("@repr", repr(want)))
+        self.results[rid] = {
+            "rid": rid, "program": spec.program, "args": list(spec.args),
+            "tenant": tenant, "result": result, "state": state,
+            "error": error, "correct": ok, "worker": w.name,
+            "instrs": instrs, "migrated": rid in self.migrated,
+            "retries": self.retries[rid]}
+        self.sched["instrs"] += instrs
+
+    def _lose(self, w: _Owner) -> None:
+        """Chaos ``crash_node`` recovery: ``w`` is dead to the plane, and
+        everything it still owed re-executes from scratch on the
+        survivors.  A no-op for a worker already lost."""
+        if not w.alive:
+            return
+        w.alive = False
+        self.sched["crashes"] += 1
+        self._actions.append(("kill", w.i))
+        owed, w.owed = list(w.owed), {}
+        self.sched["retries"] += len(owed)
+        live = [x for x in self.workers if x.alive]
+        if not live and not self.finished:
+            raise RuntimeError("all workers dead with requests outstanding")
+        self.retries.update(owed)
+        self.migrated.difference_update(owed)
+        for k, x in enumerate(live):
+            self._dispatch(x, owed[k::len(live)])
+
+    def _pick_idle(self) -> Optional[_Owner]:
+        return next((w for w in self.workers
+                     if w.alive and w.idle and not w.owed), None)
+
+    def _rebalance(self) -> None:
+        """An idle worker pulls work from the most-loaded one: queued
+        rows if the victim has a backlog, else (``steal``) the running
+        thread itself as a SOD image."""
+        victims = [w for w in self.workers
+                   if w.alive and w.owed and not w.capture_pending]
+        if not victims or self._pick_idle() is None:
+            return
+        victim = max(victims, key=lambda w: len(w.owed))
+        if len(victim.owed) > 1:
+            victim.capture_pending = True
+            self._emit(victim, ("giveback", len(victim.owed) // 2))
+        elif self.steal:
+            victim.capture_pending = True
+            self._emit(victim, ("capture", next(iter(victim.owed))))
+
+
+# -- driver --------------------------------------------------------------------
 
 
 def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                procs: int = 2, quantum: int = REAL_QUANTUM,
-               interarrival: float = 0.0,
-               tenants: Optional[Any] = None,
-               arrival_rate: Optional[float] = None,
-               steal: bool = True,
+               interarrival: float = 0.0, tenants: Optional[Any] = None,
+               arrival_rate: Optional[float] = None, steal: bool = True,
                fault_plan: Optional[Dict[str, int]] = None,
                deadline_s: float = 600.0) -> Dict[str, Any]:
     """Serve ``n_requests`` of ``mix`` across ``procs`` worker
     processes and return a report dict.
 
-    The request stream is the *same* one the virtual backend serves:
-    ``LoadGenerator.schedule()`` is a pure function of (mix,
-    n_requests, seed, tenants), so row *i* here is request *i* there —
-    the alignment the cross-checker relies on.  Arrival times are
-    ignored (wall-clock pacing of virtual arrivals is meaningless;
-    the stream is served as fast as the hardware allows).
-
-    ``fault_plan`` (test hook, chaos vocabulary): ``{"kill_worker": i,
-    "after_done": k}`` SIGKILLs worker ``i`` once ``k`` requests have
-    completed; its owed requests requeue onto the survivors exactly
-    like a chaos ``crash_node`` recovery.  ``deadline_s`` bounds the
-    whole run — a wedged worker surfaces as a loud error with the
-    in-flight rids listed, never as a hang.
-    """
+    The request stream is the *same* one the virtual backend serves
+    (``LoadGenerator.schedule()`` is a pure function of mix, n_requests,
+    seed and tenants: row *i* here is request *i* there, which the
+    cross-checker relies on), served as fast as the hardware allows.
+    This is the thin driver of a :class:`ControlPlane`: it forks the
+    workers, feeds the plane each decoded message and death, turns its
+    actions into pipe writes and SIGKILLs, and stops reading a pipe once
+    the plane has lost its worker.  ``fault_plan`` (test hook):
+    ``{"kill_worker": i, "after_done": k}``, evaluated per message.
+    ``deadline_s`` bounds the run: a wedged worker is a loud error
+    listing the in-flight rids, never a hang.  Every worker is joined
+    however the run ends."""
     from repro.serve.loadgen import LoadGenerator
     from repro.serve.tenants import TenantSet
-    from repro.workloads.mixes import MIXES, expected_request_result
+    from repro.workloads.mixes import MIXES
 
     if procs < 1:
         raise ValueError(f"need at least one worker process, got {procs}")
@@ -367,254 +544,79 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     load = LoadGenerator(MIXES[mix], n_requests, seed=seed,
                          interarrival=interarrival, tenants=tenants,
                          arrival_rate=arrival_rate)
-    rows = [(rid, tenant, spec)
-            for rid, (_when, tenant, spec) in enumerate(load.schedule())]
+    plane = ControlPlane(load.schedule(), procs, steal=steal,
+                         fault_plan=fault_plan)
 
     t0 = time.perf_counter()  # the caller's wait: warm-up and forks included
     _prefork(mix)  # forked workers inherit it (and the code it warmed)
     ctx = get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn")
-    workers: List[_WorkerHandle] = []
-    for i in range(procs):
-        parent_conn, child_conn = ctx.Pipe()
-        name = f"proc{i}"
-        proc = ctx.Process(target=_worker_main,
-                           args=(child_conn, name, mix, quantum),
-                           name=f"repro-{name}", daemon=True)
-        proc.start()
-        child_conn.close()
-        workers.append(_WorkerHandle(proc, parent_conn, name))
+    workers: List[tuple] = []  # (process, parent end of its pipe, sentinel)
 
-    stats = {"migrations": 0, "steals": 0, "crashes": 0, "retries": 0,
-             "image_bytes": 0, "token_bytes": 0, "control_bytes": 0,
-             "instrs": 0}
-    results: Dict[int, Dict[str, Any]] = {}
-    #: rows of ``results`` holding a ``state``: gained in ``record_done``,
-    #: lost in ``requeue`` (an ``image`` mark carries the row's over)
-    done = 0
-    killed = False
-
-    def send(w: _WorkerHandle, msg: Any) -> None:
-        stats["control_bytes"] += _send(w.conn, msg)
-
-    def dispatch(w: _WorkerHandle,
-                 batch: List[Tuple[int, Optional[str], Any]]) -> None:
-        if not batch:
-            return
-        for rid, tenant, spec in batch:
-            w.owed[rid] = (spec.program, tuple(spec.args), tenant)
-        send(w, ("run", [(rid, spec.program, list(spec.args))
-                         for rid, _tenant, spec in batch]))
-        w.idle = False
-
-    # Initial placement: equal-weight round robin in schedule order —
-    # the virtual default placement, minus load feedback (which the
-    # stealing path supplies at run time instead).
-    shards: List[List[Tuple[int, Optional[str], Any]]] = \
-        [[] for _ in range(procs)]
-    for i, row in enumerate(rows):
-        shards[i % procs].append(row)
-    for w, shard in zip(workers, shards):
-        dispatch(w, shard)
-
-    spec_of = {rid: (tenant, spec) for rid, tenant, spec in rows}
-
-    def record_done(rid: int, result: Any, state: str, error: Optional[str],
-                    instrs: int, worker: str) -> None:
-        nonlocal done
-        tenant, spec = spec_of[rid]
-        if isinstance(result, tuple) and len(result) == 2 \
-                and result[0] == "@repr":
-            ok = result[1] == repr(expected_request_result(spec))
-        else:
-            ok = (state == "done"
-                  and result == expected_request_result(spec))
-        prev = results.get(rid)
-        done += not (prev and prev.get("state"))
-        results[rid] = {
-            "rid": rid, "program": spec.program,
-            "args": list(spec.args), "tenant": tenant,
-            "result": result, "state": state, "error": error,
-            "correct": ok, "worker": worker, "instrs": instrs,
-            "migrated": bool(prev and prev.get("migrated")),
-            "retries": (prev["retries"] if prev else 0),
-        }
-        stats["instrs"] += instrs
-
-    def requeue(dead: _WorkerHandle) -> None:
-        """Chaos ``crash_node`` recovery: everything the dead worker
-        still owed re-executes from scratch on the survivors."""
-        nonlocal done
-        owed = list(dead.owed.items())
-        dead.owed.clear()
-        if not owed:
-            return
-        stats["retries"] += len(owed)
-        live = [w for w in workers if w.alive]
-        if not live:
-            raise RuntimeError(
-                "all workers dead with requests outstanding")
-        for i, (rid, (program, args, tenant)) in enumerate(owed):
-            mark = results.get(rid)
-            done -= bool(mark and mark.get("state"))
-            results[rid] = {"retries": (mark["retries"] + 1 if mark
-                                        else 1), "migrated": False}
-            _tenant, spec = spec_of[rid]
-            dispatch(live[i % len(live)], [(rid, tenant, spec)])
-
-    def handle(w: _WorkerHandle, msg: Any) -> None:
-        kind = msg[0]
-        if kind == "done":
-            _k, rid, result, instrs = msg
-            w.owed.pop(rid, None)
-            record_done(rid, result, "done", None, instrs, w.name)
-        elif kind == "fail":
-            _k, rid, error, instrs = msg
-            w.owed.pop(rid, None)
-            record_done(rid, None, "failed", error, instrs, w.name)
-        elif kind == "idle":
-            w.idle = True
-        elif kind == "gaveback":
-            w.capture_pending = False
-            rows_back = [(rid, prog, tuple(args))
-                         for rid, prog, args in msg[1]]
-            for rid, _prog, _args in rows_back:
-                w.owed.pop(rid, None)
-            if rows_back:
-                # No idle thief anymore → hand the rows straight back
-                # to the victim (never drop admitted work).
-                thief = _pick_idle() or w
-                if thief is not w:
-                    stats["steals"] += len(rows_back)
-                dispatch(thief, [(rid, spec_of[rid][0], spec_of[rid][1])
-                                 for rid, _p, _a in rows_back])
-        elif kind == "image":
-            _k, rid, image, instrs = msg
-            w.capture_pending = False
-            w.owed.pop(rid, None)
-            meta = wire.decode(image)
-            thief = _pick_idle()
-            if thief is None:
-                thief = w  # nobody idle anymore: bounce it back
-            tenant, spec = spec_of[rid]
-            thief.owed[rid] = (spec.program, tuple(spec.args), tenant)
-            send(thief, ("restore", image, instrs))
-            thief.idle = False
-            stats["migrations"] += 1
-            stats["image_bytes"] += len(image)
-            stats["token_bytes"] += sum(len(t) for _c, t in meta["classes"])
-            mark = results.get(rid) or {"retries": 0}
-            results[rid] = {**mark, "migrated": True}
-        elif kind == "nocapture":
-            w.capture_pending = False
-
-    def _pick_idle() -> Optional[_WorkerHandle]:
-        for w in workers:
-            if w.alive and w.idle and not w.owed:
-                return w
-        return None
-
-    def rebalance() -> None:
-        """An idle worker pulls work from the most-loaded one: queued
-        rows if the victim has a backlog, else (``steal``) the running
-        thread itself as a SOD image."""
-        thief = _pick_idle()
-        if thief is None:
-            return
-        victims = [w for w in workers
-                   if w.alive and w is not thief and w.owed
-                   and not w.capture_pending]
-        if not victims:
-            return
-        victim = max(victims, key=lambda w: len(w.owed))
-        if len(victim.owed) > 1:
-            victim.capture_pending = True
-            send(victim, ("giveback", max(1, len(victim.owed) // 2)))
-        elif steal:
-            rid = next(iter(victim.owed))
-            victim.capture_pending = True
-            send(victim, ("capture", rid))
-
-    # -- event loop ------------------------------------------------------
-    deadline = t0 + deadline_s
-    while done < n_requests:
-        if (fault_plan and not killed
-                and done >= fault_plan.get("after_done", 0)):
-            victim = workers[fault_plan.get("kill_worker", 0) % procs]
-            if victim.alive:
-                killed = True
-                os.kill(victim.proc.pid, signal.SIGKILL)
-        waitables: List[Any] = []
-        for w in workers:
-            if w.alive:
-                waitables.append(w.conn)
-                waitables.append(w.proc.sentinel)
-        if not waitables:
-            raise RuntimeError("all workers dead with requests outstanding")
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            in_flight = sorted(rid for w in workers for rid in w.owed)
-            for w in workers:
-                if w.alive:
-                    w.proc.terminate()
-            raise RuntimeError(
-                f"real backend deadline ({deadline_s}s) exceeded with "
-                f"requests in flight: {in_flight}")
-        ready = connection.wait(waitables, timeout=min(remaining, 0.25))
-        for obj in ready:
-            w = next((w for w in workers
-                      if obj in (w.conn, w.proc.sentinel)), None)
-            if w is None:
-                continue
-            if obj is w.proc.sentinel:
-                if w.alive:
-                    w.alive = False
-                    stats["crashes"] += 1
-                    try:
-                        w.conn.close()
-                    except OSError:
-                        pass
-                    requeue(w)
+    def apply(actions: List[Tuple[Any, ...]]) -> None:
+        for kind, i, *msg in actions:
+            if kind == "kill":
+                workers[i][0].kill()
                 continue
             try:
-                while w.conn.poll(0):
-                    handle(w, _recv(w.conn))
-            except (EOFError, OSError):
-                pass  # the sentinel path owns crash handling
-            except wire.WireError:
-                w.proc.kill()  # a corrupt frame is that worker's crash
-        rebalance()
+                plane.sched["control_bytes"] += _send(workers[i][1], *msg)
+            except OSError:
+                pass  # a dead pipe: its sentinel reports the death
 
-    wall = time.perf_counter() - t0
+    try:
+        for w in plane.workers:
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main,
+                               args=(child_conn, w.name, mix, quantum),
+                               name=f"repro-{w.name}", daemon=True)
+            proc.start()
+            child_conn.close()
+            workers.append((proc, parent_conn, proc.sentinel))
+        apply(plane.start())
+        while not plane.finished:
+            remaining = t0 + deadline_s - time.perf_counter()
+            if remaining <= 0:
+                raise RuntimeError(
+                    f"real backend deadline ({deadline_s}s) exceeded with "
+                    f"requests in flight: "
+                    f"{sorted(r for w in plane.workers for r in w.owed)}")
+            # a lost worker's pipe is not read again, nor its sentinel
+            waitables = {obj: w.i for w in plane.workers if w.alive
+                         for obj in workers[w.i][1:]}
+            for obj in connection.wait(list(waitables),
+                                       timeout=min(remaining, 0.25)):
+                i = waitables[obj]
+                conn_ = workers[i][1]
+                if obj is not conn_:
+                    apply(plane.on_death(i))
+                    continue
+                try:
+                    while plane.workers[i].alive and conn_.poll(0):
+                        apply(plane.on_message(i, _recv(conn_)))
+                except (EOFError, OSError):
+                    pass  # the sentinel path owns crash handling
+                except wire.WireError:
+                    apply(plane.on_death(i))  # a corrupt frame: its crash
+        wall = time.perf_counter() - t0
+    finally:
+        if plane.finished:
+            apply([("send", w.i, ("stop",)) for w in plane.workers if w.alive])
+        for proc, conn_, _sentinel in workers:
+            proc.join(timeout=5.0 if plane.finished else 0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+            conn_.close()
 
-    for w in workers:
-        if w.alive:
-            try:
-                send(w, ("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-    for w in workers:
-        w.proc.join(timeout=5.0)
-        if w.proc.is_alive():  # pragma: no cover - defensive
-            w.proc.terminate()
-            w.proc.join(timeout=5.0)
-        try:
-            w.conn.close()
-        except OSError:
-            pass
-
-    rows_out = [results[rid] for rid in sorted(results)]
+    rows_out = plane.report_rows()
     served = [r for r in rows_out if r["state"] == "done"]
-    failed = [r for r in rows_out if r["state"] == "failed"]
-    per_tenant: Dict[str, Dict[str, int]] = {}
-    for r in rows_out:
+    per_tenant = {r["tenant"]: {"served": 0, "correct": 0}
+                  for r in rows_out if r["tenant"] is not None}
+    for r in served:
         if r["tenant"] is not None:
-            t = per_tenant.setdefault(r["tenant"],
-                                      {"served": 0, "correct": 0})
-            if r["state"] == "done":
-                t["served"] += 1
-                t["correct"] += int(r["correct"])
+            per_tenant[r["tenant"]]["served"] += 1
+            per_tenant[r["tenant"]]["correct"] += int(r["correct"])
     report: Dict[str, Any] = {
         "backend": "real", "mix": mix, "seed": seed, "procs": procs,
         "quantum": quantum, "submitted": n_requests,
@@ -624,16 +626,14 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                    "interarrival": interarrival,
                    "tenants": tenants.to_dict() if tenants else None,
                    "arrival_rate": arrival_rate},
-        "served": len(served), "failed": len(failed),
+        "served": len(served), "failed": len(rows_out) - len(served),
         "unserved": n_requests - len(rows_out),
         "correct": sum(1 for r in served if r["correct"]),
         "requests": rows_out,
-        "sched": stats,
-        "wall": {
-            "seconds": round(wall, 4),
-            "throughput_rps": round(len(served) / wall, 2) if wall else 0.0,
-            "cores": available_cores(),
-        },
+        "sched": plane.sched,
+        "wall": {"seconds": round(wall, 4),
+                 "throughput_rps": round(len(served) / wall, 2),
+                 "cores": available_cores()},
     }
     if per_tenant:
         report["tenants"] = per_tenant

@@ -73,10 +73,6 @@ class LoadIndex:
         #: tenant's fair share; shrinks when a node crash-retires so
         #: fair shares track the capacity that actually remains
         self.live_capacity: float = sum(self.weights.values())
-        #: static rack capacity (summed cpu_weight, from the topology),
-        #: the denominator of :meth:`rack_load`
-        self.rack_weight: Dict[str, float] = {
-            r: cluster.rack_capacity(r) for r in self.racks}
         #: current weighted load per node (count / cpu_weight)
         self._load: Dict[str, float] = {n: 0.0 for n in names}
         #: crashed nodes (chaos layer): retired nodes keep their
@@ -141,13 +137,6 @@ class LoadIndex:
 
     def is_live(self, node: str) -> bool:
         return node not in self._retired
-
-    def rack_load(self, rack: str) -> float:
-        """Aggregate rack load: runnable threads per unit of the rack's
-        summed capacity, summed from the node counters when read."""
-        count = self.count
-        return sum(count[n] for n in self.racks[rack]) \
-            / self.rack_weight[rack]
 
     # -- rack minima --------------------------------------------------------
 

@@ -66,14 +66,11 @@ def test_index_matches_recomputation_over_random_schedule(
             assert got == want, (
                 f"step {step}: pick from {src} gave {got}, naive {want}")
         if step % 13 == 0:
-            # rack minima and aggregates agree with a full scan
+            # rack minima agree with a full scan
             for rack, members in index.racks.items():
                 fresh = index.rack_min(rack)
                 naive = min((index.load(n), n) for n in members)
                 assert fresh == naive
-                agg = sum(counts[n] for n in members) \
-                    / sum(weights[n] for n in members)
-                assert index.rack_load(rack) == pytest.approx(agg)
 
 
 def _container_sizes(value):

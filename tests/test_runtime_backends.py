@@ -423,23 +423,29 @@ def test_corrupt_frame_from_a_worker_is_that_workers_crash(monkeypatch):
     crosscheck_real_vs_virtual(rep)
 
 
-def test_corrupt_frame_to_a_worker_exits_it_quietly():
-    """Worker side of the same rule: undecodable control bytes end the
+def test_corrupt_frame_to_a_worker_exits_it_quietly(capfd):
+    """Worker side of the same rule: undecodable control bytes, or a
+    well-formed image whose class tokens the worker refuses, end the
     worker process cleanly (exit code 0, nothing on stderr) — to the
     control plane that is a crash like any other."""
     import multiprocessing
+    from repro.runtime import wire
     from repro.runtime.real import _worker_main
+    refused = wire.encode(("restore", wire.encode(
+        {"rid": 0, "classes": [("TSP", b"\0" * wire.CLASS_TOKEN_LEN)]}), 0))
     ctx = multiprocessing.get_context("fork")
-    parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_worker_main,
-                       args=(child, "w", "paper", REAL_QUANTUM))
-    proc.start()
-    child.close()
-    assert parent.recv_bytes()  # the worker came up and reported idle
-    parent.send_bytes(b"S\x00\x00\x00\x01\xff")
-    proc.join(timeout=30.0)
-    assert proc.exitcode == 0
-    parent.close()
+    for frame in (b"S\x00\x00\x00\x01\xff", refused):
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=_worker_main,
+                           args=(child, "w", "paper", REAL_QUANTUM))
+        proc.start()
+        child.close()
+        assert parent.recv_bytes()  # the worker came up and reported idle
+        parent.send_bytes(frame)
+        proc.join(timeout=30.0)
+        assert proc.exitcode == 0
+        parent.close()
+    assert capfd.readouterr().err == ""
 
 
 def test_wedged_run_hits_the_deadline_not_a_hang():
@@ -450,6 +456,20 @@ def test_wedged_run_hits_the_deadline_not_a_hang():
         serve_real(mix="paper", n_requests=4, seed=7, procs=1,
                    fault_plan={"kill_worker": 0, "after_done": 1},
                    deadline_s=DEADLINE)
+
+
+@pytest.mark.parametrize("kw,error", [
+    ({"procs": 1, "fault_plan": {"kill_worker": 0, "after_done": 1}},
+     "all workers dead"),
+    ({"procs": 2, "deadline_s": 0.0}, "deadline"),
+], ids=["all-dead", "deadline"])
+def test_a_failed_run_leaves_no_worker_process(kw, error):
+    """The error exits share the normal one's shutdown: every worker
+    process is stopped and joined before the error leaves."""
+    with pytest.raises(RuntimeError, match=error):
+        serve_real(mix="paper", n_requests=4, seed=7,
+                   **{"deadline_s": DEADLINE, **kw})
+    assert multiprocessing.active_children() == []
 
 
 def test_available_cores_reports_a_positive_count():

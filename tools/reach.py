@@ -67,9 +67,10 @@ REASONS: Dict[str, str] = {
     "repro.runtime.real:_Worker":
         "the forked worker's body: it runs in the child, which the audit "
         "does not trace",
-    "repro.runtime.real:serve_real.<locals>.requeue":
+    "repro.runtime.real:ControlPlane._lose":
         "worker-death recovery (chaos crash_node); pinned by "
-        "tests/test_runtime_backends.py's worker-crash test",
+        "tests/test_control_plane.py and tests/test_runtime_backends.py's "
+        "worker-crash test",
     "repro.runtime.wire:capture_to_wire":
         "step-1 transport of ROADMAP direction E; pinned by the wire "
         "fuzzer and tests/goldens",
