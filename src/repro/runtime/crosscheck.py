@@ -63,13 +63,6 @@ def virtual_request_rows(mix: str = "paper", **serve_kw: Any
     return rows
 
 
-def _real_result(row: Dict[str, Any]) -> Any:
-    v = row["result"]
-    if isinstance(v, tuple) and len(v) == 2 and v[0] == "@repr":
-        return v  # compared via repr below
-    return v
-
-
 def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
                                virtual_rows: Optional[List[Dict[str, Any]]]
                                = None,
@@ -83,6 +76,7 @@ def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
     a summary dict on success; raises :class:`CrosscheckError` listing
     every divergent request on failure.
     """
+    from repro.runtime.real import matches
     from repro.workloads.mixes import expected_request_result, RequestSpec
 
     if virtual_rows is None:
@@ -131,19 +125,13 @@ def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
                 f"req {i}: virtual done, real state={r['state']!r} "
                 f"(error={r.get('error')!r})")
             continue
-        rr = _real_result(r)
-        if isinstance(rr, tuple) and len(rr) == 2 and rr[0] == "@repr":
-            if rr[1] != repr(v["result"]):
-                problems.append(
-                    f"req {i}: result repr {rr[1]!r} vs virtual "
-                    f"{v['result']!r}")
-        elif rr != v["result"]:
+        if not matches(r["result"], v["result"]):
             problems.append(
-                f"req {i}: result {rr!r} vs virtual {v['result']!r}")
-        spec = RequestSpec(v["program"], tuple(v["args"]))
-        want = r["state"] == "done" and \
-            _real_result(r) == expected_request_result(spec)
-        if bool(r["correct"]) != bool(want):
+                f"req {i}: result {r['result']!r} vs virtual "
+                f"{v['result']!r}")
+        want = expected_request_result(
+            RequestSpec(v["program"], tuple(v["args"])))
+        if bool(r["correct"]) != matches(r["result"], want):
             problems.append(
                 f"req {i}: correctness flag {r['correct']!r} "
                 f"inconsistent with the oracle")

@@ -104,6 +104,11 @@ def _encode_result(value: Any) -> Any:
         return ("@repr", repr(value))
 
 
+def matches(result: Any, want: Any) -> bool:
+    """Does a shipped result (possibly a tagged repr) equal ``want``?"""
+    return result in (want, ("@repr", repr(want)))
+
+
 # -- pre-fork state: what is a pure function of the classpath ------------------
 
 
@@ -460,7 +465,7 @@ class ControlPlane:
 
         tenant, spec = w.owed.pop(rid)
         want = expected_request_result(spec)
-        ok = state == "done" and result in (want, ("@repr", repr(want)))
+        ok = state == "done" and matches(result, want)
         self.results[rid] = {
             "rid": rid, "program": spec.program, "args": list(spec.args),
             "tenant": tenant, "result": result, "state": state,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import wire
+from repro.runtime.crosscheck import crosscheck_real_vs_virtual
 from repro.runtime.real import ControlPlane
 from repro.serve.loadgen import LoadGenerator
 from repro.workloads.mixes import MIXES, expected_request_result
@@ -279,3 +280,21 @@ def test_no_steal_leaves_a_lone_running_request_in_place():
     c.says(1, "idle")
     assert len(c.sent) == n
     c.drain()
+
+
+def test_crosscheck_reads_a_repr_result_by_the_planes_rule():
+    """A result that could not go on the wire as itself arrives as
+    ``("@repr", repr(value))``.  The plane marks it correct when the
+    repr is the oracle's, and the crosscheck reads it by the same rule
+    instead of calling the flag inconsistent."""
+    c = Cluster(2, 2)
+    for i in (0, 1):
+        rid = c.queue[i].pop(0)
+        _tenant, spec = c.plane.spec_of[rid]
+        c.says(i, "done", rid,
+               ("@repr", repr(expected_request_result(spec))), 1000)
+    rows = c.plane.report_rows()
+    assert c.plane.finished and all(r["correct"] for r in rows)
+    report = {"config": {"mix": "paper", "n_requests": 2, "seed": 7},
+              "requests": rows}
+    assert crosscheck_real_vs_virtual(report)["compared"] == 2
