@@ -33,7 +33,7 @@ MIN_SCALING = 3.0
 
 
 def run_sweep() -> dict:
-    from repro.serve import serve_mix
+    from tests.helpers import serve_mix
 
     report = {
         "bench": "cluster_throughput",
@@ -109,7 +109,7 @@ def test_cluster_throughput_scaling(write_bench_json):
 def test_serving_run_is_deterministic():
     """The same sweep configuration replays bit-identically (the committed
     report is meaningful history, not noise)."""
-    from repro.serve import serve_mix
+    from tests.helpers import serve_mix
 
     a = serve_mix("mixed", n_nodes=2, n_requests=16, seed=11)
     b = serve_mix("mixed", n_nodes=2, n_requests=16, seed=11)
@@ -118,5 +118,5 @@ def test_serving_run_is_deterministic():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     print(json.dumps(run_sweep(), indent=2))

@@ -7,7 +7,8 @@ import json
 
 
 def test_migration_fastpath_is_deterministic():
-    from repro.serve import QueueDepthPolicy, serve_mix
+    from repro.serve import QueueDepthPolicy
+    from tests.helpers import serve_mix
 
     def point():
         rep = serve_mix("offload", n_nodes=4, n_requests=12, seed=11,

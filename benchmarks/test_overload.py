@@ -77,7 +77,7 @@ def calibrate_saturation() -> float:
     already-queued burst of the same mix (requests per virtual
     second).  Deterministic, so the sweep's offered loads are exact
     multiples of it."""
-    from repro.serve import serve_mix
+    from tests.helpers import serve_mix
 
     rep = serve_mix(mix=MIX, n_nodes=N_NODES, n_requests=64, seed=SEED)
     return rep.served / rep.makespan
@@ -205,5 +205,5 @@ def test_overload(write_bench_json):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     print(json.dumps(run_bench(), indent=2))

@@ -8,7 +8,8 @@ import json
 
 
 def test_paper_mix_is_deterministic():
-    from repro.serve import QueueDepthPolicy, serve_mix
+    from repro.serve import QueueDepthPolicy
+    from tests.helpers import serve_mix
 
     def point():
         rep = serve_mix("paper", n_nodes=2, n_requests=10, seed=7,

@@ -140,7 +140,7 @@ def test_scale_throughput_and_decision_cost(write_bench_json):
 def test_scale_run_is_deterministic():
     """The same sweep point replays bit-identically (the committed report
     is meaningful history, not noise)."""
-    from repro.serve import serve_mix
+    from tests.helpers import serve_mix
 
     a = serve_mix(MIX, n_nodes=16, n_requests=64, seed=11)
     b = serve_mix(MIX, n_nodes=16, n_requests=64, seed=11)
@@ -149,5 +149,5 @@ def test_scale_run_is_deterministic():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     print(json.dumps(run_sweep(), indent=2))

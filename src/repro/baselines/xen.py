@@ -67,13 +67,6 @@ class XenEngine(BaselineEngine):
         self.records.append(rec)
         return machine, thread, rec
 
-    @property
-    def last_freeze_time(self) -> float:
-        """Stop-and-copy duration of the most recent migration."""
-        if not self.records:
-            raise MigrationError("no migration yet")
-        return self.sys.xen_stop_copy
-
     def finish(self, machine: Machine, thread: ThreadState) -> Any:
         self.run(machine, thread)
         if thread.uncaught is not None:

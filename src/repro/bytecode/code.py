@@ -8,7 +8,7 @@ the unit shipped over the network on demand during migration (the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode import opcodes as op
@@ -46,10 +46,6 @@ class Instr:
         self.a = a
         self.b = b
 
-    def replace(self, a: Any = None, b: Any = None) -> "Instr":
-        """A copy with ``a``/``b`` overridden (pass ``None`` to keep)."""
-        return Instr(self.op, self.a if a is None else a, self.b if b is None else b)
-
     def __repr__(self) -> str:
         parts = [self.op]
         if self.a is not None:
@@ -57,19 +53,6 @@ class Instr:
         if self.b is not None:
             parts.append(repr(self.b))
         return " ".join(parts)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Instr) and self.op == other.op
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self) -> int:
-        # Cheap structural hash; LSWITCH carries a dict argument, so fall
-        # back to repr() only when an argument is unhashable.
-        try:
-            return hash((self.op, self.a, self.b))
-        except TypeError:
-            return hash((self.op, repr(self.a), repr(self.b)))
-
 
 @dataclass(frozen=True)
 class ExcEntry:
@@ -183,10 +166,6 @@ class CodeObject:
             start_bci = start
         return start_bci
 
-    def line_starts(self) -> List[int]:
-        """All line-start bcis in order."""
-        return [bci for bci, _ in self.line_table]
-
     # -- pre-decoding ------------------------------------------------------
 
     def predecoded(self, weights: Dict[str, float]
@@ -255,13 +234,6 @@ class ClassFile:
         self.version = version
         #: memo of :func:`repro.preprocess.sizes.class_size`
         self._size: Optional[int] = None
-
-    def field(self, name: str) -> Optional[FieldDecl]:
-        """Find a field declared directly on this class."""
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
 
     def instance_fields(self) -> List[FieldDecl]:
         """Non-static fields declared directly on this class."""

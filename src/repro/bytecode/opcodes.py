@@ -131,11 +131,6 @@ OP_IDS = {name: i for i, name in enumerate(OPCODES)}
 FUSED_BASE = len(OPCODES)
 
 
-def opid(name: str) -> int:
-    """Dense integer code for ``name`` (KeyError on unknown opcodes)."""
-    return OP_IDS[name]
-
-
 #: every opcode in the ISA
 ALL_OPS = frozenset(OPCODES)
 

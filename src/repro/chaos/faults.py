@@ -102,12 +102,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def crashes(self) -> List[str]:
-        return [e.node for e in self.events if e.kind == "crash"]
-
     def validate(self, node_names: Sequence[str], front: str) -> None:
         """Reject plans naming unknown nodes or crashing the front."""
         known = set(node_names)

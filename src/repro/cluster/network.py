@@ -53,11 +53,6 @@ class LinkSpec:
             raise ClusterError(f"negative transfer size {nbytes}")
         return self.latency + (nbytes + self.per_message_bytes) / self.bandwidth
 
-    def rtt(self, request_bytes: int, reply_bytes: int) -> float:
-        """Round-trip time for a request/reply exchange."""
-        return self.transfer_time(request_bytes) + self.transfer_time(reply_bytes)
-
-
 class Network:
     """All-pairs network over named nodes.
 

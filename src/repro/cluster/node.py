@@ -12,10 +12,9 @@ node's speed factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from repro.errors import ClusterError
 from repro.units import gb
 
 
@@ -63,28 +62,6 @@ class Node:
     @property
     def name(self) -> str:
         return self.spec.name
-
-    def cpu_time(self, reference_seconds: float) -> float:
-        """Scale a reference-node CPU duration to this node's speed."""
-        return reference_seconds * self.spec.speed_factor
-
-    def reserve_ram(self, nbytes: int) -> None:
-        """Commit ``nbytes`` of RAM; raises if the node would overcommit.
-
-        This is what makes "a big task cannot fit into a small-capacity
-        device unless migrated in a discretized manner" (paper section I)
-        checkable in experiments.
-        """
-        if self.ram_used + nbytes > self.spec.ram_bytes:
-            raise ClusterError(
-                f"node {self.name}: out of memory "
-                f"({self.ram_used + nbytes} > {self.spec.ram_bytes})"
-            )
-        self.ram_used += nbytes
-
-    def release_ram(self, nbytes: int) -> None:
-        """Return previously reserved RAM."""
-        self.ram_used = max(0, self.ram_used - nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name} x{self.spec.speed_factor:g}>"

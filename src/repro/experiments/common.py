@@ -8,7 +8,7 @@ EXPERIMENTS.md and the benchmark suite print directly comparable output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.baselines import GJavaMPIEngine, Jessica2Engine, XenEngine
 from repro.cluster import gige_cluster
@@ -58,14 +58,6 @@ class Table:
 
     def add(self, *cells: Any) -> None:
         self.rows.append(cells)
-
-    def cell(self, row_label: str, col: str) -> Any:
-        """Look up a cell by row label (first column) and column name."""
-        idx = list(self.header).index(col)
-        for row in self.rows:
-            if row[0] == row_label:
-                return row[idx]
-        raise KeyError(row_label)
 
     def format(self) -> str:
         widths = [max(len(str(h)), *(len(_fmt(r[i])) for r in self.rows))

@@ -3,9 +3,8 @@
 The paper leaves migration policies as a tuning surface of SOD (section
 VI); this module supplies the ones its scenarios need:
 
-* the trigger combinators (:func:`on_method_entry`, :func:`on_depth`,
-  :func:`after_instrs`, ...) the experiment harnesses use to decide
-  *when* to freeze, re-exported from :mod:`repro.vm.frames`;
+* :func:`on_method_entry`, the trigger the experiment harnesses use
+  to decide *when* to freeze, re-exported from :mod:`repro.vm.frames`;
 * :class:`LocalityPolicy` — migrate a data-access method to the node
   hosting its data (the text-search / roaming studies);
 * :class:`SpeculativeCloudPolicy` — the section II.B scenario: "if
@@ -26,9 +25,7 @@ from repro.bytecode import opcodes as op
 from repro.errors import MigrationError
 from repro.migration.segments import max_migratable
 from repro.migration.sodee import Host, SODEngine
-from repro.vm.frames import (ThreadState, Trigger, after_clock,  # noqa: F401
-                             after_instrs, any_of, on_depth,
-                             on_method_entry)
+from repro.vm.frames import ThreadState, on_method_entry  # noqa: F401
 
 
 def rewind_to_line_start(thread: ThreadState) -> None:

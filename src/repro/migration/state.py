@@ -28,8 +28,7 @@ from repro.errors import MigrationError
 from repro.vm.frames import Frame, ThreadState
 from repro.vm.heap import Heap
 from repro.vm.objects import VMArray, VMInstance, OBJECT_HEADER_BYTES
-from repro.vm.values import (LOC_ELEM, LOC_FIELD, LOC_LOCAL, LOC_STATIC,
-                             RemoteRef)
+from repro.vm.values import LOC_ELEM, LOC_FIELD, RemoteRef
 
 REF_DESC_BYTES = 12
 PRIM_BYTES = 8
@@ -135,9 +134,6 @@ class CapturedState:
     return_to: str = ""
     thread_name: str = "main"
     namespace: Optional[str] = None
-
-    def nframes(self) -> int:
-        return len(self.frames)
 
     def state_bytes(self) -> int:
         """Modeled serialized size of the captured state."""

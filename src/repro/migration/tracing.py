@@ -17,7 +17,6 @@ recorded trace holds, ``{"t": now, "kind": kind, **fields}`` —
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, List
 
 #: event keys the timeline prints in its fixed columns
@@ -30,7 +29,7 @@ class Tracer:
     commit, the one write-back, the fetch service), so ``migrate``,
     ``migrate_many``, chain re-hops, residual pushes, faults and
     revalidations are all seen — by whatever route they were reached.
-    Attach with :meth:`attach`; :meth:`detach` turns tracing back off.
+    Attach with :meth:`attach`.
     """
 
     def __init__(self) -> None:
@@ -46,26 +45,11 @@ class Tracer:
         target.tracer = self
         return self
 
-    def detach(self) -> None:
-        """Stop receiving events (idempotent)."""
-        if self._target is not None:
-            self._target.tracer = None
-            self._target = None
-
     def emit(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
         """The engine's and the scheduler's duck-typed tracer protocol."""
         self.events.append({"t": now, "kind": kind, **fields})
 
     # -- queries ----------------------------------------------------------------
-
-    def of_kind(self, kind: str) -> List[Dict[str, Any]]:
-        """All events of one kind, in order."""
-        return [e for e in self.events if e["kind"] == kind]
-
-    def counts(self) -> Dict[str, int]:
-        """Event-kind histogram."""
-        return dict(Counter(e["kind"] for e in self.events))
-
 
 def format_timeline(tracer: Tracer) -> str:
     """Render a tracer's events as an aligned textual timeline."""

@@ -1,6 +1,6 @@
 """The real-parallel execution backend and what it shares with the oracle.
 
-``virtual`` — the discrete-event kernel under ``serve_mix``:
+``virtual`` — the discrete-event kernel under ``build_serving``:
 deterministic, the correctness oracle and CI merge gate; it needs
 nothing from this package.  ``real`` — :func:`repro.runtime.real.serve_real`:
 multiprocess wall-clock mode, every cluster node an OS process, every

@@ -19,11 +19,10 @@ from repro.serve.loadgen import LoadGenerator, Request
 from repro.serve.loadindex import (DEFAULT_STALENESS, LoadIndex, WorkProfile,
                                    naive_pick, recompute_load)
 from repro.serve.policies import (AdaptiveShed, FrontDoorPlacement,
-                                  Placement, QueueDepthPolicy,
-                                  ShedWhenSaturated,
+                                  QueueDepthPolicy, ShedWhenSaturated,
                                   WeightedRoundRobinPlacement)
 from repro.serve.scheduler import (ClusterScheduler, ServeReport,
-                                   build_serving, serve_mix)
+                                   build_serving)
 from repro.serve.tenants import Tenant, TenantSet, parse_tenants
 from repro.serve.wfq import FairStore
 
@@ -31,8 +30,8 @@ __all__ = [
     "LoadGenerator", "Request",
     "LoadIndex", "WorkProfile", "DEFAULT_STALENESS",
     "naive_pick", "recompute_load",
-    "Placement", "FrontDoorPlacement", "WeightedRoundRobinPlacement",
+    "FrontDoorPlacement", "WeightedRoundRobinPlacement",
     "QueueDepthPolicy", "ShedWhenSaturated", "AdaptiveShed",
     "Tenant", "TenantSet", "parse_tenants", "FairStore",
-    "ClusterScheduler", "ServeReport", "build_serving", "serve_mix",
+    "ClusterScheduler", "ServeReport", "build_serving",
 ]

@@ -245,7 +245,8 @@ def recompute_load(sched, node: str, extra: int = 0) -> float:
     capacity.  The incremental counter must always equal this."""
     busy = 1 if sched.running.get(node) is not None else 0
     in_flight = sched.pending.get(node, 0)
-    return (len(sched.stores[node]) + busy + in_flight + extra) \
+    queued = sum(1 for _ in sched.stores[node].items)
+    return (queued + busy + in_flight + extra) \
         / sched.cluster.node(node).spec.cpu_weight
 
 

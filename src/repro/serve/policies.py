@@ -39,14 +39,7 @@ def weighted_load(sched, node: str, extra: int = 0) -> float:
 # -- admission placement -------------------------------------------------------
 
 
-class Placement:
-    """Chooses the node a freshly admitted request first queues on."""
-
-    def place(self, sched, req) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class FrontDoorPlacement(Placement):
+class FrontDoorPlacement:
     """Everything arrives at one front node (a single ingress box); the
     offload policies are then the only path to the rest of the cluster —
     the pure elasticity scenario."""
@@ -58,7 +51,7 @@ class FrontDoorPlacement(Placement):
         return self.node or sched.front
 
 
-class WeightedRoundRobinPlacement(Placement):
+class WeightedRoundRobinPlacement:
     """Smooth weighted round-robin over node capacities (the classic
     nginx algorithm): each round every node gains its weight, the
     richest node wins the request and pays the total back.

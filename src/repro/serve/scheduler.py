@@ -62,8 +62,7 @@ from repro.migration.sodee import Host, SODEngine
 from repro.serve.loadgen import LoadGenerator, Request
 from repro.serve.loadindex import (DEFAULT_STALENESS, LoadIndex, WorkProfile)
 from repro.serve.policies import (AdaptiveShed, FrontDoorPlacement,
-                                  Placement, QueueDepthPolicy,
-                                  ShedWhenSaturated,
+                                  QueueDepthPolicy, ShedWhenSaturated,
                                   WeightedRoundRobinPlacement)
 from repro.serve.tenants import TenantSet
 from repro.serve.wfq import FairStore
@@ -189,7 +188,7 @@ class ClusterScheduler:
     def __init__(self, cluster: Cluster, classes: Dict[str, Any],
                  cost: Optional[CostModel] = None,
                  quantum: int = 2500,
-                 placement: Optional[Placement] = None,
+                 placement: Optional[Any] = None,
                  offload: Optional[QueueDepthPolicy] = None,
                  front: Optional[str] = None,
                  staleness: float = DEFAULT_STALENESS,
@@ -1215,10 +1214,3 @@ def build_serving(mix: Optional[str] = None, *,
                          arrival_rate=cfg["arrival_rate"])
     return sched, load
 
-
-def serve_mix(*args: Any, **kw: Any) -> ServeReport:
-    """Serve the run :func:`build_serving` builds from the same
-    arguments and return the report.  Deterministic: same arguments
-    (fault plan and tenant set included), same report."""
-    sched, load = build_serving(*args, **kw)
-    return sched.serve(load)

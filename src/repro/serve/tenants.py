@@ -94,20 +94,11 @@ class TenantSet:
     def __iter__(self) -> Iterator[Tenant]:
         return iter(self._tenants.values())
 
-    def __len__(self) -> int:
-        return len(self._tenants)
-
     def __bool__(self) -> bool:
         return bool(self._tenants)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tenants
-
     def get(self, name: Optional[str]) -> Optional[Tenant]:
         return self._tenants.get(name) if name is not None else None
-
-    def names(self) -> List[str]:
-        return list(self._tenants)
 
     @property
     def total_weight(self) -> float:

@@ -85,9 +85,6 @@ class FairStore:
 
     # -- Store interface ----------------------------------------------------
 
-    def __len__(self) -> int:
-        return self._size
-
     @property
     def items(self) -> Iterator[Any]:
         """Queued items in scheduling order: tenants by ``(pass,

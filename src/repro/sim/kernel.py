@@ -205,9 +205,6 @@ class Store:
         self.items: deque = deque()
         self._getters: deque[Event] = deque()
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def put(self, item: Any) -> None:
         """Enqueue ``item`` (wakes the oldest blocked getter, if any)."""
         if self._getters:

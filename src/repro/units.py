@@ -33,11 +33,6 @@ def kbps(n: float) -> float:
     return n * 1000.0 / 8.0
 
 
-def mbps(n: float) -> float:
-    """``n`` megabits/s, in bytes/s."""
-    return n * 1_000_000.0 / 8.0
-
-
 def gbps(n: float) -> float:
     """``n`` gigabits/s, in bytes/s."""
     return n * 1_000_000_000.0 / 8.0
@@ -56,11 +51,6 @@ def ms(n: float) -> float:
 def to_ms(seconds: float) -> float:
     """Seconds -> milliseconds (for table printing)."""
     return seconds * 1e3
-
-
-def to_us(seconds: float) -> float:
-    """Seconds -> microseconds (for table printing)."""
-    return seconds * 1e6
 
 
 def fmt_bytes(n: int) -> str:

@@ -26,7 +26,7 @@ other's cells.  The root loader is itself the default namespace
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.bytecode.code import ClassFile
 from repro.errors import LinkError
@@ -52,17 +52,6 @@ class ClassLoader:
         self._loaded: Dict[str, VMClass] = {}
         self.missing_class_hook: Optional[Callable[[str], ClassFile]] = None
         self.load_listener: Optional[Callable[[VMClass], None]] = None
-
-    def define(self, cf: ClassFile) -> None:
-        """Add (or replace) a class file on the classpath.  Replacing an
-        already-linked class is a host error."""
-        if cf.name in self._loaded:
-            raise LinkError(f"class {cf.name} already linked")
-        self._classpath[cf.name] = cf
-
-    def define_all(self, cfs: Iterable[ClassFile]) -> None:
-        for cf in cfs:
-            self.define(cf)
 
     def is_loaded(self, name: str) -> bool:
         return name in self._loaded
@@ -113,8 +102,8 @@ class Namespace(ClassLoader):
     its own static cells) over a parent loader's shared classpath.
 
     * the classpath dict is *shared by reference* with the parent —
-      defining or on-demand-fetching a class through any namespace
-      makes the (immutable) file available to all of them;
+      a class fetched on demand through any namespace makes the
+      (immutable) file available to all of them;
     * ``missing_class_hook`` / ``load_listener`` delegate to the
       parent, so a worker VM's fetch-from-home wiring covers every
       namespace without per-namespace installs;
@@ -129,33 +118,10 @@ class Namespace(ClassLoader):
         self._classpath = parent._classpath  # shared, by reference
         self._loaded = {}
 
-    def define(self, cf: ClassFile) -> None:
-        """Add a class file to the *shared* classpath.  Only additive
-        defines are allowed through a namespace: the classpath is one
-        object for every context on the machine, and this namespace
-        cannot see which siblings (or the root) already linked a file
-        — replacing it would silently run divergent code for the same
-        class name across namespaces.  Replacement stays a root-loader
-        operation with the root's already-linked guard."""
-        if cf.name in self._classpath:
-            raise LinkError(
-                f"class {cf.name} already on the shared classpath; "
-                f"redefining through namespace {self.tag!r} is not "
-                f"allowed")
-        self._classpath[cf.name] = cf
-
     @property
     def missing_class_hook(self):
         return self.parent.missing_class_hook
 
-    @missing_class_hook.setter
-    def missing_class_hook(self, fn):
-        self.parent.missing_class_hook = fn
-
     @property
     def load_listener(self):
         return self.parent.load_listener
-
-    @load_listener.setter
-    def load_listener(self, fn):
-        self.parent.load_listener = fn

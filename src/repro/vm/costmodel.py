@@ -26,9 +26,7 @@ class VmtiCosts:
     functions take much longer time (e.g. GetLocalInt take about 30us)'."""
 
     get_local: float = us(30)
-    set_local: float = us(30)
     get_frame_location: float = us(1)
-    get_method_name: float = us(1)
     get_local_variable_table: float = us(2)
     set_breakpoint: float = us(10)
     clear_breakpoint: float = us(5)

@@ -102,29 +102,3 @@ def on_method_entry(class_name: str, method: str,
     trig.at = frozenset({(class_name, method, 0)})
     return trig
 
-
-def on_depth(depth: int) -> Trigger:
-    """Fires when the stack reaches ``depth`` frames."""
-    return lambda t: t.depth() >= depth
-
-
-def after_instrs(machine: Any, budget: int) -> Trigger:
-    """Fires once the machine has executed ``budget`` more instructions."""
-    start = machine.instr_count
-    return lambda t: machine.instr_count - start >= budget
-
-
-def after_clock(machine: Any, budget: float) -> Trigger:
-    """Fires once the machine's virtual clock has advanced ``budget``
-    simulated seconds."""
-    start = machine.clock
-    return lambda t: machine.clock - start >= budget
-
-
-def any_of(*triggers: Trigger) -> Trigger:
-    """Fires when any sub-trigger fires; declared when every part is."""
-    def trig(t: ThreadState) -> bool:
-        return any(part(t) for part in triggers)
-    if all(hasattr(part, "at") for part in triggers):
-        trig.at = frozenset().union(*(p.at for p in triggers))
-    return trig

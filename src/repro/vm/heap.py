@@ -7,7 +7,7 @@ and write-back applies updates by oid.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Dict, Union
 
 from repro.errors import VMError
 from repro.vm.objects import VMArray, VMClass, VMInstance
@@ -43,32 +43,9 @@ class Heap:
         self.allocated_bytes += arr.nominal_bytes()
         return arr
 
-    def adopt(self, obj: HeapObject) -> HeapObject:
-        """Register an object deserialized from another node under a fresh
-        local oid (its home identity is tracked by the object manager)."""
-        obj_oid = self._next_oid
-        self._next_oid += 1
-        if isinstance(obj, VMInstance):
-            obj.oid = obj_oid
-        else:
-            obj.oid = obj_oid
-        self._objects[obj_oid] = obj
-        self.allocated_bytes += obj.nominal_bytes()
-        return obj
-
     def get(self, oid: int) -> HeapObject:
         """Look up an object by oid; raises :class:`VMError` if absent."""
         try:
             return self._objects[oid]
         except KeyError:
             raise VMError(f"dangling oid {oid}") from None
-
-    def maybe_get(self, oid: int) -> Optional[HeapObject]:
-        return self._objects.get(oid)
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def objects(self) -> Iterator[HeapObject]:
-        """Iterate all live objects (insertion order)."""
-        return iter(self._objects.values())

@@ -109,7 +109,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import (TICKS_PER_WEIGHT, ClassFile, CodeObject,
                                  weight_ticks)
-from repro.errors import LinkError, NativeError, VMError
+from repro.errors import LinkError, VMError
 from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD_ST,
                                    F_LL_ARITH_ST, F_LL_OP2_ST, F_LOAD_GETF,
                                    F_LOAD_JNZ, F_LOAD_JZ, F_LOAD_LOAD,
@@ -346,20 +346,6 @@ class Machine:
             raise VMError(f"{class_name}.{method_name} is not static")
         thread = ThreadState(thread_name, namespace=namespace)
         thread.frames.append(Frame(code, list(args or [])))
-        return thread
-
-    def spawn_on_instance(self, receiver: VMInstance, method_name: str,
-                          args: Optional[List[Any]] = None,
-                          thread_name: str = "main") -> ThreadState:
-        """Create a thread invoking an instance method on ``receiver``
-        (in the namespace that linked the receiver's class)."""
-        code = receiver.vmclass.find_method(method_name)
-        if code is None or code.is_static:
-            raise LinkError(
-                f"no instance method {receiver.class_name}.{method_name}")
-        thread = ThreadState(thread_name,
-                             namespace=receiver.vmclass.namespace)
-        thread.frames.append(Frame(code, [receiver] + list(args or [])))
         return thread
 
     def call(self, class_name: str, method_name: str,

@@ -82,13 +82,6 @@ class VMClass:
             cls = cls.superclass
         return False
 
-    def field_decl(self, name: str) -> Optional[FieldDecl]:
-        """Instance-field declaration (walks the chain)."""
-        for f in self.all_fields:
-            if f.name == name:
-                return f
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<VMClass {self.name}>"
 

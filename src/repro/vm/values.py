@@ -50,10 +50,6 @@ class RemoteRef:
         self.home_node = home_node
         self.loc = loc
 
-    def with_loc(self, loc: Tuple) -> "RemoteRef":
-        """A copy bound to a storage location."""
-        return RemoteRef(self.home_oid, self.home_node, loc)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RemoteRef #{self.home_oid}@{self.home_node}>"
 

@@ -7,8 +7,8 @@ measured cost (section IV.A: most JVMTI calls ≈ 1 µs, ``GetLocal<Type>``
 ≈ 30 µs), so capture/restore latency emerges from the number of calls
 the algorithms make.
 
-Like JVMTI, the interface exposes frame inspection (`get_frame_count`,
-`get_frame_location`, `get_local_variable_table`, `get_local`),
+Like JVMTI, the interface exposes frame inspection
+(`get_frame_location`, `get_local_variable_table`, `get_local`),
 breakpoints, asynchronous exception injection, `pop_frame` /
 `force_early_return`, and static-field access.  Also like JVMTI, it does
 **not** expose operand stacks — which is why migration-safe points exist
@@ -30,7 +30,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import VMError
 from repro.vm.frames import Frame, ThreadState
 from repro.vm.machine import Machine
-from repro.vm.objects import VMClass
 
 
 class VMTI:
@@ -51,11 +50,6 @@ class VMTI:
 
     # -- frame inspection ---------------------------------------------------
 
-    def get_frame_count(self, thread: ThreadState) -> int:
-        """Number of frames on the thread's stack."""
-        self._charge(self._c.get_frame_location)
-        return len(thread.frames)
-
     def _frame(self, thread: ThreadState, depth: int) -> Frame:
         """depth 0 = top frame (JVMTI convention)."""
         if not (0 <= depth < len(thread.frames)):
@@ -68,11 +62,6 @@ class VMTI:
         self._charge(self._c.get_frame_location)
         f = self._frame(thread, depth)
         return f.method_id, f.pc
-
-    def get_method_name(self, method_id: Tuple[str, str]) -> str:
-        """Qualified name for a method id."""
-        self._charge(self._c.get_method_name)
-        return f"{method_id[0]}.{method_id[1]}"
 
     def get_local_variable_table(self, thread: ThreadState,
                                  depth: int) -> List[Tuple[int, str]]:
@@ -88,22 +77,6 @@ class VMTI:
         if not (0 <= slot < len(f.locals)):
             raise VMError(f"bad slot {slot}")
         return f.locals[slot]
-
-    def set_local(self, thread: ThreadState, depth: int, slot: int,
-                  value: Any) -> None:
-        """Write one local slot."""
-        self._charge(self._c.set_local)
-        f = self._frame(thread, depth)
-        if not (0 <= slot < len(f.locals)):
-            raise VMError(f"bad slot {slot}")
-        f.locals[slot] = value
-
-    def is_operand_stack_empty(self, thread: ThreadState, depth: int) -> bool:
-        """JVMTI cannot *read* operand stacks, but our restore driver may
-        assert emptiness (the real system guarantees it structurally via
-        MSPs; we keep the check for test strength)."""
-        self._charge(self._c.get_frame_location)
-        return not self._frame(thread, depth).stack
 
     # -- statics --------------------------------------------------------------
 
@@ -122,11 +95,6 @@ class VMTI:
         self._charge(self._c.set_static)
         cls = self.machine.namespace(namespace).load(class_name)
         cls.find_static_home(field).statics[field] = value
-
-    def loaded_classes(self) -> List[VMClass]:
-        """All classes linked in the VM."""
-        self._charge(self._c.get_method_name)
-        return list(self.machine.loader.loaded_classes().values())
 
     # -- breakpoints / control ---------------------------------------------------
 

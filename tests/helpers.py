@@ -29,6 +29,26 @@ def compile_and_run(source: str, cls: str, method: str, args=None,
     return result, machine
 
 
+def serve_mix(*args, **kw):
+    """Serve the run ``build_serving`` builds from the same arguments
+    and return the report."""
+    from repro.serve import build_serving
+
+    sched, load = build_serving(*args, **kw)
+    return sched.serve(load)
+
+
+def any_of(*triggers):
+    """A stop trigger that fires when any part fires; declared (an
+    ``at`` set of trap points, the union of the parts') when every
+    part is."""
+    def trig(t) -> bool:
+        return any(part(t) for part in triggers)
+    if all(hasattr(part, "at") for part in triggers):
+        trig.at = frozenset().union(*(p.at for p in triggers))
+    return trig
+
+
 def tier1_dispatches(classes, main, args) -> Counter:
     """Dispatches per tier-1 arm (superinstruction or opcode name) of
     one run, with no counter in ``src/``: the hooked loop reports every

@@ -1146,7 +1146,8 @@ def declared_stop_for(prog: FuzzProgram) -> Any:
     entry of one of its methods (or a prelude virtual one) at a seeded
     minimum depth, sometimes ``any_of`` two — a declared ``stop`` that
     fires never, once, or on every call, depending on the program."""
-    from repro.vm.frames import any_of, on_method_entry
+    from repro.vm.frames import on_method_entry
+    from tests.helpers import any_of
 
     rng = random.Random(f"declared-stop:{prog.seed}")
     own = [("G", n) for n, _h, _s in prog.methods]

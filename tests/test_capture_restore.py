@@ -57,7 +57,7 @@ def test_run_to_msp_lands_on_msp(paused):
 def test_capture_top_frame(paused):
     m, vmti, t = paused
     state = capture_segment(vmti, t, 1, home_node="home")
-    assert state.nframes() == 1
+    assert len(state.frames) == 1
     rec = state.frames[0]
     assert (rec.class_name, rec.method_name) == ("R", "inner")
     assert rec.pc in t.frames[-1].code.msps

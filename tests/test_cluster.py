@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import (Cluster, DiskSpec, FileSystem, LinkSpec, Network,
-                           Node, NodeSpec, gige_cluster, phone_setup,
+                           NodeSpec, gige_cluster, phone_setup,
                            wan_grid)
 from repro.errors import ClusterError
 from repro.units import gbps, kbps, mb, us
@@ -70,20 +70,6 @@ def test_transfer_proc_serializes_on_same_link():
 
 
 # -- nodes ------------------------------------------------------------------
-
-def test_node_cpu_scaling():
-    slow = Node(NodeSpec(name="phone", speed_factor=25.0))
-    assert slow.cpu_time(1.0) == 25.0
-
-
-def test_node_ram_admission():
-    n = Node(NodeSpec(name="tiny", ram_bytes=1000))
-    n.reserve_ram(800)
-    with pytest.raises(ClusterError):
-        n.reserve_ram(300)
-    n.release_ram(500)
-    n.reserve_ram(300)
-
 
 # -- file system ---------------------------------------------------------------
 

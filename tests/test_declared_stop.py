@@ -25,9 +25,9 @@ from minilang_fuzz import flat_frames
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
-from repro.vm.frames import any_of, on_depth, on_method_entry
+from repro.vm.frames import on_method_entry
 from repro.workloads import registry
-from tests.helpers import loop_meter  # noqa: F401 (a fixture)
+from tests.helpers import any_of, loop_meter  # noqa: F401 (a fixture)
 
 
 def _undeclared(trigger):
@@ -36,6 +36,11 @@ def _undeclared(trigger):
     polled = lambda thread: trigger(thread)  # noqa: E731
     assert not hasattr(polled, "at")
     return polled
+
+
+def _deeper_than(depth):
+    """A polled stop: fires once the stack holds ``depth`` frames."""
+    return lambda thread: thread.depth() >= depth
 
 
 # -- (1) the stop point, registry programs x builds x tiers --------------------
@@ -204,15 +209,14 @@ def test_spawn_of_the_named_method_stops_before_its_first_instruction():
 
 def test_only_a_complete_declaration_is_a_declaration():
     """``any_of`` is declared iff every part is (the union of the
-    sets); ``on_depth`` and friends cannot promise a bci."""
+    sets); a bare predicate such as a depth test cannot promise a bci."""
     a, b = on_method_entry("E", "leaf"), on_method_entry("Sh", "area", 2)
     assert any_of(a, b).at == {("E", "leaf", 0), ("Sh", "area", 0)}
-    assert not hasattr(any_of(a, on_depth(4)), "at")
-    assert not hasattr(on_depth(4), "at")
+    assert not hasattr(any_of(a, _deeper_than(4)), "at")
     classes = preprocess_program(compile_source(ENTRY_SRC), "original")
     want = _every_stop(classes, 9, _undeclared(any_of(a, b)))
     assert len(want[0]) == 9 + 9
-    for stop in (any_of(a, b), any_of(a, b, on_depth(999))):
+    for stop in (any_of(a, b), any_of(a, b, _deeper_than(999))):
         got = _every_stop(classes, 9, stop)
         assert got == want
 

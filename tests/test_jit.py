@@ -26,7 +26,7 @@ import pytest
 import repro.vm.jit as jit_mod
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
-from repro.serve import serve_mix
+from tests.helpers import serve_mix
 from repro.vm.costmodel import CostModel
 from repro.vm.machine import Machine
 from repro.workloads.mixes import MIXES

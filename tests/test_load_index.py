@@ -15,7 +15,8 @@ from repro.cluster import serve_cluster
 from repro.errors import ClusterError
 from repro.serve import (ClusterScheduler, LoadGenerator, LoadIndex,
                          QueueDepthPolicy, WorkProfile, naive_pick,
-                         recompute_load, serve_mix)
+                         recompute_load)
+from tests.helpers import serve_mix
 from repro.serve.loadgen import Request
 from repro.workloads.mixes import MIXES, serve_classpath
 

@@ -56,7 +56,7 @@ def test_state_bytes_accumulates(machine):
     state = CapturedState(frames=[frame], statics={("T", "x"): 5},
                           class_names=["T"], home_node="h")
     assert state.state_bytes() > frame.state_bytes() > 0
-    assert state.nframes() == 1
+    assert len(state.frames) == 1
 
 
 # -- shallow object payloads ------------------------------------------------------

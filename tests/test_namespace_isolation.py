@@ -22,8 +22,9 @@ from repro.lang import compile_source
 from repro.migration import SODEngine
 from repro.migration.capture import run_to_msp
 from repro.preprocess import preprocess_program
-from repro.serve import (ClusterScheduler, FrontDoorPlacement,
-                         LoadGenerator, QueueDepthPolicy, serve_mix)
+from repro.serve import (ClusterScheduler, FrontDoorPlacement, LoadGenerator,
+                         QueueDepthPolicy)
+from tests.helpers import serve_mix
 from repro.vm.machine import Machine
 from repro.workloads.mixes import (MIXES, RequestMix, RequestSpec,
                                    expected_request_result, needs_isolation,
@@ -644,21 +645,3 @@ def test_on_demand_class_syncs_from_namespace_true_home():
     # ...and peeking never created the namespace on the wrong home
     assert not h1.machine.has_namespace("reqN")
 
-
-def test_namespace_define_cannot_replace_shared_classpath():
-    """The classpath is one object for every context on the machine;
-    a namespace cannot see which siblings (or the root) linked a file,
-    so redefining through a namespace must be a hard error — silently
-    swapping the shared entry would run divergent code for one class
-    name across namespaces."""
-    from repro.bytecode.code import ClassFile
-    from repro.errors import LinkError
-
-    m = Machine(_classes("original"))
-    m.loader.load("P")  # root links P
-    ns = m.namespace("x")
-    with pytest.raises(LinkError, match="shared classpath"):
-        ns.define(ClassFile("P"))
-    # additive defines still work and are visible machine-wide
-    ns.define(ClassFile("Fresh"))
-    assert m.loader.has_classfile("Fresh")

@@ -11,10 +11,10 @@ from repro.cluster import serve_cluster
 from repro.errors import VMError
 from repro.migration.object_manager import WorkerObjectManager
 from repro.migration.sodee import SODEngine
-from repro.serve import (ClusterScheduler, FrontDoorPlacement, LoadGenerator, QueueDepthPolicy,
-                         Request, ShedWhenSaturated,
-                         WeightedRoundRobinPlacement, build_serving,
-                         serve_mix)
+from repro.serve import (ClusterScheduler, FrontDoorPlacement, LoadGenerator,
+                         QueueDepthPolicy, Request, ShedWhenSaturated,
+                         WeightedRoundRobinPlacement, build_serving)
+from tests.helpers import serve_mix
 from repro.vm import Machine
 from repro.workloads.mixes import (MIXES, RequestSpec,
                                    expected_request_result, serve_classpath,

@@ -202,7 +202,7 @@ def test_store_put_before_get_preserves_fifo():
     store = Store(env)
     for i in range(4):
         store.put(i)
-    assert len(store) == 4
+    assert len(store.items) == 4
     got = []
 
     def consumer():
@@ -292,7 +292,6 @@ def test_store_put_many_wakes_getters_in_order():
     # oldest getter gets the oldest item; the remainder queues
     assert got == [(0, "a"), (1, "b"), (2, "c")]
     assert list(store.items) == ["d", "e"]
-    assert len(store) == 2
 
 
 def test_store_put_many_into_empty_store_just_queues():

@@ -28,8 +28,8 @@ from repro.chaos import replay_trace, run_recorded, write_trace
 from repro.cluster import serve_cluster
 from repro.errors import ClusterError
 from repro.serve import (AdaptiveShed, FairStore, LoadGenerator, LoadIndex,
-                         Tenant, TenantSet, build_serving, parse_tenants,
-                         serve_mix)
+                         Tenant, TenantSet, build_serving, parse_tenants)
+from tests.helpers import serve_mix
 from repro.sim import Environment
 from repro.workloads.mixes import MIXES
 
@@ -56,14 +56,14 @@ def test_tenant_round_trips_through_dict():
     assert Tenant.from_dict(t.to_dict()) == t
     ts = TenantSet([t, Tenant("free")])
     back = TenantSet.from_dict(ts.to_dict())
-    assert back.names() == ["gold", "free"]
+    assert [t.name for t in back] == ["gold", "free"]
     assert back.get("gold") == t
     assert TenantSet.from_dict(None) is None
 
 
 def test_parse_tenants_cli_syntax():
     ts = parse_tenants("gold:w=3:p=0,silver:weight=2:priority=1,free:r=10")
-    assert ts.names() == ["gold", "silver", "free"]
+    assert [t.name for t in ts] == ["gold", "silver", "free"]
     assert ts.get("gold").weight == 3.0
     assert ts.get("silver").priority == 1
     assert ts.get("free").rate_factor == 10.0
@@ -145,21 +145,19 @@ def test_fairstore_idle_tenant_forfeits_credit():
 
 
 def test_fairstore_store_interface():
-    """remove(), items order, len, and the blocked-getter handoff."""
+    """remove(), items order, and the blocked-getter handoff."""
     env = Environment()
     s = FairStore(env, weights={"a": 2.0})
     ev = s.get()
     assert not ev.triggered
     s.put(_item("a", 0))     # direct handoff to the blocked getter
-    assert ev.triggered and ev.value.i == 0 and len(s) == 0
+    assert ev.triggered and ev.value.i == 0 and not list(s.items)
     items = [_item("a", 1), _item("b", 2), _item("a", 3)]
     s.put_many(items)
-    assert len(s) == 3
     # The handoff charged a's pass one stride, so b's fresh bucket now
     # sorts first; FIFO order within a survives.
     assert [x.i for x in s.items] == [2, 1, 3]
     assert s.remove(items[1]) and not s.remove(items[1])
-    assert len(s) == 2
     assert [x.i for x in _drain(s, 2)] == [1, 3]
 
 
@@ -186,7 +184,7 @@ def test_tenant_streams_are_independent():
     for gen in (two, three):
         sched = gen.schedule()
         assert len(sched) == 24
-        for name in gen.tenants.names():
+        for name in [t.name for t in gen.tenants]:
             sub = [(w, s) for w, t, s in sched if t == name]
             assert sub == gen.tenant_stream(
                 name, gen.tenants.get(name).rate_factor)[: len(sub)]

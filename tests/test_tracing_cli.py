@@ -3,6 +3,7 @@
 import os
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -23,9 +24,13 @@ def traced(app_classes_faulting):
     return eng, tracer
 
 
+def _of_kind(tracer, kind):
+    return [e for e in tracer.events if e["kind"] == kind]
+
+
 def test_tracer_records_all_phases(traced):
     eng, tracer = traced
-    counts = tracer.counts()
+    counts = Counter(e["kind"] for e in tracer.events)
     assert counts["migrate"] == 1
     assert counts["fault"] >= 1
     assert counts["writeback"] == 1
@@ -33,11 +38,11 @@ def test_tracer_records_all_phases(traced):
 
 def test_tracer_event_details(traced):
     eng, tracer = traced
-    mig = tracer.of_kind("migrate")[0]
+    mig = _of_kind(tracer, "migrate")[0]
     assert mig["src"] == "node0" and mig["dst"] == "node1"
     assert mig["frames"] == 1
     assert mig["state_bytes"] > 0
-    fault = tracer.of_kind("fault")[0]
+    fault = _of_kind(tracer, "fault")[0]
     assert fault["bytes"] > 0
 
 
@@ -60,19 +65,6 @@ def test_tracer_double_attach_rejected(traced):
         tracer.attach(eng)
 
 
-def test_tracer_detach_restores(app_classes_faulting):
-    eng = SODEngine(gige_cluster(2), app_classes_faulting)
-    tracer = Tracer().attach(eng)
-    orig_count = len(tracer.events)
-    tracer.detach()
-    home = eng.host("node0")
-    t = eng.spawn(home, "App", "work", [5])
-    eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "step")
-    eng.run_segment_remote(home, t, "node1", 1)
-    assert len(tracer.events) == orig_count  # nothing new recorded
-    tracer.detach()  # idempotent
-
-
 def test_tracer_sees_every_shipment_of_a_serve_run():
     """The scheduler reaches the engine through ``migrate_many`` and
     ``rehop_segment``, never ``migrate`` — the tracer must see those
@@ -82,7 +74,7 @@ def test_tracer_sees_every_shipment_of_a_serve_run():
                                 placement="front-door", max_seg_hops=2)
     tracer = Tracer().attach(sched.engine)
     rep = sched.serve(load)
-    counts = tracer.counts()
+    counts = Counter(e["kind"] for e in tracer.events)
     assert rep.stats["seg_rehops"] > 0
     assert counts["migrate"] == rep.stats["sod_offloads"] \
         == len(sched.engine.migrations)
@@ -101,11 +93,11 @@ def test_tracer_sees_the_residual_push_of_total_migration(
     t = eng.spawn(home, "App", "work", [8])
     eng.run(home, t, stop=lambda th: th.frames[-1].code.name == "step")
     rep = total_migration(eng, home, t, "node1", top_frames=1)
-    migs = tracer.of_kind("migrate")
+    migs = _of_kind(tracer, "migrate")
     assert len(migs) == len(rep.records) == 2
     assert [m["state_bytes"] for m in migs] \
         == [r.state_bytes for r in rep.records]
-    assert tracer.counts()["writeback"] >= 1
+    assert _of_kind(tracer, "writeback")
 
 
 # -- CLI --------------------------------------------------------------------

@@ -407,7 +407,8 @@ def test_saved_bytes_are_class_tokens_plus_revalidations():
         tokens += rec.saved_bytes
     assert tokens > 0
 
-    hits = [e for e in tracer.of_kind("fault") if e["revalidated"]]
+    hits = [e for e in tracer.events
+            if e["kind"] == "fault" and e["revalidated"]]
     assert len(hits) == rep.stats["reval_hits"] > 0
     revalidated = sum(max(0, e["bytes"] - 16) for e in hits)
 
@@ -416,7 +417,8 @@ def test_saved_bytes_are_class_tokens_plus_revalidations():
 
 
 def test_scheduler_single_hop_default_never_rehops():
-    from repro.serve import QueueDepthPolicy, serve_mix
+    from repro.serve import QueueDepthPolicy
+    from tests.helpers import serve_mix
 
     rep = serve_mix("offload", n_nodes=6, n_requests=12, seed=7,
                     placement="front-door", offload=QueueDepthPolicy())
@@ -428,7 +430,8 @@ def test_multihop_chains_do_not_lose_to_single_hop():
     """The offload-heavy mix through one front door on 8 nodes: chains
     (Fig. 1c) serve at least the single-hop throughput.  At 6 nodes
     and 12 requests they do not, so this is the smallest stream kept."""
-    from repro.serve import QueueDepthPolicy, serve_mix
+    from repro.serve import QueueDepthPolicy
+    from tests.helpers import serve_mix
 
     reps = {hops: serve_mix("offload", n_nodes=8, n_requests=24, seed=7,
                             placement="front-door",

@@ -14,7 +14,6 @@ def test_kb_mb_gb():
 
 def test_network_rates_use_decimal_bits():
     assert units.kbps(8) == 1000.0
-    assert units.mbps(8) == 1_000_000.0
     assert units.gbps(1) == 125_000_000.0
 
 
@@ -22,7 +21,6 @@ def test_time_helpers():
     assert units.us(1) == pytest.approx(1e-6)
     assert units.ms(250) == pytest.approx(0.25)
     assert units.to_ms(0.25) == pytest.approx(250)
-    assert units.to_us(1e-6) == pytest.approx(1.0)
 
 
 def test_fmt_bytes_scales():

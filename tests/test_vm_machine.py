@@ -23,13 +23,6 @@ def test_nullish_and_truthy():
     assert truthy(5) and truthy("x")
 
 
-def test_remote_ref_with_loc():
-    ref = RemoteRef(3, "home")
-    bound = ref.with_loc(("local", None, 2))
-    assert bound.home_oid == 3 and bound.loc == ("local", None, 2)
-    assert ref.loc is None
-
-
 def test_default_values():
     assert default_value("int") == 0
     assert default_value("float") == 0.0
@@ -47,20 +40,6 @@ def test_call_static_method(app_machine):
 def test_spawn_rejects_missing_method(app_machine):
     with pytest.raises(LinkError):
         app_machine.spawn("App", "nope")
-
-
-def test_spawn_on_instance():
-    src = """
-    class C { int v; int get() { return v; } }
-    class T { static int f() { return 0; } }
-    """
-    classes = compile_source(src)
-    m = Machine(classes)
-    obj = m.heap.new_instance(m.loader.load("C"))
-    obj.fields["v"] = 9
-    t = m.spawn_on_instance(obj, "get")
-    m.run(t)
-    assert t.result == 9
 
 
 def test_clock_and_instr_count_advance(app_machine):

@@ -7,9 +7,7 @@ from repro.errors import MigrationError
 from repro.lang import compile_source
 from repro.migration import SODEngine
 from repro.migration.policies import (LocalityPolicy,
-                                      SpeculativeCloudPolicy, after_clock,
-                                      after_instrs,
-                                      any_of, on_depth, on_method_entry,
+                                      SpeculativeCloudPolicy, on_method_entry,
                                       rewind_to_line_start)
 from repro.migration.segments import max_migratable, pin_methods
 from repro.migration.workflow import (deliver_value, multi_hop,
@@ -129,18 +127,6 @@ def test_trigger_combinators(flow_classes):
     t = m.spawn("W", "main", [5])
     m.run(t, stop=on_method_entry("W", "c"))
     assert t.frames[-1].code.name == "c" and t.frames[-1].pc == 0
-    t2 = m.spawn("W", "main", [5])
-    m.run(t2, stop=on_depth(3))
-    assert t2.depth() == 3
-    t3 = m.spawn("W", "main", [5])
-    m.run(t3, stop=any_of(on_depth(99), after_instrs(m, 10)))
-    assert not t3.finished
-    t4 = m.spawn("W", "main", [5])
-    budget = m.cost.unit_op_cost() * 20
-    clock0 = m.clock
-    status = m.run(t4, stop=after_clock(m, budget))
-    assert status == "stopped" and m.clock - clock0 >= budget
-    assert not t4.finished
 
 
 def test_rewind_to_line_start(flow_classes):
