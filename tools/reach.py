@@ -22,13 +22,15 @@ Python 3.11 and 3.12 agree.
 
 Every wholly-unreached unit, whatever its size, needs a row in
 ``REASONS``, and the row names a reason the system itself has (one of
-the ``_REASON`` constants below); being pinned by a test is not one.
-``--check`` fails on a unit with no row, and on a row that names no
-unit in ``src/`` (renamed or deleted).  A row whose unit was reached in
-this run is only a printed note: forked real-backend workers are not
-traced (tracing is switched off in the child), so their bodies read as
-unreached, and the parent's share of the real backend depends on timing
-(steals, crashes), so the line totals move by a few tens between runs.
+the named constants below: ``_ISA``, ``_CHAOS``, ``_FROZEN_BENCH``,
+...); being pinned by a test is not one.  ``--check`` fails on a unit
+with no row, and on a row that names no unit in ``src/`` (renamed or
+deleted).  A row whose unit was reached in this run is only a printed
+note, because the parent's share of the real backend depends on timing
+(steals, crashes): its helpers are reached in some runs and not in
+others, and the line totals move by a few tens between runs.  Forked
+real-backend workers are not traced (tracing is switched off in the
+child), so their bodies always read as unreached.
 ``__repr__`` is not a unit: Python calls it for tracebacks, debuggers
 and test failure messages, and the audit runs none of these.
 Run it in a fresh process: a module imported before the trace starts
