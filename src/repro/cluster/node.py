@@ -54,8 +54,6 @@ class Node:
 
     def __init__(self, spec: NodeSpec):
         self.spec = spec
-        #: bytes of simulated RAM currently committed on this node
-        self.ram_used: int = 0
         #: files hosted locally: path -> SimFile (set by FileSystem)
         self.local_files: Dict[str, object] = {}
 

@@ -90,12 +90,13 @@ class SpeculativeCloudPolicy:
         length = frame.stack[-1]
         if not isinstance(length, int):
             return False
-        node = self.device.machine.node
-        if node is None:
+        machine = self.device.machine
+        if machine.node is None:
             return False
-        need = length * (ins.b or 8)
-        budget = node.spec.ram_bytes - node.ram_used - self.headroom
-        return need > budget
+        # NEWARR's out-of-memory test, less the headroom
+        need = length * (ins.b or 8) + 16
+        return (machine.heap.allocated_bytes + need
+                > machine.node.spec.ram_bytes - self.headroom)
 
     def run(self, thread: ThreadState) -> Any:
         """Execute to completion, rocketing to the cloud if doomed."""

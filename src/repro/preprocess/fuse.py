@@ -17,8 +17,8 @@ the fault rule below.  A plain slot (:func:`plain_slot`) is one
 instruction: count 1, fault offset 0.  Tier 1 hand-writes an arm for
 the nine superinstructions and the plain opcodes its streams dispatch
 often or poll at; every other plain slot runs the hooked loop's
-``Machine._execute`` from one fallback arm, so a slot needs only its
-weight and count there.
+handler for it (``machine._OPS``, through ``Machine._execute``) from
+one fallback arm, so a slot needs only its weight and count there.
 
 This module additionally *fuses* multi-instruction sequences into
 single superinstructions.  The set is sized by the code the system
@@ -116,7 +116,7 @@ _BIN_OPS = frozenset({op.ADD, op.SUB, op.MUL, op.DIV, op.MOD}) | _CMP_OPS
 _BIN_IDS: Dict[int, str] = {op.OP_IDS[name]: name for name in _BIN_OPS}
 
 #: opcodes that get a per-site monomorphic inline-cache cell (cell size):
-#: the ones tier 1 binds itself (a ``PUTS`` runs ``Machine._execute``)
+#: the ones tier 1 binds itself (a ``PUTS`` runs its oracle handler)
 _CACHED_OPS = {op.GETS: 1, op.INVOKESTATIC: 1, op.INVOKEVIRT: 2}
 
 

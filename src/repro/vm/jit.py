@@ -38,7 +38,8 @@ but a string one, the only case ``_add`` is not ``a + b``.
 
 Templates cover the safepoints, ``JZ`` / ``JNZ`` and the plain opcodes
 compiled code executes often; the other nine (``SWAP``, ``NOT``,
-``LSWITCH``, ``PUTS``, ...) run the oracle's body, ``Machine._execute``
+``LSWITCH``, ``PUTS``, ...) run the oracle's handler
+(``machine._OPS``) through ``Machine._execute``
 (:meth:`_Compiler.gen_oracle`), so a new one needs nothing here.
 
 Deferred writes reach ``frame.locals`` exactly where it can be
@@ -199,8 +200,9 @@ class _Refuse(Exception):
 # (``machine._arr_fail``, ``_static_cell`` and friends) are the ones
 # tier 1's own arms call, so a message or exception class is written
 # once for both; the one tier-2 addition is the guard-miss counter.
-# The opcodes without a template call no helper: they run
-# ``Machine._execute`` itself (:meth:`_Compiler.gen_oracle`).
+# The opcodes without a template call no helper: they run their
+# ``machine._OPS`` handler through ``Machine._execute``
+# (:meth:`_Compiler.gen_oracle`).
 
 def _resolve_virtual(m: Any, receiver: Any, name: str, nargs: int,
                      cell: List[Any]) -> Tuple[CodeObject, List[Any]]:
@@ -698,8 +700,8 @@ class _Compiler:
         return False
 
     def gen_oracle(self, bci: int, ins: Any) -> bool:
-        """An opcode without a template runs :meth:`Machine._execute`
-        at a precise frame state: locals written back, fault record
+        """An opcode without a template runs its oracle handler through
+        :meth:`Machine._execute` at a precise frame state: locals written back, fault record
         armed (what it raises reaches the ``except`` arms), operand
         stack in ``frame.stack``, ``frame.pc`` at ``bci``.  Then the
         stack is popped back into names, or, after ``LSWITCH`` /

@@ -22,12 +22,13 @@ Dispatch
 :meth:`Machine.run` is the only way to execute a thread, and its
 contract does not depend on which of three loops does the work:
 
-* the **hooked loop** (:meth:`Machine._run_loop` + :meth:`_execute`)
-  handles one instruction at a time — breakpoint checks and
-  ``stop``/``max_instrs`` polling.  It executes the instructions that
-  carry a hook — one per trap hit, all of them under ``max_instrs``,
-  an undeclared ``stop`` or ``dispatch="legacy"`` — and is the
-  hand-written oracle of the differential suites;
+* the **hooked loop** (:meth:`Machine._run_loop`) handles one
+  instruction at a time — breakpoint checks and ``stop``/``max_instrs``
+  polling — and calls that opcode's handler in :data:`_OPS`, the one
+  place each opcode's semantics is written whole.  It executes the
+  instructions that carry a hook — one per trap hit, all of them under
+  ``max_instrs``, an undeclared ``stop`` or ``dispatch="legacy"`` — and
+  is the oracle of the differential suites;
 * **tier 1** (:meth:`Machine._run_fast`) runs the rest: a per-machine
   linked *decoded stream* (:mod:`repro.preprocess.fuse`) of dense
   integer opcodes, pre-resolved cost weights, fused superinstructions
@@ -37,14 +38,15 @@ contract does not depend on which of three loops does the work:
   flushed at natives, exception dispatch and loop exit.  It writes an
   arm for the nine, the safepoint opcodes and the plain opcodes the
   deployed streams dispatch often, tested in their measured order;
-  every other opcode runs :meth:`_execute`'s own body from one
-  fallback arm;
+  every other opcode runs its :data:`_OPS` handler through
+  :meth:`_execute` from one fallback arm;
 * **tier 2** (:mod:`repro.vm.jit`; ``jit=``, default on, off under
   ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
   specialized Python closures, one frame at a time.  It writes a
   template for the safepoint opcodes, ``JZ`` / ``JNZ`` and the plain
-  opcodes compiled code executes often; the nine others run
-  :meth:`_execute`'s body from one arm, the frame materialized.
+  opcodes compiled code executes often; the nine others run their
+  :data:`_OPS` handler through :meth:`_execute` from one arm, the
+  frame materialized.
 
 What selects a loop is host-side state only (``stop``,
 ``max_instrs``, ``dispatch=``, ``jit=``, hotness).  A
@@ -196,7 +198,7 @@ class Machine:
         #: scratch space for attached runtimes (object manager, etc.)
         self.extras: Dict[str, Any] = {}
         #: interpreter selection: "fast" (pre-decoded, inline-cached)
-        #: or "legacy" (string-dispatched reference loop)
+        #: or "legacy" (the hooked loop, one handler per opcode)
         self.dispatch = dispatch
         #: per-machine decoded-stream cache (holds the inline caches).
         #: This is the *root namespace's* map; while a namespaced
@@ -1038,23 +1040,32 @@ class Machine:
         if self._ticks_of[0] != weights:  # a new or edited table
             self._ticks_of = (dict(weights), weight_ticks(weights))
         tick = self._ticks_of[1]
-        while thread.frames:
+        frames = thread.frames
+        ops = _OPS
+        safepoint = op.is_safepoint
+        # stop / max_instrs / quantum are this call's arguments, fixed
+        # for the run; breakpoints and pending exceptions may change
+        # mid-run, so those two are tested at every instruction
+        hooked = not (stop is None and max_instrs is None and quantum is None)
+        while frames:
             if thread.pending_exception is not None:
                 exc = thread.pending_exception
                 thread.pending_exception = None
                 if not self._dispatch(thread, exc):
                     return "finished"
                 continue
-            if stop is not None and stop(thread):
-                return "stopped"
-            if max_instrs is not None and executed >= max_instrs:
-                return "limit"
-            frame = thread.frames[-1]
+            if hooked:
+                if stop is not None and stop(thread):
+                    return "stopped"
+                if max_instrs is not None and executed >= max_instrs:
+                    return "limit"
+            frame = frames[-1]
             pc = frame.pc
-            if quantum is not None and executed >= quantum:
-                ins = frame.code.instrs[pc]
-                if op.is_safepoint(ins.op, ins.a, pc):
-                    return "preempted"
+            ins = frame.code.instrs[pc]
+            o = ins.op
+            if (hooked and quantum is not None and executed >= quantum
+                    and safepoint(o, ins.a, pc)):
+                return "preempted"
             if self.breakpoints:
                 key = (frame.code.class_name, frame.code.name, pc)
                 if key in self.breakpoints:
@@ -1066,13 +1077,12 @@ class Machine:
                         continue  # re-check pending exception etc.
                 else:
                     self._bp_guard = None
-            ins = frame.code.instrs[pc]
             try:
-                self._execute(thread, frame, ins)
+                ops[o](self, thread, frame, ins)
             except GuestThrow as gt:
                 if not self._dispatch(thread, gt.exc):
                     return "finished"
-            self._ticks += tick[ins.op]
+            self._ticks += tick[o]
             self.instr_count += 1
             executed += 1
         thread.finished = True
@@ -1135,166 +1145,10 @@ class Machine:
     # -- the legacy interpreter ---------------------------------------------------
 
     def _execute(self, thread: ThreadState, frame: Frame, ins: Any) -> None:
-        o = ins.op
-        stack = frame.stack
-
-        if o == op.LOAD:
-            stack.append(frame.locals[ins.a])
-        elif o == op.STORE:
-            frame.locals[ins.a] = stack.pop()
-        elif o == op.CONST:
-            stack.append(ins.a)
-        elif o == op.JMP:
-            frame.pc = ins.a
-            return
-        elif o == op.JZ:
-            if not truthy(stack.pop()):
-                frame.pc = ins.a
-                return
-        elif o == op.JNZ:
-            if truthy(stack.pop()):
-                frame.pc = ins.a
-                return
-        elif o in _ARITH:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(_ARITH[o](self, a, b))
-        elif o == op.NEG:
-            stack.append(-stack.pop())
-        elif o == op.NOT:
-            stack.append(not truthy(stack.pop()))
-        elif o == op.POP:
-            stack.pop()
-        elif o == op.DUP:
-            stack.append(stack[-1])
-        elif o == op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-        elif o == op.NOP:
-            pass
-        elif o == op.GETF:
-            obj = stack.pop()
-            if is_nullish(obj):
-                raise self._npe(obj, f"getfield {ins.a}")
-            if not isinstance(obj, VMInstance) or ins.a not in obj.fields:
-                raise LinkError(f"no field {ins.a!r} on {_tname(obj)}")
-            stack.append(obj.fields[ins.a])
-        elif o == op.PUTF:
-            value = stack.pop()
-            obj = stack.pop()
-            if is_nullish(obj):
-                raise self._npe(obj, f"putfield {ins.a}")
-            if not isinstance(obj, VMInstance) or ins.a not in obj.fields:
-                raise LinkError(f"no field {ins.a!r} on {_tname(obj)}")
-            obj.fields[ins.a] = value
-        elif o == op.GETS:
-            cls_name, fname = ins.a
-            home = self.loader.load(cls_name).find_static_home(fname)
-            stack.append(home.statics[fname])
-        elif o == op.PUTS:
-            cls_name, fname = ins.a
-            home = self.loader.load(cls_name).find_static_home(fname)
-            home.statics[fname] = stack.pop()
-            if self.on_static_write is not None:
-                self.on_static_write(home)
-        elif o == op.ISREMOTE:
-            stack.append(isinstance(stack.pop(), RemoteRef))
-        elif o == op.NEW:
-            stack.append(self.heap.new_instance(self.loader.load(ins.a)))
-        elif o == op.NEWARR:
-            n = stack.pop()
-            if not isinstance(n, int) or n < 0:
-                raise self.throw("IndexOutOfBoundsException",
-                                 f"array length {n}")
-            need = n * (ins.b or 8) + 16
-            if self.node is not None and (
-                    self.heap.allocated_bytes + need
-                    > self.node.spec.ram_bytes):
-                raise self.throw(
-                    "OutOfMemoryError",
-                    f"array of {need} bytes exceeds node RAM")
-            stack.append(self.heap.new_array(ins.a, n, ins.b or 8))
-        elif o == op.ALOAD:
-            idx = stack.pop()
-            arr = stack.pop()
-            if is_nullish(arr):
-                raise self._npe(arr, "arrayload")
-            if not isinstance(arr, VMArray):
-                raise VMError(f"arrayload on {_tname(arr)}")
-            if not (0 <= idx < len(arr.data)):
-                raise self.throw("IndexOutOfBoundsException",
-                                 f"index {idx} length {len(arr.data)}")
-            stack.append(arr.data[idx])
-        elif o == op.ASTORE:
-            value = stack.pop()
-            idx = stack.pop()
-            arr = stack.pop()
-            if is_nullish(arr):
-                raise self._npe(arr, "arraystore")
-            if not isinstance(arr, VMArray):
-                raise VMError(f"arraystore on {_tname(arr)}")
-            if not (0 <= idx < len(arr.data)):
-                raise self.throw("IndexOutOfBoundsException",
-                                 f"index {idx} length {len(arr.data)}")
-            arr.data[idx] = value
-        elif o == op.LEN:
-            arr = stack.pop()
-            if is_nullish(arr):
-                raise self._npe(arr, "arraylength")
-            if not isinstance(arr, VMArray):
-                raise VMError(f"arraylength on {_tname(arr)}")
-            stack.append(len(arr.data))
-        elif o == op.INVOKESTATIC:
-            cls_name, mname = ins.a
-            nargs = ins.b
-            args = stack[len(stack) - nargs:] if nargs else []
-            del stack[len(stack) - nargs:]
-            cls = self.loader.load(cls_name)
-            code = cls.find_method(mname)
-            if code is None:
-                raise LinkError(f"no method {cls_name}.{mname}")
-            if not code.is_static:
-                raise VMError(f"{cls_name}.{mname} is not static")
-            frame.pc += 1
-            thread.frames.append(Frame(code, args))
-            return
-        elif o == op.INVOKEVIRT:
-            nargs = ins.b
-            args = stack[len(stack) - nargs:] if nargs else []
-            del stack[len(stack) - nargs:]
-            receiver = stack.pop()
-            if is_nullish(receiver):
-                raise self._npe(receiver, f"invoke {ins.a}")
-            code = self._resolve_method(receiver, ins.a)
-            frame.pc += 1
-            thread.frames.append(Frame(code, [receiver] + args))
-            return
-        elif o == op.NATIVE:
-            nargs = ins.b
-            args = stack[len(stack) - nargs:] if nargs else []
-            del stack[len(stack) - nargs:]
-            fn = self.natives.lookup(ins.a)
-            self.charge(self.cost.native_base)
-            stack.append(fn(self, args))
-        elif o == op.RET:
-            self._return(thread, None)
-            return
-        elif o == op.RETV:
-            self._return(thread, stack.pop())
-            return
-        elif o == op.THROW:
-            exc = stack.pop()
-            if is_nullish(exc):
-                raise self._npe(exc, "throw")
-            if not isinstance(exc, VMInstance) or not exc.vmclass.is_subclass_of("Throwable"):
-                raise VMError(f"throw of non-Throwable {_tname(exc)}")
-            raise GuestThrow(exc)
-        elif o == op.LSWITCH:
-            key = stack.pop()
-            frame.pc = ins.a.get(key, ins.b)
-            return
-        else:  # pragma: no cover
-            raise VMError(f"unimplemented opcode {o}")
-        frame.pc += 1
+        """Execute one instruction by its handler in :data:`_OPS`: the
+        single entry for tier 1's fallback arm and tier 2's
+        ``gen_oracle``."""
+        _OPS[ins.op](self, thread, frame, ins)
 
     def _return(self, thread: ThreadState, value: Any) -> None:
         """Pop the top frame, delivering ``value`` to the caller (or
@@ -1348,12 +1202,13 @@ def _arity_pad(code: CodeObject, nargs: int) -> List[Any]:
 #
 # The fast loop and the tier-2 closures keep their hot paths inline and
 # call these for everything else, so a message or exception class is
-# written once for both (``_execute`` stays the independent oracle the
-# differential suites compare them with).  An opcode a tier writes no
-# arm for runs ``_execute`` itself — 27 on tier 1 (its fallback arm),
-# nine on tier 2 (``jit._Compiler.gen_oracle``) — so for those the
-# differentials check only the dispatch glue (pc, charges, fault
-# record, and on tier 2 the materialized operand stack).
+# written once for both (the ``_OPS`` handlers stay the independent
+# oracle the differential suites compare them with).  An opcode a tier
+# writes no arm for runs its ``_OPS`` handler through ``_execute`` —
+# 27 on tier 1 (its fallback arm), nine on tier 2
+# (``jit._Compiler.gen_oracle``) — so for those the differentials check
+# only the dispatch glue (pc, charges, fault record, and on tier 2 the
+# materialized operand stack).
 
 def _arr_fail(m: "Machine", arr: Any, what: str) -> Any:
     """``what`` ("arrayload", ...) on a non-array: NullPointerException
@@ -1477,6 +1332,284 @@ _FAST2: Dict[str, Callable[[Any, Any], Any]] = {
     op.GT: operator.gt,
     op.GE: operator.ge,
 }
+
+
+# -- the oracle: one handler per opcode ------------------------------------------
+#
+# Each opcode's reference semantics.  The hooked loop calls them
+# through ``_OPS``; tier 1's fallback arm and tier 2's ``gen_oracle``
+# through :meth:`Machine._execute`.  A handler leaves ``frame.pc`` at
+# the next bci and updates it only after its last raise point, so a
+# throwing instruction leaves ``pc`` at its own bci (a call advances it
+# before it builds the callee's frame).
+
+_Handler = Callable[[Machine, ThreadState, Frame, Any], None]
+
+
+def _do_const(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.stack.append(ins.a)
+    frame.pc += 1
+
+
+def _do_load(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.stack.append(frame.locals[ins.a])
+    frame.pc += 1
+
+
+def _do_store(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.locals[ins.a] = frame.stack.pop()
+    frame.pc += 1
+
+
+def _do_pop(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.stack.pop()
+    frame.pc += 1
+
+
+def _do_dup(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    stack.append(stack[-1])
+    frame.pc += 1
+
+
+def _do_swap(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    stack[-1], stack[-2] = stack[-2], stack[-1]
+    frame.pc += 1
+
+
+def _do_nop(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.pc += 1
+
+
+def _do_new(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.stack.append(m.heap.new_instance(m.loader.load(ins.a)))
+    frame.pc += 1
+
+
+def _do_getf(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    obj = stack.pop()
+    if is_nullish(obj):
+        raise m._npe(obj, f"getfield {ins.a}")
+    if not isinstance(obj, VMInstance) or ins.a not in obj.fields:
+        raise LinkError(f"no field {ins.a!r} on {_tname(obj)}")
+    stack.append(obj.fields[ins.a])
+    frame.pc += 1
+
+
+def _do_putf(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    value = stack.pop()
+    obj = stack.pop()
+    if is_nullish(obj):
+        raise m._npe(obj, f"putfield {ins.a}")
+    if not isinstance(obj, VMInstance) or ins.a not in obj.fields:
+        raise LinkError(f"no field {ins.a!r} on {_tname(obj)}")
+    obj.fields[ins.a] = value
+    frame.pc += 1
+
+
+def _do_gets(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    cls_name, fname = ins.a
+    home = m.loader.load(cls_name).find_static_home(fname)
+    frame.stack.append(home.statics[fname])
+    frame.pc += 1
+
+
+def _do_puts(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    cls_name, fname = ins.a
+    home = m.loader.load(cls_name).find_static_home(fname)
+    home.statics[fname] = frame.stack.pop()
+    if m.on_static_write is not None:
+        m.on_static_write(home)
+    frame.pc += 1
+
+
+def _do_isremote(m: Machine, thread: ThreadState, frame: Frame,
+                 ins: Any) -> None:
+    stack = frame.stack
+    stack.append(isinstance(stack.pop(), RemoteRef))
+    frame.pc += 1
+
+
+def _do_newarr(m: Machine, thread: ThreadState, frame: Frame,
+               ins: Any) -> None:
+    stack = frame.stack
+    n = stack.pop()
+    if not isinstance(n, int) or n < 0:
+        raise m.throw("IndexOutOfBoundsException", f"array length {n}")
+    need = n * (ins.b or 8) + 16
+    if m.node is not None and (
+            m.heap.allocated_bytes + need > m.node.spec.ram_bytes):
+        raise m.throw("OutOfMemoryError",
+                      f"array of {need} bytes exceeds node RAM")
+    stack.append(m.heap.new_array(ins.a, n, ins.b or 8))
+    frame.pc += 1
+
+
+def _do_aload(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    idx = stack.pop()
+    arr = stack.pop()
+    if is_nullish(arr):
+        raise m._npe(arr, "arrayload")
+    if not isinstance(arr, VMArray):
+        raise VMError(f"arrayload on {_tname(arr)}")
+    if not (0 <= idx < len(arr.data)):
+        raise m.throw("IndexOutOfBoundsException",
+                      f"index {idx} length {len(arr.data)}")
+    stack.append(arr.data[idx])
+    frame.pc += 1
+
+
+def _do_astore(m: Machine, thread: ThreadState, frame: Frame,
+               ins: Any) -> None:
+    stack = frame.stack
+    value = stack.pop()
+    idx = stack.pop()
+    arr = stack.pop()
+    if is_nullish(arr):
+        raise m._npe(arr, "arraystore")
+    if not isinstance(arr, VMArray):
+        raise VMError(f"arraystore on {_tname(arr)}")
+    if not (0 <= idx < len(arr.data)):
+        raise m.throw("IndexOutOfBoundsException",
+                      f"index {idx} length {len(arr.data)}")
+    arr.data[idx] = value
+    frame.pc += 1
+
+
+def _do_len(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    arr = stack.pop()
+    if is_nullish(arr):
+        raise m._npe(arr, "arraylength")
+    if not isinstance(arr, VMArray):
+        raise VMError(f"arraylength on {_tname(arr)}")
+    stack.append(len(arr.data))
+    frame.pc += 1
+
+
+def _binop(fn: Callable[[Machine, Any, Any], Any]) -> _Handler:
+    """The handler of one ``_ARITH`` operator."""
+    def run(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+        stack = frame.stack
+        b = stack.pop()
+        a = stack.pop()
+        stack.append(fn(m, a, b))
+        frame.pc += 1
+    return run
+
+
+def _do_neg(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    stack.append(-stack.pop())
+    frame.pc += 1
+
+
+def _do_not(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    stack = frame.stack
+    stack.append(not truthy(stack.pop()))
+    frame.pc += 1
+
+
+def _do_jmp(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    frame.pc = ins.a
+
+
+def _do_jz(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    if truthy(frame.stack.pop()):
+        frame.pc += 1
+    else:
+        frame.pc = ins.a
+
+
+def _do_jnz(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    if truthy(frame.stack.pop()):
+        frame.pc = ins.a
+    else:
+        frame.pc += 1
+
+
+def _do_lswitch(m: Machine, thread: ThreadState, frame: Frame,
+                ins: Any) -> None:
+    frame.pc = ins.a.get(frame.stack.pop(), ins.b)
+
+
+def _do_ret(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    m._return(thread, None)
+
+
+def _do_retv(m: Machine, thread: ThreadState, frame: Frame, ins: Any) -> None:
+    m._return(thread, frame.stack.pop())
+
+
+def _do_throw(m: Machine, thread: ThreadState, frame: Frame,
+              ins: Any) -> None:
+    exc = frame.stack.pop()
+    if is_nullish(exc):
+        raise m._npe(exc, "throw")
+    if not isinstance(exc, VMInstance) or not exc.vmclass.is_subclass_of(
+            "Throwable"):
+        raise VMError(f"throw of non-Throwable {_tname(exc)}")
+    raise GuestThrow(exc)
+
+
+def _do_invokestatic(m: Machine, thread: ThreadState, frame: Frame,
+                     ins: Any) -> None:
+    cls_name, mname = ins.a
+    stack, nargs = frame.stack, ins.b
+    args = stack[len(stack) - nargs:] if nargs else []
+    del stack[len(stack) - nargs:]
+    code = m.loader.load(cls_name).find_method(mname)
+    if code is None:
+        raise LinkError(f"no method {cls_name}.{mname}")
+    if not code.is_static:
+        raise VMError(f"{cls_name}.{mname} is not static")
+    frame.pc += 1
+    thread.frames.append(Frame(code, args))
+
+
+def _do_invokevirt(m: Machine, thread: ThreadState, frame: Frame,
+                   ins: Any) -> None:
+    stack, nargs = frame.stack, ins.b
+    args = stack[len(stack) - nargs:] if nargs else []
+    del stack[len(stack) - nargs:]
+    receiver = stack.pop()
+    if is_nullish(receiver):
+        raise m._npe(receiver, f"invoke {ins.a}")
+    code = m._resolve_method(receiver, ins.a)
+    frame.pc += 1
+    thread.frames.append(Frame(code, [receiver] + args))
+
+
+def _do_native(m: Machine, thread: ThreadState, frame: Frame,
+               ins: Any) -> None:
+    stack, nargs = frame.stack, ins.b
+    args = stack[len(stack) - nargs:] if nargs else []
+    del stack[len(stack) - nargs:]
+    fn = m.natives.lookup(ins.a)
+    m.charge(m.cost.native_base)
+    stack.append(fn(m, args))
+    frame.pc += 1
+
+
+#: opcode name -> its handler; built once, covering the ISA exactly
+_OPS: Dict[str, _Handler] = {
+    op.CONST: _do_const, op.LOAD: _do_load, op.STORE: _do_store,
+    op.POP: _do_pop, op.DUP: _do_dup, op.SWAP: _do_swap, op.NOP: _do_nop,
+    op.NEW: _do_new, op.GETF: _do_getf, op.PUTF: _do_putf,
+    op.GETS: _do_gets, op.PUTS: _do_puts, op.ISREMOTE: _do_isremote,
+    op.NEWARR: _do_newarr, op.ALOAD: _do_aload, op.ASTORE: _do_astore,
+    op.LEN: _do_len, op.NEG: _do_neg, op.NOT: _do_not,
+    op.JMP: _do_jmp, op.JZ: _do_jz, op.JNZ: _do_jnz,
+    op.LSWITCH: _do_lswitch, op.RET: _do_ret, op.RETV: _do_retv,
+    op.THROW: _do_throw, op.INVOKESTATIC: _do_invokestatic,
+    op.INVOKEVIRT: _do_invokevirt, op.NATIVE: _do_native,
+    **{name: _binop(fn) for name, fn in _ARITH.items()},
+}
+assert set(_OPS) == op.ALL_OPS, sorted(set(_OPS) ^ op.ALL_OPS)
 
 
 # -- dense opcode ids used by the fast loop --------------------------------------

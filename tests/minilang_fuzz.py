@@ -8,7 +8,7 @@ loop-carried folds stay bounded — the pure ``Sys`` math natives in the
 int and float bands, try/catch, guest-exception sites) and
 differentially checks the fast tiers — the pre-decoded/fused/
 inline-cached interpreter and the tier-2 JIT — against the legacy
-string-dispatched loop on stdout / result / uncaught-exception /
+loop (one handler per opcode) on stdout / result / uncaught-exception /
 instr_count / clock (:func:`run_fuzz`; campaigns over the same seeds
 can share each program's legacy run).
 

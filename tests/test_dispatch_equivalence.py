@@ -1,5 +1,5 @@
 """Differential suite: fast (pre-decoded, fused, inline-cached) dispatch
-must be observationally identical to the legacy string-dispatched loop.
+must be observationally identical to the legacy (hooked) loop.
 
 Covers every registry workload plus targeted programs for guest
 exceptions, fused-sequence faults, inline-cache polymorphism, breakpoint
@@ -484,6 +484,28 @@ def test_every_superinstruction_fires_on_the_flattened_builds():
                     sites.update(fused_coverage(m.decoded(code)))
         assert names <= set(sites), \
             f"no site on {build}: {sorted(names - set(sites))}"
+
+
+def test_the_oracle_table_covers_the_isa():
+    """``machine._OPS`` holds one handler for each opcode of the ISA,
+    and nothing else."""
+    from repro.vm import machine as machine_mod
+    assert set(machine_mod._OPS) == op.ALL_OPS
+
+
+def test_hooked_loop_has_no_second_encoding():
+    """``Machine._execute`` and ``_run_loop`` name no opcode and test no
+    opcode set: every body lives in the handler table, so no copy of an
+    opcode's semantics can return to the hooked loop."""
+    import inspect
+    import re
+
+    for fn in (Machine._execute, Machine._run_loop):
+        src = inspect.getsource(fn)
+        assert not re.search(r"\bop\.[A-Z]+\b", src), fn.__name__
+        assert not re.search(r"_ARITH|SAFEPOINT_OPS|OP_IDS|_I_[A-Z]", src), \
+            fn.__name__
+        assert not re.search(r"[\"'][A-Z]{2,}[\"']", src), fn.__name__
 
 
 #: the plain opcodes tier 1 writes an arm for: the safepoints (their

@@ -59,3 +59,36 @@ def test_report_registry_names_unique_and_callable():
     assert len(ALL) == 10
     for fn in ALL.values():
         assert callable(fn)
+
+
+def test_reach_audit_names_two_units_under_one_key(tmp_path, monkeypatch):
+    """``tools/reach.py`` keys units by qualified name; a property's
+    getter and setter share one, so the audit reports the key with both
+    first lines (``--check`` fails on it) instead of letting one hide
+    the other."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "reach.py"
+    spec = importlib.util.spec_from_file_location("reach_under_test", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "class C:\n"
+        "    @property\n"
+        "    def x(self):\n"
+        "        return 1\n"
+        "\n"
+        "    @x.setter\n"
+        "    def x(self, v):\n"
+        "        pass\n"
+        "\n"
+        "    def y(self):\n"
+        "        return 2\n")
+    monkeypatch.setattr(reach, "SRC", str(tmp_path / "src"))
+    monkeypatch.setattr(reach, "PKG", str(pkg))
+    out = reach.audit(reach.Reach())
+    assert out["shared"] == {"repro.mod:C.x": [2, 6]}
+    assert "repro.mod:C.y" in out["known"]

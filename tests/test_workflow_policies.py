@@ -187,6 +187,42 @@ def test_speculative_policy_rockets_to_cloud():
     assert result == sum(range(50_000))
 
 
+TWO_ARRAYS_SRC = """
+class T {
+  static int crunch(int n, int k) {
+    int[] a = new int[n];
+    for (int i = 0; i < n; i = i + 1) { a[i] = i; }
+    int[] b = new int[k];
+    for (int i = 0; i < k; i = i + 1) { b[i] = a[i % n] + 1; }
+    int s = 0;
+    for (int i = 0; i < k; i = i + 1) { s = s + b[i]; }
+    return s;
+  }
+  static int main(int n, int k) { return T.crunch(n, k); }
+}
+"""
+
+
+def test_speculative_policy_counts_what_the_device_allocated():
+    """The second array fits the device's RAM alone but not after the
+    first: the policy budgets what the heap already holds, as NEWARR's
+    out-of-memory test does, and migrates instead of dying of it."""
+    from repro.cluster import NodeSpec
+    from repro.cluster.topology import gige_cluster
+    from repro.units import gb, kb
+    classes = preprocess_program(compile_source(TWO_ARRAYS_SRC), "faulting")
+    cluster = gige_cluster(1)
+    cluster.add_node(NodeSpec(name="device", ram_bytes=kb(64)))
+    cluster.add_node(NodeSpec(name="cloud", ram_bytes=gb(64), kind="cloud"))
+    eng = SODEngine(cluster, classes)
+    device = eng.host("device")
+    n, k = 4_000, 5_000  # 32,016 + 40,016 bytes > 65,536
+    t = eng.spawn(device, "T", "main", [n, k])
+    policy = SpeculativeCloudPolicy(eng, device, "cloud")
+    assert policy.run(t) == sum(i % n + 1 for i in range(k))
+    assert policy.migrated
+
+
 def test_speculative_policy_stays_local_when_it_fits():
     from repro.cluster import NodeSpec
     from repro.cluster.topology import gige_cluster

@@ -18,7 +18,9 @@ called or a dataclass instance is made); a class with no function
 bodies has no run-time lines and is not a unit.  A wholly-unreached
 unit inside another unreached unit is listed under the outer one only.
 Units are keyed by module and qualified name, never by line number, so
-Python 3.11 and 3.12 agree.
+Python 3.11 and 3.12 agree; two units under one key (a property's getter
+and setter, a ``def`` made twice) would let one hide the other, so
+``--check`` fails on them and names both first lines.
 
 Every wholly-unreached unit, whatever its size, needs a row in
 ``REASONS``, and the row names a reason the system itself has (one of
@@ -96,6 +98,12 @@ REASONS: Dict[str, str] = {
     "repro.vm.machine:_iobe": _ISA,
     "repro.vm.machine:_tname": _ISA,
     "repro.vm.machine:UncaughtGuestException": _ISA,
+    "repro.vm.machine:_do_invokevirt": _ISA,
+    "repro.vm.machine:_do_len": _ISA,
+    "repro.vm.machine:_do_nop": _ISA,
+    "repro.vm.machine:_do_not": _ISA,
+    "repro.vm.machine:_do_swap": _ISA,
+    "repro.vm.machine:_do_throw": _ISA,
     # guest natives
     "repro.vm.natives:_fs_read": _NATIVE,
     "repro.vm.natives:_fs_exists": _NATIVE,
@@ -344,7 +352,8 @@ def _spans(tree) -> Dict[Tuple[str, int], int]:
 
 def audit(reach: Reach) -> Dict[str, object]:
     """Totals, per-file unreached counts, the maximal wholly-unreached
-    units (key -> span in lines) and the key of every unit."""
+    units (key -> span in lines), the key of every unit and the keys two
+    units share (key -> their first lines)."""
     called = {(os.path.realpath(co.co_filename), co.co_firstlineno,
                co.co_qualname) for co in reach.called.values()}
     made = {f"{c.__module__}:{c.__qualname__}"
@@ -353,6 +362,7 @@ def audit(reach: Reach) -> Dict[str, object]:
     per_file: Dict[str, Tuple[int, int]] = {}
     units: Dict[str, int] = {}
     known: Set[str] = set()
+    firsts: Dict[str, Set[int]] = {}
     for folder, _dirs, files in sorted(os.walk(PKG)):
         for name in sorted(files):
             if not name.endswith(".py"):
@@ -392,6 +402,7 @@ def audit(reach: Reach) -> Dict[str, object]:
                 key = f"{mod}:{co.co_qualname}"
                 if co is not top and has_body:
                     known.add(key)
+                    firsts.setdefault(key, set()).add(co.co_firstlineno)
                 if co is not top and has_body and not live:
                     end = spans[(co.co_qualname, co.co_firstlineno)]
                     for sub in [k for k in units
@@ -400,8 +411,9 @@ def audit(reach: Reach) -> Dict[str, object]:
                     units[key] = end - co.co_firstlineno + 1
                 return live or any(inner)
             visit(top)
+    shared = {k: sorted(v) for k, v in firsts.items() if len(v) > 1}
     return {"total": total, "reached": hit_total, "per_file": per_file,
-            "units": units, "known": known}
+            "units": units, "known": known, "shared": shared}
 
 
 def run_all(reach: Reach) -> None:
@@ -417,7 +429,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--check", action="store_true",
                     help="exit 1 if a wholly-unreached unit has no row in "
-                         "REASONS, or a row names no unit in src/")
+                         "REASONS, a row names no unit in src/, or two "
+                         "units share a key")
     args = ap.parse_args(argv)
     reach = Reach()
     run_all(reach)
@@ -440,11 +453,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\nREASONS rows not listed as unreached in this run: {noted}")
     missing = sorted(set(units) - set(REASONS))
     stale = sorted(set(REASONS) - out["known"])
-    if args.check and (missing or stale):
+    shared = out["shared"]
+    if args.check and (missing or stale or shared):
         if missing:
             print(f"\nFAIL: no reason for {missing}", file=sys.stderr)
         if stale:
             print(f"\nFAIL: REASONS rows naming no unit in src/: {stale}",
+                  file=sys.stderr)
+        for key, lines in sorted(shared.items()):
+            print(f"\nFAIL: units at lines {lines} share the key {key}",
                   file=sys.stderr)
         return 1
     return 0
