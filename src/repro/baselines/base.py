@@ -2,10 +2,11 @@
 
 Each baseline engine exposes the same surface the experiments drive:
 
-* ``start(class, method, args)`` -> (host, thread)
-* ``run(...)`` with triggers
-* ``migrate(thread, dst)`` -> :class:`BaselineRecord`
-* ``finish(thread)`` -> final result
+* ``start(class, method, args, at)`` -> (machine, thread)
+* ``run(machine, thread, stop=...)`` with triggers
+* ``migrate(machine, thread, dst)`` -> (machine, thread,
+  :class:`BaselineRecord`)
+* ``finish(machine, thread)`` -> final result
 
 so Tables II-IV and VI can sweep systems uniformly.
 """
@@ -64,6 +65,20 @@ class BaselineEngine:
                         fs=self.cluster.fs, name=f"{self.name}@{node_name}")
             self.machines[node_name] = m
         return m
+
+    def start(self, class_name: str, method: str,
+              args: Optional[List[Any]] = None,
+              at: str = "node0") -> Tuple[Machine, ThreadState]:
+        machine = self.machine_on(at)
+        return machine, machine.spawn(class_name, method, args)
+
+    def finish(self, machine: Machine, thread: ThreadState) -> Any:
+        """Run ``thread`` to completion where it is now; its result."""
+        self.run(machine, thread)
+        if thread.uncaught is not None:
+            raise MigrationError(
+                f"{self.name}: thread died: {thread.uncaught.class_name}")
+        return thread.result
 
     def run(self, machine: Machine, thread: ThreadState,
             stop: Optional[Callable[[ThreadState], bool]] = None,

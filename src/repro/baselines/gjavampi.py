@@ -18,7 +18,7 @@ frames (open sockets) cannot migrate at all (section IV.D).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Tuple
 
 from repro.baselines.base import BaselineEngine, BaselineRecord, heap_nominal_bytes
 from repro.errors import MigrationError
@@ -31,12 +31,6 @@ class GJavaMPIEngine(BaselineEngine):
     """Eager-copy process migration."""
 
     name = "G-JavaMPI"
-
-    def start(self, class_name: str, method: str,
-              args: Optional[List[Any]] = None,
-              at: str = "node0") -> Tuple[Machine, ThreadState]:
-        machine = self.machine_on(at)
-        return machine, machine.spawn(class_name, method, args)
 
     def migrate(self, src_machine: Machine, thread: ThreadState,
                 dst_node: str) -> Tuple[Machine, ThreadState, BaselineRecord]:
@@ -82,11 +76,3 @@ class GJavaMPIEngine(BaselineEngine):
         self.timeline += rec.latency
         self.records.append(rec)
         return dst_machine, new_thread, rec
-
-    def finish(self, machine: Machine, thread: ThreadState) -> Any:
-        """Run to completion at the current location."""
-        self.run(machine, thread)
-        if thread.uncaught is not None:
-            raise MigrationError(
-                f"process died: {thread.uncaught.class_name}")
-        return thread.result

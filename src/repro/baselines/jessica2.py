@@ -38,13 +38,14 @@ class Jessica2Engine(BaselineEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.servers: Dict[str, HomeObjectServer] = {}
+        #: migrated thread -> (home machine, home thread), for write-back
+        self.homes: Dict[ThreadState, Tuple[Machine, ThreadState]] = {}
 
     def start(self, class_name: str, method: str,
               args: Optional[List[Any]] = None,
               at: str = "node0") -> Tuple[Machine, ThreadState]:
-        machine = self.machine_on(at)
-        self.servers[at] = HomeObjectServer(machine, at)
-        return machine, machine.spawn(class_name, method, args)
+        self.servers[at] = HomeObjectServer(self.machine_on(at), at)
+        return super().start(class_name, method, args, at)
 
     def _static_alloc_bytes(self, machine: Machine) -> int:
         """Bytes of static arrays that class loading must allocate at the
@@ -103,6 +104,7 @@ class Jessica2Engine(BaselineEngine):
         objman.service_fixed = self.sys.fault_service_fixed
         objman.install_natives()
         objman.register_thread_home(new_thread, src_node)
+        self.homes[new_thread] = (src_machine, thread)
         dst_machine.extras["objman"] = objman
         rec.restore_time = dst_machine.clock - t0
         # The migrated thread now runs under the global-object-space
@@ -127,28 +129,24 @@ class Jessica2Engine(BaselineEngine):
     def _rtt(self, src: str, dst: str, req: int, reply: int) -> float:
         return self.cluster.network.rtt(src, dst, req, reply)
 
-    def finish(self, machine: Machine, thread: ThreadState,
-               home_machine: Optional[Machine] = None,
-               home_thread: Optional[ThreadState] = None) -> Any:
-        """Run the migrated thread to completion; write results back to
-        the home space and retire the home thread."""
-        self.run(machine, thread)
-        if thread.uncaught is not None:
-            raise MigrationError(f"thread died: {thread.uncaught.class_name}")
+    def finish(self, machine: Machine, thread: ThreadState) -> Any:
+        """Run the thread to completion; a migrated one writes its
+        results back to the home space and retires its home thread."""
+        value = super().finish(machine, thread)
+        home = self.homes.pop(thread, None)
         objman = machine.extras.get("objman")
-        if objman is not None and home_machine is not None:
-            message, nbytes = objman.build_writeback(thread.result)
-            self.timeline += self.transfer_time(
-                machine.node.name, home_machine.node.name,
-                machine.cost.wire_bytes(nbytes))
-            server = self.servers[home_machine.node.name]
-            value = server.apply_writeback(
-                message["updates"], message["elem_updates"],
-                message["static_updates"], message["graph"],
-                message["return"])
-            if home_thread is not None:
-                home_thread.frames.clear()
-                home_thread.finished = True
-                home_thread.result = value
+        if objman is None or home is None:
             return value
-        return thread.result
+        home_machine, home_thread = home
+        message, nbytes = objman.build_writeback(value)
+        self.timeline += self.transfer_time(
+            machine.node.name, home_machine.node.name,
+            machine.cost.wire_bytes(nbytes))
+        server = self.servers[home_machine.node.name]
+        value = server.apply_writeback(
+            message["updates"], message["elem_updates"],
+            message["static_updates"], message["graph"], message["return"])
+        home_thread.frames.clear()
+        home_thread.finished = True
+        home_thread.result = value
+        return value

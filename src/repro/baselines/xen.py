@@ -18,10 +18,9 @@ become local after migration.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Tuple
 
 from repro.baselines.base import BaselineEngine, BaselineRecord, heap_nominal_bytes
-from repro.errors import MigrationError
 from repro.vm.frames import ThreadState
 from repro.vm.machine import Machine
 
@@ -30,12 +29,6 @@ class XenEngine(BaselineEngine):
     """Pre-copy live migration of the whole VM."""
 
     name = "Xen"
-
-    def start(self, class_name: str, method: str,
-              args: Optional[List[Any]] = None,
-              at: str = "node0") -> Tuple[Machine, ThreadState]:
-        machine = self.machine_on(at)
-        return machine, machine.spawn(class_name, method, args)
 
     def migrate(self, machine: Machine, thread: ThreadState,
                 dst_node: str) -> Tuple[Machine, ThreadState, BaselineRecord]:
@@ -66,9 +59,3 @@ class XenEngine(BaselineEngine):
         self.machines[dst_node] = machine
         self.records.append(rec)
         return machine, thread, rec
-
-    def finish(self, machine: Machine, thread: ThreadState) -> Any:
-        self.run(machine, thread)
-        if thread.uncaught is not None:
-            raise MigrationError(f"VM guest died: {thread.uncaught.class_name}")
-        return thread.result

@@ -133,69 +133,34 @@ def run_sodee(w: Workload, migrate: bool,
                       record=rec, faults=faults)
 
 
-def run_gjavampi(w: Workload, migrate: bool) -> RunOutcome:
-    """G-JavaMPI: original build (no instrumentation), eager-copy
-    process migration."""
-    isec = anchor("G-JavaMPI", w.name)
-    eng = GJavaMPIEngine(gige_cluster(2), compiled(w.name, "original"),
-                         gjavampi_model(isec, agent_factor=1.0))
-    machine, thread = eng.start(w.main[0], w.main[1], list(w.sim_args))
-    if not migrate:
-        result = eng.finish(machine, thread)
-        return RunOutcome("G-JavaMPI", w.name, False, eng.timeline, result)
-    status = eng.run(machine, thread, stop=w.trigger())
-    if status == "finished":
-        raise RuntimeError(f"{w.name}: trigger never fired")
-    dst_machine, dst_thread, rec = eng.migrate(machine, thread, "node1")
-    result = eng.finish(dst_machine, dst_thread)
-    return RunOutcome("G-JavaMPI", w.name, True, eng.timeline, result,
-                      record=rec)
-
-
-def run_jessica2(w: Workload, migrate: bool) -> RunOutcome:
-    """JESSICA2: faulting build stands in for its DSM layer; in-JVM
-    thread migration; Kaffe-era execution factor."""
-    isec = anchor("JESSICA2", w.name)
-    eng = Jessica2Engine(gige_cluster(2), compiled(w.name, "faulting"),
-                         jessica2_model(isec, exec_factor=1.0))
-    machine, thread = eng.start(w.main[0], w.main[1], list(w.sim_args))
-    if not migrate:
-        eng.run(machine, thread)
-        return RunOutcome("JESSICA2", w.name, False, eng.timeline,
-                          thread.result)
-    status = eng.run(machine, thread, stop=w.trigger())
-    if status == "finished":
-        raise RuntimeError(f"{w.name}: trigger never fired")
-    dst_machine, dst_thread, rec = eng.migrate(machine, thread, "node1")
-    result = eng.finish(dst_machine, dst_thread, home_machine=machine,
-                        home_thread=thread)
-    return RunOutcome("JESSICA2", w.name, True, eng.timeline, result,
-                      record=rec)
-
-
-def run_xen(w: Workload, migrate: bool) -> RunOutcome:
-    """Xen: original build inside a guest VM; live migration."""
-    isec = anchor("Xen", w.name)
-    eng = XenEngine(gige_cluster(2), compiled(w.name, "original"),
-                    xen_model(isec, exec_factor=1.0))
-    machine, thread = eng.start(w.main[0], w.main[1], list(w.sim_args))
-    if not migrate:
-        result = eng.finish(machine, thread)
-        return RunOutcome("Xen", w.name, False, eng.timeline, result)
-    status = eng.run(machine, thread, stop=w.trigger())
-    if status == "finished":
-        raise RuntimeError(f"{w.name}: trigger never fired")
-    machine, thread, rec = eng.migrate(machine, thread, "node1")
-    result = eng.finish(machine, thread)
-    return RunOutcome("Xen", w.name, True, eng.timeline, result, record=rec)
-
-
-RUNNERS: Dict[str, Callable[[Workload, bool], RunOutcome]] = {
-    "SODEE": run_sodee,
-    "G-JavaMPI": run_gjavampi,
-    "JESSICA2": run_jessica2,
-    "Xen": run_xen,
+#: each baseline system's engine and its cost model at an anchored
+#: per-instruction time (its build is :data:`SYSTEM_BUILD`'s)
+BASELINES: Dict[str, Tuple[type, Callable[[float], Any]]] = {
+    "G-JavaMPI": (GJavaMPIEngine,
+                  lambda isec: gjavampi_model(isec, agent_factor=1.0)),
+    "JESSICA2": (Jessica2Engine,
+                 lambda isec: jessica2_model(isec, exec_factor=1.0)),
+    "Xen": (XenEngine, lambda isec: xen_model(isec, exec_factor=1.0)),
 }
+
+
+def run_baseline(system: str, w: Workload, migrate: bool) -> RunOutcome:
+    """A baseline system on its build; with ``migrate``, the whole
+    thread (G-JavaMPI: process, Xen: VM) moves to node1 at the
+    workload's trigger."""
+    engine, model = BASELINES[system]
+    eng = engine(gige_cluster(2), compiled(w.name, SYSTEM_BUILD[system]),
+                 model(anchor(system, w.name)))
+    machine, thread = eng.start(w.main[0], w.main[1], list(w.sim_args))
+    rec = None
+    if migrate:
+        if eng.run(machine, thread, stop=w.trigger()) == "finished":
+            raise RuntimeError(f"{w.name}: trigger never fired")
+        machine, thread, rec = eng.migrate(machine, thread, "node1")
+    result = eng.finish(machine, thread)
+    return RunOutcome(system, w.name, migrate, eng.timeline, result,
+                      record=rec)
+
 
 _outcome_cache: Dict[Tuple[str, str, bool], RunOutcome] = {}
 
@@ -209,7 +174,12 @@ def outcome(system: str, workload: str, migrate: bool) -> RunOutcome:
     if hit is not None:
         return hit
     w = WORKLOADS[workload]
-    out = run_jdk(w) if system == "JDK" else RUNNERS[system](w, migrate)
+    if system == "JDK":
+        out = run_jdk(w)
+    elif system == "SODEE":
+        out = run_sodee(w, migrate)
+    else:
+        out = run_baseline(system, w, migrate)
     oracle = expected_result(workload)
     if _mismatch(out.result, oracle):
         raise AssertionError(

@@ -96,7 +96,7 @@ def run_jessica2() -> Tuple[float, float, float]:
     m, t = eng.start("Search", "run3", _args(paths), at="node0")
     eng.run(m, t, stop=on_method_entry("Search", "searchFile"))
     dm, wt, _rec = eng.migrate(m, t, "node1")
-    result = eng.finish(dm, wt, home_machine=m, home_thread=t)
+    result = eng.finish(dm, wt)
     assert result == 3, result
     mig = eng.timeline
 

@@ -97,8 +97,14 @@ class LoadIndex:
     # -- event-driven updates ----------------------------------------------
 
     def load(self, node: str, extra: int = 0) -> float:
-        """Current weighted load of ``node`` (+ ``extra`` threads the
-        caller holds in hand), O(1)."""
+        """Runnable-or-imminent threads on ``node`` per unit of serving
+        capacity: the queue, the running slot, deliveries already in
+        flight toward the node (so simultaneous offload decisions don't
+        dogpile one idle target), and ``extra`` — work the caller knows
+        about but has already popped from the queue (the request in
+        hand).  O(1): reads the event-driven counter; the from-scratch
+        definition it must always agree with is :func:`recompute_load`
+        (property-tested)."""
         if extra:
             return self._load[node] + extra / self.weights[node]
         return self._load[node]

@@ -20,22 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-# -- load accounting -----------------------------------------------------------
-
-
-def weighted_load(sched, node: str, extra: int = 0) -> float:
-    """Runnable-or-imminent threads on ``node`` per unit of serving
-    capacity: the queue, the running slot, deliveries already in flight
-    toward the node (so simultaneous offload decisions don't dogpile
-    one idle target), and ``extra`` — work the caller knows about but
-    has already popped from the queue (the request in hand).
-
-    O(1): reads the event-driven counter; the from-scratch definition
-    it must always agree with is
-    :func:`repro.serve.loadindex.recompute_load` (property-tested)."""
-    return sched.load_index.load(node, extra)
-
-
 # -- admission placement -------------------------------------------------------
 
 
@@ -356,7 +340,7 @@ class QueueDepthPolicy:
     rehop_remaining_mult: float = 2.0
 
     def handoff_target(self, sched, node: str) -> Optional[str]:
-        load = weighted_load(sched, node, extra=1)
+        load = sched.load_index.load(node, 1)
         if load < self.depth_threshold:
             return None
         return sched.pick_underloaded(node, load, self.min_gap)
@@ -376,7 +360,7 @@ class QueueDepthPolicy:
     def offload_target(self, sched, node: str, req) -> Optional[str]:
         if not self.victim_ok(sched, req):
             return None
-        load = weighted_load(sched, node, extra=1)
+        load = sched.load_index.load(node, 1)
         if load < self.depth_threshold:
             return None
         return sched.pick_underloaded(node, load, self.min_gap)
@@ -404,7 +388,7 @@ class QueueDepthPolicy:
         hot enough or no target light enough to clear the chain bar."""
         if self.max_seg_hops <= 0 or not self.rehop_ok(sched, seg):
             return None
-        load = weighted_load(sched, node, extra=1)
+        load = sched.load_index.load(node, 1)
         if load < self.rehop_threshold_mult * self.depth_threshold:
             return None
         return sched.pick_underloaded(

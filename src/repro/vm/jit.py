@@ -84,6 +84,11 @@ status tuple ``(st, w_acc, n_acc, aux, aux2)``:
        materialized, the driver re-enters (on tier 1 where masked)
 =====  ==========================================================
 
+Tier 1 keeps the same protocol (:meth:`repro.vm.machine.Machine._run_fast`):
+its inner loop runs one frame, and a call or return hands the next
+frame to the same driver, which alone enters a frame and picks its
+tier.
+
 Safepoints and accounting
 -------------------------
 

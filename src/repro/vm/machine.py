@@ -39,14 +39,16 @@ contract does not depend on which of three loops does the work:
   arm for the nine, the safepoint opcodes and the plain opcodes the
   deployed streams dispatch often, tested in their measured order;
   every other opcode runs its :data:`_OPS` handler through
-  :meth:`_execute` from one fallback arm;
+  :meth:`_execute` from one fallback arm.  A call or return hands the
+  next frame to the loop's driver, the one place a frame is entered
+  (its stream linked, hotness bumped, tier chosen);
 * **tier 2** (:mod:`repro.vm.jit`; ``jit=``, default on, off under
   ``REPRO_JIT=0``) replaces hot code objects of a tier-1 run by
-  specialized Python closures, one frame at a time.  It writes a
-  template for the safepoint opcodes, ``JZ`` / ``JNZ`` and the plain
-  opcodes compiled code executes often; the nine others run their
-  :data:`_OPS` handler through :meth:`_execute` from one arm, the
-  frame materialized.
+  specialized Python closures, one frame at a time, under the same
+  driver.  It writes a template for the safepoint opcodes, ``JZ`` /
+  ``JNZ`` and the plain opcodes compiled code executes often; the nine
+  others run their :data:`_OPS` handler through :meth:`_execute` from
+  one arm, the frame materialized.
 
 What selects a loop is host-side state only (``stop``,
 ``max_instrs``, ``dispatch=``, ``jit=``, hotness).  A
@@ -590,6 +592,11 @@ class Machine:
         :meth:`_run_trapped` (no ``max_instrs``, no undeclared ``stop``).
         Returns ``"finished"``, ``"preempted"`` (``quantum`` expired at a
         safepoint) or ``"trap"`` (``frame.pc`` synced, accounting flushed).
+
+        The driver (the top of ``while frames:``) enters every frame; the
+        inner loop runs the top frame alone, as a tier-2 closure does: a
+        call or return breaks back to the driver, so ``frame``, ``stream``
+        and the stack registers never change inside it.
         """
         # Localize everything the hot path touches.
         frames = thread.frames
@@ -626,8 +633,12 @@ class Machine:
         FI_LOAD_STORE = F_LOAD_STORE
         FI_CONST_STORE = F_CONST_STORE; FI_LOAD_GETF = F_LOAD_GETF
         FI_LOAD_JZ = F_LOAD_JZ; FI_LOAD_JNZ = F_LOAD_JNZ
+        # how the inner loop last broke: 1 a tier-1 call, 2 a tier-1
+        # return (both hand the driver the next frame), 0 otherwise
+        handed = 0
         try:
             while frames:
+                via, handed = handed, 0
                 if thread.pending_exception is not None:
                     exc = thread.pending_exception
                     thread.pending_exception = None
@@ -639,13 +650,18 @@ class Machine:
                         return "finished"
                     continue
                 frame = frames[-1]
+                code = frame.code
+                stream = decoded.get(code)
+                if stream is None and via:
+                    # a tier-1 call or return links the stream of the
+                    # frame it hands over, whichever tier runs it next
+                    stream = self.decoded(code)
                 if jm is not None:
-                    # Tier-up driver: every frame (re)entry at a
-                    # compiled entry point runs the closure; everything
-                    # else falls through to tier-1 interpretation.
-                    code = frame.code
+                    # Tier-up: an entry (a tier-1 return is none) bumps
+                    # a cold method; an entry at a compiled entry point
+                    # runs the closure, everything else tier 1.
                     cf = jm.get(code)
-                    if cf is None:
+                    if cf is None and via != 2:
                         h = code.hotness = code.hotness + 1
                         if h >= TH:
                             cf = _ci(self, code, jm)
@@ -672,9 +688,8 @@ class Machine:
                             # frame (on tier 1 if it is the masked one)
                             self.jit_deopts += 1
                         continue          # st 4: pending exception armed
-                stream = decoded.get(frame.code)
                 if stream is None:
-                    stream = self.decoded(frame.code)
+                    stream = self.decoded(code)
                 pc = frame.pc
                 stack = frame.stack
                 locs = frame.locals
@@ -693,19 +708,19 @@ class Machine:
                         # 8.1, LOAD+JZ 6.4, STORE 6.2, LOAD 6.0,
                         # LOAD+LOAD+arith(m)+STORE 5.9,
                         # LOAD+LOAD+ALOAD+STORE 4.0, LOAD+LOAD 2.9, GETS
-                        # 2.5, JMP 2.1, INVOKESTATIC 2.0, ASTORE 1.8,
-                        # RETV 1.6, the rest under 1 each.  A serve
-                        # workload's tier 1 runs restoration handlers
-                        # (tier 2 runs the hot code): NATIVE, STORE,
-                        # CONST and LSWITCH are 52-79% of its 11-15 k
-                        # dispatches per bench stream, too few to move
-                        # the order.  Plain CONST comes last: flattened
-                        # code pairs it with a STORE outside handlers.
-                        # The 27 opcodes of the fallback arm reach tier
-                        # 1 at most 586 times per bench stream (plain
-                        # ALOAD / binop / JZ / JNZ / GETF only after a
-                        # jump or resume into a group; the original
-                        # build pays).
+                        # 2.5, JMP 2.1, INVOKESTATIC 2.0, RETV + RET 2.0
+                        # (1.6 + 0.3, one arm), ASTORE 1.8, the rest
+                        # under 1 each.  A serve workload's tier 1 runs
+                        # restoration handlers (tier 2 runs the hot
+                        # code): NATIVE, STORE, CONST and LSWITCH are
+                        # 52-79% of its 11-15 k dispatches per bench
+                        # stream, too few to move the order.  Plain
+                        # CONST comes last: flattened code pairs it with
+                        # a STORE outside handlers.  The 27 opcodes of
+                        # the fallback arm reach tier 1 at most 586
+                        # times per bench stream (plain ALOAD / binop /
+                        # JZ / JNZ / GETF only after a jump or resume
+                        # into a group; the original build pays).
                         if oid == FI_LOAD_STORE:
                             locs[ins[2]] = locs[ins[1]]
                             pc += 2
@@ -762,12 +777,11 @@ class Machine:
                                 return "preempted"
                             if jm is not None and ins[1] <= pc:
                                 # OSR: loops tier up at the back edge
-                                code2 = frame.code
-                                cf2 = jm.get(code2)
+                                cf2 = jm.get(code)
                                 if cf2 is None:
-                                    h = code2.hotness = code2.hotness + 1
+                                    h = code.hotness = code.hotness + 1
                                     if h >= TH:
-                                        cf2 = _ci(self, code2, jm)
+                                        cf2 = _ci(self, code, jm)
                                 if cf2 and ins[1] in cf2[1]:
                                     w_acc += ins[3]
                                     n_acc += ins[4]
@@ -787,7 +801,6 @@ class Machine:
                             if c is None:
                                 c = cell[0] = _resolve_static(
                                     self, ins[1], ins[2])
-                            code2 = c[0]
                             nargs = ins[2]
                             if nargs:
                                 args = stack[-nargs:]
@@ -797,30 +810,33 @@ class Machine:
                             frame.pc = pc + 1
                             # pre-validated arity: build the frame without
                             # re-running Frame.__init__'s checks
-                            frame = Frm.__new__(Frm)
-                            frame.code = code2
-                            frame.locals = locs = args + c[1]
-                            frame.stack = stack = []
-                            frame.pc = pc = 0
-                            frame.pinned = False
-                            frames.append(frame)
-                            push = stack.append
-                            pop = stack.pop
-                            stream = decoded.get(code2)
-                            if stream is None:
-                                stream = self.decoded(code2)
-                            if jm is not None:
-                                # Tier-up at the call site: charge the
-                                # invoke, then enter via the driver.
-                                cf2 = jm.get(code2)
-                                if cf2 is None:
-                                    h = code2.hotness = code2.hotness + 1
-                                    if h >= TH:
-                                        cf2 = _ci(self, code2, jm)
-                                if cf2:
-                                    w_acc += ins[3]
-                                    n_acc += ins[4]
-                                    break
+                            callee = Frm.__new__(Frm)
+                            callee.code = c[0]
+                            callee.locals = args + c[1]
+                            callee.stack = []
+                            callee.pc = 0
+                            callee.pinned = False
+                            frames.append(callee)
+                            handed = 1
+                            w_acc += ins[3]
+                            n_acc += ins[4]
+                            break
+                        elif oid == I_RETV or oid == I_RET:
+                            if q is not None and \
+                                    self.instr_count + n_acc >= q_limit:
+                                frame.pc = pc
+                                return "preempted"
+                            value = pop() if oid == I_RETV else None
+                            frames.pop()
+                            if frames:
+                                frames[-1].stack.append(value)
+                            else:
+                                thread.finished = True
+                                thread.result = value
+                            handed = 2
+                            w_acc += ins[3]
+                            n_acc += ins[4]
+                            break
                         elif oid == I_ASTORE:
                             value = pop()
                             idx = pop()
@@ -833,39 +849,6 @@ class Machine:
                             else:
                                 raise _iobe(self, idx, len(data))
                             pc += 1
-                        elif oid == I_RETV:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
-                                frame.pc = pc
-                                return "preempted"
-                            value = pop()
-                            frames.pop()
-                            if frames:
-                                frame = frames[-1]
-                                stack = frame.stack
-                                stack.append(value)
-                                locs = frame.locals
-                                pc = frame.pc
-                                push = stack.append
-                                pop = stack.pop
-                                code2 = frame.code
-                                stream = decoded.get(code2)
-                                if stream is None:
-                                    stream = self.decoded(code2)
-                                if jm is not None:
-                                    # Re-enter a compiled caller at its
-                                    # return-continuation entry point.
-                                    cf2 = jm.get(code2)
-                                    if cf2 and pc in cf2[1]:
-                                        w_acc += ins[3]
-                                        n_acc += ins[4]
-                                        break
-                            else:
-                                thread.finished = True
-                                thread.result = value
-                                w_acc += ins[3]
-                                n_acc += 1
-                                break
                         elif oid == FI_LOAD_GETF:
                             obj = locs[ins[1]]
                             fname = ins[2]
@@ -881,36 +864,6 @@ class Machine:
                         elif oid == I_DUP:
                             push(stack[-1])
                             pc += 1
-                        elif oid == I_RET:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
-                                frame.pc = pc
-                                return "preempted"
-                            frames.pop()
-                            if frames:
-                                frame = frames[-1]
-                                stack = frame.stack
-                                stack.append(None)
-                                locs = frame.locals
-                                pc = frame.pc
-                                push = stack.append
-                                pop = stack.pop
-                                code2 = frame.code
-                                stream = decoded.get(code2)
-                                if stream is None:
-                                    stream = self.decoded(code2)
-                                if jm is not None:
-                                    cf2 = jm.get(code2)
-                                    if cf2 and pc in cf2[1]:
-                                        w_acc += ins[3]
-                                        n_acc += ins[4]
-                                        break
-                            else:
-                                thread.finished = True
-                                thread.result = None
-                                w_acc += ins[3]
-                                n_acc += 1
-                                break
                         elif oid == FI_LOAD_JNZ:
                             pc = ins[2] if tr(locs[ins[1]]) else pc + 2
                         elif oid == I_NATIVE:
@@ -960,30 +913,18 @@ class Machine:
                             else:
                                 c = _bind_virtual(self, receiver, ins[1],
                                                   nargs, cell)
-                            code2 = c[0]
                             frame.pc = pc + 1
-                            frame = Frm.__new__(Frm)
-                            frame.code = code2
-                            frame.locals = locs = [receiver] + args + c[1]
-                            frame.stack = stack = []
-                            frame.pc = pc = 0
-                            frame.pinned = False
-                            frames.append(frame)
-                            push = stack.append
-                            pop = stack.pop
-                            stream = decoded.get(code2)
-                            if stream is None:
-                                stream = self.decoded(code2)
-                            if jm is not None:
-                                cf2 = jm.get(code2)
-                                if cf2 is None:
-                                    h = code2.hotness = code2.hotness + 1
-                                    if h >= TH:
-                                        cf2 = _ci(self, code2, jm)
-                                if cf2:
-                                    w_acc += ins[3]
-                                    n_acc += ins[4]
-                                    break
+                            callee = Frm.__new__(Frm)
+                            callee.code = c[0]
+                            callee.locals = [receiver] + args + c[1]
+                            callee.stack = []
+                            callee.pc = 0
+                            callee.pinned = False
+                            frames.append(callee)
+                            handed = 1
+                            w_acc += ins[3]
+                            n_acc += ins[4]
+                            break
                         elif oid == I_CONST:
                             push(ins[1])
                             pc += 1
@@ -993,8 +934,7 @@ class Machine:
                             frame.pc = pc
                             if oid < 0:  # _TRAP: the hooked loop's turn
                                 return "trap"
-                            self._execute(thread, frame,
-                                          frame.code.instrs[pc])
+                            self._execute(thread, frame, code.instrs[pc])
                             pc = frame.pc
                         w_acc += ins[3]
                         n_acc += ins[4]

@@ -100,7 +100,7 @@ def test_jessica2_roundtrip_with_writeback(faulting):
     m, t = eng.start("P", "main", [30])
     eng.run(m, t, stop=TRIG)
     dm, wt, rec = eng.migrate(m, t, "node1")
-    result = eng.finish(dm, wt, home_machine=m, home_thread=t)
+    result = eng.finish(dm, wt)
     assert result == ref(faulting)
     assert t.finished
 

@@ -90,6 +90,19 @@ REGISTRY_COUNTS = {
     "TSP": (2_328_869, 153_060_460, 3, 0, 194),
 }
 
+#: each method's ``CodeObject.hotness`` after the same cold run (the
+#: methods left out stay 0): a frame entry or a loop back-edge bumps a
+#: method that has no closure yet, and a tier-1 return is no entry
+REGISTRY_HOTNESS = {
+    "FFT": {"FFT.checksum": 16, "FFT.compute": 16, "FFT.fft1d": 16,
+            "FFT.fftCol": 16, "FFT.fftRow": 16, "FFT.finishUp": 1,
+            "FFT.init": 16, "FFT.main": 3, "FFT.post": 2},
+    "Fib": {"Fib.fib": 16, "Fib.main": 2},
+    "NQ": {"NQ.main": 2, "NQ.ok": 16, "NQ.place": 16},
+    "TSP": {"TSP.d": 16, "TSP.init": 16, "TSP.main": 1, "TSP.run": 2,
+            "TSP.search": 16, "TSP.solve": 2},
+}
+
 
 @pytest.mark.parametrize("name", sorted(REGISTRY_COUNTS))
 def test_registry_counts_on_the_faulting_build(name):
@@ -104,6 +117,9 @@ def test_registry_counts_on_the_faulting_build(name):
                 for code in cls.cf.methods.values())
     assert (m.instr_count, m._ticks, m.jit_compiles, m.jit_guard_bails,
             sites) == REGISTRY_COUNTS[name]
+    assert {f"{c}.{meth}": code.hotness
+            for c, cf in classes.items() for meth, code in cf.methods.items()
+            if code.hotness} == REGISTRY_HOTNESS[name]
     for kw in (dict(dispatch="legacy"), dict(jit=False)):
         other = Machine(classes, **kw)
         other.call(w.main[0], w.main[1], list(w.sim_args))
@@ -491,6 +507,59 @@ def test_the_oracle_table_covers_the_isa():
     and nothing else."""
     from repro.vm import machine as machine_mod
     assert set(machine_mod._OPS) == op.ALL_OPS
+
+
+def test_tier1_enters_frames_only_in_its_driver():
+    """``_run_fast``'s inner loop runs one frame, as a tier-2 closure
+    does: a call arm builds the callee's ``Frame``, one arm returns for
+    ``RET`` and ``RETV``, and both hand the next frame to the driver
+    (the top of ``while frames:``).  So hotness is bumped and a closure
+    looked up only there and at the ``JMP`` back-edge, and the frame
+    registers are loaded once, in the driver."""
+    import ast
+    import inspect
+    import re
+    import textwrap
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Machine._run_fast)))
+    loops = {ast.unparse(n.test): n for n in ast.walk(tree)
+             if isinstance(n, ast.While)}
+    inner = loops["True"]
+    label = {id(inner): "inner"}
+    arm = next(n for n in inner.body if isinstance(n, ast.If))
+    while isinstance(arm, ast.If):  # the if / elif chain on ``oid``
+        name = "+".join(sorted(re.findall(r"oid == I_(\w+)",
+                                          ast.unparse(arm.test))))
+        for stmt in arm.body:
+            label[id(stmt)] = name or "fused"
+        arm = arm.orelse[0] if arm.orelse else None
+
+    def walk(node, where):
+        where = label.get(id(node), where)
+        yield where, node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, where)
+
+    spots = list(walk(loops["frames"], "driver"))
+    bumps = [w for w, n in spots if isinstance(n, ast.Assign) and any(
+        isinstance(t, ast.Attribute) and t.attr == "hotness"
+        for t in n.targets)]
+    lookups = [w for w, n in spots if isinstance(n, ast.Call)
+               and ast.unparse(n.func) == "jm.get"]
+    frames = [w for w, n in spots if isinstance(n, ast.Call)
+              and ast.unparse(n.func) == "Frm.__new__"]
+    loads = [(w, t.id) for w, n in spots if isinstance(n, ast.Assign)
+             for t in n.targets if isinstance(t, ast.Name)
+             and t.id in ("frame", "locs", "stack", "push", "pop")]
+    streams = {w for w, n in spots if isinstance(n, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "stream"
+                       for t in n.targets)}
+    assert sorted(bumps) == sorted(lookups) == ["JMP", "driver"]
+    assert sorted(frames) == ["INVOKESTATIC", "INVOKEVIRT"]
+    assert sorted(loads) == [("driver", r) for r in
+                             ("frame", "locs", "pop", "push", "stack")]
+    assert streams == {"driver"}
+    assert "RET+RETV" in label.values()
 
 
 def test_hooked_loop_has_no_second_encoding():
