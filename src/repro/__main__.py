@@ -72,14 +72,11 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         return 2
     engine = SODEngine(gige_cluster(2), compiled(w.name, "faulting"))
     tracer = Tracer().attach(engine)
-    home = engine.host("node0")
-    thread = engine.spawn(home, w.main[0], w.main[1], list(w.sim_args))
-    status = engine.run(home, thread, stop=w.trigger())
-    if status == "finished":
+    home, thread = engine.start(w.main[0], w.main[1], list(w.sim_args))
+    if engine.run(home, thread, stop=w.trigger()) == "finished":
         print("trigger never fired; nothing migrated", file=sys.stderr)
         return 1
-    result, rec = engine.run_segment_remote(home, thread, "node1",
-                                            w.mig_frames)
+    result, rec = engine.run_segment_remote(home, thread, "node1")
     ok = result == expected_result(w.name)
     print(f"result={result} (correct={ok})")
     print(f"latency={rec.latency * 1e3:.2f} ms  "

@@ -1,14 +1,20 @@
 """Shared pieces for the baseline migration systems.
 
-Each baseline engine exposes the same surface the experiments drive:
+All four systems of the paper's comparison — the three baselines here
+and :class:`~repro.migration.sodee.SODEngine` — expose the surface the
+experiments drive:
 
-* ``start(class, method, args, at)`` -> (machine, thread)
+* ``start(class, method, args, at)`` -> (machine or host, thread)
 * ``run(machine, thread, stop=...)`` with triggers
-* ``migrate(machine, thread, dst)`` -> (machine, thread,
-  :class:`BaselineRecord`)
-* ``finish(machine, thread)`` -> final result
+* ``migrate(machine, thread, dst)`` -> (machine, thread, record): a
+  :class:`BaselineRecord`, or SOD's ``MigrationRecord`` for its top
+  frame
+* ``finish(machine, thread)`` -> final result (SOD completes a migrated
+  segment home and runs the home thread on)
 
-so Tables II-IV and VI can sweep systems uniformly.
+so Tables II-IV and VI run every system through the one runner,
+:func:`repro.experiments.common.run_system`.  The reference JDK is a
+plain :class:`BaselineEngine` that never migrates.
 """
 
 from __future__ import annotations

@@ -1,49 +1,106 @@
-"""Shared experiment plumbing: per-system runners and table formatting.
+"""Shared experiment plumbing: the systems, the one runner and table
+formatting.
 
 Every experiment module exposes ``run()`` returning a :class:`Table`
-whose rows pair the paper's published numbers with ours, so
-EXPERIMENTS.md and the benchmark suite print directly comparable output.
+whose rows pair the paper's published numbers with ours, so ``repro
+report`` and the benchmark suite print directly comparable output.  The
+calibration model is written down in :mod:`repro.workloads.registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import GJavaMPIEngine, Jessica2Engine, XenEngine
-from repro.cluster import gige_cluster
+from repro.baselines import (BaselineEngine, GJavaMPIEngine, Jessica2Engine,
+                             XenEngine)
+from repro.bytecode.code import ClassFile
+from repro.cluster import Cluster, gige_cluster
 from repro.migration import SODEngine
-from repro.vm.costmodel import (gjavampi_model, jdk_model, jessica2_model,
-                                sodee_model, xen_model)
-from repro.vm.machine import Machine
-from repro.workloads import (WORKLOADS, Workload, calibrated_instr_seconds,
-                             compiled, expected_result, instr_seconds_for)
+from repro.vm.costmodel import (CostModel, gjavampi_model, jdk_model,
+                                jessica2_model, sodee_model, xen_model)
+from repro.vm.frames import Trigger
+from repro.workloads import (WORKLOADS, compiled, expected_result,
+                             instr_seconds_for)
 
 SYSTEMS = ("SODEE", "G-JavaMPI", "JESSICA2", "Xen")
 
 #: Calibration anchors: each system's *no-migration* execution time from
-#: the paper's Table II.  These reflect JIT/VM quality (Kaffe vs Sun JDK
-#: vs Xen guest), which a Python-hosted VM cannot predict; what the
-#: reproduction *measures* is everything migration adds on top.
+#: the paper's Table II (the JDK's is its JDK column).  These reflect
+#: JIT/VM quality (Kaffe vs Sun JDK vs Xen guest), which a Python-hosted
+#: VM cannot predict; what the reproduction *measures* is everything
+#: migration adds on top.
 PAPER_NOMIG = {
+    "JDK": {name: w.paper_jdk_seconds for name, w in WORKLOADS.items()},
     "SODEE": {"Fib": 12.13, "NQ": 6.38, "FFT": 12.60, "TSP": 3.04},
     "G-JavaMPI": {"Fib": 12.03, "NQ": 6.27, "FFT": 12.48, "TSP": 3.09},
     "JESSICA2": {"Fib": 49.57, "NQ": 38.20, "FFT": 255.3, "TSP": 20.93},
     "Xen": {"Fib": 26.65, "NQ": 13.85, "FFT": 16.52, "TSP": 7.01},
 }
 
-#: which build each system executes
-SYSTEM_BUILD = {
-    "SODEE": "faulting",
-    "G-JavaMPI": "original",
-    "JESSICA2": "faulting",
-    "Xen": "original",
+
+def _no_faults(engine: Any) -> int:
+    return 0
+
+
+def _worker_faults(engine: SODEngine) -> int:
+    worker = engine.hosts.get("node1")
+    return worker.objman.stats.faults if worker and worker.objman else 0
+
+
+@dataclass(frozen=True)
+class System:
+    """One system of the comparison: its engine (start / run / migrate /
+    finish), the build it executes and its cost model at a
+    per-instruction time.  ``whole_stack`` migrates every frame instead
+    of the top one; ``faults`` reads an engine's object-fault count."""
+
+    engine: Callable[..., Any]
+    build: str
+    model: Callable[..., CostModel]
+    whole_stack: bool = False
+    faults: Callable[[Any], int] = _no_faults
+
+
+#: the reference JDK (a baseline engine that never migrates) and the
+#: four compared systems
+SYSTEM_ROWS: Dict[str, System] = {
+    "JDK": System(BaselineEngine, "original", jdk_model),
+    "SODEE": System(SODEngine, "faulting",
+                    lambda isec: sodee_model(isec, agent_factor=1.0),
+                    faults=_worker_faults),
+    "G-JavaMPI": System(GJavaMPIEngine, "original",
+                        lambda isec: gjavampi_model(isec, agent_factor=1.0)),
+    "JESSICA2": System(Jessica2Engine, "faulting",
+                       lambda isec: jessica2_model(isec, exec_factor=1.0)),
+    "Xen": System(XenEngine, "original",
+                  lambda isec: xen_model(isec, exec_factor=1.0)),
 }
+
+
+def run_system(system: System, cluster: Cluster,
+               classes: Dict[str, ClassFile], cost: CostModel,
+               main: Tuple[str, str], args: List[Any], at: str = "node0",
+               trigger: Optional[Trigger] = None) -> Tuple[Any, Any, Any]:
+    """The paper's protocol on any system: start ``main`` at node
+    ``at``; with a ``trigger``, run to it and migrate to node1; finish.
+    Returns (the engine, whose timeline is the run's seconds, the
+    result, the migration record or None)."""
+    eng = system.engine(cluster, classes, cost)
+    host, thread = eng.start(main[0], main[1], args, at=at)
+    rec = None
+    if trigger is not None:
+        if eng.run(host, thread, stop=trigger) == "finished":
+            raise RuntimeError(f"{main[0]}.{main[1]}: trigger never fired")
+        extra = {"nframes": thread.depth()} if system.whole_stack else {}
+        host, thread, rec = eng.migrate(host, thread, "node1", **extra)
+    result = eng.finish(host, thread)
+    return eng, result, rec
 
 
 def anchor(system: str, workload: str) -> float:
     """Per-instruction time anchoring a system's no-mig run to Table II."""
-    return instr_seconds_for(workload, SYSTEM_BUILD[system],
+    return instr_seconds_for(workload, SYSTEM_ROWS[system].build,
                              PAPER_NOMIG[system][workload])
 
 
@@ -98,70 +155,6 @@ class RunOutcome:
     faults: int = 0
 
 
-# -- per-system runners --------------------------------------------------------
-
-
-def run_jdk(w: Workload) -> RunOutcome:
-    """Plain JDK: original build, no agent, no migration."""
-    isec = calibrated_instr_seconds(w.name)
-    machine = Machine(compiled(w.name, "original"), cost=jdk_model(isec))
-    result = machine.call(w.main[0], w.main[1], list(w.sim_args))
-    return RunOutcome("JDK", w.name, False, machine.clock, result)
-
-
-def run_sodee(w: Workload, migrate: bool,
-              n_nodes: int = 2) -> RunOutcome:
-    """SODEE on the faulting build; optional top-segment migration at the
-    workload's trigger point."""
-    isec = anchor("SODEE", w.name)
-    eng = SODEngine(gige_cluster(n_nodes), compiled(w.name, "faulting"),
-                    cost=sodee_model(isec, agent_factor=1.0))
-    home = eng.host("node0")
-    thread = eng.spawn(home, w.main[0], w.main[1], list(w.sim_args))
-    if not migrate:
-        eng.run(home, thread)
-        return RunOutcome("SODEE", w.name, False, eng.timeline,
-                          thread.result)
-    status = eng.run(home, thread, stop=w.trigger())
-    if status == "finished":
-        raise RuntimeError(f"{w.name}: trigger never fired")
-    result, rec = eng.run_segment_remote(home, thread, "node1",
-                                         nframes=w.mig_frames)
-    worker = eng.hosts["node1"]
-    faults = worker.objman.stats.faults if worker.objman else 0
-    return RunOutcome("SODEE", w.name, True, eng.timeline, result,
-                      record=rec, faults=faults)
-
-
-#: each baseline system's engine and its cost model at an anchored
-#: per-instruction time (its build is :data:`SYSTEM_BUILD`'s)
-BASELINES: Dict[str, Tuple[type, Callable[[float], Any]]] = {
-    "G-JavaMPI": (GJavaMPIEngine,
-                  lambda isec: gjavampi_model(isec, agent_factor=1.0)),
-    "JESSICA2": (Jessica2Engine,
-                 lambda isec: jessica2_model(isec, exec_factor=1.0)),
-    "Xen": (XenEngine, lambda isec: xen_model(isec, exec_factor=1.0)),
-}
-
-
-def run_baseline(system: str, w: Workload, migrate: bool) -> RunOutcome:
-    """A baseline system on its build; with ``migrate``, the whole
-    thread (G-JavaMPI: process, Xen: VM) moves to node1 at the
-    workload's trigger."""
-    engine, model = BASELINES[system]
-    eng = engine(gige_cluster(2), compiled(w.name, SYSTEM_BUILD[system]),
-                 model(anchor(system, w.name)))
-    machine, thread = eng.start(w.main[0], w.main[1], list(w.sim_args))
-    rec = None
-    if migrate:
-        if eng.run(machine, thread, stop=w.trigger()) == "finished":
-            raise RuntimeError(f"{w.name}: trigger never fired")
-        machine, thread, rec = eng.migrate(machine, thread, "node1")
-    result = eng.finish(machine, thread)
-    return RunOutcome(system, w.name, migrate, eng.timeline, result,
-                      record=rec)
-
-
 _outcome_cache: Dict[Tuple[str, str, bool], RunOutcome] = {}
 
 
@@ -173,13 +166,13 @@ def outcome(system: str, workload: str, migrate: bool) -> RunOutcome:
     hit = _outcome_cache.get(key)
     if hit is not None:
         return hit
-    w = WORKLOADS[workload]
-    if system == "JDK":
-        out = run_jdk(w)
-    elif system == "SODEE":
-        out = run_sodee(w, migrate)
-    else:
-        out = run_baseline(system, w, migrate)
+    w, row = WORKLOADS[workload], SYSTEM_ROWS[system]
+    eng, result, rec = run_system(
+        row, gige_cluster(2), compiled(workload, row.build),
+        row.model(anchor(system, workload)), w.main, list(w.sim_args),
+        trigger=w.trigger() if migrate else None)
+    out = RunOutcome(system, workload, migrate, eng.timeline, result,
+                     record=rec, faults=row.faults(eng))
     oracle = expected_result(workload)
     if _mismatch(out.result, oracle):
         raise AssertionError(

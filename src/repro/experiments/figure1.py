@@ -51,8 +51,7 @@ def _fresh():
     classes = preprocess_program(compile_source(SOURCE), "faulting")
     eng = SODEngine(gige_cluster(3), classes,
                     cost=sodee_model(instr_seconds=2e-7))
-    home = eng.host("node0")
-    t = eng.spawn(home, "Flow", "main", [N])
+    home, t = eng.start("Flow", "main", [N])
     eng.run(home, t, stop=on_method_entry("Flow", "inner"))
     return classes, eng, home, t
 

@@ -1,7 +1,8 @@
 """Run every experiment and emit the full paper-vs-repro report.
 
-``python -m repro.experiments.report`` regenerates the measured half of
-EXPERIMENTS.md.
+``python -m repro.experiments.report`` prints every table (``repro
+report`` is the same); the calibration model is written down in
+:mod:`repro.workloads.registry`.
 """
 
 from __future__ import annotations

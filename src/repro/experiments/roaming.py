@@ -52,10 +52,9 @@ def measure() -> RoamingResult:
     # No migration: everything pulled over WAN NFS.
     classes, cluster = _setup()
     eng = SODEngine(cluster, classes, cost=sodee_model())
-    client = eng.host("client")
-    t = eng.spawn(client, "Search", "runMany", ["/grid/", NEEDLE])
-    eng.run(client, t)
-    assert t.result == N_SERVERS
+    client, t = eng.start("Search", "runMany", ["/grid/", NEEDLE],
+                          at="client")
+    assert eng.finish(client, t) == N_SERVERS
     no_mig = eng.timeline
 
     # Roaming: each searchFile call ships to the node hosting its file.
@@ -64,8 +63,8 @@ def measure() -> RoamingResult:
     classes, cluster = _setup()
     eng = SODEngine(cluster, classes, cost=sodee_model(),
                     prestart_workers=False)
-    client = eng.host("client")
-    t = eng.spawn(client, "Search", "runMany", ["/grid/", NEEDLE])
+    client, t = eng.start("Search", "runMany", ["/grid/", NEEDLE],
+                          at="client")
     policy = LocalityPolicy(
         engine=eng,
         path_of=lambda th: th.frames[-1].locals[0]

@@ -29,8 +29,7 @@ def measure(workload: str):
     w = WORKLOADS[workload]
     eng = SODEngine(gige_cluster(2), compiled(workload, "faulting"),
                     cost=sodee_model(calibrated_instr_seconds(workload)))
-    home = eng.host("node0")
-    thread = eng.spawn(home, w.main[0], w.main[1], list(w.sim_args))
+    home, thread = eng.start(w.main[0], w.main[1], list(w.sim_args))
     eng.run(home, thread, stop=w.trigger())
     h = thread.depth()
     # F: accumulated size of local + static fields, following references

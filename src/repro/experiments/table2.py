@@ -34,7 +34,7 @@ def run() -> Table:
             row += [p_nomig, outcome(s, name, False).exec_seconds,
                     p_mig, outcome(s, name, True).exec_seconds]
         t.add(*row)
-    t.notes.append("JDK column calibrates instruction time; see EXPERIMENTS.md.")
+    t.notes.append("JDK column calibrates instruction time; see repro.workloads.registry.")
     return t
 
 

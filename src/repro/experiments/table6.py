@@ -14,11 +14,11 @@ eats the locality win).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.baselines import Jessica2Engine, XenEngine
 from repro.cluster import gige_cluster
-from repro.experiments.common import Table
+from repro.experiments.common import System, Table, run_system
 from repro.lang import compile_source
 from repro.migration import SODEngine
 from repro.migration.policies import on_method_entry
@@ -38,98 +38,44 @@ NEEDLE = "xylophone"
 
 
 def _setup(build: str):
+    """The classes, the cluster with the three files on the server, and
+    ``Search.run3``'s arguments."""
     classes = preprocess_program(compile_source(programs.TEXTSEARCH), build)
     cluster = gige_cluster(2)
     server = cluster.node("node1")
-    paths = []
-    for i in range(3):
-        path = f"/data/big{i}.txt"
+    paths = [f"/data/big{i}.txt" for i in range(3)]
+    for path in paths:
         cluster.fs.host_file(server, path, mb(FILE_MB),
                              plant=[(mb(FILE_MB) - 4096, NEEDLE)])
-        paths.append(path)
-    return classes, cluster, paths
+    return classes, cluster, [*paths, NEEDLE]
 
 
-def _args(paths):
-    return [paths[0], paths[1], paths[2], NEEDLE]
+#: the three systems at their default cost models; SODEE migrates the
+#: whole remaining job (the run3 and searchFile frames)
+SYSTEMS: Dict[str, System] = {
+    "JESSICA2": System(Jessica2Engine, "faulting", jessica2_model),
+    "Xen": System(XenEngine, "original", xen_model),
+    "SODEE": System(SODEngine, "faulting", sodee_model, whole_stack=True),
+}
+
+#: (start node, trigger): on the client; migrated to the server right
+#: before the first file is read; natively on the server
+PLACEMENTS = (("node0", None),
+              ("node0", on_method_entry("Search", "searchFile")),
+              ("node1", None))
 
 
-def run_sodee() -> Tuple[float, float, float]:
-    """(no-mig, mig, on-server) seconds for SODEE."""
-    classes, cluster, paths = _setup("faulting")
-    eng = SODEngine(cluster, classes, cost=sodee_model())
-    home = eng.host("node0")
-    t = eng.spawn(home, "Search", "run3", _args(paths))
-    eng.run(home, t)
-    no_mig = eng.timeline
-
-    classes, cluster, paths = _setup("faulting")
-    eng = SODEngine(cluster, classes, cost=sodee_model())
-    home = eng.host("node0")
-    t = eng.spawn(home, "Search", "run3", _args(paths))
-    # Trigger before any file is read: at entry of the first searchFile.
-    eng.run(home, t, stop=on_method_entry("Search", "searchFile"))
-    # Migrate the whole remaining job (run3 + searchFile frames).
-    result, _rec = eng.run_segment_remote(home, t, "node1",
-                                          nframes=t.depth())
-    assert result == 3, result
-    mig = eng.timeline
-
-    classes, cluster, paths = _setup("faulting")
-    eng = SODEngine(cluster, classes, cost=sodee_model())
-    server = eng.host("node1")
-    t = eng.spawn(server, "Search", "run3", _args(paths))
-    eng.run(server, t)
-    local = eng.timeline
-    return no_mig, mig, local
-
-
-def run_jessica2() -> Tuple[float, float, float]:
-    classes, cluster, paths = _setup("faulting")
-    eng = Jessica2Engine(cluster, classes, jessica2_model())
-    m, t = eng.start("Search", "run3", _args(paths), at="node0")
-    eng.run(m, t)
-    no_mig = eng.timeline
-
-    classes, cluster, paths = _setup("faulting")
-    eng = Jessica2Engine(cluster, classes, jessica2_model())
-    m, t = eng.start("Search", "run3", _args(paths), at="node0")
-    eng.run(m, t, stop=on_method_entry("Search", "searchFile"))
-    dm, wt, _rec = eng.migrate(m, t, "node1")
-    result = eng.finish(dm, wt)
-    assert result == 3, result
-    mig = eng.timeline
-
-    classes, cluster, paths = _setup("faulting")
-    eng = Jessica2Engine(cluster, classes, jessica2_model())
-    m, t = eng.start("Search", "run3", _args(paths), at="node1")
-    eng.run(m, t)
-    local = eng.timeline
-    return no_mig, mig, local
-
-
-def run_xen() -> Tuple[float, float, float]:
-    classes, cluster, paths = _setup("original")
-    eng = XenEngine(cluster, classes, xen_model())
-    m, t = eng.start("Search", "run3", _args(paths), at="node0")
-    eng.run(m, t)
-    no_mig = eng.timeline
-
-    classes, cluster, paths = _setup("original")
-    eng = XenEngine(cluster, classes, xen_model())
-    m, t = eng.start("Search", "run3", _args(paths), at="node0")
-    eng.run(m, t, stop=on_method_entry("Search", "searchFile"))
-    m, t, _rec = eng.migrate(m, t, "node1")
-    result = eng.finish(m, t)
-    assert result == 3, result
-    mig = eng.timeline
-
-    classes, cluster, paths = _setup("original")
-    eng = XenEngine(cluster, classes, xen_model())
-    m, t = eng.start("Search", "run3", _args(paths), at="node1")
-    eng.run(m, t)
-    local = eng.timeline
-    return no_mig, mig, local
+def measure(system: System) -> Tuple[float, ...]:
+    """(no-mig, mig, on-server) seconds for one system."""
+    seconds = []
+    for at, trigger in PLACEMENTS:
+        classes, cluster, args = _setup(system.build)
+        eng, result, _rec = run_system(system, cluster, classes,
+                                       system.model(), ("Search", "run3"),
+                                       args, at=at, trigger=trigger)
+        assert result == 3, result
+        seconds.append(eng.timeline)
+    return tuple(seconds)
 
 
 def run() -> Table:
@@ -138,12 +84,11 @@ def run() -> Table:
         header=("System", "nomig(p)", "nomig", "mig(p)", "mig",
                 "server(p)", "server", "gain%(p)", "gain%"),
     )
-    for system, runner in (("JESSICA2", run_jessica2), ("Xen", run_xen),
-                           ("SODEE", run_sodee)):
-        p = PAPER[system]
-        no_mig, mig, local = runner()
+    for name, system in SYSTEMS.items():
+        p = PAPER[name]
+        no_mig, mig, local = measure(system)
         gain = 100.0 * (no_mig - mig) / mig
-        t.add(system, p[0], no_mig, p[1], mig, p[2], local, p[3], gain)
+        t.add(name, p[0], no_mig, p[1], mig, p[2], local, p[3], gain)
     return t
 
 

@@ -47,14 +47,14 @@ def migrate_once(bandwidth_kbps: float):
         cluster.fs.host_file(phone, f"/User/Media/DCIM/100APPLE/IMG_{i:04d}_{tag}.jpg",
                              kb(600))
     eng = SODEngine(cluster, classes, cost=sodee_model())
-    server = eng.host("server")
-    t = eng.spawn(server, "PhotoServer", "serve",
-                  ["/User/Media/DCIM/100APPLE", "beach"])
+    server, t = eng.start("PhotoServer", "serve",
+                          ["/User/Media/DCIM/100APPLE", "beach"],
+                          at="server")
     # The serve frame holds the client socket: pinned at home (IV.D).
     pin_methods(t, ["PhotoServer.serve"])
     eng.run(server, t,
             stop=on_method_entry("PhotoServer", "searchPhotos"))
-    result, rec = eng.run_segment_remote(server, t, "iphone", nframes=1)
+    result, rec = eng.run_segment_remote(server, t, "iphone")
     assert "beach" in result
     return rec, result
 

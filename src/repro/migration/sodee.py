@@ -111,7 +111,9 @@ class Host:
 
 
 class SODEngine:
-    """The distributed runtime."""
+    """The distributed runtime.  It speaks the baselines' start / run /
+    migrate / finish (:mod:`repro.baselines.base`), so one runner drives
+    all four systems of the paper's comparison."""
 
     def __init__(self, cluster: Cluster, classes: Dict[str, ClassFile],
                  cost: Optional[CostModel] = None,
@@ -143,6 +145,11 @@ class SODEngine:
         #: experiment timeline, seconds
         self.timeline = 0.0
         self.migrations: List[MigrationRecord] = []
+        #: worker thread -> (home, home thread, nframes) for each segment
+        #: :meth:`migrate` restored; :meth:`complete_segment` (or
+        #: :meth:`abandon_segment`) drops it, :meth:`finish` reads it
+        self._segments: Dict[ThreadState,
+                             Tuple[Host, ThreadState, int]] = {}
         #: event tracer (duck-typed ``emit(now, kind, fields)``, the
         #: scheduler's protocol; None = tracing off) — see
         #: :mod:`repro.migration.tracing`
@@ -336,6 +343,30 @@ class SODEngine:
               args: Optional[List[Any]] = None) -> ThreadState:
         """Start a guest thread on ``host`` (not yet run)."""
         return host.machine.spawn(class_name, method, args)
+
+    def start(self, class_name: str, method: str,
+              args: Optional[List[Any]] = None,
+              at: str = "node0") -> Tuple[Host, ThreadState]:
+        """The baselines' entry point: a guest thread (not yet run) on
+        the home host at node ``at``."""
+        host = self.host(at)
+        return host, self.spawn(host, class_name, method, args)
+
+    def finish(self, host: Host, thread: ThreadState) -> Any:
+        """Run ``thread`` to completion on ``host``; its result.  A
+        segment :meth:`migrate` restored completes home
+        (:meth:`complete_segment`) and the home thread runs on to the
+        result."""
+        self.run(host, thread)
+        seg = self._segments.get(thread)
+        if seg is not None:
+            home, home_thread, nframes = seg
+            self.complete_segment(host, thread, home, home_thread, nframes)
+            return self.finish(home, home_thread)
+        if thread.uncaught is not None:
+            raise MigrationError(
+                f"home thread died: {thread.uncaught.class_name}")
+        return thread.result
 
     def run(self, host: Host, thread: ThreadState,
             stop: Optional[Callable[[ThreadState], bool]] = None,
@@ -549,9 +580,12 @@ class SODEngine:
         stale) stack, as the paper's home node does, until the segment
         completes and :meth:`complete_segment` pops it.
 
-        Returns (worker_host, worker_thread, record)."""
+        Returns (worker_host, worker_thread, record); :meth:`finish` on
+        the worker thread runs the segment and the rest of the home
+        thread."""
         worker, [(worker_thread, rec)] = self._ship(
             src_host, [(thread, nframes)], dst_node, src_host)
+        self._segments[worker_thread] = (src_host, thread, nframes)
         return worker, worker_thread, rec
 
     def migrate_many(self, src_host: Host, threads: List[ThreadState],
@@ -647,6 +681,7 @@ class SODEngine:
         objman = worker.objman
         if objman is None:
             raise MigrationError("worker has no object manager")
+        self._segments.pop(worker_thread, None)
 
         def resume(value: Any) -> None:
             # pop the outdated frames and deliver the value; part of
@@ -779,6 +814,7 @@ class SODEngine:
         home's pending static writes are dropped unless a sibling
         segment from that home is still running — the state
         :meth:`complete_segment` leaves, minus the message."""
+        self._segments.pop(worker_thread, None)
         objman = worker.objman
         if objman is None:
             return
@@ -855,10 +891,4 @@ class SODEngine:
         thread, migration record)."""
         worker, worker_thread, rec = self.migrate(home, thread, dst_node,
                                                   nframes)
-        self.run(worker, worker_thread)
-        self.complete_segment(worker, worker_thread, home, thread, nframes)
-        self.run(home, thread)
-        if thread.uncaught is not None:
-            raise MigrationError(
-                f"home thread died: {thread.uncaught.class_name}")
-        return thread.result, rec
+        return self.finish(worker, worker_thread), rec

@@ -4,8 +4,8 @@ Three flows over the :class:`~repro.migration.sodee.SODEngine`:
 
 * :func:`partial_return` — Fig. 1a: migrate the top segment, execute it
   remotely, return the value home, resume the residual stack there.
-  (This is :meth:`SODEngine.run_segment_remote`, re-exported for
-  symmetry.)
+  (This is :meth:`SODEngine.migrate` + :meth:`SODEngine.finish`,
+  re-exported for symmetry.)
 * :func:`total_migration` — Fig. 1b: migrate the top frame, then push
   the residual frames to the same destination *while the top frame
   executes*; after the top segment pops, execution continues purely
@@ -124,6 +124,7 @@ def total_migration(engine: SODEngine, home: Host, thread: ThreadState,
     t_start = engine.timeline
     worker, top_thread, rec1 = engine.migrate(home, thread, dst_node,
                                               top_frames)
+    engine._segments.pop(top_thread)  # its value goes to the residual
     rep.records.append(rec1)
     rep.phase("top segment migration", rec1.latency)
 
@@ -186,6 +187,7 @@ def multi_hop(engine: SODEngine, home: Host, thread: ThreadState,
     t_start = engine.timeline
     worker1, top_thread, rec1 = engine.migrate(home, thread, first_node,
                                                top_frames)
+    engine._segments.pop(top_thread)  # its value goes to the second hop
     rep.records.append(rec1)
 
     worker2, mid_thread, rec2 = _restore_residual(

@@ -49,7 +49,7 @@ def method_size(code: CodeObject) -> int:
 
     Constants are fitted so the paper's Geometry class lands near its
     published sizes with the right ordering (original < status-checked <
-    fault-handled); see EXPERIMENTS.md (Fig. 5)."""
+    fault-handled); :mod:`repro.experiments.figure5` prints them."""
     total = _METHOD_HEADER
     for ins in code.instrs:
         total += _INSTR_BYTES + _arg_bytes(ins.a) + _arg_bytes(ins.b)

@@ -3,8 +3,9 @@
 The VM executes guest bytecode for real; simulated time is charged per
 instruction, per native operation, per VMTI call, per byte serialized,
 and per byte transferred.  The constants below are calibrated so the
-reproduction's tables land in the same regime as the paper's (see
-EXPERIMENTS.md for the calibration notes); the *shapes* — who wins,
+reproduction's tables land in the same regime as the paper's (the
+calibration model is written down in :mod:`repro.workloads.registry`);
+the *shapes* — who wins,
 what scales with heap size, what is bandwidth-bound — emerge from the
 mechanisms, not from these constants.
 

@@ -1,10 +1,10 @@
 """Workload registry: compiled builds, paper-vs-simulated parameters,
 migration trigger points, and execution-time calibration.
 
-Calibration model (see EXPERIMENTS.md): each workload runs at a reduced
-problem size (``sim_args``) that is feasible inside a Python-hosted VM;
-the per-instruction time is scaled so the plain-JDK execution time lands
-at the paper's Table II "JDK" column.  Everything *else* — capture
+Calibration model: each workload runs at a reduced problem size
+(``sim_args``) that is feasible inside a Python-hosted VM; the
+per-instruction time is scaled so the plain-JDK execution time lands at
+the paper's Table II "JDK" column.  Everything *else* — capture
 sizes, stack depths at the migration point, bytes moved, fault counts,
 VMTI call counts — is real, measured from the actual run.
 """
@@ -35,8 +35,8 @@ class Workload:
         paper_n / sim_args: the paper's problem size and our reduced one.
         paper_jdk_seconds: Table II "JDK" column (calibration target).
         paper_h: Table I max stack height (for reporting alongside ours).
-        trigger: where the experiments place the migration.
-        mig_frames: SOD segment size at that trigger (paper: top frame).
+        trigger: where the experiments place the migration (SOD
+            ships the top frame there, as in the paper).
         reentrant: False when mutable statics carry run state — such a
             workload can only be served concurrently inside per-request
             class-loader namespaces (see ``repro.workloads.mixes``).
@@ -51,7 +51,6 @@ class Workload:
     paper_h: int
     trigger_method: Tuple[str, str]
     trigger_depth: int = 0
-    mig_frames: int = 1
     reentrant: bool = True
 
     def trigger(self) -> Trigger:

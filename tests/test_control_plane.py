@@ -234,12 +234,17 @@ def test_fault_plan_after_zero_fires_at_start():
     ("gaveback", [(2, "TSP")]),            # a short row
     ("image", 0, b"not wire bytes", 500),  # an image with no manifest
     "done",                                # not a tuple at all
+    ("fail", 99, "boom", 1000),            # a failed rid nobody owes
+    ("fail", 1, "boom", 1000),             # a failed rid another owes
 ], ids=["arity", "unknown-rid", "foreign-rid", "unhashable-rid", "kind",
-        "gaveback-row", "image-manifest", "bare-string"])
+        "gaveback-row", "image-manifest", "bare-string", "fail-unknown-rid",
+        "fail-foreign-rid"])
 def test_a_misshapen_message_is_that_workers_crash(msg):
     """A frame that decodes but has no shape a worker sends is treated
     like a frame that does not decode: the sender is killed and what it
-    owed requeues.  No exception leaves the plane."""
+    owed requeues.  No exception leaves the plane.  The two ``fail``
+    rows kill the mutant that drops or flips ``rid in w.owed`` on the
+    ``fail`` arm of ``ControlPlane._handle``."""
     c = Cluster(4, 2)  # proc0 owes [0, 2]
     c.apply(c.plane.on_message(0, msg))
     assert c.killed == [0]
@@ -298,3 +303,35 @@ def test_crosscheck_reads_a_repr_result_by_the_planes_rule():
     report = {"config": {"mix": "paper", "n_requests": 2, "seed": 7},
               "requests": rows}
     assert crosscheck_real_vs_virtual(report)["compared"] == 2
+
+
+# -- tests that kill named mutants of the plane --------------------------------
+
+
+def test_a_done_with_a_wrong_result_is_recorded_incorrect():
+    """Kills the mutant ``state == "done" or matches(...)`` in
+    ``ControlPlane._record``: a ``done`` counts as correct only when its
+    result is the solo oracle's."""
+    c = Cluster(2, 2)
+    rid = c.queue[0].pop(0)
+    _tenant, spec = c.plane.spec_of[rid]
+    c.says(0, "done", rid, ("wrong", expected_request_result(spec)), 1000)
+    row = c.plane.results[rid]
+    assert row["state"] == "done" and row["correct"] is False
+
+
+def test_the_instruction_total_is_the_sum_of_the_rows():
+    """Kills the mutant ``self.sched["instrs"] -= instrs`` in
+    ``ControlPlane._record``: the plane's instruction total is the sum
+    of its rows' ``instrs``, a failed row's included."""
+    c = Cluster(4, 2)  # proc0 owes [0, 2], proc1 [1, 3]
+    rid = c.queue[1].pop(0)
+    c.says(1, "fail", rid, "boom", 250)
+    row = c.plane.results[rid]
+    assert (row["state"], row["error"], row["correct"]) == (
+        "failed", "boom", False)
+    for i in (0, 0, 1):
+        c.done(i)
+    assert c.plane.finished
+    assert c.plane.sched["instrs"] == sum(
+        r["instrs"] for r in c.plane.report_rows()) == 3 * 1000 + 250

@@ -133,11 +133,8 @@ def test_figure5_size_ordering():
 
 @pytest.fixture(scope="module")
 def table6_rows():
-    return {
-        "SODEE": table6.run_sodee(),
-        "JESSICA2": table6.run_jessica2(),
-        "Xen": table6.run_xen(),
-    }
+    return {name: table6.measure(system)
+            for name, system in table6.SYSTEMS.items()}
 
 
 def _gain(row):

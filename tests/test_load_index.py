@@ -281,3 +281,18 @@ def test_victim_vetoes_spare_nearly_done_threads():
     assert lax.served == lax.correct == 150
     assert picky.stats["victim_vetoes"] > 0
     assert lax.stats["victim_vetoes"] == 0
+
+
+def test_saturated_holds_when_the_lightest_load_equals_the_threshold():
+    """Kills the mutant ``load > threshold`` in ``LoadIndex.saturated``:
+    a rack whose least-loaded node sits exactly at the threshold is
+    saturated, and one just under it is not."""
+    cluster = serve_cluster(4, rack_size=4)
+    index = LoadIndex(cluster, staleness=0.0)
+    for node in cluster.names():
+        index.add(node, 2)
+    assert index.saturated(0.0, 2.0)
+    assert not index.saturated(0.0, 2.5)
+    index.add("node3", -1)
+    assert not index.saturated(1.0, 2.0)
+    assert index.saturated(1.0, 1.0)

@@ -67,7 +67,7 @@ def _registry(out):
         home = eng.host("node0")
         t = eng.spawn(home, w.main[0], w.main[1], list(w.sim_args))
         assert eng.run(home, t, stop=w.trigger()) == "stopped"
-        result, rec = eng.run_segment_remote(home, t, "node1", w.mig_frames)
+        result, rec = eng.run_segment_remote(home, t, "node1")
         assert result == expected_result(name)
         _dump(out, f"migrate {name}", eng, [rec], [result])
 

@@ -8,6 +8,7 @@ from repro.lang import compile_source
 from repro.migration import SODEngine
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
+from repro.workloads import WORKLOADS, compiled, expected_result
 
 from tests.conftest import APP_SOURCE
 
@@ -236,3 +237,77 @@ def test_migration_latency_grows_with_segment_size():
         assert result == ref
         latencies.append(rec.latency)
     assert latencies == sorted(latencies) and latencies[0] < latencies[-1]
+
+
+# -- the start / run / migrate / finish surface ---------------------------------
+
+
+def _at_trigger(name):
+    w = WORKLOADS[name]
+    eng = SODEngine(gige_cluster(2), compiled(name, "faulting"))
+    home, t = eng.start(w.main[0], w.main[1], list(w.sim_args))
+    assert eng.run(home, t, stop=w.trigger()) == "stopped"
+    return eng, home, t
+
+
+@pytest.mark.parametrize("name", ["Fib", "NQ", "FFT", "TSP"])
+def test_finish_after_migrate_matches_the_segment_driven_by_hand(name):
+    """``finish`` on a migrated segment runs it, completes it home and
+    runs the home thread on: the same result, timeline and record as
+    ``run_segment_remote`` and as the four steps written out."""
+    eng, home, t = _at_trigger(name)
+    worker, wt, rec = eng.migrate(home, t, "node1")
+    result = eng.finish(worker, wt)
+
+    eng2, home2, t2 = _at_trigger(name)
+    result2, rec2 = eng2.run_segment_remote(home2, t2, "node1")
+
+    eng3, home3, t3 = _at_trigger(name)
+    worker3, wt3, rec3 = eng3.migrate(home3, t3, "node1")
+    eng3.run(worker3, wt3)
+    eng3.complete_segment(worker3, wt3, home3, t3, 1)
+    eng3.run(home3, t3)
+
+    assert result == result2 == t3.result == expected_result(name)
+    assert eng.timeline == eng2.timeline == eng3.timeline
+    assert rec == rec2 == rec3
+    assert eng._segments == eng2._segments == eng3._segments == {}
+
+
+def test_finish_without_a_migration_runs_the_thread_out():
+    eng, home, t = _at_trigger("NQ")
+    result = eng.finish(home, t)
+    eng2, home2, t2 = _at_trigger("NQ")
+    eng2.run(home2, t2)
+    assert result == t2.result == expected_result("NQ")
+    assert eng.timeline == eng2.timeline
+    assert eng.migrations == []
+
+
+def test_completing_or_abandoning_a_segment_drops_its_entry(setup):
+    """``migrate`` records where a segment returns; the segment's end
+    (``complete_segment`` by hand, or ``abandon_segment``) drops it."""
+    eng, home, t = setup
+    worker, wt, _rec = eng.migrate(home, t, "node1")
+    assert eng._segments == {wt: (home, t, 1)}
+    eng.run(worker, wt)
+    eng.complete_segment(worker, wt, home, t, 1)
+    assert eng._segments == {}
+
+    eng, home, t = _at_trigger("Fib")
+    worker, wt, _rec = eng.migrate(home, t, "node1")
+    eng.abandon_segment(worker, wt)
+    assert eng._segments == {}
+
+
+def test_the_fig1_flows_leave_no_segment_entry():
+    """Flows (b) and (c) deliver the top segment's value to a residual,
+    not home; they drop its entry themselves."""
+    from repro.experiments import figure1
+    from repro.migration.workflow import multi_hop, total_migration
+    _c, eng, home, t = figure1._fresh()
+    total_migration(eng, home, t, "node1", top_frames=1)
+    assert eng._segments == {}
+    _c, eng, home, t = figure1._fresh()
+    multi_hop(eng, home, t, "node1", "node2", top_frames=1, second_frames=2)
+    assert eng._segments == {}
