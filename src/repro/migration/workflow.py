@@ -155,8 +155,10 @@ def total_migration(engine: SODEngine, home: Host, thread: ThreadState,
         raise MigrationError(
             f"residual died: {residual_thread.uncaught.class_name}")
     # The process now lives at the destination; leave the home heap
-    # consistent with the final state.
+    # consistent with the final state, then end both segments' epochs.
     engine.flush_segment_effects(worker, home)
+    worker.objman.release_thread(top_thread)
+    worker.objman.release_thread(residual_thread)
     # The home stack is now entirely stale; discard it (total migration).
     thread.frames.clear()
     thread.finished = True
@@ -213,6 +215,7 @@ def multi_hop(engine: SODEngine, home: Host, thread: ThreadState,
     # (it restored before segment 1 ran), then forward the value
     # first-hop -> second-hop (not via home).
     engine.flush_segment_effects(worker1, home)
+    worker1.objman.release_thread(top_thread)
     engine.resync_statics(worker2, home)
     fwd = engine.transfer_time(first_node, second_node, 64)
     engine.timeline += fwd
@@ -223,6 +226,7 @@ def multi_hop(engine: SODEngine, home: Host, thread: ThreadState,
         raise MigrationError(
             f"segment 2 died: {mid_thread.uncaught.class_name}")
     engine.flush_segment_effects(worker2, home)
+    worker2.objman.release_thread(mid_thread)
 
     if residual_at_home > 0:
         # Pop the stale migrated frames at home, deliver the value there.

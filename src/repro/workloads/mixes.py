@@ -107,9 +107,17 @@ class RequestSpec:
 @lru_cache(maxsize=None)
 def expected_request_result(spec: RequestSpec) -> Any:
     """Correctness oracle: the request's result on a standalone
-    legacy-dispatch machine (independent of the serving layer *and* of
-    the fast interpreter loop)."""
-    m = Machine(serve_compiled(spec.program), dispatch="legacy")
+    legacy-dispatch machine over the program's ``original`` build.
+
+    Independent of the serving layer, of the fast interpreter loops
+    *and* of the class preprocessor: the served ``faulting`` build
+    (flattening, MSPs, object-fault and restoration handlers) never
+    runs here, so a preprocessor bug shows up as a mismatch instead of
+    in both results alike.  The classes are built per call and dropped;
+    only the result is cached."""
+    classes = preprocess_program(
+        compile_source(SERVE_PROGRAMS[spec.program].source), "original")
+    m = Machine(classes, dispatch="legacy")
     return m.call(spec.main[0], spec.main[1], list(spec.args))
 
 

@@ -7,18 +7,25 @@ per-instruction time is scaled so the plain-JDK execution time lands at
 the paper's Table II "JDK" column.  Everything *else* — capture
 sizes, stack depths at the migration point, bytes moved, fault counts,
 VMTI call counts — is real, measured from the actual run.
+
+Solo runs: each (program, build) runs standalone once, under the
+calibration cost model, and is memoised (:func:`solo_run`).  That one
+run gives the correctness oracle (:func:`baseline_run`,
+:func:`expected_result`: the result and instruction count, which no
+cost model moves) and the calibration clock (:func:`clock_units`), so
+the oracle and the anchor of a build never cost two machines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.bytecode.code import ClassFile
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
-from repro.vm.costmodel import CostModel  # noqa: F401 (re-export for runners)
+from repro.vm.costmodel import CostModel
 from repro.vm.frames import Trigger, on_method_entry
 from repro.vm.machine import Machine
 from repro.workloads import programs
@@ -89,25 +96,40 @@ def compiled(name: str, build: str) -> Dict[str, ClassFile]:
     return preprocess_program(compile_source(w.source), build)
 
 
-@lru_cache(maxsize=None)
-def baseline_run(name: str) -> Tuple[Any, int]:
-    """Run the workload standalone on the original build: returns
-    (result, executed instructions).  Used for correctness oracles."""
-    w = WORKLOADS[name]
-    machine = Machine(compiled(name, "original"))
-    result = machine.call(w.main[0], w.main[1], list(w.sim_args))
-    return result, machine.instr_count
+@dataclass(frozen=True)
+class SoloRun:
+    """What one standalone run of a build leaves behind."""
+
+    result: Any
+    instr_count: int
+    clock: float
 
 
 @lru_cache(maxsize=None)
-def clock_units(name: str, build: str) -> float:
-    """Weighted instruction units of one standalone run of a build
-    (clock with instr_seconds=1 and all absolute costs zeroed)."""
+def solo_run(name: str, build: str) -> SoloRun:
+    """Run the workload standalone on ``build``, once per (program,
+    build), under the calibration cost model: one unit per weighted
+    instruction, absolute costs zeroed.  The result and instruction
+    count do not depend on the cost model, so the correctness oracle
+    and the calibration clock both read this one run."""
     w = WORKLOADS[name]
     cost = CostModel(instr_seconds=1.0, native_base=0.0)
     machine = Machine(compiled(name, build), cost=cost)
-    machine.call(w.main[0], w.main[1], list(w.sim_args))
-    return machine.clock
+    result = machine.call(w.main[0], w.main[1], list(w.sim_args))
+    return SoloRun(result, machine.instr_count, machine.clock)
+
+
+def baseline_run(name: str) -> Tuple[Any, int]:
+    """(result, executed instructions) of the original build's solo
+    run.  Used for correctness oracles."""
+    run = solo_run(name, "original")
+    return run.result, run.instr_count
+
+
+def clock_units(name: str, build: str) -> float:
+    """Weighted instruction units of one standalone run of a build
+    (clock with instr_seconds=1 and all absolute costs zeroed)."""
+    return solo_run(name, build).clock
 
 
 def instr_seconds_for(name: str, build: str, target_seconds: float) -> float:

@@ -301,13 +301,26 @@ def test_completing_or_abandoning_a_segment_drops_its_entry(setup):
 
 
 def test_the_fig1_flows_leave_no_segment_entry():
-    """Flows (b) and (c) deliver the top segment's value to a residual,
-    not home; they drop its entry themselves."""
+    """Every flow ends every segment: no ``_segments`` entry (flows (b)
+    and (c) deliver the top segment's value to a residual, not home,
+    and drop its entry themselves) and no thread in any host's
+    ``objman.thread_home`` (each segment thread's epoch is released once
+    its effects are home).  Kills the mutant that drops any one of the
+    ``release_thread`` calls in ``total_migration`` (node1 kept 2
+    threads) or ``multi_hop`` (node1 and node2 kept 1 each)."""
     from repro.experiments import figure1
-    from repro.migration.workflow import multi_hop, total_migration
-    _c, eng, home, t = figure1._fresh()
-    total_migration(eng, home, t, "node1", top_frames=1)
-    assert eng._segments == {}
-    _c, eng, home, t = figure1._fresh()
-    multi_hop(eng, home, t, "node1", "node2", top_frames=1, second_frames=2)
-    assert eng._segments == {}
+    from repro.migration.workflow import (multi_hop, partial_return,
+                                          total_migration)
+    flows = (
+        lambda e, h, t: partial_return(e, h, t, "node1"),
+        lambda e, h, t: total_migration(e, h, t, "node1", top_frames=1),
+        lambda e, h, t: multi_hop(e, h, t, "node1", "node2", top_frames=1,
+                                  second_frames=2))
+    for flow in flows:
+        _c, eng, home, t = figure1._fresh()
+        assert flow(eng, home, t).result == figure1.reference()
+        assert eng._segments == {}
+        homes = {name: dict(h.objman.thread_home)
+                 for name, h in eng.hosts.items() if h.objman is not None}
+        assert "node1" in homes
+        assert all(not threads for threads in homes.values()), homes

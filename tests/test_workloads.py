@@ -6,8 +6,11 @@ import pytest
 from repro.lang import compile_source
 from repro.preprocess import preprocess_program
 from repro.vm import Machine
-from repro.workloads import (WORKLOADS, baseline_run, clock_units, compiled,
-                             expected_result, instr_seconds_for, programs)
+from repro.workloads import (MIXES, SERVE_PROGRAMS, WORKLOADS, RequestSpec,
+                             baseline_run, clock_units, compiled,
+                             expected_request_result, expected_result,
+                             instr_seconds_for, mixes, programs, registry,
+                             serve_compiled)
 
 
 def test_fib_value():
@@ -83,6 +86,65 @@ def test_clock_units_positive_and_build_dependent():
 def test_instr_seconds_maps_to_target():
     isec = instr_seconds_for("Fib", "original", 12.10)
     assert isec * clock_units("Fib", "original") == pytest.approx(12.10)
+
+
+def test_one_solo_run_per_program_and_build(monkeypatch):
+    """``baseline_run(n)`` and ``clock_units(n, "original")`` read one
+    memoised run: the four programs start four machines, and each run's
+    (result, instructions) equals a fresh default-cost machine's.  Kills
+    the mutant where ``clock_units`` starts its own calibration machine
+    again beside ``baseline_run``'s (eight machines)."""
+    started = []
+
+    class Counted(Machine):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "Machine", Counted)
+    registry.solo_run.cache_clear()
+    for name in WORKLOADS:
+        baseline_run(name)
+        clock_units(name, "original")
+    assert len(started) == len(WORKLOADS) == 4
+    for name, w in WORKLOADS.items():
+        m = Machine(compiled(name, "original"))
+        result = m.call(w.main[0], w.main[1], list(w.sim_args))
+        assert baseline_run(name) == (result, m.instr_count), name
+
+
+class _Built(Exception):
+    """Raised by the spy machine once it has seen the oracle's classes."""
+
+
+def test_the_serving_oracle_is_independent_of_the_preprocessor(monkeypatch):
+    """Every spec of every mix: the oracle's result (``original`` build)
+    equals a legacy run of the served ``faulting`` build, and the oracle's
+    machine is a legacy one over ``original`` classes only.  Kills the
+    mutant where ``expected_request_result`` goes back to
+    ``serve_compiled(spec.program)`` (the ``faulting`` classes): the
+    spy sees a ``faulting`` class."""
+    specs = {spec for mix in MIXES.values() for spec, _w in mix.choices}
+    for spec in sorted(specs, key=RequestSpec.label):
+        m = Machine(serve_compiled(spec.program), dispatch="legacy")
+        served = m.call(spec.main[0], spec.main[1], list(spec.args))
+        assert expected_request_result(spec) == served, spec.label()
+
+    seen = []
+
+    class Spy(Machine):
+        def __init__(self, classes, **kwargs):
+            seen.append((classes, kwargs))
+            raise _Built
+
+    monkeypatch.setattr(mixes, "Machine", Spy)
+    for program in SERVE_PROGRAMS:
+        with pytest.raises(_Built):
+            expected_request_result.__wrapped__(RequestSpec(program, ()))
+    assert len(seen) == len(SERVE_PROGRAMS)
+    for classes, kwargs in seen:
+        assert kwargs == {"dispatch": "legacy"}
+        assert {cf.version for cf in classes.values()} == {"original"}
 
 
 def test_textsearch_counts_hits():
