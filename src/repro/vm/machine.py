@@ -987,7 +987,10 @@ class Machine:
         # for the run; breakpoints and pending exceptions may change
         # mid-run, so those two are tested at every instruction
         hooked = not (stop is None and max_instrs is None and quantum is None)
-        while frames:
+        # 3.11 quickens after 8 entries or 8 *unconditional* back edges
+        while True:
+            if not frames:
+                break
             if thread.pending_exception is not None:
                 exc = thread.pending_exception
                 thread.pending_exception = None

@@ -1,5 +1,10 @@
 """VM core tests: interpreter mechanics, exceptions, breakpoints, heap."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import NodeSpec, Node
@@ -228,3 +233,36 @@ def test_cost_copy_overrides():
     c2 = c.copy(exec_factor=4.0)
     assert c2.exec_factor == 4.0 and c.exec_factor == 1.0
     assert c2.instr_seconds == c.instr_seconds
+
+
+# -- host code state --------------------------------------------------------
+
+_ONE_CALL_EACH = """
+import dis
+from repro.lang import compile_source
+from repro.vm import Machine
+classes = compile_source(
+    "class F { static int fib(int n) {"
+    " if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); } }")
+assert Machine(classes, dispatch="legacy").call("F", "fib", [15]) == 610
+assert Machine(classes, jit=False).call("F", "fib", [15]) == 610
+for loop in (Machine._run_loop, Machine._run_fast):
+    plain = [i.opname for i in dis.get_instructions(loop)]
+    adaptive = [i.opname for i in dis.get_instructions(loop, adaptive=True)]
+    assert adaptive != plain, loop.__name__ + " is not specialized"
+"""
+
+
+def test_both_loops_run_specialized_after_one_call():
+    """A fresh process's first run on each loop already executes
+    specialized bytecode.  CPython 3.11 quickens a function after 8
+    entries or 8 *unconditional* back edges, and each run enters its
+    loop once, so a loop whose back edge is conditional runs its whole
+    first seven runs unspecialized.  Kills the mutant that restores
+    ``while frames:`` in ``Machine._run_loop`` on 3.11; 3.12 has no
+    conditional backward jumps, so there the mutant cannot be seen."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _ONE_CALL_EACH],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

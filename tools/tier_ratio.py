@@ -10,15 +10,17 @@ pair's ratio is tier 1's Minstr/s over the hooked loop's; both loops
 time a program within a second or two of each other, so a host whose
 speed drifts moves both alike.
 
-Which code state the gate times: CPython 3.11 specializes a function's
-bytecode at its 8th entry, not while its loop runs, and each run enters
-its loop (``Machine._run_loop`` or ``Machine._run_fast``) once.  A pair
-runs four programs, so the gated pairs 1 and 2 time both loops before
-CPython has specialized them, and the gate's median is mostly a cold
-reading.  Each pair prints how many times each loop had been entered
-before it.  After the gated pairs, a warm pass (printed, never gated)
-first enters each loop 8 times on a trivial program, then times the
-same pairs again.
+Which code state the gate times: CPython 3.11 quickens (specializes) a
+function after 8 entries or 8 unconditional back edges (``JUMP_BACKWARD``);
+a conditional backward jump never counts.  Both loops
+(``Machine._run_loop`` and ``Machine._run_fast``) close with an
+unconditional back edge, so each is specialized during its first run
+(on 3.12, which has no conditional backward jumps, any loop is).  The
+gated pairs therefore time both loops warm.  The tool prints
+``sys.version`` once, and before each pair how many times each loop had
+been entered and how many of its instructions are specialized.  After
+the gated pairs, a warm pass (printed, never gated) first enters each
+loop 8 times on a trivial program, then times the same pairs again.
 
     PYTHONPATH=src python tools/tier_ratio.py
 
@@ -28,6 +30,7 @@ under :data:`FLOOR`.
 
 from __future__ import annotations
 
+import dis
 import gc
 import statistics
 import sys
@@ -45,8 +48,12 @@ RUNS, FLOOR = 3, 4.5
 #: loop -> times entered in this process (counted by :func:`_count`)
 ENTRIES: Dict[str, int] = {"_run_loop": 0, "_run_fast": 0}
 
+#: loop -> its own function, unwrapped (for :func:`_specialized`)
+LOOPS: Dict[str, Any] = {name: getattr(Machine, name) for name in ENTRIES}
+
 #: the warm pass's warm-up: each loop runs this program WARM times
-#: (CPython 3.11 specializes a function at its 8th entry)
+#: (CPython 3.11 quickens a function after 8 entries or 8 unconditional
+#: back edges, so both loops are specialized long before this)
 TRIVIAL, WARM = "class W { static int main(int n) { return n + 1; } }", 8
 
 
@@ -58,6 +65,15 @@ def _count(name: str) -> None:
         ENTRIES[name] += 1
         return loop(*args, **kw)
     setattr(Machine, name, counted)
+
+
+def _specialized(name: str) -> int:
+    """How many of ``Machine.<name>``'s instructions differ from its
+    plain listing (on 3.11, 0 until CPython quickens it)."""
+    loop = LOOPS[name]
+    return sum(a.opname != b.opname for a, b in zip(
+        dis.get_instructions(loop, adaptive=True),
+        dis.get_instructions(loop)))
 
 
 def _machine(classes: Dict[str, Any], legacy: bool) -> Machine:
@@ -84,12 +100,14 @@ def pair(legacy_first: bool) -> Tuple[float, float]:
 
 
 def pairs(label: str) -> float:
-    """:data:`RUNS` pairs, each printed with the loops' entry counts
-    before it; their median ratio."""
+    """:data:`RUNS` pairs, each printed with the loops' entry counts and
+    specialized-instruction counts before it; their median ratio."""
     ratios: List[float] = []
     for k in range(RUNS):
         before = (f"entered before: legacy {ENTRIES['_run_loop']}, "
-                  f"tier 1 {ENTRIES['_run_fast']}")
+                  f"tier 1 {ENTRIES['_run_fast']}; specialized: legacy "
+                  f"{_specialized('_run_loop')}, "
+                  f"tier 1 {_specialized('_run_fast')}")
         tier1, legacy = pair(legacy_first=k % 2 == 0)
         ratios.append(tier1 / legacy)
         print(f"{label} pair {k + 1} ({before}): tier 1 {tier1:.2f} "
@@ -107,6 +125,7 @@ def warm_up() -> None:
 
 
 def main() -> int:
+    print(f"python {sys.version}")
     for name in ENTRIES:
         _count(name)
     ratio = pairs("gated")
