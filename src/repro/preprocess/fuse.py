@@ -4,21 +4,27 @@ The fast dispatch loop (:meth:`repro.vm.machine.Machine._run_fast`)
 executes a *decoded stream*: a list parallel to ``CodeObject.instrs``
 where slot ``i`` describes the instruction at bci ``i`` as a tuple
 
-    ``(opid, a, b, weight, count, aux, fault, c)``
+    ``(opid, a, b, count, aux, fault, c)``
 
-``opid`` is the dense integer opcode, ``weight``/``count`` feed the
-batched clock/instr accounting (``weight`` is the group's summed cost
-in whole ticks, :data:`repro.bytecode.code.TICKS_PER_WEIGHT`, so any
-grouping sums to the same bits), ``aux`` carries per-site state (a
-fused binop's semantic function, a monomorphic inline-cache cell), ``c``
-is the destination local of a 4-wide group and ``fault`` names the one
-component that may raise: ``(offset, lead weight, own weight)`` — see
-the fault rule below.  A plain slot (:func:`plain_slot`) is one
-instruction: count 1, fault offset 0.  Tier 1 hand-writes an arm for
-the nine superinstructions and the plain opcodes its streams dispatch
-often or poll at; every other plain slot runs the hooked loop's
-handler for it (``machine._OPS``, through ``Machine._execute``) from
-one fallback arm, so a slot needs only its weight and count there.
+``opid`` is the dense integer opcode, ``count`` the number of original
+instructions the slot executes, ``aux`` per-site state (a fused
+binop's semantic function, a monomorphic inline-cache cell), ``c`` the
+destination local of a 4-wide group and ``fault`` the offset of the one
+component that may raise (the fault rule below).  A plain slot
+(:func:`plain_slot`) is one instruction: count 1, fault offset 0.  Tier
+1 hand-writes an arm for the nine superinstructions and the plain
+opcodes its streams dispatch often or poll at; every other plain slot
+runs the hooked loop's handler for it (``machine._OPS``, through
+``Machine._execute``) from one fallback arm.
+
+**Accounting.** No slot carries a cost.  Beside each stream the
+method stores its *tick prefix* ``P``: ``P[i]`` is the summed cost, in
+whole ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`), of the
+instructions before bci ``i``.  Tier 1 charges a straight-line run of
+bcis ``[start, end)`` once, where control leaves it: ``P[end] -
+P[start]`` ticks and ``end - start`` instructions.  Ticks are
+integer-valued floats, so any grouping of the same instructions sums to
+the same bits as the hooked loop's one add per instruction.
 
 This module additionally *fuses* multi-instruction sequences into
 single superinstructions.  The set is sized by the code the system
@@ -56,10 +62,10 @@ Safety rules for patterns:
 * **fault rule**: at most one component may raise — the binop or the
   ``ALOAD`` of a STORE-tailed group (second to last), the last one
   elsewhere — and ``fault`` names it.  The fast loop reports a guest or
-  host-level fault at ``start + offset``, charges the ``lead weight``
-  of the components before it, and the ``own weight`` only once a
-  handler is found: what the hooked loop charges and reports.  A
-  fault writes nothing into the destination local ``c``;
+  host-level fault at the slot's bci plus ``fault``, charges the run up
+  to that component, and the component itself only once a handler is
+  found: what the hooked loop charges and reports.  A fault writes
+  nothing into the destination local ``c``;
 * fused groups never include opcodes with frame effects (calls,
   returns, throws), host-visible hooks (the ``PUTS`` static-write hook,
   ``NATIVE``) or a ``GETS`` (:func:`cache_seeds` reads plain slots) —
@@ -68,13 +74,13 @@ Safety rules for patterns:
   quantum can expire before every safepoint of the fused stream exactly
   as it does in the hooked loop.
 
-Each method's stream is built once per weight table, stored on its
-``CodeObject`` (``_fused``; a hit needs the very ``predecoded()``
-stream it was built from; ``invalidate_decoded()`` drops it) and holds
-no cell: a machine or namespace *links* it — copies the list and gives
-each inline-cache site a fresh cell.  There is no unfused stream: a
-trap point inside a group reverts the group's head to its
-:func:`plain_slot` (``Machine._trap``).
+Each method's stream and tick prefix are built once per weight table,
+stored on its ``CodeObject`` (``_fused``; a hit needs the very
+``predecoded()`` stream they were built from; ``invalidate_decoded()``
+drops them) and hold no cell: a machine or namespace *links* it — copies
+the list and gives each inline-cache site a fresh cell.  There is no
+unfused stream: a trap point inside a group reverts the group's head to
+its :func:`plain_slot` (``Machine._trap``).
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from repro.bytecode import opcodes as op
 from repro.bytecode.code import CodeObject
 
-#: (opid, a, b, weight, count, aux, fault, c): module docstring
+#: (opid, a, b, count, aux, fault, c): module docstring
 DecodedSlot = Tuple[Any, ...]
 
 # -- fused opcode ids --------------------------------------------------------
@@ -134,29 +140,39 @@ def decode_and_fuse(code: CodeObject, weights: Dict[str, float],
     The result is a fresh link of the stream stored on ``code``, cached
     by the owning :class:`~repro.vm.machine.Machine` per namespace.
     """
+    tpl = template(code, weights, arith, fast2)
+    stream = list(tpl[1])
+    for i, ncells in tpl[2]:
+        s = stream[i]
+        stream[i] = s[:4] + ([None] * ncells,) + s[5:]
+    return stream
+
+
+def template(code: CodeObject, weights: Dict[str, float],
+             arith: Dict[str, Callable], fast2: Dict[str, Callable],
+             ) -> Tuple[Any, List[DecodedSlot], tuple, Tuple[float, ...]]:
+    """``code``'s stored ``(predecoded base, cell-less stream, (bci,
+    cell size) sites, tick prefix)`` for ``weights``, built on a miss
+    (arguments as :func:`decode_and_fuse`)."""
     base = code.predecoded(weights)
     tpl = code._fused.get(id(weights))
     if tpl is None or tpl[0] is not base:
         tpl = code._fused[id(weights)] = (base,
                                           *_build(code, base, arith, fast2))
-    stream = list(tpl[1])
-    for i, ncells in tpl[2]:
-        s = stream[i]
-        stream[i] = s[:5] + ([None] * ncells,) + s[6:]
-    return stream
+    return tpl
 
 
 def plain_slot(base: Sequence[Tuple[int, Any, Any, float]],
                i: int) -> DecodedSlot:
     """The cell-less slot of the one instruction at ``base[i]``."""
-    opid, a, b, w = base[i]
-    return (opid, a, b, w, 1, None, (0, 0.0, w), None)
+    return (*base[i][:3], 1, None, 0, None)
 
 
 def _build(code: CodeObject, base: Sequence[Tuple[int, Any, Any, float]],
            arith: Dict[str, Callable], fast2: Dict[str, Callable],
-           ) -> Tuple[List[DecodedSlot], tuple]:
-    """``code``'s cell-less stream and its ``(bci, cell size)`` sites."""
+           ) -> Tuple[List[DecodedSlot], tuple, Tuple[float, ...]]:
+    """``code``'s cell-less stream, its ``(bci, cell size)`` sites and
+    its tick prefix."""
     n = len(base)
     out: List[DecodedSlot] = []
     sites = []
@@ -173,11 +189,12 @@ def _build(code: CodeObject, base: Sequence[Tuple[int, Any, Any, float]],
             op.is_safepoint(ins.op, ins.a, j) for j, ins in
             enumerate(code.instrs[i:i + count], i)), \
             f"{code.qualname}@{i}: safepoint fused into a group"
-        ws = [slot[3] for slot in base[i:i + count]]
         off = 2 if count == 4 else 1  # the fault rule's component
-        out.append((opid, a, b, sum(ws), count, aux,
-                    (off, sum(ws[:off]), ws[off]), c))
-    return out, tuple(sites)
+        out.append((opid, a, b, count, aux, off, c))
+    prefix = [0.0]
+    for slot in base:
+        prefix.append(prefix[-1] + slot[3])
+    return out, tuple(sites), tuple(prefix)
 
 
 def cache_seeds(stream: List[DecodedSlot],
@@ -196,7 +213,7 @@ def cache_seeds(stream: List[DecodedSlot],
         ncells = _CACHED_OPS.get(ins.op)
         if ncells is None or i >= len(stream):
             continue
-        aux = stream[i][5]
+        aux = stream[i][4]
         if isinstance(aux, list) and len(aux) == ncells \
                 and aux[0] is not None:
             seeds[i] = aux

@@ -61,16 +61,23 @@ the fast loop's outer driver at every boundary that other subsystems
 can observe; frames stay plain data, so SOD capture/restore, VMTI and
 migration are oblivious to the tier:
 
-``fn(m, thread, frame, frames, ql, w_acc, n_acc)`` returns a
-status tuple ``(st, w_acc, n_acc, aux, aux2)``:
+``fn(m, thread, frame, frames, ql, w_acc, n_acc, rd=0)`` returns a
+status tuple ``(st, w_acc, n_acc, aux, aux2)``; ``rd`` is the depth of
+in-line (compiled->compiled) calls it runs under, 0 when the driver
+called it:
 
 =====  ==========================================================
 ``st``
 =====  ==========================================================
 0      guest call: callee frame pushed, caller suspended at the
        return bci with its live operand stack spilled
-1      return: frame popped, value delivered to the caller's
-       operand stack (or ``thread.result``)
+1      return: frame popped.  Called by the driver, the value is
+       delivered to the caller's operand stack (or
+       ``thread.result``); called in line, ``aux`` carries it to
+       the compiled caller, which takes it with no stack round
+       trip.  A status 1 its in-line caller's frame is not the top
+       for is forwarded, and the closure the driver called
+       delivers its value first
 2      scheduler preemption: ``frame.pc`` at a safepoint bci, the
        full operand stack spilled (``"preempted"``)
 3      guest throw: accounting flushed, ``frame.pc`` at the
@@ -99,7 +106,9 @@ refuses to emit a quantum check anywhere else, so compiled code is
 preempted exactly where both interpreter loops are), at guest-throw
 sites and around an opcode without a template.  Between safepoints
 the closure runs pure Python with block-summed ``w_acc``/``n_acc``
-accounting constants: ``w_acc`` counts whole cost
+accounting constants (a segment stays pending through a call or
+back-edge poll, which reads its count as a constant, and is added once
+where the code leaves or flushes): ``w_acc`` counts whole cost
 ticks (:data:`repro.bytecode.code.TICKS_PER_WEIGHT`) as an
 integer-valued float, and the flushes add it to ``m._ticks``, so
 ``instr_count`` and the clock are bit-equal to tier 1's and the hooked
@@ -136,6 +145,7 @@ method sees few (2 at most in the benchmark, 4 in the fuzzers).
 from __future__ import annotations
 
 import functools
+import keyword
 from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
@@ -216,6 +226,16 @@ def _resolve_virtual(m: Any, receiver: Any, name: str, nargs: int,
     return _machine._bind_virtual(m, receiver, name, nargs, cell)
 
 
+def _forward(frames: List[Frame], res: tuple) -> tuple:
+    """An in-line callee's status, on its way to the driver: a status 1
+    whose value no in-line caller took goes onto the top frame's operand
+    stack, as a return to the driver delivers it."""
+    if res[0] == 1:
+        frames[-1].stack.append(res[3])
+        return res[:3]
+    return res
+
+
 #: what every closure of every template binds, built once: stateless
 #: functions, classes and a sentinel (``_mk`` parameter name -> value)
 _RUNTIME: Dict[str, Any] = {
@@ -225,7 +245,7 @@ _RUNTIME: Dict[str, Any] = {
     "GT": _machine.GuestThrow, "AF": _machine._arr_fail,
     "IO": _machine._iobe, "FF": _machine._field_fail,
     "RS": _machine._resolve_static, "RV": _resolve_virtual,
-    "RSF": _machine._static_cell,
+    "RSF": _machine._static_cell, "FW": _forward,
 }
 
 #: the link sites: ops whose tier-2 code binds namespace state
@@ -310,6 +330,10 @@ class _Compiler:
         #: atoms known to be an int or float: float literals and pure
         #: natives' results (reset per block: names are reused)
         self.nums: Set[str] = set()
+        #: atom checked to be an array -> the name of its element list
+        #: (``VMArray.data`` is never rebound: a fetched copy is wrapped
+        #: before any guest code sees it)
+        self.arrays: Dict[str, str] = {}
         self.indent = 16
 
     # -- plumbing ---------------------------------------------------------
@@ -377,6 +401,13 @@ class _Compiler:
         self.seg_w = 0.0
         self.seg_n = 0
 
+    def acc_plus(self, w: float = 0.0, n: int = 0) -> str:
+        """``w_acc, n_acc`` with the pending segment and ``w`` / ``n``
+        folded in as constants (two fields of a status tuple or of an
+        in-line call's arguments)."""
+        sw, sn = self.seg_w + w, self.seg_n + n
+        return f"w_acc + {sw!r}, n_acc + {sn}" if sn else "w_acc, n_acc"
+
     def write_back(self, extra: int = 0) -> None:
         """Tell ``locs`` every deferred ``STORE``: emitted wherever
         ``frame.locals`` is about to be observable.  In a conditional
@@ -424,7 +455,10 @@ class _Compiler:
         the way out, not in the segment (returns its weight; ``charged``
         says whether :meth:`gen_op` put it there), and a spent quantum
         yields *before* it, ``frame.pc`` at ``bci`` and the whole
-        operand stack spilled.  Locals are written back for good first
+        operand stack spilled.  The segment stays pending: the poll
+        reads its count as a constant and the yielding arm returns it,
+        so the straight path adds it once, where it leaves or charges
+        (:meth:`acc_plus`).  Locals are written back for good first
         — a callee's natives may patch this frame, a call's resolution
         may throw into a handler of it — unless nothing reads them on
         the straight path (a return; a pure native's in-line call):
@@ -435,14 +469,14 @@ class _Compiler:
         if charged:
             self.seg_w -= w
             self.seg_n -= 1
-        self.flush_acc()
         if frame_lives:
             self.write_back()
-        self.emit("if ql and m.instr_count + n_acc >= ql:")
+        ran = f" + {self.seg_n}" if self.seg_n else ""
+        self.emit(f"if ql and m.instr_count + n_acc{ran} >= ql:")
         self.write_back(4)
         self.spill(self.sym, 4)
         self.emit(f"    frame.pc = {bci}")
-        self.emit("    return (2, w_acc, n_acc)")
+        self.emit(f"    return (2, {self.acc_plus()})")
         return w
 
     def exit_to(self, target: int, extra: int = 0) -> None:
@@ -548,6 +582,7 @@ class _Compiler:
         self.seg_n = 0
         self._un = 0
         self.known = {}
+        self.arrays = {}
         self.pending = {}
         self.bools = {"True", "False"}
         self.nums = set()
@@ -688,12 +723,15 @@ class _Compiler:
             w_ret = self.safepoint(bci, frame_lives=False)
             val = sym.pop() if o == op.RETV else "None"
             self.emit("frames.pop()")
+            acc = self.acc_plus(w_ret, 1)
+            self.emit("if rd:")  # an in-line caller takes the value
+            self.emit(f"    return (1, {acc}, {val})")
             self.emit("if frames:")
             self.emit(f"    frames[-1].stack.append({val})")
             self.emit("else:")
             self.emit("    thread.finished = True")
             self.emit(f"    thread.result = {val}")
-            self.emit(f"return (1, w_acc + {w_ret!r}, n_acc + 1)")
+            self.emit(f"return (1, {acc})")
             return True
 
         elif o == op.INVOKESTATIC:
@@ -766,19 +804,21 @@ class _Compiler:
 
     def gen_array_data(self, bci: int, o: str, arr: str, what: str) -> str:
         """Arm ``ALOAD``/``ASTORE`` and name the receiver's element
-        list (``AF`` raises for anything but an array)."""
+        list (``AF`` raises for anything but an array), once per atom
+        and block."""
         arr = self.named(arr)
         self.marker(bci, o)
-        u = self.fresh()
-        self.emit(f"{u} = {arr}.data if isinstance({arr}, Arr) "
-                  f"else AF(m, {arr}, {what!r})")
+        u = self.arrays.get(arr)
+        if u is None:
+            u = self.arrays[arr] = self.fresh()
+            self.emit(f"{u} = {arr}.data if isinstance({arr}, Arr) "
+                      f"else AF(m, {arr}, {what!r})")
         return u
 
     def gen_branch(self, bci: int, ins: Any, cond: str) -> bool:
         """JZ/JNZ.  A fall-through this block does not stop at is no
         block boundary: only the taken arm leaves, materializing in the
         arm, and generation goes on with everything carried over."""
-        test = cond if cond in self.bools else f"T({cond})"
         fall = bci + 1
         if fall in self.stops:
             on_true, on_false = (fall, ins.a) if ins.op == op.JZ \
@@ -786,13 +826,26 @@ class _Compiler:
             self.emit_acc()
             self.write_back()
             self.spill(self.sym)
-            self.emit(f"b = {self.block_id[on_true]} if {test} "
+            self.emit(f"b = {self.block_id[on_true]} if {self.truth(cond)} "
                       f"else {self.block_id[on_false]}")
             self.emit("continue")
             return True
-        self.emit(f"if not {test}:" if ins.op == op.JZ else f"if {test}:")
+        self.emit(f"if {self.truth(cond, ins.op == op.JNZ)}:")
         self.exit_to(ins.a, 4)
         return False
+
+    def truth(self, cond: str, want: bool = True) -> str:
+        """A test that ``cond`` is guest-true (``want``) or guest-false:
+        raw on a known bool, ``is True`` / ``is False`` before ``T``
+        on any other name, ``T`` alone on a literal (``is`` with a
+        literal is a ``SyntaxWarning``)."""
+        if cond in self.bools:
+            return cond if want else f"not {cond}"
+        if not cond.isidentifier() or keyword.iskeyword(cond):
+            return f"T({cond})" if want else f"not T({cond})"
+        if want:
+            return f"{cond} is True or {cond} is not False and T({cond})"
+        return f"{cond} is False or {cond} is not True and not T({cond})"
 
     def gen_invokestatic(self, bci: int, ins: Any) -> None:
         nargs = ins.b or 0
@@ -811,13 +864,13 @@ class _Compiler:
             self.emit(f"{u} = {cell}[0]")
             self.emit(f"if {u} is None:")
             idx = len(self.faults)
-            self.faults.append((bci, 0.0, 0, w_call))
+            self.faults.append((bci, self.seg_w, self.seg_n, w_call))
             self.emit(f"    f = {idx}")
             self.emit(f"    {u} = {cell}[0] = "
                       f"RS(m, {tuple(ins.a)!r}, {nargs})")
             code_expr, pad_expr = f"{u}[0]", f"{u}[1]"
         self.gen_push_frame(code_expr, pad_expr, args)
-        self.gen_call_exit(w_call, live)
+        self.gen_call_exit(code_expr, w_call, live)
 
     def gen_invokevirt(self, bci: int, ins: Any) -> None:
         nargs = ins.b or 0
@@ -835,41 +888,46 @@ class _Compiler:
         self.emit(f"    {u} = {cell}[1]")
         self.emit("else:")
         idx = len(self.faults)
-        self.faults.append((bci, 0.0, 0, w_call))
+        self.faults.append((bci, self.seg_w, self.seg_n, w_call))
         self.emit(f"    f = {idx}")
         self.emit(f"    {u} = RV(m, {recv}, {mn}, {nargs}, {cell})")
         self.spill(live)
         self.emit(f"frame.pc = {bci + 1}")
         self.gen_push_frame(f"{u}[0]", f"{u}[1]", [recv] + args)
-        self.gen_call_exit(w_call, live)
+        self.gen_call_exit(f"{u}[0]", w_call, live)
 
-    def gen_call_exit(self, w_call: float, live: List[str]) -> None:
-        """Close a call site: try a compiled->compiled direct call
-        (host-level recursion, depth-capped so deep guest recursion
-        still round-trips through the driver instead of blowing the
-        host stack), else hand the pushed frame to the driver.
+    def gen_call_exit(self, code_expr: str, w_call: float,
+                      live: List[str]) -> None:
+        """Close a call site: try a compiled->compiled direct call of
+        ``code_expr`` (host-level recursion, depth-capped so deep guest
+        recursion still round-trips through the driver instead of
+        blowing the host stack), else hand the pushed frame to the
+        driver.
 
         Our state is fully materialized before the nested closure runs,
         so every non-return status simply forwards: the driver sees
         exactly what it would have seen had it made the call itself.
-        A status-1 result from the direct callee means our own frame is
-        the top again: take the value it delivered and the spilled
-        operands back off ``fstack`` and go on generating at the return
-        bci — what the callee's natives may have patched in ``locs``
-        is re-read."""
+        A status-1 result from the direct callee carries the returned
+        value (``rd > 0``) and, our own frame the top again, we take it
+        and the spilled operands back off ``fstack`` and go on
+        generating at the return bci — what the callee's natives may
+        have patched in ``locs`` is re-read.  A status 1 for which our
+        frame is not the top is forwarded as it came, and the closure
+        the driver called (``rd == 0``) delivers its value first
+        (``FW``), where a return to the driver puts it."""
         u = self.fresh()
-        self.emit(f"{u} = JM.get(nf.code) if rd < {_MAX_INLINE_DEPTH} "
+        self.emit(f"{u} = JM.get({code_expr}) if rd < {_MAX_INLINE_DEPTH} "
                   f"else None")
-        self.emit(f"if {u}.__class__ is not tuple:")
-        self.emit(f"    return (0, w_acc + {w_call!r}, n_acc + 1)")
-        self.emit(f"res = {u}[0](m, thread, nf, frames, ql, "
-                  f"w_acc + {w_call!r}, n_acc + 1, rd + 1)")
+        acc = self.acc_plus(w_call, 1)
+        self.emit(f"if not {u}:")  # False (refused) or None (cold)
+        self.emit(f"    return (0, {acc})")
+        self.emit(f"res = {u}[0](m, thread, nf, frames, ql, {acc}, rd + 1)")
+        self.seg_w = 0.0  # the callee's w_acc / n_acc include it
+        self.seg_n = 0
         self.emit("if res[0] != 1 or frames[-1] is not frame:")
-        self.emit("    return res")
-        self.emit("w_acc = res[1]")
-        self.emit("n_acc = res[2]")
+        self.emit("    return res if rd else FW(frames, res)")
         rv = self.fresh()
-        self.emit(f"{rv} = fstack.pop()")
+        self.emit(f"_, w_acc, n_acc, {rv} = res")
         if live:
             self.emit(f"del fstack[-{len(live)}:]")
         self.known.clear()
@@ -905,6 +963,9 @@ class _Compiler:
         sym = self.sym
         pure = _pure(ins)
         wn = self.safepoint(bci, frame_lives=pure is None, charged=False)
+        # a native's fault record and a host error raised by it (the
+        # registry's or a pure host function's) both count from here
+        self.flush_acc()
         args = [sym.pop() for _ in range(nargs)][::-1]
         live = list(sym)
         rv = self.fresh()
@@ -979,7 +1040,8 @@ class _Compiler:
             "    locs = frame.locals",
             "    fstack = frame.stack",
             "    f = 0",
-            "    b = EN[frame.pc]",
+            # an in-line call (rd > 0) enters its callee at bci 0
+            f"    b = {self.block_id[0]} if rd else EN[frame.pc]",
             "    try:",
             "        while True:",
         ]

@@ -117,7 +117,8 @@ from repro.errors import LinkError, VMError
 from repro.preprocess.fuse import (F_CONST_STORE, F_LL_ALOAD_ST,
                                    F_LL_ARITH_ST, F_LL_OP2_ST, F_LOAD_GETF,
                                    F_LOAD_JNZ, F_LOAD_JZ, F_LOAD_LOAD,
-                                   F_LOAD_STORE, decode_and_fuse, plain_slot)
+                                   F_LOAD_STORE, decode_and_fuse, plain_slot,
+                                   template as fuse_template)
 from repro.vm.classloader import ClassLoader, Namespace
 from repro.vm.costmodel import CostModel
 from repro.vm.frames import Frame, ThreadState
@@ -569,7 +570,7 @@ class Machine:
             if not 0 <= bci < len(stream) or stream[bci] is _TRAP:
                 continue
             for head in range(max(0, bci - 3), bci):  # groups: <= 4 wide
-                if stream[head][4] > bci - head:
+                if stream[head][3] > bci - head:
                     undo.append((stream, head, stream[head]))
                     stream[head] = plain_slot(
                         code.predecoded(self.cost.op_weights), head)
@@ -597,6 +598,18 @@ class Machine:
         inner loop runs the top frame alone, as a tier-2 closure does: a
         call or return breaks back to the driver, so ``frame``, ``stream``
         and the stack registers never change inside it.
+
+        Accounting: no arm charges.  The inner loop keeps ``start``, the
+        bci where the current straight-line run began, and charges the
+        run ``[start, end)`` where control leaves it — a taken branch, a
+        ``JMP``, a call, a return, a native's flush, a fallback op that
+        jumped, a trap, a preemption, a fault — from the method's tick
+        prefix ``P`` (:mod:`repro.preprocess.fuse`): ``P[end] -
+        P[start]`` ticks, ``end - start`` instructions.  Whole-tick
+        floats sum to the same bits in any grouping, so the clock equals
+        the hooked loop's one add per instruction.  A quantum poll reads
+        ``instr_count + n_acc + pc - start``: what has run, the open run
+        included.
         """
         # Localize everything the hot path touches.
         frames = thread.frames
@@ -608,6 +621,10 @@ class Machine:
         miss = _MISSING
         w_acc = 0.0
         n_acc = 0
+        # the tick prefixes are stored per weight table, beside the
+        # streams they were built with (``fuse.template``)
+        weights = self.cost.op_weights
+        wid = id(weights)
         # Scheduler-preemption safepoint polling: the budget is turned
         # into an absolute executed-instruction watermark so the check
         # stays valid across accounting flushes (instr_count absorbs
@@ -690,7 +707,10 @@ class Machine:
                         continue          # st 4: pending exception armed
                 if stream is None:
                     stream = self.decoded(code)
-                pc = frame.pc
+                tpl = code._fused.get(wid)
+                P = (tpl if tpl is not None else
+                     fuse_template(code, weights, _ARITH, _FAST2))[3]
+                pc = start = frame.pc
                 stack = frame.stack
                 locs = frame.locals
                 push = stack.append
@@ -725,13 +745,19 @@ class Machine:
                             locs[ins[2]] = locs[ins[1]]
                             pc += 2
                         elif oid == FI_LL_OP2_ST:
-                            locs[ins[7]] = ins[5](locs[ins[1]], locs[ins[2]])
+                            locs[ins[6]] = ins[4](locs[ins[1]], locs[ins[2]])
                             pc += 4
                         elif oid == FI_CONST_STORE:
                             locs[ins[2]] = ins[1]
                             pc += 2
                         elif oid == FI_LOAD_JZ:
-                            pc = pc + 2 if tr(locs[ins[1]]) else ins[2]
+                            v = locs[ins[1]]
+                            if v is True or v is not False and tr(v):
+                                pc += 2
+                            else:  # taken: the run ends with the JZ
+                                w_acc += P[pc + 2] - P[start]
+                                n_acc += pc + 2 - start
+                                pc = start = ins[2]
                         elif oid == I_STORE:
                             locs[ins[1]] = pop()
                             pc += 1
@@ -739,7 +765,7 @@ class Machine:
                             push(locs[ins[1]])
                             pc += 1
                         elif oid == FI_LL_ARITH_ST:
-                            locs[ins[7]] = ins[5](self, locs[ins[1]],
+                            locs[ins[6]] = ins[4](self, locs[ins[1]],
                                                   locs[ins[2]])
                             pc += 4
                         elif oid == FI_LL_ALOAD_ST:
@@ -749,7 +775,7 @@ class Machine:
                                 _arr_fail(self, arr, "arrayload")
                             data = arr.data
                             if 0 <= idx < len(data):
-                                locs[ins[7]] = data[idx]
+                                locs[ins[6]] = data[idx]
                             else:
                                 raise _iobe(self, idx, len(data))
                             pc += 4
@@ -758,7 +784,7 @@ class Machine:
                             push(locs[ins[2]])
                             pc += 2
                         elif oid == I_GETS:
-                            cell = ins[5]
+                            cell = ins[4]
                             c = cell[0]
                             if c is None:
                                 c = cell[0] = _static_cell(self, ins[1])
@@ -771,32 +797,39 @@ class Machine:
                             # never fused), so polling here bounds
                             # quantum overshoot to one loop body even
                             # in call-free loops.
-                            if q is not None and ins[1] <= pc \
-                                    and self.instr_count + n_acc >= q_limit:
-                                frame.pc = pc
-                                return "preempted"
-                            if jm is not None and ins[1] <= pc:
-                                # OSR: loops tier up at the back edge
-                                cf2 = jm.get(code)
-                                if cf2 is None:
-                                    h = code.hotness = code.hotness + 1
-                                    if h >= TH:
-                                        cf2 = _ci(self, code, jm)
-                                if cf2 and ins[1] in cf2[1]:
-                                    w_acc += ins[3]
-                                    n_acc += ins[4]
-                                    frame.pc = ins[1]
-                                    break
-                            pc = ins[1]
+                            tgt = ins[1]
+                            if tgt <= pc:
+                                if q is not None and self.instr_count \
+                                        + n_acc + pc - start >= q_limit:
+                                    w_acc += P[pc] - P[start]
+                                    n_acc += pc - start
+                                    frame.pc = pc
+                                    return "preempted"
+                                if jm is not None:
+                                    # OSR: loops tier up at the back edge
+                                    cf2 = jm.get(code)
+                                    if cf2 is None:
+                                        h = code.hotness = code.hotness + 1
+                                        if h >= TH:
+                                            cf2 = _ci(self, code, jm)
+                                    if cf2 and tgt in cf2[1]:
+                                        frame.pc = tgt
+                                        pc += 1
+                                        break
+                            w_acc += P[pc + 1] - P[start]
+                            n_acc += pc + 1 - start
+                            pc = start = tgt
                         elif oid == I_INVOKESTATIC:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
+                            if q is not None and self.instr_count \
+                                    + n_acc + pc - start >= q_limit:
                                 # Safepoint poll: yield to the scheduler
                                 # before the call executes (resume
                                 # re-dispatches this instruction).
+                                w_acc += P[pc] - P[start]
+                                n_acc += pc - start
                                 frame.pc = pc
                                 return "preempted"
-                            cell = ins[5]
+                            cell = ins[4]
                             c = cell[0]
                             if c is None:
                                 c = cell[0] = _resolve_static(
@@ -807,7 +840,8 @@ class Machine:
                                 del stack[-nargs:]
                             else:
                                 args = []
-                            frame.pc = pc + 1
+                            pc += 1
+                            frame.pc = pc
                             # pre-validated arity: build the frame without
                             # re-running Frame.__init__'s checks
                             callee = Frm.__new__(Frm)
@@ -818,12 +852,12 @@ class Machine:
                             callee.pinned = False
                             frames.append(callee)
                             handed = 1
-                            w_acc += ins[3]
-                            n_acc += ins[4]
                             break
                         elif oid == I_RETV or oid == I_RET:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
+                            if q is not None and self.instr_count \
+                                    + n_acc + pc - start >= q_limit:
+                                w_acc += P[pc] - P[start]
+                                n_acc += pc - start
                                 frame.pc = pc
                                 return "preempted"
                             value = pop() if oid == I_RETV else None
@@ -834,8 +868,7 @@ class Machine:
                                 thread.finished = True
                                 thread.result = value
                             handed = 2
-                            w_acc += ins[3]
-                            n_acc += ins[4]
+                            pc += 1
                             break
                         elif oid == I_ASTORE:
                             value = pop()
@@ -865,10 +898,18 @@ class Machine:
                             push(stack[-1])
                             pc += 1
                         elif oid == FI_LOAD_JNZ:
-                            pc = ins[2] if tr(locs[ins[1]]) else pc + 2
+                            v = locs[ins[1]]
+                            if v is False or v is not True and not tr(v):
+                                pc += 2
+                            else:  # taken: the run ends with the JNZ
+                                w_acc += P[pc + 2] - P[start]
+                                n_acc += pc + 2 - start
+                                pc = start = ins[2]
                         elif oid == I_NATIVE:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
+                            if q is not None and self.instr_count \
+                                    + n_acc + pc - start >= q_limit:
+                                w_acc += P[pc] - P[start]
+                                n_acc += pc - start
                                 frame.pc = pc
                                 return "preempted"
                             nargs = ins[2]
@@ -879,24 +920,26 @@ class Machine:
                                 args = []
                             # Safepoint: natives may read the clock, print,
                             # charge time, or arm traps — flush batched
-                            # accounting and expose a precise frame.pc.
-                            self._ticks += w_acc
-                            self.instr_count += n_acc
+                            # accounting (the run up to the native) and
+                            # expose a precise frame.pc; the native opens
+                            # the next run.
+                            self._ticks += w_acc + (P[pc] - P[start])
+                            self.instr_count += n_acc + pc - start
                             w_acc = 0.0
                             n_acc = 0
-                            frame.pc = pc
+                            start = frame.pc = pc
                             fn = self.natives.lookup(ins[1])
                             self.charge(self.cost.native_base)
                             push(fn(self, args))
                             pc += 1
                             if thread.pending_exception is not None:
-                                w_acc += ins[3]
-                                n_acc += 1
                                 frame.pc = pc
                                 break
                         elif oid == I_INVOKEVIRT:
-                            if q is not None and \
-                                    self.instr_count + n_acc >= q_limit:
+                            if q is not None and self.instr_count \
+                                    + n_acc + pc - start >= q_limit:
+                                w_acc += P[pc] - P[start]
+                                n_acc += pc - start
                                 frame.pc = pc
                                 return "preempted"
                             nargs = ins[2]
@@ -906,14 +949,15 @@ class Machine:
                             else:
                                 args = []
                             receiver = pop()
-                            cell = ins[5]
+                            cell = ins[4]
                             if isinstance(receiver, Inst) \
                                     and receiver.vmclass is cell[0]:
                                 c = cell[1]
                             else:
                                 c = _bind_virtual(self, receiver, ins[1],
                                                   nargs, cell)
-                            frame.pc = pc + 1
+                            pc += 1
+                            frame.pc = pc
                             callee = Frm.__new__(Frm)
                             callee.code = c[0]
                             callee.locals = [receiver] + args + c[1]
@@ -922,8 +966,6 @@ class Machine:
                             callee.pinned = False
                             frames.append(callee)
                             handed = 1
-                            w_acc += ins[3]
-                            n_acc += ins[4]
                             break
                         elif oid == I_CONST:
                             push(ins[1])
@@ -933,36 +975,44 @@ class Machine:
                             # body: frame.pc in, frame.pc out.
                             frame.pc = pc
                             if oid < 0:  # _TRAP: the hooked loop's turn
+                                w_acc += P[pc] - P[start]
+                                n_acc += pc - start
                                 return "trap"
                             self._execute(thread, frame, code.instrs[pc])
+                            if frame.pc != pc + 1:  # it jumped
+                                w_acc += P[pc + 1] - P[start]
+                                n_acc += pc + 1 - start
+                                start = frame.pc
                             pc = frame.pc
-                        w_acc += ins[3]
-                        n_acc += ins[4]
+                    # a call, a return, an OSR entry or a native's
+                    # exception left the frame: charge the run to ``pc``
+                    w_acc += P[pc] - P[start]
+                    n_acc += pc - start
                 except GuestThrow as gt:
                     # The slot names the one component that may raise
                     # (fuse's fault rule): report the precise faulting
-                    # bci and charge the components before it, then
-                    # dispatch.  The faulting component itself is
-                    # charged only when a handler is found — the legacy
-                    # loop returns before charging a fatally-throwing
-                    # instruction.
-                    off, lead, own = ins[6]
-                    frame.pc = pc + off
-                    self._ticks += w_acc + lead
-                    self.instr_count += n_acc + off
+                    # bci and charge the run up to it, then dispatch.
+                    # The faulting component itself is charged only when
+                    # a handler is found — the legacy loop returns
+                    # before charging a fatally-throwing instruction.
+                    pc += ins[5]
+                    frame.pc = pc
+                    self._ticks += w_acc + (P[pc] - P[start])
+                    self.instr_count += n_acc + pc - start
                     w_acc = 0.0
                     n_acc = 0
                     if not self._dispatch(thread, gt.exc):
                         return "finished"
-                    w_acc = own
+                    w_acc = P[pc + 1] - P[pc]
                     n_acc = 1
                 except BaseException:
                     # Host-level error (LinkError, VMError, TypeError...):
-                    # report the same component and charge the ones
-                    # before it like the legacy loop, then propagate.
-                    frame.pc = pc + ins[6][0]
-                    w_acc += ins[6][1]
-                    n_acc += ins[6][0]
+                    # report the same component and charge the run before
+                    # it like the legacy loop, then propagate.
+                    pc += ins[5]
+                    frame.pc = pc
+                    w_acc += P[pc] - P[start]
+                    n_acc += pc - start
                     raise
             thread.finished = True
             return "finished"
@@ -1574,4 +1624,4 @@ _I_NATIVE = op.OP_IDS[op.NATIVE]
 #: the slot ``Machine._trap`` plants at a trap point: an opcode id no
 #: instruction has (below every real one), so it falls through every arm
 #: into the fallback, which returns ``"trap"`` before it executes
-_TRAP = (-1, None, None, 0.0, 1, None, (0, 0.0, 0.0), None, None)
+_TRAP = (-1, None, None, 1, None, 0, None)

@@ -76,7 +76,7 @@ def tier1_dispatches(classes, main, args) -> Counter:
         hist[FUSED_NAMES.get(slot[0])
              or frame.code.instrs[frame.pc].op] += 1
         pending.extend((frame.code, frame.pc + k)
-                       for k in range(slot[4] - 1, 0, -1))
+                       for k in range(slot[3] - 1, 0, -1))
         return False
 
     m.run(m.spawn(main[0], main[1], list(args)), stop=replay)

@@ -370,7 +370,7 @@ def test_store_tailed_group_faults_like_unfused(case, caught):
     sites = [i for i, ins in enumerate(frame.code.instrs)
              if ins.op == fault_op and i >= 2
              and FUSED_NAMES.get(stream[i - 2][0]) == pattern
-             and stream[i - 2][6][0] == 2]
+             and stream[i - 2][5] == 2]
     assert sites, f"no {pattern} group faults at {fault_op}"
     if not caught or fused["host"]:
         assert fused["pc"] in sites
@@ -464,12 +464,16 @@ def test_fused_stream_structure():
     assert len(stream) == len(code.instrs)
     base = code.predecoded(m.cost.op_weights)
     for i, slot in enumerate(stream):
-        assert len(slot) == 8
-        assert slot[4] >= 1
-        assert i + slot[4] <= len(stream)
-        assert 0 <= slot[6][0] < slot[4]
-        # a group is charged its components' ticks, one add per dispatch
-        assert slot[3] == sum(w for _o, _a, _b, w in base[i:i + slot[4]])
+        assert len(slot) == 7
+        assert slot[3] >= 1
+        assert i + slot[3] <= len(stream)
+        assert 0 <= slot[5] < slot[3]
+    # a run [start, end) is charged from the stored tick prefix: each
+    # step of it is one instruction's ticks
+    prefix = code._fused[id(m.cost.op_weights)][3]
+    assert len(prefix) == len(stream) + 1 and prefix[0] == 0.0
+    assert all(prefix[i + 1] - prefix[i] == w
+               for i, (_o, _a, _b, w) in enumerate(base))
 
 
 def test_every_superinstruction_fires_on_the_flattened_builds():
@@ -778,9 +782,9 @@ def _interior_bcis(stream):
     n; LT; STORE t``, which executes once per iteration: entered at its
     ``LOAD n``, ``LT`` or ``STORE`` it finds one operand, both, or the
     result already on the stack."""
-    width = max(slot[4] for slot in stream)
+    width = max(slot[3] for slot in stream)
     assert width == 4, f"no 4-wide fused group found (widest {width})"
-    start = next(i for i, slot in enumerate(stream) if slot[4] == width)
+    start = next(i for i, slot in enumerate(stream) if slot[3] == width)
     return list(range(start + 1, start + width))
 
 
@@ -822,7 +826,7 @@ def test_fallback_entered_mid_group_faults_like_legacy(method, args,
     for kw in (dict(jit=False), dict(dispatch="legacy")):
         m = Machine(classes, **kw)
         stream = m.decoded(code)
-        assert any(stream[h][4] > bci - h for h in range(bci)), \
+        assert any(stream[h][3] > bci - h for h in range(bci)), \
             "the fault site is not inside a fused group"
         t = m.spawn("M", method, list(args))
         frame = t.frames[-1]
@@ -1108,6 +1112,45 @@ def _machine_on(loop, classes, cls, method):
     if loop == "tier2":
         assert m.precompile(cls, method)
     return m
+
+
+VIRT_NPE_SRC = """
+class V { int f() { return 1; } }
+class N {
+  static int go(V r, int n) {
+    int a = n + 1;
+    a = a * 2;
+    return a + r.f();
+  }
+  static int guarded(V r, int n) {
+    int a = n + 1;
+    try { a = a * 2 + r.f(); } catch (NullPointerException e) { a = a + 100; }
+    return a;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("method", ["go", "guarded"])
+def test_virtual_call_on_null_charges_what_ran_before_it(method):
+    """A null receiver's guest throw out of a virtual call is charged
+    as the hooked loop charges it on every loop: the instructions before
+    the call — on tier 2 still pending in the block's segment, which a
+    call's poll does not flush — and the call itself once a handler
+    takes it (mutant: tier 2's call-site fault record without the
+    pending segment)."""
+    classes = preprocess_program(compile_source(VIRT_NPE_SRC), "original")
+    seen = {}
+    for loop in LOOPS:
+        m = _machine_on(loop, classes, "N", method)
+        t = m.spawn("N", method, [None, 4])
+        entry = t.frames[-1]
+        m.run(t)
+        exc = t.uncaught
+        seen[loop] = (t.result, exc and exc.class_name, exc and entry.pc,
+                      m.instr_count, m.clock)
+    assert seen["tier2"] == seen["fast"] == seen["legacy"], seen
+    assert (seen["legacy"][1] is None) == (method == "guarded")
 
 
 @pytest.mark.parametrize("loop", LOOPS)

@@ -87,6 +87,42 @@ def _pair(src, cls, meth, args, build="original"):
     return (m1, r1), (m2, r2)
 
 
+def test_in_line_return_value_rides_the_status_tuple():
+    """A compiled callee called in line (``rd > 0``) hands its value
+    back in the status-1 tuple.  A status 1 for which the caller's frame
+    is not the top is forwarded as it came: under another in-line
+    caller, the 4-tuple unchanged; from the closure the driver called,
+    its value delivered first onto the top frame's operand stack, as a
+    return to the driver puts it.  The callee here is a stand-in that
+    leaves another frame on top (mutants: the ``frames[-1] is not
+    frame`` guard dropped; the forwarded value not delivered; the rd-0
+    closure passing the 4-tuple on)."""
+    from repro.vm.frames import Frame
+
+    m = Machine(_classes(), jit=True)
+    assert m.precompile("P", "caller")
+    cls = m.loader.load("P")
+    caller, work = cls.find_method("caller"), cls.find_method("work")
+    other = Frame(work)
+
+    def callee(m, thread, frame, frames, ql, w_acc, n_acc, rd=0):
+        assert rd == depth + 1 and frame.code is work
+        frames.pop()
+        frames.append(other)
+        return (1, w_acc + 100.0, n_acc + 1, 42)
+
+    m._compiled[work] = (callee, {0: 0})
+    for depth in (1, 0):
+        t = m.spawn("P", "caller", [1])
+        res = m._compiled[caller][0](m, t, t.frames[-1], t.frames, 0,
+                                     0.0, 0, depth)
+        assert res[0] == 1 and t.frames[-1] is other
+        if depth:
+            assert res[3] == 42 and other.stack == []
+        else:
+            assert len(res) == 3 and other.stack == [42]
+
+
 def test_hot_method_tiers_up_and_matches_tier1():
     """Repeated activations cross JIT_THRESHOLD, the method compiles,
     and result / instr_count / clock agree with tier-1 exactly."""
@@ -520,6 +556,36 @@ def test_known_bools_branch_raw():
                         ast.unparse(node.args[0]) in bools:
                     coerced.append((code.qualname, ast.unparse(node)))
     assert not coerced, coerced[:5]
+
+
+def test_generated_text_compiles_without_warnings():
+    """Every template of the deployed programs, and a ``JZ`` / ``JNZ``
+    on each kind of literal condition (``CONST 0; JZ``), compiles with
+    ``SyntaxWarning`` raised as an error.  A branch on a name not known
+    to be a bool tests ``is True`` / ``is False`` before ``T``; on a
+    literal that text would be a ``SyntaxWarning`` ("is" with a
+    literal), so a literal keeps ``T`` alone (mutant: the literal check
+    dropped from ``_Compiler.truth``)."""
+    import warnings
+
+    from repro.bytecode.code import CodeObject, Instr as I
+    from repro.bytecode import opcodes as op
+
+    weights = CostModel().op_weights
+    sources = [tpl.mk.__jit_source__ for _c, tpl, _b in _deployed_templates()]
+    for lit in (0, 1, 2.5, "s", None, True, -3):
+        for branch in (op.JZ, op.JNZ):
+            code = CodeObject("L", "go", 0, 1, [
+                I(op.NOP), I(op.CONST, lit), I(branch, 4), I(op.NOP),
+                I(op.RET)])
+            src = jit_mod._Compiler(code, weights, frozenset()).compile() \
+                .mk.__jit_source__
+            assert f"T({lit!r})" in src or lit is True, src
+            sources.append(src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        for src in sources:
+            compile(src, "<jit>", "exec")
 
 
 def _targets_of(ins):

@@ -65,7 +65,7 @@ def _interior_fused_bci(machine, code):
     of ``code``'s decoded stream."""
     stream = machine.decoded(code)
     for i, slot in enumerate(stream):
-        if slot[4] >= 3:
+        if slot[3] >= 3:
             return i + 1
     raise AssertionError("no fused group found")
 
@@ -97,8 +97,8 @@ def test_offload_triggered_mid_fused_group(classes):
     i = 0
     while i < len(stream):
         heads.add(i)
-        i += max(1, stream[i][4])
-    assert interior not in heads or stream[interior][4] == 1
+        i += max(1, stream[i][3])
+    assert interior not in heads or stream[interior][3] == 1
 
     result, rec = eng.run_segment_remote(home, t, "node1", nframes=1)
     assert result == expected

@@ -264,20 +264,20 @@ def test_namespace_streams_share_the_stored_stream_but_no_cell():
     assert sa is not sb and len(sa) == len(sb) == len(work.instrs)
     cells = 0
     for x, y in zip(sa, sb):
-        if not isinstance(x[5], list):
+        if not isinstance(x[4], list):
             assert x is y
             continue
         cells += 1
-        assert x[5] is not y[5] and x[:5] == y[:5] and x[6:] == y[6:]
+        assert x[4] is not y[4] and x[:4] == y[:4] and x[5:] == y[5:]
     assert cells >= 2  # GETS/PUTS P.s, P.tag
     for ns, stream in (("a", sa), ("b", sb)):
         statics = m.namespace(ns).load("P").statics
-        bound = [s[5][0] for s in stream
-                 if isinstance(s[5], list) and s[5][0] is not None]
+        bound = [s[4][0] for s in stream
+                 if isinstance(s[4], list) and s[4][0] is not None]
         assert bound and all(c[0] is statics for c in bound)
     # the stored stream itself holds no cell
     (tpl,) = work._fused.values()
-    assert not any(isinstance(s[5], list) for s in tpl[1])
+    assert not any(isinstance(s[4], list) for s in tpl[1])
 
 
 def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
@@ -301,12 +301,14 @@ def test_stored_stream_rebuilds_on_weight_edit_and_invalidate(monkeypatch):
     s1, s2 = link(), link()
     assert len(builds) == 1 and s1 is not s2 and len(code._fused) == 1
     assert [s[0] for s in s1] == [s[0] for s in s2]
+    (p1,) = (tpl[3] for tpl in code._fused.values())
     weights[op.LOAD] = weights.get(op.LOAD, 1.0) * 2
-    s3 = link()
+    link()
     assert len(builds) == 2 and len(code._fused) == 1
-    i = next(i for i, ins in enumerate(code.instrs) if ins.op == op.LOAD
-             and s3[i][4] == 1)
-    assert s3[i][3] == weights[op.LOAD] * TICKS_PER_WEIGHT != s1[i][3]
+    (p3,) = (tpl[3] for tpl in code._fused.values())
+    i = next(i for i, ins in enumerate(code.instrs) if ins.op == op.LOAD)
+    assert p3[i + 1] - p3[i] == weights[op.LOAD] * TICKS_PER_WEIGHT \
+        != p1[i + 1] - p1[i]
     code.invalidate_decoded()
     assert code._fused == {}
     link()
@@ -328,9 +330,9 @@ def test_tier2_seeds_read_the_namespace_own_tier1_cells(monkeypatch):
     assert m.precompile("P", "work", namespace="a")
     assert read == [m._decoded_ns["a"][work]]
     seeds = cache_seeds(read[0], work)
-    assert seeds and all(cell is read[0][bci][5]
+    assert seeds and all(cell is read[0][bci][4]
                          for bci, cell in seeds.items())
-    others = {id(s[5]) for s in m._decoded_ns["b"][work]}
+    others = {id(s[4]) for s in m._decoded_ns["b"][work]}
     assert not any(id(cell) in others for cell in seeds.values())
     t = m.spawn("P", "work", [3], namespace="a")
     m.run(t)

@@ -8,7 +8,12 @@ which loop goes first.  Each run compiles its classes afresh, untimed,
 as ``vm_solo``'s repetitions do, so tier 1 pays its stream links.  A
 pair's ratio is tier 1's Minstr/s over the hooked loop's; both loops
 time a program within a second or two of each other, so a host whose
-speed drifts moves both alike.
+speed drifts moves both alike.  Each pair also times tier 2 warm (the
+second call of a program on one ``Machine(jit=True)``, after both gated
+runs) and prints tier 2 / tier 1 and tier 2 / legacy, never gated: CI's
+other tier floor wants ``vm_solo``'s tier 2 at 4.5x its tier 1, so the
+two floors together want tier 2 at about 20x the hooked loop, and that
+shows here in one process.
 
 Which code state the gate times: CPython 3.11 quickens (specializes) a
 function after 8 entries or 8 unconditional back edges (``JUMP_BACKWARD``);
@@ -81,38 +86,59 @@ def _machine(classes: Dict[str, Any], legacy: bool) -> Machine:
             else Machine(classes, jit=False))
 
 
-def pair(legacy_first: bool) -> Tuple[float, float]:
-    """Tier 1's and the hooked loop's Minstr/s over every registry
-    program, each program run on both loops back to back."""
-    done = {True: [0, 0.0], False: [0, 0.0]}  # legacy? -> instrs, secs
+def _timed(m: Machine, w: Any) -> Tuple[int, float]:
+    """One call of ``w``'s main on ``m``: (instructions, host seconds)."""
+    gc.collect()  # the other loop's garbage is not this one's
+    i0, t0 = m.instr_count, time.perf_counter()
+    m.call(w.main[0], w.main[1], list(w.sim_args))
+    return m.instr_count - i0, time.perf_counter() - t0
+
+
+def pair(legacy_first: bool) -> Tuple[float, float, float]:
+    """Tier 1's, the hooked loop's and tier 2's (warm, ungated) Minstr/s
+    over every registry program, each program run on the two gated
+    loops back to back, then on tier 2."""
+    done = {True: [0, 0.0], False: [0, 0.0], "tier2": [0, 0.0]}
     for name in sorted(WORKLOADS):
         w = WORKLOADS[name]
-        for legacy in (legacy_first, not legacy_first):
+        for legacy in (legacy_first, not legacy_first, "tier2"):
             classes = preprocess_program(compile_source(w.source),
                                          "faulting")
-            m = _machine(classes, legacy)
-            gc.collect()  # the other loop's garbage is not this one's
-            t0 = time.perf_counter()
-            m.call(w.main[0], w.main[1], list(w.sim_args))
-            done[legacy][1] += time.perf_counter() - t0
-            done[legacy][0] += m.instr_count
-    return tuple(n / secs / 1e6 for n, secs in (done[False], done[True]))
+            if legacy == "tier2":
+                m = Machine(classes, jit=True)
+                m.call(w.main[0], w.main[1], list(w.sim_args))  # cold
+            else:
+                m = _machine(classes, legacy)
+            n, secs = _timed(m, w)
+            done[legacy][0] += n
+            done[legacy][1] += secs
+    return tuple(n / secs / 1e6 for n, secs in (
+        done[False], done[True], done["tier2"]))
 
 
 def pairs(label: str) -> float:
     """:data:`RUNS` pairs, each printed with the loops' entry counts and
-    specialized-instruction counts before it; their median ratio."""
+    specialized-instruction counts before it (tier 2 runs inside
+    ``_run_fast`` too); their median ratio, tier 2's medians printed."""
     ratios: List[float] = []
+    over1: List[float] = []
+    over_legacy: List[float] = []
     for k in range(RUNS):
         before = (f"entered before: legacy {ENTRIES['_run_loop']}, "
                   f"tier 1 {ENTRIES['_run_fast']}; specialized: legacy "
                   f"{_specialized('_run_loop')}, "
                   f"tier 1 {_specialized('_run_fast')}")
-        tier1, legacy = pair(legacy_first=k % 2 == 0)
+        tier1, legacy, tier2 = pair(legacy_first=k % 2 == 0)
         ratios.append(tier1 / legacy)
+        over1.append(tier2 / tier1)
+        over_legacy.append(tier2 / legacy)
         print(f"{label} pair {k + 1} ({before}): tier 1 {tier1:.2f} "
               f"Minstr/s, legacy {legacy:.2f} Minstr/s, "
-              f"ratio {ratios[-1]:.2f}")
+              f"ratio {ratios[-1]:.2f}; tier 2 warm {tier2:.2f} Minstr/s, "
+              f"/ tier 1 {over1[-1]:.2f}, / legacy {over_legacy[-1]:.2f}")
+    print(f"tier 2 warm median {statistics.median(over1):.2f} x tier 1, "
+          f"{statistics.median(over_legacy):.2f} x legacy over {RUNS} "
+          f"{label} pairs (not gated)")
     return statistics.median(ratios)
 
 
